@@ -2,8 +2,8 @@
 
 Dense complex block-matrix pipeline from a Hermitian coupling matrix to the
 (S, L, H) triple, the grid-discretized punctured-line model with its singular
-boundary functionals, and truncated-Fock verification of the boundary
-conditions and the singular action.
+boundary functionals, and photon-number-graded truncated-Fock verification of
+the boundary conditions and the singular action.
 """
 
 from .errors import (
@@ -58,6 +58,7 @@ from .punctured_line import (
 )
 from .fock import (
     BoundarySubspace,
+    ModeForm,
     ModeOperators,
     TruncatedFockSpace,
     boundary_subspace_b,

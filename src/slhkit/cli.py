@@ -260,7 +260,8 @@ def _fock_battery(coupling, gauge, d, rng, report: Report, prefix: str,
     vectors = sample_domain_vectors(coupling, ops, 10, rng)
     report.results[f"{prefix}domain_vectors"] = len(vectors)
     if vectors:
-        worst = max(action_residuals(coupling, ops, vectors, action_tol))
+        worst = max(action_residuals(coupling, ops, vectors, action_tol,
+                                     eq["sigma_max_b"]))
         report.add(f"{prefix}max_action_residual", worst, action_tol)
     report.add(f"{prefix}number_defect_identity", number_defect_residual(ops), 1e-12)
 
@@ -292,7 +293,8 @@ def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> 
                               zero_channel_system=True)
         eq = subspace_equivalence(e_i, ops_sweep)
         vecs = sample_domain_vectors(e_i, ops_sweep, 3, rng)
-        worst = max(action_residuals(e_i, ops_sweep, vecs, atol), default=0.0)
+        worst = max(action_residuals(e_i, ops_sweep, vecs, atol,
+                                     eq["sigma_max_b"]), default=0.0)
         angle = eq["max_angle"] if eq["max_angle"] is not None else 0.0
         ok = (eq["dim_b"] == eq["dim_c"] and angle <= ktol and worst <= atol)
         report.add(f"sweep[{i:03d}].fock",
@@ -334,11 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(command: str, config: ModelConfig, seed: Optional[int] = None,
                 sweep: int = 0) -> Report:
-    """Execute one subcommand and return its report (wall time included)."""
+    """Execute one subcommand and return its report (wall time included).
+
+    A LAPACK failure surfaces as SlhkitError, like every other numerical error.
+    """
     effective_seed = config.seed if seed is None else seed
     report = Report(command=command, config_hash=config.config_hash())
     start = time.monotonic()
-    COMMANDS[command](config, effective_seed, sweep, report)
+    try:
+        COMMANDS[command](config, effective_seed, sweep, report)
+    except np.linalg.LinAlgError as exc:
+        raise SlhkitError(f"numerical failure in {command}: {exc}") from exc
     report.wall_time_s = time.monotonic() - start
     return report
 

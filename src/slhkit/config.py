@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -123,6 +124,8 @@ def _parse_complex_matrix(obj, size: int, what: str) -> np.ndarray:
                     or not all(isinstance(x, (int, float)) for x in cell)):
                 raise ValidationError(
                     f"{what}[{i}][{j}] must be a [re, im] pair")
+            if not all(math.isfinite(x) for x in cell):
+                raise ValidationError(f"{what}[{i}][{j}] is not finite: {cell}")
             out[i, j] = complex(cell[0], cell[1])
     return out
 
@@ -184,6 +187,8 @@ def config_from_dict(data: dict) -> ModelConfig:
         except (NonHermitianInput, SizeMismatch) as exc:
             raise ValidationError(f"invalid gauge matrix Z: {exc}") from None
     sigma = None if data.get("sigma") is None else float(data["sigma"])
+    if sigma is not None and not math.isfinite(sigma):
+        raise ValidationError(f"sigma must be finite, got {sigma}")
     if z_matrix is not None and sigma is not None:
         raise ValidationError("specify at most one of 'Z' and 'sigma'")
 

@@ -1,4 +1,5 @@
-"""Truncated boundary-mode spaces: boundary subspaces and the singular action.
+"""Truncated boundary-mode spaces graded by photon number: boundary subspaces
+and the singular action.
 
 The space is C^m tensor 2n boson modes, each truncated at photon cutoff d.
 Flattened basis ordering (fixed for reproducibility): the system index is the
@@ -6,29 +7,117 @@ slowest (most significant) digit; the mode occupations follow in the order
 (1,+), ..., (n,+), (1,-), ..., (n,-) stored little-endian, i.e. mode (1,+) is
 the fastest-varying digit.  With k_p the occupation of the mode at digit p,
 
-    index = s * d^(2n) + sum_p k_p * d^p.
+    index = s * d^(2n) + sum_p k_p * d^p,
+
+so a flat vector reshapes to the state tensor of shape (m, d, ..., d), whose
+axis 2n - p carries digit p.
+
+No operator is stored as a dim x dim matrix.  Every boundary operator is a
+linear form X_0 + sum_p X_p a_p in the annihilators with m x m system
+coefficients (``ModeForm``); the singular generator is a sum of products of
+such forms and their adjoints.  Forms act matrix-free on the state tensor,
+one mode axis at a time.
+
+Photon-number grading.  An annihilator lowers the total photon number N by
+one and a system coefficient keeps it.  A stacked boundary operator without
+constant term (E_l0 = 0, hence L = 0) is therefore block-diagonal from sector
+N to sector N-1: its singular values are the union of the sector blocks', and
+its kernel is the direct sum of the sector kernels.  Each sector block is
+built directly from occupation tuples and solved by SVD, with the rank
+threshold relative to the global sigma_max (the largest over all blocks), so
+the rank decision is the one a single dense SVD would make in exact
+arithmetic.  A nonzero constant term keeps N fixed and chains all sectors
+into one block-bidiagonal matrix, assembled from the same sector pieces and
+solved as a single block; which case applies is read from the coefficients.
 
 Boundary operators contain no creators, so kernels computed on the truncated
 space coincide with the finitely-supported solutions of the untruncated
 problem.  Operators containing creators (the singular generator and the
 coupling term) are only truncation-exact on vectors with per-mode occupation
-at most d-2; all action checks project onto that guard first.
+at most d-2 (the photon guard).  Lowering never leaves the guard, so the
+guarded kernel is the same sector solve on guard occupations only, and all
+action checks project onto the guard first.
+
+Size guard: ``TruncatedFockSpace`` estimates the peak bytes of a kernel solve
+(the largest sector block with its SVD factors, plus every sector's right
+factor) and raises TooLarge above ``MAX_SOLVE_BYTES`` before anything is
+allocated; the single block of a nonzero E_l0 is checked against the same
+bound before it is assembled.  With E_l0 = 0, (1,3,4) and (1,3,5) (dim 4096
+and 15625, about 0.06 and 0.6 GiB) fit; (1,3,6) and (2,3,8) do not.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import cached_property
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NotInDomain, TooLarge
-from .linalg import SubspaceBasis, adjoint, null_space, principal_angles
+from .linalg import SubspaceBasis, adjoint, null_spaces, principal_angles
 from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
 
-SIZE_GUARD = 100_000
+# Most memory one boundary kernel solve may allocate (see solve_bytes).
+MAX_SOLVE_BYTES = 2 * 2 ** 30
 DEFAULT_KERNEL_TOL = 1e-9
+
+
+def _svd_block_bytes(rows: int, cols: int) -> int:
+    """Bytes of a complex rows x cols block plus what its kernel solve
+    allocates beside it: rows x min(rows, cols) for the QR copy of a tall
+    block or U of a wide one, and V of cols x cols."""
+    return 16 * (rows * cols + rows * min(rows, cols) + cols * cols)
+
+
+# A ladder operator as applied: a|x> = weight[x] |target[x]> on Fock indices x,
+# with target -1 (and weight 0) where the state is annihilated.
+LadderMap = Tuple[np.ndarray, np.ndarray]
+
+
+def _transpose(ladder: LadderMap) -> LadderMap:
+    """Transpose (= adjoint, the weights being real) of an injective map."""
+    target, weight = ladder
+    src = np.flatnonzero(target >= 0)
+    back = np.full(target.size, -1)
+    back[target[src]] = src
+    back_weight = np.zeros(target.size)
+    back_weight[target[src]] = weight[src]
+    return back, back_weight
+
+
+def _compose(outer: LadderMap, inner: LadderMap) -> LadderMap:
+    """The map ``outer`` after ``inner``."""
+    hit = inner[0] >= 0
+    mid = np.where(hit, inner[0], 0)
+    return (np.where(hit, outer[0][mid], -1),
+            np.where(hit, outer[1][mid], 0.0) * inner[1])
+
+
+def _max_entry(terms: Sequence[Tuple[complex, LadderMap]], cols: np.ndarray,
+               row_mask: np.ndarray) -> float:
+    """Largest |entry| of sum_t c_t M_t over the Fock columns ``cols`` and
+    the rows where ``row_mask`` holds (entries summed exactly as sparse
+    coordinates)."""
+    at, to, vals = [], [], []
+    for coeff, (target, weight) in terms:
+        hit = cols[target[cols] >= 0]
+        at.append(hit)
+        to.append(target[hit])
+        vals.append(coeff * weight[hit])
+    at, to, vals = np.concatenate(at), np.concatenate(to), np.concatenate(vals)
+    keep = row_mask[to]
+    keys, where = np.unique(to[keep] * row_mask.size + at[keep],
+                            return_inverse=True)
+    total = np.zeros(keys.size, dtype=complex)
+    np.add.at(total, where, vals[keep])
+    return float(np.abs(total).max(initial=0.0))
+
+
+def _on_system(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Apply an m x m system matrix to axis 0 of a state tensor."""
+    return (x @ psi.reshape(psi.shape[0], -1)).reshape(psi.shape)
 
 
 @dataclass(frozen=True)
@@ -43,9 +132,13 @@ class TruncatedFockSpace:
         if self.d < 3 or self.m < 1 or self.n < 1:
             raise TooLarge(f"need d >= 3, m >= 1, n >= 1, got "
                            f"(m, n, d) = ({self.m}, {self.n}, {self.d})")
-        if self.dim > SIZE_GUARD:
-            raise TooLarge(f"m * d^(2n) = {self.dim} exceeds the "
-                           f"desk-scale guard {SIZE_GUARD}")
+        need = self.solve_bytes()
+        if need > MAX_SOLVE_BYTES:
+            raise TooLarge(
+                f"a boundary kernel solve at (m, n, d) = ({self.m}, "
+                f"{self.n}, {self.d}) needs about {need / 2 ** 30:.1f} GiB, "
+                f"above the desk-scale guard of "
+                f"{MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
 
     @property
     def n_modes(self) -> int:
@@ -59,6 +152,30 @@ class TruncatedFockSpace:
     def dim(self) -> int:
         return self.m * self.fock_dim
 
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        """Shape of the state tensor: system axis, then digits 2n-1, ..., 0."""
+        return (self.m,) + (self.d,) * self.n_modes
+
+    def sector_sizes(self, cap: Optional[int] = None) -> np.ndarray:
+        """Number of occupation tuples (every mode <= cap, default d - 1)
+        with total photon number N = 0, 1, ..."""
+        cap = self.d - 1 if cap is None else cap
+        sizes = np.ones(1, dtype=np.int64)
+        for _ in range(self.n_modes):
+            sizes = np.convolve(sizes, np.ones(cap + 1, dtype=np.int64))
+        return sizes
+
+    def solve_bytes(self) -> int:
+        """Estimated peak bytes of a kernel solve without constant term: the
+        largest sector block of the n stacked boundary rows (sector N into
+        N-1) with its SVD factors, plus the right factors of all sectors,
+        which are held until the global threshold is known."""
+        c = [self.m * int(x) for x in self.sector_sizes()]
+        largest = max(_svd_block_bytes(self.n * c[k - 1], c[k])
+                      for k in range(1, len(c)))
+        return largest + 16 * sum(x * x for x in c)
+
     def ladder(self) -> np.ndarray:
         """Single-mode annihilator: a|k> = sqrt(k)|k-1>, a|0> = 0."""
         a = np.zeros((self.d, self.d), dtype=complex)
@@ -71,18 +188,6 @@ class TruncatedFockSpace:
         if not (1 <= j <= self.n) or sign not in ("+", "-"):
             raise ValueError(f"no mode ({j}, {sign!r})")
         return (j - 1) if sign == "+" else (self.n + j - 1)
-
-    def embed_mode(self, op: np.ndarray, pos: int) -> np.ndarray:
-        """Lift a d x d single-mode operator acting on digit ``pos`` to the
-        full space (identity on the system factor and all other modes)."""
-        before = np.eye(self.d ** (self.n_modes - 1 - pos))
-        after = np.eye(self.d ** pos)
-        fock_op = np.kron(np.kron(before, op), after)
-        return np.kron(np.eye(self.m), fock_op)
-
-    def lift_system(self, mat: np.ndarray) -> np.ndarray:
-        """Lift an m x m system operator to the full space."""
-        return np.kron(np.asarray(mat, dtype=complex), np.eye(self.fock_dim))
 
     def occupations(self) -> np.ndarray:
         """Array (dim, 2n) of per-mode occupation digits for every basis index."""
@@ -98,10 +203,112 @@ class TruncatedFockSpace:
         cap = self.d - 2 if max_occ is None else max_occ
         return (self.occupations() <= cap).all(axis=1)
 
+    def sectors(self, cap: Optional[int] = None) -> List[np.ndarray]:
+        """Fock indices (increasing) of each photon-number sector N = 0, 1,
+        ..., keeping occupation tuples with every mode <= cap (default d - 1,
+        the whole space)."""
+        cap = self.d - 1 if cap is None else cap
+        occ = self.occupations()[:self.fock_dim]
+        idx = np.flatnonzero((occ <= cap).all(axis=1))
+        total = occ[idx].sum(axis=1)
+        return [idx[total == k] for k in range(self.n_modes * cap + 1)]
+
+    def tensor(self, vectors: np.ndarray) -> np.ndarray:
+        """View flat vectors (dim,) or (dim, k) as state tensors."""
+        vectors = np.asarray(vectors, dtype=complex)
+        return vectors.reshape(self.shape + vectors.shape[1:])
+
+    def flat(self, psi: np.ndarray) -> np.ndarray:
+        """Inverse of ``tensor``."""
+        return psi.reshape((self.dim,) + psi.shape[1 + self.n_modes:])
+
+    @cached_property
+    def _ladder_maps(self) -> List[Tuple[LadderMap, LadderMap]]:
+        steps = np.append(0.0, np.diagonal(self.ladder(), offset=1).real)
+        idx = np.arange(self.fock_dim)
+        maps = []
+        for p in range(self.n_modes):
+            k = (idx // self.d ** p) % self.d
+            lowering = (np.where(k > 0, idx - self.d ** p, -1), steps[k])
+            maps.append((lowering, _transpose(lowering)))
+        return maps
+
+    def ladder_map(self, p: int, dagger: bool = False) -> LadderMap:
+        """The annihilator of the mode at digit p (its adjoint, the creator,
+        when ``dagger``) as a map of Fock indices: a|x> = weight[x] |target[x]>,
+        target -1 where a|x> = 0.  Every ladder the module applies is one of
+        these maps."""
+        return self._ladder_maps[p][dagger]
+
+    def lower(self, psi: np.ndarray, p: int, dagger: bool = False) -> np.ndarray:
+        """Annihilator (creator when ``dagger``) of the mode at digit p on a
+        state tensor of shape (m, d, ..., d, *batch)."""
+        target, weight = self.ladder_map(p, dagger)
+        src = np.flatnonzero(target >= 0)
+        flat = psi.reshape((self.m, self.fock_dim, -1))
+        out = np.zeros_like(flat)
+        out[:, target[src]] = weight[src, None] * flat[:, src]
+        return out.reshape(psi.shape)
+
+
+@dataclass(frozen=True)
+class ModeForm:
+    """The operator X_0 + sum_p X_p a_p on C^m (x) modes.
+
+    ``coef`` has shape (1 + 2n, m, m): slot 0 holds the system coefficient of
+    the identity, slot 1 + p that of the annihilator at digit p.
+    """
+
+    space: TruncatedFockSpace
+    coef: np.ndarray
+
+    @classmethod
+    def slot(cls, space: TruncatedFockSpace, q: int) -> "ModeForm":
+        """Identity (q = 0) or the annihilator at digit q - 1."""
+        coef = np.zeros((1 + space.n_modes, space.m, space.m), dtype=complex)
+        coef[q] = np.eye(space.m)
+        return cls(space, coef)
+
+    def __add__(self, other: "ModeForm") -> "ModeForm":
+        return ModeForm(self.space, self.coef + other.coef)
+
+    def __sub__(self, other: "ModeForm") -> "ModeForm":
+        return ModeForm(self.space, self.coef - other.coef)
+
+    def __rmul__(self, scalar: complex) -> "ModeForm":
+        return ModeForm(self.space, scalar * self.coef)
+
+    def times(self, x: np.ndarray) -> "ModeForm":
+        """The form followed by the system matrix x, i.e. (x (x) 1) F."""
+        return ModeForm(self.space, np.matmul(np.asarray(x, dtype=complex),
+                                              self.coef))
+
+    def apply(self, psi: np.ndarray, dagger: bool = False) -> np.ndarray:
+        """Act on a state tensor (m, d, ..., d, *batch); with ``dagger`` the
+        adjoint sum_q (X_q^dag (x) a_q^dag)."""
+        out = None
+        for q, x in enumerate(self.coef):
+            if not np.any(x):
+                continue
+            if dagger:
+                term = _on_system(adjoint(x), psi)
+                term = self.space.lower(term, q - 1, dagger=True) if q else term
+            else:
+                term = _on_system(x, self.space.lower(psi, q - 1) if q else psi)
+            if out is None:
+                out = term
+            else:
+                out += term
+        return np.zeros_like(psi) if out is None else out
+
+    def __matmul__(self, vectors: np.ndarray) -> np.ndarray:
+        """Act on flat vectors (dim,) or (dim, k)."""
+        return self.space.flat(self.apply(self.space.tensor(vectors)))
+
 
 @dataclass(frozen=True)
 class ModeOperators:
-    """Full-space matrices for the boundary modes of one truncated space.
+    """Graded mode operators of one truncated space.
 
     ``a_star`` is the symmetric combination (a_+ + a_-)/2 per channel and
     ``frak_a`` its gauge deformation; ungauged they coincide.  The zeroth
@@ -110,25 +317,25 @@ class ModeOperators:
 
     space: TruncatedFockSpace
     gauge: Optional[Gauge]
-    a_plus: List[np.ndarray]
-    a_minus: List[np.ndarray]
-    a_star: List[np.ndarray]
-    frak_a: List[np.ndarray]
-    a0: np.ndarray
+    a_plus: List[ModeForm]
+    a_minus: List[ModeForm]
+    a_star: List[ModeForm]
+    frak_a: List[ModeForm]
+    a0: ModeForm
 
 
 def build_mode_operators(m: int, n: int, d: int,
                          gauge: Optional[Gauge] = None) -> ModeOperators:
     """Construct annihilators for all 2n modes plus their (gauged) combinations."""
     space = TruncatedFockSpace(m=m, n=n, d=d)
-    a = space.ladder()
-    a_plus = [space.embed_mode(a, space.digit(j, "+")) for j in range(1, n + 1)]
-    a_minus = [space.embed_mode(a, space.digit(j, "-")) for j in range(1, n + 1)]
+    a_plus = [ModeForm.slot(space, 1 + space.digit(j, "+")) for j in range(1, n + 1)]
+    a_minus = [ModeForm.slot(space, 1 + space.digit(j, "-")) for j in range(1, n + 1)]
     a_star = [0.5 * (ap + am) for ap, am in zip(a_plus, a_minus)]
+    a0 = ModeForm.slot(space, 0)
 
     zll = gauge_zll(gauge, m, n)
     if gauge is None or not np.any(zll):
-        frak_a = [op.copy() for op in a_star]
+        frak_a = list(a_star)
     else:
         # frak_a_j = sum_k (kappa_-)_{jk} a_{k,+} + (kappa_+)_{jk} a_{k,-}
         # with kappa_pm = 1/2 +- iZ on the channel block; the kappa_- weight
@@ -138,16 +345,14 @@ def build_mode_operators(m: int, n: int, d: int,
         km = 0.5 * np.eye(n * m, dtype=complex) - 1j * zll
         frak_a = []
         for j in range(n):
-            acc = np.zeros((space.dim, space.dim), dtype=complex)
-            for k in range(n):
-                km_blk = km[j * m:(j + 1) * m, k * m:(k + 1) * m]
-                kp_blk = kp[j * m:(j + 1) * m, k * m:(k + 1) * m]
-                acc += space.lift_system(km_blk) @ a_plus[k]
-                acc += space.lift_system(kp_blk) @ a_minus[k]
-            frak_a.append(acc)
+            coef = np.zeros_like(a0.coef)
+            for k in range(1, n + 1):
+                cols = slice((k - 1) * m, k * m)
+                coef[1 + space.digit(k, "+")] = km[j * m:(j + 1) * m, cols]
+                coef[1 + space.digit(k, "-")] = kp[j * m:(j + 1) * m, cols]
+            frak_a.append(ModeForm(space, coef))
     return ModeOperators(space=space, gauge=gauge, a_plus=a_plus,
-                         a_minus=a_minus, a_star=a_star, frak_a=frak_a,
-                         a0=np.eye(space.dim, dtype=complex))
+                         a_minus=a_minus, a_star=a_star, frak_a=frak_a, a0=a0)
 
 
 def coherent_vector(space: TruncatedFockSpace, j: int, sign: str,
@@ -169,170 +374,224 @@ def coherent_vector(space: TruncatedFockSpace, j: int, sign: str,
 
 @dataclass(frozen=True)
 class BoundarySubspace:
-    """Kernel of one family of boundary operators, with its construction route."""
+    """Kernel of one family of boundary operators, with its construction route
+    and the global sigma_max its rank threshold was relative to."""
 
     basis: SubspaceBasis
     route: str
     tol: float
+    sigma_max: float
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
 
-def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[np.ndarray]:
+def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
     """Rows B_j = i(a_{j,+} - a_{j,-}) + E_{j0} + sum_k E_{jk} frak_a_k."""
-    space = ops.space
     rows = []
     for j in range(1, e.n + 1):
         row = 1j * (ops.a_plus[j - 1] - ops.a_minus[j - 1])
-        row = row + space.lift_system(e.block.block(j, 0))
+        row = row + ops.a0.times(e.block.block(j, 0))
         for k in range(1, e.n + 1):
-            row = row + space.lift_system(e.block.block(j, k)) @ ops.frak_a[k - 1]
+            row = row + ops.frak_a[k - 1].times(e.block.block(j, k))
         rows.append(row)
     return rows
 
 
 def _slh_rows(e: CouplingMatrix, ops: ModeOperators,
-              triple: Optional[SLHResult] = None) -> List[np.ndarray]:
+              triple: Optional[SLHResult] = None) -> List[ModeForm]:
     """Rows C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j."""
-    space = ops.space
     res = slh_triple(e, ops.gauge) if triple is None else triple
     m = e.m
     rows = []
     for j in range(e.n):
-        row = ops.a_minus[j].copy()
+        row = ops.a_minus[j]
         for k in range(e.n):
-            s_blk = res.s[j * m:(j + 1) * m, k * m:(k + 1) * m]
-            row = row - space.lift_system(s_blk) @ ops.a_plus[k]
-        row = row - space.lift_system(res.l[j * m:(j + 1) * m, :])
-        rows.append(row)
+            row = row - ops.a_plus[k].times(res.s[j * m:(j + 1) * m, k * m:(k + 1) * m])
+        rows.append(row - ops.a0.times(res.l[j * m:(j + 1) * m, :]))
     return rows
 
 
 def stacked_boundary_rows(e: CouplingMatrix, ops: ModeOperators,
                           route: str = "B") -> np.ndarray:
-    """Stacked boundary operators for either construction route."""
+    """Graded coefficients, shape (n, 1 + 2n, m, m), of the stacked boundary
+    operators of either route: row j is the form with coefficients [j]."""
     if route == "B":
-        return np.vstack(_coupling_rows(e, ops))
+        return np.stack([row.coef for row in _coupling_rows(e, ops)])
     if route == "C":
-        return np.vstack(_slh_rows(e, ops))
+        return np.stack([row.coef for row in _slh_rows(e, ops)])
     raise ValueError(f"unknown route {route!r}")
+
+
+def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
+                  cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Matrix of the stacked forms ``coef`` from the span of the Fock states
+    ``cols`` into that of ``rows`` (Fock indices; system index slowest on both
+    sides, boundary row slowest of all), built from the ladder maps."""
+    r, m = coef.shape[0], space.m
+    pos = np.full(space.fock_dim, -1)
+    pos[rows] = np.arange(rows.size)
+    block = np.zeros((r, m, rows.size, m, cols.size), dtype=complex)
+    at = np.arange(cols.size)
+    # Each (row, column) pair is reached by at most one slot, so plain
+    # assignment suffices.
+    for p in range(space.n_modes):
+        target, weight = space.ladder_map(p)
+        hit = target[cols] >= 0
+        block[:, :, pos[target[cols[hit]]], :, at[hit]] = (
+            weight[cols[hit], None, None, None] * coef[None, :, 1 + p])
+    if np.any(coef[:, 0]):
+        block[:, :, pos[cols], :, at] = coef[None, :, 0]
+    return block.reshape(r * m * rows.size, m * cols.size)
+
+
+def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray, tol: float,
+                   cap: Optional[int] = None) -> Tuple[SubspaceBasis, float]:
+    """Kernel of the stacked forms ``coef`` on the occupations with every
+    mode <= cap, as flat columns, and the global sigma_max of its blocks."""
+    sectors = space.sectors(cap)
+    if np.any(coef[:, 0]):
+        # The constant term keeps N fixed: all sectors form one block.
+        everything = np.concatenate(sectors)
+        need = _svd_block_bytes(coef.shape[0] * space.m * everything.size,
+                               space.m * everything.size)
+        if need > MAX_SOLVE_BYTES:
+            raise TooLarge(
+                f"a nonzero E_l0 couples every photon-number sector into one "
+                f"block of about {need / 2 ** 30:.1f} GiB, above the "
+                f"desk-scale guard of {MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
+        groups = [(everything, everything)]
+    else:
+        groups = [(cols, sectors[k - 1] if k else cols[:0])
+                  for k, cols in enumerate(sectors)]
+    kernels, sigma_max = null_spaces(
+        (_sector_block(space, coef, cols, rows) for cols, rows in groups),
+        tol)
+    columns = np.zeros((space.dim, sum(k.shape[1] for k in kernels)),
+                       dtype=complex)
+    start = 0
+    for (cols, _), kernel in zip(groups, kernels):
+        flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
+        columns[flat, start:start + kernel.shape[1]] = kernel
+        start += kernel.shape[1]
+    return SubspaceBasis(columns=columns, tol=tol), sigma_max
 
 
 def boundary_subspace_b(e: CouplingMatrix, ops: ModeOperators,
                         tol: float = DEFAULT_KERNEL_TOL) -> BoundarySubspace:
     """Kernel of the stacked coupling-form boundary operators (no creators,
     hence truncation-exact)."""
-    stacked = np.vstack(_coupling_rows(e, ops))
-    return BoundarySubspace(basis=null_space(stacked, tol), route="B", tol=tol)
+    basis, smax = _graded_kernel(ops.space, stacked_boundary_rows(e, ops, "B"), tol)
+    return BoundarySubspace(basis=basis, route="B", tol=tol, sigma_max=smax)
 
 
 def boundary_subspace_c(e: CouplingMatrix, ops: ModeOperators,
                         tol: float = DEFAULT_KERNEL_TOL) -> BoundarySubspace:
     """Kernel of the scattering-form boundary operators a_- = S a_+ + L."""
-    stacked = np.vstack(_slh_rows(e, ops))
-    return BoundarySubspace(basis=null_space(stacked, tol), route="C", tol=tol)
-
-
-def boundary_residual(e: CouplingMatrix, ops: ModeOperators,
-                      vectors: np.ndarray) -> float:
-    """Max relative residual of the coupling-form boundary condition over columns."""
-    stacked = np.vstack(_coupling_rows(e, ops))
-    scale = float(np.linalg.norm(stacked, 2))
-    vecs = vectors if vectors.ndim == 2 else vectors[:, None]
-    res = stacked @ vecs
-    norms = np.linalg.norm(vecs, axis=0)
-    return float(np.max(np.linalg.norm(res, axis=0) / (scale * norms)))
+    basis, smax = _graded_kernel(ops.space, stacked_boundary_rows(e, ops, "C"), tol)
+    return BoundarySubspace(basis=basis, route="C", tol=tol, sigma_max=smax)
 
 
 def guarded_domain_basis(e: CouplingMatrix, ops: ModeOperators,
                          tol: float = DEFAULT_KERNEL_TOL) -> SubspaceBasis:
     """Orthonormal basis of the boundary subspace intersected with the photon
-    guard (per-mode occupation <= d-2), on which creators are exact."""
+    guard (per-mode occupation <= d-2), on which creators are exact: the
+    coupling-form kernel with each sector's columns restricted to the guard."""
     space = ops.space
-    outside = ~space.photon_guard_mask()
-    selector = np.eye(space.dim, dtype=complex)[outside]
-    stacked = np.vstack(_coupling_rows(e, ops) + [selector])
-    return null_space(stacked, tol)
+    return _graded_kernel(space, stacked_boundary_rows(e, ops, "B"), tol,
+                          cap=space.d - 2)[0]
 
 
 # --- singular generator and its action --------------------------------------
 
 
-def singular_generator(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
-    """K_sing + Upsilon: i sum_j frak_a_j^dag (a_{j,+} - a_{j,-}) plus the
-    normally-ordered coupling term sum_ab E_ab frak_a_a^dag frak_a_b (zeroth
-    mode = identity)."""
+def singular_generator(e: CouplingMatrix, ops: ModeOperators,
+                       vectors: np.ndarray) -> np.ndarray:
+    """K_sing + Upsilon applied to flat vectors (dim,) or (dim, k):
+    i sum_j frak_a_j^dag (a_{j,+} - a_{j,-}) plus the normally-ordered
+    coupling term sum_ab frak_a_a^dag E_ab frak_a_b (zeroth mode = identity)."""
     space = ops.space
-    modes = [ops.a0] + [op for op in ops.frak_a]
-    total = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(1, e.n + 1):
-        total += 1j * adjoint(ops.frak_a[j - 1]) @ (ops.a_plus[j - 1]
-                                                    - ops.a_minus[j - 1])
-    for alpha in range(e.n + 1):
-        for beta in range(e.n + 1):
+    psi = space.tensor(vectors)
+    total = np.zeros_like(psi)
+    for j in range(e.n):
+        jump = (ops.a_plus[j] - ops.a_minus[j]).apply(psi)
+        total += 1j * ops.frak_a[j].apply(jump, dagger=True)
+    modes = [ops.a0] + list(ops.frak_a)
+    images = [mode.apply(psi) for mode in modes]
+    for alpha, mode in enumerate(modes):
+        coupled = np.zeros_like(psi)
+        for beta, image in enumerate(images):
             blk = e.block.block(alpha, beta)
-            if not np.any(blk):
-                continue
-            total += adjoint(modes[alpha]) @ space.lift_system(blk) @ modes[beta]
-    return total
+            if np.any(blk):
+                coupled += _on_system(blk, image)
+        total += mode.apply(coupled, dagger=True)
+    return space.flat(total)
 
 
-def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
+def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> ModeForm:
     """The boundary-reduced action iG_00 + sum_k iG_0k a_{k,+}."""
-    space = ops.space
     g = slh_triple(e, ops.gauge).ito
-    total = space.lift_system(1j * g.block(0, 0))
+    total = ops.a0.times(1j * g.block(0, 0))
     for k in range(1, e.n + 1):
-        total += space.lift_system(1j * g.block(0, k)) @ ops.a_plus[k - 1]
+        total = total + ops.a_plus[k - 1].times(1j * g.block(0, k))
     return total
 
 
 def number_defect_residual(ops: ModeOperators) -> float:
     """Exact adjoint defect of the leading singular term: the ungauged
-    i sum a_star^dag (a_+ - a_-) minus its adjoint equals i sum (N_+ - N_-),
-    entrywise on the truncated space."""
+    K = i sum a_star^dag (a_+ - a_-) minus its transpose-conjugate equals
+    i sum (N_+ - N_-), entrywise on the truncated space.  Built from the
+    ladder maps the forms apply (the system factor is the identity)."""
     space = ops.space
-    k = np.zeros((space.dim, space.dim), dtype=complex)
-    nhat = np.zeros((space.dim, space.dim), dtype=complex)
+    terms = []
     for j in range(space.n):
-        k += 1j * adjoint(ops.a_star[j]) @ (ops.a_plus[j] - ops.a_minus[j])
-        nhat += (adjoint(ops.a_plus[j]) @ ops.a_plus[j]
-                 - adjoint(ops.a_minus[j]) @ ops.a_minus[j])
-    return float(np.abs((k - adjoint(k)) - 1j * nhat).max())
+        lp, lm = space.ladder_map(j), space.ladder_map(space.n + j)
+        rp, rm = space.ladder_map(j, True), space.ladder_map(space.n + j, True)
+        for coeff, term in ((0.5j, _compose(rp, lp)), (-0.5j, _compose(rp, lm)),
+                            (0.5j, _compose(rm, lp)), (-0.5j, _compose(rm, lm))):
+            terms += [(coeff, term), (-np.conj(coeff), _transpose(term))]
+        terms += [(-1j, _compose(rp, lp)), (1j, _compose(rm, lm))]
+    everything = np.arange(space.fock_dim)
+    return _max_entry(terms, everything, np.ones(space.fock_dim, dtype=bool))
 
 
 def commutator_defect(ops: ModeOperators) -> float:
-    """Truncation-aware CCR check: on the photon guard, [a_{j,s}, a_{k,s'}^dag]
-    equals delta_jk delta_ss'; returns the worst guarded residual."""
+    """Truncation-aware CCR check on the ladder maps the forms apply: on the
+    photon guard, [a_{j,s}, a_{k,s'}^dag] equals delta_jk delta_ss'; returns
+    the worst guarded entry of the difference."""
     space = ops.space
-    guard = space.photon_guard_mask()
-    eye = np.eye(space.dim)
+    guard = space.photon_guard_mask()[:space.fock_dim]
+    cols = np.flatnonzero(guard)
+    identity = (np.arange(space.fock_dim), np.ones(space.fock_dim))
     worst = 0.0
-    all_modes = list(ops.a_plus) + list(ops.a_minus)
-    for i, a in enumerate(all_modes):
-        for k, b in enumerate(all_modes):
-            comm = a @ adjoint(b) - adjoint(b) @ a
-            expect = eye if i == k else 0.0
-            defect = np.abs(comm - expect)[np.ix_(guard, guard)]
-            worst = max(worst, float(defect.max()))
+    for i in range(space.n_modes):
+        for k in range(space.n_modes):
+            a, b_dag = space.ladder_map(i), space.ladder_map(k, True)
+            terms = [(1.0, _compose(a, b_dag)), (-1.0, _compose(b_dag, a))]
+            if i == k:
+                terms.append((-1.0, identity))
+            worst = max(worst, _max_entry(terms, cols, guard))
     return worst
 
 
 def number_spectrum_defect(ops: ModeOperators) -> float:
-    """Per-mode number operators are diagonal with spectrum {0, ..., d-1};
-    returns the worst deviation of the sorted unique diagonal."""
+    """Per-mode number operators, built from the ladder maps the forms apply,
+    are diagonal with spectrum {0, ..., d-1}; returns the worst off-diagonal
+    entry or deviation of the sorted unique diagonal."""
     space = ops.space
     expected = np.arange(space.d, dtype=float)
+    idx = np.arange(space.fock_dim)
     worst = 0.0
-    for a in list(ops.a_plus) + list(ops.a_minus):
-        num = adjoint(a) @ a
-        off = float(np.abs(num - np.diag(np.diag(num))).max())
-        values = np.unique(np.round(np.diag(num).real, 12))
+    for p in range(space.n_modes):
+        target, weight = _compose(space.ladder_map(p, True), space.ladder_map(p))
+        on_diag = target == idx
+        off = np.abs(weight[~on_diag & (target >= 0)])
+        values = np.unique(np.round(np.where(on_diag, weight, 0.0), 12))
         if values.shape != expected.shape:
             return float("inf")
-        worst = max(worst, off, float(np.abs(values - expected).max()))
+        worst = max(worst, float(off.max(initial=0.0)),
+                    float(np.abs(values - expected).max()))
     return worst
 
 
@@ -348,30 +607,39 @@ def singular_action_check(e: CouplingMatrix, ops: ModeOperators,
 
 
 def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
-                     tol: float = 1e-8) -> List[float]:
-    """Singular-action residuals for a batch of domain vectors (operators are
-    assembled once)."""
+                     tol: float = 1e-8,
+                     scale: Optional[float] = None) -> List[float]:
+    """Singular-action residuals for a batch of domain vectors, applied
+    matrix-free to the whole batch at once.
+
+    Each vector is projected onto the photon guard and normalized; its
+    coupling-form boundary residual relative to ``scale`` must stay within
+    ``tol``, or NotInDomain is raised.  ``scale`` is the sigma_max that the
+    coupling-form kernel solve found (``boundary_subspace_b(...).sigma_max``);
+    it is solved for when not given.
+    """
+    if len(vectors) == 0:
+        return []
     space = ops.space
-    guard = space.photon_guard_mask()
-    lhs_op = singular_generator(e, ops)
-    rhs_op = singular_action_operator(e, ops)
-    stacked = np.vstack(_coupling_rows(e, ops))
-    scale = float(np.linalg.norm(stacked, 2))
-    out = []
-    for phi in vectors:
-        phi = np.asarray(phi, dtype=complex).copy()
-        phi[~guard] = 0.0
-        norm = np.linalg.norm(phi)
+    if scale is None:
+        scale = boundary_subspace_b(e, ops).sigma_max
+    phi = np.array([np.asarray(v, dtype=complex) for v in vectors]).T
+    phi[~space.photon_guard_mask()] = 0.0
+    norms = np.linalg.norm(phi, axis=0)
+    phi /= np.where(norms == 0.0, 1.0, norms)
+    psi = space.tensor(phi)
+    squares = sum(np.abs(space.flat(row.apply(psi))) ** 2
+                  for row in _coupling_rows(e, ops))
+    boundary = np.sqrt(squares.sum(axis=0)) / scale
+    for norm, res in zip(norms, boundary):
         if norm == 0.0:
             raise NotInDomain("vector vanishes after the photon guard projection")
-        phi /= norm
-        res = float(np.linalg.norm(stacked @ phi)) / scale
         if res > tol:
             raise NotInDomain(
                 f"boundary-condition residual {res:.3e} exceeds tolerance "
                 f"{tol:.1e}")
-        out.append(float(np.linalg.norm(lhs_op @ phi - rhs_op @ phi)))
-    return out
+    diff = singular_generator(e, ops, phi) - singular_action_operator(e, ops) @ phi
+    return [float(x) for x in np.linalg.norm(diff, axis=0)]
 
 
 def sample_domain_vectors(e: CouplingMatrix, ops: ModeOperators, count: int,
@@ -394,13 +662,15 @@ def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators,
                          tol: float = DEFAULT_KERNEL_TOL) -> dict:
     """Compare the two boundary-subspace constructions.
 
-    Returns kernel dimensions, and the largest principal angle when both are
+    Returns kernel dimensions, the largest principal angle when both are
     nonempty (None when both are empty, which is the expected outcome for a
-    generic invertible system-channel coupling block).
+    generic invertible system-channel coupling block), and the route-B
+    sigma_max that scales action residuals.
     """
     sub_b = boundary_subspace_b(e, ops, tol)
     sub_c = boundary_subspace_c(e, ops, tol)
-    report = {"dim_b": sub_b.dim, "dim_c": sub_c.dim, "max_angle": None}
+    report = {"dim_b": sub_b.dim, "dim_c": sub_c.dim, "max_angle": None,
+              "sigma_max_b": sub_b.sigma_max}
     if sub_b.dim and sub_c.dim:
         angles = principal_angles(sub_b.basis, sub_c.basis)
         report["max_angle"] = float(angles.max()) if angles.size else 0.0
@@ -418,7 +688,8 @@ def gauged_fock_check(e: CouplingMatrix, gauge: Optional[Gauge],
     ops = build_mode_operators(e.m, e.n, d, gauge)
     report = subspace_equivalence(e, ops, kernel_tol)
     vectors = sample_domain_vectors(e, ops, n_vectors, rng, kernel_tol)
-    residuals = action_residuals(e, ops, vectors, action_tol) if vectors else []
+    residuals = action_residuals(e, ops, vectors, action_tol,
+                                 report["sigma_max_b"])
     report["action_residuals"] = residuals
     report["max_action_residual"] = max(residuals) if residuals else None
     report["number_defect_residual"] = number_defect_residual(ops)

@@ -1,13 +1,14 @@
 """Dense complex linear algebra with the block conventions used downstream.
 
-Everything here operates on plain ``numpy`` arrays of ``complex128``; matrices
-are tiny (at most a few hundred rows), so dense factorizations are always the
-right tool.
+Everything here operates on plain ``numpy`` arrays of ``complex128``; each
+matrix handed in is small enough for a dense factorization (large operators
+arrive as the independent diagonal blocks of ``null_spaces``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -93,23 +94,49 @@ class SubspaceBasis:
         return float(np.abs(gram - np.eye(self.dim)).max())
 
 
+def null_spaces(blocks: Iterable[np.ndarray],
+                tol: float = DEFAULT_NULLSPACE_TOL) -> Tuple[List[np.ndarray], float]:
+    """Kernels of the diagonal blocks of one block-diagonal matrix.
+
+    Each block is factored by SVD and its kernel kept as orthonormal columns;
+    the rank threshold is ``tol`` times the global sigma_max, the largest
+    singular value over all blocks, so the decision is the one an SVD of the
+    whole matrix would make.  Blocks are consumed one at a time (only their
+    right factors are kept).  Returns the kernels, in block order, and the
+    global sigma_max; when every block is zero each kernel is its full space.
+    """
+    if tol <= 0:
+        raise ValueError("null-space tolerance must be positive")
+    factors = []
+    for block in blocks:
+        block = as_complex_matrix(block)
+        rows, cols = block.shape
+        # Only the right factor is needed.  A tall block is first reduced to
+        # the triangular factor of its QR, which has the same singular values
+        # and right factor and spares forming Q and U; the right factor is
+        # then square unless rows < cols.
+        if rows > cols:
+            block = np.linalg.qr(block, mode="r")
+        _, sing, vh = np.linalg.svd(block, full_matrices=rows < cols)
+        factors.append((sing, vh))
+    smax = max((float(sing[0]) for sing, _ in factors if sing.size), default=0.0)
+    kernels = []
+    for sing, vh in factors:
+        if smax == 0.0:
+            kernels.append(np.eye(vh.shape[1], dtype=complex))
+        else:
+            rank = int(np.sum(sing > tol * smax))
+            kernels.append(adjoint(vh[rank:]))
+    return kernels, smax
+
+
 def null_space(m: np.ndarray, tol: float = DEFAULT_NULLSPACE_TOL) -> SubspaceBasis:
     """Orthonormal basis of {v : ||Mv|| <= tol * ||M|| * ||v||} by SVD thresholding.
 
     An empty basis is a valid result; M = 0 returns the full space.
     """
-    if tol <= 0:
-        raise ValueError("null-space tolerance must be positive")
-    m = as_complex_matrix(m)
-    ncols = m.shape[1]
-    _, sing, vh = np.linalg.svd(m, full_matrices=True)
-    smax = float(sing[0]) if sing.size else 0.0
-    if smax == 0.0:
-        basis = np.eye(ncols, dtype=complex)
-    else:
-        rank = int(np.sum(sing > tol * smax))
-        basis = adjoint(vh[rank:])
-    return SubspaceBasis(columns=basis, tol=tol)
+    kernels, _ = null_spaces([m], tol)
+    return SubspaceBasis(columns=kernels[0], tol=tol)
 
 
 def principal_angles(u: SubspaceBasis, w: SubspaceBasis) -> np.ndarray:

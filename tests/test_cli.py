@@ -5,9 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from slhkit import cli
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict, load_config
-from slhkit.errors import ParseError, ValidationError
+from slhkit.errors import ParseError, SlhkitError, ValidationError
 from slhkit.report import (
     Report,
     emit_report,
@@ -73,6 +74,19 @@ class TestConfig:
         path.write_text("{\n  \"m\": 1,\n}")
         with pytest.raises(ParseError, match="line 3"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("field,value", [
+        ("E", [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]),
+        ("E", [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [float("inf"), 0.0]]]),
+        ("Z", [[[0.0, float("-inf")]]]),
+        ("sigma", float("nan")),
+        ("sigma", float("inf")),
+    ])
+    def test_non_finite_input_rejected(self, field, value):
+        bad = dict(MINIMAL)
+        bad[field] = value
+        with pytest.raises(ValidationError, match="finite"):
+            config_from_dict(bad)
 
     def test_unknown_keys_rejected(self):
         bad = dict(MINIMAL)
@@ -170,6 +184,28 @@ class TestExitCodes:
         proc = run_cli(["slh", "--config", str(path)])
         assert proc.returncode != 0
         assert "block" in proc.stderr
+
+    def test_nan_coupling_exits_2(self, tmp_path):
+        bad = dict(SCALAR_MODEL)
+        bad["E"] = [[[float("nan"), 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(bad))
+        proc = run_cli(["fock", "--config", str(path)])
+        assert proc.returncode == 2
+        assert "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_lapack_failure_is_slhkit_error(self, tmp_path, monkeypatch, capsys):
+        def diverging(config, seed, sweep, report):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setitem(cli.COMMANDS, "slh", diverging)
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(SCALAR_MODEL))
+        with pytest.raises(SlhkitError, match="SVD did not converge"):
+            run_command("slh", config_from_dict(SCALAR_MODEL))
+        assert cli.main(["slh", "--config", str(path)]) == 1
+        assert "SlhkitError: numerical failure" in capsys.readouterr().err
 
     def test_failing_check_names_first_failure(self, tmp_path):
         # diagonal coupling keeps the boundary kernel nonempty, so the angle

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from slhkit.cli import run_command
+from slhkit.config import config_from_dict
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.errors import NotInDomain, TooLarge
 from slhkit.fock import (
+    ModeForm,
     TruncatedFockSpace,
     action_residuals,
     boundary_subspace_b,
@@ -24,6 +27,12 @@ from slhkit.fock import (
 )
 from slhkit.linalg import adjoint, principal_angles
 from slhkit.slh import GaugeMatrix, ScalarGauge, validate_coupling
+
+
+def row_matrix(ops, coef):
+    """Matrix of the boundary row with graded coefficients ``coef``, as the
+    form applies it to every basis vector."""
+    return ModeForm(ops.space, coef) @ np.eye(ops.space.dim)
 
 
 def coupling_from_blocks(m, n, e00=None, el0=None, ell=None):
@@ -60,6 +69,22 @@ class TestTruncatedSpace:
         with pytest.raises(TooLarge):
             TruncatedFockSpace(m=2, n=3, d=8)
 
+    def test_size_guard_admits_three_channels(self):
+        # dim 4096: dense operators would take about 3.3 GiB, a graded
+        # kernel solve about 60 MiB
+        space = TruncatedFockSpace(m=1, n=3, d=4)
+        assert space.dim == 4096
+        assert space.solve_bytes() < 64 * 2 ** 20
+
+    def test_sector_sizes_partition_the_space(self):
+        space = TruncatedFockSpace(m=1, n=2, d=4)
+        sectors = space.sectors()
+        assert [s.size for s in sectors] == list(space.sector_sizes())
+        assert np.array_equal(np.sort(np.concatenate(sectors)),
+                              np.arange(space.fock_dim))
+        guarded = space.sectors(space.d - 2)
+        assert sum(s.size for s in guarded) == int(space.photon_guard_mask().sum())
+
     def test_ladder_matrix_entries(self):
         space = TruncatedFockSpace(m=1, n=1, d=3)
         a = space.ladder()
@@ -88,7 +113,8 @@ class TestTruncatedSpace:
 
     def test_identity_mode_is_exact(self):
         ops = build_mode_operators(2, 1, 3)
-        assert np.abs(ops.a0 - np.eye(ops.space.dim)).max() == 0.0
+        eye = np.eye(ops.space.dim)
+        assert np.abs(ops.a0 @ eye - eye).max() == 0.0
 
 
 class TestCoherentEigenrelation:
@@ -108,7 +134,7 @@ class TestGaugeReduction:
         ops_plain = build_mode_operators(2, 1, 4)
         ops_zero = build_mode_operators(2, 1, 4, ScalarGauge(0.0))
         for a, b in zip(ops_plain.frak_a, ops_zero.frak_a):
-            assert np.abs(a - b).max() == 0.0
+            assert np.abs(a.coef - b.coef).max() == 0.0
 
     def test_zero_gauge_boundary_rows_identical(self):
         rng = np.random.default_rng(0)
@@ -143,16 +169,16 @@ class TestBoundarySubspaces:
         eps = 0.37
         e = coupling_from_blocks(1, 1, el0=np.array([[eps]]))
         ops = build_mode_operators(1, 1, 4)
-        b = stacked_boundary_rows(e, ops, "B")
-        c = stacked_boundary_rows(e, ops, "C")
+        b = row_matrix(ops, stacked_boundary_rows(e, ops, "B")[0])
+        c = row_matrix(ops, stacked_boundary_rows(e, ops, "C")[0])
         assert np.abs(c - 1j * b).max() <= 1e-15
 
     def test_scalar_scattering_row(self):
         # Ell = 2 gives S = -i, so the C-row is a_- + i a_+
         e = coupling_from_blocks(1, 1, ell=np.array([[2.0]]))
         ops = build_mode_operators(1, 1, 5)
-        c = stacked_boundary_rows(e, ops, "C")
-        manual = ops.a_minus[0] + 1j * ops.a_plus[0]
+        c = row_matrix(ops, stacked_boundary_rows(e, ops, "C")[0])
+        manual = row_matrix(ops, (ops.a_minus[0] + 1j * ops.a_plus[0]).coef)
         assert np.abs(c - manual).max() <= 1e-14
 
     def test_equivalence_random_sweep(self):
@@ -187,7 +213,7 @@ class TestSingularAction:
         ops = build_mode_operators(1, 1, 5)
         basis = guarded_domain_basis(e, ops)
         assert basis.dim > 0
-        assert np.abs(singular_generator(e, ops) @ basis.columns).max() <= 1e-13
+        assert np.abs(singular_generator(e, ops, basis.columns)).max() <= 1e-13
 
     def test_system_energy_only(self):
         h0 = np.array([[0.8, 0.1 - 0.4j], [0.1 + 0.4j, -0.2]])
@@ -227,7 +253,7 @@ class TestSingularAction:
 
 
 class TestGaugedChecks:
-    def test_scalar_gauge_subspace_matches_closed_form(self):
+    def test_scalar_gauge_subspace_matches_closed_form(self, dense_fock):
         # frak-a boundary operator vs a_- = S(sigma) a_+ with the kappa
         # closed form evaluated independently
         e_val, sigma = 1.0, 0.3
@@ -236,7 +262,8 @@ class TestGaugedChecks:
         sub_b = boundary_subspace_b(e, ops)
         kp, km = complex(0.5, sigma), complex(0.5, -sigma)
         s_sigma = (1 - 1j * km * e_val) / (1 + 1j * kp * e_val)
-        manual = ops.a_minus[0] - s_sigma * ops.a_plus[0]
+        dense = dense_fock(1, 1, 6)
+        manual = dense.a_minus[0] - s_sigma * dense.a_plus[0]
         from slhkit.linalg import null_space
         manual_kernel = null_space(manual)
         assert sub_b.dim == manual_kernel.dim > 0
@@ -256,12 +283,12 @@ class TestGaugedChecks:
             vecs = sample_domain_vectors(e, ops, 5, rng)
             assert max(action_residuals(e, ops, vecs)) <= 1e-8
 
-    def test_kernel_vectors_satisfy_both_conditions(self):
+    def test_kernel_vectors_satisfy_both_conditions(self, dense_fock):
         rng = np.random.default_rng(8)
         e = random_coupling(rng, 2, 1, zero_channel_system=True)
         ops = build_mode_operators(2, 1, 5)
         sub_b = boundary_subspace_b(e, ops)
-        rows_c = stacked_boundary_rows(e, ops, "C")
+        rows_c = dense_fock(2, 1, 5).stacked_rows(e, "C")
         scale = np.linalg.norm(rows_c, 2)
         assert np.abs(rows_c @ sub_b.basis.columns).max() <= 1e-8 * scale
 
@@ -284,3 +311,23 @@ class TestGaugedChecks:
         eq0 = subspace_equivalence(e, ops0)
         assert eq["dim_b"] == eq0["dim_b"]
         assert abs(eq["max_angle"] - eq0["max_angle"]) <= 1e-12
+
+
+class TestThreeChannels:
+    def test_plain_and_gauged_battery(self):
+        # (1,3,4) with E_l0 = 0 through the CLI's Fock suite: ladder checks,
+        # then the plain and the sigma-gauged battery
+        rng = np.random.default_rng(13)
+        e = random_coupling(rng, 1, 3, zero_channel_system=True)
+        cfg = config_from_dict({
+            "m": 1, "n": 3, "sigma": 0.3, "fock": {"d": 4},
+            "E": [[[v.real, v.imag] for v in row] for row in e.full],
+        })
+        report = run_command("fock", cfg)
+        assert report.all_passed, report.first_failure()
+        checks = {c.name: c.value for c in report.checks}
+        for prefix in ("", "gauged."):
+            dim_b, dim_c = checks[prefix + "kernel_dims"]
+            assert dim_b == dim_c > 0
+            assert report.results[prefix + "domain_vectors"] == 10
+            assert prefix + "max_action_residual" in checks

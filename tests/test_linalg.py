@@ -10,6 +10,7 @@ from slhkit.linalg import (
     cayley,
     channel_projector,
     null_space,
+    null_spaces,
     partition,
     principal_angles,
 )
@@ -90,6 +91,32 @@ class TestNullSpace:
         # kernel is orthogonal to the row space
         row_basis = scipy.linalg.orth(adjoint(m))
         assert np.abs(adjoint(row_basis) @ basis.columns).max() <= 1e-12
+
+
+    @pytest.mark.parametrize("shape,rank", [((12, 5), 3), ((4, 9), 2), ((6, 6), 4)])
+    def test_tall_and_wide_match_full_svd(self, shape, rank):
+        # the kernel equals the one read off a full_matrices=True SVD
+        rng = np.random.default_rng(sum(shape) + rank)
+        rows, cols = shape
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        m = left @ right
+        _, sing, vh = np.linalg.svd(m, full_matrices=True)
+        reference = adjoint(vh[int(np.sum(sing > 1e-9 * sing[0])):])
+        basis = null_space(m)
+        assert basis.dim == reference.shape[1] == cols - rank
+        assert principal_angles(basis, SubspaceBasis(reference, 1e-9)).max() <= 1e-12
+        assert np.abs(m @ basis.columns).max() <= 1e-12 * sing[0]
+
+    def test_blocks_share_the_global_threshold(self):
+        # a block whose largest singular value sits below tol * global max is
+        # all kernel, though alone it would have full rank
+        small = np.diag([1e-11, 2e-11])
+        big = np.diag([1.0, 0.0])
+        kernels, smax = null_spaces([small, big], 1e-9)
+        assert smax == 1.0
+        assert [k.shape[1] for k in kernels] == [2, 1]
+        assert null_space(small).dim == 0
 
 
 class TestPrincipalAngles:
