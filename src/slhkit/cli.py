@@ -261,7 +261,7 @@ def _fock_battery(coupling, gauge, d, rng, report: Report, prefix: str,
     report.results[f"{prefix}domain_vectors"] = len(vectors)
     if vectors:
         worst = max(action_residuals(coupling, ops, vectors, action_tol,
-                                     eq["sigma_max_b"]))
+                                     scale=eq["sigma_max_b"]))
         report.add(f"{prefix}max_action_residual", worst, action_tol)
     report.add(f"{prefix}number_defect_identity", number_defect_residual(ops), 1e-12)
 
@@ -294,7 +294,7 @@ def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> 
         eq = subspace_equivalence(e_i, ops_sweep)
         vecs = sample_domain_vectors(e_i, ops_sweep, 3, rng)
         worst = max(action_residuals(e_i, ops_sweep, vecs, atol,
-                                     eq["sigma_max_b"]), default=0.0)
+                                     scale=eq["sigma_max_b"]), default=0.0)
         angle = eq["max_angle"] if eq["max_angle"] is not None else 0.0
         ok = (eq["dim_b"] == eq["dim_c"] and angle <= ktol and worst <= atol)
         report.add(f"sweep[{i:03d}].fock",

@@ -95,22 +95,23 @@ def _compose(outer: LadderMap, inner: LadderMap) -> LadderMap:
             np.where(hit, outer[1][mid], 0.0) * inner[1])
 
 
-def _max_entry(terms: Sequence[Tuple[complex, LadderMap]], cols: np.ndarray,
+def _max_entry(terms: Sequence[Tuple[np.ndarray, LadderMap]], cols: np.ndarray,
                row_mask: np.ndarray) -> float:
-    """Largest |entry| of sum_t c_t M_t over the Fock columns ``cols`` and
-    the rows where ``row_mask`` holds (entries summed exactly as sparse
-    coordinates)."""
+    """Largest |entry| of sum_t X_t (x) M_t over the Fock columns ``cols`` and
+    the rows where ``row_mask`` holds, for coefficients X_t that are all
+    scalars or all system matrices of one shape (entries summed exactly as
+    sparse coordinates)."""
     at, to, vals = [], [], []
     for coeff, (target, weight) in terms:
         hit = cols[target[cols] >= 0]
         at.append(hit)
         to.append(target[hit])
-        vals.append(coeff * weight[hit])
+        vals.append(weight[hit, None, None] * np.atleast_2d(coeff))
     at, to, vals = np.concatenate(at), np.concatenate(to), np.concatenate(vals)
     keep = row_mask[to]
     keys, where = np.unique(to[keep] * row_mask.size + at[keep],
                             return_inverse=True)
-    total = np.zeros(keys.size, dtype=complex)
+    total = np.zeros((keys.size,) + vals.shape[1:], dtype=complex)
     np.add.at(total, where, vals[keep])
     return float(np.abs(total).max(initial=0.0))
 
@@ -132,13 +133,16 @@ class TruncatedFockSpace:
         if self.d < 3 or self.m < 1 or self.n < 1:
             raise TooLarge(f"need d >= 3, m >= 1, n >= 1, got "
                            f"(m, n, d) = ({self.m}, {self.n}, {self.d})")
-        need = self.solve_bytes()
-        if need > MAX_SOLVE_BYTES:
+        # By Cauchy-Schwarz over the 2n(d-1) + 1 sectors, the right factors
+        # alone take at least 16 dim^2 / (2n(d-1) + 1) bytes.  Testing that
+        # bound first rejects a huge cutoff before any sector is counted.
+        sectors = self.n_modes * (self.d - 1) + 1
+        if (16 * self.dim ** 2 > MAX_SOLVE_BYTES * sectors
+                or self.solve_bytes() > MAX_SOLVE_BYTES):
             raise TooLarge(
                 f"a boundary kernel solve at (m, n, d) = ({self.m}, "
-                f"{self.n}, {self.d}) needs about {need / 2 ** 30:.1f} GiB, "
-                f"above the desk-scale guard of "
-                f"{MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
+                f"{self.n}, {self.d}) needs more than the desk-scale guard "
+                f"of {MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
 
     @property
     def n_modes(self) -> int:
@@ -157,13 +161,11 @@ class TruncatedFockSpace:
         """Shape of the state tensor: system axis, then digits 2n-1, ..., 0."""
         return (self.m,) + (self.d,) * self.n_modes
 
-    def sector_sizes(self, cap: Optional[int] = None) -> np.ndarray:
-        """Number of occupation tuples (every mode <= cap, default d - 1)
-        with total photon number N = 0, 1, ..."""
-        cap = self.d - 1 if cap is None else cap
+    def sector_sizes(self) -> np.ndarray:
+        """Number of occupation tuples with total photon number N = 0, 1, ..."""
         sizes = np.ones(1, dtype=np.int64)
         for _ in range(self.n_modes):
-            sizes = np.convolve(sizes, np.ones(cap + 1, dtype=np.int64))
+            sizes = np.convolve(sizes, np.ones(self.d, dtype=np.int64))
         return sizes
 
     def solve_bytes(self) -> int:
@@ -540,18 +542,29 @@ def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> ModeForm:
 
 def number_defect_residual(ops: ModeOperators) -> float:
     """Exact adjoint defect of the leading singular term: the ungauged
-    K = i sum a_star^dag (a_+ - a_-) minus its transpose-conjugate equals
-    i sum (N_+ - N_-), entrywise on the truncated space.  Built from the
-    ladder maps the forms apply (the system factor is the identity)."""
+    K = i sum_j a_star_j^dag (a_{j,+} - a_{j,-}) minus its adjoint equals
+    i sum_j (N_{j,+} - N_{j,-}), entrywise on the truncated space.  K is
+    expanded from the coefficients of the forms ``a_star``, ``a_plus`` and
+    ``a_minus`` over the ladder maps they apply."""
     space = ops.space
+    identity = (np.arange(space.fock_dim), np.ones(space.fock_dim))
+    lowering = [identity] + [space.ladder_map(p) for p in range(space.n_modes)]
+    raising = [identity] + [space.ladder_map(p, True)
+                            for p in range(space.n_modes)]
+    eye = np.eye(space.m)
     terms = []
     for j in range(space.n):
-        lp, lm = space.ladder_map(j), space.ladder_map(space.n + j)
-        rp, rm = space.ladder_map(j, True), space.ladder_map(space.n + j, True)
-        for coeff, term in ((0.5j, _compose(rp, lp)), (-0.5j, _compose(rp, lm)),
-                            (0.5j, _compose(rm, lp)), (-0.5j, _compose(rm, lm))):
-            terms += [(coeff, term), (-np.conj(coeff), _transpose(term))]
-        terms += [(-1j, _compose(rp, lp)), (1j, _compose(rm, lm))]
+        star = ops.a_star[j].coef
+        jump = (ops.a_plus[j] - ops.a_minus[j]).coef
+        for p, s_p in enumerate(star):
+            for q, t_q in enumerate(jump):
+                x = 1j * adjoint(s_p) @ t_q
+                if np.any(x):
+                    term = _compose(raising[p], lowering[q])
+                    terms += [(x, term), (-adjoint(x), _transpose(term))]
+        for sign, p in ((-1j, space.digit(j + 1, "+")),
+                        (1j, space.digit(j + 1, "-"))):
+            terms.append((sign * eye, _compose(raising[1 + p], lowering[1 + p])))
     everything = np.arange(space.fock_dim)
     return _max_entry(terms, everything, np.ones(space.fock_dim, dtype=bool))
 
@@ -603,26 +616,23 @@ def singular_action_check(e: CouplingMatrix, ops: ModeOperators,
     <= d-2); it must still satisfy the boundary condition at ``tol`` or
     NotInDomain is raised.
     """
-    return action_residuals(e, ops, [phi], tol)[0]
+    scale = boundary_subspace_b(e, ops).sigma_max
+    return action_residuals(e, ops, [phi], tol, scale=scale)[0]
 
 
 def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
-                     tol: float = 1e-8,
-                     scale: Optional[float] = None) -> List[float]:
+                     tol: float = 1e-8, *, scale: float) -> List[float]:
     """Singular-action residuals for a batch of domain vectors, applied
     matrix-free to the whole batch at once.
 
     Each vector is projected onto the photon guard and normalized; its
     coupling-form boundary residual relative to ``scale`` must stay within
     ``tol``, or NotInDomain is raised.  ``scale`` is the sigma_max that the
-    coupling-form kernel solve found (``boundary_subspace_b(...).sigma_max``);
-    it is solved for when not given.
+    coupling-form kernel solve found (``boundary_subspace_b(...).sigma_max``).
     """
     if len(vectors) == 0:
         return []
     space = ops.space
-    if scale is None:
-        scale = boundary_subspace_b(e, ops).sigma_max
     phi = np.array([np.asarray(v, dtype=complex) for v in vectors]).T
     phi[~space.photon_guard_mask()] = 0.0
     norms = np.linalg.norm(phi, axis=0)
@@ -689,7 +699,7 @@ def gauged_fock_check(e: CouplingMatrix, gauge: Optional[Gauge],
     report = subspace_equivalence(e, ops, kernel_tol)
     vectors = sample_domain_vectors(e, ops, n_vectors, rng, kernel_tol)
     residuals = action_residuals(e, ops, vectors, action_tol,
-                                 report["sigma_max_b"])
+                                 scale=report["sigma_max_b"])
     report["action_residuals"] = residuals
     report["max_action_residual"] = max(residuals) if residuals else None
     report["number_defect_residual"] = number_defect_residual(ops)

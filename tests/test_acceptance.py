@@ -210,7 +210,9 @@ def test_criterion_7_singular_action_identity():
                 ops = build_mode_operators(m, n, d, gauge)
                 vectors = sample_domain_vectors(e, ops, 10, rng)
                 assert len(vectors) == 10
-                assert max(action_residuals(e, ops, vectors)) <= 1e-8
+                scale = boundary_subspace_b(e, ops).sigma_max
+                assert max(action_residuals(e, ops, vectors,
+                                            scale=scale)) <= 1e-8
     announce(7, "singular action identity (photon guard d-2)")
 
 

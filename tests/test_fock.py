@@ -1,4 +1,6 @@
 import math
+import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +70,13 @@ class TestTruncatedSpace:
     def test_size_guard(self):
         with pytest.raises(TooLarge):
             TruncatedFockSpace(m=2, n=3, d=8)
+
+    def test_size_guard_rejects_huge_cutoff_promptly(self):
+        # the lower bound fires before any sector of size ~d is counted
+        start = time.monotonic()
+        with pytest.raises(TooLarge):
+            TruncatedFockSpace(m=1, n=1, d=10 ** 6)
+        assert time.monotonic() - start <= 1.0
 
     def test_size_guard_admits_three_channels(self):
         # dim 4096: dense operators would take about 3.3 GiB, a graded
@@ -220,7 +229,8 @@ class TestSingularAction:
         e = coupling_from_blocks(2, 1, e00=h0)
         ops = build_mode_operators(2, 1, 4)
         vecs = sample_domain_vectors(e, ops, 4, np.random.default_rng(2))
-        assert max(action_residuals(e, ops, vecs)) <= 1e-12
+        scale = boundary_subspace_b(e, ops).sigma_max
+        assert max(action_residuals(e, ops, vecs, scale=scale)) <= 1e-12
 
     def test_random_scattering_instances(self):
         rng = np.random.default_rng(3)
@@ -228,14 +238,17 @@ class TestSingularAction:
         ops = build_mode_operators(2, 1, 6)
         vecs = sample_domain_vectors(e, ops, 10, rng)
         assert len(vecs) == 10
-        assert max(action_residuals(e, ops, vecs)) <= 1e-8
+        scale = boundary_subspace_b(e, ops).sigma_max
+        assert max(action_residuals(e, ops, vecs, scale=scale)) <= 1e-8
 
     def test_singular_el0_action_exercises_coupling_terms(self):
         ops = build_mode_operators(2, 1, 6)
         vecs = sample_domain_vectors(SINGULAR_EL0, ops, 5,
                                      np.random.default_rng(4))
         assert len(vecs) == 5
-        assert max(action_residuals(SINGULAR_EL0, ops, vecs)) <= 1e-8
+        scale = boundary_subspace_b(SINGULAR_EL0, ops).sigma_max
+        assert max(action_residuals(SINGULAR_EL0, ops, vecs,
+                                    scale=scale)) <= 1e-8
 
     def test_not_in_domain_rejected(self):
         e = coupling_from_blocks(1, 1, ell=np.array([[1.0]]))
@@ -250,6 +263,13 @@ class TestSingularAction:
         for m, n, d in ((1, 1, 5), (2, 1, 4), (1, 2, 3)):
             ops = build_mode_operators(m, n, d)
             assert number_defect_residual(ops) <= 1e-12
+
+    def test_adjoint_defect_reads_the_applied_forms(self):
+        # a wrong a_star must show in the defect, not only in the oracle tests
+        ops = build_mode_operators(2, 1, 4)
+        skewed = [0.6 * ap + 0.4 * am
+                  for ap, am in zip(ops.a_plus, ops.a_minus)]
+        assert number_defect_residual(replace(ops, a_star=skewed)) > 0.1
 
 
 class TestGaugedChecks:
@@ -281,7 +301,8 @@ class TestGaugedChecks:
             assert eq["dim_b"] == eq["dim_c"] > 0
             assert eq["max_angle"] <= 1e-8
             vecs = sample_domain_vectors(e, ops, 5, rng)
-            assert max(action_residuals(e, ops, vecs)) <= 1e-8
+            assert max(action_residuals(e, ops, vecs,
+                                        scale=eq["sigma_max_b"])) <= 1e-8
 
     def test_kernel_vectors_satisfy_both_conditions(self, dense_fock):
         rng = np.random.default_rng(8)
