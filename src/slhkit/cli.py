@@ -141,25 +141,45 @@ def _random_function(rng: np.random.Generator, spec: GridSpec):
 def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     spec = GridSpec(config.grid.half_width, config.grid.spacing)
     rng = np.random.default_rng(seed)
-    phi_plus, phi_minus = defect_vectors(spec)
+    # One function per check group, so each group's grid arrays (and their
+    # cached derivatives) are freed when it returns.
+    _defect_vector_checks(spec, report)
+    _reproducing_checks(spec, rng, report)
+    _decomposition_checks(spec, rng, report)
+    _eigenrelation_checks(spec, report)
+    _jump_splitting_check(rng, report)
+    _symmetry_checks(spec, rng, report)
+    _extension_check(report)
 
+
+def _defect_vector_checks(spec: GridSpec, report: Report) -> None:
+    phi_plus, phi_minus = defect_vectors(spec)
     report.add("jump_on_defect_plus", abs(phi_plus.jump - (-1j)), 0.0)
     report.add("jump_on_defect_minus", abs(phi_minus.jump - (-1j)), 0.0)
     report.add("defect_norm_plus", abs(sobolev_norm(phi_plus) - 1.0), 1e-5)
     report.add("defect_norm_minus", abs(sobolev_norm(phi_minus) - 1.0), 1e-5)
     report.add("defect_overlap", abs(sobolev_inner(phi_plus, phi_minus)), 0.0)
 
+
+def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
+                        report: Report) -> None:
+    phi_plus, phi_minus = defect_vectors(spec)
+    i_phi_plus, minus_i_phi_minus = 1j * phi_plus, -1j * phi_minus
     worst_plus = worst_minus = 0.0
     for _ in range(10):
         psi_r = sample(spec, right=_random_half(rng, "right"))
         psi_l = sample(spec, left=_random_half(rng, "left"))
         worst_plus = max(worst_plus, abs(
-            sobolev_inner(1j * phi_plus, psi_r) - psi_r.right_limit))
+            sobolev_inner(i_phi_plus, psi_r) - psi_r.right_limit))
         worst_minus = max(worst_minus, abs(
-            sobolev_inner(-1j * phi_minus, psi_l) - psi_l.left_limit))
+            sobolev_inner(minus_i_phi_minus, psi_l) - psi_l.left_limit))
     report.add("reproducing_plus", worst_plus, 1e-5)
     report.add("reproducing_minus", worst_minus, 1e-5)
 
+
+def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
+                          report: Report) -> None:
+    phi_plus, phi_minus = defect_vectors(spec)
     worst_bc = worst_orth = worst_recon = 0.0
     for _ in range(10):
         psi = _random_function(rng, spec)
@@ -178,6 +198,9 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     report.add("decomposition_orthogonality", worst_orth, 1e-5)
     report.add("decomposition_reconstruction", worst_recon, 1e-13)
 
+
+def _eigenrelation_checks(spec: GridSpec, report: Report) -> None:
+    phi_plus, phi_minus = defect_vectors(spec)
     for name, phi, sign in (("plus", phi_plus, 1.0), ("minus", phi_minus, -1.0)):
         action = apply_iD(phi)
         report.add(f"eigenrelation_{name}_coefficient",
@@ -187,6 +210,8 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
                    max(float(np.abs(resid.left).max()),
                        float(np.abs(resid.right).max())), 1e-5)
 
+
+def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
     worst = 0.0
     for sigma in (0.0, 0.3, -1.0):
         kp, km = kappas(sigma)
@@ -200,6 +225,9 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
             worst = max(worst, abs(lhs - rhs))
     report.add("jump_splitting_identity", worst, 1e-13)
 
+
+def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
+                     report: Report) -> None:
     f = _random_function(rng, spec)
     g = _random_function(rng, spec)
     report.add("boundary_form_vs_traces",
@@ -208,6 +236,8 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     report.add("id_symmetry_defect_damped",
                abs(id_symmetry_defect(f, g, sigma=0.3)), 1e-4)
 
+
+def _extension_check(report: Report) -> None:
     worst = 0.0
     for e in (0.5, 2.0, float(np.pi)):
         for sigma in (0.0, 0.3):

@@ -195,6 +195,10 @@ def config_from_dict(data: dict) -> ModelConfig:
     grid_in = data.get("grid", {}) or {}
     grid = GridConfig(half_width=float(grid_in.get("T", GridConfig.half_width)),
                       spacing=float(grid_in.get("h", GridConfig.spacing)))
+    if not (math.isfinite(grid.half_width) and math.isfinite(grid.spacing)):
+        raise ValidationError(
+            f"grid T and h must be finite, got T={grid.half_width}, "
+            f"h={grid.spacing}")
     if grid.spacing <= 0 or grid.half_width <= 0:
         raise ValidationError("grid T and h must be positive")
 

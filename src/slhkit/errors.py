@@ -1,5 +1,10 @@
 """Exception types shared across the package."""
 
+# Desk-scale memory budget behind TooLarge: the most bytes one Fock kernel
+# solve (fock.TruncatedFockSpace.solve_bytes) or one grid defect suite
+# (checked by punctured_line.GridSpec) may need.
+MAX_SOLVE_BYTES = 2 * 2 ** 30
+
 
 class SlhkitError(Exception):
     """Base class for all slhkit errors."""
@@ -38,7 +43,7 @@ class InvalidMollifier(SlhkitError):
 
 
 class TooLarge(SlhkitError):
-    """Requested truncated space exceeds the desk-scale size guard."""
+    """Requested truncated space or grid exceeds the desk-scale size guard."""
 
 
 class NotInDomain(SlhkitError):

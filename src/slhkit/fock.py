@@ -55,12 +55,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NotInDomain, TooLarge
+from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
 from .linalg import SubspaceBasis, adjoint, null_spaces, principal_angles
 from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
 
-# Most memory one boundary kernel solve may allocate (see solve_bytes).
-MAX_SOLVE_BYTES = 2 * 2 ** 30
 DEFAULT_KERNEL_TOL = 1e-9
 
 

@@ -15,22 +15,36 @@ Conventions
   d/dt phi_pm = -(+-) phi_pm and jump functional value -i on both;
 * kappa_pm = 1/2 +- i sigma, and the damped functional evaluates as
   <zeta|psi> = kappa_minus psi(0+) + kappa_plus psi(0-) (adjoint convention).
+
+Storage
+
+* a GridFunction holds read-only views of its value arrays (the array a
+  caller passes in stays writable), so its grid derivative is computed once,
+  on the first ``derivative`` call, and cached on the instance;
+* ``defect_vectors`` keeps the pair for the most recent spec;
+* GridSpec refuses a grid whose defect suite would need more than
+  ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainTooSmall, InvalidMollifier, SpecMismatch
+from .errors import (MAX_SOLVE_BYTES, DomainTooSmall, InvalidMollifier,
+                     SpecMismatch, TooLarge)
 
 DEFAULT_HALF_WIDTH = 40.0
 DEFAULT_SPACING = 1e-3
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
+# Most two-sided complex node arrays the defect suite holds at once
+# (tracemalloc peak of the CLI suite: 13.8 to 14.8 at 20k to 80k nodes).
+DEFECT_LIVE_ARRAYS = 15
 
 
 @dataclass(frozen=True)
@@ -41,9 +55,21 @@ class GridSpec:
     spacing: float = DEFAULT_SPACING
 
     def __post_init__(self):
+        if not (math.isfinite(self.half_width) and math.isfinite(self.spacing)):
+            raise SpecMismatch(
+                f"grid half-width and spacing must be finite, got "
+                f"{self.half_width} and {self.spacing}")
         if self.spacing <= 0:
             raise SpecMismatch("grid spacing must be positive")
         ratio = self.half_width / self.spacing
+        # 16 B per complex value, two half-lines per array; a float, so an
+        # overflowing ratio is refused here too.
+        need = 32.0 * DEFECT_LIVE_ARRAYS * ratio
+        if need > MAX_SOLVE_BYTES:
+            raise TooLarge(
+                f"{ratio:.3g} nodes per half-line need about "
+                f"{need / 2 ** 30:.3g} GiB of grid arrays, over the "
+                f"desk-scale guard of {MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
         if abs(ratio - round(ratio)) > 1e-9 * max(ratio, 1.0):
             raise SpecMismatch(
                 f"half-width {self.half_width} must be an integer multiple of "
@@ -64,19 +90,32 @@ class GridSpec:
         return np.linspace(self.spacing, self.half_width, self.n_nodes)
 
 
+def _read_only(values) -> np.ndarray:
+    """A read-only complex view; the array passed in keeps its own flags."""
+    view = np.asarray(values, dtype=complex).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Complex values on the two half-line grids plus exact boundary traces."""
+    """Complex values on the two half-line grids plus exact boundary traces.
+
+    The value arrays are read-only views, which keeps the cached derivative
+    (filled in by ``derivative``) valid.
+    """
 
     spec: GridSpec
     left: np.ndarray
     right: np.ndarray
     left_limit: complex   # psi(0-)
     right_limit: complex  # psi(0+)
+    _derivative: Optional["GridFunction"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        left = np.asarray(self.left, dtype=complex)
-        right = np.asarray(self.right, dtype=complex)
+        left = _read_only(self.left)
+        right = _read_only(self.right)
         n = self.spec.n_nodes
         if left.shape != (n,) or right.shape != (n,):
             raise SpecMismatch(
@@ -148,6 +187,7 @@ def sample(spec: GridSpec,
     return GridFunction(spec, lv, rv, ll, rl)
 
 
+@functools.lru_cache(maxsize=1)
 def defect_vectors(spec: GridSpec):
     """The normalized defect pair (phi_+, phi_-); needs T >= 30 so the tails
     sit below the decay tolerance."""
@@ -173,7 +213,12 @@ def _derivative_half(values: np.ndarray, h: float) -> np.ndarray:
     two boundary-adjacent nodes of the half-line.
     """
     d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    np.subtract(values[2:], values[:-2], out=d[1:-1])
+    # numpy divides a complex array by a real scalar as a multiplication by
+    # its reciprocal; doing that on the real view gives the same values
+    # without the slower complex loop.
+    interior = d[1:-1].view(np.float64)
+    interior *= 1.0 / (2.0 * h)
     d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
     d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return d
@@ -181,24 +226,40 @@ def _derivative_half(values: np.ndarray, h: float) -> np.ndarray:
 
 def derivative(f: GridFunction) -> GridFunction:
     """Grid derivative; the boundary traces of the result are one-sided
-    three-point estimates that use the stored traces of ``f``."""
-    h = f.spec.spacing
-    dleft = _derivative_half(f.left, h)
-    dright = _derivative_half(f.right, h)
-    dl0 = (3.0 * f.left_limit - 4.0 * f.left[-1] + f.left[-2]) / (2.0 * h)
-    dr0 = (-3.0 * f.right_limit + 4.0 * f.right[0] - f.right[1]) / (2.0 * h)
-    return GridFunction(f.spec, dleft, dright, dl0, dr0)
+    three-point estimates that use the stored traces of ``f``.
+
+    Computed on the first call for ``f`` and cached on it afterwards.
+    """
+    if f._derivative is None:
+        h = f.spec.spacing
+        dleft = _derivative_half(f.left, h)
+        dright = _derivative_half(f.right, h)
+        dl0 = (3.0 * f.left_limit - 4.0 * f.left[-1] + f.left[-2]) / (2.0 * h)
+        dr0 = (-3.0 * f.right_limit + 4.0 * f.right[0] - f.right[1]) / (2.0 * h)
+        object.__setattr__(f, "_derivative",
+                           GridFunction(f.spec, dleft, dright, dl0, dr0))
+    return f._derivative
 
 
 def _trapezoid_half(values: np.ndarray, boundary: complex, h: float,
                     boundary_is_right: bool) -> complex:
     """Composite trapezoid over one half-line, with the stored trace closing
-    the panel that touches the origin."""
+    the panel that touches the origin.
+
+    The panel sums go into one buffer in the order ``np.trapezoid`` would
+    form them on the trace-extended array, so the pairwise sum is the same.
+    """
+    panels = np.empty_like(values)
     if boundary_is_right:           # [-T, 0): nodes ..., -h, then trace at 0-
-        ext = np.concatenate([values, [boundary]])
+        np.add(values[1:], values[:-1], out=panels[:-1])
+        panels[-1] = boundary + values[-1]
     else:                           # (0, T]: trace at 0+, then nodes h, ...
-        ext = np.concatenate([[boundary], values])
-    return complex(np.trapezoid(ext, dx=h))
+        np.add(values[1:], values[:-1], out=panels[1:])
+        panels[0] = values[0] + boundary
+    real = panels.view(np.float64)
+    real *= h
+    real *= 0.5
+    return complex(panels.sum())
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> complex:

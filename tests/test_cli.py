@@ -81,6 +81,10 @@ class TestConfig:
         ("Z", [[[0.0, float("-inf")]]]),
         ("sigma", float("nan")),
         ("sigma", float("inf")),
+        ("grid", {"T": float("nan")}),
+        ("grid", {"h": float("nan")}),
+        ("grid", {"T": float("inf")}),
+        ("grid", {"h": float("inf")}),
     ])
     def test_non_finite_input_rejected(self, field, value):
         bad = dict(MINIMAL)
@@ -193,6 +197,17 @@ class TestExitCodes:
         proc = run_cli(["fock", "--config", str(path)])
         assert proc.returncode == 2
         assert "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_oversized_grid_exits_1(self, tmp_path):
+        # h = 1e-9 at T = 40 is 4e10 nodes per half-line; the spec refuses it
+        # before any array exists.
+        big = dict(SCALAR_MODEL, grid={"T": 40.0, "h": 1e-9})
+        path = tmp_path / "big_grid.json"
+        path.write_text(json.dumps(big))
+        proc = run_cli(["defect", "--config", str(path)])
+        assert proc.returncode == 1
+        assert "TooLarge" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_lapack_failure_is_slhkit_error(self, tmp_path, monkeypatch, capsys):

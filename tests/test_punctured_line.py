@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch
+from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLarge
 from slhkit.punctured_line import (
+    GridFunction,
     GridSpec,
+    _trapezoid_half,
     apply_iD,
     boundary_form,
     boundary_functionals,
@@ -47,6 +49,27 @@ class TestGrid:
     def test_no_node_at_origin(self):
         assert SPEC.left_nodes()[-1] == -SPEC.spacing
         assert SPEC.right_nodes()[0] == SPEC.spacing
+
+    @pytest.mark.parametrize("half_width,spacing", [
+        (float("nan"), 1e-3), (float("inf"), 1e-3),
+        (40.0, float("nan")), (40.0, float("inf")),
+    ])
+    def test_spec_rejects_non_finite(self, half_width, spacing):
+        with pytest.raises(SpecMismatch, match="finite"):
+            GridSpec(half_width, spacing)
+
+    @pytest.mark.parametrize("half_width,spacing", [
+        (40.0, 1e-9),        # 4e10 nodes per half-line
+        (1e308, 1e-300),     # the node count overflows to inf
+    ])
+    def test_size_guard_refuses_huge_grid(self, half_width, spacing):
+        # Only the refusal is tested: the spec allocates nothing.
+        with pytest.raises(TooLarge):
+            GridSpec(half_width, spacing)
+
+    def test_size_guard_admits_far_larger_than_benchmark_grid(self):
+        # 50x the 80k nodes per half-line of a T = 40, h = 5e-4 grid.
+        assert GridSpec(40.0, 1e-5).n_nodes == 4_000_000
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -321,3 +344,82 @@ class TestScatter:
     def test_nonpositive_width_rejected(self):
         with pytest.raises(InvalidMollifier):
             scatter_regularized(1.0, -0.1)
+
+
+def old_derivative_half(values, h):
+    """The stencil as first written (complex division), kept as the oracle."""
+    d = np.empty_like(values)
+    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return d
+
+
+def random_noise_function(rng, spec):
+    """Unstructured complex values, zero only on the three nodes at each
+    truncation boundary (so the derivative vanishes there too)."""
+    n = spec.n_nodes
+    left = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    right = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    left[:3] = right[-3:] = 0.0
+    return GridFunction(spec, left, right, complex(*rng.standard_normal(2)),
+                        complex(*rng.standard_normal(2)))
+
+
+class TestKernelOracles:
+    """The copy-free kernels and the caches against the plain formulas,
+    compared with ==, not a tolerance."""
+
+    @pytest.mark.parametrize("n,h", [(11, 1e-3), (1000, 5e-4), (80_000, 5e-4),
+                                     (4097, 0.3)])
+    def test_trapezoid_matches_concatenated_trapezoid(self, n, h):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            b = complex(*rng.standard_normal(2))
+            left = complex(np.trapezoid(np.concatenate([values, [b]]), dx=h))
+            right = complex(np.trapezoid(np.concatenate([[b], values]), dx=h))
+            assert _trapezoid_half(values, b, h, True) == left
+            assert _trapezoid_half(values, b, h, False) == right
+
+    @pytest.mark.parametrize("spec", [SPEC, GridSpec(40.0, 5e-4),
+                                      GridSpec(30.0, 3e-3)])
+    def test_derivative_matches_stencils_and_is_cached(self, spec):
+        rng = np.random.default_rng(3)
+        for f in (random_noise_function(rng, spec), random_two_sided(rng, spec)):
+            d = derivative(f)
+            assert derivative(f) is d
+            h = spec.spacing
+            assert np.array_equal(d.left, old_derivative_half(f.left, h))
+            assert np.array_equal(d.right, old_derivative_half(f.right, h))
+            assert d.left_limit == complex(
+                (3.0 * f.left_limit - 4.0 * f.left[-1] + f.left[-2]) / (2.0 * h))
+            assert d.right_limit == complex(
+                (-3.0 * f.right_limit + 4.0 * f.right[0] - f.right[1]) / (2.0 * h))
+
+    def test_derivative_is_validated(self):
+        # A steep rise next to -T gives a derivative that does not vanish at
+        # the truncation boundary; the derivative is a checked GridFunction.
+        left = np.zeros(SPEC.n_nodes, dtype=complex)
+        left[1] = 1.0
+        f = GridFunction(SPEC, left, np.zeros(SPEC.n_nodes, dtype=complex),
+                         0.0, 0.0)
+        with pytest.raises(SpecMismatch, match="vanish"):
+            derivative(f)
+
+    def test_values_are_read_only_views(self):
+        left = np.zeros(SPEC.n_nodes, dtype=complex)
+        right = np.zeros(SPEC.n_nodes, dtype=complex)
+        right[5] = 1.0
+        f = GridFunction(SPEC, left, right, 0.0, 0.0)
+        assert not f.left.flags.writeable and not f.right.flags.writeable
+        with pytest.raises(ValueError):
+            f.right[5] = 2.0
+        assert left.flags.writeable and right.flags.writeable
+        left[3] = 1.0
+        assert np.shares_memory(f.left, left)
+
+    def test_defect_vectors_shared_for_equal_specs(self):
+        pp, pm = defect_vectors(GridSpec(40.0, 1e-3))
+        again = defect_vectors(GridSpec(40, 0.001))
+        assert again[0] is pp and again[1] is pm
