@@ -64,8 +64,7 @@ from .fock import (
     boundary_subspace_b,
     boundary_subspace_c,
     build_mode_operators,
-    gauged_fock_check,
-    singular_action_check,
+    fock_battery,
 )
 from .config import ModelConfig, config_from_dict, load_config
 from .report import Report, emit_report

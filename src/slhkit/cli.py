@@ -20,14 +20,12 @@ from .config import ModelConfig, load_config
 from .ensembles import random_coupling
 from .errors import ParseError, SlhkitError, ValidationError
 from .fock import (
-    action_residuals,
     build_mode_operators,
     commutator_defect,
+    fock_battery,
     number_defect_residual,
     number_spectrum_defect,
-    sample_domain_vectors,
     stacked_boundary_rows,
-    subspace_equivalence,
 )
 from .linalg import cayley, channel_projector
 from .punctured_line import (
@@ -279,54 +277,51 @@ def command_scatter(config: ModelConfig, seed: int, sweep: int, report: Report) 
 
 # --- fock ---------------------------------------------------------------
 
-def _fock_battery(coupling, gauge, d, rng, report: Report, prefix: str,
-                  kernel_tol: float, action_tol: float) -> None:
-    ops = build_mode_operators(coupling.m, coupling.n, d, gauge)
-    eq = subspace_equivalence(coupling, ops)
+def _fock_battery(eq: dict, number_defect: float, report: Report,
+                  prefix: str, angle_tol: float, action_tol: float) -> None:
+    """Report records of one ``fock_battery`` result."""
     report.add(f"{prefix}kernel_dims", [eq["dim_b"], eq["dim_c"]], None,
                passed=eq["dim_b"] == eq["dim_c"])
     if eq["max_angle"] is not None:
-        report.add(f"{prefix}max_principal_angle", eq["max_angle"], kernel_tol)
-    vectors = sample_domain_vectors(coupling, ops, 10, rng)
-    report.results[f"{prefix}domain_vectors"] = len(vectors)
-    if vectors:
-        worst = max(action_residuals(coupling, ops, vectors, action_tol,
-                                     scale=eq["sigma_max_b"]))
-        report.add(f"{prefix}max_action_residual", worst, action_tol)
-    report.add(f"{prefix}number_defect_identity", number_defect_residual(ops), 1e-12)
+        report.add(f"{prefix}max_principal_angle", eq["max_angle"], angle_tol)
+    residuals = eq["action_residuals"]
+    report.results[f"{prefix}domain_vectors"] = len(residuals)
+    if residuals:
+        report.add(f"{prefix}max_action_residual", max(residuals), action_tol)
+    report.add(f"{prefix}number_defect_identity", number_defect, 1e-12)
 
 
 def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
-    coupling = config.coupling()
-    gauge = config.gauge()
-    d = config.fock.d
+    coupling, gauge = config.coupling(), config.gauge()
+    m, n, d = coupling.m, coupling.n, config.fock.d
     rng = np.random.default_rng(seed)
-    ktol, atol = config.tolerances.kernel, config.tolerances.action
+    angle_tol, atol = config.tolerances.kernel, config.tolerances.action
 
-    ops = build_mode_operators(coupling.m, coupling.n, d)
+    ops = build_mode_operators(m, n, d)
     report.add("ladder_commutators", commutator_defect(ops), 1e-12)
     report.add("number_spectra", number_spectrum_defect(ops), 1e-12)
-    _fock_battery(coupling, None, d, rng, report, "", ktol, atol)
+    # The defect reads a_star, a_plus and a_minus only, which no gauge changes.
+    defect = number_defect_residual(ops)
+    _fock_battery(fock_battery(coupling, ops, 10, rng, atol), defect, report,
+                  "", angle_tol, atol)
 
     # The sigma = 0 gauge must rebuild the identical boundary operators.
-    ops_zero = build_mode_operators(coupling.m, coupling.n, d, ScalarGauge(0.0))
+    ops_zero = build_mode_operators(m, n, d, ScalarGauge(0.0))
     reduction = float(np.abs(stacked_boundary_rows(coupling, ops_zero)
                              - stacked_boundary_rows(coupling, ops)).max())
     report.add("gauge_zero_reduction", reduction, 1e-12)
 
     if gauge is not None:
-        _fock_battery(coupling, gauge, d, rng, report, "gauged.", ktol, atol)
+        ops = build_mode_operators(m, n, d, gauge)
+        _fock_battery(fock_battery(coupling, ops, 10, rng, atol), defect,
+                      report, "gauged.", angle_tol, atol)
 
-    ops_sweep = build_mode_operators(coupling.m, coupling.n, d, gauge)
     for i in range(sweep):
-        e_i = random_coupling(rng, coupling.m, coupling.n,
-                              zero_channel_system=True)
-        eq = subspace_equivalence(e_i, ops_sweep)
-        vecs = sample_domain_vectors(e_i, ops_sweep, 3, rng)
-        worst = max(action_residuals(e_i, ops_sweep, vecs, atol,
-                                     scale=eq["sigma_max_b"]), default=0.0)
+        e_i = random_coupling(rng, m, n, zero_channel_system=True)
+        eq = fock_battery(e_i, ops, 3, rng, atol)
+        worst = max(eq["action_residuals"], default=0.0)
         angle = eq["max_angle"] if eq["max_angle"] is not None else 0.0
-        ok = (eq["dim_b"] == eq["dim_c"] and angle <= ktol and worst <= atol)
+        ok = eq["dim_b"] == eq["dim_c"] and angle <= angle_tol and worst <= atol
         report.add(f"sweep[{i:03d}].fock",
                    [eq["dim_b"], eq["dim_c"], angle, worst], None, passed=ok)
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -86,20 +88,12 @@ class ModelConfig:
             "Z": None if self.z_matrix is None
                  else _complex_matrix_to_json(self.z_matrix),
             "sigma": self.sigma,
-            "tolerances": {
-                "hermiticity": self.tolerances.hermiticity,
-                "kernel": self.tolerances.kernel,
-                "action": self.tolerances.action,
-            },
-            "grid": {"T": self.grid.half_width, "h": self.grid.spacing},
-            "fock": {"d": self.fock.d},
             "seed": self.seed,
-            "phase": {"E": list(self.phase.e_values),
-                      "sigma": list(self.phase.sigma_values)},
-            "scatter": {"E": self.scatter.e_value,
-                        "epsilon": list(self.scatter.epsilons),
-                        "mollifier": self.scatter.mollifier},
         }
+        for key, (_, fields) in _SECTIONS.items():
+            section = getattr(self, key)
+            out[key] = {k: copy.copy(getattr(section, attr))
+                        for k, (attr, _) in fields.items()}
         return out
 
     def config_hash(self) -> str:
@@ -112,6 +106,55 @@ def _complex_matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, complex)]
 
 
+# JSON key -> (attribute, kind) for each optional section; the defaults of
+# absent keys are those of the section's dataclass.
+_SECTIONS = {
+    "tolerances": (Tolerances, {"hermiticity": ("hermiticity", float),
+                                "kernel": ("kernel", float),
+                                "action": ("action", float)}),
+    "grid": (GridConfig, {"T": ("half_width", float), "h": ("spacing", float)}),
+    "fock": (FockConfig, {"d": ("d", int)}),
+    "phase": (PhaseConfig, {"E": ("e_values", [float]),
+                            "sigma": ("sigma_values", [float])}),
+    "scatter": (ScatterConfig, {"E": ("e_value", float),
+                                "epsilon": ("epsilons", [float]),
+                                "mollifier": ("mollifier", str)}),
+}
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _read(value, kind, name: str):
+    """``value`` as ``kind``, else ValidationError: int takes an integer (not
+    a bool), float a finite integer or float (stored as float), str a string,
+    and a one-element list [k] an array of k."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ValidationError(f"{name} must be an array, got {value!r}")
+        return [_read(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    ok = (isinstance(value, str) if kind is str else
+          isinstance(value, numbers.Real if kind is float else numbers.Integral)
+          and not isinstance(value, bool))
+    if not ok:
+        raise ValidationError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    # NaN fails every comparison; an integer too large for a float fails this.
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{name} is not finite: {value!r}")
+    return kind(value)
+
+
+def _section(data: dict, key: str):
+    """The section ``key`` of the config, its absent keys at their defaults."""
+    cls, fields = _SECTIONS[key]
+    obj = data.get(key, {})
+    if not isinstance(obj, dict):
+        raise ValidationError(f"'{key}' must be an object, got {obj!r}")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ValidationError(f"unknown keys in '{key}': {sorted(unknown)}")
+    return cls(**{attr: _read(obj[k], kind, f"{key}.{k}")
+                  for k, (attr, kind) in fields.items() if k in obj})
+
+
 def _parse_complex_matrix(obj, size: int, what: str) -> np.ndarray:
     if not isinstance(obj, list) or len(obj) != size:
         raise ValidationError(f"{what} must be a {size}x{size} nested array")
@@ -120,13 +163,11 @@ def _parse_complex_matrix(obj, size: int, what: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != size:
             raise ValidationError(f"{what} row {i} must have {size} entries")
         for j, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(x, (int, float)) for x in cell)):
+            if not isinstance(cell, list) or len(cell) != 2:
                 raise ValidationError(
                     f"{what}[{i}][{j}] must be a [re, im] pair")
-            if not all(math.isfinite(x) for x in cell):
-                raise ValidationError(f"{what}[{i}][{j}] is not finite: {cell}")
-            out[i, j] = complex(cell[0], cell[1])
+            out[i, j] = complex(*(_read(x, float, f"{what}[{i}][{j}]")
+                                  for x in cell))
     return out
 
 
@@ -151,16 +192,13 @@ def config_from_dict(data: dict) -> ModelConfig:
     """Validate a parsed JSON object and fill defaults."""
     if not isinstance(data, dict):
         raise ValidationError("top-level config must be a JSON object")
-    known = {"m", "n", "E", "Z", "sigma", "tolerances", "grid", "fock",
-             "seed", "phase", "scatter"}
+    known = {"m", "n", "E", "Z", "sigma", "seed", *_SECTIONS}
     unknown = set(data) - known
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        m = int(data["m"])
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError):
-        raise ValidationError("config must provide integer fields 'm' and 'n'") from None
+    if "m" not in data or "n" not in data:
+        raise ValidationError("config must provide integer fields 'm' and 'n'")
+    m, n = _read(data["m"], int, "m"), _read(data["n"], int, "n")
     if m < 1 or n < 1:
         raise ValidationError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
 
@@ -169,14 +207,10 @@ def config_from_dict(data: dict) -> ModelConfig:
         raise ValidationError("config must provide the coupling matrix 'E'")
     e_matrix = _parse_complex_matrix(data["E"], size, "E")
 
-    tol_in = data.get("tolerances", {}) or {}
-    if not isinstance(tol_in, dict):
-        raise ValidationError("'tolerances' must be an object")
-    tolerances = Tolerances(
-        hermiticity=float(tol_in.get("hermiticity", Tolerances.hermiticity)),
-        kernel=float(tol_in.get("kernel", Tolerances.kernel)),
-        action=float(tol_in.get("action", Tolerances.action)),
-    )
+    sections = {key: _section(data, key) for key in _SECTIONS}
+    tolerances = sections["tolerances"]
+    if min(vars(tolerances).values()) < 0:
+        raise ValidationError(f"tolerances must be >= 0, got {tolerances}")
     _check_blockwise_hermiticity(e_matrix, m, n, tolerances.hermiticity)
 
     z_matrix = None
@@ -186,48 +220,25 @@ def config_from_dict(data: dict) -> ModelConfig:
             GaugeMatrix(z_matrix, tolerances.hermiticity)
         except (NonHermitianInput, SizeMismatch) as exc:
             raise ValidationError(f"invalid gauge matrix Z: {exc}") from None
-    sigma = None if data.get("sigma") is None else float(data["sigma"])
-    if sigma is not None and not math.isfinite(sigma):
-        raise ValidationError(f"sigma must be finite, got {sigma}")
+    sigma = None if data.get("sigma") is None else _read(data["sigma"], float,
+                                                          "sigma")
     if z_matrix is not None and sigma is not None:
         raise ValidationError("specify at most one of 'Z' and 'sigma'")
 
-    grid_in = data.get("grid", {}) or {}
-    grid = GridConfig(half_width=float(grid_in.get("T", GridConfig.half_width)),
-                      spacing=float(grid_in.get("h", GridConfig.spacing)))
-    if not (math.isfinite(grid.half_width) and math.isfinite(grid.spacing)):
-        raise ValidationError(
-            f"grid T and h must be finite, got T={grid.half_width}, "
-            f"h={grid.spacing}")
+    grid = sections["grid"]
     if grid.spacing <= 0 or grid.half_width <= 0:
         raise ValidationError("grid T and h must be positive")
-
-    fock_in = data.get("fock", {}) or {}
-    fock = FockConfig(d=int(fock_in.get("d", FockConfig.d)))
-    if fock.d < 3:
-        raise ValidationError(f"photon cutoff d must be >= 3, got {fock.d}")
-
-    seed = int(data.get("seed", 0))
+    if sections["fock"].d < 3:
+        raise ValidationError(
+            f"photon cutoff d must be >= 3, got {sections['fock'].d}")
+    seed = _read(data.get("seed", 0), int, "seed")
     if seed < 0:
         raise ValidationError("seed must be nonnegative")
-
-    phase_in = data.get("phase", {}) or {}
-    phase = PhaseConfig(
-        e_values=[float(x) for x in phase_in.get("E", DEFAULT_PHASE_E)],
-        sigma_values=[float(x) for x in phase_in.get("sigma", DEFAULT_PHASE_SIGMA)],
-    )
-    scatter_in = data.get("scatter", {}) or {}
-    scatter = ScatterConfig(
-        e_value=float(scatter_in.get("E", DEFAULT_SCATTER_E)),
-        epsilons=[float(x) for x in scatter_in.get("epsilon", DEFAULT_SCATTER_EPS)],
-        mollifier=str(scatter_in.get("mollifier", "bump")),
-    )
-    if any(eps <= 0 for eps in scatter.epsilons):
+    if any(eps <= 0 for eps in sections["scatter"].epsilons):
         raise ValidationError("scatter epsilons must be positive")
 
     return ModelConfig(m=m, n=n, e_matrix=e_matrix, z_matrix=z_matrix,
-                       sigma=sigma, tolerances=tolerances, grid=grid,
-                       fock=fock, seed=seed, phase=phase, scatter=scatter)
+                       sigma=sigma, seed=seed, **sections)
 
 
 def load_config(path: str) -> ModelConfig:

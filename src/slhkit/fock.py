@@ -24,11 +24,14 @@ constant term (E_l0 = 0, hence L = 0) is therefore block-diagonal from sector
 N to sector N-1: its singular values are the union of the sector blocks', and
 its kernel is the direct sum of the sector kernels.  Each sector block is
 built directly from occupation tuples and solved by SVD, with the rank
-threshold relative to the global sigma_max (the largest over all blocks), so
-the rank decision is the one a single dense SVD would make in exact
-arithmetic.  A nonzero constant term keeps N fixed and chains all sectors
-into one block-bidiagonal matrix, assembled from the same sector pieces and
-solved as a single block; which case applies is read from the coefficients.
+cutoff fixed at 1e-9 x the global sigma_max (``linalg.DEFAULT_NULLSPACE_TOL``
+times the largest singular value over all blocks), so the rank decision is
+the one a single dense SVD would make in exact arithmetic.  The config's
+``tolerances.kernel`` is not this cutoff: it bounds the largest principal
+angle between the two routes' kernels.  A nonzero constant term keeps N
+fixed and chains all sectors into one block-bidiagonal matrix, assembled from
+the same sector pieces and solved as a single block; which case applies is
+read from the coefficients.
 
 Boundary operators contain no creators, so kernels computed on the truncated
 space coincide with the finitely-supported solutions of the untruncated
@@ -48,7 +51,6 @@ and 15625, about 0.06 and 0.6 GiB) fit; (1,3,6) and (2,3,8) do not.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -56,10 +58,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
-from .linalg import SubspaceBasis, adjoint, null_spaces, principal_angles
-from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
-
-DEFAULT_KERNEL_TOL = 1e-9
+from .linalg import (DEFAULT_NULLSPACE_TOL, SubspaceBasis, adjoint,
+                     null_spaces, principal_angles)
+from .slh import CouplingMatrix, Gauge, gauge_zll, slh_triple
 
 
 def _svd_block_bytes(rows: int, cols: int) -> int:
@@ -176,13 +177,6 @@ class TruncatedFockSpace:
                       for k in range(1, len(c)))
         return largest + 16 * sum(x * x for x in c)
 
-    def ladder(self) -> np.ndarray:
-        """Single-mode annihilator: a|k> = sqrt(k)|k-1>, a|0> = 0."""
-        a = np.zeros((self.d, self.d), dtype=complex)
-        for k in range(1, self.d):
-            a[k - 1, k] = np.sqrt(k)
-        return a
-
     def digit(self, j: int, sign: str) -> int:
         """Digit position of mode (j, sign) for channel j in 1..n."""
         if not (1 <= j <= self.n) or sign not in ("+", "-"):
@@ -197,11 +191,10 @@ class TruncatedFockSpace:
             digits[:, p] = (fock_idx // self.d ** p) % self.d
         return np.tile(digits, (self.m, 1))
 
-    def photon_guard_mask(self, max_occ: Optional[int] = None) -> np.ndarray:
-        """Boolean mask of basis states with every mode occupation <= max_occ
-        (default d - 2, below which creators act truncation-exactly)."""
-        cap = self.d - 2 if max_occ is None else max_occ
-        return (self.occupations() <= cap).all(axis=1)
+    def photon_guard_mask(self) -> np.ndarray:
+        """Boolean mask of basis states with every mode occupation <= d - 2,
+        below which creators act truncation-exactly."""
+        return (self.occupations() <= self.d - 2).all(axis=1)
 
     def sectors(self, cap: Optional[int] = None) -> List[np.ndarray]:
         """Fock indices (increasing) of each photon-number sector N = 0, 1,
@@ -224,7 +217,8 @@ class TruncatedFockSpace:
 
     @cached_property
     def _ladder_maps(self) -> List[Tuple[LadderMap, LadderMap]]:
-        steps = np.append(0.0, np.diagonal(self.ladder(), offset=1).real)
+        # Single-mode annihilator: a|k> = sqrt(k)|k-1>, a|0> = 0.
+        steps = np.sqrt(np.arange(self.d, dtype=float))
         idx = np.arange(self.fock_dim)
         maps = []
         for p in range(self.n_modes):
@@ -355,31 +349,15 @@ def build_mode_operators(m: int, n: int, d: int,
                          a_minus=a_minus, a_star=a_star, frak_a=frak_a, a0=a0)
 
 
-def coherent_vector(space: TruncatedFockSpace, j: int, sign: str,
-                    alpha: complex) -> np.ndarray:
-    """Normalized truncated coherent state in mode (j, sign), vacuum elsewhere,
-    system component e_0."""
-    amps = np.array([alpha ** k / math.sqrt(math.factorial(k))
-                     for k in range(space.d)], dtype=complex)
-    amps /= np.linalg.norm(amps)
-    pos = space.digit(j, sign)
-    vec = np.zeros(space.dim, dtype=complex)
-    idx = np.arange(space.d) * space.d ** pos
-    vec[idx] = amps
-    return vec
-
-
 # --- boundary conditions -----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class BoundarySubspace:
-    """Kernel of one family of boundary operators, with its construction route
-    and the global sigma_max its rank threshold was relative to."""
+    """Kernel of one family of boundary operators and the global sigma_max its
+    rank threshold was relative to."""
 
     basis: SubspaceBasis
-    route: str
-    tol: float
     sigma_max: float
 
     @property
@@ -399,10 +377,9 @@ def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
     return rows
 
 
-def _slh_rows(e: CouplingMatrix, ops: ModeOperators,
-              triple: Optional[SLHResult] = None) -> List[ModeForm]:
+def _slh_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
     """Rows C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j."""
-    res = slh_triple(e, ops.gauge) if triple is None else triple
+    res = slh_triple(e, ops.gauge)
     m = e.m
     rows = []
     for j in range(e.n):
@@ -446,10 +423,11 @@ def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
     return block.reshape(r * m * rows.size, m * cols.size)
 
 
-def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray, tol: float,
+def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray,
                    cap: Optional[int] = None) -> Tuple[SubspaceBasis, float]:
     """Kernel of the stacked forms ``coef`` on the occupations with every
-    mode <= cap, as flat columns, and the global sigma_max of its blocks."""
+    mode <= cap, as flat columns, and the global sigma_max of its blocks.
+    The rank cutoff is linalg's fixed DEFAULT_NULLSPACE_TOL x sigma_max."""
     sectors = space.sectors(cap)
     if np.any(coef[:, 0]):
         # The constant term keeps N fixed: all sectors form one block.
@@ -466,8 +444,7 @@ def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray, tol: float,
         groups = [(cols, sectors[k - 1] if k else cols[:0])
                   for k, cols in enumerate(sectors)]
     kernels, sigma_max = null_spaces(
-        (_sector_block(space, coef, cols, rows) for cols, rows in groups),
-        tol)
+        _sector_block(space, coef, cols, rows) for cols, rows in groups)
     columns = np.zeros((space.dim, sum(k.shape[1] for k in kernels)),
                        dtype=complex)
     start = 0
@@ -475,31 +452,28 @@ def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray, tol: float,
         flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
-    return SubspaceBasis(columns=columns, tol=tol), sigma_max
+    return SubspaceBasis(columns=columns, tol=DEFAULT_NULLSPACE_TOL), sigma_max
 
 
-def boundary_subspace_b(e: CouplingMatrix, ops: ModeOperators,
-                        tol: float = DEFAULT_KERNEL_TOL) -> BoundarySubspace:
+def boundary_subspace_b(e: CouplingMatrix, ops: ModeOperators) -> BoundarySubspace:
     """Kernel of the stacked coupling-form boundary operators (no creators,
     hence truncation-exact)."""
-    basis, smax = _graded_kernel(ops.space, stacked_boundary_rows(e, ops, "B"), tol)
-    return BoundarySubspace(basis=basis, route="B", tol=tol, sigma_max=smax)
+    return BoundarySubspace(*_graded_kernel(ops.space,
+                                            stacked_boundary_rows(e, ops, "B")))
 
 
-def boundary_subspace_c(e: CouplingMatrix, ops: ModeOperators,
-                        tol: float = DEFAULT_KERNEL_TOL) -> BoundarySubspace:
+def boundary_subspace_c(e: CouplingMatrix, ops: ModeOperators) -> BoundarySubspace:
     """Kernel of the scattering-form boundary operators a_- = S a_+ + L."""
-    basis, smax = _graded_kernel(ops.space, stacked_boundary_rows(e, ops, "C"), tol)
-    return BoundarySubspace(basis=basis, route="C", tol=tol, sigma_max=smax)
+    return BoundarySubspace(*_graded_kernel(ops.space,
+                                            stacked_boundary_rows(e, ops, "C")))
 
 
-def guarded_domain_basis(e: CouplingMatrix, ops: ModeOperators,
-                         tol: float = DEFAULT_KERNEL_TOL) -> SubspaceBasis:
+def guarded_domain_basis(e: CouplingMatrix, ops: ModeOperators) -> SubspaceBasis:
     """Orthonormal basis of the boundary subspace intersected with the photon
     guard (per-mode occupation <= d-2), on which creators are exact: the
     coupling-form kernel with each sector's columns restricted to the guard."""
     space = ops.space
-    return _graded_kernel(space, stacked_boundary_rows(e, ops, "B"), tol,
+    return _graded_kernel(space, stacked_boundary_rows(e, ops, "B"),
                           cap=space.d - 2)[0]
 
 
@@ -543,7 +517,8 @@ def number_defect_residual(ops: ModeOperators) -> float:
     K = i sum_j a_star_j^dag (a_{j,+} - a_{j,-}) minus its adjoint equals
     i sum_j (N_{j,+} - N_{j,-}), entrywise on the truncated space.  K is
     expanded from the coefficients of the forms ``a_star``, ``a_plus`` and
-    ``a_minus`` over the ladder maps they apply."""
+    ``a_minus`` over the ladder maps they apply; none of them depends on the
+    gauge."""
     space = ops.space
     identity = (np.arange(space.fock_dim), np.ones(space.fock_dim))
     lowering = [identity] + [space.ladder_map(p) for p in range(space.n_modes)]
@@ -606,18 +581,6 @@ def number_spectrum_defect(ops: ModeOperators) -> float:
     return worst
 
 
-def singular_action_check(e: CouplingMatrix, ops: ModeOperators,
-                          phi: np.ndarray, tol: float = 1e-8) -> float:
-    """Relative residual of the singular action identity on one domain vector.
-
-    The vector is first projected onto the photon guard (per-mode occupation
-    <= d-2); it must still satisfy the boundary condition at ``tol`` or
-    NotInDomain is raised.
-    """
-    scale = boundary_subspace_b(e, ops).sigma_max
-    return action_residuals(e, ops, [phi], tol, scale=scale)[0]
-
-
 def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
                      tol: float = 1e-8, *, scale: float) -> List[float]:
     """Singular-action residuals for a batch of domain vectors, applied
@@ -651,11 +614,10 @@ def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
 
 
 def sample_domain_vectors(e: CouplingMatrix, ops: ModeOperators, count: int,
-                          rng: np.random.Generator,
-                          tol: float = DEFAULT_KERNEL_TOL) -> List[np.ndarray]:
+                          rng: np.random.Generator) -> List[np.ndarray]:
     """Random unit vectors in the guarded boundary subspace (empty list when
     the subspace is trivial)."""
-    basis = guarded_domain_basis(e, ops, tol)
+    basis = guarded_domain_basis(e, ops)
     if basis.is_empty:
         return []
     vecs = []
@@ -666,8 +628,7 @@ def sample_domain_vectors(e: CouplingMatrix, ops: ModeOperators, count: int,
     return vecs
 
 
-def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators,
-                         tol: float = DEFAULT_KERNEL_TOL) -> dict:
+def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators) -> dict:
     """Compare the two boundary-subspace constructions.
 
     Returns kernel dimensions, the largest principal angle when both are
@@ -675,8 +636,8 @@ def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators,
     generic invertible system-channel coupling block), and the route-B
     sigma_max that scales action residuals.
     """
-    sub_b = boundary_subspace_b(e, ops, tol)
-    sub_c = boundary_subspace_c(e, ops, tol)
+    sub_b = boundary_subspace_b(e, ops)
+    sub_c = boundary_subspace_c(e, ops)
     report = {"dim_b": sub_b.dim, "dim_c": sub_c.dim, "max_angle": None,
               "sigma_max_b": sub_b.sigma_max}
     if sub_b.dim and sub_c.dim:
@@ -685,20 +646,13 @@ def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators,
     return report
 
 
-def gauged_fock_check(e: CouplingMatrix, gauge: Optional[Gauge],
-                      d: int, n_vectors: int = 10,
-                      rng: Optional[np.random.Generator] = None,
-                      kernel_tol: float = DEFAULT_KERNEL_TOL,
-                      action_tol: float = 1e-8) -> dict:
-    """Boundary-subspace equivalence and singular-action residuals for one
-    coupling, with the requested gauge deformation."""
-    rng = np.random.default_rng(0) if rng is None else rng
-    ops = build_mode_operators(e.m, e.n, d, gauge)
-    report = subspace_equivalence(e, ops, kernel_tol)
-    vectors = sample_domain_vectors(e, ops, n_vectors, rng, kernel_tol)
-    residuals = action_residuals(e, ops, vectors, action_tol,
-                                 scale=report["sigma_max_b"])
-    report["action_residuals"] = residuals
-    report["max_action_residual"] = max(residuals) if residuals else None
-    report["number_defect_residual"] = number_defect_residual(ops)
+def fock_battery(e: CouplingMatrix, ops: ModeOperators, count: int,
+                 rng: np.random.Generator, action_tol: float) -> dict:
+    """The boundary-domain battery for one coupling: ``subspace_equivalence``
+    plus ``action_residuals``, the singular-action residuals of ``count``
+    vectors sampled from the guarded domain (empty when it is trivial)."""
+    report = subspace_equivalence(e, ops)
+    vectors = sample_domain_vectors(e, ops, count, rng)
+    report["action_residuals"] = action_residuals(
+        e, ops, vectors, action_tol, scale=report["sigma_max_b"])
     return report

@@ -87,12 +87,6 @@ class SubspaceBasis:
     def is_empty(self) -> bool:
         return self.dim == 0
 
-    def orthonormality_defect(self) -> float:
-        if self.is_empty:
-            return 0.0
-        gram = adjoint(self.columns) @ self.columns
-        return float(np.abs(gram - np.eye(self.dim)).max())
-
 
 def null_spaces(blocks: Iterable[np.ndarray],
                 tol: float = DEFAULT_NULLSPACE_TOL) -> Tuple[List[np.ndarray], float]:
@@ -212,12 +206,6 @@ class BlockOperatorMatrix:
             raise SizeMismatch(f"block indices out of range: ({alpha}, {beta})")
         m = self.m
         return self.full[alpha * m:(alpha + 1) * m, beta * m:(beta + 1) * m]
-
-    def reassemble(self) -> np.ndarray:
-        """Rebuild the full matrix from the four blocks (round-trip identity)."""
-        top = np.hstack([self.x00, self.x0l])
-        bottom = np.hstack([self.xl0, self.xll])
-        return np.vstack([top, bottom])
 
 
 def partition(full: np.ndarray, m: int, n: int) -> BlockOperatorMatrix:

@@ -97,12 +97,13 @@ def _read_only(values) -> np.ndarray:
     return view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Complex values on the two half-line grids plus exact boundary traces.
 
     The value arrays are read-only views, which keeps the cached derivative
-    (filled in by ``derivative``) valid.
+    (filled in by ``derivative``) valid.  Equality is identity: compare the
+    value arrays to compare two functions.
     """
 
     spec: GridSpec
@@ -422,6 +423,9 @@ def _damped_phase(e: float, sigma: float) -> complex:
 
 # --- regularized scattering ------------------------------------------------
 
+# Gauss-Legendre nodes per panel of the mollifier quadratures.
+SCATTER_QUAD_NODES = 64
+
 _MOLLIFIER_SHAPES = {
     # smooth bump with all derivatives vanishing at the support edges
     "bump": lambda u: np.where(np.abs(u) < 1.0,
@@ -450,8 +454,8 @@ class ScatterResult:
     contrast: float         # |exp(-iE) - s(E)|
 
 
-def scatter_regularized(e: float, epsilon: float, mollifier: str = "bump", *,
-                        n_quad: int = 64) -> ScatterResult:
+def scatter_regularized(e: float, epsilon: float,
+                        mollifier: str = "bump") -> ScatterResult:
     """Transport a left-moving characteristic through the mollified coupling.
 
     The profile g_eps supported on (-eps, eps) is normalized by Gauss-Legendre
@@ -468,7 +472,7 @@ def scatter_regularized(e: float, epsilon: float, mollifier: str = "bump", *,
         raise InvalidMollifier(
             f"unknown mollifier {mollifier!r}; choose from "
             f"{sorted(_MOLLIFIER_SHAPES)}") from None
-    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes, weights = np.polynomial.legendre.leggauss(SCATTER_QUAD_NODES)
     raw = float(np.sum(weights * shape(nodes)))
     if raw <= 0:
         raise InvalidMollifier("mollifier has nonpositive integral")

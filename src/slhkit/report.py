@@ -3,7 +3,9 @@
 The serialized forms are byte-stable for a fixed (config, seed): key order is
 fixed by construction, floats use shortest round-trip repr, complex numbers
 are [re, im] pairs, and the wall-clock measurement is kept on the in-memory
-report only (it would break byte-level determinism in files).
+report only (it would break byte-level determinism in files).  Reports are
+strict JSON: a non-finite float is written as the string "inf", "-inf" or
+"nan", and such a value fails its check.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -56,17 +59,18 @@ class Report:
 
 
 def encode_value(value):
-    """JSON-able encoding; complex numbers become [re, im] pairs."""
-    if isinstance(value, (bool, int, float, str)) or value is None:
+    """Strict-JSON encoding; complex numbers become [re, im] pairs and
+    non-finite floats the strings "inf", "-inf" and "nan"."""
+    if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, (np.bool_,)):
         return bool(value)
     if isinstance(value, (np.integer,)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else repr(float(value))
     if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
+        return [encode_value(value.real), encode_value(value.imag)]
     if isinstance(value, np.ndarray):
         return encode_value(value.tolist())
     if isinstance(value, (list, tuple)):
@@ -85,13 +89,13 @@ def report_to_json_bytes(report: Report) -> bytes:
             {
                 "name": c.name,
                 "value": encode_value(c.value),
-                "tolerance": c.tolerance,
+                "tolerance": encode_value(c.tolerance),
                 "pass": c.passed,
             }
             for c in report.checks
         ],
     }
-    return (json.dumps(obj, indent=2) + "\n").encode()
+    return (json.dumps(obj, indent=2, allow_nan=False) + "\n").encode()
 
 
 CSV_HEADER = ["config_hash", "name", "value", "tolerance", "pass"]
@@ -105,7 +109,7 @@ def report_to_csv_bytes(report: Report) -> bytes:
         writer.writerow([
             report.config_hash,
             c.name,
-            json.dumps(encode_value(c.value)),
+            json.dumps(encode_value(c.value), allow_nan=False),
             "" if c.tolerance is None else repr(c.tolerance),
             "true" if c.passed else "false",
         ])

@@ -30,7 +30,9 @@ from .linalg import (
     require_hermitian,
 )
 
-DEFAULT_DRESSING_TOL = 1e-12
+# 1 + iEW counts as singular when sigma_min <= DRESSING_TOL * sigma_max.
+DRESSING_TOL = 1e-12
+GAUGE_CHECK_SIGMAS = (-1.0, 0.0, 0.3, 1.0)
 
 
 @dataclass(frozen=True)
@@ -115,15 +117,15 @@ def _weight(e: CouplingMatrix, gauge: Optional[Gauge]) -> np.ndarray:
     return w
 
 
-def ito_matrix(e: CouplingMatrix, gauge: Optional[Gauge] = None, *,
-               dressing_tol: float = DEFAULT_DRESSING_TOL) -> BlockOperatorMatrix:
+def ito_matrix(e: CouplingMatrix,
+               gauge: Optional[Gauge] = None) -> BlockOperatorMatrix:
     """Ito matrix G = -i(1 + iEW)^{-1}E; raises SingularDressing when 1 + iEW is singular."""
     size = e.block.size
     dressing = np.eye(size, dtype=complex) + 1j * (e.full @ _weight(e, gauge))
     sing = np.linalg.svd(dressing, compute_uv=False)
-    if sing[-1] <= dressing_tol * sing[0]:
+    if sing[-1] <= DRESSING_TOL * sing[0]:
         raise SingularDressing(
-            f"dressing factor is singular at tolerance {dressing_tol:.1e} "
+            f"dressing factor is singular at tolerance {DRESSING_TOL:.1e} "
             f"(sigma_min/sigma_max = {sing[-1] / sing[0]:.3e})")
     g = -1j * np.linalg.solve(dressing, e.full)
     return partition(g, e.m, e.n)
@@ -177,14 +179,13 @@ class SLHResult:
         return float(np.abs(np.vstack([top, bottom]) - self.ito.full).max())
 
 
-def slh_triple(e: CouplingMatrix, gauge: Optional[Gauge] = None, *,
-               dressing_tol: float = DEFAULT_DRESSING_TOL) -> SLHResult:
+def slh_triple(e: CouplingMatrix, gauge: Optional[Gauge] = None) -> SLHResult:
     """Run the full pipeline and extract (S, L, H) from the Ito matrix blocks.
 
     S = 1 + G_ll, L = G_l0 and H = i(G_00 + L^dag L / 2); hermiticity of H and
     unitarity of S are checked downstream, never enforced here.
     """
-    g = ito_matrix(e, gauge, dressing_tol=dressing_tol)
+    g = ito_matrix(e, gauge)
     v, mm, f = derived_matrices(g)
     nm = e.n * e.m
     s = np.eye(nm, dtype=complex) + g.xll
@@ -194,8 +195,7 @@ def slh_triple(e: CouplingMatrix, gauge: Optional[Gauge] = None, *,
                      dressing=f, s=s, l=l, h=h)
 
 
-def gauge_reduction_check(e: CouplingMatrix,
-                          sigmas=(-1.0, 0.0, 0.3, 1.0)) -> dict:
+def gauge_reduction_check(e: CouplingMatrix) -> dict:
     """Consistency of the gauge family with the ungauged pipeline.
 
     Returns residuals for (a) Z = 0 reproducing the ungauged Ito matrix and,
@@ -214,7 +214,7 @@ def gauge_reduction_check(e: CouplingMatrix,
         e10 = complex(e.block.xl0[0, 0])
         e01 = complex(e.block.x0l[0, 0])
         e11 = complex(e.block.xll[0, 0])
-        for sigma in sigmas:
+        for sigma in GAUGE_CHECK_SIGMAS:
             gauge = ScalarGauge(float(sigma))
             kp, km = gauge.kappa_plus, gauge.kappa_minus
             den = 1.0 + 1j * kp * e11

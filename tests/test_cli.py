@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -85,6 +87,13 @@ class TestConfig:
         ("grid", {"h": float("nan")}),
         ("grid", {"T": float("inf")}),
         ("grid", {"h": float("inf")}),
+        ("grid", {"T": 10 ** 400}),
+        ("tolerances", {"action": float("nan")}),
+        ("tolerances", {"hermiticity": float("inf")}),
+        ("phase", {"E": [1.0, float("inf")]}),
+        ("phase", {"sigma": [float("nan")]}),
+        ("scatter", {"E": float("nan")}),
+        ("scatter", {"epsilon": [float("-inf")]}),
     ])
     def test_non_finite_input_rejected(self, field, value):
         bad = dict(MINIMAL)
@@ -97,6 +106,51 @@ class TestConfig:
         bad["extra"] = 1
         with pytest.raises(ValidationError, match="unknown"):
             config_from_dict(bad)
+
+    @pytest.mark.parametrize("field,value", [
+        ("grid", {"T": "abc"}),
+        ("grid", [1, 2]),
+        ("grid", {"t": 40.0}),
+        ("phase", {"E": "ab"}),
+        ("m", 1.9),
+        ("n", True),
+        ("seed", 2.7),
+        ("seed", "1"),
+        ("fock", {"d": "5"}),
+        ("fock", {"d": 5.0}),
+        ("tolerances", {"kernel": -1e-8}),
+        ("tolerances", {"kernel": False}),
+        ("tolerances", [1e-8]),
+        ("scatter", {"mollifier": 3}),
+        ("sigma", "0.3"),
+    ])
+    def test_strict_fields_exit_2(self, field, value, tmp_path, capsys):
+        bad = dict(MINIMAL)
+        bad[field] = value
+        with pytest.raises(ValidationError):
+            config_from_dict(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert cli.main(["fock", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_bad_section_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(MINIMAL, grid=[1, 2])))
+        proc = run_cli(["defect", "--config", str(path)])
+        assert proc.returncode == 2
+        assert "'grid' must be an object" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_integral_floats_keep_the_hash(self):
+        # a float field stores float(x), so 40 and 40.0 are the same config
+        ints = dict(MINIMAL, grid={"T": 40, "h": 0.001}, sigma=0,
+                    tolerances={"kernel": 0}, phase={"E": [0, 1]})
+        floats = dict(MINIMAL, grid={"T": 40.0, "h": 0.001}, sigma=0.0,
+                      tolerances={"kernel": 0.0}, phase={"E": [0.0, 1.0]})
+        cfg = config_from_dict(ints)
+        assert cfg.config_hash() == config_from_dict(floats).config_hash()
+        assert type(cfg.grid.half_width) is float and type(cfg.sigma) is float
 
 
 class TestReportSerialization:
@@ -113,6 +167,25 @@ class TestReportSerialization:
         rep.add("value", 1.0 - 2.0j, None, passed=True)
         data = json.loads(report_to_json_bytes(rep))
         assert data["checks"][0]["value"] == [1.0, -2.0]
+
+    def test_non_finite_values_fail_and_stay_strict_json(self):
+        def reject(constant):
+            raise ValueError(f"non-finite JSON constant {constant}")
+
+        rep = Report(command="fock", config_hash="x")
+        rec = rep.add("number_spectra", float("inf"), 1e-12)
+        rep.add("nan_check", float("nan"), 1e-12)
+        rep.add("pair", complex(float("nan"), -float("inf")), None, passed=True)
+        rep.results["values"] = np.array([1.0, -np.inf])
+        assert not rec.passed and rep.first_failure() == "number_spectra"
+        assert not rep.checks[1].passed
+        data = json.loads(report_to_json_bytes(rep), parse_constant=reject)
+        assert [c["value"] for c in data["checks"]] == [
+            "inf", "nan", ["nan", "-inf"]]
+        assert data["results"]["values"] == [1.0, "-inf"]
+        rows = list(csv.reader(io.StringIO(report_to_csv_bytes(rep).decode())))
+        assert [json.loads(row[2], parse_constant=reject) for row in rows[1:]] \
+            == ["inf", "nan", ["nan", "-inf"]]
 
     def test_same_report_twice_is_byte_identical(self, tmp_path):
         cfg = config_from_dict(SCALAR_MODEL)

@@ -16,13 +16,12 @@ from slhkit.fock import (
     boundary_subspace_b,
     boundary_subspace_c,
     build_mode_operators,
-    coherent_vector,
     commutator_defect,
+    fock_battery,
     guarded_domain_basis,
     number_defect_residual,
     number_spectrum_defect,
     sample_domain_vectors,
-    singular_action_check,
     singular_generator,
     stacked_boundary_rows,
     subspace_equivalence,
@@ -96,7 +95,11 @@ class TestTruncatedSpace:
 
     def test_ladder_matrix_entries(self):
         space = TruncatedFockSpace(m=1, n=1, d=3)
-        a = space.ladder()
+        # mode (1,+) is digit 0: its first d states have the other mode empty
+        target, weight = (x[:space.d] for x in space.ladder_map(0))
+        a = np.zeros((space.d, space.d), dtype=complex)
+        src = np.flatnonzero(target >= 0)
+        a[target[src], src] = weight[src]
         expected = np.array([[0, 1, 0],
                              [0, 0, math.sqrt(2)],
                              [0, 0, 0]], dtype=complex)
@@ -124,6 +127,17 @@ class TestTruncatedSpace:
         ops = build_mode_operators(2, 1, 3)
         eye = np.eye(ops.space.dim)
         assert np.abs(ops.a0 @ eye - eye).max() == 0.0
+
+
+def coherent_vector(space, j, sign, alpha):
+    """Normalized truncated coherent state in mode (j, sign), vacuum elsewhere,
+    system component e_0."""
+    amps = np.array([alpha ** k / math.sqrt(math.factorial(k))
+                     for k in range(space.d)], dtype=complex)
+    amps /= np.linalg.norm(amps)
+    vec = np.zeros(space.dim, dtype=complex)
+    vec[np.arange(space.d) * space.d ** space.digit(j, sign)] = amps
+    return vec
 
 
 class TestCoherentEigenrelation:
@@ -256,7 +270,8 @@ class TestSingularAction:
         rng = np.random.default_rng(5)
         phi = rng.standard_normal(ops.space.dim) + 0j
         with pytest.raises(NotInDomain):
-            singular_action_check(e, ops, phi)
+            action_residuals(e, ops, [phi],
+                             scale=boundary_subspace_b(e, ops).sigma_max)
 
     def test_adjoint_defect_identity(self):
         # sharp truncated statement: K_sing - K_sing^dag = i(N_+ - N_-)
@@ -316,12 +331,13 @@ class TestGaugedChecks:
     def test_gauged_fock_check_report(self):
         rng = np.random.default_rng(9)
         e = random_coupling(rng, 1, 1, zero_channel_system=True)
-        from slhkit.fock import gauged_fock_check
-        report = gauged_fock_check(e, ScalarGauge(0.3), d=6, rng=rng)
+        ops = build_mode_operators(1, 1, 6, ScalarGauge(0.3))
+        report = fock_battery(e, ops, 10, rng, 1e-8)
         assert report["dim_b"] == report["dim_c"] > 0
         assert report["max_angle"] <= 1e-8
-        assert report["max_action_residual"] <= 1e-8
-        assert report["number_defect_residual"] <= 1e-12
+        assert len(report["action_residuals"]) == 10
+        assert max(report["action_residuals"]) <= 1e-8
+        assert number_defect_residual(ops) <= 1e-12
 
     def test_sigma_zero_report_matches_ungauged(self):
         rng = np.random.default_rng(7)

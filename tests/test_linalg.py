@@ -16,6 +16,11 @@ from slhkit.linalg import (
 )
 
 
+def orthonormality_defect(basis):
+    gram = adjoint(basis.columns) @ basis.columns
+    return float(np.abs(gram - np.eye(basis.dim)).max())
+
+
 def random_hermitian(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (a + adjoint(a))
@@ -70,7 +75,7 @@ class TestNullSpace:
     def test_zero_matrix_has_full_kernel(self):
         basis = null_space(np.zeros((3, 3)))
         assert basis.dim == 3
-        assert basis.orthonormality_defect() <= 1e-14
+        assert orthonormality_defect(basis) <= 1e-14
 
     def test_diagonal_kernel(self):
         basis = null_space(np.diag([1.0, 0.0, 2.0]))
@@ -87,7 +92,7 @@ class TestNullSpace:
         smax = np.linalg.svd(m, compute_uv=False)[0]
         assert np.abs(m @ basis.columns).max() <= basis.tol * smax
         # orthonormality within 10 * eps * dimension
-        assert basis.orthonormality_defect() <= 10 * np.finfo(float).eps * 7
+        assert orthonormality_defect(basis) <= 10 * np.finfo(float).eps * 7
         # kernel is orthogonal to the row space
         row_basis = scipy.linalg.orth(adjoint(m))
         assert np.abs(adjoint(row_basis) @ basis.columns).max() <= 1e-12
@@ -184,7 +189,8 @@ class TestBlockPartition:
         rng = np.random.default_rng(41)
         full = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         b = partition(full, 2, 2)
-        assert np.abs(b.reassemble() - full).max() == 0.0
+        blocks = np.block([[b.x00, b.x0l], [b.xl0, b.xll]])
+        assert np.abs(blocks - full).max() == 0.0
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):

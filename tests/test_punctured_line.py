@@ -75,6 +75,15 @@ class TestGrid:
         with pytest.raises(SpecMismatch):
             sample(SPEC, right=lambda t: np.ones_like(t))
 
+    def test_equality_is_identity(self):
+        # equal values in two distinct functions: no array truth-value error
+        f = sample(SPEC, right=gaussian(1.0, 1.0, 1.0))
+        g = sample(SPEC, right=gaussian(1.0, 1.0, 1.0))
+        assert f == f
+        assert f != g
+        assert np.array_equal(f.right, g.right)
+        assert len({f, g}) == 2
+
     def test_inner_product_requires_same_spec(self):
         other = GridSpec(40.0, 2e-3)
         f = sample(SPEC, right=gaussian(1.0, 1.0, 1.0))
