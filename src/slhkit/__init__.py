@@ -10,7 +10,6 @@ from .errors import (
     DimensionMismatch,
     DomainTooSmall,
     InvalidMollifier,
-    NonHermitian,
     NonHermitianInput,
     NotInDomain,
     ParseError,
@@ -23,7 +22,6 @@ from .errors import (
 )
 from .linalg import (
     BlockOperatorMatrix,
-    SubspaceBasis,
     cayley,
     channel_projector,
     null_space,

@@ -3,8 +3,9 @@
     slhkit {slh|phase|defect|scatter|fock} --config PATH
            [--out PATH] [--format json|csv] [--seed N] [--sweep N]
 
-Exit code 0 iff every emitted check passes; config problems exit 2 and the
-first failing check (or a module-level numerical error) exits 1.
+Exit code 0 iff every emitted check passes; config problems and a negative
+``--seed`` exit 2, and the first failing check (or a module-level numerical
+error) exits 1.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> 
     _fock_battery(fock_battery(coupling, ops, 10, rng, atol), defect, report,
                   "", angle_tol, atol)
 
-    # The sigma = 0 gauge must rebuild the identical boundary operators.
+    # sigma = 0 builds frak_a by the kappa formula; it must match a_star.
     ops_zero = build_mode_operators(m, n, d, ScalarGauge(0.0))
     reduction = float(np.abs(stacked_boundary_rows(coupling, ops_zero)
                              - stacked_boundary_rows(coupling, ops)).max())
@@ -380,6 +381,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

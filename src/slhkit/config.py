@@ -14,12 +14,8 @@ import numpy as np
 
 from .errors import NonHermitianInput, ParseError, SizeMismatch, ValidationError
 from .linalg import adjoint
+from .punctured_line import MOLLIFIER_SHAPES
 from .slh import CouplingMatrix, GaugeMatrix, ScalarGauge, validate_coupling
-
-DEFAULT_PHASE_E = [0.0, 0.1, 1.0, 2.0, float(np.pi)]
-DEFAULT_PHASE_SIGMA = [0.0]
-DEFAULT_SCATTER_E = float(np.pi)
-DEFAULT_SCATTER_EPS = [0.1, 0.01]
 
 
 @dataclass(frozen=True)
@@ -42,14 +38,15 @@ class FockConfig:
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    e_values: List[float] = field(default_factory=lambda: list(DEFAULT_PHASE_E))
-    sigma_values: List[float] = field(default_factory=lambda: list(DEFAULT_PHASE_SIGMA))
+    e_values: List[float] = field(
+        default_factory=lambda: [0.0, 0.1, 1.0, 2.0, float(np.pi)])
+    sigma_values: List[float] = field(default_factory=lambda: [0.0])
 
 
 @dataclass(frozen=True)
 class ScatterConfig:
-    e_value: float = DEFAULT_SCATTER_E
-    epsilons: List[float] = field(default_factory=lambda: list(DEFAULT_SCATTER_EPS))
+    e_value: float = float(np.pi)
+    epsilons: List[float] = field(default_factory=lambda: [0.1, 0.01])
     mollifier: str = "bump"
 
 
@@ -236,6 +233,9 @@ def config_from_dict(data: dict) -> ModelConfig:
         raise ValidationError("seed must be nonnegative")
     if any(eps <= 0 for eps in sections["scatter"].epsilons):
         raise ValidationError("scatter epsilons must be positive")
+    if sections["scatter"].mollifier not in MOLLIFIER_SHAPES:
+        raise ValidationError(
+            f"scatter.mollifier must be one of {sorted(MOLLIFIER_SHAPES)}")
 
     return ModelConfig(m=m, n=n, e_matrix=e_matrix, z_matrix=z_matrix,
                        sigma=sigma, seed=seed, **sections)

@@ -27,7 +27,6 @@ def random_coupling(rng: np.random.Generator, m: int, n: int,
     """
     e = random_hermitian(rng, (1 + n) * m)
     if zero_channel_system:
-        e = e.copy()
         e[:m, m:] = 0.0
         e[m:, :m] = 0.0
         top = float(np.abs(e).max())

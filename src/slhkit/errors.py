@@ -14,9 +14,6 @@ class NonHermitianInput(SlhkitError):
     """A matrix required to be Hermitian fails the hermiticity tolerance."""
 
 
-# Coupling validation reports the same defect under this name.
-NonHermitian = NonHermitianInput
-
 
 class DimensionMismatch(SlhkitError):
     """Operands live in spaces of different dimension."""

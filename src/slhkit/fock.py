@@ -24,14 +24,18 @@ constant term (E_l0 = 0, hence L = 0) is therefore block-diagonal from sector
 N to sector N-1: its singular values are the union of the sector blocks', and
 its kernel is the direct sum of the sector kernels.  Each sector block is
 built directly from occupation tuples and solved by SVD, with the rank
-cutoff fixed at 1e-9 x the global sigma_max (``linalg.DEFAULT_NULLSPACE_TOL``
-times the largest singular value over all blocks), so the rank decision is
-the one a single dense SVD would make in exact arithmetic.  The config's
+cutoff fixed at 1e-9 x the global sigma_max (``linalg.NULLSPACE_TOL`` times
+the largest singular value over all blocks), so the rank decision is the one
+a single dense SVD would make in exact arithmetic.  The config's
 ``tolerances.kernel`` is not this cutoff: it bounds the largest principal
 angle between the two routes' kernels.  A nonzero constant term keeps N
 fixed and chains all sectors into one block-bidiagonal matrix, assembled from
 the same sector pieces and solved as a single block; which case applies is
 read from the coefficients.
+
+Gauge.  Ungauged, frak_a is a_star itself; any explicit gauge, a zero sigma
+or Z included, builds frak_a by the kappa formula, which the sigma = 0
+reduction therefore checks against a_star.
 
 Boundary operators contain no creators, so kernels computed on the truncated
 space coincide with the finitely-supported solutions of the untruncated
@@ -58,8 +62,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
-from .linalg import (DEFAULT_NULLSPACE_TOL, SubspaceBasis, adjoint,
-                     null_spaces, principal_angles)
+from .linalg import adjoint, null_spaces, principal_angles
 from .slh import CouplingMatrix, Gauge, gauge_zll, slh_triple
 
 
@@ -305,8 +308,8 @@ class ModeOperators:
     """Graded mode operators of one truncated space.
 
     ``a_star`` is the symmetric combination (a_+ + a_-)/2 per channel and
-    ``frak_a`` its gauge deformation; ungauged they coincide.  The zeroth
-    slot of the mode vector is the identity, kept explicitly as ``a0``.
+    ``frak_a`` its gauge deformation (``a_star`` itself when ungauged).  The
+    zeroth slot of the mode vector is the identity, kept explicitly as ``a0``.
     """
 
     space: TruncatedFockSpace
@@ -327,14 +330,14 @@ def build_mode_operators(m: int, n: int, d: int,
     a_star = [0.5 * (ap + am) for ap, am in zip(a_plus, a_minus)]
     a0 = ModeForm.slot(space, 0)
 
-    zll = gauge_zll(gauge, m, n)
-    if gauge is None or not np.any(zll):
+    if gauge is None:
         frak_a = list(a_star)
     else:
         # frak_a_j = sum_k (kappa_-)_{jk} a_{k,+} + (kappa_+)_{jk} a_{k,-}
         # with kappa_pm = 1/2 +- iZ on the channel block; the kappa_- weight
         # sits on the + modes so that the scalar case reduces to
         # kappa_- a_+ + kappa_+ a_-.
+        zll = gauge_zll(gauge, m, n)
         kp = 0.5 * np.eye(n * m, dtype=complex) + 1j * zll
         km = 0.5 * np.eye(n * m, dtype=complex) - 1j * zll
         frak_a = []
@@ -354,15 +357,15 @@ def build_mode_operators(m: int, n: int, d: int,
 
 @dataclass(frozen=True)
 class BoundarySubspace:
-    """Kernel of one family of boundary operators and the global sigma_max its
-    rank threshold was relative to."""
+    """Kernel of one family of boundary operators, as orthonormal columns, and
+    the global sigma_max its rank threshold was relative to."""
 
-    basis: SubspaceBasis
+    columns: np.ndarray
     sigma_max: float
 
     @property
     def dim(self) -> int:
-        return self.basis.dim
+        return self.columns.shape[1]
 
 
 def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
@@ -424,10 +427,10 @@ def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
 
 
 def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray,
-                   cap: Optional[int] = None) -> Tuple[SubspaceBasis, float]:
+                   cap: Optional[int] = None) -> Tuple[np.ndarray, float]:
     """Kernel of the stacked forms ``coef`` on the occupations with every
     mode <= cap, as flat columns, and the global sigma_max of its blocks.
-    The rank cutoff is linalg's fixed DEFAULT_NULLSPACE_TOL x sigma_max."""
+    The rank cutoff is linalg's fixed NULLSPACE_TOL x sigma_max."""
     sectors = space.sectors(cap)
     if np.any(coef[:, 0]):
         # The constant term keeps N fixed: all sectors form one block.
@@ -452,7 +455,7 @@ def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray,
         flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
-    return SubspaceBasis(columns=columns, tol=DEFAULT_NULLSPACE_TOL), sigma_max
+    return columns, sigma_max
 
 
 def boundary_subspace_b(e: CouplingMatrix, ops: ModeOperators) -> BoundarySubspace:
@@ -468,10 +471,11 @@ def boundary_subspace_c(e: CouplingMatrix, ops: ModeOperators) -> BoundarySubspa
                                             stacked_boundary_rows(e, ops, "C")))
 
 
-def guarded_domain_basis(e: CouplingMatrix, ops: ModeOperators) -> SubspaceBasis:
-    """Orthonormal basis of the boundary subspace intersected with the photon
-    guard (per-mode occupation <= d-2), on which creators are exact: the
-    coupling-form kernel with each sector's columns restricted to the guard."""
+def guarded_domain_basis(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
+    """Orthonormal columns spanning the boundary subspace intersected with the
+    photon guard (per-mode occupation <= d-2), on which creators are exact:
+    the coupling-form kernel with each sector's columns restricted to the
+    guard."""
     space = ops.space
     return _graded_kernel(space, stacked_boundary_rows(e, ops, "B"),
                           cap=space.d - 2)[0]
@@ -618,12 +622,13 @@ def sample_domain_vectors(e: CouplingMatrix, ops: ModeOperators, count: int,
     """Random unit vectors in the guarded boundary subspace (empty list when
     the subspace is trivial)."""
     basis = guarded_domain_basis(e, ops)
-    if basis.is_empty:
+    k = basis.shape[1]
+    if k == 0:
         return []
     vecs = []
     for _ in range(count):
-        coeff = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-        v = basis.columns @ coeff
+        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        v = basis @ coeff
         vecs.append(v / np.linalg.norm(v))
     return vecs
 
@@ -641,7 +646,7 @@ def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators) -> dict:
     report = {"dim_b": sub_b.dim, "dim_c": sub_c.dim, "max_angle": None,
               "sigma_max_b": sub_b.sigma_max}
     if sub_b.dim and sub_c.dim:
-        angles = principal_angles(sub_b.basis, sub_c.basis)
+        angles = principal_angles(sub_b.columns, sub_c.columns)
         report["max_angle"] = float(angles.max()) if angles.size else 0.0
     return report
 

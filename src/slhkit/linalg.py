@@ -3,6 +3,10 @@
 Everything here operates on plain ``numpy`` arrays of ``complex128``; each
 matrix handed in is small enough for a dense factorization (large operators
 arrive as the independent diagonal blocks of ``null_spaces``).
+
+A kernel is a plain ``(dim, k)`` array of orthonormal columns (k = 0 when
+trivial), cut at one rank threshold: NULLSPACE_TOL x the largest singular
+value.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 from .errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 
 DEFAULT_HERMITICITY_TOL = 1e-10
-DEFAULT_NULLSPACE_TOL = 1e-9
+NULLSPACE_TOL = 1e-9
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -53,14 +57,13 @@ def require_hermitian(a: np.ndarray, tol: float = DEFAULT_HERMITICITY_TOL,
     return a
 
 
-def cayley(a: np.ndarray, scale: float = 0.5, *,
-           hermiticity_tol: float = DEFAULT_HERMITICITY_TOL) -> np.ndarray:
+def cayley(a: np.ndarray, scale: float = 0.5) -> np.ndarray:
     """Cayley transform (1 - i*scale*A)(1 + i*scale*A)^{-1} of Hermitian A.
 
     Unitary for every Hermitian A and real scale; raises NonHermitianInput
     otherwise.
     """
-    a = require_hermitian(a, hermiticity_tol, "cayley input")
+    a = require_hermitian(a, what="cayley input")
     eye = np.eye(a.shape[0], dtype=complex)
     num = eye - 1j * scale * a
     den = eye + 1j * scale * a
@@ -68,39 +71,17 @@ def cayley(a: np.ndarray, scale: float = 0.5, *,
     return np.linalg.solve(den.T, num.T).T
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal columns spanning a subspace, plus the tolerance that built it."""
-
-    columns: np.ndarray
-    tol: float
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.columns.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.columns.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return self.dim == 0
-
-
-def null_spaces(blocks: Iterable[np.ndarray],
-                tol: float = DEFAULT_NULLSPACE_TOL) -> Tuple[List[np.ndarray], float]:
+def null_spaces(blocks: Iterable[np.ndarray]) -> Tuple[List[np.ndarray], float]:
     """Kernels of the diagonal blocks of one block-diagonal matrix.
 
     Each block is factored by SVD and its kernel kept as orthonormal columns;
-    the rank threshold is ``tol`` times the global sigma_max, the largest
-    singular value over all blocks, so the decision is the one an SVD of the
-    whole matrix would make.  Blocks are consumed one at a time (only their
-    right factors are kept).  Returns the kernels, in block order, and the
-    global sigma_max; when every block is zero each kernel is its full space.
+    the rank threshold is ``NULLSPACE_TOL`` times the global sigma_max, the
+    largest singular value over all blocks, so the decision is the one an SVD
+    of the whole matrix would make.  Blocks are consumed one at a time (only
+    their right factors are kept).  Returns the kernels, in block order, and
+    the global sigma_max; when every block is zero each kernel is its full
+    space.
     """
-    if tol <= 0:
-        raise ValueError("null-space tolerance must be positive")
     factors = []
     for block in blocks:
         block = as_complex_matrix(block)
@@ -119,33 +100,30 @@ def null_spaces(blocks: Iterable[np.ndarray],
         if smax == 0.0:
             kernels.append(np.eye(vh.shape[1], dtype=complex))
         else:
-            rank = int(np.sum(sing > tol * smax))
+            rank = int(np.sum(sing > NULLSPACE_TOL * smax))
             kernels.append(adjoint(vh[rank:]))
     return kernels, smax
 
 
-def null_space(m: np.ndarray, tol: float = DEFAULT_NULLSPACE_TOL) -> SubspaceBasis:
-    """Orthonormal basis of {v : ||Mv|| <= tol * ||M|| * ||v||} by SVD thresholding.
-
-    An empty basis is a valid result; M = 0 returns the full space.
-    """
-    kernels, _ = null_spaces([m], tol)
-    return SubspaceBasis(columns=kernels[0], tol=tol)
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of m at the NULLSPACE_TOL
+    cutoff; (dim, 0) when it is trivial, the full space when m = 0."""
+    return null_spaces([m])[0][0]
 
 
-def principal_angles(u: SubspaceBasis, w: SubspaceBasis) -> np.ndarray:
-    """Principal angles (radians, nondecreasing) between two subspaces.
+def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Principal angles (radians, nondecreasing) between the spans of two
+    arrays of orthonormal columns.
 
     Small angles come from the sine-based projection residual (arccos of an
     overlap singular value loses half the digits near zero angle), large ones
     from the cosine overlap.
     """
-    if u.ambient_dim != w.ambient_dim:
+    if a.shape[0] != b.shape[0]:
         raise DimensionMismatch(
-            f"ambient dimensions differ: {u.ambient_dim} vs {w.ambient_dim}")
-    if u.is_empty or w.is_empty:
+            f"ambient dimensions differ: {a.shape[0]} vs {b.shape[0]}")
+    if a.shape[1] == 0 or b.shape[1] == 0:
         raise DimensionMismatch("principal angles need two nonempty subspaces")
-    a, b = u.columns, w.columns
     if a.shape[1] < b.shape[1]:
         a, b = b, a
     overlap = adjoint(a) @ b

@@ -38,8 +38,6 @@ import numpy as np
 from .errors import (MAX_SOLVE_BYTES, DomainTooSmall, InvalidMollifier,
                      SpecMismatch, TooLarge)
 
-DEFAULT_HALF_WIDTH = 40.0
-DEFAULT_SPACING = 1e-3
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
@@ -51,8 +49,8 @@ DEFECT_LIVE_ARRAYS = 15
 class GridSpec:
     """Uniform grid on [-T, 0) and (0, T]; no node at the origin."""
 
-    half_width: float = DEFAULT_HALF_WIDTH
-    spacing: float = DEFAULT_SPACING
+    half_width: float
+    spacing: float
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and math.isfinite(self.spacing)):
@@ -297,23 +295,18 @@ class BoundaryFunctionals:
     jump: complex
     delta_star: complex
     zeta: complex
-    sigma: float
 
 
 def boundary_functionals(f: GridFunction,
                          sigma: Optional[float] = None) -> BoundaryFunctionals:
-    """Boundary-trace functionals; zeta evaluates as the adjoint functional
-    <zeta|psi> = kappa_minus psi(0+) + kappa_plus psi(0-), reducing to the
-    symmetric delta at sigma = 0."""
-    s = 0.0 if sigma is None else float(sigma)
-    kp, km = kappas(s)
+    """Boundary-trace functionals; zeta is ``zeta_eval(f, sigma)``, the
+    symmetric delta when sigma is None."""
     return BoundaryFunctionals(
         delta_plus=f.right_limit,
         delta_minus=f.left_limit,
         jump=f.jump,
         delta_star=f.delta_star,
-        zeta=km * f.right_limit + kp * f.left_limit,
-        sigma=s,
+        zeta=zeta_eval(f, sigma),
     )
 
 
@@ -335,7 +328,7 @@ class SingularSum:
 
     regular: GridFunction
     coefficient: complex
-    sigma: Optional[float] = None
+    sigma: Optional[float]
 
 
 def apply_iD(f: GridFunction, sigma: Optional[float] = None) -> SingularSum:
@@ -399,21 +392,20 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
 class BoundaryPhases:
     """The three boundary phases attached to a real coupling strength."""
 
-    e: float
-    sigma: float
     s: complex             # Cayley phase (1 - iE/2)/(1 + iE/2)
     s_sigma: complex       # damped phase (1 - i kappa_minus E)/(1 + i kappa_plus E)
     s_chebotarev: complex  # exp(-iE)
 
 
 def boundary_phase(e: float, sigma: Optional[float] = None) -> BoundaryPhases:
-    """Boundary phases for coupling strength e; sigma = 0 reproduces the
-    Cayley phase exactly (identical arithmetic path)."""
-    s_val = _damped_phase(float(e), 0.0)
+    """Boundary phases for coupling strength e and gauge sigma (0 when None).
+    s is the Cayley closed form and s_sigma the kappa formula, which at
+    sigma = 0 rounds to the same value: the CLI checks them for equality."""
+    e = float(e)
     sig = 0.0 if sigma is None else float(sigma)
-    return BoundaryPhases(e=float(e), sigma=sig, s=s_val,
-                          s_sigma=_damped_phase(float(e), sig),
-                          s_chebotarev=complex(np.exp(-1j * float(e))))
+    return BoundaryPhases(s=(1.0 - 0.5j * e) / (1.0 + 0.5j * e),
+                          s_sigma=_damped_phase(e, sig),
+                          s_chebotarev=complex(np.exp(-1j * e)))
 
 
 def _damped_phase(e: float, sigma: float) -> complex:
@@ -426,7 +418,7 @@ def _damped_phase(e: float, sigma: float) -> complex:
 # Gauss-Legendre nodes per panel of the mollifier quadratures.
 SCATTER_QUAD_NODES = 64
 
-_MOLLIFIER_SHAPES = {
+MOLLIFIER_SHAPES = {
     # smooth bump with all derivatives vanishing at the support edges
     "bump": lambda u: np.where(np.abs(u) < 1.0,
                                np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)),
@@ -440,16 +432,11 @@ _MOLLIFIER_SHAPES = {
 
 @dataclass(frozen=True)
 class ScatterResult:
-    """Transmitted phase across a mollified point coupling, with the exact
-    references it is compared against."""
+    """Transmitted phase across a mollified point coupling vs the exact phases."""
 
-    e: float
     epsilon: float
-    mollifier: str
     mollifier_integral: float
     transmitted_phase: complex
-    chebotarev_phase: complex
-    cayley_phase: complex
     phase_error: float      # |transmitted - exp(-iE)|
     contrast: float         # |exp(-iE) - s(E)|
 
@@ -467,11 +454,11 @@ def scatter_regularized(e: float, epsilon: float,
     if epsilon <= 0:
         raise InvalidMollifier("mollifier width must be positive")
     try:
-        shape = _MOLLIFIER_SHAPES[mollifier]
+        shape = MOLLIFIER_SHAPES[mollifier]
     except KeyError:
         raise InvalidMollifier(
             f"unknown mollifier {mollifier!r}; choose from "
-            f"{sorted(_MOLLIFIER_SHAPES)}") from None
+            f"{sorted(MOLLIFIER_SHAPES)}") from None
     nodes, weights = np.polynomial.legendre.leggauss(SCATTER_QUAD_NODES)
     raw = float(np.sum(weights * shape(nodes)))
     if raw <= 0:
@@ -494,10 +481,9 @@ def scatter_regularized(e: float, epsilon: float,
             f"characteristic (must be 1 within 1e-8)")
 
     transmitted = complex(np.exp(-1j * float(e) * accumulated))
-    cheb = complex(np.exp(-1j * float(e)))
-    cay = _damped_phase(float(e), 0.0)
+    phases = boundary_phase(e)
     return ScatterResult(
-        e=float(e), epsilon=float(epsilon), mollifier=mollifier,
-        mollifier_integral=accumulated, transmitted_phase=transmitted,
-        chebotarev_phase=cheb, cayley_phase=cay,
-        phase_error=abs(transmitted - cheb), contrast=abs(cheb - cay))
+        epsilon=float(epsilon), mollifier_integral=accumulated,
+        transmitted_phase=transmitted,
+        phase_error=abs(transmitted - phases.s_chebotarev),
+        contrast=abs(phases.s_chebotarev - phases.s))

@@ -70,7 +70,6 @@ class CouplingMatrix:
     """Validated Hermitian coupling matrix with its block structure."""
 
     block: BlockOperatorMatrix
-    hermiticity_tol: float
 
     @property
     def m(self) -> int:
@@ -90,7 +89,7 @@ def validate_coupling(raw: np.ndarray, m: int, n: int,
     """Check size and hermiticity (E_ab^dag = E_ba) and wrap the result."""
     block = partition(raw, m, n)
     require_hermitian(block.full, tol, "coupling matrix")
-    return CouplingMatrix(block=block, hermiticity_tol=tol)
+    return CouplingMatrix(block=block)
 
 
 def gauge_zll(gauge: Optional[Gauge], m: int, n: int) -> np.ndarray:

@@ -79,13 +79,13 @@ class DenseFock:
             ok &= (idx // self.d ** p) % self.d <= self.d - 2
         return np.tile(ok, self.m)
 
-    def kernel(self, e, route, tol=1e-9):
-        return null_space(self.stacked_rows(e, route), tol)
+    def kernel(self, e, route):
+        return null_space(self.stacked_rows(e, route))
 
-    def guarded_kernel(self, e, tol=1e-9):
+    def guarded_kernel(self, e):
         """Coupling-form kernel with identity rows appended outside the guard."""
         selector = self.eye[~self.guard_mask()]
-        return null_space(np.vstack([self.stacked_rows(e, "B"), selector]), tol)
+        return null_space(np.vstack([self.stacked_rows(e, "B"), selector]))
 
     def generator(self, e):
         """K_sing + Upsilon."""

@@ -194,7 +194,7 @@ def test_criterion_6_domain_equivalence():
                 sub_b = boundary_subspace_b(e, ops)
                 sub_c = boundary_subspace_c(e, ops)
                 assert sub_b.dim == sub_c.dim > 0
-                angles = principal_angles(sub_b.basis, sub_c.basis)
+                angles = principal_angles(sub_b.columns, sub_c.columns)
                 assert angles.max() <= 1e-8
         elapsed = time.monotonic() - start
         assert elapsed <= 10.0

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from slhkit import cli
+from slhkit import cli, punctured_line
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict, load_config
 from slhkit.errors import ParseError, SlhkitError, ValidationError
@@ -123,6 +123,7 @@ class TestConfig:
         ("tolerances", [1e-8]),
         ("scatter", {"mollifier": 3}),
         ("sigma", "0.3"),
+        ("scatter", {"mollifier": "box"}),
     ])
     def test_strict_fields_exit_2(self, field, value, tmp_path, capsys):
         bad = dict(MINIMAL)
@@ -235,6 +236,17 @@ class TestPhaseRows:
         assert abs(epi[4] - (-1.0)) < 1e-15
         assert abs(epi[2] - epi[3]) == 0.0  # sigma = 0 collapse
 
+    def test_sigma_zero_exact_compares_two_formulas(self, monkeypatch):
+        # s comes from the Cayley closed form and s_sigma from the kappa
+        # formula, so a wrong kappa formula fails the sigma = 0 check
+        monkeypatch.setattr(punctured_line, "_damped_phase",
+                            lambda e, sigma: (1.0 - 0.6j * e) / (1.0 + 0.5j * e))
+        cfg = config_from_dict({**MINIMAL,
+                                "phase": {"E": [1.0], "sigma": [0.0]}})
+        rep = run_command("phase", cfg)
+        failed = [c.name for c in rep.checks if not c.passed]
+        assert "phase[e=1.0,sigma=0.0].sigma_zero_exact" in failed
+
     def test_csv_has_one_row_per_check(self):
         cfg = config_from_dict({**MINIMAL,
                                 "phase": {"E": [0.0, 0.5, 1.0], "sigma": [0.0]}})
@@ -261,6 +273,13 @@ class TestExitCodes:
         proc = run_cli(["slh", "--config", str(path)])
         assert proc.returncode != 0
         assert "block" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["slh", "defect", "fock"])
+    def test_negative_seed_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(SCALAR_MODEL))
+        assert cli.main([command, "--config", str(path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_nan_coupling_exits_2(self, tmp_path):
         bad = dict(SCALAR_MODEL)

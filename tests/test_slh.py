@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slhkit.ensembles import random_coupling, random_gauge
-from slhkit.errors import NonHermitian, SingularDressing, SizeMismatch
+from slhkit.errors import NonHermitianInput, SingularDressing, SizeMismatch
 from slhkit.linalg import adjoint, cayley, channel_projector, partition
 from slhkit.slh import (
     CouplingMatrix,
@@ -54,7 +54,7 @@ class TestValidateCoupling:
         validate_coupling(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1)
 
     def test_forced_adjoint_relation(self):
-        with pytest.raises(NonHermitian):
+        with pytest.raises(NonHermitianInput):
             validate_coupling(np.array([[0.0, 1j], [1j, 0.0]]), 1, 1)
 
     def test_size_mismatch(self):
@@ -96,8 +96,7 @@ class TestItoMatrix:
     def test_singular_dressing_surfaces(self):
         # Reachable only by bypassing hermiticity validation: E_ll = 2i makes
         # the dressing factor 1 + i*(2i)/2 = 0.
-        forged = CouplingMatrix(block=partition(np.diag([0.0, 2j]), 1, 1),
-                                hermiticity_tol=1e-10)
+        forged = CouplingMatrix(block=partition(np.diag([0.0, 2j]), 1, 1))
         with pytest.raises(SingularDressing):
             ito_matrix(forged)
 
