@@ -4,8 +4,8 @@
            [--out PATH] [--format json|csv] [--seed N] [--sweep N]
 
 Exit code 0 iff every emitted check passes; config problems and a negative
-``--seed`` exit 2, and the first failing check (or a module-level numerical
-error) exits 1.
+``--seed`` or ``--sweep`` exit 2, and the first failing check (or a
+module-level numerical error) exits 1.
 """
 
 from __future__ import annotations
@@ -383,6 +383,8 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None and args.seed < 0:
             raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+        if args.sweep < 0:
+            raise ValidationError(f"--sweep must be nonnegative, got {args.sweep}")
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -16,22 +16,24 @@ No operator is stored as a dim x dim matrix.  Every boundary operator is a
 linear form X_0 + sum_p X_p a_p in the annihilators with m x m system
 coefficients (``ModeForm``); the singular generator is a sum of products of
 such forms and their adjoints.  Forms act matrix-free on the state tensor,
-one mode axis at a time.
+one slot at a time through the slot's ``LadderMap``.  One assembler,
+``_assemble``, turns sums sum_t X_t (x) M_t of system coefficients and
+composed ladder maps into dense matrices between two sets of Fock states: the
+sector blocks of the kernel solves and of the CCR and adjoint-defect checks.
 
 Photon-number grading.  An annihilator lowers the total photon number N by
 one and a system coefficient keeps it.  A stacked boundary operator without
 constant term (E_l0 = 0, hence L = 0) is therefore block-diagonal from sector
 N to sector N-1: its singular values are the union of the sector blocks', and
 its kernel is the direct sum of the sector kernels.  Each sector block is
-built directly from occupation tuples and solved by SVD, with the rank
-cutoff fixed at 1e-9 x the global sigma_max (``linalg.NULLSPACE_TOL`` times
-the largest singular value over all blocks), so the rank decision is the one
+assembled from the forms' slots and solved by SVD, with the rank cutoff
+fixed at 1e-9 x the global sigma_max (``linalg.NULLSPACE_TOL`` times the
+largest singular value over all blocks), so the rank decision is the one
 a single dense SVD would make in exact arithmetic.  The config's
 ``tolerances.kernel`` is not this cutoff: it bounds the largest principal
 angle between the two routes' kernels.  A nonzero constant term keeps N
-fixed and chains all sectors into one block-bidiagonal matrix, assembled from
-the same sector pieces and solved as a single block; which case applies is
-read from the coefficients.
+fixed and chains all sectors into one block-bidiagonal matrix, assembled and
+solved as a single block; which case applies is read from the coefficients.
 
 Gauge.  Ungauged, frak_a is a_star itself; any explicit gauge, a zero sigma
 or Z included, builds frak_a by the kappa formula, which the sigma = 0
@@ -97,25 +99,26 @@ def _compose(outer: LadderMap, inner: LadderMap) -> LadderMap:
             np.where(hit, outer[1][mid], 0.0) * inner[1])
 
 
-def _max_entry(terms: Sequence[Tuple[np.ndarray, LadderMap]], cols: np.ndarray,
-               row_mask: np.ndarray) -> float:
-    """Largest |entry| of sum_t X_t (x) M_t over the Fock columns ``cols`` and
-    the rows where ``row_mask`` holds, for coefficients X_t that are all
-    scalars or all system matrices of one shape (entries summed exactly as
-    sparse coordinates)."""
-    at, to, vals = [], [], []
-    for coeff, (target, weight) in terms:
-        hit = cols[target[cols] >= 0]
-        at.append(hit)
-        to.append(target[hit])
-        vals.append(weight[hit, None, None] * np.atleast_2d(coeff))
-    at, to, vals = np.concatenate(at), np.concatenate(to), np.concatenate(vals)
-    keep = row_mask[to]
-    keys, where = np.unique(to[keep] * row_mask.size + at[keep],
-                            return_inverse=True)
-    total = np.zeros((keys.size,) + vals.shape[1:], dtype=complex)
-    np.add.at(total, where, vals[keep])
-    return float(np.abs(total).max(initial=0.0))
+def _assemble(terms: Sequence[Tuple[np.ndarray, LadderMap]], cols: np.ndarray,
+              rows: np.ndarray) -> np.ndarray:
+    """Matrix of sum_t X_t (x) M_t from the span of the Fock states ``cols``
+    into that of ``rows`` (Fock indices), for coefficients X_t of one shape
+    (..., r, c): rows ordered as (..., r, rows), columns as (c, cols).  Images
+    outside ``rows`` are dropped, and each entry sums its contributions from
+    zero in term order."""
+    coef = np.array([x for x, _ in terms])
+    coef = coef.reshape(len(terms), -1, coef.shape[-1])
+    # pos[-1] stays -1, so an annihilated image (target -1) is dropped too.
+    pos = np.full(terms[0][1][0].size + 1, -1)
+    pos[rows] = np.arange(rows.size)
+    at = pos[np.array([target[cols] for _, (target, _) in terms])]
+    t, col = np.nonzero(at >= 0)
+    weight = np.array([weight[cols] for _, (_, weight) in terms])[t, col]
+    block = np.zeros((coef.shape[1], rows.size, coef.shape[2], cols.size),
+                     dtype=complex)
+    np.add.at(block, (slice(None), at[t, col], slice(None), col),
+              weight[:, None, None] * coef[t])
+    return block.reshape(coef.shape[1] * rows.size, coef.shape[2] * cols.size)
 
 
 def _on_system(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -186,27 +189,28 @@ class TruncatedFockSpace:
             raise ValueError(f"no mode ({j}, {sign!r})")
         return (j - 1) if sign == "+" else (self.n + j - 1)
 
+    @cached_property
+    def _digits(self) -> np.ndarray:
+        """Array (fock_dim, 2n): occupation digit p of Fock index x at [x, p]."""
+        return (np.arange(self.fock_dim)[:, None]
+                // self.d ** np.arange(self.n_modes) % self.d)
+
     def occupations(self) -> np.ndarray:
         """Array (dim, 2n) of per-mode occupation digits for every basis index."""
-        fock_idx = np.arange(self.fock_dim)
-        digits = np.empty((self.fock_dim, self.n_modes), dtype=int)
-        for p in range(self.n_modes):
-            digits[:, p] = (fock_idx // self.d ** p) % self.d
-        return np.tile(digits, (self.m, 1))
+        return np.tile(self._digits, (self.m, 1))
 
     def photon_guard_mask(self) -> np.ndarray:
         """Boolean mask of basis states with every mode occupation <= d - 2,
         below which creators act truncation-exactly."""
-        return (self.occupations() <= self.d - 2).all(axis=1)
+        return np.tile((self._digits <= self.d - 2).all(axis=1), self.m)
 
     def sectors(self, cap: Optional[int] = None) -> List[np.ndarray]:
         """Fock indices (increasing) of each photon-number sector N = 0, 1,
         ..., keeping occupation tuples with every mode <= cap (default d - 1,
         the whole space)."""
         cap = self.d - 1 if cap is None else cap
-        occ = self.occupations()[:self.fock_dim]
-        idx = np.flatnonzero((occ <= cap).all(axis=1))
-        total = occ[idx].sum(axis=1)
+        idx = np.flatnonzero((self._digits <= cap).all(axis=1))
+        total = self._digits[idx].sum(axis=1)
         return [idx[total == k] for k in range(self.n_modes * cap + 1)]
 
     def tensor(self, vectors: np.ndarray) -> np.ndarray:
@@ -219,28 +223,36 @@ class TruncatedFockSpace:
         return psi.reshape((self.dim,) + psi.shape[1 + self.n_modes:])
 
     @cached_property
+    def identity_map(self) -> LadderMap:
+        """The identity as a ladder map: the map of a form's zeroth slot."""
+        return np.arange(self.fock_dim), np.ones(self.fock_dim)
+
+    @cached_property
     def _ladder_maps(self) -> List[Tuple[LadderMap, LadderMap]]:
         # Single-mode annihilator: a|k> = sqrt(k)|k-1>, a|0> = 0.
         steps = np.sqrt(np.arange(self.d, dtype=float))
         idx = np.arange(self.fock_dim)
         maps = []
         for p in range(self.n_modes):
-            k = (idx // self.d ** p) % self.d
+            k = self._digits[:, p]
             lowering = (np.where(k > 0, idx - self.d ** p, -1), steps[k])
             maps.append((lowering, _transpose(lowering)))
         return maps
 
     def ladder_map(self, p: int, dagger: bool = False) -> LadderMap:
         """The annihilator of the mode at digit p (its adjoint, the creator,
-        when ``dagger``) as a map of Fock indices: a|x> = weight[x] |target[x]>,
-        target -1 where a|x> = 0.  Every ladder the module applies is one of
-        these maps."""
+        when ``dagger``) as a ``LadderMap`` of Fock indices."""
         return self._ladder_maps[p][dagger]
 
-    def lower(self, psi: np.ndarray, p: int, dagger: bool = False) -> np.ndarray:
-        """Annihilator (creator when ``dagger``) of the mode at digit p on a
-        state tensor of shape (m, d, ..., d, *batch)."""
-        target, weight = self.ladder_map(p, dagger)
+    def slot_maps(self, dagger: bool = False) -> List[LadderMap]:
+        """The map of each ``ModeForm`` slot, adjoint when ``dagger``: the
+        identity, then the annihilators by digit."""
+        return [self.identity_map] + [self.ladder_map(p, dagger)
+                                      for p in range(self.n_modes)]
+
+    def apply_map(self, psi: np.ndarray, ladder: LadderMap) -> np.ndarray:
+        """A ladder map on a state tensor of shape (m, d, ..., d, *batch)."""
+        target, weight = ladder
         src = np.flatnonzero(target >= 0)
         flat = psi.reshape((self.m, self.fock_dim, -1))
         out = np.zeros_like(flat)
@@ -284,14 +296,13 @@ class ModeForm:
         """Act on a state tensor (m, d, ..., d, *batch); with ``dagger`` the
         adjoint sum_q (X_q^dag (x) a_q^dag)."""
         out = None
-        for q, x in enumerate(self.coef):
+        for x, ladder in zip(self.coef, self.space.slot_maps(dagger)):
             if not np.any(x):
                 continue
             if dagger:
-                term = _on_system(adjoint(x), psi)
-                term = self.space.lower(term, q - 1, dagger=True) if q else term
+                term = self.space.apply_map(_on_system(adjoint(x), psi), ladder)
             else:
-                term = _on_system(x, self.space.lower(psi, q - 1) if q else psi)
+                term = _on_system(x, self.space.apply_map(psi, ladder))
             if out is None:
                 out = term
             else:
@@ -408,22 +419,9 @@ def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
                   cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Matrix of the stacked forms ``coef`` from the span of the Fock states
     ``cols`` into that of ``rows`` (Fock indices; system index slowest on both
-    sides, boundary row slowest of all), built from the ladder maps."""
-    r, m = coef.shape[0], space.m
-    pos = np.full(space.fock_dim, -1)
-    pos[rows] = np.arange(rows.size)
-    block = np.zeros((r, m, rows.size, m, cols.size), dtype=complex)
-    at = np.arange(cols.size)
-    # Each (row, column) pair is reached by at most one slot, so plain
-    # assignment suffices.
-    for p in range(space.n_modes):
-        target, weight = space.ladder_map(p)
-        hit = target[cols] >= 0
-        block[:, :, pos[target[cols[hit]]], :, at[hit]] = (
-            weight[cols[hit], None, None, None] * coef[None, :, 1 + p])
-    if np.any(coef[:, 0]):
-        block[:, :, pos[cols], :, at] = coef[None, :, 0]
-    return block.reshape(r * m * rows.size, m * cols.size)
+    sides, boundary row slowest of all)."""
+    return _assemble(list(zip(np.moveaxis(coef, 1, 0), space.slot_maps())),
+                     cols, rows)
 
 
 def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray,
@@ -524,10 +522,7 @@ def number_defect_residual(ops: ModeOperators) -> float:
     ``a_minus`` over the ladder maps they apply; none of them depends on the
     gauge."""
     space = ops.space
-    identity = (np.arange(space.fock_dim), np.ones(space.fock_dim))
-    lowering = [identity] + [space.ladder_map(p) for p in range(space.n_modes)]
-    raising = [identity] + [space.ladder_map(p, True)
-                            for p in range(space.n_modes)]
+    lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
     eye = np.eye(space.m)
     terms = []
     for j in range(space.n):
@@ -542,26 +537,29 @@ def number_defect_residual(ops: ModeOperators) -> float:
         for sign, p in ((-1j, space.digit(j + 1, "+")),
                         (1j, space.digit(j + 1, "-"))):
             terms.append((sign * eye, _compose(raising[1 + p], lowering[1 + p])))
-    everything = np.arange(space.fock_dim)
-    return _max_entry(terms, everything, np.ones(space.fock_dim, dtype=bool))
+    # Every term keeps the photon number, so the sector blocks hold them all.
+    return max(float(np.abs(_assemble(terms, sector, sector)).max())
+               for sector in space.sectors())
 
 
 def commutator_defect(ops: ModeOperators) -> float:
     """Truncation-aware CCR check on the ladder maps the forms apply: on the
     photon guard, [a_{j,s}, a_{k,s'}^dag] equals delta_jk delta_ss'; returns
-    the worst guarded entry of the difference."""
+    the worst guarded entry of the difference, assembled one pair and one
+    guarded sector at a time (every term keeps the photon number)."""
     space = ops.space
-    guard = space.photon_guard_mask()[:space.fock_dim]
-    cols = np.flatnonzero(guard)
-    identity = (np.arange(space.fock_dim), np.ones(space.fock_dim))
+    sectors = space.sectors(space.d - 2)
+    one = np.ones((1, 1))
     worst = 0.0
     for i in range(space.n_modes):
         for k in range(space.n_modes):
             a, b_dag = space.ladder_map(i), space.ladder_map(k, True)
-            terms = [(1.0, _compose(a, b_dag)), (-1.0, _compose(b_dag, a))]
+            terms = [(one, _compose(a, b_dag)), (-one, _compose(b_dag, a))]
             if i == k:
-                terms.append((-1.0, identity))
-            worst = max(worst, _max_entry(terms, cols, guard))
+                terms.append((-one, space.identity_map))
+            for sector in sectors:
+                block = _assemble(terms, sector, sector)
+                worst = max(worst, float(np.abs(block).max()))
     return worst
 
 

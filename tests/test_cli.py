@@ -281,6 +281,13 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["slh", "phase", "defect", "scatter", "fock"])
+    def test_negative_sweep_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(SCALAR_MODEL))
+        assert cli.main([command, "--config", str(path), "--sweep", "-2"]) == 2
+        assert "--sweep" in capsys.readouterr().err
+
     def test_nan_coupling_exits_2(self, tmp_path):
         bad = dict(SCALAR_MODEL)
         bad["E"] = [[[float("nan"), 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]]

@@ -8,6 +8,7 @@ import pytest
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict
 from slhkit.ensembles import random_coupling, random_gauge
+from slhkit import fock
 from slhkit.errors import NotInDomain, TooLarge
 from slhkit.fock import (
     ModeForm,
@@ -127,6 +128,28 @@ class TestTruncatedSpace:
         ops = build_mode_operators(2, 1, 3)
         eye = np.eye(ops.space.dim)
         assert np.abs(ops.a0 @ eye - eye).max() == 0.0
+
+    @pytest.mark.parametrize("size", [(1, 1, 3), (2, 1, 4), (1, 2, 4), (1, 3, 3)])
+    def test_check_blocks_fit_beside_the_kernel_solve(self, size, monkeypatch):
+        # no block the ladder checks assemble is larger than the largest
+        # sector block of a kernel solve with its SVD factors
+        ops = build_mode_operators(*size)
+        space = ops.space
+        c = space.m * space.sector_sizes()
+        largest = max(fock._svd_block_bytes(space.n * int(c[k - 1]), int(c[k]))
+                      for k in range(1, len(c)))
+        sizes = []
+        assemble = fock._assemble
+
+        def recording(*args):
+            block = assemble(*args)
+            sizes.append(block.nbytes)
+            return block
+
+        monkeypatch.setattr(fock, "_assemble", recording)
+        commutator_defect(ops)
+        number_defect_residual(ops)
+        assert sizes and max(sizes) <= largest
 
 
 def coherent_vector(space, j, sign, alpha):

@@ -6,6 +6,9 @@ import pytest
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.fock import (
     ModeForm,
+    _assemble,
+    _compose,
+    _sector_block,
     action_residuals,
     boundary_subspace_b,
     boundary_subspace_c,
@@ -55,6 +58,16 @@ def make_case(m, n, d, gauge_kind, el0_kind):
 
 def max_angle(u, w):
     return float(principal_angles(u, w).max())
+
+
+def restrict(matrix, space, rows, cols):
+    """The (rows, cols) restriction of a dense operator, or of a vertical stack
+    of them, in the assembler's order: Fock state fastest, then the system
+    index, then the stacked row."""
+    r = matrix.shape[0] // space.dim
+    flat_rows = (np.arange(r * space.m)[:, None] * space.fock_dim + rows).ravel()
+    flat_cols = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
+    return matrix[np.ix_(flat_rows, flat_cols)]
 
 
 @pytest.mark.parametrize("size,gauge_kind,el0_kind", CASES)
@@ -125,3 +138,50 @@ def test_ladder_checks_on_applied_forms(size):
     assert commutator_defect(ops) <= 1e-12
     assert number_spectrum_defect(ops) <= 1e-12
     assert number_defect_residual(ops) <= 1e-12
+
+
+@pytest.mark.parametrize("size,gauge_kind,el0_kind", CASES)
+def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind, dense_fock):
+    m, n, d = size
+    e, gauge, _ = make_case(m, n, d, gauge_kind, el0_kind)
+    ops = build_mode_operators(m, n, d, gauge)
+    space = ops.space
+    dense = dense_fock(m, n, d, gauge)
+    everything = np.arange(space.fock_dim)
+    pairs = [(everything, everything)]
+    for cap in (d - 1, d - 2):
+        sectors = space.sectors(cap)
+        pairs += [(cols, rows) for cols, rows in zip(sectors[1:], sectors)]
+    for route in ("B", "C"):
+        coef = stacked_boundary_rows(e, ops, route)
+        stacked = dense.stacked_rows(e, route)
+        for cols, rows in pairs:
+            block = _sector_block(space, coef, cols, rows)
+            oracle = restrict(stacked, space, rows, cols)
+            assert np.abs(block - oracle).max() <= 1e-13
+
+
+@pytest.mark.parametrize("size", SIZES)
+def test_assembled_commutator_matches_dense(size, dense_fock):
+    """x (x) (a a^dag - a^dag a - 1): three terms that hit the same diagonal
+    entries.  On the guard it vanishes; on the full sectors the cut at d
+    leaves -d x on the top occupation, so the comparison is not vacuous."""
+    m, n, d = size
+    space = build_mode_operators(m, n, d).space
+    dense = dense_fock(m, n, d)
+    rng = np.random.default_rng(list(size))
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for p, a_dense in enumerate(dense.a_plus + dense.a_minus):
+        a, a_dag = space.ladder_map(p), space.ladder_map(p, True)
+        terms = [(x, _compose(a, a_dag)), (-x, _compose(a_dag, a)),
+                 (-x, space.identity_map)]
+        comm = dense.lift_system(x) @ (a_dense @ a_dense.conj().T
+                                       - a_dense.conj().T @ a_dense - dense.eye)
+        for cap, expected in ((d - 2, 0.0), (d - 1, d * np.abs(x).max())):
+            worst = 0.0
+            for sector in space.sectors(cap):
+                block = _assemble(terms, sector, sector)
+                oracle = restrict(comm, space, sector, sector)
+                assert np.abs(block - oracle).max() <= 1e-13
+                worst = max(worst, float(np.abs(block).max()))
+            assert abs(worst - expected) <= 1e-13 * d

@@ -14,7 +14,11 @@ and after:
   configs and ``defect`` on the ``grid-defect`` one, seeds 1, 2, 3 and 101;
 * ``slh --sweep 50`` on the ``slh-sweep`` config, seed 1;
 * ``fock`` on an m = 2 config with a matrix gauge Z and E_l0 = 0, JSON and
-  CSV.
+  CSV;
+* ``fock --sweep 3`` on an m = 2, n = 1 config with a rank-1 E_l0 (one
+  coupled block whose identity slot has a non-scalar coefficient) and on an
+  (m, n, d) = (1, 3, 3) config with E_l0 = 0 and sigma = 0.3 (three stacked
+  boundary rows).
 
 Benchmark configs come from ``perfbench/workloads.generate_config`` and are
 written to a temporary directory. BLAS runs single-threaded in every child.
@@ -52,6 +56,35 @@ MATRIX_GAUGE_CONFIG = {
     "seed": 7,
 }
 
+# m = 2, n = 1: E_l0 has rank 1, so the constant term chains every sector into
+# one block and its identity slot carries a non-scalar 2 x 2 coefficient.
+RANK1_EL0_CONFIG = {
+    "m": 2,
+    "n": 1,
+    "E": [[[0.2, 0.0], [0.1, -0.1], [0.0, 0.0], [7.2, 2.4]],
+          [[0.1, 0.1], [-0.4, 0.0], [0.0, 0.0], [0.0, 0.0]],
+          [[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.2]],
+          [[7.2, -2.4], [0.0, 0.0], [0.0, -0.2], [-0.3, 0.0]]],
+    "fock": {"d": 5},
+    "seed": 11,
+}
+
+# (m, n, d) = (1, 3, 3): E_l0 = 0 and a scalar gauge, three stacked rows.
+THREE_CHANNEL_CONFIG = {
+    "m": 1,
+    "n": 3,
+    "E": [[[0.2, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+          [[0.0, 0.0], [0.7, 0.0], [0.1, 0.3], [-0.2, 0.1]],
+          [[0.0, 0.0], [0.1, -0.3], [-0.5, 0.0], [0.4, 0.0]],
+          [[0.0, 0.0], [-0.2, -0.1], [0.4, 0.0], [0.9, 0.0]]],
+    "sigma": 0.3,
+    "fock": {"d": 3},
+    "seed": 13,
+}
+
+EXTRA_FOCK_CONFIGS = {"rank1-el0": RANK1_EL0_CONFIG,
+                      "three-channel": THREE_CHANNEL_CONFIG}
+
 
 def runs(configs: Path):
     """(report file name, CLI arguments) of every oracle run."""
@@ -76,6 +109,10 @@ def runs(configs: Path):
         yield (f"matrix-gauge.fock.{fmt}",
                ["fock", "--config", str(configs / "matrix-gauge.json"),
                 "--format", fmt])
+    for name in EXTRA_FOCK_CONFIGS:
+        yield (f"{name}.fock.sweep3.json",
+               ["fock", "--config", str(configs / f"{name}.json"),
+                "--sweep", "3"])
 
 
 def write_configs(configs: Path) -> None:
@@ -85,6 +122,8 @@ def write_configs(configs: Path) -> None:
                 generate_config(name, seed))
     (configs / "slh-sweep.1.json").write_bytes(generate_config("slh-sweep", 1))
     (configs / "matrix-gauge.json").write_text(json.dumps(MATRIX_GAUGE_CONFIG))
+    for name, config in EXTRA_FOCK_CONFIGS.items():
+        (configs / f"{name}.json").write_text(json.dumps(config))
 
 
 def main(argv) -> int:
