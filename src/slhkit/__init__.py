@@ -46,7 +46,6 @@ from .punctured_line import (
     SingularSum,
     SobolevDecomposition,
     apply_iD,
-    boundary_functionals,
     boundary_phase,
     decompose_sobolev,
     defect_vectors,

@@ -3,8 +3,13 @@
     slhkit {slh|phase|defect|scatter|fock} --config PATH
            [--out PATH] [--format json|csv] [--seed N] [--sweep N]
 
-Exit code 0 iff every emitted check passes; config problems and a negative
-``--seed`` or ``--sweep`` exit 2, and the first failing check (or a
+Every check value comes from a library function that the tests call too
+(``slh.identity_residuals``, ``fock.fock_battery``, ...); this module names
+the records, sets their tolerances and fixes the order of the random draws.
+
+Exit code 0 iff every emitted check passes; config problems, a negative
+``--seed`` or ``--sweep``, and a nonzero ``--sweep`` for a subcommand other
+than ``slh`` and ``fock`` exit 2, and the first failing check (or a
 module-level numerical error) exits 1.
 """
 
@@ -18,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .config import ModelConfig, load_config
-from .ensembles import random_coupling
+from .ensembles import random_bump, random_coupling, random_grid_function
 from .errors import ParseError, SlhkitError, ValidationError
 from .fock import (
     build_mode_operators,
@@ -28,7 +33,7 @@ from .fock import (
     number_spectrum_defect,
     stacked_boundary_rows,
 )
-from .linalg import cayley, channel_projector
+from .linalg import cayley
 from .punctured_line import (
     GridSpec,
     apply_iD,
@@ -36,42 +41,21 @@ from .punctured_line import (
     boundary_phase,
     decompose_sobolev,
     defect_vectors,
+    extension_domain_defect,
     id_symmetry_defect,
     jay_form,
-    kappas,
+    jump_splitting_defect,
     sample,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
 )
 from .report import Report, emit_report
-from .slh import ScalarGauge, gauge_reduction_check, slh_triple
+from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
+                  slh_triple)
 
 
 # --- slh ---------------------------------------------------------------------
-
-def _identity_residuals(res) -> dict:
-    """Residuals of the matrix identities for one pipeline result."""
-    e = res.coupling
-    g = res.ito.full
-    pi = channel_projector(e.m, e.n)
-    eye = np.eye(e.block.size)
-    out = {
-        "ito_isometry": res.ito_isometry_defect(),
-        "s_unitarity": res.s_unitarity_defect(),
-        "h_hermiticity": res.h_hermiticity_defect(),
-        "recomposition": res.recomposition_defect(),
-        "first_row": float(np.abs(res.model.full[:e.m] - g[:e.m]).max()),
-    }
-    if res.gauge is None:
-        f = res.dressing.full
-        out["g_equals_minus_ief"] = float(np.abs(g + 1j * (e.full @ f)).max())
-        out["dressing_inverse"] = float(
-            np.abs(f @ (eye + 0.5j * (pi @ e.full)) - eye).max())
-        out["half_e_galilean"] = float(
-            np.abs(0.5 * (e.full @ (eye + res.galilean.full)) - 1j * g).max())
-    return out
-
 
 def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     coupling = config.coupling()
@@ -81,7 +65,7 @@ def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> N
         "G": res.ito.full, "V": res.model.full, "M": res.galilean.full,
         "F": res.dressing.full, "S": res.s, "L": res.l, "H": res.h,
     }
-    for name, value in _identity_residuals(res).items():
+    for name, value in identity_residuals(res).items():
         tol = 0.0 if name == "first_row" else \
             (1e-12 if name in ("g_equals_minus_ief",) else 1e-10)
         report.add(name, value, tol)
@@ -100,7 +84,7 @@ def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> N
         e_i = random_coupling(rng, coupling.m, coupling.n)
         res_i = slh_triple(e_i)
         report.add(f"sweep[{i:03d}].identities",
-                   max(_identity_residuals(res_i).values()), 1e-10)
+                   max(identity_residuals(res_i).values()), 1e-10)
 
 
 # --- phase ---------------------------------------------------------------
@@ -123,19 +107,6 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
 
 
 # --- defect ---------------------------------------------------------------
-
-def _random_half(rng: np.random.Generator, side: str):
-    """Smooth decaying test bump on one half-line with a random jump at 0."""
-    amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
-    width = rng.uniform(0.5, 2.0)
-    center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
-    return lambda t: amp * np.exp(-width * (t - center) ** 2)
-
-
-def _random_function(rng: np.random.Generator, spec: GridSpec):
-    return sample(spec, left=_random_half(rng, "left"),
-                  right=_random_half(rng, "right"))
-
 
 def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     spec = GridSpec(config.grid.half_width, config.grid.spacing)
@@ -166,8 +137,8 @@ def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
     i_phi_plus, minus_i_phi_minus = 1j * phi_plus, -1j * phi_minus
     worst_plus = worst_minus = 0.0
     for _ in range(10):
-        psi_r = sample(spec, right=_random_half(rng, "right"))
-        psi_l = sample(spec, left=_random_half(rng, "left"))
+        psi_r = sample(spec, right=random_bump(rng, "right"))
+        psi_l = sample(spec, left=random_bump(rng, "left"))
         worst_plus = max(worst_plus, abs(
             sobolev_inner(i_phi_plus, psi_r) - psi_r.right_limit))
         worst_minus = max(worst_minus, abs(
@@ -181,7 +152,7 @@ def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
     phi_plus, phi_minus = defect_vectors(spec)
     worst_bc = worst_orth = worst_recon = 0.0
     for _ in range(10):
-        psi = _random_function(rng, spec)
+        psi = random_grid_function(rng, spec)
         dec = decompose_sobolev(psi)
         worst_bc = max(worst_bc, abs(dec.psi0.left_limit),
                        abs(dec.psi0.right_limit))
@@ -213,22 +184,17 @@ def _eigenrelation_checks(spec: GridSpec, report: Report) -> None:
 def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
     worst = 0.0
     for sigma in (0.0, 0.3, -1.0):
-        kp, km = kappas(sigma)
         for _ in range(100):
-            fp, fm, gp, gm = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                              for _ in range(4))
-            lhs = np.conj(fp) * gp - np.conj(fm) * gm
-            zeta_f = km * fp + kp * fm
-            zeta_g = km * gp + kp * gm
-            rhs = np.conj(fp - fm) * zeta_g + np.conj(zeta_f) * (gp - gm)
-            worst = max(worst, abs(lhs - rhs))
+            values = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(4))
+            worst = max(worst, jump_splitting_defect(*values, sigma))
     report.add("jump_splitting_identity", worst, 1e-13)
 
 
 def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
                      report: Report) -> None:
-    f = _random_function(rng, spec)
-    g = _random_function(rng, spec)
+    f = random_grid_function(rng, spec)
+    g = random_grid_function(rng, spec)
     report.add("boundary_form_vs_traces",
                abs(boundary_form(f, g) + 1j * jay_form(f, g)), 1e-4)
     report.add("id_symmetry_defect", abs(id_symmetry_defect(f, g)), 1e-4)
@@ -237,16 +203,8 @@ def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
 
 
 def _extension_check(report: Report) -> None:
-    worst = 0.0
-    for e in (0.5, 2.0, float(np.pi)):
-        for sigma in (0.0, 0.3):
-            phases = boundary_phase(e, sigma)
-            psi_plus = complex(0.7, -0.4)
-            psi_minus = phases.s_sigma * psi_plus
-            kp, km = kappas(sigma)
-            singular = (1j * (psi_plus - psi_minus)
-                        + e * (km * psi_plus + kp * psi_minus))
-            worst = max(worst, abs(singular))
+    worst = max(extension_domain_defect(e, sigma, complex(0.7, -0.4))
+                for e in (0.5, 2.0, float(np.pi)) for sigma in (0.0, 0.3))
     report.add("extension_domain_annihilation", worst, 1e-13)
 
 
@@ -267,7 +225,7 @@ def command_scatter(config: ModelConfig, seed: int, sweep: int, report: Report) 
     for i in range(1, len(phases)):
         report.add(f"scatter.eps_independence[{i}]",
                    abs(phases[i] - phases[0]), 1e-8)
-    contrast = rows[0][3] if rows else 0.0
+    contrast = rows[0][3]
     report.results["columns"] = ["epsilon", "transmitted_phase", "phase_error",
                                  "contrast_vs_cayley", "mollifier_defect"]
     report.results["rows"] = rows
@@ -327,6 +285,7 @@ def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> 
                    [eq["dim_b"], eq["dim_c"], angle, worst], None, passed=ok)
 
 
+SWEEP_COMMANDS = ("slh", "fock")
 COMMANDS = {
     "slh": command_slh,
     "phase": command_phase,
@@ -356,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--sweep", type=int, default=0,
-                       help="number of random-coupling sweep instances")
+                       help="number of random-coupling sweep instances "
+                            "(slh and fock only)")
     return parser
 
 
@@ -385,6 +345,10 @@ def main(argv=None) -> int:
             raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
         if args.sweep < 0:
             raise ValidationError(f"--sweep must be nonnegative, got {args.sweep}")
+        if args.sweep and args.command not in SWEEP_COMMANDS:
+            raise ValidationError(
+                f"--sweep applies to {' and '.join(SWEEP_COMMANDS)} only, "
+                f"not to {args.command}")
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -123,10 +123,11 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 def _read(value, kind, name: str):
     """``value`` as ``kind``, else ValidationError: int takes an integer (not
     a bool), float a finite integer or float (stored as float), str a string,
-    and a one-element list [k] an array of k."""
+    and a one-element list [k] a nonempty array of k."""
     if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ValidationError(f"{name} must be an array, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ValidationError(
+                f"{name} must be a nonempty array, got {value!r}")
         return [_read(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
     ok = (isinstance(value, str) if kind is str else
           isinstance(value, numbers.Real if kind is float else numbers.Integral)

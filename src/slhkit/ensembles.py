@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import adjoint
+from .punctured_line import GridFunction, GridSpec, sample
 from .slh import CouplingMatrix, GaugeMatrix, validate_coupling
 
 
@@ -37,3 +38,19 @@ def random_coupling(rng: np.random.Generator, m: int, n: int,
 
 def random_gauge(rng: np.random.Generator, m: int, n: int) -> GaugeMatrix:
     return GaugeMatrix(random_hermitian(rng, n * m))
+
+
+def random_bump(rng: np.random.Generator, side: str):
+    """Gaussian bump amp * exp(-width (t - center)^2) centred on the "left"
+    or "right" half-line; its value at 0 is a random boundary trace."""
+    amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
+    width = rng.uniform(0.5, 2.0)
+    center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
+    return lambda t: amp * np.exp(-width * (t - center) ** 2)
+
+
+def random_grid_function(rng: np.random.Generator, spec: GridSpec) -> GridFunction:
+    """Independent random bumps on the two half-lines (left drawn first), so
+    the function has a random jump at 0."""
+    return sample(spec, left=random_bump(rng, "left"),
+                  right=random_bump(rng, "right"))

@@ -286,36 +286,33 @@ def kappas(sigma: float):
     return complex(0.5, sigma), complex(0.5, -sigma)
 
 
-@dataclass(frozen=True)
-class BoundaryFunctionals:
-    """Evaluations of the singular functionals on one grid function."""
-
-    delta_plus: complex
-    delta_minus: complex
-    jump: complex
-    delta_star: complex
-    zeta: complex
-
-
-def boundary_functionals(f: GridFunction,
-                         sigma: Optional[float] = None) -> BoundaryFunctionals:
-    """Boundary-trace functionals; zeta is ``zeta_eval(f, sigma)``, the
-    symmetric delta when sigma is None."""
-    return BoundaryFunctionals(
-        delta_plus=f.right_limit,
-        delta_minus=f.left_limit,
-        jump=f.jump,
-        delta_star=f.delta_star,
-        zeta=zeta_eval(f, sigma),
-    )
+def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
+    """<zeta_sigma|psi> from the traces psi(0+) = plus and psi(0-) = minus."""
+    kp, km = kappas(sigma)
+    return km * plus + kp * minus
 
 
 def zeta_eval(f: GridFunction, sigma: Optional[float]) -> complex:
     """<zeta_sigma|f>; the symmetric delta when sigma is None."""
     if sigma is None:
         return f.delta_star
-    kp, km = kappas(float(sigma))
-    return km * f.right_limit + kp * f.left_limit
+    return zeta_value(f.right_limit, f.left_limit, float(sigma))
+
+
+def jump_splitting_defect(fp: complex, fm: complex, gp: complex, gm: complex,
+                          sigma: float) -> float:
+    """Residual of the jump splitting behind zeta_sigma, on the boundary
+    values f(0+-) = fp, fm and g(0+-) = gp, gm:
+
+        <f|J g> = conj(jump f) <zeta|g> + conj(<zeta|f>) jump g.
+
+    Exact boundary arithmetic, so zero up to rounding; sigma = 0 is the
+    symmetric-delta split.
+    """
+    lhs = np.conj(fp) * gp - np.conj(fm) * gm
+    rhs = (np.conj(fp - fm) * zeta_value(gp, gm, sigma)
+           + np.conj(zeta_value(fp, fm, sigma)) * (gp - gm))
+    return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -411,6 +408,15 @@ def boundary_phase(e: float, sigma: Optional[float] = None) -> BoundaryPhases:
 def _damped_phase(e: float, sigma: float) -> complex:
     kp, km = kappas(sigma)
     return (1.0 - 1j * km * e) / (1.0 + 1j * kp * e)
+
+
+def extension_domain_defect(e: float, sigma: float, psi_plus: complex) -> float:
+    """|i jump psi + e <zeta_sigma|psi>| for the traces psi(0+) = psi_plus and
+    psi(0-) = s_sigma(e) psi(0+): the singular part of the coupled generator
+    vanishes on its extension domain, so this is zero up to rounding."""
+    psi_minus = boundary_phase(e, sigma).s_sigma * psi_plus
+    return abs(1j * (psi_plus - psi_minus)
+               + e * zeta_value(psi_plus, psi_minus, sigma))
 
 
 # --- regularized scattering ------------------------------------------------

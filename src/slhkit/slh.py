@@ -29,6 +29,7 @@ from .linalg import (
     partition,
     require_hermitian,
 )
+from .punctured_line import kappas
 
 # 1 + iEW counts as singular when sigma_min <= DRESSING_TOL * sigma_max.
 DRESSING_TOL = 1e-12
@@ -37,17 +38,10 @@ GAUGE_CHECK_SIGMAS = (-1.0, 0.0, 0.3, 1.0)
 
 @dataclass(frozen=True)
 class ScalarGauge:
-    """Scalar gauge sigma, entering through kappa_pm = 1/2 +- i*sigma."""
+    """Scalar gauge sigma, entering through kappa_pm = 1/2 +- i*sigma
+    (``punctured_line.kappas``)."""
 
     sigma: float
-
-    @property
-    def kappa_plus(self) -> complex:
-        return complex(0.5, self.sigma)
-
-    @property
-    def kappa_minus(self) -> complex:
-        return complex(0.5, -self.sigma)
 
 
 @dataclass(frozen=True)
@@ -154,29 +148,6 @@ class SLHResult:
     l: np.ndarray
     h: np.ndarray
 
-    def ito_isometry_defect(self) -> float:
-        """Max-entry residual of G + G^dag + G^dag Pi G = 0."""
-        g = self.ito.full
-        pi = channel_projector(self.ito.m, self.ito.n)
-        return float(np.abs(g + adjoint(g) + adjoint(g) @ pi @ g).max())
-
-    def s_unitarity_defect(self) -> float:
-        nm = self.s.shape[0]
-        eye = np.eye(nm)
-        return float(max(np.abs(adjoint(self.s) @ self.s - eye).max(),
-                         np.abs(self.s @ adjoint(self.s) - eye).max()))
-
-    def h_hermiticity_defect(self) -> float:
-        return hermiticity_defect(self.h)
-
-    def recomposition_defect(self) -> float:
-        """Max-entry distance between G and its (S, L, H) block recomposition."""
-        nm = self.coupling.n * self.coupling.m
-        top = np.hstack([-0.5 * (adjoint(self.l) @ self.l) - 1j * self.h,
-                         -adjoint(self.l) @ self.s])
-        bottom = np.hstack([self.l, self.s - np.eye(nm)])
-        return float(np.abs(np.vstack([top, bottom]) - self.ito.full).max())
-
 
 def slh_triple(e: CouplingMatrix, gauge: Optional[Gauge] = None) -> SLHResult:
     """Run the full pipeline and extract (S, L, H) from the Ito matrix blocks.
@@ -192,6 +163,40 @@ def slh_triple(e: CouplingMatrix, gauge: Optional[Gauge] = None) -> SLHResult:
     h = 1j * (g.x00 + 0.5 * (adjoint(l) @ l))
     return SLHResult(coupling=e, gauge=gauge, ito=g, model=v, galilean=mm,
                      dressing=f, s=s, l=l, h=h)
+
+
+def identity_residuals(res: SLHResult) -> dict:
+    """Max-entry residuals of one pipeline result's matrix identities, by
+    check name in report order: ``ito_isometry`` (G + G^dag + G^dag Pi G = 0),
+    ``s_unitarity``, ``h_hermiticity``, ``recomposition`` (G against its
+    (S, L, H) blocks) and ``first_row`` (V = G + Pi keeps G's system rows);
+    ungauged also ``g_equals_minus_ief`` (G = -iEF), ``dressing_inverse``
+    (F(1 + i Pi E / 2) = 1) and ``half_e_galilean`` (E(1 + M)/2 = iG)."""
+    e = res.coupling
+    g = res.ito.full
+    pi = channel_projector(e.m, e.n)
+    eye = np.eye(e.block.size)
+    s, l, h = res.s, res.l, res.h
+    eye_nm = np.eye(e.n * e.m)
+    top = np.hstack([-0.5 * (adjoint(l) @ l) - 1j * h, -adjoint(l) @ s])
+    bottom = np.hstack([l, s - eye_nm])
+    out = {
+        "ito_isometry": float(
+            np.abs(g + adjoint(g) + adjoint(g) @ pi @ g).max()),
+        "s_unitarity": float(max(np.abs(adjoint(s) @ s - eye_nm).max(),
+                                 np.abs(s @ adjoint(s) - eye_nm).max())),
+        "h_hermiticity": hermiticity_defect(h),
+        "recomposition": float(np.abs(np.vstack([top, bottom]) - g).max()),
+        "first_row": float(np.abs(res.model.full[:e.m] - g[:e.m]).max()),
+    }
+    if res.gauge is None:
+        f = res.dressing.full
+        out["g_equals_minus_ief"] = float(np.abs(g + 1j * (e.full @ f)).max())
+        out["dressing_inverse"] = float(
+            np.abs(f @ (eye + 0.5j * (pi @ e.full)) - eye).max())
+        out["half_e_galilean"] = float(
+            np.abs(0.5 * (e.full @ (eye + res.galilean.full)) - 1j * g).max())
+    return out
 
 
 def gauge_reduction_check(e: CouplingMatrix) -> dict:
@@ -214,14 +219,13 @@ def gauge_reduction_check(e: CouplingMatrix) -> dict:
         e01 = complex(e.block.x0l[0, 0])
         e11 = complex(e.block.xll[0, 0])
         for sigma in GAUGE_CHECK_SIGMAS:
-            gauge = ScalarGauge(float(sigma))
-            kp, km = gauge.kappa_plus, gauge.kappa_minus
+            kp, km = kappas(float(sigma))
             den = 1.0 + 1j * kp * e11
             s_ref = (1.0 - 1j * km * e11) / den
             l_ref = -1j * e10 / den
             w_ref = e01 * kp * e10 / den
             h_ref = e00 + (w_ref - w_ref.conjugate()) / 2j
-            res = slh_triple(e, gauge)
+            res = slh_triple(e, ScalarGauge(float(sigma)))
             report["scalar_residuals"][float(sigma)] = {
                 "s": abs(complex(res.s[0, 0]) - s_ref),
                 "l": abs(complex(res.l[0, 0]) - l_ref),

@@ -12,27 +12,28 @@ import time
 import numpy as np
 
 from slhkit.ensembles import random_coupling, random_gauge
-from slhkit.fock import (
-    action_residuals,
-    boundary_subspace_b,
-    boundary_subspace_c,
-    build_mode_operators,
-    sample_domain_vectors,
-)
-from slhkit.linalg import cayley, channel_projector, principal_angles
+from slhkit.fock import build_mode_operators, fock_battery, subspace_equivalence
+from slhkit.linalg import cayley
 from slhkit.punctured_line import (
     GridSpec,
     boundary_phase,
     decompose_sobolev,
     defect_vectors,
     id_symmetry_defect,
-    kappas,
+    jump_splitting_defect,
     sample,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
 )
-from slhkit.slh import GaugeMatrix, ScalarGauge, slh_triple, validate_coupling
+from slhkit.slh import (
+    GAUGE_CHECK_SIGMAS,
+    ScalarGauge,
+    gauge_reduction_check,
+    identity_residuals,
+    slh_triple,
+    validate_coupling,
+)
 
 GRID = GridSpec(40.0, 1e-3)
 PHASE_POINTS = (0.0, 0.1, 1.0, 2.0, float(np.pi))
@@ -63,20 +64,12 @@ def test_criterion_1_boundary_phase_contrast():
 
 def test_criterion_2_jump_splitting_identities():
     rng = np.random.default_rng(202)
+    # sigma = 0 is the symmetric-delta split: kappa_pm = 1/2 exactly
     for sigma in (0.0, 0.3, -1.0):
-        kp, km = kappas(sigma)
         for _ in range(100):
-            fp, fm, gp, gm = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                              for _ in range(4))
-            lhs = np.conj(fp) * gp - np.conj(fm) * gm
-            # symmetric-delta split
-            ds_f, ds_g = 0.5 * (fp + fm), 0.5 * (gp + gm)
-            rhs_star = np.conj(fp - fm) * ds_g + np.conj(ds_f) * (gp - gm)
-            assert abs(lhs - rhs_star) <= 1e-13
-            # damped split
-            zf, zg = km * fp + kp * fm, km * gp + kp * gm
-            rhs_zeta = np.conj(fp - fm) * zg + np.conj(zf) * (gp - gm)
-            assert abs(lhs - rhs_zeta) <= 1e-13
+            values = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(4))
+            assert jump_splitting_defect(*values, sigma) <= 1e-13
     announce(2, "jump splitting identities (boundary arithmetic)")
 
 
@@ -128,19 +121,12 @@ def test_criterion_4_slh_matrix_identities():
     rng = np.random.default_rng(404)
     checked = 0
     for m, n in ((1, 1), (2, 1), (2, 2), (3, 3)):
-        pi = channel_projector(m, n)
-        eye = np.eye((1 + n) * m)
         for _ in range(25):
             e = random_coupling(rng, m, n)
             res = slh_triple(e)
-            g, f = res.ito.full, res.dressing.full
-            assert res.ito_isometry_defect() <= 1e-10
-            assert np.abs(g + 1j * (e.full @ f)).max() <= 1e-10
-            assert np.abs(f @ (eye + 0.5j * (pi @ e.full)) - eye).max() <= 1e-10
-            assert np.abs(0.5 * (e.full @ (eye + res.galilean.full))
-                          - 1j * g).max() <= 1e-10
-            assert res.s_unitarity_defect() <= 1e-10
-            assert res.h_hermiticity_defect() <= 1e-10
+            residuals = identity_residuals(res)
+            assert len(residuals) == 8
+            assert max(residuals.values()) <= 1e-10
             if n * m == 1:
                 ref = cayley(e.block.xll, 0.5)[0, 0]
                 assert abs(res.s[0, 0] - ref) <= 1e-12
@@ -154,28 +140,21 @@ def test_criterion_5_gauge_consistency():
     # Z = 0 reduction
     for m, n in ((1, 1), (2, 2)):
         e = random_coupling(rng, m, n)
-        zero = GaugeMatrix(np.zeros((n * m, n * m)))
-        diff = np.abs(slh_triple(e).ito.full - slh_triple(e, zero).ito.full).max()
-        assert diff <= 1e-12
+        assert gauge_reduction_check(e)["z_zero_residual"] <= 1e-12
     # scalar kappa closed forms on the (e, sigma) grid
     h0, c = 0.2, 0.3 - 0.4j
     for e_val in (-2.0, -1.0, 0.0, 1.0, 2.0):
         raw = np.array([[h0, np.conj(c)], [c, e_val]])
-        e = validate_coupling(raw, 1, 1)
-        for sigma in (-1.0, 0.0, 0.3, 1.0):
-            res = slh_triple(e, ScalarGauge(sigma))
-            kp, km = kappas(sigma)
-            den = 1 + 1j * kp * e_val
-            assert abs(res.s[0, 0] - (1 - 1j * km * e_val) / den) <= 1e-12
-            assert abs(res.l[0, 0] - (-1j * c / den)) <= 1e-12
-            w = np.conj(c) * kp * c / den
-            assert abs(res.h[0, 0] - (h0 + (w - np.conj(w)) / 2j)) <= 1e-12
+        scalar = gauge_reduction_check(validate_coupling(raw, 1, 1))
+        assert tuple(scalar["scalar_residuals"]) == GAUGE_CHECK_SIGMAS
+        for residuals in scalar["scalar_residuals"].values():
+            assert max(residuals.values()) <= 1e-12
     # gauged Ito isometry over 50 random (E, Z)
     for _ in range(50):
         m, n = (1, 2) if rng.uniform() < 0.5 else (2, 1)
         e = random_coupling(rng, m, n)
         res = slh_triple(e, random_gauge(rng, m, n))
-        assert res.ito_isometry_defect() <= 1e-10
+        assert identity_residuals(res)["ito_isometry"] <= 1e-10
     announce(5, "gauge-family consistency")
 
 
@@ -190,12 +169,9 @@ def test_criterion_6_domain_equivalence():
             e = random_coupling(rng, m, n, zero_channel_system=True)
             gauged = ScalarGauge(0.3) if i % 2 else random_gauge(rng, m, n)
             for gauge in (None, gauged):
-                ops = build_mode_operators(m, n, d, gauge)
-                sub_b = boundary_subspace_b(e, ops)
-                sub_c = boundary_subspace_c(e, ops)
-                assert sub_b.dim == sub_c.dim > 0
-                angles = principal_angles(sub_b.columns, sub_c.columns)
-                assert angles.max() <= 1e-8
+                eq = subspace_equivalence(e, build_mode_operators(m, n, d, gauge))
+                assert eq["dim_b"] == eq["dim_c"] > 0
+                assert eq["max_angle"] <= 1e-8
         elapsed = time.monotonic() - start
         assert elapsed <= 10.0
     announce(6, "boundary-subspace equivalence (both routes, both gauges)")
@@ -208,11 +184,9 @@ def test_criterion_7_singular_action_identity():
             e = random_coupling(rng, m, n, zero_channel_system=True)
             for gauge in (None, ScalarGauge(0.3), random_gauge(rng, m, n)):
                 ops = build_mode_operators(m, n, d, gauge)
-                vectors = sample_domain_vectors(e, ops, 10, rng)
-                assert len(vectors) == 10
-                scale = boundary_subspace_b(e, ops).sigma_max
-                assert max(action_residuals(e, ops, vectors,
-                                            scale=scale)) <= 1e-8
+                residuals = fock_battery(e, ops, 10, rng, 1e-8)["action_residuals"]
+                assert len(residuals) == 10
+                assert max(residuals) <= 1e-8
     announce(7, "singular action identity (photon guard d-2)")
 
 

@@ -124,6 +124,9 @@ class TestConfig:
         ("scatter", {"mollifier": 3}),
         ("sigma", "0.3"),
         ("scatter", {"mollifier": "box"}),
+        ("phase", {"E": []}),
+        ("phase", {"sigma": []}),
+        ("scatter", {"epsilon": []}),
     ])
     def test_strict_fields_exit_2(self, field, value, tmp_path, capsys):
         bad = dict(MINIMAL)
@@ -287,6 +290,14 @@ class TestExitCodes:
         path.write_text(json.dumps(SCALAR_MODEL))
         assert cli.main([command, "--config", str(path), "--sweep", "-2"]) == 2
         assert "--sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["phase", "defect", "scatter"])
+    def test_sweep_rejected_where_ignored(self, command, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(SCALAR_MODEL))
+        assert cli.main([command, "--config", str(path), "--sweep", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "--sweep" in err
 
     def test_nan_coupling_exits_2(self, tmp_path):
         bad = dict(SCALAR_MODEL)

@@ -367,6 +367,33 @@ class TestGaugedChecks:
         assert max(report["action_residuals"]) <= 1e-8
         assert number_defect_residual(ops) <= 1e-12
 
+    def test_equivalence_sees_a_wrong_route(self, monkeypatch):
+        # route C tilted off its kernel: the angle check must fail
+        rng = np.random.default_rng(9)
+        e = random_coupling(rng, 1, 2, zero_channel_system=True)
+        ops = build_mode_operators(1, 2, 4)
+        route_c = fock.boundary_subspace_c
+
+        def tilted(e, ops):
+            sub = route_c(e, ops)
+            noise = rng.standard_normal(sub.columns.shape)
+            return replace(sub, columns=np.linalg.qr(sub.columns + 0.1 * noise)[0])
+
+        assert subspace_equivalence(e, ops)["max_angle"] <= 1e-8
+        monkeypatch.setattr(fock, "boundary_subspace_c", tilted)
+        assert subspace_equivalence(e, ops)["max_angle"] > 1e-3
+
+    def test_battery_sees_a_wrong_action(self, monkeypatch):
+        # the generator off by 0.1 %: every action residual must fail
+        rng = np.random.default_rng(9)
+        e = random_coupling(rng, 1, 1, zero_channel_system=True)
+        ops = build_mode_operators(1, 1, 6, ScalarGauge(0.3))
+        generator = fock.singular_generator
+        monkeypatch.setattr(fock, "singular_generator",
+                            lambda e, ops, v: 1.001 * generator(e, ops, v))
+        residuals = fock_battery(e, ops, 10, rng, 1e-8)["action_residuals"]
+        assert len(residuals) == 10 and min(residuals) > 1e-6
+
     def test_sigma_zero_report_matches_ungauged(self):
         rng = np.random.default_rng(7)
         e = random_coupling(rng, 1, 1, zero_channel_system=True)

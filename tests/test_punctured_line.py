@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from slhkit import punctured_line
+from slhkit.ensembles import random_bump, random_grid_function
 from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLarge
 from slhkit.punctured_line import (
     GridFunction,
@@ -8,18 +10,19 @@ from slhkit.punctured_line import (
     _trapezoid_half,
     apply_iD,
     boundary_form,
-    boundary_functionals,
     boundary_phase,
     decompose_sobolev,
     defect_vectors,
     derivative,
+    extension_domain_defect,
     id_symmetry_defect,
     jay_form,
-    kappas,
+    jump_splitting_defect,
     sample,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
+    zeta_eval,
 )
 
 SPEC = GridSpec(40.0, 1e-3)
@@ -27,14 +30,6 @@ SPEC = GridSpec(40.0, 1e-3)
 
 def gaussian(amp, width, center):
     return lambda t: amp * np.exp(-width * (t - center) ** 2)
-
-
-def random_two_sided(rng, spec=SPEC):
-    def half(side):
-        amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
-        return gaussian(amp, rng.uniform(0.5, 2.0),
-                        rng.uniform(0.7, 2.2) * (1 if side == "r" else -1))
-    return sample(spec, left=half("l"), right=half("r"))
 
 
 class TestGrid:
@@ -140,8 +135,8 @@ class TestSobolevInner:
 
     def test_conjugate_linearity_first_slot(self):
         rng = np.random.default_rng(1)
-        f = random_two_sided(rng)
-        g = random_two_sided(rng)
+        f = random_grid_function(rng, SPEC)
+        g = random_grid_function(rng, SPEC)
         z = 0.7 - 1.3j
         lhs = sobolev_inner(z * f, g)
         rhs = np.conj(z) * sobolev_inner(f, g)
@@ -150,7 +145,7 @@ class TestSobolevInner:
     def test_norm_positivity(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            f = random_two_sided(rng)
+            f = random_grid_function(rng, SPEC)
             assert sobolev_inner(f, f).real >= 0.0
 
 
@@ -158,29 +153,51 @@ class TestBoundaryFunctionals:
     def test_continuous_has_no_jump(self):
         psi = sample(SPEC, left=gaussian(1.0, 1.0, 0.0),
                      right=gaussian(1.0, 1.0, 0.0))
-        rec = boundary_functionals(psi)
-        assert rec.jump == 0.0
+        assert psi.jump == 0.0
 
     def test_one_sided_step(self):
         psi = sample(SPEC, right=lambda t: np.exp(-t))
-        rec = boundary_functionals(psi)
-        assert rec.jump == 1.0
-        assert rec.delta_star == 0.5
+        assert psi.jump == 1.0
+        assert psi.delta_star == 0.5
 
     def test_zeta_on_continuous_unit_trace(self):
+        # both traces are e * exp(0) = e
         psi = sample(SPEC, left=gaussian(np.e, 1.0, 0.0),
                      right=gaussian(np.e, 1.0, 0.0))
-        # both traces equal e * exp(-1*(0-0)^2)... actually exp(0) -> np.e
         for sigma in (0.0, 0.3, -2.0):
-            rec = boundary_functionals(psi, sigma)
-            assert abs(rec.zeta - psi.right_limit) <= 1e-14 * abs(psi.right_limit)
+            zeta = zeta_eval(psi, sigma)
+            assert abs(zeta - psi.right_limit) <= 1e-14 * abs(psi.right_limit)
 
     def test_one_sided_deltas_split(self):
         rng = np.random.default_rng(3)
-        f = random_two_sided(rng)
-        rec = boundary_functionals(f)
-        assert rec.delta_plus == rec.delta_star + 0.5 * rec.jump
-        assert abs(rec.delta_minus - (rec.delta_star - 0.5 * rec.jump)) <= 1e-16
+        f = random_grid_function(rng, SPEC)
+        assert f.right_limit == f.delta_star + 0.5 * f.jump
+        assert abs(f.left_limit - (f.delta_star - 0.5 * f.jump)) <= 1e-16
+
+
+class TestRandomBump:
+    def test_bumps_sit_on_their_half_lines(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            f = random_grid_function(rng, SPEC)
+            left_peak = SPEC.left_nodes()[np.argmax(np.abs(f.left))]
+            right_peak = SPEC.right_nodes()[np.argmax(np.abs(f.right))]
+            assert -2.2 <= left_peak <= -0.7 and 0.7 <= right_peak <= 2.2
+            assert f.left_limit != 0.0 and f.right_limit != 0.0
+            assert f.jump != 0.0
+
+    def test_draw_order(self):
+        # amplitude (re, im), width, centre: four uniforms per bump, in the
+        # order the CLI's defect suite has always drawn them
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        bump = random_bump(rng, "left")
+        re, im, width, center = ref.uniform(size=4)
+        amp = complex(0.3 + 1.2 * re, -1.0 + 2.0 * im)
+        center = -(0.7 + 1.5 * center)
+        t = np.array([-3.0, -1.0, 0.0])
+        expected = amp * np.exp(-(0.5 + 1.5 * width) * (t - center) ** 2)
+        assert np.allclose(bump(t), expected, rtol=1e-14, atol=0.0)
+        assert rng.uniform() == ref.uniform()
 
 
 class TestApplyiD:
@@ -219,16 +236,16 @@ class TestApplyiD:
 
     def test_symmetry_defect_damped(self):
         rng = np.random.default_rng(4)
-        f = random_two_sided(rng)
-        g = random_two_sided(rng)
+        f = random_grid_function(rng, SPEC)
+        g = random_grid_function(rng, SPEC)
         for sigma in (0.0, 0.3, -1.0):
             assert abs(id_symmetry_defect(f, g, sigma)) <= 1e-4
 
     def test_boundary_form_matches_trace_form(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
-            f = random_two_sided(rng)
-            g = random_two_sided(rng)
+            f = random_grid_function(rng, SPEC)
+            g = random_grid_function(rng, SPEC)
             assert abs(boundary_form(f, g) + 1j * jay_form(f, g)) <= 1e-4
 
 
@@ -236,14 +253,19 @@ class TestJumpSplitting:
     def test_identity_exact_boundary_arithmetic(self):
         rng = np.random.default_rng(6)
         for sigma in (0.0, 0.3, -1.0):
-            kp, km = kappas(sigma)
             for _ in range(100):
-                fp, fm, gp, gm = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                                  for _ in range(4))
-                lhs = np.conj(fp) * gp - np.conj(fm) * gm
-                zf, zg = km * fp + kp * fm, km * gp + kp * gm
-                rhs = np.conj(fp - fm) * zg + np.conj(zf) * (gp - gm)
-                assert abs(lhs - rhs) <= 1e-13
+                values = (complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                          for _ in range(4))
+                assert jump_splitting_defect(*values, sigma) <= 1e-13
+
+    def test_wrong_kappas_break_the_identity(self, monkeypatch):
+        # kappa_+ must be conj(kappa_-) with real part 1/2
+        monkeypatch.setattr(punctured_line, "kappas",
+                            lambda sigma: (complex(0.5, 1.1 * sigma),
+                                           complex(0.5, -sigma)))
+        values = (0.3 - 0.2j, -0.7 + 0.1j, 0.4 + 0.9j, 0.8 - 0.5j)
+        assert jump_splitting_defect(*values, 0.0) <= 1e-13
+        assert jump_splitting_defect(*values, 0.3) > 1e-3
 
 
 class TestDecomposition:
@@ -273,7 +295,7 @@ class TestDecomposition:
         rng = np.random.default_rng(7)
         pp, pm = defect_vectors(SPEC)
         for _ in range(5):
-            psi = random_two_sided(rng)
+            psi = random_grid_function(rng, SPEC)
             dec = decompose_sobolev(psi)
             assert dec.psi0.left_limit == 0.0
             assert dec.psi0.right_limit == 0.0
@@ -313,13 +335,15 @@ class TestBoundaryPhase:
     def test_extension_domain_annihilates_singular_part(self):
         for e in (0.5, 2.0, float(np.pi)):
             for sigma in (0.0, 0.3, -1.0):
-                ph = boundary_phase(e, sigma)
-                kp, km = kappas(sigma)
-                psi_plus = complex(0.7, -0.4)
-                psi_minus = ph.s_sigma * psi_plus
-                value = (1j * (psi_plus - psi_minus)
-                         + e * (km * psi_plus + kp * psi_minus))
-                assert abs(value) <= 1e-13
+                assert extension_domain_defect(e, sigma, complex(0.7, -0.4)) \
+                    <= 1e-13
+
+    def test_wrong_damped_phase_leaves_the_extension_domain(self, monkeypatch):
+        # still unimodular, but not the phase of the kappa boundary condition
+        monkeypatch.setattr(punctured_line, "_damped_phase",
+                            lambda e, sigma: (1.0 - 0.6j * e) / (1.0 + 0.6j * e))
+        for e in (0.5, 2.0, float(np.pi)):
+            assert extension_domain_defect(e, 0.0, complex(0.7, -0.4)) > 1e-3
 
 
 class TestScatter:
@@ -395,7 +419,7 @@ class TestKernelOracles:
                                       GridSpec(30.0, 3e-3)])
     def test_derivative_matches_stencils_and_is_cached(self, spec):
         rng = np.random.default_rng(3)
-        for f in (random_noise_function(rng, spec), random_two_sided(rng, spec)):
+        for f in (random_noise_function(rng, spec), random_grid_function(rng, spec)):
             d = derivative(f)
             assert derivative(f) is d
             h = spec.spacing

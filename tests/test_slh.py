@@ -1,15 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from slhkit import slh
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.errors import NonHermitianInput, SingularDressing, SizeMismatch
-from slhkit.linalg import adjoint, cayley, channel_projector, partition
+from slhkit.linalg import (
+    BlockOperatorMatrix,
+    adjoint,
+    cayley,
+    channel_projector,
+    partition,
+)
+from slhkit.punctured_line import kappas
 from slhkit.slh import (
+    GAUGE_CHECK_SIGMAS,
     CouplingMatrix,
     GaugeMatrix,
     ScalarGauge,
     derived_matrices,
     gauge_reduction_check,
+    identity_residuals,
     ito_matrix,
     slh_triple,
     validate_coupling,
@@ -147,19 +159,11 @@ class TestSLHTriple:
         # restated triple with kappa_pm, all scalar blocks nonzero
         h0, c, e11 = -0.3, 0.8 + 0.2j, 1.0
         raw = np.array([[h0, np.conj(c)], [c, e11]])
-        e = validate_coupling(raw, 1, 1)
-        for sigma in (-1.0, 0.0, 0.3, 1.0):
-            gauge = ScalarGauge(sigma)
-            kp, km = gauge.kappa_plus, gauge.kappa_minus
-            den = 1 + 1j * kp * e11
-            s_ref = (1 - 1j * km * e11) / den
-            l_ref = -1j * c / den
-            w = np.conj(c) * kp * c / den
-            h_ref = h0 + (w - np.conj(w)) / 2j
-            res = slh_triple(e, gauge)
-            assert abs(res.s[0, 0] - s_ref) < 1e-13
-            assert abs(res.l[0, 0] - l_ref) < 1e-13
-            assert abs(res.h[0, 0] - h_ref) < 1e-13
+        scalar = gauge_reduction_check(validate_coupling(raw, 1, 1))
+        assert tuple(scalar["scalar_residuals"]) == GAUGE_CHECK_SIGMAS
+        for residuals in scalar["scalar_residuals"].values():
+            assert list(residuals) == ["s", "l", "h"]
+            assert max(residuals.values()) < 1e-13
 
     def test_extraction_matches_closed_form_oracle(self):
         rng = np.random.default_rng(6)
@@ -171,28 +175,6 @@ class TestSLHTriple:
                 assert np.abs(res.s - s_ref).max() < 1e-11
                 assert np.abs(res.l - l_ref).max() < 1e-11
                 assert np.abs(res.h - h_ref).max() < 1e-11
-
-    def test_identity_sweep(self):
-        rng = np.random.default_rng(7)
-        count = 0
-        for m, n in SHAPES:
-            for _ in range(25):
-                e = random_coupling(rng, m, n)
-                res = slh_triple(e)
-                size = e.block.size
-                eye = np.eye(size)
-                pi = channel_projector(m, n)
-                g, f = res.ito.full, res.dressing.full
-                assert res.ito_isometry_defect() <= 1e-10
-                assert np.abs(g + 1j * (e.full @ f)).max() <= 1e-10
-                assert np.abs(f @ (eye + 0.5j * (pi @ e.full)) - eye).max() <= 1e-10
-                half_e = 0.5 * (e.full @ (eye + res.galilean.full))
-                assert np.abs(half_e - 1j * g).max() <= 1e-10
-                assert res.s_unitarity_defect() <= 1e-10
-                assert res.h_hermiticity_defect() <= 1e-10
-                assert res.recomposition_defect() <= 1e-10
-                count += 1
-        assert count == 100
 
     def test_first_row_of_model_matrix_unchanged(self):
         rng = np.random.default_rng(8)
@@ -217,12 +199,48 @@ class TestSLHTriple:
             assert abs(s - np.exp(-1j * e_val)) <= abs(e_val) ** 3 / 10
 
 
+class TestIdentityResiduals:
+    UNGAUGED = ["g_equals_minus_ief", "dressing_inverse", "half_e_galilean"]
+
+    def test_keys_in_report_order(self):
+        rng = np.random.default_rng(11)
+        e = random_coupling(rng, 2, 1)
+        common = ["ito_isometry", "s_unitarity", "h_hermiticity",
+                  "recomposition", "first_row"]
+        assert list(identity_residuals(slh_triple(e))) == common + self.UNGAUGED
+        gauged = slh_triple(e, random_gauge(rng, 2, 1))
+        assert list(identity_residuals(gauged)) == common
+
+    @pytest.mark.parametrize("field,key", [
+        ("ito", "ito_isometry"),
+        ("s", "s_unitarity"),
+        ("h", "h_hermiticity"),
+        ("l", "recomposition"),
+        ("model", "first_row"),
+        ("dressing", "g_equals_minus_ief"),
+        ("dressing", "dressing_inverse"),
+        ("galilean", "half_e_galilean"),
+    ])
+    def test_perturbed_matrix_fails_its_identity(self, field, key):
+        # every entry of one matrix moved by 1e-6 (1 + i): the identity that
+        # reads it must rise far above its 1e-10 bound
+        res = slh_triple(random_coupling(np.random.default_rng(12), 2, 2))
+        x = getattr(res, field)
+        shift = 1e-6 * (1 + 1j)
+        if isinstance(x, BlockOperatorMatrix):
+            moved = partition(x.full + shift, x.m, x.n)
+        else:
+            moved = x + shift
+        assert identity_residuals(res)[key] <= 1e-10
+        assert identity_residuals(replace(res, **{field: moved}))[key] > 1e-8
+
+
 class TestGaugeFamily:
     def test_scalar_gauge_constants(self):
-        g = ScalarGauge(0.7)
-        assert g.kappa_plus + g.kappa_minus == 1.0
-        assert np.conj(g.kappa_plus) == g.kappa_minus
-        assert g.kappa_plus.real == 0.5
+        kp, km = kappas(0.7)
+        assert kp + km == 1.0
+        assert np.conj(kp) == km
+        assert kp.real == 0.5
 
     def test_derived_matrices_definitions(self):
         rng = np.random.default_rng(15)
@@ -242,6 +260,18 @@ class TestGaugeFamily:
         for residuals in report["scalar_residuals"].values():
             assert max(residuals.values()) <= 1e-12
 
+    def test_closed_forms_fail_with_wrong_kappas(self, monkeypatch):
+        # the pipeline never reads kappas, so a wrong kappa_pm = 1/2 -+ 2i sigma
+        # in the closed forms must show at every sigma != 0
+        raw = np.array([[0.2, 0.5 - 0.1j], [0.5 + 0.1j, 1.3]])
+        e = validate_coupling(raw, 1, 1)
+        monkeypatch.setattr(slh, "kappas",
+                            lambda sigma: (complex(0.5, 2 * sigma),
+                                           complex(0.5, -2 * sigma)))
+        residuals = gauge_reduction_check(e)["scalar_residuals"]
+        for sigma, values in residuals.items():
+            assert (max(values.values()) > 1e-3) == (sigma != 0.0)
+
     def test_reduction_random_matrix_case(self):
         rng = np.random.default_rng(10)
         e = random_coupling(rng, 2, 2)
@@ -253,10 +283,10 @@ class TestGaugeFamily:
         for _ in range(50):
             m, n = (1, 1) if rng.uniform() < 0.5 else (2, 2)
             e = random_coupling(rng, m, n)
-            res = slh_triple(e, random_gauge(rng, m, n))
-            assert res.ito_isometry_defect() <= 1e-10
-            assert res.s_unitarity_defect() <= 1e-10
-            assert res.h_hermiticity_defect() <= 1e-10
+            residuals = identity_residuals(slh_triple(e, random_gauge(rng, m, n)))
+            assert residuals["ito_isometry"] <= 1e-10
+            assert residuals["s_unitarity"] <= 1e-10
+            assert residuals["h_hermiticity"] <= 1e-10
 
     def test_scalar_gauge_equals_matrix_gauge(self):
         rng = np.random.default_rng(14)
