@@ -39,12 +39,13 @@ from .punctured_line import (
     apply_iD,
     boundary_form,
     boundary_phase,
-    decompose_sobolev,
+    decomposition_defects,
     defect_vectors,
     extension_domain_defect,
     id_symmetry_defect,
     jay_form,
     jump_splitting_defect,
+    reproducing_defects,
     sample,
     scatter_regularized,
     sobolev_inner,
@@ -133,40 +134,24 @@ def _defect_vector_checks(spec: GridSpec, report: Report) -> None:
 
 def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
                         report: Report) -> None:
-    phi_plus, phi_minus = defect_vectors(spec)
-    i_phi_plus, minus_i_phi_minus = 1j * phi_plus, -1j * phi_minus
-    worst_plus = worst_minus = 0.0
-    for _ in range(10):
-        psi_r = sample(spec, right=random_bump(rng, "right"))
-        psi_l = sample(spec, left=random_bump(rng, "left"))
-        worst_plus = max(worst_plus, abs(
-            sobolev_inner(i_phi_plus, psi_r) - psi_r.right_limit))
-        worst_minus = max(worst_minus, abs(
-            sobolev_inner(minus_i_phi_minus, psi_l) - psi_l.left_limit))
+    worst_plus, worst_minus = reproducing_defects(spec, (
+        (sample(spec, right=random_bump(rng, "right")),
+         sample(spec, left=random_bump(rng, "left"))) for _ in range(10)))
     report.add("reproducing_plus", worst_plus, 1e-5)
     report.add("reproducing_minus", worst_minus, 1e-5)
 
 
 def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
                           report: Report) -> None:
-    phi_plus, phi_minus = defect_vectors(spec)
-    worst_bc = worst_orth = worst_recon = 0.0
+    tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
+                  "reconstruction": 1e-13}
+    worst = dict.fromkeys(tolerances, 0.0)
     for _ in range(10):
         psi = random_grid_function(rng, spec)
-        dec = decompose_sobolev(psi)
-        worst_bc = max(worst_bc, abs(dec.psi0.left_limit),
-                       abs(dec.psi0.right_limit))
-        scale = sobolev_norm(dec.psi0)
-        worst_orth = max(worst_orth,
-                         abs(sobolev_inner(phi_plus, dec.psi0)) / scale,
-                         abs(sobolev_inner(phi_minus, dec.psi0)) / scale)
-        recon = dec.psi0 + dec.c_plus * phi_plus + dec.c_minus * phi_minus
-        diff = recon - psi
-        worst_recon = max(worst_recon, float(np.abs(diff.left).max()),
-                          float(np.abs(diff.right).max()))
-    report.add("decomposition_boundary_zero", worst_bc, 0.0)
-    report.add("decomposition_orthogonality", worst_orth, 1e-5)
-    report.add("decomposition_reconstruction", worst_recon, 1e-13)
+        for key, value in decomposition_defects(psi).items():
+            worst[key] = max(worst[key], value)
+    for key, tol in tolerances.items():
+        report.add(f"decomposition_{key}", worst[key], tol)
 
 
 def _eigenrelation_checks(spec: GridSpec, report: Report) -> None:

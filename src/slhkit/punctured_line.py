@@ -21,6 +21,13 @@ Storage
 * a GridFunction holds read-only views of its value arrays (the array a
   caller passes in stays writable), so its grid derivative is computed once,
   on the first ``derivative`` call, and cached on the instance;
+* an identically zero half-line is stored as ``zero_half(n)``, one shared
+  read-only array per node count, recognised by identity: ``sample`` stores
+  it for a missing half and ``defect_vectors`` for the empty side of
+  phi_pm. Validation, scaling, addition, the derivative and the trapezoid
+  skip its nodes, with results equal to the full computation (the boundary
+  traces keep their stencils and the origin panel); a zero array from a
+  caller is an ordinary array;
 * ``defect_vectors`` keeps the pair for the most recent spec;
 * GridSpec refuses a grid whose defect suite would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
@@ -41,8 +48,9 @@ from .errors import (MAX_SOLVE_BYTES, DomainTooSmall, InvalidMollifier,
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
-# (tracemalloc peak of the CLI suite: 13.8 to 14.8 at 20k to 80k nodes).
-DEFECT_LIVE_ARRAYS = 15
+# (tracemalloc peak of the CLI suite, a shared zero half counted once:
+# 8.54 to 8.57 at 10k to 80k nodes, T = 30 and 40).
+DEFECT_LIVE_ARRAYS = 9
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,23 @@ class GridSpec:
         return np.linspace(self.spacing, self.half_width, self.n_nodes)
 
 
-def _read_only(values) -> np.ndarray:
-    """A read-only complex view; the array passed in keeps its own flags."""
+@functools.lru_cache(maxsize=1)
+def zero_half(n: int) -> np.ndarray:
+    """The shared read-only zero half-line of ``n`` nodes."""
+    zeros = np.zeros(n, dtype=complex)
+    zeros.flags.writeable = False
+    return zeros
+
+
+def _is_zero_half(values: np.ndarray, n: int) -> bool:
+    return values is zero_half(n)
+
+
+def _read_only(values, n: int) -> np.ndarray:
+    """The shared zero half itself, else a read-only complex view; the array
+    passed in keeps its own flags."""
+    if _is_zero_half(values, n):
+        return values
     view = np.asarray(values, dtype=complex).view()
     view.flags.writeable = False
     return view
@@ -113,14 +136,15 @@ class GridFunction:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        left = _read_only(self.left)
-        right = _read_only(self.right)
         n = self.spec.n_nodes
+        left = _read_only(self.left, n)
+        right = _read_only(self.right, n)
         if left.shape != (n,) or right.shape != (n,):
             raise SpecMismatch(
                 f"value arrays must have shape ({n},), got {left.shape} and "
                 f"{right.shape}")
-        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+        if not all(_is_zero_half(a, n) or np.isfinite(a).all()
+                   for a in (left, right)):
             raise SpecMismatch("grid values must be finite")
         if not (math.isfinite(abs(self.left_limit))
                 and math.isfinite(abs(self.right_limit))):
@@ -144,8 +168,9 @@ class GridFunction:
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_spec(self, other)
-        return GridFunction(self.spec, self.left + other.left,
-                            self.right + other.right,
+        n = self.spec.n_nodes
+        return GridFunction(self.spec, _add_halves(self.left, other.left, n),
+                            _add_halves(self.right, other.right, n),
                             self.left_limit + other.left_limit,
                             self.right_limit + other.right_limit)
 
@@ -153,10 +178,24 @@ class GridFunction:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "GridFunction":
-        return GridFunction(self.spec, scalar * self.left, scalar * self.right,
+        n = self.spec.n_nodes
+        return GridFunction(self.spec, _scale_half(scalar, self.left, n),
+                            _scale_half(scalar, self.right, n),
                             scalar * self.left_limit, scalar * self.right_limit)
 
     __rmul__ = __mul__
+
+
+def _add_halves(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    if _is_zero_half(a, n):
+        return b
+    if _is_zero_half(b, n):
+        return a
+    return a + b
+
+
+def _scale_half(scalar: complex, values: np.ndarray, n: int) -> np.ndarray:
+    return values if _is_zero_half(values, n) else scalar * values
 
 
 def require_same_spec(f: GridFunction, g: GridFunction) -> None:
@@ -175,9 +214,9 @@ def sample(spec: GridSpec,
     the corresponding callable at 0 (continuity from that side).
     """
     n = spec.n_nodes
-    lv = np.zeros(n, dtype=complex) if left is None else \
+    lv = zero_half(n) if left is None else \
         np.asarray(left(spec.left_nodes()), dtype=complex)
-    rv = np.zeros(n, dtype=complex) if right is None else \
+    rv = zero_half(n) if right is None else \
         np.asarray(right(spec.right_nodes()), dtype=complex)
     ll = (0.0 if left is None else complex(left(np.array([0.0]))[0])) \
         if left_limit is None else left_limit
@@ -194,13 +233,10 @@ def defect_vectors(spec: GridSpec):
         raise DomainTooSmall(
             f"half-width {spec.half_width} < {MIN_HALF_WIDTH}: exponential "
             f"tails would not vanish at the truncation boundary")
-    phi_plus = GridFunction(spec,
-                            np.zeros(spec.n_nodes, dtype=complex),
-                            -1j * np.exp(-spec.right_nodes()),
+    zeros = zero_half(spec.n_nodes)
+    phi_plus = GridFunction(spec, zeros, -1j * np.exp(-spec.right_nodes()),
                             0.0, -1j)
-    phi_minus = GridFunction(spec,
-                             1j * np.exp(spec.left_nodes()),
-                             np.zeros(spec.n_nodes, dtype=complex),
+    phi_minus = GridFunction(spec, 1j * np.exp(spec.left_nodes()), zeros,
                              1j, 0.0)
     return phi_plus, phi_minus
 
@@ -209,8 +245,11 @@ def _derivative_half(values: np.ndarray, h: float) -> np.ndarray:
     """Second-order derivative on one half-line grid.
 
     Central differences in the interior, one-sided three-point stencils at the
-    two boundary-adjacent nodes of the half-line.
+    two boundary-adjacent nodes of the half-line. The shared zero half is its
+    own derivative.
     """
+    if _is_zero_half(values, values.size):
+        return values
     d = np.empty_like(values)
     np.subtract(values[2:], values[:-2], out=d[1:-1])
     # numpy divides a complex array by a real scalar as a multiplication by
@@ -264,12 +303,22 @@ def _trapezoid_half(values: np.ndarray, boundary: complex, h: float,
 def l2_inner(f: GridFunction, g: GridFunction) -> complex:
     """L2 pairing int conj(f) g over both half-lines (trapezoid, O(h^2))."""
     require_same_spec(f, g)
-    h = f.spec.spacing
-    left = _trapezoid_half(np.conj(f.left) * g.left,
-                           np.conj(f.left_limit) * g.left_limit, h, True)
-    right = _trapezoid_half(np.conj(f.right) * g.right,
-                            np.conj(f.right_limit) * g.right_limit, h, False)
+    h, n = f.spec.spacing, f.spec.n_nodes
+    left = _l2_half(f.left, g.left, np.conj(f.left_limit) * g.left_limit,
+                    h, n, True)
+    right = _l2_half(f.right, g.right, np.conj(f.right_limit) * g.right_limit,
+                     h, n, False)
     return left + right
+
+
+def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
+             boundary_is_right: bool) -> complex:
+    """Trapezoid of conj(f) g over one half-line closed by ``boundary``. If
+    either factor is the shared zero half, only the origin panel is nonzero;
+    it is scaled in ``_trapezoid_half``'s order, so the sum is the same."""
+    if _is_zero_half(f, n) or _is_zero_half(g, n):
+        return complex((boundary.real * h) * 0.5, (boundary.imag * h) * 0.5)
+    return _trapezoid_half(np.conj(f) * g, boundary, h, boundary_is_right)
 
 
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
@@ -383,6 +432,42 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     c_minus = -1j * f.left_limit
     psi0 = f - c_plus * phi_plus - c_minus * phi_minus
     return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
+
+
+def reproducing_defects(spec: GridSpec, pairs) -> tuple:
+    """Largest reproducing residuals over (psi_r, psi_l) pairs:
+    |<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|,
+    each O(h^2). The pairs are read one at a time, so a generator that draws
+    them holds one pair at once."""
+    phi_plus, phi_minus = defect_vectors(spec)
+    i_phi_plus, minus_i_phi_minus = 1j * phi_plus, -1j * phi_minus
+    worst_plus = worst_minus = 0.0
+    for psi_r, psi_l in pairs:
+        worst_plus = max(worst_plus, abs(
+            sobolev_inner(i_phi_plus, psi_r) - psi_r.right_limit))
+        worst_minus = max(worst_minus, abs(
+            sobolev_inner(minus_i_phi_minus, psi_l) - psi_l.left_limit))
+    return worst_plus, worst_minus
+
+
+def decomposition_defects(f: GridFunction) -> dict:
+    """Residuals of ``decompose_sobolev(f)``: "boundary_zero" is the larger
+    |psi0(0+-)| (exactly zero), "orthogonality" the larger
+    |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
+    node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding)."""
+    phi_plus, phi_minus = defect_vectors(f.spec)
+    dec = decompose_sobolev(f)
+    scale = sobolev_norm(dec.psi0)
+    recon = dec.psi0 + dec.c_plus * phi_plus + dec.c_minus * phi_minus
+    diff = recon - f
+    return {
+        "boundary_zero": max(abs(dec.psi0.left_limit),
+                             abs(dec.psi0.right_limit)),
+        "orthogonality": max(abs(sobolev_inner(phi_plus, dec.psi0)) / scale,
+                             abs(sobolev_inner(phi_minus, dec.psi0)) / scale),
+        "reconstruction": max(float(np.abs(diff.left).max()),
+                              float(np.abs(diff.right).max())),
+    }
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from slhkit.report import (
     report_to_csv_bytes,
     report_to_json_bytes,
 )
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.json"
 
 MINIMAL = {
     "m": 1,
@@ -208,6 +211,19 @@ class TestDeterminism:
         rep2 = run_command(command, cfg, sweep=2 if command in ("slh", "fock") else 0)
         assert report_to_json_bytes(rep1) == report_to_json_bytes(rep2)
         assert report_to_csv_bytes(rep1) == report_to_csv_bytes(rep2)
+
+    def test_defect_bytes_do_not_depend_on_zero_half_skips(self, monkeypatch):
+        # With the identity test always False every shared zero half is
+        # stored, validated, scaled and integrated like any other array.
+        cfg = load_config(EXAMPLE)
+        punctured_line.defect_vectors.cache_clear()
+        skipped = report_to_json_bytes(run_command("defect", cfg))
+        punctured_line.defect_vectors.cache_clear()
+        monkeypatch.setattr(punctured_line, "_is_zero_half",
+                            lambda values, n: False)
+        full = report_to_json_bytes(run_command("defect", cfg))
+        punctured_line.defect_vectors.cache_clear()
+        assert full == skipped
 
     def test_sweep_count_records(self):
         cfg = config_from_dict(SCALAR_MODEL)

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from slhkit import punctured_line
+from slhkit.cli import command_defect
+from slhkit.config import config_from_dict
 from slhkit.ensembles import random_bump, random_grid_function
+from slhkit.report import Report
 from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLarge
 from slhkit.punctured_line import (
     GridFunction,
@@ -18,10 +23,12 @@ from slhkit.punctured_line import (
     id_symmetry_defect,
     jay_form,
     jump_splitting_defect,
+    l2_inner,
     sample,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
+    zero_half,
     zeta_eval,
 )
 
@@ -65,6 +72,26 @@ class TestGrid:
     def test_size_guard_admits_far_larger_than_benchmark_grid(self):
         # 50x the 80k nodes per half-line of a T = 40, h = 5e-4 grid.
         assert GridSpec(40.0, 1e-5).n_nodes == 4_000_000
+
+    @pytest.mark.parametrize("half_width,spacing", [(30.0, 3e-3), (40.0, 2e-3)])
+    def test_defect_suite_peak_within_guard(self, half_width, spacing):
+        # The guard's premise: the CLI defect suite never holds more than
+        # DEFECT_LIVE_ARRAYS two-sided complex arrays.
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": half_width, "h": spacing}})
+        n = GridSpec(half_width, spacing).n_nodes
+        np.random.default_rng(0)  # numpy.random imports lazily, once
+        defect_vectors.cache_clear()
+        zero_half.cache_clear()
+        tracemalloc.start()
+        try:
+            command_defect(config, 0, 0, Report("defect", ""))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * 32 * n
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -456,3 +483,114 @@ class TestKernelOracles:
         pp, pm = defect_vectors(GridSpec(40.0, 1e-3))
         again = defect_vectors(GridSpec(40, 0.001))
         assert again[0] is pp and again[1] is pm
+
+
+def plain(f):
+    """f with every half, shared zero halves included, as a writable copy."""
+    return GridFunction(f.spec, np.array(f.left), np.array(f.right),
+                        f.left_limit, f.right_limit)
+
+
+def values(f):
+    return np.array(f.left), np.array(f.right), f.left_limit, f.right_limit
+
+
+def same(f, expected):
+    left, right, left_limit, right_limit = expected
+    return (np.array_equal(f.left, left) and np.array_equal(f.right, right)
+            and f.left_limit == left_limit and f.right_limit == right_limit)
+
+
+def derivative_values(f):
+    """The derivative by the plain stencils on writable copies."""
+    left, right, left_limit, right_limit = values(f)
+    h = f.spec.spacing
+    return (old_derivative_half(left, h), old_derivative_half(right, h),
+            (3.0 * left_limit - 4.0 * left[-1] + left[-2]) / (2.0 * h),
+            (-3.0 * right_limit + 4.0 * right[0] - right[1]) / (2.0 * h))
+
+
+def l2_values(f, g, h):
+    """The L2 pairing by np.trapezoid over trace-extended copies."""
+    fl, fr, fll, frl = f
+    gl, gr, gll, grl = g
+    return (complex(np.trapezoid(np.concatenate(
+                [np.conj(fl) * gl, [np.conj(fll) * gll]]), dx=h))
+            + complex(np.trapezoid(np.concatenate(
+                [[np.conj(frl) * grl], np.conj(fr) * gr]), dx=h)))
+
+
+class TestZeroHalves:
+    """Every operation that skips a shared zero half, on the function and on
+    a copy whose zero halves are ordinary writable arrays, against the plain
+    numpy formulas, compared with ==."""
+
+    SPEC = GridSpec(30.0, 3e-3)
+
+    def functions(self):
+        rng = np.random.default_rng(8)
+        pp, pm = defect_vectors(self.SPEC)
+        return {
+            "phi_plus": pp,
+            "phi_minus": pm,
+            "right": sample(self.SPEC, right=random_bump(rng, "right")),
+            "left": sample(self.SPEC, left=random_bump(rng, "left")),
+            # a zero half with a nonzero trace
+            "right_jump": sample(self.SPEC, right=random_bump(rng, "right"),
+                                 left_limit=0.3),
+            "two_sided": random_grid_function(rng, self.SPEC),
+            # nonzero, but below 1e-40 at both ends of its half-line
+            "interior": sample(self.SPEC, right=gaussian(1.0 - 0.5j, 1.0, 10.0)),
+        }
+
+    def test_one_sided_functions_share_the_zero_half(self):
+        fs = self.functions()
+        zeros = zero_half(self.SPEC.n_nodes)
+        assert not zeros.flags.writeable and not np.any(zeros)
+        for name in ("phi_plus", "right", "right_jump", "interior"):
+            assert fs[name].left is zeros
+        for name in ("phi_minus", "left"):
+            assert fs[name].right is zeros
+        assert fs["right_jump"].left_limit == 0.3
+        with pytest.raises(ValueError):
+            zeros[0] = 1.0
+
+    def test_products_match_full_computation(self):
+        h = self.SPEC.spacing
+        fs = self.functions()
+        for f in fs.values():
+            for g in fs.values():
+                l2 = l2_values(values(f), values(g), h)
+                sobolev = l2 + l2_values(derivative_values(f),
+                                         derivative_values(g), h)
+                assert l2_inner(f, g) == l2_inner(plain(f), plain(g)) == l2
+                assert (sobolev_inner(f, g)
+                        == sobolev_inner(plain(f), plain(g)) == sobolev)
+        assert sobolev_inner(fs["phi_plus"], fs["phi_minus"]) == 0.0
+
+    def test_derivative_matches_full_computation(self):
+        zeros = zero_half(self.SPEC.n_nodes)
+        for f in self.functions().values():
+            d = derivative(f)
+            assert same(d, derivative_values(f))
+            assert same(derivative(plain(f)), derivative_values(f))
+            assert (d.left is zeros) == (f.left is zeros)
+            assert (d.right is zeros) == (f.right is zeros)
+
+    def test_arithmetic_matches_full_computation(self):
+        fs = self.functions()
+        zeros = zero_half(self.SPEC.n_nodes)
+        assert (2.0 * fs["phi_plus"]).left is zeros
+        assert (fs["phi_plus"] - fs["right"]).left is zeros
+        for f in fs.values():
+            fv = values(f)
+            for scalar in (0.7 - 1.3j, -1.0, 2.0):
+                scaled = tuple(scalar * x for x in fv)
+                assert same(scalar * f, scaled)
+                assert same(scalar * plain(f), scaled)
+            for g in fs.values():
+                gv = values(g)
+                total = tuple(x + y for x, y in zip(fv, gv))
+                assert same(f + g, total) and same(plain(f) + plain(g), total)
+                diff = tuple(x + (-1.0) * y for x, y in zip(fv, gv))
+                assert same(f - g, diff) and same(plain(f) - plain(g), diff)

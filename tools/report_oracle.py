@@ -19,7 +19,10 @@ and after:
 * ``fock --sweep 3`` on an m = 2, n = 1 config with a rank-1 E_l0 (one
   coupled block whose identity slot has a non-scalar coefficient) and on an
   (m, n, d) = (1, 3, 3) config with E_l0 = 0 and sigma = 0.3 (three stacked
-  boundary rows).
+  boundary rows);
+* ``defect`` at the smallest admitted half-width T = 30, where the defect
+  vectors' tails sit at the decay tolerance, and h = 2e-3 (15k nodes per
+  half-line, a node count no other run uses).
 
 Benchmark configs come from ``perfbench/workloads.generate_config`` and are
 written to a temporary directory. BLAS runs single-threaded in every child.
@@ -83,6 +86,15 @@ THREE_CHANNEL_CONFIG = {
     "seed": 13,
 }
 
+# T = 30 is punctured_line.MIN_HALF_WIDTH.
+MIN_WIDTH_GRID_CONFIG = {
+    "m": 1,
+    "n": 1,
+    "E": [[[0.3, 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]],
+    "grid": {"T": 30.0, "h": 0.002},
+    "seed": 17,
+}
+
 EXTRA_FOCK_CONFIGS = {"rank1-el0": RANK1_EL0_CONFIG,
                       "three-channel": THREE_CHANNEL_CONFIG}
 
@@ -114,6 +126,8 @@ def runs(configs: Path):
         yield (f"{name}.fock.sweep3.json",
                ["fock", "--config", str(configs / f"{name}.json"),
                 "--sweep", "3"])
+    yield ("min-width-grid.defect.json",
+           ["defect", "--config", str(configs / "min-width-grid.json")])
 
 
 def write_configs(configs: Path) -> None:
@@ -125,6 +139,8 @@ def write_configs(configs: Path) -> None:
     (configs / "matrix-gauge.json").write_text(json.dumps(MATRIX_GAUGE_CONFIG))
     for name, config in EXTRA_FOCK_CONFIGS.items():
         (configs / f"{name}.json").write_text(json.dumps(config))
+    (configs / "min-width-grid.json").write_text(
+        json.dumps(MIN_WIDTH_GRID_CONFIG))
 
 
 def main(argv) -> int:
