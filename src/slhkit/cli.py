@@ -37,19 +37,17 @@ from .linalg import cayley
 from .punctured_line import (
     GridSpec,
     apply_iD,
-    boundary_form,
     boundary_phase,
     decomposition_defects,
     defect_vectors,
     extension_domain_defect,
-    id_symmetry_defect,
-    jay_form,
     jump_splitting_defect,
     reproducing_defects,
     sample,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
+    symmetry_defects,
 )
 from .report import Report, emit_report
 from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
@@ -180,11 +178,8 @@ def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
                      report: Report) -> None:
     f = random_grid_function(rng, spec)
     g = random_grid_function(rng, spec)
-    report.add("boundary_form_vs_traces",
-               abs(boundary_form(f, g) + 1j * jay_form(f, g)), 1e-4)
-    report.add("id_symmetry_defect", abs(id_symmetry_defect(f, g)), 1e-4)
-    report.add("id_symmetry_defect_damped",
-               abs(id_symmetry_defect(f, g, sigma=0.3)), 1e-4)
+    for name, value in symmetry_defects(f, g, sigma=0.3).items():
+        report.add(name, value, 1e-4)
 
 
 def _extension_check(report: Report) -> None:

@@ -42,11 +42,19 @@ def random_gauge(rng: np.random.Generator, m: int, n: int) -> GaugeMatrix:
 
 def random_bump(rng: np.random.Generator, side: str):
     """Gaussian bump amp * exp(-width (t - center)^2) centred on the "left"
-    or "right" half-line; its value at 0 is a random boundary trace."""
+    or "right" half-line; its value at 0 is a random boundary trace. The
+    bump is evaluated in place in one float temporary."""
     amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
     width = rng.uniform(0.5, 2.0)
     center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
-    return lambda t: amp * np.exp(-width * (t - center) ** 2)
+
+    def bump(t):
+        x = t - center
+        np.square(x, out=x)
+        x *= -width
+        np.exp(x, out=x)
+        return amp * x
+    return bump
 
 
 def random_grid_function(rng: np.random.Generator, spec: GridSpec) -> GridFunction:

@@ -28,6 +28,10 @@ Storage
   skip its nodes, with results equal to the full computation (the boundary
   traces keep their stencils and the origin panel); a zero array from a
   caller is an ordinary array;
+* an L2 pairing of two nonzero halves makes one array: conj(f) g is formed
+  in one fresh buffer, which the trapezoid overwrites with its panel sums a
+  chunk of ``PANEL_CHUNK`` nodes at a time; subtraction subtracts directly,
+  and validation checks the float parts of the values;
 * ``defect_vectors`` keeps the pair for the most recent spec;
 * GridSpec refuses a grid whose defect suite would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
@@ -48,8 +52,9 @@ from .errors import (MAX_SOLVE_BYTES, DomainTooSmall, InvalidMollifier,
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
-# (tracemalloc peak of the CLI suite, a shared zero half counted once:
-# 8.54 to 8.57 at 10k to 80k nodes, T = 30 and 40).
+# (tracemalloc peak of the CLI suite, a shared zero half counted once, as
+# printed by tools/defect_peaks.py: 8.03 to 8.27 at 10k to 80k nodes,
+# T = 30 and 40, reached in the symmetry group).
 DEFECT_LIVE_ARRAYS = 9
 
 
@@ -143,8 +148,7 @@ class GridFunction:
             raise SpecMismatch(
                 f"value arrays must have shape ({n},), got {left.shape} and "
                 f"{right.shape}")
-        if not all(_is_zero_half(a, n) or np.isfinite(a).all()
-                   for a in (left, right)):
+        if not all(_is_zero_half(a, n) or _all_finite(a) for a in (left, right)):
             raise SpecMismatch("grid values must be finite")
         if not (math.isfinite(abs(self.left_limit))
                 and math.isfinite(abs(self.right_limit))):
@@ -175,7 +179,12 @@ class GridFunction:
                             self.right_limit + other.right_limit)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
-        return self + (-1.0) * other
+        require_same_spec(self, other)
+        n = self.spec.n_nodes
+        return GridFunction(self.spec, _sub_halves(self.left, other.left, n),
+                            _sub_halves(self.right, other.right, n),
+                            self.left_limit - other.left_limit,
+                            self.right_limit - other.right_limit)
 
     def __mul__(self, scalar: complex) -> "GridFunction":
         n = self.spec.n_nodes
@@ -186,12 +195,27 @@ class GridFunction:
     __rmul__ = __mul__
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """np.isfinite on the float parts, which is faster than on complex values."""
+    if values.flags.c_contiguous:
+        return bool(np.isfinite(values.view(np.float64)).all())
+    return bool(np.isfinite(values.real).all() and np.isfinite(values.imag).all())
+
+
 def _add_halves(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     if _is_zero_half(a, n):
         return b
     if _is_zero_half(b, n):
         return a
     return a + b
+
+
+def _sub_halves(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    if _is_zero_half(b, n):
+        return a
+    if _is_zero_half(a, n):
+        return -b
+    return a - b
 
 
 def _scale_half(scalar: complex, values: np.ndarray, n: int) -> np.ndarray:
@@ -279,25 +303,39 @@ def derivative(f: GridFunction) -> GridFunction:
     return f._derivative
 
 
+# Nodes per in-place panel step of the trapezoid: numpy copies an input that
+# overlaps its output, and a step bounds that copy to one chunk.
+PANEL_CHUNK = 4096
+
+
 def _trapezoid_half(values: np.ndarray, boundary: complex, h: float,
                     boundary_is_right: bool) -> complex:
     """Composite trapezoid over one half-line, with the stored trace closing
     the panel that touches the origin.
 
-    The panel sums go into one buffer in the order ``np.trapezoid`` would
-    form them on the trace-extended array, so the pairwise sum is the same.
+    Overwrites the contiguous array ``values`` with the panel sums, in the
+    order ``np.trapezoid`` would form them on the trace-extended array, so
+    the pairwise sum is the same. Panel k reads nodes k and k + 1 on [-T, 0)
+    and k - 1 and k on (0, T], so the chunks run forward on the first and
+    backward on the second, and every node is read before it is overwritten.
     """
-    panels = np.empty_like(values)
+    n = values.size
     if boundary_is_right:           # [-T, 0): nodes ..., -h, then trace at 0-
-        np.add(values[1:], values[:-1], out=panels[:-1])
-        panels[-1] = boundary + values[-1]
+        for start in range(0, n - 1, PANEL_CHUNK):
+            stop = min(start + PANEL_CHUNK, n - 1)
+            np.add(values[start + 1:stop + 1], values[start:stop],
+                   out=values[start:stop])
+        values[-1] = boundary + values[-1]
     else:                           # (0, T]: trace at 0+, then nodes h, ...
-        np.add(values[1:], values[:-1], out=panels[1:])
-        panels[0] = values[0] + boundary
-    real = panels.view(np.float64)
+        for stop in range(n, 1, -PANEL_CHUNK):
+            start = max(stop - PANEL_CHUNK, 1)
+            np.add(values[start:stop], values[start - 1:stop - 1],
+                   out=values[start:stop])
+        values[0] = values[0] + boundary
+    real = values.view(np.float64)
     real *= h
     real *= 0.5
-    return complex(panels.sum())
+    return complex(values.sum())
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> complex:
@@ -313,12 +351,15 @@ def l2_inner(f: GridFunction, g: GridFunction) -> complex:
 
 def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
              boundary_is_right: bool) -> complex:
-    """Trapezoid of conj(f) g over one half-line closed by ``boundary``. If
-    either factor is the shared zero half, only the origin panel is nonzero;
-    it is scaled in ``_trapezoid_half``'s order, so the sum is the same."""
+    """Trapezoid of conj(f) g over one half-line closed by ``boundary``, in
+    one fresh buffer that the trapezoid overwrites. If either factor is the
+    shared zero half, only the origin panel is nonzero; it is scaled in
+    ``_trapezoid_half``'s order, so the sum is the same."""
     if _is_zero_half(f, n) or _is_zero_half(g, n):
         return complex((boundary.real * h) * 0.5, (boundary.imag * h) * 0.5)
-    return _trapezoid_half(np.conj(f) * g, boundary, h, boundary_is_right)
+    product = np.conj(f)
+    product *= g
+    return _trapezoid_half(product, boundary, h, boundary_is_right)
 
 
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
@@ -387,32 +428,35 @@ def apply_iD(f: GridFunction, sigma: Optional[float] = None) -> SingularSum:
     return SingularSum(regular=reg, coefficient=1j * f.jump, sigma=sigma)
 
 
-def pair(f: GridFunction, s: SingularSum) -> complex:
-    """<f | s> for a singular sum: L2 pairing of the regular part plus the
-    singular coefficient against the conjugated functional evaluation."""
-    return l2_inner(f, s.regular) + s.coefficient * np.conj(zeta_eval(f, s.sigma))
-
-
-def id_symmetry_defect(f: GridFunction, g: GridFunction,
-                       sigma: Optional[float] = None) -> complex:
-    """<f|iD g> - <iD f|g>; zero up to O(h^2) discretization error."""
-    return pair(f, apply_iD(g, sigma)) - np.conj(pair(g, apply_iD(f, sigma)))
-
-
 def jay_form(f: GridFunction, g: GridFunction) -> complex:
     """<f|J g> = conj(f(0+)) g(0+) - conj(f(0-)) g(0-), exact boundary arithmetic."""
     return (np.conj(f.right_limit) * g.right_limit
             - np.conj(f.left_limit) * g.left_limit)
 
 
-def boundary_form(f: GridFunction, g: GridFunction) -> complex:
-    """Boundary form of the regular derivative alone: <f|i g'> - <i f'|g>.
+def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
+    """Residuals of the symmetry of iD on (f, g), each O(h^2).
 
-    Equals -i <f|J g> up to O(h^2); adding the singular pairings of
-    ``id_symmetry_defect`` cancels it entirely.
+    "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
+    boundary form of the regular derivative alone equals -i <f|J g>.
+    "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
+    the singular functional, and "id_symmetry_defect_damped" the same with
+    zeta_sigma. The regular pairings <f|i g'> and <g|i f'> are computed once
+    each, with the two regular parts built one after the other.
     """
-    return (l2_inner(f, apply_iD(g).regular)
-            - np.conj(l2_inner(g, apply_iD(f).regular)))
+    f_ig = l2_inner(f, apply_iD(g).regular)
+    g_if = l2_inner(g, apply_iD(f).regular)
+
+    def id_defect(sig):
+        # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
+        # singular coefficient i jump against the conjugated functional
+        return abs((f_ig + 1j * g.jump * np.conj(zeta_eval(f, sig)))
+                   - np.conj(g_if + 1j * f.jump * np.conj(zeta_eval(g, sig))))
+
+    return {"boundary_form_vs_traces": abs(f_ig - np.conj(g_if)
+                                           + 1j * jay_form(f, g)),
+            "id_symmetry_defect": id_defect(None),
+            "id_symmetry_defect_damped": id_defect(sigma)}
 
 
 @dataclass(frozen=True)
@@ -437,8 +481,9 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
 def reproducing_defects(spec: GridSpec, pairs) -> tuple:
     """Largest reproducing residuals over (psi_r, psi_l) pairs:
     |<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|,
-    each O(h^2). The pairs are read one at a time, so a generator that draws
-    them holds one pair at once."""
+    each O(h^2). The pairs are read one at a time and each is released
+    before the next is read, so a generator that draws them holds one pair
+    at once."""
     phi_plus, phi_minus = defect_vectors(spec)
     i_phi_plus, minus_i_phi_minus = 1j * phi_plus, -1j * phi_minus
     worst_plus = worst_minus = 0.0
@@ -447,6 +492,7 @@ def reproducing_defects(spec: GridSpec, pairs) -> tuple:
             sobolev_inner(i_phi_plus, psi_r) - psi_r.right_limit))
         worst_minus = max(worst_minus, abs(
             sobolev_inner(minus_i_phi_minus, psi_l) - psi_l.left_limit))
+        del psi_r, psi_l
     return worst_plus, worst_minus
 
 
@@ -454,19 +500,24 @@ def decomposition_defects(f: GridFunction) -> dict:
     """Residuals of ``decompose_sobolev(f)``: "boundary_zero" is the larger
     |psi0(0+-)| (exactly zero), "orthogonality" the larger
     |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
-    node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding)."""
+    node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
+
+    The reconstruction residual is reduced first, before psi0's derivative
+    is cached, so its arrays are never live together with that derivative.
+    """
     phi_plus, phi_minus = defect_vectors(f.spec)
     dec = decompose_sobolev(f)
+    diff = dec.psi0 + dec.c_plus * phi_plus + dec.c_minus * phi_minus - f
+    reconstruction = max(float(np.abs(diff.left).max()),
+                         float(np.abs(diff.right).max()))
+    del diff
     scale = sobolev_norm(dec.psi0)
-    recon = dec.psi0 + dec.c_plus * phi_plus + dec.c_minus * phi_minus
-    diff = recon - f
     return {
         "boundary_zero": max(abs(dec.psi0.left_limit),
                              abs(dec.psi0.right_limit)),
         "orthogonality": max(abs(sobolev_inner(phi_plus, dec.psi0)) / scale,
                              abs(sobolev_inner(phi_minus, dec.psi0)) / scale),
-        "reconstruction": max(float(np.abs(diff.left).max()),
-                              float(np.abs(diff.right).max())),
+        "reconstruction": reconstruction,
     }
 
 

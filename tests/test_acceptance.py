@@ -19,12 +19,12 @@ from slhkit.punctured_line import (
     boundary_phase,
     decomposition_defects,
     defect_vectors,
-    id_symmetry_defect,
     jump_splitting_defect,
     reproducing_defects,
     sample,
     scatter_regularized,
     sobolev_norm,
+    symmetry_defects,
 )
 from slhkit.slh import (
     GAUGE_CHECK_SIGMAS,
@@ -107,7 +107,7 @@ def test_criterion_3_defect_vector_suite():
         spec = GridSpec(40.0, h)
         f = sample(spec, left=fl, right=fr)
         g = sample(spec, left=gl, right=gr)
-        defects[h] = abs(id_symmetry_defect(f, g))
+        defects[h] = symmetry_defects(f, g, 0.3)["id_symmetry_defect"]
     ratio = defects[1e-3] / defects[5e-4]
     assert 3.5 <= ratio <= 4.5
     announce(3, f"defect-vector suite (symmetry ratio {ratio:.3f})")

@@ -12,22 +12,23 @@ from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLar
 from slhkit.punctured_line import (
     GridFunction,
     GridSpec,
+    PANEL_CHUNK,
+    _l2_half,
     _trapezoid_half,
     apply_iD,
-    boundary_form,
     boundary_phase,
     decompose_sobolev,
     defect_vectors,
     derivative,
     extension_domain_defect,
-    id_symmetry_defect,
-    jay_form,
     jump_splitting_defect,
     l2_inner,
+    reproducing_defects,
     sample,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
+    symmetry_defects,
     zero_half,
     zeta_eval,
 )
@@ -92,6 +93,27 @@ class TestGrid:
         finally:
             tracemalloc.stop()
         assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * 32 * n
+
+    def test_reproducing_defects_releases_each_pair(self):
+        # The pairs come from a generator, as in the CLI suite. While the next
+        # pair is drawn, the previous one and its cached derivatives (two
+        # two-sided arrays) must already be free: the peak stays near 6.0
+        # two-sided arrays (defect vectors, their scaled copies and
+        # derivatives, one pair, the shared zero half), not 7.0 or more.
+        spec = GridSpec(40.0, 2e-3)
+        rng = np.random.default_rng(0)
+        defect_vectors.cache_clear()
+        zero_half.cache_clear()
+        tracemalloc.start()
+        try:
+            reproducing_defects(spec, (
+                (sample(spec, right=random_bump(rng, "right")),
+                 sample(spec, left=random_bump(rng, "left")))
+                for _ in range(4)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 32 * spec.n_nodes
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -226,6 +248,16 @@ class TestRandomBump:
         assert np.allclose(bump(t), expected, rtol=1e-14, atol=0.0)
         assert rng.uniform() == ref.uniform()
 
+    def test_in_place_evaluation_matches_formula(self):
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        bump = random_bump(rng, "right")
+        amp = complex(ref.uniform(0.3, 1.5), ref.uniform(-1.0, 1.0))
+        width, center = ref.uniform(0.5, 2.0), ref.uniform(0.7, 2.2)
+        t = SPEC.right_nodes()
+        values = bump(t)
+        assert np.array_equal(values, amp * np.exp(-width * (t - center) ** 2))
+        assert np.array_equal(t, SPEC.right_nodes())
+
 
 class TestApplyiD:
     def test_smooth_function_has_no_singular_part(self):
@@ -257,7 +289,7 @@ class TestApplyiD:
             spec = GridSpec(40.0, h)
             f = sample(spec, left=fl, right=fr)
             g = sample(spec, left=gl, right=gr)
-            defects[h] = abs(id_symmetry_defect(f, g))
+            defects[h] = symmetry_defects(f, g, 0.3)["id_symmetry_defect"]
         ratio = defects[1e-3] / defects[5e-4]
         assert 3.5 <= ratio <= 4.5
 
@@ -266,14 +298,14 @@ class TestApplyiD:
         f = random_grid_function(rng, SPEC)
         g = random_grid_function(rng, SPEC)
         for sigma in (0.0, 0.3, -1.0):
-            assert abs(id_symmetry_defect(f, g, sigma)) <= 1e-4
+            assert symmetry_defects(f, g, sigma)["id_symmetry_defect_damped"] <= 1e-4
 
     def test_boundary_form_matches_trace_form(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             f = random_grid_function(rng, SPEC)
             g = random_grid_function(rng, SPEC)
-            assert abs(boundary_form(f, g) + 1j * jay_form(f, g)) <= 1e-4
+            assert symmetry_defects(f, g, 0.3)["boundary_form_vs_traces"] <= 1e-4
 
 
 class TestJumpSplitting:
@@ -439,8 +471,41 @@ class TestKernelOracles:
             b = complex(*rng.standard_normal(2))
             left = complex(np.trapezoid(np.concatenate([values, [b]]), dx=h))
             right = complex(np.trapezoid(np.concatenate([[b], values]), dx=h))
-            assert _trapezoid_half(values, b, h, True) == left
-            assert _trapezoid_half(values, b, h, False) == right
+            # the trapezoid overwrites its input with the panel sums
+            assert _trapezoid_half(values.copy(), b, h, True) == left
+            assert _trapezoid_half(values.copy(), b, h, False) == right
+
+    @pytest.mark.parametrize("n", [10, 4095, 4096, 4097, 8193, 80_000])
+    def test_l2_half_matches_trapezoid_and_keeps_its_factors(self, n):
+        # chunk edges on both sides of PANEL_CHUNK = 4096, contiguous and
+        # strided factors (every other node of a wider array)
+        rng = np.random.default_rng(n)
+        h = 5e-4
+        wide = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
+        for f, g in ((wide[0, :n], wide[1, :n]), (wide[0, ::2], wide[1, ::2])):
+            f_before, g_before = f.copy(), g.copy()
+            b = complex(*rng.standard_normal(2))
+            product = np.conj(f) * g
+            left = complex(np.trapezoid(np.concatenate([product, [b]]), dx=h))
+            right = complex(np.trapezoid(np.concatenate([[b], product]), dx=h))
+            assert _l2_half(f, g, b, h, n, True) == left
+            assert _l2_half(f, g, b, h, n, False) == right
+            assert np.array_equal(f, f_before) and np.array_equal(g, g_before)
+
+    def test_l2_inner_holds_one_buffer_per_half(self):
+        # one n-node complex buffer per half, plus numpy's copy of the
+        # overlapping input of one panel chunk and a few small objects
+        spec = GridSpec(40.0, 5e-4)
+        rng = np.random.default_rng(9)
+        f = random_noise_function(rng, spec)
+        g = random_noise_function(rng, spec)
+        tracemalloc.start()
+        try:
+            l2_inner(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * (spec.n_nodes + PANEL_CHUNK) + 4096
 
     @pytest.mark.parametrize("spec", [SPEC, GridSpec(40.0, 5e-4),
                                       GridSpec(30.0, 3e-3)])
@@ -478,6 +543,18 @@ class TestKernelOracles:
         assert left.flags.writeable and right.flags.writeable
         left[3] = 1.0
         assert np.shares_memory(f.left, left)
+
+    def test_strided_values_are_checked_for_finiteness(self):
+        # a caller's strided array stays strided: its float parts are checked
+        # without the contiguous float view
+        wide = np.zeros(2 * SPEC.n_nodes, dtype=complex)
+        wide[10] = 1.0 + 2.0j
+        f = GridFunction(SPEC, wide[::2], wide[::2], 0.0, 0.0)
+        assert not f.left.flags.c_contiguous and f.left[5] == 1.0 + 2.0j
+        for bad in (complex(np.nan, 0.0), complex(0.0, np.inf)):
+            wide[10] = bad
+            with pytest.raises(SpecMismatch, match="finite"):
+                GridFunction(SPEC, wide[::2], wide[::2], 0.0, 0.0)
 
     def test_defect_vectors_shared_for_equal_specs(self):
         pp, pm = defect_vectors(GridSpec(40.0, 1e-3))
@@ -592,5 +669,5 @@ class TestZeroHalves:
                 gv = values(g)
                 total = tuple(x + y for x, y in zip(fv, gv))
                 assert same(f + g, total) and same(plain(f) + plain(g), total)
-                diff = tuple(x + (-1.0) * y for x, y in zip(fv, gv))
+                diff = tuple(x - y for x, y in zip(fv, gv))
                 assert same(f - g, diff) and same(plain(f) - plain(g), diff)
