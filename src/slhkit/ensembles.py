@@ -9,6 +9,11 @@ from .punctured_line import GridFunction, GridSpec, sample
 from .slh import CouplingMatrix, GaugeMatrix, validate_coupling
 
 
+# exp(x) is +0 in double precision for every x below this (it is below
+# half the smallest subnormal, 2**-1075, from x = -745.14 on).
+EXP_ZERO_BELOW = -750.0
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Symmetrized complex Ginibre draw rescaled to max entry 1."""
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -52,7 +57,10 @@ def random_bump(rng: np.random.Generator, side: str):
         x = t - center
         np.square(x, out=x)
         x *= -width
-        np.exp(x, out=x)
+        # exp is several times slower where its result underflows; there it
+        # is +0, so those nodes, which keep their argument, are set to 0.
+        np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
+        x[x < EXP_ZERO_BELOW] = 0.0
         return amp * x
     return bump
 

@@ -19,8 +19,9 @@ Conventions
 Storage
 
 * a GridFunction holds read-only views of its value arrays (the array a
-  caller passes in stays writable), so its grid derivative is computed once,
-  on the first ``derivative`` call, and cached on the instance;
+  caller passes in stays writable; a strided one is copied once, so every
+  value array is contiguous), so its grid derivative is computed once, on
+  the first ``derivative`` call, and cached on the instance;
 * an identically zero half-line is stored as ``zero_half(n)``, one shared
   read-only array per node count, recognised by identity: ``sample`` stores
   it for a missing half and ``defect_vectors`` for the empty side of
@@ -31,7 +32,7 @@ Storage
 * an L2 pairing of two nonzero halves makes one array: conj(f) g is formed
   in one fresh buffer, which the trapezoid overwrites with its panel sums a
   chunk of ``PANEL_CHUNK`` nodes at a time; subtraction subtracts directly,
-  and validation checks the float parts of the values;
+  and validation checks the float view of the values;
 * ``defect_vectors`` keeps the pair for the most recent spec;
 * GridSpec refuses a grid whose defect suite would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
@@ -114,11 +115,11 @@ def _is_zero_half(values: np.ndarray, n: int) -> bool:
 
 
 def _read_only(values, n: int) -> np.ndarray:
-    """The shared zero half itself, else a read-only complex view; the array
-    passed in keeps its own flags."""
+    """The shared zero half itself, else a read-only contiguous complex view;
+    the array passed in keeps its own flags."""
     if _is_zero_half(values, n):
         return values
-    view = np.asarray(values, dtype=complex).view()
+    view = np.ascontiguousarray(values, dtype=complex).view()
     view.flags.writeable = False
     return view
 
@@ -148,7 +149,9 @@ class GridFunction:
             raise SpecMismatch(
                 f"value arrays must have shape ({n},), got {left.shape} and "
                 f"{right.shape}")
-        if not all(_is_zero_half(a, n) or _all_finite(a) for a in (left, right)):
+        # on the float parts, which is faster than on complex values
+        if not all(_is_zero_half(a, n) or np.isfinite(a.view(np.float64)).all()
+                   for a in (left, right)):
             raise SpecMismatch("grid values must be finite")
         if not (math.isfinite(abs(self.left_limit))
                 and math.isfinite(abs(self.right_limit))):
@@ -193,13 +196,6 @@ class GridFunction:
                             scalar * self.left_limit, scalar * self.right_limit)
 
     __rmul__ = __mul__
-
-
-def _all_finite(values: np.ndarray) -> bool:
-    """np.isfinite on the float parts, which is faster than on complex values."""
-    if values.flags.c_contiguous:
-        return bool(np.isfinite(values.view(np.float64)).all())
-    return bool(np.isfinite(values.real).all() and np.isfinite(values.imag).all())
 
 
 def _add_halves(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
