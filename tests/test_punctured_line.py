@@ -303,6 +303,29 @@ class TestApplyiD:
         for sigma in (0.0, 0.3, -1.0):
             assert symmetry_defects(f, g, sigma)["id_symmetry_defect_damped"] <= 1e-4
 
+    def test_symmetry_defects_match_separate_pairings(self):
+        # the three checks as first written, each forming its own pairings
+        rng = np.random.default_rng(7)
+        f = random_grid_function(rng, SPEC)
+        g = random_grid_function(rng, SPEC)
+
+        def pair(u, s):
+            return (l2_inner(u, s.regular)
+                    + s.coefficient * np.conj(zeta_eval(u, s.sigma)))
+
+        def id_defect(sigma):
+            return abs(pair(f, apply_iD(g, sigma))
+                       - np.conj(pair(g, apply_iD(f, sigma))))
+
+        boundary = (l2_inner(f, apply_iD(g).regular)
+                    - np.conj(l2_inner(g, apply_iD(f).regular)))
+        jay = (np.conj(f.right_limit) * g.right_limit
+               - np.conj(f.left_limit) * g.left_limit)
+        assert symmetry_defects(f, g, 0.3) == {
+            "boundary_form_vs_traces": abs(boundary + 1j * jay),
+            "id_symmetry_defect": id_defect(None),
+            "id_symmetry_defect_damped": id_defect(0.3)}
+
     def test_boundary_form_matches_trace_form(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
