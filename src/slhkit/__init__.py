@@ -55,7 +55,6 @@ from .punctured_line import (
 )
 from .fock import (
     BoundarySubspace,
-    ModeForm,
     ModeOperators,
     TruncatedFockSpace,
     boundary_subspace_b,

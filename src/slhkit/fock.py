@@ -7,16 +7,19 @@ slowest (most significant) digit; the mode occupations follow in the order
 (1,+), ..., (n,+), (1,-), ..., (n,-) stored little-endian, i.e. mode (1,+) is
 the fastest-varying digit.  With k_p the occupation of the mode at digit p,
 
-    index = s * d^(2n) + sum_p k_p * d^p,
+    index = s * d^(2n) + sum_p k_p * d^p.
 
-so a flat vector reshapes to the state tensor of shape (m, d, ..., d), whose
-axis 2n - p carries digit p.
+States stay flat, (dim,) or (dim, k); with the system index slowest, a system
+matrix acts on the (m, fock_dim) split and a ladder map on the Fock index.
 
 No operator is stored as a dim x dim matrix.  Every boundary operator is a
-linear form X_0 + sum_p X_p a_p in the annihilators with m x m system
-coefficients (``ModeForm``); the singular generator is a sum of products of
-such forms and their adjoints.  Forms act matrix-free on the state tensor,
-one slot at a time through the slot's ``LadderMap``.  One assembler,
+linear form X_0 + sum_p X_p a_p in the annihilators, stored as its array of
+m x m system coefficients, shape (1 + 2n, m, m): slot 0 holds X_0, slot 1 + p
+the coefficient of the annihilator at digit p.  Forms add, subtract and scale
+as arrays, and x @ form is the form followed by the system matrix x.  The
+singular generator is a sum of products of such forms and their adjoints.
+``TruncatedFockSpace.apply`` runs a form matrix-free on flat states, one
+slot at a time through the slot's ``LadderMap``.  One assembler,
 ``_assemble``, turns sums sum_t X_t (x) M_t of system coefficients and
 composed ladder maps into dense matrices between two sets of Fock states: the
 sector blocks of the kernel solves and of the CCR and adjoint-defect checks.
@@ -122,8 +125,8 @@ def _assemble(terms: Sequence[Tuple[np.ndarray, LadderMap]], cols: np.ndarray,
 
 
 def _on_system(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Apply an m x m system matrix to axis 0 of a state tensor."""
-    return (x @ psi.reshape(psi.shape[0], -1)).reshape(psi.shape)
+    """Apply an m x m system matrix to the system index of flat states."""
+    return (x @ psi.reshape(len(x), -1)).reshape(psi.shape)
 
 
 @dataclass(frozen=True)
@@ -160,11 +163,6 @@ class TruncatedFockSpace:
     @property
     def dim(self) -> int:
         return self.m * self.fock_dim
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Shape of the state tensor: system axis, then digits 2n-1, ..., 0."""
-        return (self.m,) + (self.d,) * self.n_modes
 
     def sector_sizes(self) -> np.ndarray:
         """Number of occupation tuples with total photon number N = 0, 1, ..."""
@@ -213,15 +211,6 @@ class TruncatedFockSpace:
         total = self._digits[idx].sum(axis=1)
         return [idx[total == k] for k in range(self.n_modes * cap + 1)]
 
-    def tensor(self, vectors: np.ndarray) -> np.ndarray:
-        """View flat vectors (dim,) or (dim, k) as state tensors."""
-        vectors = np.asarray(vectors, dtype=complex)
-        return vectors.reshape(self.shape + vectors.shape[1:])
-
-    def flat(self, psi: np.ndarray) -> np.ndarray:
-        """Inverse of ``tensor``."""
-        return psi.reshape((self.dim,) + psi.shape[1 + self.n_modes:])
-
     @cached_property
     def identity_map(self) -> LadderMap:
         """The identity as a ladder map: the map of a form's zeroth slot."""
@@ -245,13 +234,20 @@ class TruncatedFockSpace:
         return self._ladder_maps[p][dagger]
 
     def slot_maps(self, dagger: bool = False) -> List[LadderMap]:
-        """The map of each ``ModeForm`` slot, adjoint when ``dagger``: the
-        identity, then the annihilators by digit."""
+        """The map of each form slot, adjoint when ``dagger``: the identity,
+        then the annihilators by digit."""
         return [self.identity_map] + [self.ladder_map(p, dagger)
                                       for p in range(self.n_modes)]
 
-    def apply_map(self, psi: np.ndarray, ladder: LadderMap) -> np.ndarray:
-        """A ladder map on a state tensor of shape (m, d, ..., d, *batch)."""
+    def slot(self, q: int) -> np.ndarray:
+        """The form of one slot: the identity (q = 0) or the annihilator at
+        digit q - 1."""
+        form = np.zeros((1 + self.n_modes, self.m, self.m), dtype=complex)
+        form[q] = np.eye(self.m)
+        return form
+
+    def _apply_map(self, psi: np.ndarray, ladder: LadderMap) -> np.ndarray:
+        """A ladder map on the Fock index of flat states."""
         target, weight = ladder
         src = np.flatnonzero(target >= 0)
         flat = psi.reshape((self.m, self.fock_dim, -1))
@@ -259,64 +255,31 @@ class TruncatedFockSpace:
         out[:, target[src]] = weight[src, None] * flat[:, src]
         return out.reshape(psi.shape)
 
-
-@dataclass(frozen=True)
-class ModeForm:
-    """The operator X_0 + sum_p X_p a_p on C^m (x) modes.
-
-    ``coef`` has shape (1 + 2n, m, m): slot 0 holds the system coefficient of
-    the identity, slot 1 + p that of the annihilator at digit p.
-    """
-
-    space: TruncatedFockSpace
-    coef: np.ndarray
-
-    @classmethod
-    def slot(cls, space: TruncatedFockSpace, q: int) -> "ModeForm":
-        """Identity (q = 0) or the annihilator at digit q - 1."""
-        coef = np.zeros((1 + space.n_modes, space.m, space.m), dtype=complex)
-        coef[q] = np.eye(space.m)
-        return cls(space, coef)
-
-    def __add__(self, other: "ModeForm") -> "ModeForm":
-        return ModeForm(self.space, self.coef + other.coef)
-
-    def __sub__(self, other: "ModeForm") -> "ModeForm":
-        return ModeForm(self.space, self.coef - other.coef)
-
-    def __rmul__(self, scalar: complex) -> "ModeForm":
-        return ModeForm(self.space, scalar * self.coef)
-
-    def times(self, x: np.ndarray) -> "ModeForm":
-        """The form followed by the system matrix x, i.e. (x (x) 1) F."""
-        return ModeForm(self.space, np.matmul(np.asarray(x, dtype=complex),
-                                              self.coef))
-
-    def apply(self, psi: np.ndarray, dagger: bool = False) -> np.ndarray:
-        """Act on a state tensor (m, d, ..., d, *batch); with ``dagger`` the
-        adjoint sum_q (X_q^dag (x) a_q^dag)."""
+    def apply(self, form: np.ndarray, vectors: np.ndarray,
+              dagger: bool = False) -> np.ndarray:
+        """The form X_0 + sum_p X_p a_p with coefficients ``form`` on flat
+        states (dim,) or (dim, k); with ``dagger`` its adjoint
+        sum_q (X_q^dag (x) a_q^dag)."""
+        psi = np.asarray(vectors, dtype=complex)
         out = None
-        for x, ladder in zip(self.coef, self.space.slot_maps(dagger)):
+        for x, ladder in zip(form, self.slot_maps(dagger)):
             if not np.any(x):
                 continue
             if dagger:
-                term = self.space.apply_map(_on_system(adjoint(x), psi), ladder)
+                term = self._apply_map(_on_system(adjoint(x), psi), ladder)
             else:
-                term = _on_system(x, self.space.apply_map(psi, ladder))
+                term = _on_system(x, self._apply_map(psi, ladder))
             if out is None:
                 out = term
             else:
                 out += term
         return np.zeros_like(psi) if out is None else out
 
-    def __matmul__(self, vectors: np.ndarray) -> np.ndarray:
-        """Act on flat vectors (dim,) or (dim, k)."""
-        return self.space.flat(self.apply(self.space.tensor(vectors)))
-
 
 @dataclass(frozen=True)
 class ModeOperators:
-    """Graded mode operators of one truncated space.
+    """Graded mode operators of one truncated space, each a form array of
+    shape (1 + 2n, m, m).
 
     ``a_star`` is the symmetric combination (a_+ + a_-)/2 per channel and
     ``frak_a`` its gauge deformation (``a_star`` itself when ungauged).  The
@@ -325,21 +288,21 @@ class ModeOperators:
 
     space: TruncatedFockSpace
     gauge: Optional[Gauge]
-    a_plus: List[ModeForm]
-    a_minus: List[ModeForm]
-    a_star: List[ModeForm]
-    frak_a: List[ModeForm]
-    a0: ModeForm
+    a_plus: List[np.ndarray]
+    a_minus: List[np.ndarray]
+    a_star: List[np.ndarray]
+    frak_a: List[np.ndarray]
+    a0: np.ndarray
 
 
 def build_mode_operators(m: int, n: int, d: int,
                          gauge: Optional[Gauge] = None) -> ModeOperators:
     """Construct annihilators for all 2n modes plus their (gauged) combinations."""
     space = TruncatedFockSpace(m=m, n=n, d=d)
-    a_plus = [ModeForm.slot(space, 1 + space.digit(j, "+")) for j in range(1, n + 1)]
-    a_minus = [ModeForm.slot(space, 1 + space.digit(j, "-")) for j in range(1, n + 1)]
+    a_plus = [space.slot(1 + space.digit(j, "+")) for j in range(1, n + 1)]
+    a_minus = [space.slot(1 + space.digit(j, "-")) for j in range(1, n + 1)]
     a_star = [0.5 * (ap + am) for ap, am in zip(a_plus, a_minus)]
-    a0 = ModeForm.slot(space, 0)
+    a0 = space.slot(0)
 
     if gauge is None:
         frak_a = list(a_star)
@@ -353,12 +316,12 @@ def build_mode_operators(m: int, n: int, d: int,
         km = 0.5 * np.eye(n * m, dtype=complex) - 1j * zll
         frak_a = []
         for j in range(n):
-            coef = np.zeros_like(a0.coef)
+            form = np.zeros_like(a0)
             for k in range(1, n + 1):
                 cols = slice((k - 1) * m, k * m)
-                coef[1 + space.digit(k, "+")] = km[j * m:(j + 1) * m, cols]
-                coef[1 + space.digit(k, "-")] = kp[j * m:(j + 1) * m, cols]
-            frak_a.append(ModeForm(space, coef))
+                form[1 + space.digit(k, "+")] = km[j * m:(j + 1) * m, cols]
+                form[1 + space.digit(k, "-")] = kp[j * m:(j + 1) * m, cols]
+            frak_a.append(form)
     return ModeOperators(space=space, gauge=gauge, a_plus=a_plus,
                          a_minus=a_minus, a_star=a_star, frak_a=frak_a, a0=a0)
 
@@ -379,19 +342,19 @@ class BoundarySubspace:
         return self.columns.shape[1]
 
 
-def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
+def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[np.ndarray]:
     """Rows B_j = i(a_{j,+} - a_{j,-}) + E_{j0} + sum_k E_{jk} frak_a_k."""
     rows = []
     for j in range(1, e.n + 1):
         row = 1j * (ops.a_plus[j - 1] - ops.a_minus[j - 1])
-        row = row + ops.a0.times(e.block.block(j, 0))
+        row = row + e.block.block(j, 0) @ ops.a0
         for k in range(1, e.n + 1):
-            row = row + ops.frak_a[k - 1].times(e.block.block(j, k))
+            row = row + e.block.block(j, k) @ ops.frak_a[k - 1]
         rows.append(row)
     return rows
 
 
-def _slh_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
+def _slh_rows(e: CouplingMatrix, ops: ModeOperators) -> List[np.ndarray]:
     """Rows C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j."""
     res = slh_triple(e, ops.gauge)
     m = e.m
@@ -399,19 +362,19 @@ def _slh_rows(e: CouplingMatrix, ops: ModeOperators) -> List[ModeForm]:
     for j in range(e.n):
         row = ops.a_minus[j]
         for k in range(e.n):
-            row = row - ops.a_plus[k].times(res.s[j * m:(j + 1) * m, k * m:(k + 1) * m])
-        rows.append(row - ops.a0.times(res.l[j * m:(j + 1) * m, :]))
+            row = row - res.s[j * m:(j + 1) * m, k * m:(k + 1) * m] @ ops.a_plus[k]
+        rows.append(row - res.l[j * m:(j + 1) * m, :] @ ops.a0)
     return rows
 
 
 def stacked_boundary_rows(e: CouplingMatrix, ops: ModeOperators,
                           route: str = "B") -> np.ndarray:
     """Graded coefficients, shape (n, 1 + 2n, m, m), of the stacked boundary
-    operators of either route: row j is the form with coefficients [j]."""
+    operators of either route: row j is the form [j]."""
     if route == "B":
-        return np.stack([row.coef for row in _coupling_rows(e, ops)])
+        return np.stack(_coupling_rows(e, ops))
     if route == "C":
-        return np.stack([row.coef for row in _slh_rows(e, ops)])
+        return np.stack(_slh_rows(e, ops))
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -488,29 +451,29 @@ def singular_generator(e: CouplingMatrix, ops: ModeOperators,
     i sum_j frak_a_j^dag (a_{j,+} - a_{j,-}) plus the normally-ordered
     coupling term sum_ab frak_a_a^dag E_ab frak_a_b (zeroth mode = identity)."""
     space = ops.space
-    psi = space.tensor(vectors)
+    psi = np.asarray(vectors, dtype=complex)
     total = np.zeros_like(psi)
     for j in range(e.n):
-        jump = (ops.a_plus[j] - ops.a_minus[j]).apply(psi)
-        total += 1j * ops.frak_a[j].apply(jump, dagger=True)
+        jump = space.apply(ops.a_plus[j] - ops.a_minus[j], psi)
+        total += 1j * space.apply(ops.frak_a[j], jump, dagger=True)
     modes = [ops.a0] + list(ops.frak_a)
-    images = [mode.apply(psi) for mode in modes]
+    images = [space.apply(mode, psi) for mode in modes]
     for alpha, mode in enumerate(modes):
         coupled = np.zeros_like(psi)
         for beta, image in enumerate(images):
             blk = e.block.block(alpha, beta)
             if np.any(blk):
                 coupled += _on_system(blk, image)
-        total += mode.apply(coupled, dagger=True)
-    return space.flat(total)
+        total += space.apply(mode, coupled, dagger=True)
+    return total
 
 
-def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> ModeForm:
-    """The boundary-reduced action iG_00 + sum_k iG_0k a_{k,+}."""
+def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
+    """The form of the boundary-reduced action iG_00 + sum_k iG_0k a_{k,+}."""
     g = slh_triple(e, ops.gauge).ito
-    total = ops.a0.times(1j * g.block(0, 0))
+    total = 1j * g.block(0, 0) @ ops.a0
     for k in range(1, e.n + 1):
-        total = total + ops.a_plus[k - 1].times(1j * g.block(0, k))
+        total = total + 1j * g.block(0, k) @ ops.a_plus[k - 1]
     return total
 
 
@@ -526,8 +489,8 @@ def number_defect_residual(ops: ModeOperators) -> float:
     eye = np.eye(space.m)
     terms = []
     for j in range(space.n):
-        star = ops.a_star[j].coef
-        jump = (ops.a_plus[j] - ops.a_minus[j]).coef
+        star = ops.a_star[j]
+        jump = ops.a_plus[j] - ops.a_minus[j]
         for p, s_p in enumerate(star):
             for q, t_q in enumerate(jump):
                 x = 1j * adjoint(s_p) @ t_q
@@ -600,8 +563,7 @@ def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
     phi[~space.photon_guard_mask()] = 0.0
     norms = np.linalg.norm(phi, axis=0)
     phi /= np.where(norms == 0.0, 1.0, norms)
-    psi = space.tensor(phi)
-    squares = sum(np.abs(space.flat(row.apply(psi))) ** 2
+    squares = sum(np.abs(space.apply(row, phi)) ** 2
                   for row in _coupling_rows(e, ops))
     boundary = np.sqrt(squares.sum(axis=0)) / scale
     for norm, res in zip(norms, boundary):
@@ -611,7 +573,8 @@ def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
             raise NotInDomain(
                 f"boundary-condition residual {res:.3e} exceeds tolerance "
                 f"{tol:.1e}")
-    diff = singular_generator(e, ops, phi) - singular_action_operator(e, ops) @ phi
+    diff = (singular_generator(e, ops, phi)
+            - space.apply(singular_action_operator(e, ops), phi))
     return [float(x) for x in np.linalg.norm(diff, axis=0)]
 
 

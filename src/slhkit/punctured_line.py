@@ -403,25 +403,21 @@ def jump_splitting_defect(fp: complex, fm: complex, gp: complex, gm: complex,
 
 @dataclass(frozen=True)
 class SingularSum:
-    """Regular grid function plus a coefficient on the singular functional.
-
-    The singular part is delta_star when ``sigma`` is None and zeta_sigma
-    otherwise.
-    """
+    """Regular grid function plus a coefficient on the singular functional,
+    delta_star or zeta_sigma: the pairing that reads it names the one."""
 
     regular: GridFunction
     coefficient: complex
-    sigma: Optional[float]
 
 
-def apply_iD(f: GridFunction, sigma: Optional[float] = None) -> SingularSum:
+def apply_iD(f: GridFunction) -> SingularSum:
     """Distributional derivative i*d/dt + i |singular><jump|.
 
     The regular part is i times the finite-difference derivative; the singular
     coefficient i * jump(f) is exact boundary arithmetic.
     """
     reg = 1j * derivative(f)
-    return SingularSum(regular=reg, coefficient=1j * f.jump, sigma=sigma)
+    return SingularSum(regular=reg, coefficient=1j * f.jump)
 
 
 def jay_form(f: GridFunction, g: GridFunction) -> complex:
@@ -499,14 +495,21 @@ def decomposition_defects(f: GridFunction) -> dict:
     node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
 
     The reconstruction residual is reduced first, before psi0's derivative
-    is cached, so its arrays are never live together with that derivative.
+    is cached, one half-line buffer at a time: phi_- lives on the left half
+    and phi_+ on the right, so each half is (psi0 + c phi) - f, rounded as
+    in the GridFunction sum.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     dec = decompose_sobolev(f)
-    diff = dec.psi0 + dec.c_plus * phi_plus + dec.c_minus * phi_minus - f
-    reconstruction = max(float(np.abs(diff.left).max()),
-                         float(np.abs(diff.right).max()))
-    del diff
+    reconstruction = 0.0
+    for c, phi, psi0, values in (
+            (dec.c_minus, phi_minus.left, dec.psi0.left, f.left),
+            (dec.c_plus, phi_plus.right, dec.psi0.right, f.right)):
+        buf = c * phi
+        buf += psi0
+        buf -= values
+        reconstruction = max(reconstruction, float(np.abs(buf).max()))
+        del buf
     scale = sobolev_norm(dec.psi0)
     return {
         "boundary_zero": max(abs(dec.psi0.left_limit),

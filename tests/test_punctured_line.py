@@ -18,6 +18,7 @@ from slhkit.punctured_line import (
     apply_iD,
     boundary_phase,
     decompose_sobolev,
+    decomposition_defects,
     defect_vectors,
     derivative,
     extension_domain_defect,
@@ -309,13 +310,13 @@ class TestApplyiD:
         f = random_grid_function(rng, SPEC)
         g = random_grid_function(rng, SPEC)
 
-        def pair(u, s):
+        def pair(u, s, sigma):
             return (l2_inner(u, s.regular)
-                    + s.coefficient * np.conj(zeta_eval(u, s.sigma)))
+                    + s.coefficient * np.conj(zeta_eval(u, sigma)))
 
         def id_defect(sigma):
-            return abs(pair(f, apply_iD(g, sigma))
-                       - np.conj(pair(g, apply_iD(f, sigma))))
+            return abs(pair(f, apply_iD(g), sigma)
+                       - np.conj(pair(g, apply_iD(f), sigma)))
 
         boundary = (l2_inner(f, apply_iD(g).regular)
                     - np.conj(l2_inner(g, apply_iD(f).regular)))
@@ -390,6 +391,36 @@ class TestDecomposition:
             recon = dec.psi0 + dec.c_plus * pp + dec.c_minus * pm
             diff = recon - psi
             assert max(np.abs(diff.left).max(), np.abs(diff.right).max()) <= 1e-13
+
+    @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
+    def test_reconstruction_equals_grid_function_expression(self, spec):
+        # the per-half buffers add in the order of the GridFunction sum
+        rng = np.random.default_rng(11)
+        pp, pm = defect_vectors(spec)
+        for f in (random_grid_function(rng, spec),
+                  random_noise_function(rng, spec),
+                  sample(spec, right=random_bump(rng, "right"))):
+            dec = decompose_sobolev(f)
+            diff = dec.psi0 + dec.c_plus * pp + dec.c_minus * pm - f
+            assert decomposition_defects(f)["reconstruction"] == max(
+                float(np.abs(diff.left).max()), float(np.abs(diff.right).max()))
+
+    @pytest.mark.parametrize("spec", [GridSpec(40.0, 1e-3), GridSpec(40.0, 5e-4)])
+    def test_decomposition_peak(self, spec):
+        # Above f and the cached defect vectors with their derivatives: psi0,
+        # then one half-line residual buffer beside it, then psi0's derivative
+        # and one pairing buffer, about 2.5 two-sided arrays.
+        rng = np.random.default_rng(12)
+        f = random_grid_function(rng, spec)
+        for phi in defect_vectors(spec):
+            derivative(phi)
+        tracemalloc.start()
+        try:
+            decomposition_defects(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * 32 * spec.n_nodes
 
 
 class TestBoundaryPhase:

@@ -1,0 +1,48 @@
+"""The benchmark tracer's computed-figure hooks read the return values and
+arguments of slhkit functions (``ModeOperators`` fields, ``GridFunction``
+arrays); a layout change that breaks them must fail here, not only under
+``perfbench/run.py --trace 1``."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from slhkit import cli
+from slhkit.config import config_from_dict
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_hooks_measure_fock_and_grid_runs():
+    tracing, workloads = _load("tracing"), _load("workloads")
+    fock_config = config_from_dict(
+        json.loads(workloads.generate_config("fock-kernel", 1)))
+    defect_config = config_from_dict({
+        "m": 1, "n": 1,
+        "E": [[[0.3, 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]],
+        "grid": {"T": 30.0, "h": 3e-3}})
+    tracer = tracing.Tracer()
+    restore = tracing.instrument(tracer)
+    try:
+        cli.run_command("fock", fock_config, 1, 1)
+        cli.run_command("defect", defect_config)
+    finally:
+        restore()
+    assert not hasattr(cli.run_command, "__wrapped__")
+    totals = tracing.run_totals(tracer.spans)[0]
+    for name in ("fock.dim", "fock.operator_bytes", "punctured_line.nodes",
+                 "punctured_line.bytes"):
+        assert totals.get(name, 0) > 0, name
+    # sizes, the largest seen: (m, n, d) = (1, 2, 4) and T / h
+    assert totals["fock.dim"] == 256
+    assert totals["punctured_line.nodes"] == 10000
