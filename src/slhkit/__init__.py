@@ -23,6 +23,7 @@ from .errors import (
 from .linalg import (
     BlockOperatorMatrix,
     cayley,
+    channel_blocks,
     channel_projector,
     null_space,
     partition,

@@ -3,9 +3,13 @@
     slhkit {slh|phase|defect|scatter|fock} --config PATH
            [--out PATH] [--format json|csv] [--seed N] [--sweep N]
 
-Every check value comes from a library function that the tests call too
+Most check values come from a library function that the tests call too
 (``slh.identity_residuals``, ``fock.fock_battery``, ...); this module names
 the records, sets their tolerances and fixes the order of the random draws.
+It computes these records itself from library values: the defect-vector
+jump, norm and overlap records, ``eigenrelation_*``, ``phase[...]`` and
+``scatter`` records, ``scalar_cayley_match``, ``gauge_zero_reduction`` and
+the ``sweep[i].fock`` verdict.
 
 Exit code 0 iff every emitted check passes; config problems, a negative
 ``--seed`` or ``--sweep``, and a nonzero ``--sweep`` for a subcommand other

@@ -15,9 +15,14 @@ matrix acts on the (m, fock_dim) split and a ladder map on the Fock index.
 No operator is stored as a dim x dim matrix.  Every boundary operator is a
 linear form X_0 + sum_p X_p a_p in the annihilators, stored as its array of
 m x m system coefficients, shape (1 + 2n, m, m): slot 0 holds X_0, slot 1 + p
-the coefficient of the annihilator at digit p.  Forms add, subtract and scale
-as arrays, and x @ form is the form followed by the system matrix x.  The
-singular generator is a sum of products of such forms and their adjoints.
+the coefficient of the annihilator at digit p, so slots 1..n hold the a_+
+modes and slots n+1..2n the a_- modes of channels 1..n.  Forms add, subtract
+and scale as arrays, and x @ form is the form followed by the system matrix
+x.  A mode family (``ModeOperators.a_plus``, ``a_minus``, ``a_star``,
+``frak_a``) and the stacked boundary rows hold one form per channel, shape
+(n, 1 + 2n, m, m), and their coefficients are the m x m blocks of E, G, S, L
+and kappa_pm as ``linalg.channel_blocks`` views them.  The singular
+generator is a sum of products of such forms and their adjoints.
 ``TruncatedFockSpace.apply`` runs a form matrix-free on flat states, one
 slot at a time through the slot's ``LadderMap``.  One assembler,
 ``_assemble``, turns sums sum_t X_t (x) M_t of system coefficients and
@@ -67,7 +72,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
-from .linalg import adjoint, null_spaces, principal_angles
+from .linalg import adjoint, channel_blocks, null_spaces, principal_angles
 from .slh import CouplingMatrix, Gauge, gauge_zll, slh_triple
 
 
@@ -193,10 +198,6 @@ class TruncatedFockSpace:
         return (np.arange(self.fock_dim)[:, None]
                 // self.d ** np.arange(self.n_modes) % self.d)
 
-    def occupations(self) -> np.ndarray:
-        """Array (dim, 2n) of per-mode occupation digits for every basis index."""
-        return np.tile(self._digits, (self.m, 1))
-
     def photon_guard_mask(self) -> np.ndarray:
         """Boolean mask of basis states with every mode occupation <= d - 2,
         below which creators act truncation-exactly."""
@@ -239,13 +240,6 @@ class TruncatedFockSpace:
         return [self.identity_map] + [self.ladder_map(p, dagger)
                                       for p in range(self.n_modes)]
 
-    def slot(self, q: int) -> np.ndarray:
-        """The form of one slot: the identity (q = 0) or the annihilator at
-        digit q - 1."""
-        form = np.zeros((1 + self.n_modes, self.m, self.m), dtype=complex)
-        form[q] = np.eye(self.m)
-        return form
-
     def _apply_map(self, psi: np.ndarray, ladder: LadderMap) -> np.ndarray:
         """A ladder map on the Fock index of flat states."""
         target, weight = ladder
@@ -278,20 +272,22 @@ class TruncatedFockSpace:
 
 @dataclass(frozen=True)
 class ModeOperators:
-    """Graded mode operators of one truncated space, each a form array of
-    shape (1 + 2n, m, m).
+    """Graded mode operators of one truncated space.  Each family holds one
+    form per channel, shape (n, 1 + 2n, m, m): [j] is the form of channel
+    j + 1, whose a_+ slot is 1 + j and a_- slot 1 + n + j.
 
     ``a_star`` is the symmetric combination (a_+ + a_-)/2 per channel and
     ``frak_a`` its gauge deformation (``a_star`` itself when ungauged).  The
-    zeroth slot of the mode vector is the identity, kept explicitly as ``a0``.
+    zeroth slot of the mode vector is the identity, kept explicitly as the
+    form ``a0``.
     """
 
     space: TruncatedFockSpace
     gauge: Optional[Gauge]
-    a_plus: List[np.ndarray]
-    a_minus: List[np.ndarray]
-    a_star: List[np.ndarray]
-    frak_a: List[np.ndarray]
+    a_plus: np.ndarray
+    a_minus: np.ndarray
+    a_star: np.ndarray
+    frak_a: np.ndarray
     a0: np.ndarray
 
 
@@ -299,29 +295,27 @@ def build_mode_operators(m: int, n: int, d: int,
                          gauge: Optional[Gauge] = None) -> ModeOperators:
     """Construct annihilators for all 2n modes plus their (gauged) combinations."""
     space = TruncatedFockSpace(m=m, n=n, d=d)
-    a_plus = [space.slot(1 + space.digit(j, "+")) for j in range(1, n + 1)]
-    a_minus = [space.slot(1 + space.digit(j, "-")) for j in range(1, n + 1)]
-    a_star = [0.5 * (ap + am) for ap, am in zip(a_plus, a_minus)]
-    a0 = space.slot(0)
+    eye, j = np.eye(m), np.arange(n)
+    a_plus = np.zeros((n, 1 + 2 * n, m, m), dtype=complex)
+    a_minus = np.zeros_like(a_plus)
+    a_plus[j, 1 + j] = a_minus[j, 1 + n + j] = eye
+    a_star = 0.5 * (a_plus + a_minus)
+    a0 = np.zeros_like(a_plus[0])
+    a0[0] = eye
 
     if gauge is None:
-        frak_a = list(a_star)
+        frak_a = a_star
     else:
         # frak_a_j = sum_k (kappa_-)_{jk} a_{k,+} + (kappa_+)_{jk} a_{k,-}
         # with kappa_pm = 1/2 +- iZ on the channel block; the kappa_- weight
         # sits on the + modes so that the scalar case reduces to
         # kappa_- a_+ + kappa_+ a_-.
         zll = gauge_zll(gauge, m, n)
-        kp = 0.5 * np.eye(n * m, dtype=complex) + 1j * zll
-        km = 0.5 * np.eye(n * m, dtype=complex) - 1j * zll
-        frak_a = []
-        for j in range(n):
-            form = np.zeros_like(a0)
-            for k in range(1, n + 1):
-                cols = slice((k - 1) * m, k * m)
-                form[1 + space.digit(k, "+")] = km[j * m:(j + 1) * m, cols]
-                form[1 + space.digit(k, "-")] = kp[j * m:(j + 1) * m, cols]
-            frak_a.append(form)
+        frak_a = np.zeros_like(a_plus)
+        frak_a[:, 1:1 + n] = channel_blocks(
+            0.5 * np.eye(n * m, dtype=complex) - 1j * zll, m)
+        frak_a[:, 1 + n:] = channel_blocks(
+            0.5 * np.eye(n * m, dtype=complex) + 1j * zll, m)
     return ModeOperators(space=space, gauge=gauge, a_plus=a_plus,
                          a_minus=a_minus, a_star=a_star, frak_a=frak_a, a0=a0)
 
@@ -342,39 +336,27 @@ class BoundarySubspace:
         return self.columns.shape[1]
 
 
-def _coupling_rows(e: CouplingMatrix, ops: ModeOperators) -> List[np.ndarray]:
-    """Rows B_j = i(a_{j,+} - a_{j,-}) + E_{j0} + sum_k E_{jk} frak_a_k."""
-    rows = []
-    for j in range(1, e.n + 1):
-        row = 1j * (ops.a_plus[j - 1] - ops.a_minus[j - 1])
-        row = row + e.block.block(j, 0) @ ops.a0
-        for k in range(1, e.n + 1):
-            row = row + e.block.block(j, k) @ ops.frak_a[k - 1]
-        rows.append(row)
-    return rows
-
-
-def _slh_rows(e: CouplingMatrix, ops: ModeOperators) -> List[np.ndarray]:
-    """Rows C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j."""
-    res = slh_triple(e, ops.gauge)
-    m = e.m
-    rows = []
-    for j in range(e.n):
-        row = ops.a_minus[j]
-        for k in range(e.n):
-            row = row - res.s[j * m:(j + 1) * m, k * m:(k + 1) * m] @ ops.a_plus[k]
-        rows.append(row - res.l[j * m:(j + 1) * m, :] @ ops.a0)
-    return rows
-
-
 def stacked_boundary_rows(e: CouplingMatrix, ops: ModeOperators,
                           route: str = "B") -> np.ndarray:
     """Graded coefficients, shape (n, 1 + 2n, m, m), of the stacked boundary
-    operators of either route: row j is the form [j]."""
+    operators of either route: row j is the form [j].
+
+    Route B: B_j = i(a_{j,+} - a_{j,-}) + E_{j0} + sum_k E_{jk} frak_a_k.
+    Route C: C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j.
+    """
     if route == "B":
-        return np.stack(_coupling_rows(e, ops))
+        blocks = channel_blocks(e.full, e.m)
+        rows = 1j * (ops.a_plus - ops.a_minus)
+        rows = rows + blocks[1:, 0, None] @ ops.a0
+        for k in range(e.n):
+            rows = rows + blocks[1:, 1 + k, None] @ ops.frak_a[k]
+        return rows
     if route == "C":
-        return np.stack(_slh_rows(e, ops))
+        res = slh_triple(e, ops.gauge)
+        rows = np.array(ops.a_minus)
+        rows[:, 0] -= channel_blocks(res.l, e.m)[:, 0]
+        rows[:, 1:1 + e.n] -= channel_blocks(res.s, e.m)
+        return rows
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -453,15 +435,14 @@ def singular_generator(e: CouplingMatrix, ops: ModeOperators,
     space = ops.space
     psi = np.asarray(vectors, dtype=complex)
     total = np.zeros_like(psi)
-    for j in range(e.n):
-        jump = space.apply(ops.a_plus[j] - ops.a_minus[j], psi)
-        total += 1j * space.apply(ops.frak_a[j], jump, dagger=True)
-    modes = [ops.a0] + list(ops.frak_a)
+    for mode, jump in zip(ops.frak_a, ops.a_plus - ops.a_minus):
+        total += 1j * space.apply(mode, space.apply(jump, psi), dagger=True)
+    modes = [ops.a0, *ops.frak_a]
     images = [space.apply(mode, psi) for mode in modes]
-    for alpha, mode in enumerate(modes):
+    blocks = channel_blocks(e.full, e.m)
+    for mode, row in zip(modes, blocks):
         coupled = np.zeros_like(psi)
-        for beta, image in enumerate(images):
-            blk = e.block.block(alpha, beta)
+        for blk, image in zip(row, images):
             if np.any(blk):
                 coupled += _on_system(blk, image)
         total += space.apply(mode, coupled, dagger=True)
@@ -469,11 +450,11 @@ def singular_generator(e: CouplingMatrix, ops: ModeOperators,
 
 
 def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
-    """The form of the boundary-reduced action iG_00 + sum_k iG_0k a_{k,+}."""
+    """The form of the boundary-reduced action iG_00 + sum_k iG_0k a_{k,+}:
+    iG_0k sits in slot k, which is a_{k,+}'s for k >= 1."""
     g = slh_triple(e, ops.gauge).ito
-    total = 1j * g.block(0, 0) @ ops.a0
-    for k in range(1, e.n + 1):
-        total = total + 1j * g.block(0, k) @ ops.a_plus[k - 1]
+    total = np.zeros_like(ops.a0)
+    total[:1 + e.n] = 1j * channel_blocks(g.full, e.m)[0]
     return total
 
 
@@ -564,7 +545,7 @@ def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
     norms = np.linalg.norm(phi, axis=0)
     phi /= np.where(norms == 0.0, 1.0, norms)
     squares = sum(np.abs(space.apply(row, phi)) ** 2
-                  for row in _coupling_rows(e, ops))
+                  for row in stacked_boundary_rows(e, ops))
     boundary = np.sqrt(squares.sum(axis=0)) / scale
     for norm, res in zip(norms, boundary):
         if norm == 0.0:

@@ -178,12 +178,13 @@ class BlockOperatorMatrix:
     def xll(self) -> np.ndarray:
         return self.full[self.m:, self.m:]
 
-    def block(self, alpha: int, beta: int) -> np.ndarray:
-        """m x m sub-block for indices alpha, beta in 0..n (0 = system slot)."""
-        if not (0 <= alpha <= self.n and 0 <= beta <= self.n):
-            raise SizeMismatch(f"block indices out of range: ({alpha}, {beta})")
-        m = self.m
-        return self.full[alpha * m:(alpha + 1) * m, beta * m:(beta + 1) * m]
+
+def channel_blocks(x: np.ndarray, m: int) -> np.ndarray:
+    """The (rows/m, cols/m, m, m) view of a matrix whose sides are multiples
+    of m: [alpha, beta] is its m x m block in block row alpha and block
+    column beta (0 = system slot on a (1+n)m side).  No copy is made."""
+    rows, cols = x.shape
+    return x.reshape(rows // m, m, cols // m, m).swapaxes(1, 2)
 
 
 def partition(full: np.ndarray, m: int, n: int) -> BlockOperatorMatrix:

@@ -54,9 +54,10 @@ DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
 # (tracemalloc peak of the CLI suite, a shared zero half counted once, as
-# printed by tools/defect_peaks.py: 8.03 to 8.27 at 10k to 80k nodes,
-# T = 30 and 40, reached in the symmetry group).
-DEFECT_LIVE_ARRAYS = 9
+# printed by tools/defect_peaks.py: 7.03 to 7.28 at 10k to 80k nodes,
+# T = 30 and 40, reached in the symmetry group; the reproducing group
+# follows at 7.00 to 7.05).
+DEFECT_LIVE_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -433,11 +434,11 @@ def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
     boundary form of the regular derivative alone equals -i <f|J g>.
     "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
     the singular functional, and "id_symmetry_defect_damped" the same with
-    zeta_sigma. The regular pairings <f|i g'> and <g|i f'> are computed once
-    each, with the two regular parts built one after the other.
+    zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
+    computed once each, on the cached derivatives, so no i g' is formed.
     """
-    f_ig = l2_inner(f, apply_iD(g).regular)
-    g_if = l2_inner(g, apply_iD(f).regular)
+    f_ig = 1j * l2_inner(f, derivative(g))
+    g_if = 1j * l2_inner(g, derivative(f))
 
     def id_defect(sig):
         # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the

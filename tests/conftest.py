@@ -58,9 +58,10 @@ class DenseFock:
         if route == "B":
             for j in range(1, self.n + 1):
                 row = 1j * (self.a_plus[j - 1] - self.a_minus[j - 1])
-                row = row + self.lift_system(e.block.block(j, 0))
+                row = row + self.lift_system(self._blk(e.full, j, 0))
                 for k in range(1, self.n + 1):
-                    row = row + self.lift_system(e.block.block(j, k)) @ self.frak_a[k - 1]
+                    blk = self._blk(e.full, j, k)
+                    row = row + self.lift_system(blk) @ self.frak_a[k - 1]
                 rows.append(row)
         else:
             res = slh_triple(e, self.gauge)
@@ -95,16 +96,16 @@ class DenseFock:
             total += 1j * adjoint(self.frak_a[j]) @ (self.a_plus[j] - self.a_minus[j])
         for alpha in range(self.n + 1):
             for beta in range(self.n + 1):
-                blk = e.block.block(alpha, beta)
+                blk = self._blk(e.full, alpha, beta)
                 total += adjoint(modes[alpha]) @ self.lift_system(blk) @ modes[beta]
         return total
 
     def action_operator(self, e):
         """iG_00 + sum_k iG_0k a_{k,+}."""
         g = slh_triple(e, self.gauge).ito
-        total = self.lift_system(1j * g.block(0, 0))
+        total = self.lift_system(1j * self._blk(g.full, 0, 0))
         for k in range(1, self.n + 1):
-            total += self.lift_system(1j * g.block(0, k)) @ self.a_plus[k - 1]
+            total += self.lift_system(1j * self._blk(g.full, 0, k)) @ self.a_plus[k - 1]
         return total
 
 

@@ -22,7 +22,7 @@ from slhkit.fock import (
     stacked_boundary_rows,
 )
 from slhkit.linalg import principal_angles
-from slhkit.slh import ScalarGauge, validate_coupling
+from slhkit.slh import ScalarGauge, gauge_zll, slh_triple, validate_coupling
 
 SIZES = ((1, 1, 5), (2, 1, 5), (1, 2, 4), (2, 1, 6))
 GAUGES = ("plain", "sigma", "matrix")
@@ -113,7 +113,7 @@ def test_forms_apply_the_dense_operators(size, dense_fock):
     ops = build_mode_operators(m, n, d, gauge)
     dense = dense_fock(m, n, d, gauge)
     v = rng.standard_normal((dense.dim, 3)) + 1j * rng.standard_normal((dense.dim, 3))
-    pairs = list(zip(ops.a_plus + ops.a_minus + ops.a_star + ops.frak_a,
+    pairs = list(zip([*ops.a_plus, *ops.a_minus, *ops.a_star, *ops.frak_a],
                      dense.a_plus + dense.a_minus + dense.a_star + dense.frak_a))
     for form, matrix in pairs:
         assert np.abs(ops.space.apply(form, v) - matrix @ v).max() <= 1e-12
@@ -127,6 +127,42 @@ def test_forms_apply_the_dense_operators(size, dense_fock):
     assert np.abs(singular_generator(e, ops, v) - dense.generator(e) @ v).max() <= 1e-11
     assert np.abs(ops.space.apply(singular_action_operator(e, ops), v)
                   - dense.action_operator(e) @ v).max() <= 1e-12
+
+
+@pytest.mark.parametrize("size,gauge_kind,el0_kind", CASES)
+def test_array_forms_equal_per_channel_sums(size, gauge_kind, el0_kind):
+    """The gauged modes, both routes' rows and the action form, built as
+    arrays from block views, equal entry for entry the per-channel sums of
+    m x m slices in their defining order."""
+    m, n, d = size
+    e, gauge, _ = make_case(m, n, d, gauge_kind, el0_kind)
+    ops = build_mode_operators(m, n, d, gauge)
+    res = slh_triple(e, gauge)
+    zll = gauge_zll(gauge, m, n)
+    kp, km = 0.5 * np.eye(n * m) + 1j * zll, 0.5 * np.eye(n * m) - 1j * zll
+
+    def blk(x, j, k):
+        return x[j * m:(j + 1) * m, k * m:(k + 1) * m]
+
+    rows_b = stacked_boundary_rows(e, ops, "B")
+    rows_c = stacked_boundary_rows(e, ops, "C")
+    for j in range(n):
+        frak = np.zeros_like(ops.a0)
+        row_b = 1j * (ops.a_plus[j] - ops.a_minus[j]) + blk(e.full, 1 + j, 0) @ ops.a0
+        row_c = ops.a_minus[j]
+        for k in range(n):
+            frak = frak + blk(km, j, k) @ ops.a_plus[k] + blk(kp, j, k) @ ops.a_minus[k]
+            row_b = row_b + blk(e.full, 1 + j, 1 + k) @ ops.frak_a[k]
+            row_c = row_c - blk(res.s, j, k) @ ops.a_plus[k]
+        row_c = row_c - blk(res.l, j, 0) @ ops.a0
+        if gauge is not None:
+            assert np.array_equal(ops.frak_a[j], frak)
+        assert np.array_equal(rows_b[j], row_b)
+        assert np.array_equal(rows_c[j], row_c)
+    action = 1j * blk(res.ito.full, 0, 0) @ ops.a0
+    for k in range(n):
+        action = action + 1j * blk(res.ito.full, 0, 1 + k) @ ops.a_plus[k]
+    assert np.array_equal(singular_action_operator(e, ops), action)
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -4,10 +4,10 @@ import scipy.linalg
 
 from slhkit.errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 from slhkit.linalg import (
-    BlockOperatorMatrix,
     NULLSPACE_TOL,
     adjoint,
     cayley,
+    channel_blocks,
     channel_projector,
     null_space,
     null_spaces,
@@ -203,9 +203,16 @@ class TestBlockPartition:
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert np.abs(adjoint(adjoint(a)) - a).max() == 0.0
 
-    def test_block_accessor_matches_slices(self):
+    def test_channel_blocks_view_matches_slices(self):
         rng = np.random.default_rng(43)
         full = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        b = BlockOperatorMatrix(m=2, n=2, full=full)
-        assert np.abs(b.block(0, 0) - full[:2, :2]).max() == 0
-        assert np.abs(b.block(2, 1) - full[4:6, 2:4]).max() == 0
+        blocks = channel_blocks(full, 2)
+        assert blocks.shape == (3, 3, 2, 2)
+        assert np.abs(blocks[0, 0] - full[:2, :2]).max() == 0
+        assert np.abs(blocks[2, 1] - full[4:6, 2:4]).max() == 0
+        assert np.shares_memory(blocks, full)
+        # a non-square nm x m input, the shape of L
+        column = channel_blocks(full[2:, :2], 2)
+        assert column.shape == (2, 1, 2, 2)
+        assert np.abs(column[1, 0] - full[4:6, :2]).max() == 0
+        assert np.shares_memory(column, full)

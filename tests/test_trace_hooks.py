@@ -45,4 +45,7 @@ def test_hooks_measure_fock_and_grid_runs():
         assert totals.get(name, 0) > 0, name
     # sizes, the largest seen: (m, n, d) = (1, 2, 4) and T / h
     assert totals["fock.dim"] == 256
+    # three builds of 4n + 1 = 9 forms at the dense 16 dim^2 bytes each; a
+    # mode family whose len() is not n changes this figure
+    assert totals["fock.operator_bytes"] == 28311552
     assert totals["punctured_line.nodes"] == 10000
