@@ -21,12 +21,10 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    BlockOperatorMatrix,
     cayley,
     channel_blocks,
     channel_projector,
     null_space,
-    partition,
     principal_angles,
 )
 from .slh import (

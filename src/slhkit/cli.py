@@ -65,15 +65,15 @@ def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> N
     gauge = config.gauge()
     res = slh_triple(coupling, gauge)
     report.results["matrices"] = {
-        "G": res.ito.full, "V": res.model.full, "M": res.galilean.full,
-        "F": res.dressing.full, "S": res.s, "L": res.l, "H": res.h,
+        "G": res.ito, "V": res.model, "M": res.galilean,
+        "F": res.dressing, "S": res.s, "L": res.l, "H": res.h,
     }
     for name, value in identity_residuals(res).items():
         tol = 0.0 if name == "first_row" else \
             (1e-12 if name in ("g_equals_minus_ief",) else 1e-10)
         report.add(name, value, tol)
     if coupling.n * coupling.m == 1 and gauge is None:
-        s_ref = cayley(coupling.block.xll, 0.5)[0, 0]
+        s_ref = cayley(coupling.full[1:, 1:], 0.5)[0, 0]
         report.add("scalar_cayley_match",
                    abs(complex(res.s[0, 0]) - complex(s_ref)), 1e-12)
     if gauge is None:

@@ -454,7 +454,7 @@ def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> np.ndarra
     iG_0k sits in slot k, which is a_{k,+}'s for k >= 1."""
     g = slh_triple(e, ops.gauge).ito
     total = np.zeros_like(ops.a0)
-    total[:1 + e.n] = 1j * channel_blocks(g.full, e.m)[0]
+    total[:1 + e.n] = 1j * channel_blocks(g, e.m)[0]
     return total
 
 

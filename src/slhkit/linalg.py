@@ -4,6 +4,11 @@ Everything here operates on plain ``numpy`` arrays of ``complex128``; each
 matrix handed in is small enough for a dense factorization (large operators
 arrive as the independent diagonal blocks of ``null_spaces``).
 
+A matrix on (C + K) tensor h is a plain (1+n)m square array: the first m
+rows/columns are the system slot, the rest the n channel slots.  That split
+at m and ``channel_blocks``, the view of a matrix as its m x m blocks, are the
+whole block layout.
+
 A kernel is a plain ``(dim, k)`` array of orthonormal columns (k = 0 when
 trivial), cut at one rank threshold: NULLSPACE_TOL x the largest singular
 value.
@@ -11,7 +16,6 @@ value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
 import numpy as np
@@ -135,61 +139,12 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(from_cos > np.pi / 4, from_cos, from_sin)
 
 
-@dataclass(frozen=True)
-class BlockOperatorMatrix:
-    """Square matrix on (C + K) tensor h with the 2x2 partition (X00, X0l; Xl0, Xll).
-
-    ``m`` is the system dimension, ``n`` the channel count; the full matrix has
-    size (1+n)m, the first m rows/columns forming the system block.
-    """
-
-    m: int
-    n: int
-    full: np.ndarray
-
-    def __post_init__(self):
-        full = as_complex_matrix(self.full)
-        size = (1 + self.n) * self.m
-        if self.m < 1 or self.n < 1:
-            raise SizeMismatch(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
-        if full.shape != (size, size):
-            raise SizeMismatch(
-                f"full matrix must be {size}x{size} for m={self.m}, n={self.n}, "
-                f"got {full.shape}")
-        object.__setattr__(self, "full", full)
-
-    @property
-    def size(self) -> int:
-        return (1 + self.n) * self.m
-
-    @property
-    def x00(self) -> np.ndarray:
-        return self.full[:self.m, :self.m]
-
-    @property
-    def x0l(self) -> np.ndarray:
-        return self.full[:self.m, self.m:]
-
-    @property
-    def xl0(self) -> np.ndarray:
-        return self.full[self.m:, :self.m]
-
-    @property
-    def xll(self) -> np.ndarray:
-        return self.full[self.m:, self.m:]
-
-
 def channel_blocks(x: np.ndarray, m: int) -> np.ndarray:
     """The (rows/m, cols/m, m, m) view of a matrix whose sides are multiples
     of m: [alpha, beta] is its m x m block in block row alpha and block
     column beta (0 = system slot on a (1+n)m side).  No copy is made."""
     rows, cols = x.shape
     return x.reshape(rows // m, m, cols // m, m).swapaxes(1, 2)
-
-
-def partition(full: np.ndarray, m: int, n: int) -> BlockOperatorMatrix:
-    """View a (1+n)m square matrix through the system/channel block structure."""
-    return BlockOperatorMatrix(m=m, n=n, full=as_complex_matrix(full))
 
 
 def channel_projector(m: int, n: int) -> np.ndarray:

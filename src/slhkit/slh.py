@@ -3,7 +3,9 @@
 The pipeline builds the Ito matrix G = -i(1 + iEW)^{-1}E, where the weight W is
 half the channel projector (plus an optional Hermitian gauge term iZ), derives
 the model/Galilean/dressing matrices V, M, F, and reads the scattering matrix
-S, coupling vector L and effective Hamiltonian H off G's blocks:
+S, coupling vector L and effective Hamiltonian H off G's blocks.  E, G, V, M
+and F are plain (1+n)m square arrays with the system in the first m slots, so
+the triple is three slices of G:
 
     G = [[-L^dag L/2 - iH,  -L^dag S],
          [L,                S - 1   ]]
@@ -21,12 +23,11 @@ import numpy as np
 
 from .errors import SingularDressing, SizeMismatch
 from .linalg import (
-    BlockOperatorMatrix,
     DEFAULT_HERMITICITY_TOL,
     adjoint,
+    as_complex_matrix,
     channel_projector,
     hermiticity_defect,
-    partition,
     require_hermitian,
 )
 from .punctured_line import kappas
@@ -61,29 +62,35 @@ Gauge = Union[ScalarGauge, GaugeMatrix]
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Validated Hermitian coupling matrix with its block structure."""
+    """Coupling matrix E on (C + K) tensor h: ``m`` is the system dimension,
+    ``n`` the channel count and ``full`` the plain (1+n)m square complex
+    array, the first m rows/columns forming the system block.
 
-    block: BlockOperatorMatrix
+    Construction checks only the sizes; ``validate_coupling`` adds
+    hermiticity."""
 
-    @property
-    def m(self) -> int:
-        return self.block.m
+    m: int
+    n: int
+    full: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.block.n
-
-    @property
-    def full(self) -> np.ndarray:
-        return self.block.full
+    def __post_init__(self):
+        full = as_complex_matrix(self.full)
+        size = (1 + self.n) * self.m
+        if self.m < 1 or self.n < 1:
+            raise SizeMismatch(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
+        if full.shape != (size, size):
+            raise SizeMismatch(
+                f"full matrix must be {size}x{size} for m={self.m}, n={self.n}, "
+                f"got {full.shape}")
+        object.__setattr__(self, "full", full)
 
 
 def validate_coupling(raw: np.ndarray, m: int, n: int,
                       tol: float = DEFAULT_HERMITICITY_TOL) -> CouplingMatrix:
     """Check size and hermiticity (E_ab^dag = E_ba) and wrap the result."""
-    block = partition(raw, m, n)
-    require_hermitian(block.full, tol, "coupling matrix")
-    return CouplingMatrix(block=block)
+    e = CouplingMatrix(m=m, n=n, full=raw)
+    require_hermitian(e.full, tol, "coupling matrix")
+    return e
 
 
 def gauge_zll(gauge: Optional[Gauge], m: int, n: int) -> np.ndarray:
@@ -110,40 +117,40 @@ def _weight(e: CouplingMatrix, gauge: Optional[Gauge]) -> np.ndarray:
     return w
 
 
-def ito_matrix(e: CouplingMatrix,
-               gauge: Optional[Gauge] = None) -> BlockOperatorMatrix:
+def ito_matrix(e: CouplingMatrix, gauge: Optional[Gauge] = None) -> np.ndarray:
     """Ito matrix G = -i(1 + iEW)^{-1}E; raises SingularDressing when 1 + iEW is singular."""
-    size = e.block.size
+    size = len(e.full)
     dressing = np.eye(size, dtype=complex) + 1j * (e.full @ _weight(e, gauge))
     sing = np.linalg.svd(dressing, compute_uv=False)
     if sing[-1] <= DRESSING_TOL * sing[0]:
         raise SingularDressing(
             f"dressing factor is singular at tolerance {DRESSING_TOL:.1e} "
             f"(sigma_min/sigma_max = {sing[-1] / sing[0]:.3e})")
-    g = -1j * np.linalg.solve(dressing, e.full)
-    return partition(g, e.m, e.n)
+    return -1j * np.linalg.solve(dressing, e.full)
 
 
-def derived_matrices(g: BlockOperatorMatrix):
-    """Model, Galilean and dressing matrices (V, M, F) = (G + Pi, 1 + Pi G, 1 + Pi G / 2)."""
-    pi = channel_projector(g.m, g.n)
-    eye = np.eye(g.size, dtype=complex)
-    v = partition(g.full + pi, g.m, g.n)
-    mm = partition(eye + pi @ g.full, g.m, g.n)
-    f = partition(eye + 0.5 * (pi @ g.full), g.m, g.n)
-    return v, mm, f
+def derived_matrices(g: np.ndarray, m: int, n: int):
+    """Model, Galilean and dressing matrices (V, M, F) = (G + Pi, 1 + Pi G, 1 + Pi G / 2)
+    of the (1+n)m Ito matrix G."""
+    pi = channel_projector(m, n)
+    eye = np.eye(len(g), dtype=complex)
+    return g + pi, eye + pi @ g, eye + 0.5 * (pi @ g)
 
 
 @dataclass(frozen=True)
 class SLHResult:
-    """Derived matrices and the extracted triple for a coupling E and gauge."""
+    """Derived matrices and the extracted triple for a coupling E and gauge.
+
+    ``ito``, ``model``, ``galilean`` and ``dressing`` (G, V, M, F) are plain
+    (1+n)m square arrays with the system in the first m slots; S is nm x nm,
+    L is nm x m and H is m x m."""
 
     coupling: CouplingMatrix
     gauge: Optional[Gauge]
-    ito: BlockOperatorMatrix
-    model: BlockOperatorMatrix
-    galilean: BlockOperatorMatrix
-    dressing: BlockOperatorMatrix
+    ito: np.ndarray
+    model: np.ndarray
+    galilean: np.ndarray
+    dressing: np.ndarray
     s: np.ndarray
     l: np.ndarray
     h: np.ndarray
@@ -155,12 +162,12 @@ def slh_triple(e: CouplingMatrix, gauge: Optional[Gauge] = None) -> SLHResult:
     S = 1 + G_ll, L = G_l0 and H = i(G_00 + L^dag L / 2); hermiticity of H and
     unitarity of S are checked downstream, never enforced here.
     """
+    m = e.m
     g = ito_matrix(e, gauge)
-    v, mm, f = derived_matrices(g)
-    nm = e.n * e.m
-    s = np.eye(nm, dtype=complex) + g.xll
-    l = g.xl0.copy()
-    h = 1j * (g.x00 + 0.5 * (adjoint(l) @ l))
+    v, mm, f = derived_matrices(g, m, e.n)
+    s = np.eye(e.n * m, dtype=complex) + g[m:, m:]
+    l = g[m:, :m].copy()
+    h = 1j * (g[:m, :m] + 0.5 * (adjoint(l) @ l))
     return SLHResult(coupling=e, gauge=gauge, ito=g, model=v, galilean=mm,
                      dressing=f, s=s, l=l, h=h)
 
@@ -173,9 +180,9 @@ def identity_residuals(res: SLHResult) -> dict:
     ungauged also ``g_equals_minus_ief`` (G = -iEF), ``dressing_inverse``
     (F(1 + i Pi E / 2) = 1) and ``half_e_galilean`` (E(1 + M)/2 = iG)."""
     e = res.coupling
-    g = res.ito.full
+    g = res.ito
     pi = channel_projector(e.m, e.n)
-    eye = np.eye(e.block.size)
+    eye = np.eye(len(g))
     s, l, h = res.s, res.l, res.h
     eye_nm = np.eye(e.n * e.m)
     top = np.hstack([-0.5 * (adjoint(l) @ l) - 1j * h, -adjoint(l) @ s])
@@ -187,15 +194,15 @@ def identity_residuals(res: SLHResult) -> dict:
                                  np.abs(s @ adjoint(s) - eye_nm).max())),
         "h_hermiticity": hermiticity_defect(h),
         "recomposition": float(np.abs(np.vstack([top, bottom]) - g).max()),
-        "first_row": float(np.abs(res.model.full[:e.m] - g[:e.m]).max()),
+        "first_row": float(np.abs(res.model[:e.m] - g[:e.m]).max()),
     }
     if res.gauge is None:
-        f = res.dressing.full
+        f = res.dressing
         out["g_equals_minus_ief"] = float(np.abs(g + 1j * (e.full @ f)).max())
         out["dressing_inverse"] = float(
             np.abs(f @ (eye + 0.5j * (pi @ e.full)) - eye).max())
         out["half_e_galilean"] = float(
-            np.abs(0.5 * (e.full @ (eye + res.galilean.full)) - 1j * g).max())
+            np.abs(0.5 * (e.full @ (eye + res.galilean)) - 1j * g).max())
     return out
 
 
@@ -207,17 +214,14 @@ def gauge_reduction_check(e: CouplingMatrix) -> dict:
     forms evaluated with plain complex arithmetic.
     """
     zero = GaugeMatrix(np.zeros((e.n * e.m, e.n * e.m)))
-    g_plain = ito_matrix(e).full
-    g_zero = ito_matrix(e, zero).full
+    g_plain = ito_matrix(e)
+    g_zero = ito_matrix(e, zero)
     report = {
         "z_zero_residual": float(np.abs(g_plain - g_zero).max()),
         "scalar_residuals": {},
     }
     if e.m == 1 and e.n == 1:
-        e00 = complex(e.block.x00[0, 0])
-        e10 = complex(e.block.xl0[0, 0])
-        e01 = complex(e.block.x0l[0, 0])
-        e11 = complex(e.block.xll[0, 0])
+        (e00, e01), (e10, e11) = e.full.tolist()
         for sigma in GAUGE_CHECK_SIGMAS:
             kp, km = kappas(float(sigma))
             den = 1.0 + 1j * kp * e11

@@ -103,9 +103,9 @@ class DenseFock:
     def action_operator(self, e):
         """iG_00 + sum_k iG_0k a_{k,+}."""
         g = slh_triple(e, self.gauge).ito
-        total = self.lift_system(1j * self._blk(g.full, 0, 0))
+        total = self.lift_system(1j * self._blk(g, 0, 0))
         for k in range(1, self.n + 1):
-            total += self.lift_system(1j * self._blk(g.full, 0, k)) @ self.a_plus[k - 1]
+            total += self.lift_system(1j * self._blk(g, 0, k)) @ self.a_plus[k - 1]
         return total
 
 

@@ -124,7 +124,7 @@ def test_criterion_4_slh_matrix_identities():
             assert len(residuals) == 8
             assert max(residuals.values()) <= 1e-10
             if n * m == 1:
-                ref = cayley(e.block.xll, 0.5)[0, 0]
+                ref = cayley(e.full[1:, 1:], 0.5)[0, 0]
                 assert abs(res.s[0, 0] - ref) <= 1e-12
             checked += 1
     assert checked == 100

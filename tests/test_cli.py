@@ -61,6 +61,32 @@ class TestConfig:
         with pytest.raises(ValidationError, match=r"block \(0,1\)"):
             config_from_dict(bad)
 
+    def test_non_hermitian_block_message_m2(self):
+        # m = n = 2, Hermitian but for block (1,2): the whole message must
+        # match a search over the blocks one at a time, keeping the first
+        # largest defect in row-major order
+        m, n = 2, 2
+        rng = np.random.default_rng(21)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        e = (a + a.conj().T) / 2
+        e[2:4, 4:6] += 1e-3 * np.array([[1.0, 2j], [0.5, -1.0]])
+        worst, pair = 0.0, None
+        for alpha in range(n + 1):
+            for beta in range(n + 1):
+                ab = e[alpha * m:(alpha + 1) * m, beta * m:(beta + 1) * m]
+                ba = e[beta * m:(beta + 1) * m, alpha * m:(alpha + 1) * m]
+                defect = float(np.abs(ab - ba.conj().T).max())
+                if defect > worst:
+                    worst, pair = defect, (alpha, beta)
+        assert pair == (1, 2)
+        bad = {"m": m, "n": n,
+               "E": [[[float(v.real), float(v.imag)] for v in row] for row in e]}
+        with pytest.raises(ValidationError) as info:
+            config_from_dict(bad)
+        assert str(info.value) == (
+            f"E block (1,2) is not the adjoint of block (2,1): "
+            f"max asymmetry {worst:.3e}")
+
     def test_cutoff_guard(self):
         bad = dict(MINIMAL)
         bad["fock"] = {"d": 2}

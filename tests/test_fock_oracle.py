@@ -159,9 +159,9 @@ def test_array_forms_equal_per_channel_sums(size, gauge_kind, el0_kind):
             assert np.array_equal(ops.frak_a[j], frak)
         assert np.array_equal(rows_b[j], row_b)
         assert np.array_equal(rows_c[j], row_c)
-    action = 1j * blk(res.ito.full, 0, 0) @ ops.a0
+    action = 1j * blk(res.ito, 0, 0) @ ops.a0
     for k in range(n):
-        action = action + 1j * blk(res.ito.full, 0, 1 + k) @ ops.a_plus[k]
+        action = action + 1j * blk(res.ito, 0, 1 + k) @ ops.a_plus[k]
     assert np.array_equal(singular_action_operator(e, ops), action)
 
 

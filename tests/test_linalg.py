@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slhkit.errors import DimensionMismatch, NonHermitianInput, SizeMismatch
+from slhkit.errors import DimensionMismatch, NonHermitianInput
 from slhkit.linalg import (
     NULLSPACE_TOL,
     adjoint,
@@ -11,7 +11,6 @@ from slhkit.linalg import (
     channel_projector,
     null_space,
     null_spaces,
-    partition,
     principal_angles,
 )
 
@@ -165,32 +164,15 @@ class TestPrincipalAngles:
 
 
 class TestBlockPartition:
-    def test_identity_blocks(self):
-        b = partition(np.eye(2), 1, 1)
-        assert b.x00[0, 0] == 1 and b.xll[0, 0] == 1
-        assert b.x0l[0, 0] == 0 and b.xl0[0, 0] == 0
-
     def test_projector_blocks(self):
-        pi = channel_projector(1, 2)
-        b = partition(pi, 1, 2)
-        assert np.abs(b.x00).max() == 0
-        assert np.abs(b.xll - np.eye(2)).max() == 0
-        assert np.abs(b.x0l).max() == 0 and np.abs(b.xl0).max() == 0
-
-    def test_all_ones(self):
-        b = partition(np.ones((3, 3)), 1, 2)
-        assert np.abs(b.xll - np.ones((2, 2))).max() == 0
-
-    def test_reassembly_round_trip(self):
-        rng = np.random.default_rng(41)
-        full = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        b = partition(full, 2, 2)
-        blocks = np.block([[b.x00, b.x0l], [b.xl0, b.xll]])
-        assert np.abs(blocks - full).max() == 0.0
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            partition(np.eye(5), 2, 2)
+        # block (alpha, beta) is I exactly when alpha == beta >= 1, else 0
+        for m, n in ((1, 2), (2, 3)):
+            blocks = channel_blocks(channel_projector(m, n), m)
+            assert blocks.shape == (1 + n, 1 + n, m, m)
+            for alpha in range(1 + n):
+                for beta in range(1 + n):
+                    ref = np.eye(m) if alpha == beta >= 1 else np.zeros((m, m))
+                    assert np.array_equal(blocks[alpha, beta], ref)
 
     def test_projector_is_hermitian_idempotent(self):
         for m, n in ((1, 1), (2, 3)):

@@ -6,13 +6,7 @@ import pytest
 from slhkit import slh
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.errors import NonHermitianInput, SingularDressing, SizeMismatch
-from slhkit.linalg import (
-    BlockOperatorMatrix,
-    adjoint,
-    cayley,
-    channel_projector,
-    partition,
-)
+from slhkit.linalg import adjoint, cayley, channel_projector
 from slhkit.punctured_line import kappas
 from slhkit.slh import (
     GAUGE_CHECK_SIGMAS,
@@ -46,14 +40,14 @@ def closed_form_triple(e, gauge=None):
         z = gauge.zll
     kp = 0.5 * np.eye(nm) + 1j * z
     km = 0.5 * np.eye(nm) - 1j * z
-    ell = e.block.xll
-    el0 = e.block.xl0
-    e0l = e.block.x0l
+    ell = e.full[m:, m:]
+    el0 = e.full[m:, :m]
+    e0l = e.full[:m, m:]
     den = np.linalg.inv(np.eye(nm) + 1j * (ell @ kp))
     s = den @ (np.eye(nm) - 1j * (ell @ km))
     l = -1j * (den @ el0)
     w = e0l @ kp @ den @ el0
-    h = e.block.x00 + (w - adjoint(w)) / 2j
+    h = e.full[:m, :m] + (w - adjoint(w)) / 2j
     return s, l, h
 
 
@@ -70,14 +64,21 @@ class TestValidateCoupling:
             validate_coupling(np.array([[0.0, 1j], [1j, 0.0]]), 1, 1)
 
     def test_size_mismatch(self):
-        with pytest.raises(SizeMismatch):
-            validate_coupling(np.zeros((3, 3)), 1, 1)
+        # wrong (1+n)m side, m = 0, n = 0 and a 3-d array, through validation
+        # and through direct construction
+        for raw, m, n in ((np.zeros((3, 3)), 1, 1), (np.eye(5), 2, 2),
+                          (np.zeros((0, 0)), 0, 1), (np.zeros((2, 2)), 2, 0),
+                          (np.zeros((2, 2, 2)), 1, 1)):
+            with pytest.raises(SizeMismatch):
+                validate_coupling(raw, m, n)
+            with pytest.raises(SizeMismatch):
+                CouplingMatrix(m=m, n=n, full=raw)
 
 
 class TestItoMatrix:
     def test_zero_coupling(self):
         e = validate_coupling(np.zeros((4, 4)), 2, 1)
-        assert np.abs(ito_matrix(e).full).max() == 0.0
+        assert np.abs(ito_matrix(e)).max() == 0.0
 
     def test_scalar_diagonal_example(self):
         # oracle: -2i/(1+i) evaluated with plain complex arithmetic
@@ -85,9 +86,9 @@ class TestItoMatrix:
         assert expected == -1 - 1j
         e = validate_coupling(np.diag([0.0, 2.0]), 1, 1)
         g = ito_matrix(e)
-        assert abs(g.full[0, 0]) == 0.0
-        assert abs(g.full[1, 1] - expected) < 1e-14
-        s = 1.0 + g.full[1, 1]
+        assert abs(g[0, 0]) == 0.0
+        assert abs(g[1, 1] - expected) < 1e-14
+        s = 1.0 + g[1, 1]
         assert abs(s - (-1j)) < 1e-14
 
     def test_gauged_scalar_oracle(self):
@@ -98,8 +99,8 @@ class TestItoMatrix:
                 gauge = GaugeMatrix(np.array([[z_val]]))
                 g = ito_matrix(e, gauge)
                 oracle = -1j * e_val / (1 - e_val * z_val + 0.5j * e_val)
-                assert abs(g.full[1, 1] - oracle) < 1e-14
-                s = 1 + g.full[1, 1]
+                assert abs(g[1, 1] - oracle) < 1e-14
+                s = 1 + g[1, 1]
                 s_oracle = ((1 - e_val * z_val - 0.5j * e_val)
                             / (1 - e_val * z_val + 0.5j * e_val))
                 assert abs(s - s_oracle) < 1e-14
@@ -108,7 +109,7 @@ class TestItoMatrix:
     def test_singular_dressing_surfaces(self):
         # Reachable only by bypassing hermiticity validation: E_ll = 2i makes
         # the dressing factor 1 + i*(2i)/2 = 0.
-        forged = CouplingMatrix(block=partition(np.diag([0.0, 2j]), 1, 1))
+        forged = CouplingMatrix(m=1, n=1, full=np.diag([0.0, 2j]))
         with pytest.raises(SingularDressing):
             ito_matrix(forged)
 
@@ -116,26 +117,26 @@ class TestItoMatrix:
 class TestDerivedMatrices:
     def test_zero_coupling(self):
         e = validate_coupling(np.zeros((2, 2)), 1, 1)
-        v, mm, f = derived_matrices(ito_matrix(e))
-        assert np.abs(v.full - channel_projector(1, 1)).max() == 0.0
-        assert np.abs(mm.full - np.eye(2)).max() == 0.0
-        assert np.abs(f.full - np.eye(2)).max() == 0.0
+        v, mm, f = derived_matrices(ito_matrix(e), 1, 1)
+        assert np.abs(v - channel_projector(1, 1)).max() == 0.0
+        assert np.abs(mm - np.eye(2)).max() == 0.0
+        assert np.abs(f - np.eye(2)).max() == 0.0
 
     def test_scalar_example_blocks(self):
         e = validate_coupling(np.diag([0.0, 2.0]), 1, 1)
-        v, mm, f = derived_matrices(ito_matrix(e))
-        assert abs(mm.full[1, 1] - (-1j)) < 1e-14
-        assert abs(f.full[1, 1] - (1 - 1j) / 2) < 1e-14
-        assert abs(mm.full[0, 0] - 1.0) == 0.0
+        v, mm, f = derived_matrices(ito_matrix(e), 1, 1)
+        assert abs(mm[1, 1] - (-1j)) < 1e-14
+        assert abs(f[1, 1] - (1 - 1j) / 2) < 1e-14
+        assert abs(mm[0, 0] - 1.0) == 0.0
 
     def test_definitional_identities(self):
         rng = np.random.default_rng(5)
         e = random_coupling(rng, 2, 2)
         g = ito_matrix(e)
-        v, mm, _ = derived_matrices(g)
+        v, mm, _ = derived_matrices(g, 2, 2)
         pi = channel_projector(2, 2)
-        assert np.abs(pi @ (v.full - g.full) - pi).max() == 0.0
-        assert np.abs((np.eye(6) - pi) @ (mm.full - np.eye(6))).max() == 0.0
+        assert np.abs(pi @ (v - g) - pi).max() == 0.0
+        assert np.abs((np.eye(6) - pi) @ (mm - np.eye(6))).max() == 0.0
 
 
 class TestSLHTriple:
@@ -180,14 +181,14 @@ class TestSLHTriple:
         rng = np.random.default_rng(8)
         e = random_coupling(rng, 2, 2)
         res = slh_triple(e)
-        assert np.abs(res.model.full[:2] - res.ito.full[:2]).max() == 0.0
+        assert np.abs(res.model[:2] - res.ito[:2]).max() == 0.0
 
     def test_scalar_matches_cayley(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             e = random_coupling(rng, 1, 1)
             res = slh_triple(e)
-            ref = cayley(e.block.xll, 0.5)
+            ref = cayley(e.full[1:, 1:], 0.5)
             assert abs(res.s[0, 0] - ref[0, 0]) <= 1e-12
 
     def test_small_coupling_matches_exponential_phase(self):
@@ -225,12 +226,7 @@ class TestIdentityResiduals:
         # every entry of one matrix moved by 1e-6 (1 + i): the identity that
         # reads it must rise far above its 1e-10 bound
         res = slh_triple(random_coupling(np.random.default_rng(12), 2, 2))
-        x = getattr(res, field)
-        shift = 1e-6 * (1 + 1j)
-        if isinstance(x, BlockOperatorMatrix):
-            moved = partition(x.full + shift, x.m, x.n)
-        else:
-            moved = x + shift
+        moved = getattr(res, field) + 1e-6 * (1 + 1j)
         assert identity_residuals(res)[key] <= 1e-10
         assert identity_residuals(replace(res, **{field: moved}))[key] > 1e-8
 
@@ -247,11 +243,11 @@ class TestGaugeFamily:
         e = random_coupling(rng, 2, 1)
         res = slh_triple(e, ScalarGauge(0.2))
         pi = channel_projector(2, 1)
-        g = res.ito.full
+        g = res.ito
         eye = np.eye(4)
-        assert np.abs(res.model.full - (g + pi)).max() <= 1e-12
-        assert np.abs(res.galilean.full - (eye + pi @ g)).max() <= 1e-12
-        assert np.abs(res.dressing.full - (eye + 0.5 * (pi @ g))).max() <= 1e-12
+        assert np.abs(res.model - (g + pi)).max() <= 1e-12
+        assert np.abs(res.galilean - (eye + pi @ g)).max() <= 1e-12
+        assert np.abs(res.dressing - (eye + 0.5 * (pi @ g))).max() <= 1e-12
 
     def test_reduction_report(self):
         raw = np.array([[0.2, 0.5 - 0.1j], [0.5 + 0.1j, 1.3]])
@@ -294,4 +290,4 @@ class TestGaugeFamily:
         sigma = 0.45
         res_scalar = slh_triple(e, ScalarGauge(sigma))
         res_matrix = slh_triple(e, GaugeMatrix(sigma * np.eye(2)))
-        assert np.abs(res_scalar.ito.full - res_matrix.ito.full).max() <= 1e-14
+        assert np.abs(res_scalar.ito - res_matrix.ito).max() <= 1e-14

@@ -15,7 +15,8 @@ and after:
   configs and ``defect`` on the ``grid-defect`` one, seeds 1, 2, 3 and 101;
 * ``slh --sweep 50`` on the ``slh-sweep`` config, seed 1;
 * ``fock`` on an m = 2 config with a matrix gauge Z and E_l0 = 0, JSON and
-  CSV;
+  CSV, and ``slh`` on it (the only run that prints G, V, M, F, S, L and H
+  under a full Hermitian Z);
 * ``fock --sweep 3`` on an m = 2, n = 1 config with a rank-1 E_l0 (one
   coupled block whose identity slot has a non-scalar coefficient) and on an
   (m, n, d) = (1, 3, 3) config with E_l0 = 0 and sigma = 0.3 (three stacked
@@ -122,6 +123,8 @@ def runs(configs: Path):
         yield (f"matrix-gauge.fock.{fmt}",
                ["fock", "--config", str(configs / "matrix-gauge.json"),
                 "--format", fmt])
+    yield ("matrix-gauge.slh.json",
+           ["slh", "--config", str(configs / "matrix-gauge.json")])
     for name in EXTRA_FOCK_CONFIGS:
         yield (f"{name}.fock.sweep3.json",
                ["fock", "--config", str(configs / f"{name}.json"),
