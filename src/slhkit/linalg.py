@@ -143,6 +143,8 @@ def channel_blocks(x: np.ndarray, m: int) -> np.ndarray:
     """The (rows/m, cols/m, m, m) view of a matrix whose sides are multiples
     of m: [alpha, beta] is its m x m block in block row alpha and block
     column beta (0 = system slot on a (1+n)m side).  No copy is made."""
+    if x.ndim != 2 or m < 1 or x.shape[0] % m or x.shape[1] % m:
+        raise SizeMismatch(f"cannot cut shape {x.shape} into {m} x {m} blocks")
     rows, cols = x.shape
     return x.reshape(rows // m, m, cols // m, m).swapaxes(1, 2)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slhkit.errors import DimensionMismatch, NonHermitianInput
+from slhkit.errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 from slhkit.linalg import (
     NULLSPACE_TOL,
     adjoint,
@@ -173,6 +173,13 @@ class TestBlockPartition:
                 for beta in range(1 + n):
                     ref = np.eye(m) if alpha == beta >= 1 else np.zeros((m, m))
                     assert np.array_equal(blocks[alpha, beta], ref)
+
+    def test_size_mismatch(self):
+        # sides that are not multiples of m, m = 0 and a 3-d array
+        for raw, m in ((np.eye(5), 2), (np.zeros((4, 3)), 2),
+                       (np.eye(2), 0), (np.zeros((2, 2, 2)), 1)):
+            with pytest.raises(SizeMismatch):
+                channel_blocks(raw, m)
 
     def test_projector_is_hermitian_idempotent(self):
         for m, n in ((1, 1), (2, 3)):
