@@ -56,10 +56,11 @@ from .fock import (
     BoundarySubspace,
     ModeOperators,
     TruncatedFockSpace,
-    boundary_subspace_b,
-    boundary_subspace_c,
+    boundary_kernel,
     build_mode_operators,
     fock_battery,
+    scattering_rows,
+    stacked_boundary_rows,
 )
 from .config import ModelConfig, config_from_dict, load_config
 from .report import Report, emit_report

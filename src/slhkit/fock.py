@@ -55,6 +55,15 @@ at most d-2 (the photon guard).  Lowering never leaves the guard, so the
 guarded kernel is the same sector solve on guard occupations only, and all
 action checks project onto the guard first.
 
+Two routes, one kernel function.  ``stacked_boundary_rows`` builds the
+coupling-form rows (route B) from E and the gauged modes;
+``scattering_rows`` builds the scattering-form rows a_- - S a_+ - L (route
+C) from an ``SLHResult``.  ``boundary_kernel`` solves every kernel, with
+``cap = d - 2`` for the guarded one.  ``fock_battery`` builds the route-B
+rows and the triple once and hands them down: ``subspace_equivalence`` holds
+both full kernel solves, ``sample_domain_vectors`` the guarded solve, and
+``action_residuals`` applies the rows and the action read off ``res.ito``.
+
 Size guard: ``TruncatedFockSpace`` estimates the peak bytes of a kernel solve
 (the largest sector block with its SVD factors, plus every sector's right
 factor) and raises TooLarge above ``MAX_SOLVE_BYTES`` before anything is
@@ -73,7 +82,7 @@ import numpy as np
 
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
 from .linalg import adjoint, channel_blocks, null_spaces, principal_angles
-from .slh import CouplingMatrix, Gauge, gauge_zll, slh_triple
+from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
 
 
 def _svd_block_bytes(rows: int, cols: int) -> int:
@@ -336,28 +345,27 @@ class BoundarySubspace:
         return self.columns.shape[1]
 
 
-def stacked_boundary_rows(e: CouplingMatrix, ops: ModeOperators,
-                          route: str = "B") -> np.ndarray:
-    """Graded coefficients, shape (n, 1 + 2n, m, m), of the stacked boundary
-    operators of either route: row j is the form [j].
+def stacked_boundary_rows(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
+    """Graded coefficients, shape (n, 1 + 2n, m, m), of the stacked
+    coupling-form boundary operators (route B), row j the form [j]:
+    B_j = i(a_{j,+} - a_{j,-}) + E_{j0} + sum_k E_{jk} frak_a_k."""
+    blocks = channel_blocks(e.full, e.m)
+    rows = 1j * (ops.a_plus - ops.a_minus)
+    rows = rows + blocks[1:, 0, None] @ ops.a0
+    for k in range(e.n):
+        rows = rows + blocks[1:, 1 + k, None] @ ops.frak_a[k]
+    return rows
 
-    Route B: B_j = i(a_{j,+} - a_{j,-}) + E_{j0} + sum_k E_{jk} frak_a_k.
-    Route C: C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j.
-    """
-    if route == "B":
-        blocks = channel_blocks(e.full, e.m)
-        rows = 1j * (ops.a_plus - ops.a_minus)
-        rows = rows + blocks[1:, 0, None] @ ops.a0
-        for k in range(e.n):
-            rows = rows + blocks[1:, 1 + k, None] @ ops.frak_a[k]
-        return rows
-    if route == "C":
-        res = slh_triple(e, ops.gauge)
-        rows = np.array(ops.a_minus)
-        rows[:, 0] -= channel_blocks(res.l, e.m)[:, 0]
-        rows[:, 1:1 + e.n] -= channel_blocks(res.s, e.m)
-        return rows
-    raise ValueError(f"unknown route {route!r}")
+
+def scattering_rows(res: SLHResult, ops: ModeOperators) -> np.ndarray:
+    """The stacked scattering-form boundary operators (route C),
+    C_j = a_{j,-} - sum_k S_{jk} a_{k,+} - L_j, from the pipeline result
+    ``res`` of ``ops``'s gauge."""
+    m, n = res.coupling.m, res.coupling.n
+    rows = np.array(ops.a_minus)
+    rows[:, 0] -= channel_blocks(res.l, m)[:, 0]
+    rows[:, 1:1 + n] -= channel_blocks(res.s, m)
+    return rows
 
 
 def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
@@ -369,11 +377,12 @@ def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
                      cols, rows)
 
 
-def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray,
-                   cap: Optional[int] = None) -> Tuple[np.ndarray, float]:
+def boundary_kernel(space: TruncatedFockSpace, coef: np.ndarray,
+                    cap: Optional[int] = None) -> BoundarySubspace:
     """Kernel of the stacked forms ``coef`` on the occupations with every
-    mode <= cap, as flat columns, and the global sigma_max of its blocks.
-    The rank cutoff is linalg's fixed NULLSPACE_TOL x sigma_max."""
+    mode <= cap (default d - 1, the whole space), as flat columns, with the
+    global sigma_max of its blocks.  The rank cutoff is linalg's fixed
+    NULLSPACE_TOL x sigma_max."""
     sectors = space.sectors(cap)
     if np.any(coef[:, 0]):
         # The constant term keeps N fixed: all sectors form one block.
@@ -398,30 +407,7 @@ def _graded_kernel(space: TruncatedFockSpace, coef: np.ndarray,
         flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
-    return columns, sigma_max
-
-
-def boundary_subspace_b(e: CouplingMatrix, ops: ModeOperators) -> BoundarySubspace:
-    """Kernel of the stacked coupling-form boundary operators (no creators,
-    hence truncation-exact)."""
-    return BoundarySubspace(*_graded_kernel(ops.space,
-                                            stacked_boundary_rows(e, ops, "B")))
-
-
-def boundary_subspace_c(e: CouplingMatrix, ops: ModeOperators) -> BoundarySubspace:
-    """Kernel of the scattering-form boundary operators a_- = S a_+ + L."""
-    return BoundarySubspace(*_graded_kernel(ops.space,
-                                            stacked_boundary_rows(e, ops, "C")))
-
-
-def guarded_domain_basis(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
-    """Orthonormal columns spanning the boundary subspace intersected with the
-    photon guard (per-mode occupation <= d-2), on which creators are exact:
-    the coupling-form kernel with each sector's columns restricted to the
-    guard."""
-    space = ops.space
-    return _graded_kernel(space, stacked_boundary_rows(e, ops, "B"),
-                          cap=space.d - 2)[0]
+    return BoundarySubspace(columns, sigma_max)
 
 
 # --- singular generator and its action --------------------------------------
@@ -449,12 +435,13 @@ def singular_generator(e: CouplingMatrix, ops: ModeOperators,
     return total
 
 
-def singular_action_operator(e: CouplingMatrix, ops: ModeOperators) -> np.ndarray:
-    """The form of the boundary-reduced action iG_00 + sum_k iG_0k a_{k,+}:
-    iG_0k sits in slot k, which is a_{k,+}'s for k >= 1."""
-    g = slh_triple(e, ops.gauge).ito
+def singular_action_operator(res: SLHResult, ops: ModeOperators) -> np.ndarray:
+    """The form of the boundary-reduced action iG_00 + sum_k iG_0k a_{k,+},
+    G the Ito matrix ``res.ito``: iG_0k sits in slot k, which is a_{k,+}'s
+    for k >= 1."""
+    e = res.coupling
     total = np.zeros_like(ops.a0)
-    total[:1 + e.n] = 1j * channel_blocks(g, e.m)[0]
+    total[:1 + e.n] = 1j * channel_blocks(res.ito, e.m)[0]
     return total
 
 
@@ -527,15 +514,16 @@ def number_spectrum_defect(ops: ModeOperators) -> float:
     return worst
 
 
-def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
-                     tol: float = 1e-8, *, scale: float) -> List[float]:
-    """Singular-action residuals for a batch of domain vectors, applied
-    matrix-free to the whole batch at once.
+def action_residuals(res: SLHResult, ops: ModeOperators, rows: np.ndarray,
+                     vectors, tol: float = 1e-8, *, scale: float) -> List[float]:
+    """Singular-action residuals of the coupling ``res.coupling`` for a batch
+    of domain vectors, applied matrix-free to the whole batch at once.
 
     Each vector is projected onto the photon guard and normalized; its
-    coupling-form boundary residual relative to ``scale`` must stay within
-    ``tol``, or NotInDomain is raised.  ``scale`` is the sigma_max that the
-    coupling-form kernel solve found (``boundary_subspace_b(...).sigma_max``).
+    boundary residual under the coupling-form ``rows`` relative to ``scale``
+    must stay within ``tol``, or NotInDomain is raised.  ``scale`` is the
+    sigma_max that the coupling-form kernel solve found
+    (``boundary_kernel(space, rows).sigma_max``).
     """
     if len(vectors) == 0:
         return []
@@ -544,26 +532,26 @@ def action_residuals(e: CouplingMatrix, ops: ModeOperators, vectors,
     phi[~space.photon_guard_mask()] = 0.0
     norms = np.linalg.norm(phi, axis=0)
     phi /= np.where(norms == 0.0, 1.0, norms)
-    squares = sum(np.abs(space.apply(row, phi)) ** 2
-                  for row in stacked_boundary_rows(e, ops))
+    squares = sum(np.abs(space.apply(row, phi)) ** 2 for row in rows)
     boundary = np.sqrt(squares.sum(axis=0)) / scale
-    for norm, res in zip(norms, boundary):
+    for norm, residual in zip(norms, boundary):
         if norm == 0.0:
             raise NotInDomain("vector vanishes after the photon guard projection")
-        if res > tol:
+        if residual > tol:
             raise NotInDomain(
-                f"boundary-condition residual {res:.3e} exceeds tolerance "
+                f"boundary-condition residual {residual:.3e} exceeds tolerance "
                 f"{tol:.1e}")
-    diff = (singular_generator(e, ops, phi)
-            - space.apply(singular_action_operator(e, ops), phi))
+    diff = (singular_generator(res.coupling, ops, phi)
+            - space.apply(singular_action_operator(res, ops), phi))
     return [float(x) for x in np.linalg.norm(diff, axis=0)]
 
 
-def sample_domain_vectors(e: CouplingMatrix, ops: ModeOperators, count: int,
-                          rng: np.random.Generator) -> List[np.ndarray]:
-    """Random unit vectors in the guarded boundary subspace (empty list when
-    the subspace is trivial)."""
-    basis = guarded_domain_basis(e, ops)
+def sample_domain_vectors(space: TruncatedFockSpace, rows: np.ndarray,
+                          count: int, rng: np.random.Generator
+                          ) -> List[np.ndarray]:
+    """Random unit vectors in the kernel of the coupling-form ``rows`` on the
+    photon guard (empty list when that subspace is trivial)."""
+    basis = boundary_kernel(space, rows, cap=space.d - 2).columns
     k = basis.shape[1]
     if k == 0:
         return []
@@ -575,31 +563,37 @@ def sample_domain_vectors(e: CouplingMatrix, ops: ModeOperators, count: int,
     return vecs
 
 
-def subspace_equivalence(e: CouplingMatrix, ops: ModeOperators) -> dict:
-    """Compare the two boundary-subspace constructions.
+def subspace_equivalence(space: TruncatedFockSpace, rows_b: np.ndarray,
+                         rows_c: np.ndarray) -> dict:
+    """Compare the kernels of the coupling-form ``rows_b`` and the
+    scattering-form ``rows_c``.
 
-    Returns kernel dimensions, the largest principal angle when both are
-    nonempty (None when both are empty, which is the expected outcome for a
-    generic invertible system-channel coupling block), and the route-B
-    sigma_max that scales action residuals.
+    Returns both kernel dimensions, the largest principal angle (None when
+    either kernel is empty; both are for a generic invertible
+    system-channel coupling block), and the route-B sigma_max that scales
+    action residuals.
     """
-    sub_b = boundary_subspace_b(e, ops)
-    sub_c = boundary_subspace_c(e, ops)
+    sub_b = boundary_kernel(space, rows_b)
+    sub_c = boundary_kernel(space, rows_c)
     report = {"dim_b": sub_b.dim, "dim_c": sub_c.dim, "max_angle": None,
               "sigma_max_b": sub_b.sigma_max}
     if sub_b.dim and sub_c.dim:
-        angles = principal_angles(sub_b.columns, sub_c.columns)
-        report["max_angle"] = float(angles.max()) if angles.size else 0.0
+        report["max_angle"] = float(
+            principal_angles(sub_b.columns, sub_c.columns).max())
     return report
 
 
 def fock_battery(e: CouplingMatrix, ops: ModeOperators, count: int,
                  rng: np.random.Generator, action_tol: float) -> dict:
     """The boundary-domain battery for one coupling: ``subspace_equivalence``
-    plus ``action_residuals``, the singular-action residuals of ``count``
-    vectors sampled from the guarded domain (empty when it is trivial)."""
-    report = subspace_equivalence(e, ops)
-    vectors = sample_domain_vectors(e, ops, count, rng)
+    of the two routes plus ``action_residuals``, the singular-action
+    residuals of ``count`` vectors sampled from the guarded domain (empty
+    when it is trivial).  The route-B rows and the SLH triple of ``ops``'s
+    gauge are built once and shared by every stage."""
+    rows = stacked_boundary_rows(e, ops)
+    res = slh_triple(e, ops.gauge)
+    report = subspace_equivalence(ops.space, rows, scattering_rows(res, ops))
+    vectors = sample_domain_vectors(ops.space, rows, count, rng)
     report["action_residuals"] = action_residuals(
-        e, ops, vectors, action_tol, scale=report["sigma_max_b"])
+        res, ops, rows, vectors, action_tol, scale=report["sigma_max_b"])
     return report

@@ -12,7 +12,8 @@ import time
 import numpy as np
 
 from slhkit.ensembles import random_coupling, random_gauge
-from slhkit.fock import build_mode_operators, fock_battery, subspace_equivalence
+from slhkit.fock import (build_mode_operators, fock_battery, scattering_rows,
+                         stacked_boundary_rows, subspace_equivalence)
 from slhkit.linalg import cayley
 from slhkit.punctured_line import (
     GridSpec,
@@ -165,7 +166,10 @@ def test_criterion_6_domain_equivalence():
             e = random_coupling(rng, m, n, zero_channel_system=True)
             gauged = ScalarGauge(0.3) if i % 2 else random_gauge(rng, m, n)
             for gauge in (None, gauged):
-                eq = subspace_equivalence(e, build_mode_operators(m, n, d, gauge))
+                ops = build_mode_operators(m, n, d, gauge)
+                eq = subspace_equivalence(
+                    ops.space, stacked_boundary_rows(e, ops),
+                    scattering_rows(slh_triple(e, gauge), ops))
                 assert eq["dim_b"] == eq["dim_c"] > 0
                 assert eq["max_angle"] <= 1e-8
         elapsed = time.monotonic() - start

@@ -13,27 +13,49 @@ from slhkit.errors import NotInDomain, TooLarge
 from slhkit.fock import (
     TruncatedFockSpace,
     action_residuals,
-    boundary_subspace_b,
-    boundary_subspace_c,
+    boundary_kernel,
     build_mode_operators,
     commutator_defect,
     fock_battery,
-    guarded_domain_basis,
     number_defect_residual,
     number_spectrum_defect,
     sample_domain_vectors,
+    scattering_rows,
     singular_generator,
     stacked_boundary_rows,
     subspace_equivalence,
 )
 from slhkit.linalg import adjoint, principal_angles
-from slhkit.slh import GaugeMatrix, ScalarGauge, validate_coupling
+from slhkit.slh import GaugeMatrix, ScalarGauge, slh_triple, validate_coupling
 
 
 def row_matrix(ops, coef):
     """Matrix of the boundary row with graded coefficients ``coef``, as the
     form applies it to every basis vector."""
     return ops.space.apply(coef, np.eye(ops.space.dim))
+
+
+def route_c_rows(e, ops):
+    return scattering_rows(slh_triple(e, ops.gauge), ops)
+
+
+def route_b(e, ops):
+    return boundary_kernel(ops.space, stacked_boundary_rows(e, ops))
+
+
+def route_c(e, ops):
+    return boundary_kernel(ops.space, route_c_rows(e, ops))
+
+
+def equivalence(e, ops):
+    return subspace_equivalence(ops.space, stacked_boundary_rows(e, ops),
+                                route_c_rows(e, ops))
+
+
+def action(e, ops, vectors, rows):
+    """``action_residuals`` of ``vectors``, scaled by route B's sigma_max."""
+    return action_residuals(slh_triple(e, ops.gauge), ops, rows, vectors,
+                            scale=boundary_kernel(ops.space, rows).sigma_max)
 
 
 def coupling_from_blocks(m, n, e00=None, el0=None, ell=None):
@@ -215,8 +237,8 @@ class TestBoundarySubspaces:
         for d in (3, 5):
             e = coupling_from_blocks(1, 1)
             ops = build_mode_operators(1, 1, d)
-            sub_b = boundary_subspace_b(e, ops)
-            sub_c = boundary_subspace_c(e, ops)
+            sub_b = route_b(e, ops)
+            sub_c = route_c(e, ops)
             assert sub_b.dim == d and sub_c.dim == d
             angles = principal_angles(sub_b.columns, sub_c.columns)
             assert angles.max() <= 1e-10
@@ -224,22 +246,22 @@ class TestBoundarySubspaces:
     def test_zero_coupling_two_channels(self):
         e = coupling_from_blocks(1, 2)
         ops = build_mode_operators(1, 2, 4)
-        assert boundary_subspace_b(e, ops).dim == 16
+        assert route_b(e, ops).dim == 16
 
     def test_pure_drive_row_proportionality(self):
         # with Ell = 0 and El0 = eps: C = i * B as exact matrices
         eps = 0.37
         e = coupling_from_blocks(1, 1, el0=np.array([[eps]]))
         ops = build_mode_operators(1, 1, 4)
-        b = row_matrix(ops, stacked_boundary_rows(e, ops, "B")[0])
-        c = row_matrix(ops, stacked_boundary_rows(e, ops, "C")[0])
+        b = row_matrix(ops, stacked_boundary_rows(e, ops)[0])
+        c = row_matrix(ops, route_c_rows(e, ops)[0])
         assert np.abs(c - 1j * b).max() <= 1e-15
 
     def test_scalar_scattering_row(self):
         # Ell = 2 gives S = -i, so the C-row is a_- + i a_+
         e = coupling_from_blocks(1, 1, ell=np.array([[2.0]]))
         ops = build_mode_operators(1, 1, 5)
-        c = row_matrix(ops, stacked_boundary_rows(e, ops, "C")[0])
+        c = row_matrix(ops, route_c_rows(e, ops)[0])
         manual = row_matrix(ops, ops.a_minus[0] + 1j * ops.a_plus[0])
         assert np.abs(c - manual).max() <= 1e-14
 
@@ -249,7 +271,7 @@ class TestBoundarySubspaces:
             for _ in range(5):
                 e = random_coupling(rng, m, n, zero_channel_system=True)
                 ops = build_mode_operators(m, n, d)
-                eq = subspace_equivalence(e, ops)
+                eq = equivalence(e, ops)
                 assert eq["dim_b"] == eq["dim_c"] > 0
                 assert eq["max_angle"] <= 1e-8
 
@@ -258,13 +280,13 @@ class TestBoundarySubspaces:
         # which a photon-truncated box cannot contain
         e = coupling_from_blocks(1, 1, el0=np.array([[1.0]]))
         ops = build_mode_operators(1, 1, 5)
-        assert boundary_subspace_b(e, ops).dim == 0
-        assert boundary_subspace_c(e, ops).dim == 0
+        assert route_b(e, ops).dim == 0
+        assert route_c(e, ops).dim == 0
 
     def test_singular_el0_instance(self):
         ops = build_mode_operators(2, 1, 6)
-        sub_b = boundary_subspace_b(SINGULAR_EL0, ops)
-        sub_c = boundary_subspace_c(SINGULAR_EL0, ops)
+        sub_b = route_b(SINGULAR_EL0, ops)
+        sub_c = route_c(SINGULAR_EL0, ops)
         assert sub_b.dim == sub_c.dim == 6
         assert principal_angles(sub_b.columns, sub_c.columns).max() <= 1e-8
 
@@ -273,7 +295,8 @@ class TestSingularAction:
     def test_zero_coupling_action_vanishes(self):
         e = coupling_from_blocks(1, 1)
         ops = build_mode_operators(1, 1, 5)
-        basis = guarded_domain_basis(e, ops)
+        basis = boundary_kernel(ops.space, stacked_boundary_rows(e, ops),
+                                cap=ops.space.d - 2).columns
         assert basis.shape[1] > 0
         assert np.abs(singular_generator(e, ops, basis)).max() <= 1e-13
 
@@ -281,27 +304,27 @@ class TestSingularAction:
         h0 = np.array([[0.8, 0.1 - 0.4j], [0.1 + 0.4j, -0.2]])
         e = coupling_from_blocks(2, 1, e00=h0)
         ops = build_mode_operators(2, 1, 4)
-        vecs = sample_domain_vectors(e, ops, 4, np.random.default_rng(2))
-        scale = boundary_subspace_b(e, ops).sigma_max
-        assert max(action_residuals(e, ops, vecs, scale=scale)) <= 1e-12
+        rows = stacked_boundary_rows(e, ops)
+        vecs = sample_domain_vectors(ops.space, rows, 4,
+                                     np.random.default_rng(2))
+        assert max(action(e, ops, vecs, rows)) <= 1e-12
 
     def test_random_scattering_instances(self):
         rng = np.random.default_rng(3)
         e = random_coupling(rng, 2, 1, zero_channel_system=True)
         ops = build_mode_operators(2, 1, 6)
-        vecs = sample_domain_vectors(e, ops, 10, rng)
+        rows = stacked_boundary_rows(e, ops)
+        vecs = sample_domain_vectors(ops.space, rows, 10, rng)
         assert len(vecs) == 10
-        scale = boundary_subspace_b(e, ops).sigma_max
-        assert max(action_residuals(e, ops, vecs, scale=scale)) <= 1e-8
+        assert max(action(e, ops, vecs, rows)) <= 1e-8
 
     def test_singular_el0_action_exercises_coupling_terms(self):
         ops = build_mode_operators(2, 1, 6)
-        vecs = sample_domain_vectors(SINGULAR_EL0, ops, 5,
+        rows = stacked_boundary_rows(SINGULAR_EL0, ops)
+        vecs = sample_domain_vectors(ops.space, rows, 5,
                                      np.random.default_rng(4))
         assert len(vecs) == 5
-        scale = boundary_subspace_b(SINGULAR_EL0, ops).sigma_max
-        assert max(action_residuals(SINGULAR_EL0, ops, vecs,
-                                    scale=scale)) <= 1e-8
+        assert max(action(SINGULAR_EL0, ops, vecs, rows)) <= 1e-8
 
     def test_not_in_domain_rejected(self):
         e = coupling_from_blocks(1, 1, ell=np.array([[1.0]]))
@@ -309,8 +332,7 @@ class TestSingularAction:
         rng = np.random.default_rng(5)
         phi = rng.standard_normal(ops.space.dim) + 0j
         with pytest.raises(NotInDomain):
-            action_residuals(e, ops, [phi],
-                             scale=boundary_subspace_b(e, ops).sigma_max)
+            action(e, ops, [phi], stacked_boundary_rows(e, ops))
 
     def test_adjoint_defect_identity(self):
         # sharp truncated statement: K_sing - K_sing^dag = i(N_+ - N_-)
@@ -333,7 +355,7 @@ class TestGaugedChecks:
         e_val, sigma = 1.0, 0.3
         e = coupling_from_blocks(1, 1, ell=np.array([[e_val]]))
         ops = build_mode_operators(1, 1, 6, ScalarGauge(sigma))
-        sub_b = boundary_subspace_b(e, ops)
+        sub_b = route_b(e, ops)
         kp, km = complex(0.5, sigma), complex(0.5, -sigma)
         s_sigma = (1 - 1j * km * e_val) / (1 + 1j * kp * e_val)
         dense = dense_fock(1, 1, 6)
@@ -351,18 +373,19 @@ class TestGaugedChecks:
                       random_gauge(rng, 1, 2)):
             e = random_coupling(rng, 1, 2, zero_channel_system=True)
             ops = build_mode_operators(1, 2, 4, gauge)
-            eq = subspace_equivalence(e, ops)
+            eq = equivalence(e, ops)
             assert eq["dim_b"] == eq["dim_c"] > 0
             assert eq["max_angle"] <= 1e-8
-            vecs = sample_domain_vectors(e, ops, 5, rng)
-            assert max(action_residuals(e, ops, vecs,
+            rows = stacked_boundary_rows(e, ops)
+            vecs = sample_domain_vectors(ops.space, rows, 5, rng)
+            assert max(action_residuals(slh_triple(e, gauge), ops, rows, vecs,
                                         scale=eq["sigma_max_b"])) <= 1e-8
 
     def test_kernel_vectors_satisfy_both_conditions(self, dense_fock):
         rng = np.random.default_rng(8)
         e = random_coupling(rng, 2, 1, zero_channel_system=True)
         ops = build_mode_operators(2, 1, 5)
-        sub_b = boundary_subspace_b(e, ops)
+        sub_b = route_b(e, ops)
         rows_c = dense_fock(2, 1, 5).stacked_rows(e, "C")
         scale = np.linalg.norm(rows_c, 2)
         assert np.abs(rows_c @ sub_b.columns).max() <= 1e-8 * scale
@@ -383,16 +406,20 @@ class TestGaugedChecks:
         rng = np.random.default_rng(9)
         e = random_coupling(rng, 1, 2, zero_channel_system=True)
         ops = build_mode_operators(1, 2, 4)
-        route_c = fock.boundary_subspace_c
+        rows_b, rows_c = stacked_boundary_rows(e, ops), route_c_rows(e, ops)
+        kernel = fock.boundary_kernel
 
-        def tilted(e, ops):
-            sub = route_c(e, ops)
+        def tilted(space, coef, cap=None):
+            sub = kernel(space, coef, cap)
+            if coef is not rows_c:
+                return sub
             noise = rng.standard_normal(sub.columns.shape)
             return replace(sub, columns=np.linalg.qr(sub.columns + 0.1 * noise)[0])
 
-        assert subspace_equivalence(e, ops)["max_angle"] <= 1e-8
-        monkeypatch.setattr(fock, "boundary_subspace_c", tilted)
-        assert subspace_equivalence(e, ops)["max_angle"] > 1e-3
+        space = ops.space
+        assert subspace_equivalence(space, rows_b, rows_c)["max_angle"] <= 1e-8
+        monkeypatch.setattr(fock, "boundary_kernel", tilted)
+        assert subspace_equivalence(space, rows_b, rows_c)["max_angle"] > 1e-3
 
     def test_battery_sees_a_wrong_action(self, monkeypatch):
         # the generator off by 0.1 %: every action residual must fail
@@ -410,8 +437,8 @@ class TestGaugedChecks:
         e = random_coupling(rng, 1, 1, zero_channel_system=True)
         ops = build_mode_operators(1, 1, 5)
         ops0 = build_mode_operators(1, 1, 5, ScalarGauge(0.0))
-        eq = subspace_equivalence(e, ops)
-        eq0 = subspace_equivalence(e, ops0)
+        eq = equivalence(e, ops)
+        eq0 = equivalence(e, ops0)
         assert eq["dim_b"] == eq0["dim_b"]
         assert abs(eq["max_angle"] - eq0["max_angle"]) <= 1e-12
 

@@ -9,14 +9,13 @@ from slhkit.fock import (
     _compose,
     _sector_block,
     action_residuals,
-    boundary_subspace_b,
-    boundary_subspace_c,
+    boundary_kernel,
     build_mode_operators,
     commutator_defect,
-    guarded_domain_basis,
     number_defect_residual,
     number_spectrum_defect,
     sample_domain_vectors,
+    scattering_rows,
     singular_action_operator,
     singular_generator,
     stacked_boundary_rows,
@@ -75,9 +74,12 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
     e, gauge, rng = make_case(m, n, d, gauge_kind, el0_kind)
     ops = build_mode_operators(m, n, d, gauge)
     dense = dense_fock(m, n, d, gauge)
+    res = slh_triple(e, gauge)
+    rows_b = stacked_boundary_rows(e, ops)
 
-    for route, graded in (("B", boundary_subspace_b(e, ops)),
-                          ("C", boundary_subspace_c(e, ops))):
+    for route, graded in (("B", boundary_kernel(ops.space, rows_b)),
+                          ("C", boundary_kernel(ops.space,
+                                                scattering_rows(res, ops)))):
         oracle = dense.kernel(e, route)
         assert graded.dim == oracle.shape[1]
         if oracle.shape[1]:
@@ -87,7 +89,7 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
             assert abs(graded.sigma_max - np.linalg.norm(stacked, 2)) <= (
                 1e-12 * graded.sigma_max)
 
-    guarded = guarded_domain_basis(e, ops)
+    guarded = boundary_kernel(ops.space, rows_b, cap=d - 2).columns
     oracle_guarded = dense.guarded_kernel(e)
     assert guarded.shape[1] == oracle_guarded.shape[1]
     if el0_kind == "generic":
@@ -95,9 +97,10 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
     else:
         assert guarded.shape[1] > 0
         assert max_angle(guarded, oracle_guarded) <= 1e-9
-        vectors = sample_domain_vectors(e, ops, 5, rng)
-        scale = boundary_subspace_b(e, ops).sigma_max
-        assert max(action_residuals(e, ops, vectors, scale=scale)) <= 1e-8
+        vectors = sample_domain_vectors(ops.space, rows_b, 5, rng)
+        scale = boundary_kernel(ops.space, rows_b).sigma_max
+        assert max(action_residuals(res, ops, rows_b, vectors,
+                                    scale=scale)) <= 1e-8
         phi = np.array(vectors).T
         phi[~dense.guard_mask()] = 0.0
         phi /= np.linalg.norm(phi, axis=0)
@@ -111,6 +114,7 @@ def test_forms_apply_the_dense_operators(size, dense_fock):
     m, n, d = size
     e, gauge, rng = make_case(m, n, d, "matrix", "generic")
     ops = build_mode_operators(m, n, d, gauge)
+    res = slh_triple(e, gauge)
     dense = dense_fock(m, n, d, gauge)
     v = rng.standard_normal((dense.dim, 3)) + 1j * rng.standard_normal((dense.dim, 3))
     pairs = list(zip([*ops.a_plus, *ops.a_minus, *ops.a_star, *ops.frak_a],
@@ -119,13 +123,13 @@ def test_forms_apply_the_dense_operators(size, dense_fock):
         assert np.abs(ops.space.apply(form, v) - matrix @ v).max() <= 1e-12
         back = ops.space.apply(form, v, dagger=True)
         assert np.abs(back - matrix.conj().T @ v).max() <= 1e-12
-    for route in ("B", "C"):
-        coef = stacked_boundary_rows(e, ops, route)
+    for route, coef in (("B", stacked_boundary_rows(e, ops)),
+                        ("C", scattering_rows(res, ops))):
         rows = dense.stacked_rows(e, route).reshape(n, dense.dim, dense.dim)
         for j in range(n):
             assert np.abs(ops.space.apply(coef[j], v) - rows[j] @ v).max() <= 1e-12
     assert np.abs(singular_generator(e, ops, v) - dense.generator(e) @ v).max() <= 1e-11
-    assert np.abs(ops.space.apply(singular_action_operator(e, ops), v)
+    assert np.abs(ops.space.apply(singular_action_operator(res, ops), v)
                   - dense.action_operator(e) @ v).max() <= 1e-12
 
 
@@ -144,8 +148,8 @@ def test_array_forms_equal_per_channel_sums(size, gauge_kind, el0_kind):
     def blk(x, j, k):
         return x[j * m:(j + 1) * m, k * m:(k + 1) * m]
 
-    rows_b = stacked_boundary_rows(e, ops, "B")
-    rows_c = stacked_boundary_rows(e, ops, "C")
+    rows_b = stacked_boundary_rows(e, ops)
+    rows_c = scattering_rows(res, ops)
     for j in range(n):
         frak = np.zeros_like(ops.a0)
         row_b = 1j * (ops.a_plus[j] - ops.a_minus[j]) + blk(e.full, 1 + j, 0) @ ops.a0
@@ -162,7 +166,7 @@ def test_array_forms_equal_per_channel_sums(size, gauge_kind, el0_kind):
     action = 1j * blk(res.ito, 0, 0) @ ops.a0
     for k in range(n):
         action = action + 1j * blk(res.ito, 0, 1 + k) @ ops.a_plus[k]
-    assert np.array_equal(singular_action_operator(e, ops), action)
+    assert np.array_equal(singular_action_operator(res, ops), action)
 
 
 @pytest.mark.parametrize("size", SIZES)
@@ -185,8 +189,8 @@ def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind, dense_fock):
     for cap in (d - 1, d - 2):
         sectors = space.sectors(cap)
         pairs += [(cols, rows) for cols, rows in zip(sectors[1:], sectors)]
-    for route in ("B", "C"):
-        coef = stacked_boundary_rows(e, ops, route)
+    for route, coef in (("B", stacked_boundary_rows(e, ops)),
+                        ("C", scattering_rows(slh_triple(e, gauge), ops))):
         stacked = dense.stacked_rows(e, route)
         for cols, rows in pairs:
             block = _sector_block(space, coef, cols, rows)

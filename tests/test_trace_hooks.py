@@ -8,7 +8,7 @@ import json
 import sys
 from pathlib import Path
 
-from slhkit import cli
+from slhkit import cli, fock
 from slhkit.config import config_from_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -23,7 +23,7 @@ def _load(name):
     return module
 
 
-def test_hooks_measure_fock_and_grid_runs():
+def test_hooks_measure_fock_and_grid_runs(monkeypatch):
     tracing, workloads = _load("tracing"), _load("workloads")
     fock_config = config_from_dict(
         json.loads(workloads.generate_config("fock-kernel", 1)))
@@ -32,6 +32,10 @@ def test_hooks_measure_fock_and_grid_runs():
         "E": [[[0.3, 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]],
         "grid": {"T": 30.0, "h": 3e-3}})
     tracer = tracing.Tracer()
+    # the kernel solves are not a traced stage; span them here to see which
+    # stage each one runs in
+    monkeypatch.setattr(fock, "boundary_kernel",
+                        tracer.wrap("fock.boundary_kernel", fock.boundary_kernel))
     restore = tracing.instrument(tracer)
     try:
         cli.run_command("fock", fock_config, 1, 1)
@@ -49,3 +53,16 @@ def test_hooks_measure_fock_and_grid_runs():
     # mode family whose len() is not n changes this figure
     assert totals["fock.operator_bytes"] == 28311552
     assert totals["punctured_line.nodes"] == 10000
+    # three batteries (plain, gauged, one sweep draw), each building the SLH
+    # triple and route B's rows once, plus the two row builds of
+    # gauge_zero_reduction
+    assert totals["slh.slh_triple.calls"] == 3
+    assert totals["fock.stacked_boundary_rows.calls"] == 5
+    assert totals["fock.subspace_equivalence.calls"] == 3
+    assert totals["fock.sample_domain_vectors.calls"] == 3
+    # the two full kernel solves run inside subspace_equivalence and the
+    # guarded one inside sample_domain_vectors, whose spans the time goes to
+    stages = [tracer.spans[s.parent].name for s in tracer.spans
+              if s.name == "fock.boundary_kernel"]
+    assert sorted(stages) == (["fock.sample_domain_vectors"] * 3
+                              + ["fock.subspace_equivalence"] * 6)
