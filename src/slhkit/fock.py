@@ -15,19 +15,24 @@ matrix acts on the (m, fock_dim) split and a ladder map on the Fock index.
 No operator is stored as a dim x dim matrix.  Every boundary operator is a
 linear form X_0 + sum_p X_p a_p in the annihilators, stored as its array of
 m x m system coefficients, shape (1 + 2n, m, m): slot 0 holds X_0, slot 1 + p
-the coefficient of the annihilator at digit p, so slots 1..n hold the a_+
-modes and slots n+1..2n the a_- modes of channels 1..n.  Forms add, subtract
-and scale as arrays, and x @ form is the form followed by the system matrix
-x.  A mode family (``ModeOperators.a_plus``, ``a_minus``, ``a_star``,
+the coefficient of the annihilator at digit p, so 0-based channel j has its
+a_+ mode in slot 1 + j and its a_- mode in slot 1 + n + j.  Forms add,
+subtract and scale as arrays, and x @ form is the form followed by the system
+matrix x.  A mode family (``ModeOperators.a_plus``, ``a_minus``, ``a_star``,
 ``frak_a``) and the stacked boundary rows hold one form per channel, shape
 (n, 1 + 2n, m, m), and their coefficients are the m x m blocks of E, G, S, L
 and kappa_pm as ``linalg.channel_blocks`` views them.  The singular
 generator is a sum of products of such forms and their adjoints.
-``TruncatedFockSpace.apply`` runs a form matrix-free on flat states, one
-slot at a time through the slot's ``LadderMap``.  One assembler,
-``_assemble``, turns sums sum_t X_t (x) M_t of system coefficients and
-composed ladder maps into dense matrices between two sets of Fock states: the
-sector blocks of the kernel solves and of the CCR and adjoint-defect checks.
+
+One table, ``TruncatedFockSpace.slot_maps(dagger)``, built once per space
+from the occupation digits, holds the ``LadderMap`` of every slot: [0] the
+identity, [1 + p] the annihilator a|k> = sqrt(k)|k-1> of digit p, or with
+``dagger`` the creator a^dag|k> = sqrt(k+1)|k+1> by its own closed form
+(annihilating at k = 0 and k = d-1 respectively).  ``apply`` runs a form
+matrix-free on flat states through that table, and ``_assemble`` turns sums
+sum_t X_t (x) M_t of system coefficients and composed ladder maps into dense
+matrices between two sets of Fock states: the sector blocks of the kernel
+solves and of the CCR and adjoint-defect checks.
 
 Photon-number grading.  An annihilator lowers the total photon number N by
 one and a system coefficient keeps it.  A stacked boundary operator without
@@ -95,17 +100,6 @@ def _svd_block_bytes(rows: int, cols: int) -> int:
 # A ladder operator as applied: a|x> = weight[x] |target[x]> on Fock indices x,
 # with target -1 (and weight 0) where the state is annihilated.
 LadderMap = Tuple[np.ndarray, np.ndarray]
-
-
-def _transpose(ladder: LadderMap) -> LadderMap:
-    """Transpose (= adjoint, the weights being real) of an injective map."""
-    target, weight = ladder
-    src = np.flatnonzero(target >= 0)
-    back = np.full(target.size, -1)
-    back[target[src]] = src
-    back_weight = np.zeros(target.size)
-    back_weight[target[src]] = weight[src]
-    return back, back_weight
 
 
 def _compose(outer: LadderMap, inner: LadderMap) -> LadderMap:
@@ -195,12 +189,6 @@ class TruncatedFockSpace:
                       for k in range(1, len(c)))
         return largest + 16 * sum(x * x for x in c)
 
-    def digit(self, j: int, sign: str) -> int:
-        """Digit position of mode (j, sign) for channel j in 1..n."""
-        if not (1 <= j <= self.n) or sign not in ("+", "-"):
-            raise ValueError(f"no mode ({j}, {sign!r})")
-        return (j - 1) if sign == "+" else (self.n + j - 1)
-
     @cached_property
     def _digits(self) -> np.ndarray:
         """Array (fock_dim, 2n): occupation digit p of Fock index x at [x, p]."""
@@ -222,32 +210,22 @@ class TruncatedFockSpace:
         return [idx[total == k] for k in range(self.n_modes * cap + 1)]
 
     @cached_property
-    def identity_map(self) -> LadderMap:
-        """The identity as a ladder map: the map of a form's zeroth slot."""
-        return np.arange(self.fock_dim), np.ones(self.fock_dim)
-
-    @cached_property
-    def _ladder_maps(self) -> List[Tuple[LadderMap, LadderMap]]:
-        # Single-mode annihilator: a|k> = sqrt(k)|k-1>, a|0> = 0.
-        steps = np.sqrt(np.arange(self.d, dtype=float))
+    def _slot_table(self) -> Tuple[Tuple[LadderMap, ...], ...]:
+        # (annihilators, creators), by the closed forms of the module docstring
         idx = np.arange(self.fock_dim)
-        maps = []
-        for p in range(self.n_modes):
-            k = self._digits[:, p]
-            lowering = (np.where(k > 0, idx - self.d ** p, -1), steps[k])
-            maps.append((lowering, _transpose(lowering)))
-        return maps
+        lowering = [(idx, np.ones(self.fock_dim))]
+        raising = list(lowering)
+        for p, k in enumerate(self._digits.T):
+            step, top = self.d ** p, k < self.d - 1
+            lowering.append((np.where(k > 0, idx - step, -1), np.sqrt(k)))
+            raising.append((np.where(top, idx + step, -1),
+                            np.where(top, np.sqrt(k + 1), 0.0)))
+        return tuple(lowering), tuple(raising)
 
-    def ladder_map(self, p: int, dagger: bool = False) -> LadderMap:
-        """The annihilator of the mode at digit p (its adjoint, the creator,
-        when ``dagger``) as a ``LadderMap`` of Fock indices."""
-        return self._ladder_maps[p][dagger]
-
-    def slot_maps(self, dagger: bool = False) -> List[LadderMap]:
-        """The map of each form slot, adjoint when ``dagger``: the identity,
-        then the annihilators by digit."""
-        return [self.identity_map] + [self.ladder_map(p, dagger)
-                                      for p in range(self.n_modes)]
+    def slot_maps(self, dagger: bool = False) -> Tuple[LadderMap, ...]:
+        """The ``LadderMap`` of each form slot: [0] the identity, [1 + p] the
+        annihilator of the mode at digit p, or its creator when ``dagger``."""
+        return self._slot_table[dagger]
 
     def _apply_map(self, psi: np.ndarray, ladder: LadderMap) -> np.ndarray:
         """A ladder map on the Fock index of flat states."""
@@ -463,11 +441,10 @@ def number_defect_residual(ops: ModeOperators) -> float:
             for q, t_q in enumerate(jump):
                 x = 1j * adjoint(s_p) @ t_q
                 if np.any(x):
-                    term = _compose(raising[p], lowering[q])
-                    terms += [(x, term), (-adjoint(x), _transpose(term))]
-        for sign, p in ((-1j, space.digit(j + 1, "+")),
-                        (1j, space.digit(j + 1, "-"))):
-            terms.append((sign * eye, _compose(raising[1 + p], lowering[1 + p])))
+                    terms += [(x, _compose(raising[p], lowering[q])),
+                              (-adjoint(x), _compose(raising[q], lowering[p]))]
+        for sign, slot in ((-1j, 1 + j), (1j, 1 + space.n + j)):
+            terms.append((sign * eye, _compose(raising[slot], lowering[slot])))
     # Every term keeps the photon number, so the sector blocks hold them all.
     return max(float(np.abs(_assemble(terms, sector, sector)).max())
                for sector in space.sectors())
@@ -479,15 +456,15 @@ def commutator_defect(ops: ModeOperators) -> float:
     the worst guarded entry of the difference, assembled one pair and one
     guarded sector at a time (every term keeps the photon number)."""
     space = ops.space
+    lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
     sectors = space.sectors(space.d - 2)
     one = np.ones((1, 1))
     worst = 0.0
-    for i in range(space.n_modes):
-        for k in range(space.n_modes):
-            a, b_dag = space.ladder_map(i), space.ladder_map(k, True)
+    for i, a in enumerate(lowering[1:]):
+        for k, b_dag in enumerate(raising[1:]):
             terms = [(one, _compose(a, b_dag)), (-one, _compose(b_dag, a))]
             if i == k:
-                terms.append((-one, space.identity_map))
+                terms.append((-one, lowering[0]))
             for sector in sectors:
                 block = _assemble(terms, sector, sector)
                 worst = max(worst, float(np.abs(block).max()))
@@ -502,8 +479,9 @@ def number_spectrum_defect(ops: ModeOperators) -> float:
     expected = np.arange(space.d, dtype=float)
     idx = np.arange(space.fock_dim)
     worst = 0.0
-    for p in range(space.n_modes):
-        target, weight = _compose(space.ladder_map(p, True), space.ladder_map(p))
+    lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
+    for a, a_dag in zip(lowering[1:], raising[1:]):
+        target, weight = _compose(a_dag, a)
         on_diag = target == idx
         off = np.abs(weight[~on_diag & (target >= 0)])
         values = np.unique(np.round(np.where(on_diag, weight, 0.0), 12))

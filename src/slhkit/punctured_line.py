@@ -226,23 +226,20 @@ def require_same_spec(f: GridFunction, g: GridFunction) -> None:
 
 def sample(spec: GridSpec,
            left: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-           right: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-           left_limit: Optional[complex] = None,
-           right_limit: Optional[complex] = None) -> GridFunction:
+           right: Optional[Callable[[np.ndarray], np.ndarray]] = None
+           ) -> GridFunction:
     """Evaluate callables on the half-line grids.
 
-    A missing half is identically zero; a missing limit defaults to evaluating
-    the corresponding callable at 0 (continuity from that side).
+    A missing half is identically zero; each boundary trace is the callable's
+    value at 0 (continuity from that side).
     """
     n = spec.n_nodes
     lv = zero_half(n) if left is None else \
         np.asarray(left(spec.left_nodes()), dtype=complex)
     rv = zero_half(n) if right is None else \
         np.asarray(right(spec.right_nodes()), dtype=complex)
-    ll = (0.0 if left is None else complex(left(np.array([0.0]))[0])) \
-        if left_limit is None else left_limit
-    rl = (0.0 if right is None else complex(right(np.array([0.0]))[0])) \
-        if right_limit is None else right_limit
+    ll = 0.0 if left is None else complex(left(np.array([0.0]))[0])
+    rl = 0.0 if right is None else complex(right(np.array([0.0]))[0])
     return GridFunction(spec, lv, rv, ll, rl)
 
 

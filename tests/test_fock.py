@@ -118,7 +118,7 @@ class TestTruncatedSpace:
     def test_ladder_matrix_entries(self):
         space = TruncatedFockSpace(m=1, n=1, d=3)
         # mode (1,+) is digit 0: its first d states have the other mode empty
-        target, weight = (x[:space.d] for x in space.ladder_map(0))
+        target, weight = (x[:space.d] for x in space.slot_maps()[1])
         a = np.zeros((space.d, space.d), dtype=complex)
         src = np.flatnonzero(target >= 0)
         a[target[src], src] = weight[src]
@@ -144,12 +144,32 @@ class TestTruncatedSpace:
         for total, sector in enumerate(space.sectors()):
             assert all(sum(occ[x][1:]) == total for x in sector)
         assert list(space.photon_guard_mask()) == [max(o[1:]) <= 1 for o in occ]
-        for p, step in ((space.digit(1, "+"), 1), (space.digit(1, "-"), 3)):
-            target, weight = space.ladder_map(p)
+        for p, step in ((0, 1), (space.n, 3)):  # modes (1,+) and (1,-)
+            target, weight = space.slot_maps()[1 + p]
             for x in range(space.fock_dim):
                 k = occ[x][1 + p]
                 assert target[x] == (x - step if k else -1)
                 assert weight[x] == math.sqrt(k)
+
+    @pytest.mark.parametrize("size", [(1, 1, 3), (2, 1, 5), (1, 2, 4),
+                                      (3, 2, 3), (1, 3, 3)])
+    def test_creators_are_transposed_annihilators(self, size):
+        # the creators' closed form against the transpose of the annihilators,
+        # the -1 targets and 0 weights at k = 0 and k = d - 1 included
+        space = TruncatedFockSpace(*size)
+        lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
+        assert space.slot_maps() is lowering
+        assert len(lowering) == len(raising) == 1 + space.n_modes
+        assert all(map(np.array_equal, raising[0], lowering[0]))
+        edge = space.fock_dim // space.d
+        for a, a_dag in zip(lowering[1:], raising[1:]):
+            target, weight = transposed(a)
+            assert np.array_equal(a_dag[0], target)
+            assert np.array_equal(a_dag[1], weight)
+            for ladder in (a, a_dag):
+                annihilated = ladder[0] == -1
+                assert annihilated.sum() == edge
+                assert not np.any(ladder[1][annihilated])
 
     def test_commutators_on_guard(self):
         ops = build_mode_operators(2, 2, 3)
@@ -187,6 +207,18 @@ class TestTruncatedSpace:
         assert sizes and max(sizes) <= largest
 
 
+def transposed(ladder):
+    """Reference adjoint of an injective ladder map, by transposition: image
+    x -> target[x] with weight w becomes target[x] -> x with weight w."""
+    target, weight = ladder
+    src = np.flatnonzero(target >= 0)
+    back = np.full(target.size, -1)
+    back[target[src]] = src
+    back_weight = np.zeros(target.size)
+    back_weight[target[src]] = weight[src]
+    return back, back_weight
+
+
 def coherent_vector(space, j, sign, alpha):
     """Normalized truncated coherent state in mode (j, sign), vacuum elsewhere,
     system component e_0."""
@@ -194,7 +226,8 @@ def coherent_vector(space, j, sign, alpha):
                      for k in range(space.d)], dtype=complex)
     amps /= np.linalg.norm(amps)
     vec = np.zeros(space.dim, dtype=complex)
-    vec[np.arange(space.d) * space.d ** space.digit(j, sign)] = amps
+    digit = j - 1 if sign == "+" else space.n + j - 1
+    vec[np.arange(space.d) * space.d ** digit] = amps
     return vec
 
 
@@ -289,6 +322,35 @@ class TestBoundarySubspaces:
         sub_c = route_c(SINGULAR_EL0, ops)
         assert sub_b.dim == sub_c.dim == 6
         assert principal_angles(sub_b.columns, sub_c.columns).max() <= 1e-8
+
+    @pytest.mark.parametrize("size,sigma", [
+        ((2, 1, 6), None), ((2, 2, 4), 0.3), ((2, 2, 5), None),
+        ((3, 1, 5), -1.0), ((1, 2, 6), -1.0)])
+    def test_kernel_support_is_monotone_in_photon_number(self, size, sigma):
+        # with E_l0 = 0 every kernel column lies in one sector; the sectors
+        # that hold kernel columns are exactly N = 0..N* for both routes
+        m, n, d = size
+        gauge = None if sigma is None else ScalarGauge(sigma)
+        ops = build_mode_operators(m, n, d, gauge)
+        space = ops.space
+        photons = np.zeros(space.fock_dim, dtype=int)
+        for total, sector in enumerate(space.sectors()):
+            photons[sector] = total
+        photons = np.tile(photons, m)
+        rng = np.random.default_rng(list(size))
+        for _ in range(2):
+            e = random_coupling(rng, m, n, zero_channel_system=True)
+            dims = []
+            for sub in (route_b(e, ops), route_c(e, ops)):
+                held = [np.unique(photons[np.flatnonzero(column)])
+                        for column in sub.columns.T]
+                assert all(sector.size == 1 for sector in held)
+                dims.append(np.bincount([sector[0] for sector in held],
+                                        minlength=len(space.sectors())))
+            for dim in dims:
+                top = int(np.flatnonzero(dim).max())
+                assert np.all(dim[:top + 1] > 0) and not np.any(dim[top + 1:])
+            assert np.array_equal(dims[0], dims[1])
 
 
 class TestSingularAction:

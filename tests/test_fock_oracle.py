@@ -209,9 +209,9 @@ def test_assembled_commutator_matches_dense(size, dense_fock):
     rng = np.random.default_rng(list(size))
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     for p, a_dense in enumerate(dense.a_plus + dense.a_minus):
-        a, a_dag = space.ladder_map(p), space.ladder_map(p, True)
+        a, a_dag = space.slot_maps()[1 + p], space.slot_maps(True)[1 + p]
         terms = [(x, _compose(a, a_dag)), (-x, _compose(a_dag, a)),
-                 (-x, space.identity_map)]
+                 (-x, space.slot_maps()[0])]
         comm = dense.lift_system(x) @ (a_dense @ a_dense.conj().T
                                        - a_dense.conj().T @ a_dense - dense.eye)
         for cap, expected in ((d - 2, 0.0), (d - 1, d * np.abs(x).max())):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -371,8 +372,7 @@ class TestDecomposition:
         assert dec_m.c_plus == 0.0 and dec_m.c_minus == 1.0
 
     def test_linear_ramp_example(self):
-        psi = sample(SPEC, right=lambda t: np.where(t < 1.0, 1.0 - t, 0.0),
-                     right_limit=1.0)
+        psi = sample(SPEC, right=lambda t: np.where(t < 1.0, 1.0 - t, 0.0))
         dec = decompose_sobolev(psi)
         assert dec.c_plus == 1j
         assert dec.psi0.right_limit == 0.0
@@ -670,8 +670,9 @@ class TestZeroHalves:
             "right": sample(self.SPEC, right=random_bump(rng, "right")),
             "left": sample(self.SPEC, left=random_bump(rng, "left")),
             # a zero half with a nonzero trace
-            "right_jump": sample(self.SPEC, right=random_bump(rng, "right"),
-                                 left_limit=0.3),
+            "right_jump": replace(
+                sample(self.SPEC, right=random_bump(rng, "right")),
+                left_limit=0.3),
             "two_sided": random_grid_function(rng, self.SPEC),
             # nonzero, but below 1e-40 at both ends of its half-line
             "interior": sample(self.SPEC, right=gaussian(1.0 - 0.5j, 1.0, 10.0)),
