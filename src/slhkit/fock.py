@@ -39,10 +39,12 @@ one and a system coefficient keeps it.  A stacked boundary operator without
 constant term (E_l0 = 0, hence L = 0) is therefore block-diagonal from sector
 N to sector N-1: its singular values are the union of the sector blocks', and
 its kernel is the direct sum of the sector kernels.  Each sector block is
-assembled from the forms' slots and solved by SVD, with the rank cutoff
-fixed at 1e-9 x the global sigma_max (``linalg.NULLSPACE_TOL`` times the
-largest singular value over all blocks), so the rank decision is the one
-a single dense SVD would make in exact arithmetic.  The config's
+assembled from the forms' slots; a tall one is certified kernel-free by a
+shifted Cholesky factorization of its Gram matrix when it has one (the high
+sectors), and solved by SVD otherwise (``linalg.null_spaces``).  The rank
+cutoff is fixed at 1e-9 x the global sigma_max (``linalg.NULLSPACE_TOL``
+times the largest singular value over all blocks), so the rank decision is
+the one a single dense SVD would make in exact arithmetic.  The config's
 ``tolerances.kernel`` is not this cutoff: it bounds the largest principal
 angle between the two routes' kernels.  A nonzero constant term keeps N
 fixed and chains all sectors into one block-bidiagonal matrix, assembled and
@@ -70,11 +72,12 @@ both full kernel solves, ``sample_domain_vectors`` the guarded solve, and
 ``action_residuals`` applies the rows and the action read off ``res.ito``.
 
 Size guard: ``TruncatedFockSpace`` estimates the peak bytes of a kernel solve
-(the largest sector block with its SVD factors, plus every sector's right
-factor) and raises TooLarge above ``MAX_SOLVE_BYTES`` before anything is
-allocated; the single block of a nonzero E_l0 is checked against the same
-bound before it is assembled.  With E_l0 = 0, (1,3,4) and (1,3,5) (dim 4096
-and 15625, about 0.06 and 0.6 GiB) fit; (1,3,6) and (2,3,8) do not.
+(the largest sector block with its SVD factors, which also cover a
+certificate, plus one cols x cols array per sector) and raises TooLarge
+above ``MAX_SOLVE_BYTES`` before anything is allocated; the single block of
+a nonzero E_l0 is checked against the same bound before it is assembled.
+With E_l0 = 0, (1,3,4) and (1,3,5) (dim 4096 and 15625, about 0.06 and 0.6
+GiB) fit; (1,3,6) and (2,3,8) do not.
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
 def _svd_block_bytes(rows: int, cols: int) -> int:
     """Bytes of a complex rows x cols block plus what its kernel solve
     allocates beside it: rows x min(rows, cols) for the QR copy of a tall
-    block or U of a wide one, and V of cols x cols."""
+    block or U of a wide one, and V of cols x cols.  A certificate (rows >=
+    cols) holds at most rows x cols + cols^2 beside it: B^H with G = B^H B,
+    then G with its Cholesky factor, both freed before any fallback."""
     return 16 * (rows * cols + rows * min(rows, cols) + cols * cols)
 
 
@@ -182,8 +187,8 @@ class TruncatedFockSpace:
     def solve_bytes(self) -> int:
         """Estimated peak bytes of a kernel solve without constant term: the
         largest sector block of the n stacked boundary rows (sector N into
-        N-1) with its SVD factors, plus the right factors of all sectors,
-        which are held until the global threshold is known."""
+        N-1) with its SVD factors, plus each sector's right factor or
+        certified Gram, held until the global threshold is known."""
         c = [self.m * int(x) for x in self.sector_sizes()]
         largest = max(_svd_block_bytes(self.n * c[k - 1], c[k])
                       for k in range(1, len(c)))
@@ -312,11 +317,13 @@ def build_mode_operators(m: int, n: int, d: int,
 
 @dataclass(frozen=True)
 class BoundarySubspace:
-    """Kernel of one family of boundary operators, as orthonormal columns, and
-    the global sigma_max its rank threshold was relative to."""
+    """Kernel of one family of boundary operators, as orthonormal columns, the
+    global sigma_max its rank threshold was relative to, and the number of
+    blocks certified kernel-free without an SVD."""
 
     columns: np.ndarray
     sigma_max: float
+    certified: int
 
     @property
     def dim(self) -> int:
@@ -360,7 +367,13 @@ def boundary_kernel(space: TruncatedFockSpace, coef: np.ndarray,
     """Kernel of the stacked forms ``coef`` on the occupations with every
     mode <= cap (default d - 1, the whole space), as flat columns, with the
     global sigma_max of its blocks.  The rank cutoff is linalg's fixed
-    NULLSPACE_TOL x sigma_max."""
+    NULLSPACE_TOL x sigma_max.  Every block restricts X_0 (x) 1 + sum_p X_p
+    (x) a_p, X_p the stack of slot p and ||a_p|| <= sqrt(cap): that bounds
+    sigma_max for the certificate."""
+    cap = space.d - 1 if cap is None else cap
+    stacks = np.moveaxis(coef, 1, 0).reshape(coef.shape[1], -1, space.m)
+    norms = np.linalg.norm(stacks, 2, axis=(1, 2))
+    bound = float(norms[0] + np.sqrt(cap) * norms[1:].sum()) ** 2
     sectors = space.sectors(cap)
     if np.any(coef[:, 0]):
         # The constant term keeps N fixed: all sectors form one block.
@@ -376,8 +389,9 @@ def boundary_kernel(space: TruncatedFockSpace, coef: np.ndarray,
     else:
         groups = [(cols, sectors[k - 1] if k else cols[:0])
                   for k, cols in enumerate(sectors)]
-    kernels, sigma_max = null_spaces(
-        _sector_block(space, coef, cols, rows) for cols, rows in groups)
+    kernels, sigma_max, certified = null_spaces(
+        (_sector_block(space, coef, cols, rows) for cols, rows in groups),
+        bound)
     columns = np.zeros((space.dim, sum(k.shape[1] for k in kernels)),
                        dtype=complex)
     start = 0
@@ -385,7 +399,7 @@ def boundary_kernel(space: TruncatedFockSpace, coef: np.ndarray,
         flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
-    return BoundarySubspace(columns, sigma_max)
+    return BoundarySubspace(columns, sigma_max, sum(certified))
 
 
 # --- singular generator and its action --------------------------------------
@@ -484,7 +498,9 @@ def number_spectrum_defect(ops: ModeOperators) -> float:
         target, weight = _compose(a_dag, a)
         on_diag = target == idx
         off = np.abs(weight[~on_diag & (target >= 0)])
-        values = np.unique(np.round(np.where(on_diag, weight, 0.0), 12))
+        # sorted distinct values; np.unique would import numpy.ma
+        values = np.sort(np.round(np.where(on_diag, weight, 0.0), 12))
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
         if values.shape != expected.shape:
             return float("inf")
         worst = max(worst, float(off.max(initial=0.0)),

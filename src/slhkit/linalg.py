@@ -11,7 +11,8 @@ whole block layout.
 
 A kernel is a plain ``(dim, k)`` array of orthonormal columns (k = 0 when
 trivial), cut at one rank threshold: NULLSPACE_TOL x the largest singular
-value.
+value.  A tall block whose shifted Gram matrix has a Cholesky factorization
+is certified kernel-free without an SVD; no rank is read off a Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 
 DEFAULT_HERMITICITY_TOL = 1e-10
 NULLSPACE_TOL = 1e-9
+# Shift of the Cholesky certificate, relative to the bound on sigma_max^2: a
+# certified block has sigma_min > 1e-5 sigma_max, four decades above the cut.
+CERTIFY_SHIFT = 1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -75,43 +79,87 @@ def cayley(a: np.ndarray, scale: float = 0.5) -> np.ndarray:
     return np.linalg.solve(den.T, num.T).T
 
 
-def null_spaces(blocks: Iterable[np.ndarray]) -> Tuple[List[np.ndarray], float]:
-    """Kernels of the diagonal blocks of one block-diagonal matrix.
+def _has_cholesky(a: np.ndarray) -> bool:
+    """Whether the Hermitian ``a`` (lower triangle read) has a Cholesky
+    factorization, i.e. is numerically positive definite."""
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
-    Each block is factored by SVD and its kernel kept as orthonormal columns;
-    the rank threshold is ``NULLSPACE_TOL`` times the global sigma_max, the
-    largest singular value over all blocks, so the decision is the one an SVD
-    of the whole matrix would make.  Blocks are consumed one at a time (only
-    their right factors are kept).  Returns the kernels, in block order, and
-    the global sigma_max; when every block is zero each kernel is its full
-    space.
+
+def null_spaces(blocks: Iterable[np.ndarray], bound: float = 0.0
+                ) -> Tuple[List[np.ndarray], float, List[bool]]:
+    """Kernels of the diagonal blocks of one block-diagonal matrix, cut at
+    ``NULLSPACE_TOL`` times the global sigma_max (the largest singular value
+    over all blocks), the decision an SVD of the whole matrix would make.
+
+    With ``bound`` >= sigma_max^2 (0 for none), a block B with rows >= cols
+    whose G - tau I (G = B^H B, tau = CERTIFY_SHIFT x bound) has a Cholesky
+    factorization has sigma_min^2 > tau: its kernel is empty and no SVD runs.
+    Every other block is factored by SVD, a tall one after QR.  Blocks are
+    consumed one at a time, each leaving one c x c array (its right factor or
+    certified G) until the cut is known.  sigma_max is exact: a certified G's
+    top eigenvalue is computed unless its row sums, or a Cholesky factor of
+    s^2 I - G with s the largest value so far, show it is at most s^2.
+
+    Returns the kernels in block order, sigma_max and, per block, whether it
+    was certified; with every block zero each kernel is its full space.
+    Raises ValueError if a certificate relied on a bound below sigma_max^2.
     """
+    tau = CERTIFY_SHIFT * bound
     factors = []
     for block in blocks:
         block = as_complex_matrix(block)
         rows, cols = block.shape
-        # Only the right factor is needed.  A tall block is first reduced to
-        # the triangular factor of its QR, which has the same singular values
-        # and right factor and spares forming Q and U; the right factor is
-        # then square unless rows < cols.
+        if tau > 0.0 and rows >= cols > 0:
+            gram = adjoint(block) @ block
+            gram[np.diag_indices(cols)] -= tau
+            if _has_cholesky(gram):
+                factors.append((None, gram))
+                continue
+            del gram
         if rows > cols:
             block = np.linalg.qr(block, mode="r")
         _, sing, vh = np.linalg.svd(block, full_matrices=rows < cols)
         factors.append((sing, vh))
-    smax = max((float(sing[0]) for sing, _ in factors if sing.size), default=0.0)
+    smax = max((float(sing[0]) for sing, _ in factors
+                if sing is not None and sing.size), default=0.0)
+    # lambda_max(G) <= the largest absolute row sum of G - tau I, plus tau
+    grams = sorted(((float(np.abs(g).sum(axis=1).max()) + tau, g)
+                    for sing, g in factors if sing is None),
+                   key=lambda pair: pair[0], reverse=True)
+    for top, gram in grams:
+        if top <= smax ** 2:
+            break
+        if smax > 0.0:
+            # lambda_max(G) <= sigma_max^2 when sigma_max^2 I - G factors
+            room = -gram
+            room[np.diag_indices(len(room))] += smax ** 2 - tau
+            below = _has_cholesky(room)
+            del room
+            if below:
+                continue
+        smax = max(smax, float(np.sqrt(np.linalg.eigvalsh(gram)[-1] + tau)))
+    if grams and smax ** 2 > bound * (1.0 + 1e-8):
+        raise ValueError(f"sigma_max^2 = {smax ** 2:.6e} exceeds the bound "
+                         f"{bound:.6e} the certificate relied on")
     kernels = []
     for sing, vh in factors:
-        if smax == 0.0:
+        if sing is None:
+            kernels.append(np.zeros((vh.shape[1], 0), dtype=complex))
+        elif smax == 0.0:
             kernels.append(np.eye(vh.shape[1], dtype=complex))
         else:
             rank = int(np.sum(sing > NULLSPACE_TOL * smax))
             kernels.append(adjoint(vh[rank:]))
-    return kernels, smax
+    return kernels, smax, [sing is None for sing, _ in factors]
 
 
 def null_space(m: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the kernel of m at the NULLSPACE_TOL
-    cutoff; (dim, 0) when it is trivial, the full space when m = 0."""
+    cutoff, by SVD; (dim, 0) when it is trivial, the full space when m = 0."""
     return null_spaces([m])[0][0]
 
 

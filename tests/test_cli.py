@@ -399,3 +399,16 @@ class TestExitCodes:
             assert proc.returncode == 0, proc.stderr
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def test_fock_run_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma (numpy 2.4); a fock process needs none of it
+    script = ("import sys; from slhkit import cli; "
+              "code = cli.main(['fock', '--config', sys.argv[1], "
+              "'--out', sys.argv[2], '--sweep', '1']); "
+              "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script, str(EXAMPLE),
+                           str(tmp_path / "report.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

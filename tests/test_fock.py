@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from slhkit.cli import run_command
 from slhkit.config import config_from_dict
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit import fock
-from slhkit.errors import NotInDomain, TooLarge
+from slhkit.errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
 from slhkit.fock import (
     TruncatedFockSpace,
     action_residuals,
@@ -105,6 +106,29 @@ class TestTruncatedSpace:
         space = TruncatedFockSpace(m=1, n=3, d=4)
         assert space.dim == 4096
         assert space.solve_bytes() < 64 * 2 ** 20
+
+    def test_size_guard_admission(self):
+        # (1,3,5) is admitted; (1,3,6) is refused on construction, before
+        # any array of a solve exists ((2,3,8): test_size_guard)
+        assert TruncatedFockSpace(m=1, n=3, d=5).solve_bytes() <= MAX_SOLVE_BYTES
+        with pytest.raises(TooLarge):
+            TruncatedFockSpace(m=1, n=3, d=6)
+
+    def test_solve_bytes_covers_the_certified_solve(self):
+        # the arrays a route-B solve allocates, certificates and fallbacks
+        # included, stay within the estimate the guard admits
+        ops = build_mode_operators(1, 3, 4, ScalarGauge(0.3))
+        e = random_coupling(np.random.default_rng(1), 1, 3,
+                            zero_channel_system=True)
+        rows = stacked_boundary_rows(e, ops)
+        tracemalloc.start()
+        try:
+            sub = boundary_kernel(ops.space, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.certified > 0
+        assert peak <= ops.space.solve_bytes()
 
     def test_sector_sizes_partition_the_space(self):
         space = TruncatedFockSpace(m=1, n=2, d=4)

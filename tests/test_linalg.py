@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from slhkit import fock
+from slhkit.ensembles import random_coupling
 from slhkit.errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 from slhkit.linalg import (
+    CERTIFY_SHIFT,
     NULLSPACE_TOL,
     adjoint,
     cayley,
@@ -13,6 +16,7 @@ from slhkit.linalg import (
     null_spaces,
     principal_angles,
 )
+from slhkit.slh import ScalarGauge, slh_triple
 
 
 def orthonormality_defect(basis):
@@ -116,10 +120,126 @@ class TestNullSpace:
         # all kernel, though alone it would have full rank
         small = np.diag([1e-11, 2e-11])
         big = np.diag([1.0, 0.0])
-        kernels, smax = null_spaces([small, big])
+        kernels, smax, _ = null_spaces([small, big])
         assert smax == 1.0
         assert [k.shape[1] for k in kernels] == [2, 1]
         assert null_space(small).shape[1] == 0
+
+
+def planted(rng, rows, sing):
+    """A rows x len(sing) block with singular values ``sing``."""
+    cols = len(sing)
+    u = np.linalg.qr(rng.standard_normal((rows, cols))
+                     + 1j * rng.standard_normal((rows, cols)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, cols))
+                     + 1j * rng.standard_normal((cols, cols)))[0]
+    return (u * np.asarray(sing)) @ adjoint(v)
+
+
+def svd_null_spaces(blocks, bound=0.0):
+    """Reference: every block by QR + SVD, no certificate."""
+    factors = []
+    for block in blocks:
+        rows, cols = block.shape
+        if rows > cols:
+            block = np.linalg.qr(block, mode="r")
+        _, sing, vh = np.linalg.svd(block, full_matrices=rows < cols)
+        factors.append((sing, vh))
+    smax = max((float(sing[0]) for sing, _ in factors if sing.size), default=0.0)
+    kernels = [np.eye(vh.shape[1], dtype=complex) if smax == 0.0 else
+               adjoint(vh[int(np.sum(sing > NULLSPACE_TOL * smax)):])
+               for sing, vh in factors]
+    return kernels, smax, [False] * len(factors)
+
+
+class TestCertificate:
+    def test_well_conditioned_tall_block_is_certified(self):
+        # sigma_min / sigma_max = 1e-4: sigma_min^2 = 1e-8 clears the shift
+        # 1e-10 x bound, so no SVD runs; sigma_max stays the exact one
+        rng = np.random.default_rng(51)
+        sing = np.geomspace(2.0, 2e-4, 6)
+        block = planted(rng, 15, sing)
+        kernels, smax, certified = null_spaces([block], bound=4.0)
+        assert certified == [True]
+        assert kernels[0].shape == (6, 0)
+        assert abs(smax - 2.0) <= 1e-14 * 2.0
+
+    def test_block_between_cut_and_certificate_falls_back(self):
+        # sigma_min / sigma_max = 1e-7 sits above the 1e-9 cut but below the
+        # certificate: the factorization fails, the SVD keeps full rank
+        rng = np.random.default_rng(52)
+        sing = np.geomspace(1.0, 1e-7, 5)
+        block = planted(rng, 12, sing)
+        assert 1e-7 ** 2 < CERTIFY_SHIFT
+        kernels, smax, certified = null_spaces([block], bound=1.0)
+        assert certified == [False]
+        assert kernels[0].shape == (5, 0)
+        assert abs(smax - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("shape,rank", [((12, 5), 3), ((6, 6), 5), ((9, 4), 0)])
+    def test_exact_kernel_is_never_certified(self, shape, rank):
+        rng = np.random.default_rng(sum(shape) + rank)
+        rows, cols = shape
+        left = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        right = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+        block = left @ right
+        top = np.linalg.norm(block, 2) if rank else 1.0
+        kernels, _, certified = null_spaces([block], bound=4.0 * top ** 2)
+        reference = svd_null_spaces([block])[0][0]
+        assert certified == [False]
+        assert kernels[0].shape == (cols, cols - rank)
+        assert np.array_equal(kernels[0], reference)
+
+    def test_zero_block_and_zero_bound_keep_the_full_space(self):
+        # the all-zero block fails the certificate and is all kernel; with
+        # bound 0 nothing is certified, whatever the blocks
+        for bound in (0.0, 1.0):
+            kernels, smax, certified = null_spaces(
+                [np.zeros((6, 4)), np.zeros((2, 3))], bound)
+            assert smax == 0.0 and certified == [False, False]
+            assert [k.shape for k in kernels] == [(4, 4), (3, 3)]
+            assert all(np.array_equal(k, np.eye(len(k))) for k in kernels)
+        block = planted(np.random.default_rng(53), 8, [1.0, 0.5, 0.25])
+        kernels, smax, certified = null_spaces([block], 0.0)
+        assert certified == [False] and kernels[0].shape == (3, 0)
+
+    def test_sigma_max_from_a_certified_block(self):
+        # the largest singular value sits in a certified block and the rank
+        # cut of the other block is relative to it
+        rng = np.random.default_rng(54)
+        big = planted(rng, 10, [3.0, 2.0, 1.0])
+        near = np.diag([1.0, 2e-9, 1.5e-9])
+        kernels, smax, certified = null_spaces([near, big], bound=9.0)
+        assert certified == [False, True]
+        assert abs(smax - 3.0) <= 1e-14 * 3.0
+        # cut 3e-9: alone, with cut 1e-9, near would have full rank
+        assert [k.shape[1] for k in kernels] == [2, 0]
+
+    def test_bound_below_sigma_max_is_refused(self):
+        block = planted(np.random.default_rng(55), 7, [2.0, 1.0, 0.5])
+        with pytest.raises(ValueError):
+            null_spaces([block], bound=1.0)
+
+    @pytest.mark.parametrize("size,el0", [((1, 2, 4), False), ((2, 2, 5), False),
+                                          ((1, 3, 3), False), ((1, 2, 4), True)])
+    def test_fock_kernels_equal_the_svd_reference(self, size, el0, monkeypatch):
+        # routes B and C, full and guarded: the certified solve returns the
+        # same columns, bit for bit, as QR + SVD of every block
+        m, n, d = size
+        e = random_coupling(np.random.default_rng(list(size)), m, n,
+                            zero_channel_system=not el0)
+        ops = fock.build_mode_operators(m, n, d, ScalarGauge(0.3))
+        rows_b = fock.stacked_boundary_rows(e, ops)
+        rows_c = fock.scattering_rows(slh_triple(e, ops.gauge), ops)
+        solves = [(rows, cap) for rows in (rows_b, rows_c) for cap in (None, d - 2)]
+        certified = [fock.boundary_kernel(ops.space, rows, cap)
+                     for rows, cap in solves]
+        monkeypatch.setattr(fock, "null_spaces", svd_null_spaces)
+        for sub, (rows, cap) in zip(certified, solves):
+            ref = fock.boundary_kernel(ops.space, rows, cap)
+            assert sub.certified > 0 and ref.certified == 0
+            assert np.array_equal(sub.columns, ref.columns)
+            assert abs(sub.sigma_max - ref.sigma_max) <= 1e-13 * ref.sigma_max
 
 
 class TestPrincipalAngles:

@@ -34,24 +34,30 @@ def test_run_list_covers_every_subcommand(tmp_path):
 def test_fock_rank_decisions_are_decisive(tmp_path, monkeypatch):
     """Every Fock kernel solve of the oracle's JSON fock runs keeps singular
     values at least 100 x the cut NULLSPACE_TOL x sigma_max and drops only
-    values at most cut / 100, recomputed block by block."""
+    values at most cut / 100, recomputed block by block; a block the Cholesky
+    certificate decided counts as a rank decision like any other, with its
+    recomputed sigma_min at least 100 x the cut."""
     oracle = load_oracle()
     oracle.write_configs(tmp_path)
     solve = fock.null_spaces
     decisions = []
+    certified_blocks = []
 
-    def recording(blocks):
+    def recording(blocks, bound):
         blocks = list(blocks)
-        kernels, sigma_max = solve(blocks)
+        kernels, sigma_max, certified = solve(blocks, bound)
         cut = NULLSPACE_TOL * sigma_max
-        for block, kernel in zip(blocks, kernels):
+        for block, kernel, by_gram in zip(blocks, kernels, certified):
             sing = np.linalg.svd(block, compute_uv=False)
             rank = block.shape[1] - kernel.shape[1]
             assert np.sum(sing > cut) == rank
             assert np.all(sing[:rank] >= 100 * cut)
             assert np.all(sing[rank:] <= cut / 100)
+            if by_gram:
+                assert rank == block.shape[1] and sing[-1] >= 100 * cut
+                certified_blocks.append(block.shape)
             decisions.append(rank)
-        return kernels, sigma_max
+        return kernels, sigma_max, certified
 
     monkeypatch.setattr(fock, "null_spaces", recording)
     fock_runs = [(name, args) for name, args in oracle.runs(tmp_path)
@@ -60,3 +66,4 @@ def test_fock_rank_decisions_are_decisive(tmp_path, monkeypatch):
     for name, args in fock_runs:
         assert cli.main([*args, "--out", str(tmp_path / name)]) == 0
     assert decisions and max(decisions) > 0
+    assert certified_blocks
