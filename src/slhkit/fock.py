@@ -35,20 +35,28 @@ matrices between two sets of Fock states: the sector blocks of the kernel
 solves and of the CCR and adjoint-defect checks.
 
 Photon-number grading.  An annihilator lowers the total photon number N by
-one and a system coefficient keeps it.  A stacked boundary operator without
-constant term (E_l0 = 0, hence L = 0) is therefore block-diagonal from sector
-N to sector N-1: its singular values are the union of the sector blocks', and
-its kernel is the direct sum of the sector kernels.  Each sector block is
-assembled from the forms' slots; a tall one is certified kernel-free by a
-shifted Cholesky factorization of its Gram matrix when it has one (the high
-sectors), and solved by SVD otherwise (``linalg.null_spaces``).  The rank
-cutoff is fixed at 1e-9 x the global sigma_max (``linalg.NULLSPACE_TOL``
-times the largest singular value over all blocks), so the rank decision is
-the one a single dense SVD would make in exact arithmetic.  The config's
-``tolerances.kernel`` is not this cutoff: it bounds the largest principal
-angle between the two routes' kernels.  A nonzero constant term keeps N
-fixed and chains all sectors into one block-bidiagonal matrix, assembled and
-solved as a single block; which case applies is read from the coefficients.
+one and a system coefficient keeps it.  Every boundary operator B = X_0 (x) 1
++ sum_p X_p (x) a_p commutes with each 1 (x) a_q, so a_q maps ker B into
+itself, and ``boundary_kernel`` decides the kernel level by level in N.  Let
+F_N be the kernel vectors supported on the sectors <= N.  Without constant
+term (E_l0 = 0, hence L = 0) B maps sector N into N-1: level N is that
+sector block, and F_N adds its kernel to F_{N-1}.  With one, level N is the
+block of all sectors <= N, whose kernel is F_N.  The solve stops at the
+first level with F_N = F_{N-1}, and this is exact: for v in F_{N+1} every
+a_q v lies in F_N = F_{N-1}, so v's sector-(N+1) part is annihilated by
+every a_q, which only the vacuum is; it is 0, and F_{N+1} = F_N.  An
+injective X_0 thus stops at level 0 with an empty kernel.
+
+Every rank decision is ``linalg.null_space(block, sigma~)``, cut at
+NULLSPACE_TOL x sigma~, where sigma~^2 = lambda_max(X_0^H X_0 + cap sum_{p >=
+1} X_p^H X_p), X_p the slot-p coefficients stacked over the n rows (nm x m).
+That is ||B (s (x) |cap, ..., cap>)||^2 at its best unit s, the images under
+the 1 + 2n slots being orthogonal, so sigma~ <= sigma_max; and sigma_max <=
+||X_0|| + sqrt(cap) sum_p ||X_p|| <= (1 + 2n) sigma~.  A cut below
+NULLSPACE_TOL x sigma_max drops no more than that one would, and the
+boundary residual of ``action_residuals``, relative to sigma~, is the
+stricter for it.  The config's ``tolerances.kernel`` is not this cutoff: it
+bounds the largest principal angle between the two routes' kernels.
 
 Gauge.  Ungauged, frak_a is a_star itself; any explicit gauge, a zero sigma
 or Z included, builds frak_a by the kappa formula, which the sigma = 0
@@ -72,12 +80,13 @@ both full kernel solves, ``sample_domain_vectors`` the guarded solve, and
 ``action_residuals`` applies the rows and the action read off ``res.ito``.
 
 Size guard: ``TruncatedFockSpace`` estimates the peak bytes of a kernel solve
-(the largest sector block with its SVD factors, which also cover a
-certificate, plus one cols x cols array per sector) and raises TooLarge
-above ``MAX_SOLVE_BYTES`` before anything is allocated; the single block of
-a nonzero E_l0 is checked against the same bound before it is assembled.
-With E_l0 = 0, (1,3,4) and (1,3,5) (dim 4096 and 15625, about 0.06 and 0.6
-GiB) fit; (1,3,6) and (2,3,8) do not.
+(``solve_bytes``: the largest sector block with its SVD factors, or the
+returned columns, whose width is at most m d^n by ``kernel_rank``, plus the
+sector kernels and index tables held beside them) and raises TooLarge above
+``MAX_SOLVE_BYTES`` before anything is allocated; with a nonzero E_l0 each
+block of the sectors <= N is checked against the same bound before it is
+assembled.  With E_l0 = 0, (1,3,5) and (1,3,6) (dim 15625 and 46656, about
+0.32 and 1.9 GiB) fit; (1,3,7) and (2,3,8) do not.
 """
 
 from __future__ import annotations
@@ -89,16 +98,14 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
-from .linalg import adjoint, channel_blocks, null_spaces, principal_angles
+from .linalg import adjoint, channel_blocks, null_space, principal_angles
 from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
 
 
 def _svd_block_bytes(rows: int, cols: int) -> int:
     """Bytes of a complex rows x cols block plus what its kernel solve
     allocates beside it: rows x min(rows, cols) for the QR copy of a tall
-    block or U of a wide one, and V of cols x cols.  A certificate (rows >=
-    cols) holds at most rows x cols + cols^2 beside it: B^H with G = B^H B,
-    then G with its Cholesky factor, both freed before any fallback."""
+    block or U of a wide one, and V of cols x cols."""
     return 16 * (rows * cols + rows * min(rows, cols) + cols * cols)
 
 
@@ -154,11 +161,9 @@ class TruncatedFockSpace:
         if self.d < 3 or self.m < 1 or self.n < 1:
             raise TooLarge(f"need d >= 3, m >= 1, n >= 1, got "
                            f"(m, n, d) = ({self.m}, {self.n}, {self.d})")
-        # By Cauchy-Schwarz over the 2n(d-1) + 1 sectors, the right factors
-        # alone take at least 16 dim^2 / (2n(d-1) + 1) bytes.  Testing that
-        # bound first rejects a huge cutoff before any sector is counted.
-        sectors = self.n_modes * (self.d - 1) + 1
-        if (16 * self.dim ** 2 > MAX_SOLVE_BYTES * sectors
+        # The kernel columns are a closed form: testing them first rejects a
+        # huge cutoff before any sector is counted.
+        if (self.kernel_bytes() > MAX_SOLVE_BYTES
                 or self.solve_bytes() > MAX_SOLVE_BYTES):
             raise TooLarge(
                 f"a boundary kernel solve at (m, n, d) = ({self.m}, "
@@ -184,15 +189,39 @@ class TruncatedFockSpace:
             sizes = np.convolve(sizes, np.ones(self.d, dtype=np.int64))
         return sizes
 
+    def kernel_rank(self) -> int:
+        """Bound m d^n on the dimension of any boundary kernel.  A kernel
+        vector v is fixed by its component on the a_- vacuum: the stacked
+        forms read A_- a_- + R, with R free of a_- modes and A_- their a_-
+        coefficient, which is invertible: the identity for the scattering
+        form, and for the coupling form -i(1 + iE_ll kappa_+), invertible
+        with the dressing 1 + iEW (W vanishes on the system slot, so the
+        dressing is block upper triangular with this channel block).  So
+        B v = 0 reads a_- v = -A_-^{-1} R v: sqrt(k_j + 1) times v's
+        component at a_- occupations k + e_j is that of -A_-^{-1} R v at k,
+        and every component follows from one with fewer a_- photons.  The
+        a_- vacuum holds m d^n states."""
+        return self.m * self.d ** self.n
+
+    def kernel_bytes(self) -> int:
+        """Bytes of the largest kernel columns a solve can return."""
+        return 16 * self.dim * self.kernel_rank()
+
     def solve_bytes(self) -> int:
         """Estimated peak bytes of a kernel solve without constant term: the
         largest sector block of the n stacked boundary rows (sector N into
-        N-1) with its SVD factors, plus each sector's right factor or
-        certified Gram, held until the global threshold is known."""
+        N-1) with its SVD factors, or the returned columns, which are
+        allocated after the last block is freed; plus the sector kernels
+        held meanwhile, at most (widest sector) x ``kernel_rank`` entries;
+        plus the index tables, built once per space (occupation digits,
+        slot maps and sector lists with their temporaries, at most 12n + 8
+        words per Fock state), and 64 KiB for array and object headers."""
         c = [self.m * int(x) for x in self.sector_sizes()]
         largest = max(_svd_block_bytes(self.n * c[k - 1], c[k])
                       for k in range(1, len(c)))
-        return largest + 16 * sum(x * x for x in c)
+        return (max(largest, self.kernel_bytes())
+                + 16 * max(c) * self.kernel_rank()
+                + 8 * self.fock_dim * (12 * self.n + 8) + 2 ** 16)
 
     @cached_property
     def _digits(self) -> np.ndarray:
@@ -317,13 +346,11 @@ def build_mode_operators(m: int, n: int, d: int,
 
 @dataclass(frozen=True)
 class BoundarySubspace:
-    """Kernel of one family of boundary operators, as orthonormal columns, the
-    global sigma_max its rank threshold was relative to, and the number of
-    blocks certified kernel-free without an SVD."""
+    """Kernel of one family of boundary operators, as orthonormal columns, and
+    the scale sigma~ <= sigma_max its rank threshold was relative to."""
 
     columns: np.ndarray
     sigma_max: float
-    certified: int
 
     @property
     def dim(self) -> int:
@@ -362,44 +389,58 @@ def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
                      cols, rows)
 
 
+def _scale(coef: np.ndarray, cap: int) -> float:
+    """sigma~, the scale of the rank cut: the largest ||B (s (x) |cap, ...,
+    cap>)|| over unit s, for the stacked forms B with coefficients ``coef``
+    (module docstring)."""
+    stacks = np.moveaxis(coef, 1, 0).reshape(coef.shape[1], -1, coef.shape[-1])
+    weights = np.full(len(stacks), float(cap))
+    weights[0] = 1.0
+    gram = np.einsum("p,pri,prj->ij", weights, stacks.conj(), stacks)
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def boundary_kernel(space: TruncatedFockSpace, coef: np.ndarray,
                     cap: Optional[int] = None) -> BoundarySubspace:
     """Kernel of the stacked forms ``coef`` on the occupations with every
-    mode <= cap (default d - 1, the whole space), as flat columns, with the
-    global sigma_max of its blocks.  The rank cutoff is linalg's fixed
-    NULLSPACE_TOL x sigma_max.  Every block restricts X_0 (x) 1 + sum_p X_p
-    (x) a_p, X_p the stack of slot p and ||a_p|| <= sqrt(cap): that bounds
-    sigma_max for the certificate."""
+    mode <= cap (default d - 1, the whole space), as flat columns, decided
+    one photon-number level N = 0, 1, ... at a time and stopped at the first
+    level that adds no kernel dimension (module docstring).  Without a
+    constant term level N is the sector-N block and the kernels add up; with
+    one it is the block of the sectors <= N, whose kernel replaces the last,
+    and TooLarge is raised before such a block above ``MAX_SOLVE_BYTES`` is
+    assembled.  Every rank cut is NULLSPACE_TOL x sigma~ (``_scale``)."""
     cap = space.d - 1 if cap is None else cap
-    stacks = np.moveaxis(coef, 1, 0).reshape(coef.shape[1], -1, space.m)
-    norms = np.linalg.norm(stacks, 2, axis=(1, 2))
-    bound = float(norms[0] + np.sqrt(cap) * norms[1:].sum()) ** 2
+    scale = _scale(coef, cap)
     sectors = space.sectors(cap)
-    if np.any(coef[:, 0]):
-        # The constant term keeps N fixed: all sectors form one block.
-        everything = np.concatenate(sectors)
-        need = _svd_block_bytes(coef.shape[0] * space.m * everything.size,
-                               space.m * everything.size)
-        if need > MAX_SOLVE_BYTES:
-            raise TooLarge(
-                f"a nonzero E_l0 couples every photon-number sector into one "
-                f"block of about {need / 2 ** 30:.1f} GiB, above the "
-                f"desk-scale guard of {MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
-        groups = [(everything, everything)]
-    else:
-        groups = [(cols, sectors[k - 1] if k else cols[:0])
-                  for k, cols in enumerate(sectors)]
-    kernels, sigma_max, certified = null_spaces(
-        (_sector_block(space, coef, cols, rows) for cols, rows in groups),
-        bound)
-    columns = np.zeros((space.dim, sum(k.shape[1] for k in kernels)),
-                       dtype=complex)
+    coupled = bool(np.any(coef[:, 0]))
+    found, dim = [], 0
+    for level, sector in enumerate(sectors):
+        if coupled:
+            cols = rows = np.concatenate(sectors[:level + 1])
+            need = _svd_block_bytes(coef.shape[0] * space.m * cols.size,
+                                    space.m * cols.size)
+            if need > MAX_SOLVE_BYTES:
+                raise TooLarge(
+                    f"a nonzero E_l0 couples the photon-number sectors <= "
+                    f"{level} into one block of about {need / 2 ** 30:.1f} "
+                    f"GiB, above the desk-scale guard of "
+                    f"{MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
+        else:
+            cols, rows = sector, sectors[level - 1] if level else sector[:0]
+        kernel = null_space(_sector_block(space, coef, cols, rows), scale)
+        added = kernel.shape[1] - (dim if coupled else 0)
+        if added == 0:
+            break
+        found = [(cols, kernel)] if coupled else found + [(cols, kernel)]
+        dim += added
+    columns = np.zeros((space.dim, dim), dtype=complex)
     start = 0
-    for (cols, _), kernel in zip(groups, kernels):
+    for cols, kernel in found:
         flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
-    return BoundarySubspace(columns, sigma_max, sum(certified))
+    return BoundarySubspace(columns, scale)
 
 
 # --- singular generator and its action --------------------------------------

@@ -2,7 +2,7 @@
 
 Everything here operates on plain ``numpy`` arrays of ``complex128``; each
 matrix handed in is small enough for a dense factorization (large operators
-arrive as the independent diagonal blocks of ``null_spaces``).
+arrive as the photon-number blocks of ``fock.boundary_kernel``).
 
 A matrix on (C + K) tensor h is a plain (1+n)m square array: the first m
 rows/columns are the system slot, the rest the n channel slots.  That split
@@ -10,14 +10,15 @@ at m and ``channel_blocks``, the view of a matrix as its m x m blocks, are the
 whole block layout.
 
 A kernel is a plain ``(dim, k)`` array of orthonormal columns (k = 0 when
-trivial), cut at one rank threshold: NULLSPACE_TOL x the largest singular
-value.  A tall block whose shifted Gram matrix has a Cholesky factorization
-is certified kernel-free without an SVD; no rank is read off a Gram matrix.
+trivial), read off an SVD at one rank threshold: NULLSPACE_TOL x a scale,
+the matrix's own largest singular value unless the caller passes the scale
+of a larger operator the matrix is a block of.  No rank is read off a Gram
+matrix.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -25,9 +26,6 @@ from .errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 
 DEFAULT_HERMITICITY_TOL = 1e-10
 NULLSPACE_TOL = 1e-9
-# Shift of the Cholesky certificate, relative to the bound on sigma_max^2: a
-# certified block has sigma_min > 1e-5 sigma_max, four decades above the cut.
-CERTIFY_SHIFT = 1e-10
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -79,88 +77,21 @@ def cayley(a: np.ndarray, scale: float = 0.5) -> np.ndarray:
     return np.linalg.solve(den.T, num.T).T
 
 
-def _has_cholesky(a: np.ndarray) -> bool:
-    """Whether the Hermitian ``a`` (lower triangle read) has a Cholesky
-    factorization, i.e. is numerically positive definite."""
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def null_spaces(blocks: Iterable[np.ndarray], bound: float = 0.0
-                ) -> Tuple[List[np.ndarray], float, List[bool]]:
-    """Kernels of the diagonal blocks of one block-diagonal matrix, cut at
-    ``NULLSPACE_TOL`` times the global sigma_max (the largest singular value
-    over all blocks), the decision an SVD of the whole matrix would make.
-
-    With ``bound`` >= sigma_max^2 (0 for none), a block B with rows >= cols
-    whose G - tau I (G = B^H B, tau = CERTIFY_SHIFT x bound) has a Cholesky
-    factorization has sigma_min^2 > tau: its kernel is empty and no SVD runs.
-    Every other block is factored by SVD, a tall one after QR.  Blocks are
-    consumed one at a time, each leaving one c x c array (its right factor or
-    certified G) until the cut is known.  sigma_max is exact: a certified G's
-    top eigenvalue is computed unless its row sums, or a Cholesky factor of
-    s^2 I - G with s the largest value so far, show it is at most s^2.
-
-    Returns the kernels in block order, sigma_max and, per block, whether it
-    was certified; with every block zero each kernel is its full space.
-    Raises ValueError if a certificate relied on a bound below sigma_max^2.
-    """
-    tau = CERTIFY_SHIFT * bound
-    factors = []
-    for block in blocks:
-        block = as_complex_matrix(block)
-        rows, cols = block.shape
-        if tau > 0.0 and rows >= cols > 0:
-            gram = adjoint(block) @ block
-            gram[np.diag_indices(cols)] -= tau
-            if _has_cholesky(gram):
-                factors.append((None, gram))
-                continue
-            del gram
-        if rows > cols:
-            block = np.linalg.qr(block, mode="r")
-        _, sing, vh = np.linalg.svd(block, full_matrices=rows < cols)
-        factors.append((sing, vh))
-    smax = max((float(sing[0]) for sing, _ in factors
-                if sing is not None and sing.size), default=0.0)
-    # lambda_max(G) <= the largest absolute row sum of G - tau I, plus tau
-    grams = sorted(((float(np.abs(g).sum(axis=1).max()) + tau, g)
-                    for sing, g in factors if sing is None),
-                   key=lambda pair: pair[0], reverse=True)
-    for top, gram in grams:
-        if top <= smax ** 2:
-            break
-        if smax > 0.0:
-            # lambda_max(G) <= sigma_max^2 when sigma_max^2 I - G factors
-            room = -gram
-            room[np.diag_indices(len(room))] += smax ** 2 - tau
-            below = _has_cholesky(room)
-            del room
-            if below:
-                continue
-        smax = max(smax, float(np.sqrt(np.linalg.eigvalsh(gram)[-1] + tau)))
-    if grams and smax ** 2 > bound * (1.0 + 1e-8):
-        raise ValueError(f"sigma_max^2 = {smax ** 2:.6e} exceeds the bound "
-                         f"{bound:.6e} the certificate relied on")
-    kernels = []
-    for sing, vh in factors:
-        if sing is None:
-            kernels.append(np.zeros((vh.shape[1], 0), dtype=complex))
-        elif smax == 0.0:
-            kernels.append(np.eye(vh.shape[1], dtype=complex))
-        else:
-            rank = int(np.sum(sing > NULLSPACE_TOL * smax))
-            kernels.append(adjoint(vh[rank:]))
-    return kernels, smax, [sing is None for sing, _ in factors]
-
-
-def null_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the kernel of m at the NULLSPACE_TOL
-    cutoff, by SVD; (dim, 0) when it is trivial, the full space when m = 0."""
-    return null_spaces([m])[0][0]
+def null_space(m: np.ndarray, scale: Optional[float] = None) -> np.ndarray:
+    """Orthonormal columns spanning the kernel of m: the right singular
+    vectors whose singular value is at most NULLSPACE_TOL x ``scale``
+    (default m's own sigma_max); (cols, 0) when it is trivial, the identity
+    when the cut is 0.  A tall m is reduced by QR before its SVD."""
+    m = as_complex_matrix(m)
+    rows, cols = m.shape
+    if rows > cols:
+        m = np.linalg.qr(m, mode="r")
+    _, sing, vh = np.linalg.svd(m, full_matrices=rows < cols)
+    if scale is None:
+        scale = float(sing[0]) if sing.size else 0.0
+    if scale == 0.0:
+        return np.eye(cols, dtype=complex)
+    return adjoint(vh[int(np.sum(sing > NULLSPACE_TOL * scale)):])
 
 
 def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

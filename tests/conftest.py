@@ -1,5 +1,5 @@
 """Shared test fixtures: the dense Kronecker-product oracle for the graded
-Fock layer.
+Fock layer, and the every-sector reference for its kernel solve.
 
 Every mode operator, boundary row and action operator is built here as a full
 dim x dim matrix with ``np.kron``, independently of ``slhkit.fock``'s graded
@@ -10,7 +10,8 @@ Only for small truncations: memory grows as dim^2 and time as dim^3.
 import numpy as np
 import pytest
 
-from slhkit.linalg import adjoint, null_space
+from slhkit import fock
+from slhkit.linalg import NULLSPACE_TOL, adjoint, null_space
 from slhkit.slh import gauge_zll, slh_triple
 
 
@@ -107,6 +108,42 @@ class DenseFock:
         for k in range(1, self.n + 1):
             total += self.lift_system(1j * self._blk(g, 0, k)) @ self.a_plus[k - 1]
         return total
+
+
+def every_sector_kernel(space, coef, cap=None):
+    """Reference kernel of stacked forms without constant term (E_l0 = 0):
+    every photon-number sector block N -> N-1 by QR + SVD, cut at
+    NULLSPACE_TOL x the exact sigma_max over all blocks, with no stop rule.
+    Returns the flat columns in ``fock.boundary_kernel``'s layout, the
+    per-sector kernel dims and sigma_max."""
+    assert not np.any(coef[:, 0]), "the sector blocks need E_l0 = 0"
+    sectors = space.sectors(cap)
+    factors = []
+    for level, cols in enumerate(sectors):
+        block = fock._sector_block(space, coef, cols,
+                                   sectors[level - 1] if level else cols[:0])
+        rows, width = block.shape
+        if rows > width:
+            block = np.linalg.qr(block, mode="r")
+        _, sing, vh = np.linalg.svd(block, full_matrices=rows < width)
+        factors.append((sing, vh))
+    smax = max(float(sing[0]) for sing, _ in factors if sing.size)
+    kernels = [adjoint(vh[int(np.sum(sing > NULLSPACE_TOL * smax)):])
+               for sing, vh in factors]
+    dims = [k.shape[1] for k in kernels]
+    columns = np.zeros((space.dim, sum(dims)), dtype=complex)
+    start = 0
+    for cols, kernel in zip(sectors, kernels):
+        flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
+        columns[flat, start:start + kernel.shape[1]] = kernel
+        start += kernel.shape[1]
+    return columns, dims, smax
+
+
+@pytest.fixture
+def sector_reference():
+    """``every_sector_kernel``; call it as sector_reference(space, coef, cap)."""
+    return every_sector_kernel
 
 
 @pytest.fixture

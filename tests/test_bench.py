@@ -1,5 +1,6 @@
-"""Smoke test of the stage-bench row function (no timing gate): one row of
-``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3)."""
+"""Smoke test of the stage-bench row function (no timing gate): rows of
+``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), and one size the
+guard refuses."""
 
 import importlib.util
 from pathlib import Path
@@ -17,18 +18,21 @@ def load_bench():
 
 
 @pytest.mark.parametrize("guarded", [False, True])
-def test_row_records_dims_certificates_and_sigma_max(guarded):
+def test_row_records_dims_and_sigma_max(guarded):
     result = load_bench().row(1, 2, 3, guarded, False)
-    assert set(result) == {"seconds", "dim", "sector_dims", "certified",
-                           "sigma_max"}
+    assert set(result) == {"seconds", "dim", "sector_dims", "sigma_max"}
     sectors = 4 * (1 if guarded else 2) + 1
     assert len(result["sector_dims"]) == sectors
     assert sum(result["sector_dims"]) == result["dim"] > 0
-    assert 0 < result["certified"] < sectors
     assert result["sigma_max"] > 0 and result["seconds"] >= 0
 
 
-def test_row_with_generic_el0_is_one_certified_block():
+def test_row_with_generic_el0_has_empty_kernel():
     result = load_bench().row(1, 2, 3, False, True)
-    assert result["dim"] == 0 and result["certified"] == 1
+    assert result["dim"] == 0
     assert not any(result["sector_dims"])
+
+
+def test_row_records_a_refused_size():
+    result = load_bench().row(1, 3, 7, False, False)
+    assert set(result) == {"refused"} and "guard" in result["refused"]

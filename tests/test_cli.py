@@ -11,6 +11,7 @@ import pytest
 from slhkit import cli, punctured_line
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict, load_config
+from slhkit.ensembles import random_coupling
 from slhkit.errors import ParseError, SlhkitError, ValidationError
 from slhkit.report import (
     Report,
@@ -387,6 +388,24 @@ class TestExitCodes:
         proc = run_cli(["fock", "--config", str(path)])
         assert proc.returncode == 1
         assert "FAILED:" in proc.stderr
+
+    @pytest.mark.parametrize("size", [(3, 1, 5), (1, 2, 6)])
+    def test_generic_el0_has_empty_kernel_and_passes(self, size, tmp_path):
+        # an invertible E_l0 leaves no finitely-supported domain vector:
+        # sigma_min / sigma_max(X_0) is 0.076 at (3,1,5) and 1.0 at (1,2,6),
+        # so the level-0 block decides the empty kernel; one ill-conditioned
+        # block of the whole box instead reported a spurious kernel there
+        m, n, d = size
+        e = random_coupling(np.random.default_rng(1), m, n)
+        path = tmp_path / "generic.json"
+        path.write_text(json.dumps({
+            "m": m, "n": n, "fock": {"d": d},
+            "E": [[[v.real, v.imag] for v in row] for row in e.full]}))
+        out = tmp_path / "report.json"
+        assert cli.main(["fock", "--config", str(path), "--out", str(out)]) == 0
+        checks = {c["name"]: c["value"]
+                  for c in json.loads(out.read_text())["checks"]}
+        assert checks["kernel_dims"] == [0, 0]
 
     def test_cli_reruns_byte_identical(self, tmp_path):
         path = tmp_path / "cfg.json"

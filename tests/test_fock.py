@@ -108,17 +108,21 @@ class TestTruncatedSpace:
         assert space.solve_bytes() < 64 * 2 ** 20
 
     def test_size_guard_admission(self):
-        # (1,3,5) is admitted; (1,3,6) is refused on construction, before
-        # any array of a solve exists ((2,3,8): test_size_guard)
-        assert TruncatedFockSpace(m=1, n=3, d=5).solve_bytes() <= MAX_SOLVE_BYTES
+        # (1,3,6) is admitted (largest sector block with its SVD factors 1.91
+        # GiB); (1,3,7) is refused on construction, before any array of a
+        # solve exists ((2,3,8): test_size_guard)
+        assert TruncatedFockSpace(m=1, n=3, d=6).solve_bytes() <= MAX_SOLVE_BYTES
         with pytest.raises(TooLarge):
-            TruncatedFockSpace(m=1, n=3, d=6)
+            TruncatedFockSpace(m=1, n=3, d=7)
 
-    def test_solve_bytes_covers_the_certified_solve(self):
-        # the arrays a route-B solve allocates, certificates and fallbacks
-        # included, stay within the estimate the guard admits
-        ops = build_mode_operators(1, 3, 4, ScalarGauge(0.3))
-        e = random_coupling(np.random.default_rng(1), 1, 3,
+    @pytest.mark.parametrize("size", [(2, 1, 8), (1, 1, 30), (1, 3, 4)])
+    def test_solve_bytes_covers_the_solve(self, size):
+        # everything a route-B solve allocates, the index tables it builds
+        # and the kernel columns it returns included, stays within the
+        # estimate the guard admits
+        m, n, d = size
+        ops = build_mode_operators(m, n, d, ScalarGauge(0.3))
+        e = random_coupling(np.random.default_rng(1), m, n,
                             zero_channel_system=True)
         rows = stacked_boundary_rows(e, ops)
         tracemalloc.start()
@@ -127,7 +131,7 @@ class TestTruncatedSpace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sub.certified > 0
+        assert sub.dim > 0
         assert peak <= ops.space.solve_bytes()
 
     def test_sector_sizes_partition_the_space(self):
@@ -340,6 +344,43 @@ class TestBoundarySubspaces:
         assert route_b(e, ops).dim == 0
         assert route_c(e, ops).dim == 0
 
+    def test_injective_x0_is_decided_at_level_zero(self, monkeypatch):
+        # level 0 is X_0 on the vacuum sector; an injective X_0 leaves F_0 =
+        # 0, and the stop rule ends each solve after that one decision
+        e = random_coupling(np.random.default_rng(1), 1, 2)
+        ops = build_mode_operators(1, 2, 6)
+        shapes = []
+        solve = fock.null_space
+
+        def recording(block, scale):
+            shapes.append(block.shape)
+            return solve(block, scale)
+
+        monkeypatch.setattr(fock, "null_space", recording)
+        eq = equivalence(e, ops)
+        assert eq["dim_b"] == eq["dim_c"] == 0
+        assert shapes == [(2, 1), (2, 1)]
+
+    def test_coupled_prefix_guard_refuses_before_assembly(self, monkeypatch):
+        # with E_l0 != 0 level N is the block of the sectors <= N; one above
+        # the guard raises TooLarge before it is assembled
+        ops = build_mode_operators(2, 1, 6)
+        rows = stacked_boundary_rows(SINGULAR_EL0, ops)
+        widths = []
+        assemble = fock._sector_block
+
+        def recording(space, coef, cols, rows):
+            widths.append(cols.size)
+            return assemble(space, coef, cols, rows)
+
+        monkeypatch.setattr(fock, "_sector_block", recording)
+        # prefixes hold 1, 3, 6, 10, 15, ... Fock states; admit 10
+        monkeypatch.setattr(fock, "MAX_SOLVE_BYTES",
+                            fock._svd_block_bytes(2 * 10, 2 * 10))
+        with pytest.raises(TooLarge, match="sectors <= 4"):
+            boundary_kernel(ops.space, rows)
+        assert widths == [1, 3, 6, 10]
+
     def test_singular_el0_instance(self):
         ops = build_mode_operators(2, 1, 6)
         sub_b = route_b(SINGULAR_EL0, ops)
@@ -349,32 +390,29 @@ class TestBoundarySubspaces:
 
     @pytest.mark.parametrize("size,sigma", [
         ((2, 1, 6), None), ((2, 2, 4), 0.3), ((2, 2, 5), None),
-        ((3, 1, 5), -1.0), ((1, 2, 6), -1.0)])
-    def test_kernel_support_is_monotone_in_photon_number(self, size, sigma):
-        # with E_l0 = 0 every kernel column lies in one sector; the sectors
-        # that hold kernel columns are exactly N = 0..N* for both routes
+        ((3, 1, 5), -1.0), ((1, 2, 6), -1.0), ((1, 3, 3), 0.3)])
+    def test_kernel_support_is_monotone_in_photon_number(self, size, sigma,
+                                                         sector_reference):
+        # with E_l0 = 0 the every-sector reference finds kernel in exactly
+        # the sectors N = 0..N*, for both routes, full and guarded; that is
+        # the stop rule's premise, and above N* boundary_kernel solves no
+        # sector, so its columns must equal the reference's bit for bit
         m, n, d = size
         gauge = None if sigma is None else ScalarGauge(sigma)
         ops = build_mode_operators(m, n, d, gauge)
-        space = ops.space
-        photons = np.zeros(space.fock_dim, dtype=int)
-        for total, sector in enumerate(space.sectors()):
-            photons[sector] = total
-        photons = np.tile(photons, m)
         rng = np.random.default_rng(list(size))
         for _ in range(2):
             e = random_coupling(rng, m, n, zero_channel_system=True)
-            dims = []
-            for sub in (route_b(e, ops), route_c(e, ops)):
-                held = [np.unique(photons[np.flatnonzero(column)])
-                        for column in sub.columns.T]
-                assert all(sector.size == 1 for sector in held)
-                dims.append(np.bincount([sector[0] for sector in held],
-                                        minlength=len(space.sectors())))
-            for dim in dims:
-                top = int(np.flatnonzero(dim).max())
-                assert np.all(dim[:top + 1] > 0) and not np.any(dim[top + 1:])
-            assert np.array_equal(dims[0], dims[1])
+            for cap in (None, d - 2):
+                dims = []
+                for rows in (stacked_boundary_rows(e, ops), route_c_rows(e, ops)):
+                    columns, dim, _ = sector_reference(ops.space, rows, cap)
+                    sub = boundary_kernel(ops.space, rows, cap)
+                    assert np.array_equal(sub.columns, columns)
+                    top = int(np.flatnonzero(dim).max())
+                    assert all(dim[:top + 1]) and not any(dim[top + 1:])
+                    dims.append(dim)
+                assert dims[0] == dims[1]
 
 
 class TestSingularAction:

@@ -85,9 +85,10 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
         if oracle.shape[1]:
             assert max_angle(graded.columns, oracle) <= 1e-9
         if route == "B":
-            stacked = dense.stacked_rows(e, "B")
-            assert abs(graded.sigma_max - np.linalg.norm(stacked, 2)) <= (
-                1e-12 * graded.sigma_max)
+            # sigma~ is ||B (s (x) |d-1, ..., d-1>)|| at its best unit s:
+            # within a factor 1 + 2n of ||B||_2, never above it
+            norm = np.linalg.norm(dense.stacked_rows(e, "B"), 2)
+            assert norm / (1 + 2 * n) <= graded.sigma_max <= norm * (1 + 1e-12)
 
     guarded = boundary_kernel(ops.space, rows_b, cap=d - 2).columns
     oracle_guarded = dense.guarded_kernel(e)

@@ -32,38 +32,30 @@ def test_run_list_covers_every_subcommand(tmp_path):
 
 
 def test_fock_rank_decisions_are_decisive(tmp_path, monkeypatch):
-    """Every Fock kernel solve of the oracle's JSON fock runs keeps singular
-    values at least 100 x the cut NULLSPACE_TOL x sigma_max and drops only
-    values at most cut / 100, recomputed block by block; a block the Cholesky
-    certificate decided counts as a rank decision like any other, with its
-    recomputed sigma_min at least 100 x the cut."""
+    """Every rank decision of the Fock kernel solves of the oracle's JSON
+    fock runs keeps singular values at least 100 x the cut NULLSPACE_TOL x
+    sigma~ and drops only values at most cut / 100, recomputed block by
+    block."""
     oracle = load_oracle()
     oracle.write_configs(tmp_path)
-    solve = fock.null_spaces
+    solve = fock.null_space
     decisions = []
-    certified_blocks = []
 
-    def recording(blocks, bound):
-        blocks = list(blocks)
-        kernels, sigma_max, certified = solve(blocks, bound)
-        cut = NULLSPACE_TOL * sigma_max
-        for block, kernel, by_gram in zip(blocks, kernels, certified):
-            sing = np.linalg.svd(block, compute_uv=False)
-            rank = block.shape[1] - kernel.shape[1]
-            assert np.sum(sing > cut) == rank
-            assert np.all(sing[:rank] >= 100 * cut)
-            assert np.all(sing[rank:] <= cut / 100)
-            if by_gram:
-                assert rank == block.shape[1] and sing[-1] >= 100 * cut
-                certified_blocks.append(block.shape)
-            decisions.append(rank)
-        return kernels, sigma_max, certified
+    def recording(block, scale):
+        kernel = solve(block, scale)
+        cut = NULLSPACE_TOL * scale
+        sing = np.linalg.svd(block, compute_uv=False)
+        rank = block.shape[1] - kernel.shape[1]
+        assert np.sum(sing > cut) == rank
+        assert np.all(sing[:rank] >= 100 * cut)
+        assert np.all(sing[rank:] <= cut / 100)
+        decisions.append(rank)
+        return kernel
 
-    monkeypatch.setattr(fock, "null_spaces", recording)
+    monkeypatch.setattr(fock, "null_space", recording)
     fock_runs = [(name, args) for name, args in oracle.runs(tmp_path)
                  if args[0] == "fock" and name.endswith(".json")]
     assert len(fock_runs) == 13
     for name, args in fock_runs:
         assert cli.main([*args, "--out", str(tmp_path / name)]) == 0
     assert decisions and max(decisions) > 0
-    assert certified_blocks

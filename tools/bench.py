@@ -1,24 +1,29 @@
-"""Time the route-B boundary-kernel stage of a parent tree and of this tree.
+"""Time the route-B boundary-kernel stage, and full ``fock`` runs, of a parent
+tree and of this tree.
 
-    python3 tools/bench.py --parent DIR [--out BENCH_15.json]
+    python3 tools/bench.py --parent DIR [--out BENCH_16.json]
 
 DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
 its ``src/`` is imported for the parent side, this tree's ``src/`` for the
-change.  Each row is one ``fock.boundary_kernel`` call on the coupling-form
-rows (route B) of a seeded coupling with sigma = 0.3, full and guarded
-(cap = d - 2):
+change.  Each stage row is one ``fock.boundary_kernel`` call on the
+coupling-form rows (route B) of a seeded coupling with sigma = 0.3, full and
+guarded (cap = d - 2):
 
-* E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4) and
-  (1,3,5): one block per photon-number sector;
-* a generic E_l0 at (1,2,4): one block coupling every sector.
+* E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4),
+  (1,3,5) and (1,3,6);
+* a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
+
+Each run row is one ``slhkit fock`` run, sweep 0, on the E_l0 = 0 coupling
+of (1,3,5) and (1,3,6) with sigma = 0.3.
 
 Every measurement is one cold call in a fresh child process with one BLAS
 thread, three per side, parent and change alternating which runs first.  Per
-side a row records the seconds of each run and their median, the child's peak RSS,
-the total and per-sector kernel dims, the number of blocks the Cholesky
-certificate decided (None for a tree without it) and sigma_max.  The machine
-block is the output of ``perfbench/probe.py``, run as a child the way the
-benchmark runs it.  The JSON goes to ``--out`` at the repository root.
+side a stage row records the seconds of each run and their median, the
+child's peak RSS, the total and per-sector kernel dims and sigma_max; a run
+row the seconds, peak RSS, exit code and kernel dims.  A size the tree's
+guard refuses records its TooLarge message instead.  The machine block is the
+output of ``perfbench/probe.py``, run as a child the way the benchmark runs
+it.  The JSON goes to ``--out`` at the repository root.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -40,9 +46,18 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIGMA = 0.3
 SEED = 1
 REPEATS = 3
-SIZES = ((1, 2, 4), (2, 2, 4), (1, 2, 6), (2, 2, 5), (1, 3, 4), (1, 3, 5))
+SIZES = ((1, 2, 4), (2, 2, 4), (1, 2, 6), (2, 2, 5), (1, 3, 4), (1, 3, 5),
+         (1, 3, 6))
 # (m, n, d, generic E_l0), each run full and guarded
-ROWS = [(*size, False) for size in SIZES] + [(1, 2, 4, True)]
+ROWS = ([(*size, False) for size in SIZES]
+        + [(1, 2, 4, True), (1, 3, 3, True), (1, 3, 4, True)])
+RUNS = ((1, 3, 5), (1, 3, 6))
+
+
+def coupling(m: int, n: int, generic_el0: bool):
+    from slhkit.ensembles import random_coupling
+    return random_coupling(np.random.default_rng(SEED), m, n,
+                           zero_channel_system=not generic_el0)
 
 
 def row(m: int, n: int, d: int, guarded: bool, generic_el0: bool) -> dict:
@@ -50,12 +65,14 @@ def row(m: int, n: int, d: int, guarded: bool, generic_el0: bool) -> dict:
     imports; per-sector dims are None when a kernel column spans sectors."""
     # imported here: the child that calls this picks the tree by PYTHONPATH
     from slhkit import fock
-    from slhkit.ensembles import random_coupling
+    from slhkit.errors import TooLarge
     from slhkit.slh import ScalarGauge
 
-    e = random_coupling(np.random.default_rng(SEED), m, n,
-                        zero_channel_system=not generic_el0)
-    ops = fock.build_mode_operators(m, n, d, ScalarGauge(SIGMA))
+    e = coupling(m, n, generic_el0)
+    try:
+        ops = fock.build_mode_operators(m, n, d, ScalarGauge(SIGMA))
+    except TooLarge as err:
+        return {"refused": str(err)}
     rows = fock.stacked_boundary_rows(e, ops)
     cap = d - 2 if guarded else None
     start = time.perf_counter()
@@ -72,8 +89,27 @@ def row(m: int, n: int, d: int, guarded: bool, generic_el0: bool) -> dict:
         per_sector = np.bincount([h.pop() for h in held],
                                  minlength=len(sectors)).tolist()
     return {"seconds": seconds, "dim": sub.dim, "sector_dims": per_sector,
-            "certified": getattr(sub, "certified", None),
             "sigma_max": sub.sigma_max}
+
+
+def fock_run(m: int, n: int, d: int) -> dict:
+    """One timed ``slhkit fock`` run, sweep 0, of the E_l0 = 0 coupling."""
+    from slhkit import cli
+
+    e = coupling(m, n, False)
+    config = {"m": m, "n": n, "sigma": SIGMA, "fock": {"d": d},
+              "E": [[[v.real, v.imag] for v in line] for line in e.full]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(config))
+        start = time.perf_counter()
+        code = cli.main(["fock", "--config", str(path), "--out", str(out)])
+        seconds = time.perf_counter() - start
+        checks = (json.loads(out.read_text())["checks"] if out.exists()
+                  else [])
+    return {"seconds": seconds, "exit_code": code,
+            "kernel_dims": [c["value"] for c in checks
+                            if c["name"].endswith("kernel_dims")]}
 
 
 def child_env(src: Path) -> dict:
@@ -81,14 +117,43 @@ def child_env(src: Path) -> dict:
                 **{var: "1" for var in THREAD_VARS})
 
 
-def measure(src: Path, spec: tuple) -> dict:
-    """``row`` in a fresh child importing ``src``, with its peak RSS."""
+def measure(src: Path, mode: str, spec: tuple) -> dict:
+    """``row`` or ``fock_run`` in a fresh child importing ``src``, with its
+    peak RSS."""
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--row",
+        [sys.executable, str(Path(__file__).resolve()), mode,
          *(str(int(x)) for x in spec)],
         env=child_env(src), cwd=ROOT, capture_output=True, text=True,
         check=True)
     return json.loads(proc.stdout)
+
+
+def alternate(trees: dict, mode: str, spec: tuple) -> dict:
+    """REPEATS measurements per side, the first side alternating."""
+    runs = {"parent": [], "change": []}
+    for i in range(REPEATS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(measure(trees[side], mode, spec))
+    sides = {}
+    for side, results in runs.items():
+        first = results[0]
+        if "refused" in first:
+            sides[side] = first
+            continue
+        sides[side] = {
+            "seconds": [r["seconds"] for r in results],
+            "median_s": statistics.median(r["seconds"] for r in results),
+            "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
+            **{k: v for k, v in first.items()
+               if k not in ("seconds", "peak_rss_mb")}}
+    return sides
+
+
+def summary(sides: dict) -> str:
+    return " -> ".join("refused" if "refused" in sides[side]
+                       else f"{sides[side]['median_s']:.3f} s"
+                       for side in ("parent", "change"))
 
 
 def machine() -> dict:
@@ -116,48 +181,42 @@ def bench(parent: Path) -> dict:
     out = {"stage": "fock.boundary_kernel (route B)", "sigma": SIGMA,
            "seed": SEED, "repeats": REPEATS, "machine": machine(),
            "revisions": {"parent": revision(parent), "change": revision(ROOT)},
-           "rows": []}
+           "rows": [], "runs": []}
     for m, n, d, generic_el0 in ROWS:
         for guarded in (False, True):
-            spec = (m, n, d, guarded, generic_el0)
-            runs = {"parent": [], "change": []}
-            for i in range(REPEATS):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                for side in order:
-                    runs[side].append(measure(trees[side], spec))
-            sides = {}
-            for side, results in runs.items():
-                first = results[0]
-                sides[side] = {
-                    "seconds": [r["seconds"] for r in results],
-                    "median_s": statistics.median(r["seconds"] for r in results),
-                    "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
-                    **{k: first[k] for k in ("dim", "sector_dims", "certified",
-                                             "sigma_max")}}
+            sides = alternate(trees, "--row", (m, n, d, guarded, generic_el0))
             record = {"m": m, "n": n, "d": d, "cap": d - 2 if guarded else d - 1,
-                      "e_l0": "generic" if generic_el0 else "zero", **sides,
-                      "speedup": sides["parent"]["median_s"] / sides["change"]["median_s"],
-                      "same_dims": (sides["parent"]["dim"] == sides["change"]["dim"]
-                                    and sides["parent"]["sector_dims"]
-                                    == sides["change"]["sector_dims"])}
+                      "e_l0": "generic" if generic_el0 else "zero", **sides}
+            if not any("refused" in sides[side] for side in sides):
+                record["speedup"] = (sides["parent"]["median_s"]
+                                     / sides["change"]["median_s"])
+                record["same_dims"] = all(
+                    sides["parent"][k] == sides["change"][k]
+                    for k in ("dim", "sector_dims"))
             out["rows"].append(record)
             print(f"({m},{n},{d}) cap {record['cap']} E_l0 {record['e_l0']}: "
-                  f"{sides['parent']['median_s']:.3f} s -> "
-                  f"{sides['change']['median_s']:.3f} s "
-                  f"(x{record['speedup']:.2f}), dim {sides['change']['dim']}, "
-                  f"certified {sides['change']['certified']}", flush=True)
+                  f"{summary(sides)}, dim {sides['change'].get('dim')}",
+                  flush=True)
+    for m, n, d in RUNS:
+        sides = alternate(trees, "--fock-run", (m, n, d))
+        out["runs"].append({"m": m, "n": n, "d": d, **sides})
+        print(f"fock run ({m},{n},{d}): {summary(sides)}", flush=True)
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_15.json")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
     parser.add_argument("--row", type=int, nargs=5, help=argparse.SUPPRESS)
+    parser.add_argument("--fock-run", type=int, nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.row is not None:
-        m, n, d, guarded, generic_el0 = args.row
-        result = row(m, n, d, bool(guarded), bool(generic_el0))
+    if args.row is not None or args.fock_run is not None:
+        if args.row is not None:
+            m, n, d, guarded, generic_el0 = args.row
+            result = row(m, n, d, bool(guarded), bool(generic_el0))
+        else:
+            result = fock_run(*args.fock_run)
         result["peak_rss_mb"] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps(result))
