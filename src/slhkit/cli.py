@@ -26,18 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ModelConfig, load_config
-from .ensembles import random_bump, random_coupling, random_grid_function
 from .errors import ParseError, SlhkitError, ValidationError
-from .fock import (
-    build_mode_operators,
-    commutator_defect,
-    fock_battery,
-    number_defect_residual,
-    number_spectrum_defect,
-    stacked_boundary_rows,
-)
 from .linalg import cayley
+from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
+                  slh_triple)
 from .punctured_line import (
     GridSpec,
     apply_iD,
@@ -53,16 +45,23 @@ from .punctured_line import (
     sobolev_norm,
     symmetry_defects,
 )
+from .fock import (
+    build_mode_operators,
+    commutator_defect,
+    fock_battery,
+    number_defect_residual,
+    number_spectrum_defect,
+    stacked_boundary_rows,
+)
+from .config import ModelConfig, load_config
+from .ensembles import random_bump, random_coupling, random_grid_function
 from .report import Report, emit_report
-from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
-                  slh_triple)
 
 
 # --- slh ---------------------------------------------------------------------
 
 def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
-    coupling = config.coupling()
-    gauge = config.gauge()
+    coupling, gauge = config.coupling, config.gauge
     res = slh_triple(coupling, gauge)
     report.results["matrices"] = {
         "G": res.ito, "V": res.model, "M": res.galilean,
@@ -235,7 +234,7 @@ def _fock_battery(eq: dict, number_defect: float, report: Report,
 
 
 def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
-    coupling, gauge = config.coupling(), config.gauge()
+    coupling, gauge = config.coupling, config.gauge
     m, n, d = coupling.m, coupling.n, config.fock.d
     rng = np.random.default_rng(seed)
     angle_tol, atol = config.tolerances.kernel, config.tolerances.action

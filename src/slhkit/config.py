@@ -15,7 +15,7 @@ import numpy as np
 from .errors import NonHermitianInput, ParseError, SizeMismatch, ValidationError
 from .linalg import adjoint, channel_blocks
 from .punctured_line import MOLLIFIER_SHAPES
-from .slh import CouplingMatrix, GaugeMatrix, ScalarGauge, validate_coupling
+from .slh import CouplingMatrix, Gauge, GaugeMatrix, ScalarGauge
 
 
 @dataclass(frozen=True)
@@ -52,11 +52,11 @@ class ScatterConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    m: int
-    n: int
-    e_matrix: np.ndarray
-    z_matrix: Optional[np.ndarray] = None
-    sigma: Optional[float] = None
+    """A validated config: the coupling E, and the gauge that Z (a matrix)
+    or sigma (a scalar) sets, or None."""
+
+    coupling: CouplingMatrix
+    gauge: Optional[Gauge] = None
     tolerances: Tolerances = Tolerances()
     grid: GridConfig = GridConfig()
     fock: FockConfig = FockConfig()
@@ -64,27 +64,16 @@ class ModelConfig:
     phase: PhaseConfig = PhaseConfig()
     scatter: ScatterConfig = ScatterConfig()
 
-    def coupling(self) -> CouplingMatrix:
-        return validate_coupling(self.e_matrix, self.m, self.n,
-                                 self.tolerances.hermiticity)
-
-    def gauge(self):
-        """The configured gauge, or None; Z takes a matrix, sigma a scalar."""
-        if self.z_matrix is not None:
-            return GaugeMatrix(self.z_matrix, self.tolerances.hermiticity)
-        if self.sigma is not None:
-            return ScalarGauge(self.sigma)
-        return None
-
     def canonical_dict(self) -> dict:
         """Plain JSON-able dict with defaults resolved (complex as [re, im])."""
+        gauge = self.gauge
         out = {
-            "m": self.m,
-            "n": self.n,
-            "E": _complex_matrix_to_json(self.e_matrix),
-            "Z": None if self.z_matrix is None
-                 else _complex_matrix_to_json(self.z_matrix),
-            "sigma": self.sigma,
+            "m": self.coupling.m,
+            "n": self.coupling.n,
+            "E": _complex_matrix_to_json(self.coupling.full),
+            "Z": _complex_matrix_to_json(gauge.zll)
+                 if isinstance(gauge, GaugeMatrix) else None,
+            "sigma": gauge.sigma if isinstance(gauge, ScalarGauge) else None,
             "seed": self.seed,
         }
         for key, (_, fields) in _SECTIONS.items():
@@ -206,18 +195,20 @@ def config_from_dict(data: dict) -> ModelConfig:
     if min(vars(tolerances).values()) < 0:
         raise ValidationError(f"tolerances must be >= 0, got {tolerances}")
     _check_blockwise_hermiticity(e_matrix, m, tolerances.hermiticity)
+    coupling = CouplingMatrix(m, n, e_matrix)
 
-    z_matrix = None
+    gauge = None
     if data.get("Z") is not None:
         z_matrix = _parse_complex_matrix(data["Z"], n * m, "Z")
         try:
-            GaugeMatrix(z_matrix, tolerances.hermiticity)
+            gauge = GaugeMatrix(z_matrix, tolerances.hermiticity)
         except (NonHermitianInput, SizeMismatch) as exc:
             raise ValidationError(f"invalid gauge matrix Z: {exc}") from None
-    sigma = None if data.get("sigma") is None else _read(data["sigma"], float,
-                                                          "sigma")
-    if z_matrix is not None and sigma is not None:
-        raise ValidationError("specify at most one of 'Z' and 'sigma'")
+    if data.get("sigma") is not None:
+        sigma = _read(data["sigma"], float, "sigma")
+        if gauge is not None:
+            raise ValidationError("specify at most one of 'Z' and 'sigma'")
+        gauge = ScalarGauge(sigma)
 
     grid = sections["grid"]
     if grid.spacing <= 0 or grid.half_width <= 0:
@@ -234,8 +225,7 @@ def config_from_dict(data: dict) -> ModelConfig:
         raise ValidationError(
             f"scatter.mollifier must be one of {sorted(MOLLIFIER_SHAPES)}")
 
-    return ModelConfig(m=m, n=n, e_matrix=e_matrix, z_matrix=z_matrix,
-                       sigma=sigma, seed=seed, **sections)
+    return ModelConfig(coupling=coupling, gauge=gauge, seed=seed, **sections)
 
 
 def load_config(path: str) -> ModelConfig:

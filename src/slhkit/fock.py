@@ -557,8 +557,8 @@ def action_residuals(res: SLHResult, ops: ModeOperators, rows: np.ndarray,
     Each vector is projected onto the photon guard and normalized; its
     boundary residual under the coupling-form ``rows`` relative to ``scale``
     must stay within ``tol``, or NotInDomain is raised.  ``scale`` is the
-    sigma_max that the coupling-form kernel solve found
-    (``boundary_kernel(space, rows).sigma_max``).
+    rank-cut scale sigma~ <= sigma_max of the coupling-form kernel solve,
+    the ``sigma_max`` field of ``boundary_kernel(space, rows)``.
     """
     if len(vectors) == 0:
         return []
@@ -605,8 +605,8 @@ def subspace_equivalence(space: TruncatedFockSpace, rows_b: np.ndarray,
 
     Returns both kernel dimensions, the largest principal angle (None when
     either kernel is empty; both are for a generic invertible
-    system-channel coupling block), and the route-B sigma_max that scales
-    action residuals.
+    system-channel coupling block), and as ``sigma_max_b`` the route-B
+    rank-cut scale sigma~ <= sigma_max, which scales action residuals.
     """
     sub_b = boundary_kernel(space, rows_b)
     sub_c = boundary_kernel(space, rows_c)

@@ -14,6 +14,9 @@ trivial), read off an SVD at one rank threshold: NULLSPACE_TOL x a scale,
 the matrix's own largest singular value unless the caller passes the scale
 of a larger operator the matrix is a block of.  No rank is read off a Gram
 matrix.
+
+``kappas``, the gauge split kappa_pm = 1/2 +- i sigma, is here because both
+``slh`` and ``punctured_line`` read it and neither imports the other.
 """
 
 from __future__ import annotations
@@ -75,6 +78,11 @@ def cayley(a: np.ndarray, scale: float = 0.5) -> np.ndarray:
     den = eye + 1j * scale * a
     # X = num @ den^{-1}, computed as a solve from the right.
     return np.linalg.solve(den.T, num.T).T
+
+
+def kappas(sigma: float):
+    """(kappa_plus, kappa_minus) = (1/2 + i sigma, 1/2 - i sigma)."""
+    return complex(0.5, sigma), complex(0.5, -sigma)
 
 
 def null_space(m: np.ndarray, scale: Optional[float] = None) -> np.ndarray:

@@ -13,8 +13,9 @@ Conventions
 * the defect vectors are phi_+(t) = -i e^{-t} on t > 0 and
   phi_-(t) = +i e^{+t} on t < 0, normalized to one in the Sobolev norm, with
   d/dt phi_pm = -(+-) phi_pm and jump functional value -i on both;
-* kappa_pm = 1/2 +- i sigma, and the damped functional evaluates as
-  <zeta|psi> = kappa_minus psi(0+) + kappa_plus psi(0-) (adjoint convention).
+* kappa_pm = 1/2 +- i sigma (``linalg.kappas``), and the damped functional
+  evaluates as <zeta|psi> = kappa_minus psi(0+) + kappa_plus psi(0-)
+  (adjoint convention).
 
 Storage
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -49,6 +51,7 @@ import numpy as np
 
 from .errors import (MAX_SOLVE_BYTES, DomainTooSmall, InvalidMollifier,
                      SpecMismatch, TooLarge)
+from .linalg import kappas
 
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
@@ -365,11 +368,6 @@ def sobolev_norm(f: GridFunction) -> float:
     return math.sqrt(max(sobolev_inner(f, f).real, 0.0))
 
 
-def kappas(sigma: float):
-    """(kappa_plus, kappa_minus) = (1/2 + i sigma, 1/2 - i sigma)."""
-    return complex(0.5, sigma), complex(0.5, -sigma)
-
-
 def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
     """<zeta_sigma|psi> from the traces psi(0+) = plus and psi(0-) = minus."""
     kp, km = kappas(sigma)
@@ -604,6 +602,10 @@ def scatter_regularized(e: float, epsilon: float,
         raise InvalidMollifier("mollifier has nonpositive integral")
     if np.any(shape(nodes) < 0):
         raise InvalidMollifier("mollifier must be nonnegative")
+    # a subnormal product is 0 or has an infinite inverse
+    if epsilon * raw < sys.float_info.min:
+        raise InvalidMollifier(
+            f"mollifier width {epsilon!r} is too small to normalize")
     norm = 1.0 / (epsilon * raw)
 
     # Characteristic enters at x = eps and exits at x = -eps at unit speed;

@@ -28,9 +28,9 @@ from .linalg import (
     as_complex_matrix,
     channel_projector,
     hermiticity_defect,
+    kappas,
     require_hermitian,
 )
-from .punctured_line import kappas
 
 # 1 + iEW counts as singular when sigma_min <= DRESSING_TOL * sigma_max.
 DRESSING_TOL = 1e-12
@@ -40,7 +40,7 @@ GAUGE_CHECK_SIGMAS = (-1.0, 0.0, 0.3, 1.0)
 @dataclass(frozen=True)
 class ScalarGauge:
     """Scalar gauge sigma, entering through kappa_pm = 1/2 +- i*sigma
-    (``punctured_line.kappas``)."""
+    (``linalg.kappas``)."""
 
     sigma: float
 

@@ -1,6 +1,6 @@
 """Smoke test of the stage-bench row function (no timing gate): rows of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), and one size the
-guard refuses."""
+guard refuses, and the bench's refusal to run without ``--out``."""
 
 import importlib.util
 from pathlib import Path
@@ -36,3 +36,13 @@ def test_row_with_generic_el0_has_empty_kernel():
 def test_row_records_a_refused_size():
     result = load_bench().row(1, 3, 7, False, False)
     assert set(result) == {"refused"} and "guard" in result["refused"]
+
+
+def test_out_is_required(capsys):
+    # --parent names a valid checkout, so only the missing --out is
+    # refused, before anything is measured or written
+    root = SCRIPT.parents[1]
+    with pytest.raises(SystemExit) as exc:
+        load_bench().main(["--parent", str(root)])
+    assert exc.value.code == 2
+    assert "--out is required" in capsys.readouterr().err

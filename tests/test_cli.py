@@ -184,7 +184,7 @@ class TestConfig:
                       tolerances={"kernel": 0.0}, phase={"E": [0.0, 1.0]})
         cfg = config_from_dict(ints)
         assert cfg.config_hash() == config_from_dict(floats).config_hash()
-        assert type(cfg.grid.half_width) is float and type(cfg.sigma) is float
+        assert type(cfg.grid.half_width) is float and type(cfg.gauge.sigma) is float
 
 
 class TestReportSerialization:

@@ -8,7 +8,7 @@ import pytest
 
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict
-from slhkit.ensembles import random_coupling, random_gauge
+from slhkit.ensembles import random_coupling, random_gauge, random_hermitian
 from slhkit import fock
 from slhkit.errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
 from slhkit.fock import (
@@ -339,10 +339,19 @@ class TestBoundarySubspaces:
     def test_generic_coupling_has_empty_kernel(self):
         # invertible El0 displaces every candidate into a coherent tower,
         # which a photon-truncated box cannot contain
-        e = coupling_from_blocks(1, 1, el0=np.array([[1.0]]))
-        ops = build_mode_operators(1, 1, 5)
-        assert route_b(e, ops).dim == 0
-        assert route_c(e, ops).dim == 0
+        cases = [(coupling_from_blocks(1, 1, el0=np.array([[1.0]])), 5)]
+        # however small El0 is, the level-0 decision sees an injective X_0
+        # (sigma_min 3e6 to 1e7 x the cut here) and stops with dim 0
+        for (m, n, d), eps in (((1, 1, 5), 0.01), ((1, 2, 4), 0.01),
+                               ((2, 1, 6), 0.1)):
+            raw = random_hermitian(np.random.default_rng(0), (1 + n) * m)
+            raw[m:, :m] *= eps
+            raw[:m, m:] *= eps
+            cases.append((validate_coupling(raw, m, n), d))
+        for e, d in cases:
+            ops = build_mode_operators(e.m, e.n, d)
+            assert route_b(e, ops).dim == 0
+            assert route_c(e, ops).dim == 0
 
     def test_injective_x0_is_decided_at_level_zero(self, monkeypatch):
         # level 0 is X_0 on the vacuum sector; an injective X_0 leaves F_0 =

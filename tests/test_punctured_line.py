@@ -494,6 +494,16 @@ class TestScatter:
         with pytest.raises(InvalidMollifier):
             scatter_regularized(1.0, -0.1)
 
+    @pytest.mark.parametrize("name", ["bump", "cos2"])
+    def test_subnormal_width_rejected(self, name):
+        # 5e-324 x the profile integral underflows to 0, and the inverse of
+        # 1e-310 x it overflows; a width of 1e-300 still integrates to one
+        for eps in (5e-324, 1e-310):
+            with pytest.raises(InvalidMollifier, match="too small"):
+                scatter_regularized(1.0, eps, name)
+        r = scatter_regularized(1.0, 1e-300, name)
+        assert abs(r.mollifier_integral - 1.0) <= 1e-8
+
 
 def old_derivative_half(values, h):
     """The stencil as first written (complex division), kept as the oracle."""

@@ -1,7 +1,7 @@
 """Time the route-B boundary-kernel stage, and full ``fock`` runs, of a parent
 tree and of this tree.
 
-    python3 tools/bench.py --parent DIR [--out BENCH_16.json]
+    python3 tools/bench.py --parent DIR --out FILE
 
 DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
 its ``src/`` is imported for the parent side, this tree's ``src/`` for the
@@ -19,11 +19,13 @@ of (1,3,5) and (1,3,6) with sigma = 0.3.
 Every measurement is one cold call in a fresh child process with one BLAS
 thread, three per side, parent and change alternating which runs first.  Per
 side a stage row records the seconds of each run and their median, the
-child's peak RSS, the total and per-sector kernel dims and sigma_max; a run
-row the seconds, peak RSS, exit code and kernel dims.  A size the tree's
-guard refuses records its TooLarge message instead.  The machine block is the
-output of ``perfbench/probe.py``, run as a child the way the benchmark runs
-it.  The JSON goes to ``--out`` at the repository root.
+child's peak RSS, the total and per-sector kernel dims and, as
+``sigma_max``, the rank-cut scale sigma~ <= sigma_max; a run row the seconds,
+peak RSS, exit code and kernel dims.  A size the tree's guard refuses records
+its TooLarge message instead.  The machine block is the output of
+``perfbench/probe.py``, run as a child the way the benchmark runs it.  The
+JSON goes to FILE, which has no default, so a run never overwrites an
+earlier BENCH file unless told to.
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def bench(parent: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_16.json")
+    parser.add_argument("--out", type=Path)
     parser.add_argument("--row", type=int, nargs=5, help=argparse.SUPPRESS)
     parser.add_argument("--fock-run", type=int, nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -223,6 +225,8 @@ def main(argv=None) -> int:
         return 0
     if args.parent is None or not (args.parent / "src" / "slhkit").is_dir():
         parser.error("--parent must be a checkout with src/slhkit")
+    if args.out is None:
+        parser.error("--out is required")
     args.out.write_text(json.dumps(bench(args.parent.resolve()), indent=1)
                         + "\n")
     return 0
