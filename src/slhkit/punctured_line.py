@@ -34,7 +34,10 @@ Storage
   in one fresh buffer, which the trapezoid overwrites with its panel sums a
   chunk of ``PANEL_CHUNK`` nodes at a time; subtraction subtracts directly,
   and validation checks the float view of the values;
-* ``defect_vectors`` keeps the pair for the most recent spec;
+* ``defect_vectors`` keeps the pair for the most recent spec, with the
+  derivatives cached on it; the CLI defect suite releases it
+  (``defect_vectors.cache_clear``) after its last reader, the eigenrelation
+  group, so the later groups run without it;
 * GridSpec refuses a grid whose defect suite would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
 """
@@ -57,10 +60,10 @@ DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
 # (tracemalloc peak of the CLI suite, a shared zero half counted once, as
-# printed by tools/defect_peaks.py: 7.03 to 7.28 at 10k to 80k nodes,
-# T = 30 and 40, reached in the symmetry group; the reproducing group
-# follows at 7.00 to 7.05).
-DEFECT_LIVE_ARRAYS = 8
+# printed by tools/defect_peaks.py at 10k to 80k nodes, T = 30 and 40):
+# 5.25 to 5.30, reached in the decomposition group; the symmetry group
+# follows at 5.03 to 5.28 and the reproducing group at 5.00 to 5.04.
+DEFECT_LIVE_ARRAYS = 6
 
 
 @dataclass(frozen=True)
@@ -469,17 +472,20 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
 def reproducing_defects(spec: GridSpec, pairs) -> tuple:
     """Largest reproducing residuals over (psi_r, psi_l) pairs:
     |<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|,
-    each O(h^2). The pairs are read one at a time and each is released
-    before the next is read, so a generator that draws them holds one pair
-    at once."""
+    each O(h^2). Each psi is paired with phi_pm itself and the product
+    rotated, <i phi_+|psi>_S = -i <phi_+|psi>_S and <-i phi_-|psi>_S =
+    i <phi_-|psi>_S: a factor of +-i only swaps and negates components, so
+    the rotation commutes with every rounding of the pairing and no scaled
+    copy of phi_pm, or derivative of one, is formed. The pairs are read one
+    at a time and each is released before the next is read, so a generator
+    that draws them holds one pair at once."""
     phi_plus, phi_minus = defect_vectors(spec)
-    i_phi_plus, minus_i_phi_minus = 1j * phi_plus, -1j * phi_minus
     worst_plus = worst_minus = 0.0
     for psi_r, psi_l in pairs:
         worst_plus = max(worst_plus, abs(
-            sobolev_inner(i_phi_plus, psi_r) - psi_r.right_limit))
+            -1j * sobolev_inner(phi_plus, psi_r) - psi_r.right_limit))
         worst_minus = max(worst_minus, abs(
-            sobolev_inner(minus_i_phi_minus, psi_l) - psi_l.left_limit))
+            1j * sobolev_inner(phi_minus, psi_l) - psi_l.left_limit))
         del psi_r, psi_l
     return worst_plus, worst_minus
 
@@ -493,7 +499,9 @@ def decomposition_defects(f: GridFunction) -> dict:
     The reconstruction residual is reduced first, before psi0's derivative
     is cached, one half-line buffer at a time: phi_- lives on the left half
     and phi_+ on the right, so each half is (psi0 + c phi) - f, rounded as
-    in the GridFunction sum.
+    in the GridFunction sum. After that this function holds no reference to
+    ``f``, so a caller that keeps none either frees it before psi0's
+    derivative is formed.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     dec = decompose_sobolev(f)
@@ -506,6 +514,7 @@ def decomposition_defects(f: GridFunction) -> dict:
         buf -= values
         reconstruction = max(reconstruction, float(np.abs(buf).max()))
         del buf
+    del f, values
     scale = sobolev_norm(dec.psi0)
     return {
         "boundary_zero": max(abs(dec.psi0.left_limit),

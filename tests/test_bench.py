@@ -1,6 +1,7 @@
-"""Smoke test of the stage-bench row function (no timing gate): rows of
-``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), and one size the
-guard refuses, and the bench's refusal to run without ``--out``."""
+"""Smoke test of the stage-bench row functions (no timing gate): rows of
+``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
+guard refuses, one ``defect`` run on a T = 30, h = 3e-3 grid, and the
+bench's refusal to run without ``--out``."""
 
 import importlib.util
 from pathlib import Path
@@ -36,6 +37,14 @@ def test_row_with_generic_el0_has_empty_kernel():
 def test_row_records_a_refused_size():
     result = load_bench().row(1, 3, 7, False, False)
     assert set(result) == {"refused"} and "guard" in result["refused"]
+
+
+def test_defect_run_records_exit_code_and_report_digest():
+    result = load_bench().defect_run(30.0, 3e-3)
+    assert set(result) == {"seconds", "exit_code", "report_sha256"}
+    assert result["exit_code"] == 0 and result["seconds"] >= 0
+    assert len(result["report_sha256"]) == 64
+    int(result["report_sha256"], 16)
 
 
 def test_out_is_required(capsys):

@@ -252,6 +252,15 @@ class TestDeterminism:
         punctured_line.defect_vectors.cache_clear()
         assert full == skipped
 
+    def test_jump_splitting_draw_matches_scalar_draws(self):
+        # The one array draw leaves the generator where 2,400 scalar draws
+        # would, so the symmetry group that follows draws the same f and g.
+        rng, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        cli._jump_splitting_check(rng, Report("defect", ""))
+        for _ in range(2400):
+            scalar.uniform(-1, 1)
+        assert rng.bit_generator.state == scalar.bit_generator.state
+
     def test_sweep_count_records(self):
         cfg = config_from_dict(SCALAR_MODEL)
         rep = run_command("fock", cfg, sweep=5)

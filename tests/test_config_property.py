@@ -1,5 +1,6 @@
 """Property of the config boundary: fuzzed JSON configs, well-formed and
-broken, through ``cli.main`` for ``slh``, ``phase`` and ``scatter``.
+broken, through ``cli.main`` for ``slh``, ``phase`` and ``scatter``, and
+``defect`` configs with a fuzzed ``grid`` section on coarse grids.
 
 Every run exits 0, 1 or 2 without an escaping exception; exit 2 prints
 exactly one ``config error:`` line and writes no report; and an accepted
@@ -157,3 +158,68 @@ def test_config_boundary_exits_cleanly(command, data):
         assert (again[0], again[2]) == (code, report)
         assert (load_config(str(tmp / "config.json")).config_hash()
                 == load_config(str(tmp / "reordered.json")).config_hash())
+
+
+# Grid fields for ``defect``, by kind. Every grid the suite runs on is
+# coarse (T of 30 to 40 and h of at least 0.1: at most 400 nodes per
+# half-line); the config refuses the other kinds (exit 2), or the grid spec
+# or the defect pair does, before any node array exists (T < 30, a
+# non-integer T / h, a node count over the size guard: exit 1). With T of
+# at least 30, an h below 1e-7 or a T above 1e9 trips the guard, and the
+# least subnormal h or the largest T overflows the node count.
+NOT_A_NUMBER = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                         st.lists(st.integers(), max_size=2),
+                         st.sampled_from((float("nan"), float("inf"),
+                                          -float("inf"))))
+HALF_WIDTHS = {
+    "coarse": st.sampled_from((30, 40, 30.0, 40.0)),
+    "small": st.one_of(st.sampled_from((10, 20.0, 25)),
+                       st.floats(max_value=30.0, exclude_max=True,
+                                 allow_nan=False, allow_infinity=False)),
+    "huge": st.one_of(st.just(sys.float_info.max),
+                      st.floats(1e9, sys.float_info.max)),
+    "between": st.floats(30.0, 40.0),
+    "broken": NOT_A_NUMBER,
+}
+SPACINGS = {
+    "coarse": st.sampled_from((0.1, 0.125, 0.2, 0.25, 0.5, 1, 2.0, 2.5, 3.0)),
+    "tiny": st.one_of(st.sampled_from((5e-324, sys.float_info.min)),
+                      st.floats(0.0, 1e-7, exclude_min=True)),
+    "nonpositive": st.floats(max_value=0.0, allow_nan=False,
+                             allow_infinity=False),
+    "between": st.floats(0.1, 4.0),
+    "broken": NOT_A_NUMBER,
+}
+
+
+@st.composite
+def defect_grid(draw):
+    """A ``grid`` section: T of any kind or left out, h of any kind (never
+    left out: its default is a fine grid), and now and then an unknown
+    key."""
+    grid = {}
+    kind = draw(st.sampled_from(("coarse", "absent", *list(HALF_WIDTHS)[1:])))
+    if kind != "absent":
+        grid["T"] = draw(HALF_WIDTHS[kind])
+    grid["h"] = draw(SPACINGS[draw(st.sampled_from(list(SPACINGS)))])
+    if draw(st.integers(0, 7)) == 7:
+        grid[draw(st.text(max_size=2))] = draw(ANY_JSON)
+    return grid
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_defect_config_boundary_exits_cleanly(data):
+    config = data.draw(valid_config("defect"))
+    config["grid"] = data.draw(defect_grid())
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, report = run(
+            "defect", json.dumps(config), Path(tmp), "config")
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert report is None
+    else:
+        # a refused grid writes no report; a completed run writes one
+        assert (report is None) == (code == 1 and "checks passed" not in err)

@@ -76,6 +76,13 @@ class TestGrid:
         # 50x the 80k nodes per half-line of a T = 40, h = 5e-4 grid.
         assert GridSpec(40.0, 1e-5).n_nodes == 4_000_000
 
+    def test_size_guard_edge(self):
+        # 2 GiB over DEFECT_LIVE_ARRAYS = 6 two-sided arrays of 32 B per
+        # node admits 11,184,810 nodes per half-line.
+        assert GridSpec(40.0, 4e-6).n_nodes == 10_000_000
+        with pytest.raises(TooLarge):
+            GridSpec(40.0, 3.5e-6)     # 11.4M nodes
+
     @pytest.mark.parametrize("half_width,spacing", [(30.0, 3e-3), (40.0, 2e-3)])
     def test_defect_suite_peak_within_guard(self, half_width, spacing):
         # The guard's premise: the CLI defect suite never holds more than
@@ -96,12 +103,24 @@ class TestGrid:
             tracemalloc.stop()
         assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * 32 * n
 
+    def test_defect_suite_releases_the_defect_pair(self):
+        # The later check groups run without the cached pair and the
+        # derivatives cached on it.
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": 30.0, "h": 3e-3}})
+        command_defect(config, 0, 0, Report("defect", ""))
+        assert defect_vectors.cache_info().currsize == 0
+
     def test_reproducing_defects_releases_each_pair(self):
         # The pairs come from a generator, as in the CLI suite. While the next
         # pair is drawn, the previous one and its cached derivatives (two
-        # two-sided arrays) must already be free: the peak stays near 6.0
-        # two-sided arrays (defect vectors, their scaled copies and
-        # derivatives, one pair, the shared zero half), not 7.0 or more.
+        # two-sided arrays) must already be free, and the pairing with phi_pm
+        # is rotated rather than formed on scaled copies of phi_pm: the peak
+        # stays near 5.0 two-sided arrays (defect vectors and their
+        # derivatives, one pair and its derivatives, the shared zero half),
+        # not 6.0 (scaled copies) or 7.0 (two pairs) or more.
         spec = GridSpec(40.0, 2e-3)
         rng = np.random.default_rng(0)
         defect_vectors.cache_clear()
@@ -115,7 +134,7 @@ class TestGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 6.5 * 32 * spec.n_nodes
+        assert peak <= 5.5 * 32 * spec.n_nodes
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -183,6 +202,30 @@ class TestSobolevInner:
         psi_l = sample(SPEC, left=gaussian(0.8, 1.2, -0.9))
         val_l = sobolev_inner(-1j * pm, psi_l)
         assert abs(val_l - psi_l.left_limit) <= 1e-5
+
+    @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), SPEC])
+    def test_rotated_pairing_is_bit_exact(self, spec):
+        # reproducing_defects pairs with phi_pm and rotates by -+i instead of
+        # pairing with i phi_+ and -i phi_-: a factor of +-i only swaps and
+        # negates components, so every rounding of the pairing commutes with
+        # it and the two agree bit for bit. (A pairing of disjoint supports
+        # is exactly zero, and there the two may differ in the sign of a
+        # zero, so each psi meets phi_pm's half-line.)
+        def bits(z):
+            return np.array([z]).view(np.int64)
+
+        pp, pm = defect_vectors(spec)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            both = random_grid_function(rng, spec)
+            for psi in (both, sample(spec, right=random_bump(rng, "right"))):
+                np.testing.assert_array_equal(
+                    bits(-1j * sobolev_inner(pp, psi)),
+                    bits(sobolev_inner(1j * pp, psi)))
+            for psi in (both, sample(spec, left=random_bump(rng, "left"))):
+                np.testing.assert_array_equal(
+                    bits(1j * sobolev_inner(pm, psi)),
+                    bits(sobolev_inner(-1j * pm, psi)))
 
     def test_conjugate_linearity_first_slot(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,5 @@
-"""Time the route-B boundary-kernel stage, and full ``fock`` runs, of a parent
-tree and of this tree.
+"""Time the route-B boundary-kernel stage, and full ``fock`` and ``defect``
+runs, of a parent tree and of this tree.
 
     python3 tools/bench.py --parent DIR --out FILE
 
@@ -14,15 +14,20 @@ guarded (cap = d - 2):
 * a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
 
 Each run row is one ``slhkit fock`` run, sweep 0, on the E_l0 = 0 coupling
-of (1,3,5) and (1,3,6) with sigma = 0.3.
+of (1,3,5) and (1,3,6) with sigma = 0.3.  Each defect row is one ``slhkit
+defect`` run on the ``grid-defect`` benchmark config (``perfbench/
+workloads.py``, seed 1) at T = 40 with h = 5e-4, 2.5e-4 and 1e-4 (80k,
+160k and 400k nodes per half-line).
 
 Every measurement is one cold call in a fresh child process with one BLAS
 thread, three per side, parent and change alternating which runs first.  Per
 side a stage row records the seconds of each run and their median, the
 child's peak RSS, the total and per-sector kernel dims and, as
 ``sigma_max``, the rank-cut scale sigma~ <= sigma_max; a run row the seconds,
-peak RSS, exit code and kernel dims.  A size the tree's guard refuses records
-its TooLarge message instead.  The machine block is the output of
+peak RSS, exit code and kernel dims; a defect row the seconds, peak RSS,
+exit code and the SHA-256 of the report bytes, and whether the two sides
+wrote the same report.  A size the tree's guard refuses records its
+TooLarge message instead.  The machine block is the output of
 ``perfbench/probe.py``, run as a child the way the benchmark runs it.  The
 JSON goes to FILE, which has no default, so a run never overwrites an
 earlier BENCH file unless told to.
@@ -31,6 +36,7 @@ earlier BENCH file unless told to.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import resource
@@ -54,6 +60,8 @@ SIZES = ((1, 2, 4), (2, 2, 4), (1, 2, 6), (2, 2, 5), (1, 3, 4), (1, 3, 5),
 ROWS = ([(*size, False) for size in SIZES]
         + [(1, 2, 4, True), (1, 3, 3, True), (1, 3, 4, True)])
 RUNS = ((1, 3, 5), (1, 3, 6))
+# (T, h) of the defect rows
+DEFECT_RUNS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
 
 
 def coupling(m: int, n: int, generic_el0: bool):
@@ -114,17 +122,38 @@ def fock_run(m: int, n: int, d: int) -> dict:
                             if c["name"].endswith("kernel_dims")]}
 
 
+def defect_run(half_width: float, spacing: float) -> dict:
+    """One timed ``slhkit defect`` run of the ``grid-defect`` config on the
+    (T, h) grid."""
+    from slhkit import cli
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import generate_config
+
+    config = json.loads(generate_config("grid-defect", SEED))
+    config["grid"] = {"T": half_width, "h": spacing}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(config))
+        start = time.perf_counter()
+        code = cli.main(["defect", "--config", str(path), "--out", str(out)])
+        seconds = time.perf_counter() - start
+        digest = (hashlib.sha256(out.read_bytes()).hexdigest()
+                  if out.exists() else None)
+    return {"seconds": seconds, "exit_code": code, "report_sha256": digest}
+
+
 def child_env(src: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(src),
                 **{var: "1" for var in THREAD_VARS})
 
 
 def measure(src: Path, mode: str, spec: tuple) -> dict:
-    """``row`` or ``fock_run`` in a fresh child importing ``src``, with its
-    peak RSS."""
+    """``row``, ``fock_run`` or ``defect_run`` in a fresh child importing
+    ``src``, with its peak RSS."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), mode,
-         *(str(int(x)) for x in spec)],
+         *(str(int(x) if isinstance(x, bool) else x) for x in spec)],
         env=child_env(src), cwd=ROOT, capture_output=True, text=True,
         check=True)
     return json.loads(proc.stdout)
@@ -183,7 +212,7 @@ def bench(parent: Path) -> dict:
     out = {"stage": "fock.boundary_kernel (route B)", "sigma": SIGMA,
            "seed": SEED, "repeats": REPEATS, "machine": machine(),
            "revisions": {"parent": revision(parent), "change": revision(ROOT)},
-           "rows": [], "runs": []}
+           "rows": [], "runs": [], "defect_runs": []}
     for m, n, d, generic_el0 in ROWS:
         for guarded in (False, True):
             sides = alternate(trees, "--row", (m, n, d, guarded, generic_el0))
@@ -203,6 +232,14 @@ def bench(parent: Path) -> dict:
         sides = alternate(trees, "--fock-run", (m, n, d))
         out["runs"].append({"m": m, "n": n, "d": d, **sides})
         print(f"fock run ({m},{n},{d}): {summary(sides)}", flush=True)
+    for half_width, spacing in DEFECT_RUNS:
+        sides = alternate(trees, "--defect-run", (half_width, spacing))
+        out["defect_runs"].append({
+            "T": half_width, "h": spacing, **sides,
+            "same_report": (sides["parent"].get("report_sha256")
+                            == sides["change"].get("report_sha256"))})
+        print(f"defect run T={half_width:g} h={spacing:g}: {summary(sides)}",
+              flush=True)
     return out
 
 
@@ -212,13 +249,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--row", type=int, nargs=5, help=argparse.SUPPRESS)
     parser.add_argument("--fock-run", type=int, nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--defect-run", type=float, nargs=2,
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.row is not None or args.fock_run is not None:
+    if (args.row, args.fock_run, args.defect_run) != (None, None, None):
         if args.row is not None:
             m, n, d, guarded, generic_el0 = args.row
             result = row(m, n, d, bool(guarded), bool(generic_el0))
-        else:
+        elif args.fock_run is not None:
             result = fock_run(*args.fock_run)
+        else:
+            result = defect_run(*args.defect_run)
         result["peak_rss_mb"] = resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024
         print(json.dumps(result))
