@@ -21,8 +21,7 @@ Storage
 
 * a GridFunction holds read-only views of its value arrays (the array a
   caller passes in stays writable; a strided one is copied once, so every
-  value array is contiguous), so its grid derivative is computed once, on
-  the first ``derivative`` call, and cached on the instance;
+  value array is contiguous);
 * an identically zero half-line is stored as ``zero_half(n)``, one shared
   read-only array per node count, recognised by identity: ``sample`` stores
   it for a missing half and ``defect_vectors`` for the empty side of
@@ -30,24 +29,31 @@ Storage
   skip its nodes, with results equal to the full computation (the boundary
   traces keep their stencils and the origin panel); a zero array from a
   caller is an ordinary array;
-* an L2 pairing of two nonzero halves makes one array: conj(f) g is formed
-  in one fresh buffer, which the trapezoid overwrites with its panel sums a
-  chunk of ``PANEL_CHUNK`` nodes at a time; subtraction subtracts directly,
-  and validation checks the float view of the values;
-* ``defect_vectors`` keeps the pair for the most recent spec, with the
-  derivatives cached on it; the CLI defect suite releases it
-  (``defect_vectors.cache_clear``) after its last reader, the eigenrelation
-  group, so the later groups run without it;
+* no derivative is kept: every pairing, L2, Sobolev or <f|g'>, forms
+  conj(f) g, with either factor replaced by its grid derivative where the
+  pairing asks for one, ``PANEL_CHUNK`` nodes at a time into one n-node
+  panel per call, each derivative chunk formed right where the product
+  needs it; the trapezoid then overwrites the panel with its panel sums.
+  ``derivative`` forms the whole derivative afresh on each call, for the
+  callers that want the function itself;
+* ``decompose_sobolev`` forms each half of psi0 in one buffer, and the
+  reconstruction and eigenrelation residuals are reduced chunk by chunk,
+  with no full-size temporary; subtraction subtracts directly, and
+  validation checks the float view of the values;
+* ``defect_vectors`` keeps the pair for the most recent spec; the CLI
+  defect suite releases it (``defect_vectors.cache_clear``) after its last
+  reader, the eigenrelation group, so the later groups run without it;
 * GridSpec refuses a grid whose defect suite would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,9 +67,10 @@ MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
 # (tracemalloc peak of the CLI suite, a shared zero half counted once, as
 # printed by tools/defect_peaks.py at 10k to 80k nodes, T = 30 and 40):
-# 5.25 to 5.30, reached in the decomposition group; the symmetry group
-# follows at 5.03 to 5.28 and the reproducing group at 5.00 to 5.04.
-DEFECT_LIVE_ARRAYS = 6
+# 3.57 to 3.85, reached in the decomposition group (f, psi0, the defect
+# pair, the zero half and one half-line pairing panel); the symmetry and
+# reproducing groups follow at 3.05 to 3.47.
+DEFECT_LIVE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -135,8 +142,7 @@ def _read_only(values, n: int) -> np.ndarray:
 class GridFunction:
     """Complex values on the two half-line grids plus exact boundary traces.
 
-    The value arrays are read-only views, which keeps the cached derivative
-    (filled in by ``derivative``) valid.  Equality is identity: compare the
+    The value arrays are read-only views.  Equality is identity: compare the
     value arrays to compare two functions.
     """
 
@@ -145,8 +151,6 @@ class GridFunction:
     right: np.ndarray
     left_limit: complex   # psi(0-)
     right_limit: complex  # psi(0+)
-    _derivative: Optional["GridFunction"] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.spec.n_nodes
@@ -265,47 +269,88 @@ def defect_vectors(spec: GridSpec):
     return phi_plus, phi_minus
 
 
-def _derivative_half(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative on one half-line grid.
+def _derivative_chunk(values: np.ndarray, h: float, start: int, stop: int,
+                      out: np.ndarray) -> np.ndarray:
+    """Second-order derivative of one half-line grid on the nodes
+    ``start:stop``, written into ``out`` (``stop - start`` nodes) and
+    returned.
 
     Central differences in the interior, one-sided three-point stencils at the
-    two boundary-adjacent nodes of the half-line. The shared zero half is its
-    own derivative.
+    two boundary-adjacent nodes of the half-line. Every node is formed by the
+    same operations whatever the chunk, so the chunks of a half-line make up
+    its whole derivative bit for bit.
     """
-    if _is_zero_half(values, values.size):
-        return values
-    d = np.empty_like(values)
-    np.subtract(values[2:], values[:-2], out=d[1:-1])
-    # numpy divides a complex array by a real scalar as a multiplication by
-    # its reciprocal; doing that on the real view gives the same values
-    # without the slower complex loop.
-    interior = d[1:-1].view(np.float64)
-    interior *= 1.0 / (2.0 * h)
-    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return d
+    n = values.size
+    lo, hi = max(start, 1), min(stop, n - 1)
+    if lo < hi:
+        interior = out[lo - start:hi - start]
+        np.subtract(values[lo + 1:hi + 1], values[lo - 1:hi - 1], out=interior)
+        # numpy divides a complex array by a real scalar as a multiplication
+        # by its reciprocal; doing that on the real view gives the same values
+        # without the slower complex loop.
+        real = interior.view(np.float64)
+        real *= 1.0 / (2.0 * h)
+    if start == 0:
+        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+    if stop == n:
+        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return out
+
+
+def _derivative_traces(f: GridFunction, finite: bool = True) -> tuple:
+    """f'(0-) and f'(0+), one-sided three-point estimates on the stored
+    traces, after checking that the grid derivative of ``f`` is a grid
+    function: finite (``finite`` says whether its node values are) and
+    vanishing at -T and T. Both ``derivative`` and the streamed pairings
+    check through here, so they refuse the same functions."""
+    h = f.spec.spacing
+    dl0 = complex((3.0 * f.left_limit - 4.0 * f.left[-1] + f.left[-2])
+                  / (2.0 * h))
+    dr0 = complex((-3.0 * f.right_limit + 4.0 * f.right[0] - f.right[1])
+                  / (2.0 * h))
+    if not (finite and math.isfinite(abs(dl0)) and math.isfinite(abs(dr0))):
+        raise SpecMismatch(
+            f"grid derivative at spacing h = {h:g} is not finite")
+    n = f.spec.n_nodes
+    end = np.empty(1, dtype=complex)
+    first = abs(_derivative_chunk(f.left, h, 0, 1, end)[0])
+    last = abs(_derivative_chunk(f.right, h, n - 1, n, end)[0])
+    if first > DECAY_TOL or last > DECAY_TOL:
+        raise SpecMismatch(
+            f"grid derivative at spacing h = {h:g} must vanish at the "
+            f"truncation boundary: |psi'(-T)| = {first:.2e}, "
+            f"|psi'(T)| = {last:.2e}")
+    return dl0, dr0
 
 
 def derivative(f: GridFunction) -> GridFunction:
     """Grid derivative; the boundary traces of the result are one-sided
     three-point estimates that use the stored traces of ``f``.
 
-    Computed on the first call for ``f`` and cached on it afterwards.
+    Formed afresh on every call: the pairings stream the derivative instead
+    (``_l2_half``), so no caller keeps one. The shared zero half is its own
+    derivative.
     """
-    if f._derivative is None:
-        h = f.spec.spacing
-        dleft = _derivative_half(f.left, h)
-        dright = _derivative_half(f.right, h)
-        dl0 = (3.0 * f.left_limit - 4.0 * f.left[-1] + f.left[-2]) / (2.0 * h)
-        dr0 = (-3.0 * f.right_limit + 4.0 * f.right[0] - f.right[1]) / (2.0 * h)
-        object.__setattr__(f, "_derivative",
-                           GridFunction(f.spec, dleft, dright, dl0, dr0))
-    return f._derivative
+    h, n = f.spec.spacing, f.spec.n_nodes
+    dleft, dright = (
+        values if _is_zero_half(values, n)
+        else _derivative_chunk(values, h, 0, n, np.empty_like(values))
+        for values in (f.left, f.right))
+    dl0, dr0 = _derivative_traces(
+        f, all(np.isfinite(d.view(np.float64)).all() for d in (dleft, dright)))
+    return GridFunction(f.spec, dleft, dright, dl0, dr0)
 
 
-# Nodes per in-place panel step of the trapezoid: numpy copies an input that
-# overlaps its output, and a step bounds that copy to one chunk.
+# Nodes per chunk of the pairing products and of the in-place panel steps of
+# the trapezoid: numpy copies an input that overlaps its output, and a step
+# bounds that copy to one chunk.
 PANEL_CHUNK = 4096
+
+
+def _chunks(n: int):
+    """(start, stop) of each run of ``PANEL_CHUNK`` nodes of a half-line."""
+    return ((start, min(start + PANEL_CHUNK, n))
+            for start in range(0, n, PANEL_CHUNK))
 
 
 def _trapezoid_half(values: np.ndarray, boundary: complex, h: float,
@@ -340,31 +385,75 @@ def _trapezoid_half(values: np.ndarray, boundary: complex, h: float,
 
 def l2_inner(f: GridFunction, g: GridFunction) -> complex:
     """L2 pairing int conj(f) g over both half-lines (trapezoid, O(h^2))."""
+    return _pairing(f, g, False, False)
+
+
+def _pairing(f: GridFunction, g: GridFunction, diff_f: bool, diff_g: bool,
+             panel: Optional[np.ndarray] = None) -> complex:
+    """L2 pairing of f, or f' when ``diff_f``, with g, or g' when ``diff_g``,
+    each product formed in ``panel`` (one n-node buffer, fresh when None);
+    equal bit for bit to ``l2_inner`` on the materialized derivatives.
+
+    Any non-finite derivative value that enters a product makes the sum
+    non-finite, so only then are the derivatives formed whole, for
+    ``derivative`` to refuse them; a half paired with the shared zero half
+    is never differentiated, so its derivative is not checked there.
+    """
     require_same_spec(f, g)
     h, n = f.spec.spacing, f.spec.n_nodes
-    left = _l2_half(f.left, g.left, np.conj(f.left_limit) * g.left_limit,
-                    h, n, True)
-    right = _l2_half(f.right, g.right, np.conj(f.right_limit) * g.right_limit,
-                     h, n, False)
-    return left + right
+    if panel is None:
+        panel = np.empty(n, dtype=complex)
+    fl, fr = _derivative_traces(f) if diff_f else (f.left_limit, f.right_limit)
+    gl, gr = _derivative_traces(g) if diff_g else (g.left_limit, g.right_limit)
+    value = (_l2_half(f.left, g.left, np.conj(fl) * gl, h, n, True,
+                      diff_f, diff_g, panel)
+             + _l2_half(f.right, g.right, np.conj(fr) * gr, h, n, False,
+                        diff_f, diff_g, panel))
+    if not cmath.isfinite(value):
+        for u, diff in ((f, diff_f), (g, diff_g)):
+            if diff:
+                derivative(u)
+    return value
 
 
 def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
-             boundary_is_right: bool) -> complex:
-    """Trapezoid of conj(f) g over one half-line closed by ``boundary``, in
-    one fresh buffer that the trapezoid overwrites. If either factor is the
-    shared zero half, only the origin panel is nonzero; it is scaled in
-    ``_trapezoid_half``'s order, so the sum is the same."""
+             boundary_is_right: bool, diff_f: bool = False,
+             diff_g: bool = False,
+             panel: Optional[np.ndarray] = None) -> complex:
+    """Trapezoid of conj(f) g over one half-line closed by ``boundary``, with
+    f and g replaced by their grid derivatives when ``diff_f`` and
+    ``diff_g`` say so.
+
+    The product is formed in ``panel`` (fresh when None) ``PANEL_CHUNK``
+    nodes at a time, each derivative chunk right where the product needs it,
+    and the trapezoid then overwrites the panel with its panel sums. If
+    either factor is the shared zero half (its own derivative), only the
+    origin panel is nonzero; it is scaled in ``_trapezoid_half``'s order, so
+    the sum is the same."""
     if _is_zero_half(f, n) or _is_zero_half(g, n):
         return complex((boundary.real * h) * 0.5, (boundary.imag * h) * 0.5)
-    product = np.conj(f)
-    product *= g
+    product = np.empty(n, dtype=complex) if panel is None else panel
+    if diff_f or diff_g:
+        scratch = np.empty(min(PANEL_CHUNK, n), dtype=complex)
+    for start, stop in _chunks(n):
+        out = product[start:stop]
+        if diff_f:
+            np.conj(_derivative_chunk(f, h, start, stop,
+                                      scratch[:stop - start]), out=out)
+        else:
+            np.conj(f[start:stop], out=out)
+        if diff_g:
+            _derivative_chunk(g, h, start, stop, scratch[:stop - start])
+        out *= scratch[:stop - start] if diff_g else g[start:stop]
     return _trapezoid_half(product, boundary, h, boundary_is_right)
 
 
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
-    """Sobolev pairing int (conj(f) g + conj(f') g')."""
-    return l2_inner(f, g) + l2_inner(derivative(f), derivative(g))
+    """Sobolev pairing int (conj(f) g + conj(f') g'), both parts formed in
+    one panel buffer and no derivative formed whole."""
+    panel = np.empty(f.spec.n_nodes, dtype=complex)
+    return _pairing(f, g, False, False, panel) + _pairing(f, g, True, True,
+                                                          panel)
 
 
 def sobolev_norm(f: GridFunction) -> float:
@@ -433,10 +522,11 @@ def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
     "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
     the singular functional, and "id_symmetry_defect_damped" the same with
     zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
-    computed once each, on the cached derivatives, so no i g' is formed.
+    computed once each, with the derivative streamed, so neither g' nor i g'
+    is formed whole.
     """
-    f_ig = 1j * l2_inner(f, derivative(g))
-    g_if = 1j * l2_inner(g, derivative(f))
+    f_ig = 1j * _pairing(f, g, False, True)
+    g_if = 1j * _pairing(g, f, False, True)
 
     def id_defect(sig):
         # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
@@ -450,6 +540,34 @@ def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
             "id_symmetry_defect_damped": id_defect(sigma)}
 
 
+def eigenrelation_defects(phi: GridFunction, sign: float) -> dict:
+    """Residuals of the eigenrelation iD phi = -sign i phi of a defect
+    vector (sign +1 for phi_+, -1 for phi_-): "coefficient" is
+    |i jump(phi) - 1|, the singular coefficient of ``apply_iD`` against
+    its value 1 (exact), and "regular" the largest node value of
+    |i phi' + sign i phi| (O(h^2)).
+
+    The regular residual is reduced chunk by chunk with no full-size
+    temporary, each node rounded as in ``apply_iD(phi).regular + (sign i)
+    phi``; the shared zero half contributes 0. The derivative is checked
+    as ``derivative`` checks it.
+    """
+    h, n = phi.spec.spacing, phi.spec.n_nodes
+    _derivative_traces(phi)
+    regular = 0.0
+    for values in (phi.left, phi.right):
+        if _is_zero_half(values, n):
+            continue
+
+        def residual(start, stop, out):
+            d = _derivative_chunk(values, h, start, stop, out)
+            np.multiply(1j, d, out=d)
+            d += (sign * 1j) * values[start:stop]
+            return d
+        regular = max(regular, _chunked_max_abs(n, residual))
+    return {"coefficient": abs(1j * phi.jump - 1.0), "regular": regular}
+
+
 @dataclass(frozen=True)
 class SobolevDecomposition:
     """Triple (psi0, c_plus, c_minus) with psi0 vanishing at the origin and
@@ -461,12 +579,42 @@ class SobolevDecomposition:
 
 
 def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
-    """Split off the defect-vector components: c_pm = +-i psi(0+-)."""
+    """Split off the defect-vector components: c_pm = +-i psi(0+-).
+
+    psi0 = f - c_plus phi_+ - c_minus phi_-, rounded as that GridFunction
+    expression rounds it: phi_- lives on the left half-line and phi_+ on the
+    right, so each half of psi0 is formed in one buffer, c phi, from which
+    the half of f is then subtracted in place.
+    """
     phi_plus, phi_minus = defect_vectors(f.spec)
+    n = f.spec.n_nodes
     c_plus = 1j * f.right_limit
     c_minus = -1j * f.left_limit
-    psi0 = f - c_plus * phi_plus - c_minus * phi_minus
+    halves = []
+    for c, phi, values in ((c_minus, phi_minus.left, f.left),
+                           (c_plus, phi_plus.right, f.right)):
+        buf = c * phi
+        if _is_zero_half(values, n):
+            np.negative(buf, out=buf)
+        else:
+            np.subtract(values, buf, out=buf)
+        halves.append(buf)
+    psi0 = GridFunction(
+        f.spec, *halves,
+        (f.left_limit - c_plus * phi_plus.left_limit)
+        - c_minus * phi_minus.left_limit,
+        (f.right_limit - c_plus * phi_plus.right_limit)
+        - c_minus * phi_minus.right_limit)
     return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
+
+
+def _chunked_max_abs(n: int, form: Callable) -> float:
+    """Largest |value| over one half-line's nodes, formed chunk by chunk by
+    ``form(start, stop, out)`` into one chunk buffer, which it returns; NaN
+    propagates as in one ``np.abs(...).max()``."""
+    buf = np.empty(min(PANEL_CHUNK, n), dtype=complex)
+    return float(np.max([np.abs(form(start, stop, buf[:stop - start])).max()
+                         for start, stop in _chunks(n)]))
 
 
 def reproducing_defects(spec: GridSpec, pairs) -> tuple:
@@ -496,24 +644,25 @@ def decomposition_defects(f: GridFunction) -> dict:
     |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
     node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
 
-    The reconstruction residual is reduced first, before psi0's derivative
-    is cached, one half-line buffer at a time: phi_- lives on the left half
-    and phi_+ on the right, so each half is (psi0 + c phi) - f, rounded as
-    in the GridFunction sum. After that this function holds no reference to
-    ``f``, so a caller that keeps none either frees it before psi0's
-    derivative is formed.
+    The reconstruction residual is reduced first, chunk by chunk with no
+    full-size temporary: phi_- lives on the left half and phi_+ on the
+    right, so each half is (psi0 + c phi) - f, rounded as in the
+    GridFunction sum. After that this function holds no reference to ``f``,
+    so a caller that keeps none either frees it before psi0's pairings.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
+    n = f.spec.n_nodes
     dec = decompose_sobolev(f)
     reconstruction = 0.0
     for c, phi, psi0, values in (
             (dec.c_minus, phi_minus.left, dec.psi0.left, f.left),
             (dec.c_plus, phi_plus.right, dec.psi0.right, f.right)):
-        buf = c * phi
-        buf += psi0
-        buf -= values
-        reconstruction = max(reconstruction, float(np.abs(buf).max()))
-        del buf
+        def residual(start, stop, out):
+            np.multiply(c, phi[start:stop], out=out)
+            out += psi0[start:stop]
+            out -= values[start:stop]
+            return out
+        reconstruction = max(reconstruction, _chunked_max_abs(n, residual))
     del f, values
     scale = sobolev_norm(dec.psi0)
     return {

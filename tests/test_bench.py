@@ -1,7 +1,7 @@
 """Smoke test of the stage-bench row functions (no timing gate): rows of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
-guard refuses, one ``defect`` run on a T = 30, h = 3e-3 grid, and the
-bench's refusal to run without ``--out``."""
+guard refuses, one ``sobolev_inner`` row and one ``defect`` run on a
+T = 30, h = 3e-3 grid, and the bench's refusal to run without ``--out``."""
 
 import importlib.util
 from pathlib import Path
@@ -37,6 +37,16 @@ def test_row_with_generic_el0_has_empty_kernel():
 def test_row_records_a_refused_size():
     result = load_bench().row(1, 3, 7, False, False)
     assert set(result) == {"refused"} and "guard" in result["refused"]
+
+
+def test_sobolev_row_records_call_peak_and_value():
+    result = load_bench().sobolev_row(30.0, 3e-3)
+    assert set(result) == {"seconds", "nodes", "call_peak_mb",
+                           "call_peak_arrays", "value"}
+    assert result["nodes"] == 10_000 and result["seconds"] >= 0
+    # one half-line panel and chunk buffers: no derivative formed whole
+    assert result["call_peak_arrays"] < 1.0
+    assert all(isinstance(float.fromhex(x), float) for x in result["value"])
 
 
 def test_defect_run_records_exit_code_and_report_digest():

@@ -372,6 +372,20 @@ class TestExitCodes:
         assert "TooLarge" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_coarse_grid_blames_the_grid_derivative(self, tmp_path):
+        # At T = 30, h = 2.5 the one-sided end stencil of phi_+'s derivative,
+        # e^-30 (3 - 4 e^h + e^2h) / 2h, exceeds the decay tolerance; the
+        # user gave no function, so the message names the derivative and
+        # the spacing.
+        coarse = dict(SCALAR_MODEL, grid={"T": 30.0, "h": 2.5})
+        path = tmp_path / "coarse_grid.json"
+        path.write_text(json.dumps(coarse))
+        proc = run_cli(["defect", "--config", str(path)])
+        assert proc.returncode == 1
+        assert "SpecMismatch: grid derivative at spacing h = 2.5 must " \
+            "vanish at the truncation boundary" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_lapack_failure_is_slhkit_error(self, tmp_path, monkeypatch, capsys):
         def diverging(config, seed, sweep, report):
             raise np.linalg.LinAlgError("SVD did not converge")

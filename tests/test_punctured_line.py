@@ -22,6 +22,7 @@ from slhkit.punctured_line import (
     decomposition_defects,
     defect_vectors,
     derivative,
+    eigenrelation_defects,
     extension_domain_defect,
     jump_splitting_defect,
     l2_inner,
@@ -77,11 +78,13 @@ class TestGrid:
         assert GridSpec(40.0, 1e-5).n_nodes == 4_000_000
 
     def test_size_guard_edge(self):
-        # 2 GiB over DEFECT_LIVE_ARRAYS = 6 two-sided arrays of 32 B per
-        # node admits 11,184,810 nodes per half-line.
+        # 2 GiB over DEFECT_LIVE_ARRAYS = 5 two-sided arrays of 32 B per
+        # node admits 13,421,772 nodes per half-line.
         assert GridSpec(40.0, 4e-6).n_nodes == 10_000_000
+        assert GridSpec(40.0, 3.2e-6).n_nodes == 12_500_000
+        assert GridSpec(13.4, 1e-6).n_nodes == 13_400_000
         with pytest.raises(TooLarge):
-            GridSpec(40.0, 3.5e-6)     # 11.4M nodes
+            GridSpec(13.5, 1e-6)       # 13.5M nodes
 
     @pytest.mark.parametrize("half_width,spacing", [(30.0, 3e-3), (40.0, 2e-3)])
     def test_defect_suite_peak_within_guard(self, half_width, spacing):
@@ -104,8 +107,7 @@ class TestGrid:
         assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * 32 * n
 
     def test_defect_suite_releases_the_defect_pair(self):
-        # The later check groups run without the cached pair and the
-        # derivatives cached on it.
+        # The later check groups run without the cached pair.
         config = config_from_dict({"m": 1, "n": 1,
                                    "E": [[[0.3, 0.0], [0.5, -0.2]],
                                          [[0.5, 0.2], [1.0, 0.0]]],
@@ -115,12 +117,12 @@ class TestGrid:
 
     def test_reproducing_defects_releases_each_pair(self):
         # The pairs come from a generator, as in the CLI suite. While the next
-        # pair is drawn, the previous one and its cached derivatives (two
-        # two-sided arrays) must already be free, and the pairing with phi_pm
-        # is rotated rather than formed on scaled copies of phi_pm: the peak
-        # stays near 5.0 two-sided arrays (defect vectors and their
-        # derivatives, one pair and its derivatives, the shared zero half),
-        # not 6.0 (scaled copies) or 7.0 (two pairs) or more.
+        # pair is drawn, the previous one must already be free, the pairing
+        # with phi_pm is rotated rather than formed on scaled copies of
+        # phi_pm, and every derivative is streamed: the peak stays near 3.2
+        # two-sided arrays (defect vectors, one pair, the shared zero half,
+        # one half-line pairing panel and its chunk buffers), not 4.0 (two
+        # pairs, scaled copies or a derivative formed whole) or more.
         spec = GridSpec(40.0, 2e-3)
         rng = np.random.default_rng(0)
         defect_vectors.cache_clear()
@@ -134,7 +136,7 @@ class TestGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5.5 * 32 * spec.n_nodes
+        assert peak <= 3.5 * 32 * spec.n_nodes
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -329,6 +331,18 @@ class TestApplyiD:
         resid = out_m.regular - 1j * pm
         assert max(np.abs(resid.left).max(), np.abs(resid.right).max()) <= 1e-5
 
+    @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
+    def test_eigenrelation_defects_equal_the_grid_function_expression(self, spec):
+        # the chunked reduction rounds every node as the whole-array form
+        pp, pm = defect_vectors(spec)
+        for phi, sign in ((pp, 1.0), (pm, -1.0)):
+            action = apply_iD(phi)
+            resid = action.regular + (sign * 1j) * phi
+            assert eigenrelation_defects(phi, sign) == {
+                "coefficient": abs(action.coefficient - 1.0),
+                "regular": max(float(np.abs(resid.left).max()),
+                               float(np.abs(resid.right).max()))}
+
     def test_symmetry_defect_second_order(self):
         fl, fr = gaussian(0.4 - 0.3j, 0.7, -1.1), gaussian(1.2 + 0.5j, 1.3, 0.8)
         gl, gr = gaussian(0.9 + 0.2j, 0.5, -1.7), gaussian(0.3 - 0.8j, 0.9, 1.4)
@@ -448,22 +462,40 @@ class TestDecomposition:
             assert decomposition_defects(f)["reconstruction"] == max(
                 float(np.abs(diff.left).max()), float(np.abs(diff.right).max()))
 
+    @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
+    def test_psi0_equals_grid_function_expression(self, spec):
+        # one buffer per half, c phi then subtracted from f in place; a
+        # shared zero half of f is negated, as GridFunction subtraction does
+        rng = np.random.default_rng(13)
+        pp, pm = defect_vectors(spec)
+        for f in (random_grid_function(rng, spec),
+                  sample(spec, right=random_bump(rng, "right")),
+                  sample(spec, left=random_bump(rng, "left")), pp, pm):
+            dec = decompose_sobolev(f)
+            expected = f - dec.c_plus * pp - dec.c_minus * pm
+            for got, want in ((dec.psi0.left, expected.left),
+                              (dec.psi0.right, expected.right)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            traces = np.array([dec.psi0.left_limit, dec.psi0.right_limit,
+                               expected.left_limit, expected.right_limit])
+            assert np.array_equal(traces[:2].view(np.int64),
+                                  traces[2:].view(np.int64))
+
     @pytest.mark.parametrize("spec", [GridSpec(40.0, 1e-3), GridSpec(40.0, 5e-4)])
     def test_decomposition_peak(self, spec):
-        # Above f and the cached defect vectors with their derivatives: psi0,
-        # then one half-line residual buffer beside it, then psi0's derivative
-        # and one pairing buffer, about 2.5 two-sided arrays.
+        # Above f and the cached defect vectors: psi0, then one half-line
+        # pairing panel beside it, about 1.55 two-sided arrays; a residual
+        # buffer or a derivative formed whole would add 0.5 or more.
         rng = np.random.default_rng(12)
         f = random_grid_function(rng, spec)
-        for phi in defect_vectors(spec):
-            derivative(phi)
+        defect_vectors(spec)
         tracemalloc.start()
         try:
             decomposition_defects(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * 32 * spec.n_nodes
+        assert peak <= 1.75 * 32 * spec.n_nodes
 
 
 class TestBoundaryPhase:
@@ -619,11 +651,10 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("spec", [SPEC, GridSpec(40.0, 5e-4),
                                       GridSpec(30.0, 3e-3)])
-    def test_derivative_matches_stencils_and_is_cached(self, spec):
+    def test_derivative_matches_stencils(self, spec):
         rng = np.random.default_rng(3)
         for f in (random_noise_function(rng, spec), random_grid_function(rng, spec)):
             d = derivative(f)
-            assert derivative(f) is d
             h = spec.spacing
             assert np.array_equal(d.left, old_derivative_half(f.left, h))
             assert np.array_equal(d.right, old_derivative_half(f.right, h))
@@ -634,13 +665,30 @@ class TestKernelOracles:
 
     def test_derivative_is_validated(self):
         # A steep rise next to -T gives a derivative that does not vanish at
-        # the truncation boundary; the derivative is a checked GridFunction.
+        # the truncation boundary; the derivative is a checked GridFunction,
+        # and the pairings that stream it refuse f by the same check.
         left = np.zeros(SPEC.n_nodes, dtype=complex)
         left[1] = 1.0
         f = GridFunction(SPEC, left, np.zeros(SPEC.n_nodes, dtype=complex),
                          0.0, 0.0)
-        with pytest.raises(SpecMismatch, match="vanish"):
-            derivative(f)
+        message = "grid derivative at spacing h = 0.001 must vanish"
+        for check in (derivative, lambda f: sobolev_inner(f, f),
+                      lambda f: symmetry_defects(f, f, 0.3)):
+            with pytest.raises(SpecMismatch, match=message):
+                check(f)
+
+    def test_non_finite_derivative_is_refused(self):
+        # Finite values whose differences overflow: the streamed pairing
+        # turns non-finite, and the derivative is then formed and refused.
+        right = np.zeros(SPEC.n_nodes, dtype=complex)
+        right[10], right[12] = 1e308, -1e308
+        f = GridFunction(SPEC, np.zeros(SPEC.n_nodes, dtype=complex), right,
+                         0.0, 0.0)
+        message = "grid derivative at spacing h = 0.001 is not finite"
+        for check in (derivative, lambda f: sobolev_inner(f, f)):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(SpecMismatch, match=message):
+                check(f)
 
     def test_values_are_read_only_views(self):
         left = np.zeros(SPEC.n_nodes, dtype=complex)

@@ -1,9 +1,10 @@
-"""Time the route-B boundary-kernel stage, and full ``fock`` and ``defect``
-runs, of a parent tree and of this tree.
+"""Time the route-B boundary-kernel and the Sobolev-pairing stages, and full
+``fock`` and ``defect`` runs, of a parent tree and of this tree.
 
-    python3 tools/bench.py --parent DIR --out FILE
+    python3 tools/bench.py --parent DIR --out FILE [--stages STAGE ...]
 
-DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
+STAGE is ``kernel``, ``fock-run``, ``sobolev`` or ``defect-run`` (default:
+all four, in that order).  DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
 its ``src/`` is imported for the parent side, this tree's ``src/`` for the
 change.  Each stage row is one ``fock.boundary_kernel`` call on the
 coupling-form rows (route B) of a seeded coupling with sigma = 0.3, full and
@@ -12,6 +13,15 @@ guarded (cap = d - 2):
 * E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4),
   (1,3,5) and (1,3,6);
 * a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
+
+Each Sobolev row is ``punctured_line.sobolev_inner`` on two seeded random
+two-sided grid functions (``ensembles.random_grid_function``) at T = 40 with
+h = 1e-3 and 5e-4 (40k and 80k nodes per half-line).  The child times
+``SOBOLEV_CALLS`` calls, each on fresh ``GridFunction`` instances over the
+same arrays (so a tree that caches derivatives on an instance forms them
+in every call), and reports the median; it then traces one more call with
+tracemalloc, whose peak above the inputs is the row's ``call_peak_mb``, also
+given in two-sided complex arrays (32 bytes per node of a half-line).
 
 Each run row is one ``slhkit fock`` run, sweep 0, on the E_l0 = 0 coupling
 of (1,3,5) and (1,3,6) with sigma = 0.3.  Each defect row is one ``slhkit
@@ -23,7 +33,10 @@ Every measurement is one cold call in a fresh child process with one BLAS
 thread, three per side, parent and change alternating which runs first.  Per
 side a stage row records the seconds of each run and their median, the
 child's peak RSS, the total and per-sector kernel dims and, as
-``sigma_max``, the rank-cut scale sigma~ <= sigma_max; a run row the seconds,
+``sigma_max``, the rank-cut scale sigma~ <= sigma_max; a Sobolev row the
+per-call seconds, the child's peak RSS, the call's traced peak and the
+pairing's value (as float hex, with whether both sides agree bit for bit);
+a run row the seconds,
 peak RSS, exit code and kernel dims; a defect row the seconds, peak RSS,
 exit code and the SHA-256 of the report bytes, and whether the two sides
 wrote the same report.  A size the tree's guard refuses records its
@@ -45,6 +58,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +76,10 @@ ROWS = ([(*size, False) for size in SIZES]
 RUNS = ((1, 3, 5), (1, 3, 6))
 # (T, h) of the defect rows
 DEFECT_RUNS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
+# (T, h) of the Sobolev-pairing stage rows, and the timed calls per child
+SOBOLEV_GRIDS = ((40.0, 1e-3), (40.0, 5e-4))
+SOBOLEV_CALLS = 20
+STAGES = ("kernel", "fock-run", "sobolev", "defect-run")
 
 
 def coupling(m: int, n: int, generic_el0: bool):
@@ -100,6 +118,38 @@ def row(m: int, n: int, d: int, guarded: bool, generic_el0: bool) -> dict:
                                  minlength=len(sectors)).tolist()
     return {"seconds": seconds, "dim": sub.dim, "sector_dims": per_sector,
             "sigma_max": sub.sigma_max}
+
+
+def sobolev_row(half_width: float, spacing: float) -> dict:
+    """Median per-call seconds and traced peak of ``sobolev_inner`` on two
+    random grid functions of the (T, h) grid."""
+    from slhkit.ensembles import random_grid_function
+    from slhkit.punctured_line import GridFunction, GridSpec, sobolev_inner
+
+    spec = GridSpec(half_width, spacing)
+    rng = np.random.default_rng(SEED)
+    f, g = random_grid_function(rng, spec), random_grid_function(rng, spec)
+
+    def fresh():
+        return tuple(GridFunction(spec, u.left, u.right, u.left_limit,
+                                  u.right_limit) for u in (f, g))
+
+    times = []
+    for _ in range(SOBOLEV_CALLS):
+        a, b = fresh()
+        start = time.perf_counter()
+        value = sobolev_inner(a, b)
+        times.append(time.perf_counter() - start)
+        del a, b
+    a, b = fresh()
+    tracemalloc.start()
+    sobolev_inner(a, b)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"seconds": statistics.median(times), "nodes": spec.n_nodes,
+            "call_peak_mb": peak / 2 ** 20,
+            "call_peak_arrays": peak / (32 * spec.n_nodes),
+            "value": [value.real.hex(), value.imag.hex()]}
 
 
 def fock_run(m: int, n: int, d: int) -> dict:
@@ -149,8 +199,8 @@ def child_env(src: Path) -> dict:
 
 
 def measure(src: Path, mode: str, spec: tuple) -> dict:
-    """``row``, ``fock_run`` or ``defect_run`` in a fresh child importing
-    ``src``, with its peak RSS."""
+    """``row``, ``sobolev_row``, ``fock_run`` or ``defect_run`` in a fresh
+    child importing ``src``, with its peak RSS."""
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), mode,
          *(str(int(x) if isinstance(x, bool) else x) for x in spec)],
@@ -207,13 +257,14 @@ def revision(tree: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def bench(parent: Path) -> dict:
+def bench(parent: Path, stages=STAGES) -> dict:
     trees = {"parent": parent / "src", "change": ROOT / "src"}
     out = {"stage": "fock.boundary_kernel (route B)", "sigma": SIGMA,
            "seed": SEED, "repeats": REPEATS, "machine": machine(),
            "revisions": {"parent": revision(parent), "change": revision(ROOT)},
-           "rows": [], "runs": [], "defect_runs": []}
-    for m, n, d, generic_el0 in ROWS:
+           "stages": list(stages), "rows": [], "sobolev_rows": [], "runs": [],
+           "defect_runs": []}
+    for m, n, d, generic_el0 in ROWS if "kernel" in stages else ():
         for guarded in (False, True):
             sides = alternate(trees, "--row", (m, n, d, guarded, generic_el0))
             record = {"m": m, "n": n, "d": d, "cap": d - 2 if guarded else d - 1,
@@ -228,11 +279,21 @@ def bench(parent: Path) -> dict:
             print(f"({m},{n},{d}) cap {record['cap']} E_l0 {record['e_l0']}: "
                   f"{summary(sides)}, dim {sides['change'].get('dim')}",
                   flush=True)
-    for m, n, d in RUNS:
+    for half_width, spacing in SOBOLEV_GRIDS if "sobolev" in stages else ():
+        sides = alternate(trees, "--sobolev-row", (half_width, spacing))
+        out["sobolev_rows"].append({
+            "T": half_width, "h": spacing, **sides,
+            "speedup": sides["parent"]["median_s"] / sides["change"]["median_s"],
+            "same_value": sides["parent"]["value"] == sides["change"]["value"]})
+        print(f"sobolev_inner T={half_width:g} h={spacing:g}: "
+              f"{summary(sides)}, call peak "
+              f"{sides['parent']['call_peak_arrays']:.2f} -> "
+              f"{sides['change']['call_peak_arrays']:.2f} arrays", flush=True)
+    for m, n, d in RUNS if "fock-run" in stages else ():
         sides = alternate(trees, "--fock-run", (m, n, d))
         out["runs"].append({"m": m, "n": n, "d": d, **sides})
         print(f"fock run ({m},{n},{d}): {summary(sides)}", flush=True)
-    for half_width, spacing in DEFECT_RUNS:
+    for half_width, spacing in DEFECT_RUNS if "defect-run" in stages else ():
         sides = alternate(trees, "--defect-run", (half_width, spacing))
         out["defect_runs"].append({
             "T": half_width, "h": spacing, **sides,
@@ -247,15 +308,21 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--out", type=Path)
+    parser.add_argument("--stages", nargs="+", choices=STAGES, default=STAGES)
     parser.add_argument("--row", type=int, nargs=5, help=argparse.SUPPRESS)
+    parser.add_argument("--sobolev-row", type=float, nargs=2,
+                        help=argparse.SUPPRESS)
     parser.add_argument("--fock-run", type=int, nargs=3, help=argparse.SUPPRESS)
     parser.add_argument("--defect-run", type=float, nargs=2,
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if (args.row, args.fock_run, args.defect_run) != (None, None, None):
+    children = (args.row, args.sobolev_row, args.fock_run, args.defect_run)
+    if children != (None,) * 4:
         if args.row is not None:
             m, n, d, guarded, generic_el0 = args.row
             result = row(m, n, d, bool(guarded), bool(generic_el0))
+        elif args.sobolev_row is not None:
+            result = sobolev_row(*args.sobolev_row)
         elif args.fock_run is not None:
             result = fock_run(*args.fock_run)
         else:
@@ -268,8 +335,9 @@ def main(argv=None) -> int:
         parser.error("--parent must be a checkout with src/slhkit")
     if args.out is None:
         parser.error("--out is required")
-    args.out.write_text(json.dumps(bench(args.parent.resolve()), indent=1)
-                        + "\n")
+    stages = [stage for stage in STAGES if stage in args.stages]
+    args.out.write_text(json.dumps(bench(args.parent.resolve(), stages),
+                                   indent=1) + "\n")
     return 0
 
 
