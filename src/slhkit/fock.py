@@ -29,10 +29,9 @@ from the occupation digits, holds the ``LadderMap`` of every slot: [0] the
 identity, [1 + p] the annihilator a|k> = sqrt(k)|k-1> of digit p, or with
 ``dagger`` the creator a^dag|k> = sqrt(k+1)|k+1> by its own closed form
 (annihilating at k = 0 and k = d-1 respectively).  ``apply`` runs a form
-matrix-free on flat states through that table, and ``_assemble`` turns sums
-sum_t X_t (x) M_t of system coefficients and composed ladder maps into dense
-matrices between two sets of Fock states: the sector blocks of the kernel
-solves and of the CCR and adjoint-defect checks.
+matrix-free on flat states through that table, ``_sector_block`` builds a
+kernel solve's blocks from it, and the CCR and adjoint-defect checks reduce
+composed maps entry by entry (``_worst_entry``), with no block.
 
 Photon-number grading.  An annihilator lowers the total photon number N by
 one and a system coefficient keeps it.  Every boundary operator B = X_0 (x) 1
@@ -48,12 +47,12 @@ every a_q, which only the vacuum is; it is 0, and F_{N+1} = F_N.  An
 injective X_0 thus stops at level 0 with an empty kernel.
 
 Every rank decision is ``linalg.null_space(block, sigma~)``, cut at
-NULLSPACE_TOL x sigma~, where sigma~^2 = lambda_max(X_0^H X_0 + cap sum_{p >=
-1} X_p^H X_p), X_p the slot-p coefficients stacked over the n rows (nm x m).
-That is ||B (s (x) |cap, ..., cap>)||^2 at its best unit s, the images under
-the 1 + 2n slots being orthogonal, so sigma~ <= sigma_max; and sigma_max <=
-||X_0|| + sqrt(cap) sum_p ||X_p|| <= (1 + 2n) sigma~.  A cut below
-NULLSPACE_TOL x sigma_max drops no more than that one would, and the
+NULLSPACE_TOL x sigma~, where sigma~^2 = lambda_max(X_0^H X_0 + (d-1)
+sum_{p >= 1} X_p^H X_p), X_p the slot-p coefficients stacked over the n rows
+(nm x m).  That is ||B (s (x) |d-1, ..., d-1>)||^2 at its best unit s, the
+images under the 1 + 2n slots being orthogonal, so sigma~ <= sigma_max; and
+sigma_max <= ||X_0|| + sqrt(d-1) sum_p ||X_p|| <= (1 + 2n) sigma~.  A cut
+below NULLSPACE_TOL x sigma_max drops no more than that one would, and the
 boundary residual of ``action_residuals``, relative to sigma~, is the
 stricter for it.  The config's ``tolerances.kernel`` is not this cutoff: it
 bounds the largest principal angle between the two routes' kernels.
@@ -66,17 +65,17 @@ Boundary operators contain no creators, so kernels computed on the truncated
 space coincide with the finitely-supported solutions of the untruncated
 problem.  Operators containing creators (the singular generator and the
 coupling term) are only truncation-exact on vectors with per-mode occupation
-at most d-2 (the photon guard).  Lowering never leaves the guard, so the
-guarded kernel is the same sector solve on guard occupations only, and all
-action checks project onto the guard first.
+at most d-2 (the photon guard).  Boundary operators only keep or lower
+occupations, so the guarded domain is the kernel's part on the guard, K
+null(K outside the guard) for the kernel columns K, and all action checks
+project onto the guard first.
 
 Two routes, one kernel function.  ``stacked_boundary_rows`` builds the
 coupling-form rows (route B) from E and the gauged modes;
 ``scattering_rows`` builds the scattering-form rows a_- - S a_+ - L (route
-C) from an ``SLHResult``.  ``boundary_kernel`` solves every kernel, with
-``cap = d - 2`` for the guarded one.  ``fock_battery`` builds the route-B
-rows and the triple once and hands them down: ``subspace_equivalence`` holds
-both full kernel solves, ``sample_domain_vectors`` the guarded solve, and
+C) from an ``SLHResult``.  ``fock_battery`` builds the route-B rows and the
+triple once and hands them down: ``subspace_equivalence`` solves both
+kernels, ``sample_domain_vectors`` draws from route B's guarded part, and
 ``action_residuals`` applies the rows and the action read off ``res.ito``.
 
 Size guard: ``TruncatedFockSpace`` estimates the peak bytes of a kernel solve
@@ -120,28 +119,6 @@ def _compose(outer: LadderMap, inner: LadderMap) -> LadderMap:
     mid = np.where(hit, inner[0], 0)
     return (np.where(hit, outer[0][mid], -1),
             np.where(hit, outer[1][mid], 0.0) * inner[1])
-
-
-def _assemble(terms: Sequence[Tuple[np.ndarray, LadderMap]], cols: np.ndarray,
-              rows: np.ndarray) -> np.ndarray:
-    """Matrix of sum_t X_t (x) M_t from the span of the Fock states ``cols``
-    into that of ``rows`` (Fock indices), for coefficients X_t of one shape
-    (..., r, c): rows ordered as (..., r, rows), columns as (c, cols).  Images
-    outside ``rows`` are dropped, and each entry sums its contributions from
-    zero in term order."""
-    coef = np.array([x for x, _ in terms])
-    coef = coef.reshape(len(terms), -1, coef.shape[-1])
-    # pos[-1] stays -1, so an annihilated image (target -1) is dropped too.
-    pos = np.full(terms[0][1][0].size + 1, -1)
-    pos[rows] = np.arange(rows.size)
-    at = pos[np.array([target[cols] for _, (target, _) in terms])]
-    t, col = np.nonzero(at >= 0)
-    weight = np.array([weight[cols] for _, (_, weight) in terms])[t, col]
-    block = np.zeros((coef.shape[1], rows.size, coef.shape[2], cols.size),
-                     dtype=complex)
-    np.add.at(block, (slice(None), at[t, col], slice(None), col),
-              weight[:, None, None] * coef[t])
-    return block.reshape(coef.shape[1] * rows.size, coef.shape[2] * cols.size)
 
 
 def _on_system(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -234,14 +211,12 @@ class TruncatedFockSpace:
         below which creators act truncation-exactly."""
         return np.tile((self._digits <= self.d - 2).all(axis=1), self.m)
 
-    def sectors(self, cap: Optional[int] = None) -> List[np.ndarray]:
+    def sectors(self) -> List[np.ndarray]:
         """Fock indices (increasing) of each photon-number sector N = 0, 1,
-        ..., keeping occupation tuples with every mode <= cap (default d - 1,
-        the whole space)."""
-        cap = self.d - 1 if cap is None else cap
-        idx = np.flatnonzero((self._digits <= cap).all(axis=1))
-        total = self._digits[idx].sum(axis=1)
-        return [idx[total == k] for k in range(self.n_modes * cap + 1)]
+        ..., 2n (d - 1)."""
+        total = self._digits.sum(axis=1)
+        return [np.flatnonzero(total == k)
+                for k in range(self.n_modes * (self.d - 1) + 1)]
 
     @cached_property
     def _slot_table(self) -> Tuple[Tuple[LadderMap, ...], ...]:
@@ -384,35 +359,41 @@ def _sector_block(space: TruncatedFockSpace, coef: np.ndarray,
                   cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Matrix of the stacked forms ``coef`` from the span of the Fock states
     ``cols`` into that of ``rows`` (Fock indices; system index slowest on both
-    sides, boundary row slowest of all)."""
-    return _assemble(list(zip(np.moveaxis(coef, 1, 0), space.slot_maps())),
-                     cols, rows)
+    sides, boundary row slowest of all).  Images outside ``rows`` are
+    dropped; each entry sums its slots from zero in slot order."""
+    slots = np.moveaxis(coef, 1, 0).reshape(coef.shape[1], -1, space.m)
+    pos = np.full(space.fock_dim + 1, -1)  # pos[-1]: annihilated, dropped
+    pos[rows] = np.arange(rows.size)
+    block = np.zeros((slots.shape[1], rows.size, space.m, cols.size), complex)
+    for x, (target, weight) in zip(slots, space.slot_maps()):
+        at = pos[target[cols]]
+        col = np.flatnonzero(at >= 0)
+        block[:, at[col], :, col] += weight[cols[col], None, None] * x
+    return block.reshape(-1, space.m * cols.size)
 
 
-def _scale(coef: np.ndarray, cap: int) -> float:
-    """sigma~, the scale of the rank cut: the largest ||B (s (x) |cap, ...,
-    cap>)|| over unit s, for the stacked forms B with coefficients ``coef``
+def _scale(space: TruncatedFockSpace, coef: np.ndarray) -> float:
+    """sigma~, the scale of the rank cut: the largest ||B (s (x) |d-1, ...,
+    d-1>)|| over unit s, for the stacked forms B with coefficients ``coef``
     (module docstring)."""
     stacks = np.moveaxis(coef, 1, 0).reshape(coef.shape[1], -1, coef.shape[-1])
-    weights = np.full(len(stacks), float(cap))
+    weights = np.full(len(stacks), float(space.d - 1))
     weights[0] = 1.0
     gram = np.einsum("p,pri,prj->ij", weights, stacks.conj(), stacks)
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
-def boundary_kernel(space: TruncatedFockSpace, coef: np.ndarray,
-                    cap: Optional[int] = None) -> BoundarySubspace:
-    """Kernel of the stacked forms ``coef`` on the occupations with every
-    mode <= cap (default d - 1, the whole space), as flat columns, decided
-    one photon-number level N = 0, 1, ... at a time and stopped at the first
+def boundary_kernel(space: TruncatedFockSpace,
+                    coef: np.ndarray) -> BoundarySubspace:
+    """Kernel of the stacked forms ``coef`` as flat columns, decided one
+    photon-number level N = 0, 1, ... at a time and stopped at the first
     level that adds no kernel dimension (module docstring).  Without a
     constant term level N is the sector-N block and the kernels add up; with
     one it is the block of the sectors <= N, whose kernel replaces the last,
     and TooLarge is raised before such a block above ``MAX_SOLVE_BYTES`` is
     assembled.  Every rank cut is NULLSPACE_TOL x sigma~ (``_scale``)."""
-    cap = space.d - 1 if cap is None else cap
-    scale = _scale(coef, cap)
-    sectors = space.sectors(cap)
+    scale = _scale(space, coef)
+    sectors = space.sectors()
     coupled = bool(np.any(coef[:, 0]))
     found, dim = [], 0
     for level, sector in enumerate(sectors):
@@ -478,6 +459,24 @@ def singular_action_operator(res: SLHResult, ops: ModeOperators) -> np.ndarray:
     return total
 
 
+def _worst_entry(terms: Sequence[Tuple[np.ndarray, LadderMap]],
+                 keep: np.ndarray) -> float:
+    """Largest entry of sum_t X_t (x) M_t, X_t m x m and M_t composed ladder
+    maps, between the Fock states of the mask ``keep`` (images outside it
+    dropped).  Each M_t moves every state it keeps by one fixed index shift,
+    so the terms of one shift are those that reach an entry; each entry
+    sums them from zero in term order."""
+    sums = {}
+    for x, (target, weight) in terms:
+        hit = keep & (target >= 0) & keep[target]
+        if hit.any():
+            src = int(np.argmax(hit))
+            shift = int(target[src]) - src
+            value = np.where(hit, weight, 0.0)[:, None, None] * x
+            sums[shift] = sums.get(shift, 0.0) + value
+    return max([0.0, *(float(np.abs(total).max()) for total in sums.values())])
+
+
 def number_defect_residual(ops: ModeOperators) -> float:
     """Exact adjoint defect of the leading singular term: the ungauged
     K = i sum_j a_star_j^dag (a_{j,+} - a_{j,-}) minus its adjoint equals
@@ -500,19 +499,16 @@ def number_defect_residual(ops: ModeOperators) -> float:
                               (-adjoint(x), _compose(raising[q], lowering[p]))]
         for sign, slot in ((-1j, 1 + j), (1j, 1 + space.n + j)):
             terms.append((sign * eye, _compose(raising[slot], lowering[slot])))
-    # Every term keeps the photon number, so the sector blocks hold them all.
-    return max(float(np.abs(_assemble(terms, sector, sector)).max())
-               for sector in space.sectors())
+    return _worst_entry(terms, np.ones(space.fock_dim, dtype=bool))
 
 
 def commutator_defect(ops: ModeOperators) -> float:
     """Truncation-aware CCR check on the ladder maps the forms apply: on the
     photon guard, [a_{j,s}, a_{k,s'}^dag] equals delta_jk delta_ss'; returns
-    the worst guarded entry of the difference, assembled one pair and one
-    guarded sector at a time (every term keeps the photon number)."""
+    the worst guarded entry of the difference, one pair at a time."""
     space = ops.space
     lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
-    sectors = space.sectors(space.d - 2)
+    guard = space.photon_guard_mask()[:space.fock_dim]
     one = np.ones((1, 1))
     worst = 0.0
     for i, a in enumerate(lowering[1:]):
@@ -520,9 +516,7 @@ def commutator_defect(ops: ModeOperators) -> float:
             terms = [(one, _compose(a, b_dag)), (-one, _compose(b_dag, a))]
             if i == k:
                 terms.append((-one, lowering[0]))
-            for sector in sectors:
-                block = _assemble(terms, sector, sector)
-                worst = max(worst, float(np.abs(block).max()))
+            worst = max(worst, _worst_entry(terms, guard))
     return worst
 
 
@@ -581,21 +575,26 @@ def action_residuals(res: SLHResult, ops: ModeOperators, rows: np.ndarray,
     return [float(x) for x in np.linalg.norm(diff, axis=0)]
 
 
-def sample_domain_vectors(space: TruncatedFockSpace, rows: np.ndarray,
+def guarded_basis(space: TruncatedFockSpace,
+                  kernel: BoundarySubspace) -> np.ndarray:
+    """The guarded domain's orthonormal columns: K null(K outside the photon
+    guard) for the columns K of ``kernel``; K itself when it is empty."""
+    k = kernel.columns
+    return k @ null_space(k[~space.photon_guard_mask()], 1.0) if k.size else k
+
+
+def sample_domain_vectors(space: TruncatedFockSpace, kernel: BoundarySubspace,
                           count: int, rng: np.random.Generator
                           ) -> List[np.ndarray]:
-    """Random unit vectors in the kernel of the coupling-form ``rows`` on the
-    photon guard (empty list when that subspace is trivial)."""
-    basis = boundary_kernel(space, rows, cap=space.d - 2).columns
+    """Random unit vectors in the guarded domain of the coupling-form
+    ``kernel`` (empty list when it is trivial)."""
+    basis = guarded_basis(space, kernel)
     k = basis.shape[1]
     if k == 0:
         return []
-    vecs = []
-    for _ in range(count):
-        coeff = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        v = basis @ coeff
-        vecs.append(v / np.linalg.norm(v))
-    return vecs
+    vecs = [basis @ (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            for _ in range(count)]
+    return [v / np.linalg.norm(v) for v in vecs]
 
 
 def subspace_equivalence(space: TruncatedFockSpace, rows_b: np.ndarray,
@@ -605,13 +604,13 @@ def subspace_equivalence(space: TruncatedFockSpace, rows_b: np.ndarray,
 
     Returns both kernel dimensions, the largest principal angle (None when
     either kernel is empty; both are for a generic invertible
-    system-channel coupling block), and as ``sigma_max_b`` the route-B
-    rank-cut scale sigma~ <= sigma_max, which scales action residuals.
+    system-channel coupling block), and as ``kernel_b`` route B's
+    ``BoundarySubspace``, the domain's source and the action's scale.
     """
     sub_b = boundary_kernel(space, rows_b)
     sub_c = boundary_kernel(space, rows_c)
     report = {"dim_b": sub_b.dim, "dim_c": sub_c.dim, "max_angle": None,
-              "sigma_max_b": sub_b.sigma_max}
+              "kernel_b": sub_b}
     if sub_b.dim and sub_c.dim:
         report["max_angle"] = float(
             principal_angles(sub_b.columns, sub_c.columns).max())
@@ -623,12 +622,13 @@ def fock_battery(e: CouplingMatrix, ops: ModeOperators, count: int,
     """The boundary-domain battery for one coupling: ``subspace_equivalence``
     of the two routes plus ``action_residuals``, the singular-action
     residuals of ``count`` vectors sampled from the guarded domain (empty
-    when it is trivial).  The route-B rows and the SLH triple of ``ops``'s
-    gauge are built once and shared by every stage."""
+    when it is trivial).  The route-B rows, its kernel and the SLH triple of
+    ``ops``'s gauge are built once and shared by every stage."""
     rows = stacked_boundary_rows(e, ops)
     res = slh_triple(e, ops.gauge)
     report = subspace_equivalence(ops.space, rows, scattering_rows(res, ops))
-    vectors = sample_domain_vectors(ops.space, rows, count, rng)
+    kernel = report["kernel_b"]
+    vectors = sample_domain_vectors(ops.space, kernel, count, rng)
     report["action_residuals"] = action_residuals(
-        res, ops, rows, vectors, action_tol, scale=report["sigma_max_b"])
+        res, ops, rows, vectors, action_tol, scale=kernel.sigma_max)
     return report

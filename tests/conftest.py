@@ -34,8 +34,8 @@ class DenseFock:
         for j in range(n):
             acc = np.zeros((self.dim, self.dim), dtype=complex)
             for k in range(n):
-                acc += self.lift_system(self._blk(km, j, k)) @ self.a_plus[k]
-                acc += self.lift_system(self._blk(kp, j, k)) @ self.a_minus[k]
+                acc += self.system_times(self._blk(km, j, k), self.a_plus[k])
+                acc += self.system_times(self._blk(kp, j, k), self.a_minus[k])
             self.frak_a.append(acc)
         self.eye = np.eye(self.dim, dtype=complex)
 
@@ -53,6 +53,12 @@ class DenseFock:
         """Lift an m x m system operator to the full space."""
         return np.kron(np.asarray(mat, dtype=complex), np.eye(self.fock_dim))
 
+    def system_times(self, mat, op):
+        """lift_system(mat) @ op, contracted over the system index of op's
+        rows instead of multiplied out: m dim^2 operations, not dim^3."""
+        rows = op.reshape(self.m, self.fock_dim * self.dim)
+        return (np.asarray(mat, dtype=complex) @ rows).reshape(op.shape)
+
     def stacked_rows(self, e, route):
         """Stacked B (coupling form) or C (scattering form) rows."""
         rows = []
@@ -62,14 +68,14 @@ class DenseFock:
                 row = row + self.lift_system(self._blk(e.full, j, 0))
                 for k in range(1, self.n + 1):
                     blk = self._blk(e.full, j, k)
-                    row = row + self.lift_system(blk) @ self.frak_a[k - 1]
+                    row = row + self.system_times(blk, self.frak_a[k - 1])
                 rows.append(row)
         else:
             res = slh_triple(e, self.gauge)
             for j in range(self.n):
                 row = self.a_minus[j].copy()
                 for k in range(self.n):
-                    row = row - self.lift_system(self._blk(res.s, j, k)) @ self.a_plus[k]
+                    row = row - self.system_times(self._blk(res.s, j, k), self.a_plus[k])
                 rows.append(row - self.lift_system(res.l[j * self.m:(j + 1) * self.m, :]))
         return np.vstack(rows)
 
@@ -85,9 +91,13 @@ class DenseFock:
         return null_space(self.stacked_rows(e, route))
 
     def guarded_kernel(self, e):
-        """Coupling-form kernel with identity rows appended outside the guard."""
-        selector = self.eye[~self.guard_mask()]
-        return null_space(np.vstack([self.stacked_rows(e, "B"), selector]))
+        """Coupling-form kernel among the vectors supported on the guard: the
+        kernel of the rows' guard columns, embedded in the full space."""
+        guard = self.guard_mask()
+        kernel = null_space(self.stacked_rows(e, "B")[:, guard])
+        columns = np.zeros((self.dim, kernel.shape[1]), dtype=complex)
+        columns[guard] = kernel
+        return columns
 
     def generator(self, e):
         """K_sing + Upsilon."""
@@ -110,14 +120,14 @@ class DenseFock:
         return total
 
 
-def every_sector_kernel(space, coef, cap=None):
+def every_sector_kernel(space, coef):
     """Reference kernel of stacked forms without constant term (E_l0 = 0):
     every photon-number sector block N -> N-1 by QR + SVD, cut at
     NULLSPACE_TOL x the exact sigma_max over all blocks, with no stop rule.
     Returns the flat columns in ``fock.boundary_kernel``'s layout, the
     per-sector kernel dims and sigma_max."""
     assert not np.any(coef[:, 0]), "the sector blocks need E_l0 = 0"
-    sectors = space.sectors(cap)
+    sectors = space.sectors()
     factors = []
     for level, cols in enumerate(sectors):
         block = fock._sector_block(space, coef, cols,
@@ -142,7 +152,7 @@ def every_sector_kernel(space, coef, cap=None):
 
 @pytest.fixture
 def sector_reference():
-    """``every_sector_kernel``; call it as sector_reference(space, coef, cap)."""
+    """``every_sector_kernel``; call it as sector_reference(space, coef)."""
     return every_sector_kernel
 
 

@@ -18,24 +18,22 @@ def load_bench():
     return bench
 
 
-@pytest.mark.parametrize("guarded", [False, True])
-def test_row_records_dims_and_sigma_max(guarded):
-    result = load_bench().row(1, 2, 3, guarded, False)
+def test_row_records_dims_and_sigma_max():
+    result = load_bench().row(1, 2, 3, False)
     assert set(result) == {"seconds", "dim", "sector_dims", "sigma_max"}
-    sectors = 4 * (1 if guarded else 2) + 1
-    assert len(result["sector_dims"]) == sectors
+    assert len(result["sector_dims"]) == 4 * 2 + 1
     assert sum(result["sector_dims"]) == result["dim"] > 0
     assert result["sigma_max"] > 0 and result["seconds"] >= 0
 
 
 def test_row_with_generic_el0_has_empty_kernel():
-    result = load_bench().row(1, 2, 3, False, True)
+    result = load_bench().row(1, 2, 3, True)
     assert result["dim"] == 0
     assert not any(result["sector_dims"])
 
 
 def test_row_records_a_refused_size():
-    result = load_bench().row(1, 3, 7, False, False)
+    result = load_bench().row(1, 3, 7, False)
     assert set(result) == {"refused"} and "guard" in result["refused"]
 
 

@@ -140,8 +140,6 @@ class TestTruncatedSpace:
         assert [s.size for s in sectors] == list(space.sector_sizes())
         assert np.array_equal(np.sort(np.concatenate(sectors)),
                               np.arange(space.fock_dim))
-        guarded = space.sectors(space.d - 2)
-        assert sum(s.size for s in guarded) == int(space.photon_guard_mask().sum())
 
     def test_ladder_matrix_entries(self):
         space = TruncatedFockSpace(m=1, n=1, d=3)
@@ -211,28 +209,6 @@ class TestTruncatedSpace:
         ops = build_mode_operators(2, 1, 3)
         eye = np.eye(ops.space.dim)
         assert np.abs(ops.space.apply(ops.a0, eye) - eye).max() == 0.0
-
-    @pytest.mark.parametrize("size", [(1, 1, 3), (2, 1, 4), (1, 2, 4), (1, 3, 3)])
-    def test_check_blocks_fit_beside_the_kernel_solve(self, size, monkeypatch):
-        # no block the ladder checks assemble is larger than the largest
-        # sector block of a kernel solve with its SVD factors
-        ops = build_mode_operators(*size)
-        space = ops.space
-        c = space.m * space.sector_sizes()
-        largest = max(fock._svd_block_bytes(space.n * int(c[k - 1]), int(c[k]))
-                      for k in range(1, len(c)))
-        sizes = []
-        assemble = fock._assemble
-
-        def recording(*args):
-            block = assemble(*args)
-            sizes.append(block.nbytes)
-            return block
-
-        monkeypatch.setattr(fock, "_assemble", recording)
-        commutator_defect(ops)
-        number_defect_residual(ops)
-        assert sizes and max(sizes) <= largest
 
 
 def transposed(ladder):
@@ -370,6 +346,46 @@ class TestBoundarySubspaces:
         assert eq["dim_b"] == eq["dim_c"] == 0
         assert shapes == [(2, 1), (2, 1)]
 
+    def test_battery_solves_each_kernel_once(self, monkeypatch):
+        # one battery solves route B and route C once each; the guarded
+        # domain is read off route B's kernel, with no third solve
+        rng = np.random.default_rng(9)
+        e = random_coupling(rng, 1, 2, zero_channel_system=True)
+        ops = build_mode_operators(1, 2, 4, ScalarGauge(0.3))
+        kernel, calls = fock.boundary_kernel, []
+
+        def counting(space, coef):
+            calls.append(coef)
+            return kernel(space, coef)
+
+        monkeypatch.setattr(fock, "boundary_kernel", counting)
+        report = fock_battery(e, ops, 3, rng, 1e-8)
+        assert len(calls) == 2
+        assert report["dim_b"] > 0 and len(report["action_residuals"]) == 3
+
+    def test_empty_kernel_samples_no_domain_vectors(self, monkeypatch):
+        # a generic E_l0 leaves both kernels empty: the battery samples no
+        # domain vector and hands no (r, 0) array to the intersection solve
+        e = random_coupling(np.random.default_rng(1), 1, 2)
+        ops = build_mode_operators(1, 2, 4)
+        solve, shapes = fock.null_space, []
+
+        def recording(block, scale):
+            shapes.append(block.shape)
+            return solve(block, scale)
+
+        monkeypatch.setattr(fock, "null_space", recording)
+        kernel = route_b(e, ops)
+        assert kernel.dim == 0 and shapes
+        shapes.clear()
+        assert sample_domain_vectors(ops.space, kernel, 5,
+                                     np.random.default_rng(0)) == []
+        assert shapes == []
+        report = fock_battery(e, ops, 5, np.random.default_rng(0), 1e-8)
+        assert report["dim_b"] == report["dim_c"] == 0
+        assert report["action_residuals"] == []
+        assert shapes and all(cols > 0 for _, cols in shapes)
+
     def test_coupled_prefix_guard_refuses_before_assembly(self, monkeypatch):
         # with E_l0 != 0 level N is the block of the sectors <= N; one above
         # the guard raises TooLarge before it is assembled
@@ -401,35 +417,40 @@ class TestBoundarySubspaces:
         ((2, 1, 6), None), ((2, 2, 4), 0.3), ((2, 2, 5), None),
         ((3, 1, 5), -1.0), ((1, 2, 6), -1.0), ((1, 3, 3), 0.3)])
     def test_kernel_support_is_monotone_in_photon_number(self, size, sigma,
-                                                         sector_reference):
+                                                         sector_reference,
+                                                         dense_fock):
         # with E_l0 = 0 the every-sector reference finds kernel in exactly
-        # the sectors N = 0..N*, for both routes, full and guarded; that is
-        # the stop rule's premise, and above N* boundary_kernel solves no
-        # sector, so its columns must equal the reference's bit for bit
+        # the sectors N = 0..N*, for both routes; that is the stop rule's
+        # premise, and above N* boundary_kernel solves no sector, so its
+        # columns must equal the reference's bit for bit.  The guarded
+        # domain read off route B's kernel matches the dense oracle's.
         m, n, d = size
         gauge = None if sigma is None else ScalarGauge(sigma)
         ops = build_mode_operators(m, n, d, gauge)
+        dense = dense_fock(m, n, d, gauge)
         rng = np.random.default_rng(list(size))
         for _ in range(2):
             e = random_coupling(rng, m, n, zero_channel_system=True)
-            for cap in (None, d - 2):
-                dims = []
-                for rows in (stacked_boundary_rows(e, ops), route_c_rows(e, ops)):
-                    columns, dim, _ = sector_reference(ops.space, rows, cap)
-                    sub = boundary_kernel(ops.space, rows, cap)
-                    assert np.array_equal(sub.columns, columns)
-                    top = int(np.flatnonzero(dim).max())
-                    assert all(dim[:top + 1]) and not any(dim[top + 1:])
-                    dims.append(dim)
-                assert dims[0] == dims[1]
+            dims, subs = [], []
+            for rows in (stacked_boundary_rows(e, ops), route_c_rows(e, ops)):
+                columns, dim, _ = sector_reference(ops.space, rows)
+                subs.append(boundary_kernel(ops.space, rows))
+                assert np.array_equal(subs[-1].columns, columns)
+                top = int(np.flatnonzero(dim).max())
+                assert all(dim[:top + 1]) and not any(dim[top + 1:])
+                dims.append(dim)
+            assert dims[0] == dims[1]
+            guarded = fock.guarded_basis(ops.space, subs[0])
+            ref = dense.guarded_kernel(e)
+            assert guarded.shape[1] == ref.shape[1] > 0
+            assert principal_angles(guarded, ref).max() <= 1e-9
 
 
 class TestSingularAction:
     def test_zero_coupling_action_vanishes(self):
         e = coupling_from_blocks(1, 1)
         ops = build_mode_operators(1, 1, 5)
-        basis = boundary_kernel(ops.space, stacked_boundary_rows(e, ops),
-                                cap=ops.space.d - 2).columns
+        basis = fock.guarded_basis(ops.space, route_b(e, ops))
         assert basis.shape[1] > 0
         assert np.abs(singular_generator(e, ops, basis)).max() <= 1e-13
 
@@ -438,7 +459,7 @@ class TestSingularAction:
         e = coupling_from_blocks(2, 1, e00=h0)
         ops = build_mode_operators(2, 1, 4)
         rows = stacked_boundary_rows(e, ops)
-        vecs = sample_domain_vectors(ops.space, rows, 4,
+        vecs = sample_domain_vectors(ops.space, route_b(e, ops), 4,
                                      np.random.default_rng(2))
         assert max(action(e, ops, vecs, rows)) <= 1e-12
 
@@ -447,14 +468,14 @@ class TestSingularAction:
         e = random_coupling(rng, 2, 1, zero_channel_system=True)
         ops = build_mode_operators(2, 1, 6)
         rows = stacked_boundary_rows(e, ops)
-        vecs = sample_domain_vectors(ops.space, rows, 10, rng)
+        vecs = sample_domain_vectors(ops.space, route_b(e, ops), 10, rng)
         assert len(vecs) == 10
         assert max(action(e, ops, vecs, rows)) <= 1e-8
 
     def test_singular_el0_action_exercises_coupling_terms(self):
         ops = build_mode_operators(2, 1, 6)
         rows = stacked_boundary_rows(SINGULAR_EL0, ops)
-        vecs = sample_domain_vectors(ops.space, rows, 5,
+        vecs = sample_domain_vectors(ops.space, route_b(SINGULAR_EL0, ops), 5,
                                      np.random.default_rng(4))
         assert len(vecs) == 5
         assert max(action(SINGULAR_EL0, ops, vecs, rows)) <= 1e-8
@@ -510,9 +531,10 @@ class TestGaugedChecks:
             assert eq["dim_b"] == eq["dim_c"] > 0
             assert eq["max_angle"] <= 1e-8
             rows = stacked_boundary_rows(e, ops)
-            vecs = sample_domain_vectors(ops.space, rows, 5, rng)
+            kernel = eq["kernel_b"]
+            vecs = sample_domain_vectors(ops.space, kernel, 5, rng)
             assert max(action_residuals(slh_triple(e, gauge), ops, rows, vecs,
-                                        scale=eq["sigma_max_b"])) <= 1e-8
+                                        scale=kernel.sigma_max)) <= 1e-8
 
     def test_kernel_vectors_satisfy_both_conditions(self, dense_fock):
         rng = np.random.default_rng(8)
@@ -542,8 +564,8 @@ class TestGaugedChecks:
         rows_b, rows_c = stacked_boundary_rows(e, ops), route_c_rows(e, ops)
         kernel = fock.boundary_kernel
 
-        def tilted(space, coef, cap=None):
-            sub = kernel(space, coef, cap)
+        def tilted(space, coef):
+            sub = kernel(space, coef)
             if coef is not rows_c:
                 return sub
             noise = rng.standard_normal(sub.columns.shape)

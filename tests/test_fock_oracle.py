@@ -2,16 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.fock import (
-    _assemble,
     _compose,
     _sector_block,
+    _worst_entry,
     action_residuals,
     boundary_kernel,
     build_mode_operators,
     commutator_defect,
+    guarded_basis,
     number_defect_residual,
     number_spectrum_defect,
     sample_domain_vectors,
@@ -32,9 +34,9 @@ CASES = [(size, gauge, el0)
          if not (el0 == "rank-deficient" and size[0] == 1)]
 
 
-def make_case(m, n, d, gauge_kind, el0_kind):
+def make_case(m, n, d, gauge_kind, el0_kind, *seed):
     rng = np.random.default_rng([m, n, d, GAUGES.index(gauge_kind),
-                                 EL0_KINDS.index(el0_kind)])
+                                 EL0_KINDS.index(el0_kind), *seed])
     e = random_coupling(rng, m, n, zero_channel_system=el0_kind != "generic")
     raw = e.full.copy()
     if el0_kind == "generic":
@@ -77,7 +79,8 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
     res = slh_triple(e, gauge)
     rows_b = stacked_boundary_rows(e, ops)
 
-    for route, graded in (("B", boundary_kernel(ops.space, rows_b)),
+    sub_b = boundary_kernel(ops.space, rows_b)
+    for route, graded in (("B", sub_b),
                           ("C", boundary_kernel(ops.space,
                                                 scattering_rows(res, ops)))):
         oracle = dense.kernel(e, route)
@@ -90,7 +93,9 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
             norm = np.linalg.norm(dense.stacked_rows(e, "B"), 2)
             assert norm / (1 + 2 * n) <= graded.sigma_max <= norm * (1 + 1e-12)
 
-    guarded = boundary_kernel(ops.space, rows_b, cap=d - 2).columns
+    # the guarded domain, read off route B's kernel, against the kernel of
+    # the dense rows stacked with the identity rows outside the guard
+    guarded = guarded_basis(ops.space, sub_b)
     oracle_guarded = dense.guarded_kernel(e)
     assert guarded.shape[1] == oracle_guarded.shape[1]
     if el0_kind == "generic":
@@ -98,10 +103,9 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
     else:
         assert guarded.shape[1] > 0
         assert max_angle(guarded, oracle_guarded) <= 1e-9
-        vectors = sample_domain_vectors(ops.space, rows_b, 5, rng)
-        scale = boundary_kernel(ops.space, rows_b).sigma_max
+        vectors = sample_domain_vectors(ops.space, sub_b, 5, rng)
         assert max(action_residuals(res, ops, rows_b, vectors,
-                                    scale=scale)) <= 1e-8
+                                    scale=sub_b.sigma_max)) <= 1e-8
         phi = np.array(vectors).T
         phi[~dense.guard_mask()] = 0.0
         phi /= np.linalg.norm(phi, axis=0)
@@ -186,9 +190,10 @@ def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind, dense_fock):
     space = ops.space
     dense = dense_fock(m, n, d, gauge)
     everything = np.arange(space.fock_dim)
+    guard = space.photon_guard_mask()[:space.fock_dim]
     pairs = [(everything, everything)]
-    for cap in (d - 1, d - 2):
-        sectors = space.sectors(cap)
+    guarded = [s[guard[s]] for s in space.sectors() if guard[s].any()]
+    for sectors in (space.sectors(), guarded):
         pairs += [(cols, rows) for cols, rows in zip(sectors[1:], sectors)]
     for route, coef in (("B", stacked_boundary_rows(e, ops)),
                         ("C", scattering_rows(slh_triple(e, gauge), ops))):
@@ -202,24 +207,57 @@ def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind, dense_fock):
 @pytest.mark.parametrize("size", SIZES)
 def test_assembled_commutator_matches_dense(size, dense_fock):
     """x (x) (a a^dag - a^dag a - 1): three terms that hit the same diagonal
-    entries.  On the guard it vanishes; on the full sectors the cut at d
-    leaves -d x on the top occupation, so the comparison is not vacuous."""
+    entries, reduced by ``_worst_entry`` with no block.  On the guard it
+    vanishes; on the full space the cut at d leaves -d x on the top
+    occupation, so the comparison is not vacuous."""
     m, n, d = size
     space = build_mode_operators(m, n, d).space
     dense = dense_fock(m, n, d)
     rng = np.random.default_rng(list(size))
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    guard = space.photon_guard_mask()[:space.fock_dim]
+    everything = np.ones(space.fock_dim, dtype=bool)
     for p, a_dense in enumerate(dense.a_plus + dense.a_minus):
         a, a_dag = space.slot_maps()[1 + p], space.slot_maps(True)[1 + p]
         terms = [(x, _compose(a, a_dag)), (-x, _compose(a_dag, a)),
                  (-x, space.slot_maps()[0])]
         comm = dense.lift_system(x) @ (a_dense @ a_dense.conj().T
                                        - a_dense.conj().T @ a_dense - dense.eye)
-        for cap, expected in ((d - 2, 0.0), (d - 1, d * np.abs(x).max())):
-            worst = 0.0
-            for sector in space.sectors(cap):
-                block = _assemble(terms, sector, sector)
-                oracle = restrict(comm, space, sector, sector)
-                assert np.abs(block - oracle).max() <= 1e-13
-                worst = max(worst, float(np.abs(block).max()))
+        for keep, expected in ((guard, 0.0), (everything, d * np.abs(x).max())):
+            states = np.flatnonzero(keep)
+            oracle = np.abs(restrict(comm, space, states, states)).max()
+            worst = _worst_entry(terms, keep)
+            assert abs(worst - oracle) <= 1e-13 * d
             assert abs(worst - expected) <= 1e-13 * d
+
+
+# Small truncations, dim <= 512, each with every E_l0 kind it admits.
+PROPERTY_CASES = [((m, n, d), el0)
+                  for m in (1, 2) for n in (1, 2) for d in range(3, 7)
+                  if m * d ** (2 * n) <= 512
+                  for el0 in EL0_KINDS if not (el0 == "rank-deficient" and m == 1)]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(PROPERTY_CASES), gauge_kind=st.sampled_from(GAUGES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernels_and_guarded_domain_match_dense_property(case, gauge_kind, seed,
+                                                         dense_fock):
+    """Seeded couplings at random small sizes and E_l0 kinds: routes B and C
+    have equal dims, route B spans the dense kernel, and the guarded domain
+    read off it spans the dense guarded kernel."""
+    (m, n, d), el0_kind = case
+    e, gauge, _ = make_case(m, n, d, gauge_kind, el0_kind, seed)
+    ops = build_mode_operators(m, n, d, gauge)
+    dense = dense_fock(m, n, d, gauge)
+    sub_b = boundary_kernel(ops.space, stacked_boundary_rows(e, ops))
+    sub_c = boundary_kernel(ops.space,
+                            scattering_rows(slh_triple(e, gauge), ops))
+    assert sub_b.dim == sub_c.dim
+    for graded, oracle in ((sub_b.columns, dense.kernel(e, "B")),
+                           (guarded_basis(ops.space, sub_b),
+                            dense.guarded_kernel(e))):
+        assert graded.shape[1] == oracle.shape[1]
+        if oracle.shape[1]:
+            assert max_angle(graded, oracle) <= 1e-9

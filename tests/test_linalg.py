@@ -140,37 +140,39 @@ class TestCertificate:
                                           ((1, 3, 3), False), ((1, 2, 4), True)])
     def test_fock_kernels_equal_the_svd_reference(self, size, el0,
                                                   sector_reference, dense_fock):
-        # routes B and C, full and guarded.  With E_l0 = 0 the columns equal,
-        # bit for bit, those of QR + SVD of every sector block; with E_l0 != 0
-        # they span the kernel of one SVD of the whole dense operator.  The
-        # cut's scale sigma~ lies within a factor 1 + 2n below sigma_max.
+        # routes B and C, and route B's guarded domain.  With E_l0 = 0 the
+        # columns equal, bit for bit, those of QR + SVD of every sector
+        # block; with E_l0 != 0 they span the kernel of one SVD of the whole
+        # dense operator.  The cut's scale sigma~ lies within a factor
+        # 1 + 2n below sigma_max.  The guarded domain spans the kernel of the
+        # dense rows stacked with the identity rows outside the guard.
         m, n, d = size
         e = random_coupling(np.random.default_rng(list(size)), m, n,
                             zero_channel_system=not el0)
         ops = fock.build_mode_operators(m, n, d, ScalarGauge(0.3))
         rows_b = fock.stacked_boundary_rows(e, ops)
         rows_c = fock.scattering_rows(slh_triple(e, ops.gauge), ops)
-        dense = dense_fock(m, n, d, ops.gauge) if el0 else None
+        dense = dense_fock(m, n, d, ops.gauge)
+        subs = {}
         for route, rows in (("B", rows_b), ("C", rows_c)):
-            for cap in (None, d - 2):
-                sub = fock.boundary_kernel(ops.space, rows, cap)
-                if el0:
-                    stacked = dense.stacked_rows(e, route)
-                    if cap is not None:
-                        outside = dense.eye[~dense.guard_mask()]
-                        stacked = np.vstack([stacked, outside])
-                    ref = null_space(stacked)
-                    assert sub.dim == ref.shape[1]
-                    if ref.shape[1]:
-                        assert principal_angles(sub.columns, ref).max() <= 1e-9
-                    if cap is None:
-                        smax = np.linalg.norm(stacked, 2)
-                else:
-                    ref, _, smax = sector_reference(ops.space, rows, cap)
-                    assert np.array_equal(sub.columns, ref)
-                if not el0 or cap is None:
-                    assert sub.sigma_max <= smax * (1 + 1e-12)
-                    assert smax <= (1 + 2 * n) * sub.sigma_max * (1 + 1e-12)
+            sub = subs[route] = fock.boundary_kernel(ops.space, rows)
+            if el0:
+                stacked = dense.stacked_rows(e, route)
+                ref = null_space(stacked)
+                assert sub.dim == ref.shape[1]
+                if ref.shape[1]:
+                    assert principal_angles(sub.columns, ref).max() <= 1e-9
+                smax = np.linalg.norm(stacked, 2)
+            else:
+                ref, _, smax = sector_reference(ops.space, rows)
+                assert np.array_equal(sub.columns, ref)
+            assert sub.sigma_max <= smax * (1 + 1e-12)
+            assert smax <= (1 + 2 * n) * sub.sigma_max * (1 + 1e-12)
+        guarded = fock.guarded_basis(ops.space, subs["B"])
+        ref = dense.guarded_kernel(e)
+        assert guarded.shape[1] == ref.shape[1]
+        if ref.shape[1]:
+            assert principal_angles(guarded, ref).max() <= 1e-9
 
 
 class TestPrincipalAngles:

@@ -6,9 +6,8 @@
 STAGE is ``kernel``, ``fock-run``, ``sobolev`` or ``defect-run`` (default:
 all four, in that order).  DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
 its ``src/`` is imported for the parent side, this tree's ``src/`` for the
-change.  Each stage row is one ``fock.boundary_kernel`` call on the
-coupling-form rows (route B) of a seeded coupling with sigma = 0.3, full and
-guarded (cap = d - 2):
+change.  Each stage row is one ``fock.boundary_kernel(space, rows)`` call on
+the coupling-form rows (route B) of a seeded coupling with sigma = 0.3:
 
 * E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4),
   (1,3,5) and (1,3,6);
@@ -70,7 +69,7 @@ SEED = 1
 REPEATS = 3
 SIZES = ((1, 2, 4), (2, 2, 4), (1, 2, 6), (2, 2, 5), (1, 3, 4), (1, 3, 5),
          (1, 3, 6))
-# (m, n, d, generic E_l0), each run full and guarded
+# (m, n, d, generic E_l0)
 ROWS = ([(*size, False) for size in SIZES]
         + [(1, 2, 4, True), (1, 3, 3, True), (1, 3, 4, True)])
 RUNS = ((1, 3, 5), (1, 3, 6))
@@ -88,7 +87,7 @@ def coupling(m: int, n: int, generic_el0: bool):
                            zero_channel_system=not generic_el0)
 
 
-def row(m: int, n: int, d: int, guarded: bool, generic_el0: bool) -> dict:
+def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     """One timed route-B kernel solve on the slhkit tree this process
     imports; per-sector dims are None when a kernel column spans sectors."""
     # imported here: the child that calls this picks the tree by PYTHONPATH
@@ -102,11 +101,10 @@ def row(m: int, n: int, d: int, guarded: bool, generic_el0: bool) -> dict:
     except TooLarge as err:
         return {"refused": str(err)}
     rows = fock.stacked_boundary_rows(e, ops)
-    cap = d - 2 if guarded else None
     start = time.perf_counter()
-    sub = fock.boundary_kernel(ops.space, rows, cap)
+    sub = fock.boundary_kernel(ops.space, rows)
     seconds = time.perf_counter() - start
-    sectors = ops.space.sectors(cap)
+    sectors = ops.space.sectors()
     photons = np.full(ops.space.fock_dim, -1)
     for total, sector in enumerate(sectors):
         photons[sector] = total
@@ -265,20 +263,18 @@ def bench(parent: Path, stages=STAGES) -> dict:
            "stages": list(stages), "rows": [], "sobolev_rows": [], "runs": [],
            "defect_runs": []}
     for m, n, d, generic_el0 in ROWS if "kernel" in stages else ():
-        for guarded in (False, True):
-            sides = alternate(trees, "--row", (m, n, d, guarded, generic_el0))
-            record = {"m": m, "n": n, "d": d, "cap": d - 2 if guarded else d - 1,
-                      "e_l0": "generic" if generic_el0 else "zero", **sides}
-            if not any("refused" in sides[side] for side in sides):
-                record["speedup"] = (sides["parent"]["median_s"]
-                                     / sides["change"]["median_s"])
-                record["same_dims"] = all(
-                    sides["parent"][k] == sides["change"][k]
-                    for k in ("dim", "sector_dims"))
-            out["rows"].append(record)
-            print(f"({m},{n},{d}) cap {record['cap']} E_l0 {record['e_l0']}: "
-                  f"{summary(sides)}, dim {sides['change'].get('dim')}",
-                  flush=True)
+        sides = alternate(trees, "--row", (m, n, d, generic_el0))
+        record = {"m": m, "n": n, "d": d,
+                  "e_l0": "generic" if generic_el0 else "zero", **sides}
+        if not any("refused" in sides[side] for side in sides):
+            record["speedup"] = (sides["parent"]["median_s"]
+                                 / sides["change"]["median_s"])
+            record["same_dims"] = all(
+                sides["parent"][k] == sides["change"][k]
+                for k in ("dim", "sector_dims"))
+        out["rows"].append(record)
+        print(f"({m},{n},{d}) E_l0 {record['e_l0']}: {summary(sides)}, "
+              f"dim {sides['change'].get('dim')}", flush=True)
     for half_width, spacing in SOBOLEV_GRIDS if "sobolev" in stages else ():
         sides = alternate(trees, "--sobolev-row", (half_width, spacing))
         out["sobolev_rows"].append({
@@ -309,7 +305,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--out", type=Path)
     parser.add_argument("--stages", nargs="+", choices=STAGES, default=STAGES)
-    parser.add_argument("--row", type=int, nargs=5, help=argparse.SUPPRESS)
+    parser.add_argument("--row", type=int, nargs=4, help=argparse.SUPPRESS)
     parser.add_argument("--sobolev-row", type=float, nargs=2,
                         help=argparse.SUPPRESS)
     parser.add_argument("--fock-run", type=int, nargs=3, help=argparse.SUPPRESS)
@@ -319,8 +315,8 @@ def main(argv=None) -> int:
     children = (args.row, args.sobolev_row, args.fock_run, args.defect_run)
     if children != (None,) * 4:
         if args.row is not None:
-            m, n, d, guarded, generic_el0 = args.row
-            result = row(m, n, d, bool(guarded), bool(generic_el0))
+            m, n, d, generic_el0 = args.row
+            result = row(m, n, d, bool(generic_el0))
         elif args.sobolev_row is not None:
             result = sobolev_row(*args.sobolev_row)
         elif args.fock_run is not None:
