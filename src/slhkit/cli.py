@@ -112,46 +112,62 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
 def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     spec = GridSpec(config.grid.half_width, config.grid.spacing)
     rng = np.random.default_rng(seed)
-    # One function per check group, so each group's grid arrays are freed
-    # when it returns; the pairings stream every derivative, so none is
-    # held. The cached defect pair is released after its last reader, the
-    # eigenrelation group.
-    _defect_vector_checks(spec, report)
-    _reproducing_checks(spec, rng, report)
-    _decomposition_checks(spec, rng, report)
+    # One pairing panel and one (left, right) pair of half-line buffers,
+    # lent to every check group: each draw, each psi0 and each pairing
+    # writes into them, so the suite allocates no further complex node
+    # array but the symmetry group's g. One function per check group, so
+    # each group's other arrays are freed when it returns; the pairings
+    # stream every derivative, so none is held. The cached defect pair is
+    # released after its last reader, the eigenrelation group.
+    n = spec.n_nodes
+    panel = np.empty(n, dtype=complex)
+    halves = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+    _defect_vector_checks(spec, panel, report)
+    _reproducing_checks(spec, rng, halves, panel, report)
+    _decomposition_checks(spec, rng, halves, panel, report)
     _eigenrelation_checks(spec, report)
     defect_vectors.cache_clear()
     _jump_splitting_check(rng, report)
-    _symmetry_checks(spec, rng, report)
+    _symmetry_checks(spec, rng, halves, panel, report)
     _extension_check(report)
 
 
-def _defect_vector_checks(spec: GridSpec, report: Report) -> None:
+def _defect_vector_checks(spec: GridSpec, panel: np.ndarray,
+                          report: Report) -> None:
     phi_plus, phi_minus = defect_vectors(spec)
     report.add("jump_on_defect_plus", abs(phi_plus.jump - (-1j)), 0.0)
     report.add("jump_on_defect_minus", abs(phi_minus.jump - (-1j)), 0.0)
-    report.add("defect_norm_plus", abs(sobolev_norm(phi_plus) - 1.0), 1e-5)
-    report.add("defect_norm_minus", abs(sobolev_norm(phi_minus) - 1.0), 1e-5)
-    report.add("defect_overlap", abs(sobolev_inner(phi_plus, phi_minus)), 0.0)
+    report.add("defect_norm_plus", abs(sobolev_norm(phi_plus, panel) - 1.0),
+               1e-5)
+    report.add("defect_norm_minus", abs(sobolev_norm(phi_minus, panel) - 1.0),
+               1e-5)
+    report.add("defect_overlap",
+               abs(sobolev_inner(phi_plus, phi_minus, panel)), 0.0)
 
 
 def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
+                        halves: tuple, panel: np.ndarray,
                         report: Report) -> None:
+    # psi_r is drawn into the right buffer and psi_l into the left one; the
+    # pair is released before the next is drawn over it.
     worst_plus, worst_minus = reproducing_defects(spec, (
-        (sample(spec, right=random_bump(rng, "right")),
-         sample(spec, left=random_bump(rng, "left"))) for _ in range(10)))
+        (sample(spec, right=random_bump(rng, "right"), out=halves),
+         sample(spec, left=random_bump(rng, "left"), out=halves))
+        for _ in range(10)), panel)
     report.add("reproducing_plus", worst_plus, 1e-5)
     report.add("reproducing_minus", worst_minus, 1e-5)
 
 
 def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
+                          halves: tuple, panel: np.ndarray,
                           report: Report) -> None:
     tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
                   "reconstruction": 1e-13}
     worst = dict.fromkeys(tolerances, 0.0)
     for _ in range(10):
-        # no name holds psi, so it is freed before psi0 and psi0' are formed
-        defects = decomposition_defects(random_grid_function(rng, spec))
+        # psi is drawn into the buffers and psi0 is then formed over it
+        defects = decomposition_defects(
+            random_grid_function(rng, spec, out=halves), panel, out=halves)
         for key, value in defects.items():
             worst[key] = max(worst[key], value)
     for key, tol in tolerances.items():
@@ -180,10 +196,12 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
 
 
 def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
+                     halves: tuple, panel: np.ndarray,
                      report: Report) -> None:
-    f = random_grid_function(rng, spec)
+    # f is drawn into the buffers; g, read beside it, has its own arrays
+    f = random_grid_function(rng, spec, out=halves)
     g = random_grid_function(rng, spec)
-    for name, value in symmetry_defects(f, g, sigma=0.3).items():
+    for name, value in symmetry_defects(f, g, 0.3, panel).items():
         report.add(name, value, 1e-4)
 
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .linalg import adjoint
-from .punctured_line import GridFunction, GridSpec, sample
+from .punctured_line import (PANEL_CHUNK, GridFunction, GridSpec, node_chunks,
+                             sample)
 from .slh import CouplingMatrix, GaugeMatrix, validate_coupling
 
 
@@ -47,26 +50,40 @@ def random_gauge(rng: np.random.Generator, m: int, n: int) -> GaugeMatrix:
 
 def random_bump(rng: np.random.Generator, side: str):
     """Gaussian bump amp * exp(-width (t - center)^2) centred on the "left"
-    or "right" half-line; its value at 0 is a random boundary trace. The
-    bump is evaluated in place in one float temporary."""
+    or "right" half-line; its value at 0 is a random boundary trace.
+
+    The closure ``bump(t, out=None)`` writes its values into ``out``, a
+    complex array shaped like ``t`` (fresh when None), and returns it. It
+    works ``PANEL_CHUNK`` nodes at a time in one chunk-size float scratch,
+    so a draw into a lent buffer allocates no node array; every node takes
+    the same steps whatever its chunk."""
     amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
     width = rng.uniform(0.5, 2.0)
     center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
 
-    def bump(t):
-        x = t - center
-        np.square(x, out=x)
-        x *= -width
-        # exp is several times slower where its result underflows; there it
-        # is +0, so those nodes, which keep their argument, are set to 0.
-        np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
-        x[x < EXP_ZERO_BELOW] = 0.0
-        return amp * x
+    def bump(t, out=None):
+        if out is None:
+            out = np.empty(t.shape, dtype=complex)
+        scratch = np.empty(min(PANEL_CHUNK, t.size))
+        for start, stop in node_chunks(t.size):
+            x = scratch[:stop - start]
+            np.subtract(t[start:stop], center, out=x)
+            np.square(x, out=x)
+            x *= -width
+            # exp is several times slower where its result underflows; there
+            # it is +0, so those nodes, which keep their argument, are set
+            # to 0.
+            np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
+            x[x < EXP_ZERO_BELOW] = 0.0
+            np.multiply(amp, x, out=out[start:stop])
+        return out
     return bump
 
 
-def random_grid_function(rng: np.random.Generator, spec: GridSpec) -> GridFunction:
+def random_grid_function(rng: np.random.Generator, spec: GridSpec,
+                         out: Optional[tuple] = None) -> GridFunction:
     """Independent random bumps on the two half-lines (left drawn first), so
-    the function has a random jump at 0."""
+    the function has a random jump at 0; its halves are written into ``out``
+    when a (left, right) pair of buffers is lent (see ``sample``)."""
     return sample(spec, left=random_bump(rng, "left"),
-                  right=random_bump(rng, "right"))
+                  right=random_bump(rng, "right"), out=out)

@@ -36,10 +36,18 @@ Storage
   needs it; the trapezoid then overwrites the panel with its panel sums.
   ``derivative`` forms the whole derivative afresh on each call, for the
   callers that want the function itself;
-* ``decompose_sobolev`` forms each half of psi0 in one buffer, and the
-  reconstruction and eigenrelation residuals are reduced chunk by chunk,
-  with no full-size temporary; subtraction subtracts directly, and
-  validation checks the float view of the values;
+* a caller may lend node buffers: the pairings and the defect checks take
+  a ``panel``, ``sample`` hands a lent (left, right) pair of half-line
+  buffers to its callables, and ``decompose_sobolev`` writes psi0 into
+  one, which may be f's own storage. A function allocates what is not lent
+  and otherwise takes the same steps, so the values are equal bit for bit;
+  a function over lent buffers is spent once they are written again. The
+  CLI defect suite lends one panel and one pair to every check group;
+* ``decompose_sobolev`` forms psi0, and the reconstruction and
+  eigenrelation residuals are reduced, chunk by chunk with no full-size
+  temporary (``decomposition_defects`` reduces its residual before psi0
+  may overwrite f); subtraction subtracts directly, and validation checks
+  the float view of the values;
 * ``defect_vectors`` keeps the pair for the most recent spec; the CLI
   defect suite releases it (``defect_vectors.cache_clear``) after its last
   reader, the eigenrelation group, so the later groups run without it;
@@ -67,9 +75,10 @@ MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
 # (tracemalloc peak of the CLI suite, a shared zero half counted once, as
 # printed by tools/defect_peaks.py at 10k to 80k nodes, T = 30 and 40):
-# 3.57 to 3.85, reached in the decomposition group (f, psi0, the defect
-# pair, the zero half and one half-line pairing panel); the symmetry and
-# reproducing groups follow at 3.05 to 3.47.
+# 3.30 to 3.67. The lent pairing panel and pair of half-line buffers (1.5
+# arrays) live through the whole suite, so the defect-vector, reproducing,
+# decomposition and symmetry groups each peak at 3.29 to 3.67: the lent
+# buffers, the defect pair or g, the zero half and one draw's node grid.
 DEFECT_LIVE_ARRAYS = 5
 
 
@@ -235,22 +244,34 @@ def require_same_spec(f: GridFunction, g: GridFunction) -> None:
 
 
 def sample(spec: GridSpec,
-           left: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-           right: Optional[Callable[[np.ndarray], np.ndarray]] = None
-           ) -> GridFunction:
+           left: Optional[Callable[..., np.ndarray]] = None,
+           right: Optional[Callable[..., np.ndarray]] = None,
+           out: Optional[tuple] = None) -> GridFunction:
     """Evaluate callables on the half-line grids.
 
     A missing half is identically zero; each boundary trace is the callable's
-    value at 0 (continuity from that side).
+    value at 0 (continuity from that side). ``out``, a (left, right) pair of
+    writable n-node complex arrays, lends each callable its half's buffer:
+    it is called as ``fn(nodes, out=buffer)`` and returns the buffer filled
+    (``ensembles.random_bump`` does).
     """
     n = spec.n_nodes
+    lout, rout = (None, None) if out is None else out
     lv = zero_half(n) if left is None else \
-        np.asarray(left(spec.left_nodes()), dtype=complex)
+        _evaluate(left, spec.left_nodes(), lout)
     rv = zero_half(n) if right is None else \
-        np.asarray(right(spec.right_nodes()), dtype=complex)
+        _evaluate(right, spec.right_nodes(), rout)
     ll = 0.0 if left is None else complex(left(np.array([0.0]))[0])
     rl = 0.0 if right is None else complex(right(np.array([0.0]))[0])
     return GridFunction(spec, lv, rv, ll, rl)
+
+
+def _evaluate(fn: Callable[..., np.ndarray], nodes: np.ndarray,
+              out: Optional[np.ndarray]) -> np.ndarray:
+    """``fn``'s values on ``nodes`` as a complex array, written into ``out``
+    when a buffer is lent."""
+    return np.asarray(fn(nodes) if out is None else fn(nodes, out=out),
+                      dtype=complex)
 
 
 @functools.lru_cache(maxsize=1)
@@ -347,7 +368,7 @@ def derivative(f: GridFunction) -> GridFunction:
 PANEL_CHUNK = 4096
 
 
-def _chunks(n: int):
+def node_chunks(n: int):
     """(start, stop) of each run of ``PANEL_CHUNK`` nodes of a half-line."""
     return ((start, min(start + PANEL_CHUNK, n))
             for start in range(0, n, PANEL_CHUNK))
@@ -435,7 +456,7 @@ def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
     product = np.empty(n, dtype=complex) if panel is None else panel
     if diff_f or diff_g:
         scratch = np.empty(min(PANEL_CHUNK, n), dtype=complex)
-    for start, stop in _chunks(n):
+    for start, stop in node_chunks(n):
         out = product[start:stop]
         if diff_f:
             np.conj(_derivative_chunk(f, h, start, stop,
@@ -448,16 +469,19 @@ def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
     return _trapezoid_half(product, boundary, h, boundary_is_right)
 
 
-def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
+def sobolev_inner(f: GridFunction, g: GridFunction,
+                  panel: Optional[np.ndarray] = None) -> complex:
     """Sobolev pairing int (conj(f) g + conj(f') g'), both parts formed in
-    one panel buffer and no derivative formed whole."""
-    panel = np.empty(f.spec.n_nodes, dtype=complex)
+    one n-node panel buffer (``panel`` when lent, else fresh) and no
+    derivative formed whole."""
+    if panel is None:
+        panel = np.empty(f.spec.n_nodes, dtype=complex)
     return _pairing(f, g, False, False, panel) + _pairing(f, g, True, True,
                                                           panel)
 
 
-def sobolev_norm(f: GridFunction) -> float:
-    return math.sqrt(max(sobolev_inner(f, f).real, 0.0))
+def sobolev_norm(f: GridFunction, panel: Optional[np.ndarray] = None) -> float:
+    return math.sqrt(max(sobolev_inner(f, f, panel).real, 0.0))
 
 
 def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
@@ -514,7 +538,8 @@ def jay_form(f: GridFunction, g: GridFunction) -> complex:
             - np.conj(f.left_limit) * g.left_limit)
 
 
-def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
+def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float,
+                     panel: Optional[np.ndarray] = None) -> dict:
     """Residuals of the symmetry of iD on (f, g), each O(h^2).
 
     "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
@@ -525,8 +550,8 @@ def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
     computed once each, with the derivative streamed, so neither g' nor i g'
     is formed whole.
     """
-    f_ig = 1j * _pairing(f, g, False, True)
-    g_if = 1j * _pairing(g, f, False, True)
+    f_ig = 1j * _pairing(f, g, False, True, panel)
+    g_if = 1j * _pairing(g, f, False, True, panel)
 
     def id_defect(sig):
         # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
@@ -578,29 +603,48 @@ class SobolevDecomposition:
     c_minus: complex
 
 
-def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
+def _defect_coefficients(f: GridFunction) -> tuple:
+    """(c_plus, c_minus) = (i psi(0+), -i psi(0-))."""
+    return 1j * f.right_limit, -1j * f.left_limit
+
+
+def _psi0_chunk(c: complex, phi: np.ndarray, values: np.ndarray, n: int,
+                start: int, stop: int, out: np.ndarray,
+                cphi: np.ndarray) -> np.ndarray:
+    """Nodes ``start:stop`` of one half of psi0 = f - c phi, with c phi
+    formed in the chunk buffer ``cphi`` (which keeps it) and psi0 written
+    into ``out``, which may be the same nodes of ``values`` itself. A shared
+    zero half of f is negated, as GridFunction subtraction does."""
+    np.multiply(c, phi[start:stop], out=cphi)
+    if _is_zero_half(values, n):
+        return np.negative(cphi, out=out)
+    return np.subtract(values[start:stop], cphi, out=out)
+
+
+def decompose_sobolev(f: GridFunction,
+                      out: Optional[tuple] = None) -> SobolevDecomposition:
     """Split off the defect-vector components: c_pm = +-i psi(0+-).
 
     psi0 = f - c_plus phi_+ - c_minus phi_-, rounded as that GridFunction
     expression rounds it: phi_- lives on the left half-line and phi_+ on the
-    right, so each half of psi0 is formed in one buffer, c phi, from which
-    the half of f is then subtracted in place.
+    right, so each half of psi0 is c phi subtracted from the half of f,
+    chunk by chunk, into ``out``, a (left, right) pair of n-node buffers
+    (fresh when None). ``out`` may be f's own storage: each node of f is
+    read just before psi0 overwrites it, and f is spent afterwards.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     n = f.spec.n_nodes
-    c_plus = 1j * f.right_limit
-    c_minus = -1j * f.left_limit
-    halves = []
-    for c, phi, values in ((c_minus, phi_minus.left, f.left),
-                           (c_plus, phi_plus.right, f.right)):
-        buf = c * phi
-        if _is_zero_half(values, n):
-            np.negative(buf, out=buf)
-        else:
-            np.subtract(values, buf, out=buf)
-        halves.append(buf)
+    c_plus, c_minus = _defect_coefficients(f)
+    if out is None:
+        out = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+    cphi = np.empty(min(PANEL_CHUNK, n), dtype=complex)
+    for c, phi, values, half in ((c_minus, phi_minus.left, f.left, out[0]),
+                                 (c_plus, phi_plus.right, f.right, out[1])):
+        for start, stop in node_chunks(n):
+            _psi0_chunk(c, phi, values, n, start, stop, half[start:stop],
+                        cphi[:stop - start])
     psi0 = GridFunction(
-        f.spec, *halves,
+        f.spec, *out,
         (f.left_limit - c_plus * phi_plus.left_limit)
         - c_minus * phi_minus.left_limit,
         (f.right_limit - c_plus * phi_plus.right_limit)
@@ -614,10 +658,11 @@ def _chunked_max_abs(n: int, form: Callable) -> float:
     propagates as in one ``np.abs(...).max()``."""
     buf = np.empty(min(PANEL_CHUNK, n), dtype=complex)
     return float(np.max([np.abs(form(start, stop, buf[:stop - start])).max()
-                         for start, stop in _chunks(n)]))
+                         for start, stop in node_chunks(n)]))
 
 
-def reproducing_defects(spec: GridSpec, pairs) -> tuple:
+def reproducing_defects(spec: GridSpec, pairs,
+                        panel: Optional[np.ndarray] = None) -> tuple:
     """Largest reproducing residuals over (psi_r, psi_l) pairs:
     |<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|,
     each O(h^2). Each psi is paired with phi_pm itself and the product
@@ -626,50 +671,58 @@ def reproducing_defects(spec: GridSpec, pairs) -> tuple:
     the rotation commutes with every rounding of the pairing and no scaled
     copy of phi_pm, or derivative of one, is formed. The pairs are read one
     at a time and each is released before the next is read, so a generator
-    that draws them holds one pair at once."""
+    that draws them holds one pair at once, or may draw each pair into the
+    buffers of the last."""
     phi_plus, phi_minus = defect_vectors(spec)
     worst_plus = worst_minus = 0.0
     for psi_r, psi_l in pairs:
         worst_plus = max(worst_plus, abs(
-            -1j * sobolev_inner(phi_plus, psi_r) - psi_r.right_limit))
+            -1j * sobolev_inner(phi_plus, psi_r, panel) - psi_r.right_limit))
         worst_minus = max(worst_minus, abs(
-            1j * sobolev_inner(phi_minus, psi_l) - psi_l.left_limit))
+            1j * sobolev_inner(phi_minus, psi_l, panel) - psi_l.left_limit))
         del psi_r, psi_l
     return worst_plus, worst_minus
 
 
-def decomposition_defects(f: GridFunction) -> dict:
-    """Residuals of ``decompose_sobolev(f)``: "boundary_zero" is the larger
-    |psi0(0+-)| (exactly zero), "orthogonality" the larger
+def decomposition_defects(f: GridFunction, panel: Optional[np.ndarray] = None,
+                          out: Optional[tuple] = None) -> dict:
+    """Residuals of ``decompose_sobolev(f, out)``: "boundary_zero" is the
+    larger |psi0(0+-)| (exactly zero), "orthogonality" the larger
     |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
     node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
 
-    The reconstruction residual is reduced first, chunk by chunk with no
-    full-size temporary: phi_- lives on the left half and phi_+ on the
-    right, so each half is (psi0 + c phi) - f, rounded as in the
-    GridFunction sum. After that this function holds no reference to ``f``,
+    The reconstruction residual is reduced first, from f and c phi alone,
+    chunk by chunk with no full-size temporary: phi_- lives on the left half
+    and phi_+ on the right, so each half is (psi0 + c phi) - f, each psi0
+    chunk formed as ``decompose_sobolev`` forms it, rounded as in the
+    GridFunction sum. Only then is psi0 formed, into ``out``, which may be
+    f's own storage. After that this function holds no reference to ``f``,
     so a caller that keeps none either frees it before psi0's pairings.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     n = f.spec.n_nodes
-    dec = decompose_sobolev(f)
+    c_plus, c_minus = _defect_coefficients(f)
+    cphi = np.empty(min(PANEL_CHUNK, n), dtype=complex)
     reconstruction = 0.0
-    for c, phi, psi0, values in (
-            (dec.c_minus, phi_minus.left, dec.psi0.left, f.left),
-            (dec.c_plus, phi_plus.right, dec.psi0.right, f.right)):
-        def residual(start, stop, out):
-            np.multiply(c, phi[start:stop], out=out)
-            out += psi0[start:stop]
-            out -= values[start:stop]
-            return out
+    for c, phi, values in ((c_minus, phi_minus.left, f.left),
+                           (c_plus, phi_plus.right, f.right)):
+        def residual(start, stop, buf):
+            psi0 = _psi0_chunk(c, phi, values, n, start, stop, buf,
+                               cphi[:stop - start])
+            psi0 += cphi[:stop - start]
+            psi0 -= values[start:stop]
+            return psi0
         reconstruction = max(reconstruction, _chunked_max_abs(n, residual))
-    del f, values
-    scale = sobolev_norm(dec.psi0)
+    del values
+    dec = decompose_sobolev(f, out)
+    del f
+    scale = sobolev_norm(dec.psi0, panel)
     return {
         "boundary_zero": max(abs(dec.psi0.left_limit),
                              abs(dec.psi0.right_limit)),
-        "orthogonality": max(abs(sobolev_inner(phi_plus, dec.psi0)) / scale,
-                             abs(sobolev_inner(phi_minus, dec.psi0)) / scale),
+        "orthogonality": max(
+            abs(sobolev_inner(phi_plus, dec.psi0, panel)) / scale,
+            abs(sobolev_inner(phi_minus, dec.psi0, panel)) / scale),
         "reconstruction": reconstruction,
     }
 

@@ -49,8 +49,11 @@ def test_sobolev_row_records_call_peak_and_value():
 
 def test_defect_run_records_exit_code_and_report_digest():
     result = load_bench().defect_run(30.0, 3e-3)
-    assert set(result) == {"seconds", "exit_code", "report_sha256"}
+    assert set(result) == {"seconds", "minor_faults", "exit_code",
+                           "report_sha256"}
     assert result["exit_code"] == 0 and result["seconds"] >= 0
+    faults = result["minor_faults"]
+    assert isinstance(faults, int) and faults >= 0
     assert len(result["report_sha256"]) == 64
     int(result["report_sha256"], 16)
 

@@ -4,10 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slhkit import punctured_line
+from slhkit import cli, punctured_line
 from slhkit.cli import command_defect
 from slhkit.config import config_from_dict
-from slhkit.ensembles import random_bump, random_grid_function
+from slhkit.ensembles import EXP_ZERO_BELOW, random_bump, random_grid_function
 from slhkit.report import Report
 from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLarge
 from slhkit.punctured_line import (
@@ -114,6 +114,57 @@ class TestGrid:
                                    "grid": {"T": 30.0, "h": 3e-3}})
         command_defect(config, 0, 0, Report("defect", ""))
         assert defect_vectors.cache_info().currsize == 0
+
+    def test_defect_suite_draws_into_the_lent_buffers(self, monkeypatch):
+        # Every reproducing and decomposition draw, and every psi0, writes
+        # into the same two half-line buffers, and every pairing into one
+        # panel; in the symmetry group f is drawn into the buffers and g,
+        # read beside it, shares no memory with them. Checked on the arrays
+        # themselves, so it does not depend on what the allocator reuses.
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": 30.0, "h": 3e-3}})
+        seen = {"sample": [], "random_grid_function": [], "psi0": [],
+                "panel": []}
+
+        def recording(name, fn, keep=lambda result: result):
+            def run(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                seen[name].append(keep(result))
+                return result
+            return run
+
+        def pairing(f, g, diff_f, diff_g, panel=None):
+            seen["panel"].append(panel)
+            return original_pairing(f, g, diff_f, diff_g, panel)
+
+        original_pairing = punctured_line._pairing
+        for name in ("sample", "random_grid_function"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        monkeypatch.setattr(punctured_line, "decompose_sobolev", recording(
+            "psi0", punctured_line.decompose_sobolev, lambda dec: dec.psi0))
+        monkeypatch.setattr(punctured_line, "_pairing", pairing)
+        command_defect(config, 0, 0, Report("defect", ""))
+
+        n = GridSpec(30.0, 3e-3).n_nodes
+        draws, functions = seen["sample"], seen["random_grid_function"]
+        assert (len(draws), len(functions), len(seen["psi0"])) == (20, 12, 10)
+        right, left = draws[0].right, draws[1].left
+        assert not np.shares_memory(left, right)
+        for psi_r, psi_l in zip(draws[::2], draws[1::2]):
+            assert psi_r.left is zero_half(n) and psi_l.right is zero_half(n)
+            assert np.shares_memory(psi_r.right, right)
+            assert np.shares_memory(psi_l.left, left)
+        for u in functions[:10] + seen["psi0"] + functions[10:11]:
+            assert np.shares_memory(u.left, left)
+            assert np.shares_memory(u.right, right)
+        g = functions[11]
+        assert not any(np.shares_memory(a, b) for a in (g.left, g.right)
+                       for b in (left, right))
+        panel = seen["panel"][0]
+        assert panel is not None and panel.shape == (n,)
+        assert all(p is panel for p in seen["panel"])
 
     def test_reproducing_defects_releases_each_pair(self):
         # The pairs come from a generator, as in the CLI suite. While the next
@@ -308,6 +359,32 @@ class TestRandomBump:
         assert np.array_equal(values.view(np.int64), expected.view(np.int64))
         assert np.array_equal(t, SPEC.right_nodes())
 
+    @pytest.mark.parametrize("n", [10, 4095, 4096, 4097, 12295])
+    def test_chunked_bump_matches_one_temporary_expression(self, n):
+        # PANEL_CHUNK = 4096 nodes per chunk: one short chunk, one exact
+        # chunk, a one-node last chunk and three chunks with a partial one.
+        assert PANEL_CHUNK == 4096
+        for side, t in (("right", np.linspace(1e-3, 60.0, n)),
+                        ("left", np.linspace(-60.0, -1e-3, n))):
+            rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+            bump = random_bump(rng, side)
+            amp = complex(ref.uniform(0.3, 1.5), ref.uniform(-1.0, 1.0))
+            width = ref.uniform(0.5, 2.0)
+            center = ref.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
+            # the whole-array evaluation in one float temporary
+            x = t - center
+            np.square(x, out=x)
+            x *= -width
+            np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
+            x[x < EXP_ZERO_BELOW] = 0.0
+            expected = amp * x
+            assert (x == 0.0).any() and (x > 0.0).any()
+            lent = np.full(n, np.nan, dtype=complex)
+            assert bump(t, out=lent) is lent
+            for got in (lent, bump(t)):
+                assert np.array_equal(got.view(np.int64),
+                                      expected.view(np.int64))
+
 
 class TestApplyiD:
     def test_smooth_function_has_no_singular_part(self):
@@ -480,6 +557,50 @@ class TestDecomposition:
                                expected.left_limit, expected.right_limit])
             assert np.array_equal(traces[:2].view(np.int64),
                                   traces[2:].view(np.int64))
+
+    @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
+    def test_psi0_over_f_storage_matches_fresh_psi0(self, spec):
+        # f drawn into lent buffers, then psi0 formed over them: psi0 and
+        # every residual equal those of a fresh psi0 beside an untouched
+        # copy of f, bit for bit, the reconstruction residual included
+        rng = np.random.default_rng(17)
+        pp, pm = defect_vectors(spec)
+        n = spec.n_nodes
+        draws = (lambda out: random_grid_function(rng, spec, out=out),
+                 lambda out: sample(spec, right=random_bump(rng, "right"),
+                                    out=out),
+                 lambda out: sample(spec, left=random_bump(rng, "left"),
+                                    out=out))
+        for draw in draws:
+            for form in (decompose_sobolev, decomposition_defects):
+                halves = (np.empty(n, dtype=complex),
+                          np.empty(n, dtype=complex))
+                f = draw(halves)
+                copy = GridFunction(
+                    spec, *(a if a is zero_half(n) else a.copy()
+                            for a in (f.left, f.right)),
+                    f.left_limit, f.right_limit)
+                fresh = decompose_sobolev(copy)
+                if form is decompose_sobolev:
+                    dec = decompose_sobolev(f, halves)
+                    assert (dec.c_plus, dec.c_minus) == (fresh.c_plus,
+                                                         fresh.c_minus)
+                    assert dec.psi0.left_limit == fresh.psi0.left_limit
+                    assert dec.psi0.right_limit == fresh.psi0.right_limit
+                    assert np.shares_memory(dec.psi0.left, halves[0])
+                    assert np.shares_memory(dec.psi0.right, halves[1])
+                else:
+                    diff = fresh.psi0 + fresh.c_plus * pp + fresh.c_minus * pm \
+                        - copy
+                    defects = decomposition_defects(f, out=halves)
+                    assert defects == decomposition_defects(copy)
+                    assert defects["reconstruction"] == max(
+                        float(np.abs(diff.left).max()),
+                        float(np.abs(diff.right).max()))
+                for got, want in zip(halves, (fresh.psi0.left,
+                                              fresh.psi0.right)):
+                    assert np.array_equal(got.view(np.int64),
+                                          want.view(np.int64))
 
     @pytest.mark.parametrize("spec", [GridSpec(40.0, 1e-3), GridSpec(40.0, 5e-4)])
     def test_decomposition_peak(self, spec):

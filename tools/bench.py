@@ -36,9 +36,10 @@ child's peak RSS, the total and per-sector kernel dims and, as
 per-call seconds, the child's peak RSS, the call's traced peak and the
 pairing's value (as float hex, with whether both sides agree bit for bit);
 a run row the seconds,
-peak RSS, exit code and kernel dims; a defect row the seconds, peak RSS,
-exit code and the SHA-256 of the report bytes, and whether the two sides
-wrote the same report.  A size the tree's guard refuses records its
+peak RSS, exit code and kernel dims; a defect row the seconds, the minor
+page faults of the ``cli.main`` call (``ru_minflt``), peak RSS, exit code
+and the SHA-256 of the report bytes, and whether the two sides wrote the
+same report.  A size the tree's guard refuses records its
 TooLarge message instead.  The machine block is the output of
 ``perfbench/probe.py``, run as a child the way the benchmark runs it.  The
 JSON goes to FILE, which has no default, so a run never overwrites an
@@ -183,12 +184,19 @@ def defect_run(half_width: float, spacing: float) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
         path.write_text(json.dumps(config))
+        faults = minor_faults()
         start = time.perf_counter()
         code = cli.main(["defect", "--config", str(path), "--out", str(out)])
         seconds = time.perf_counter() - start
+        faults = minor_faults() - faults
         digest = (hashlib.sha256(out.read_bytes()).hexdigest()
                   if out.exists() else None)
-    return {"seconds": seconds, "exit_code": code, "report_sha256": digest}
+    return {"seconds": seconds, "minor_faults": faults, "exit_code": code,
+            "report_sha256": digest}
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def child_env(src: Path) -> dict:
@@ -225,7 +233,9 @@ def alternate(trees: dict, mode: str, spec: tuple) -> dict:
             "median_s": statistics.median(r["seconds"] for r in results),
             "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
             **{k: v for k, v in first.items()
-               if k not in ("seconds", "peak_rss_mb")}}
+               if k not in ("seconds", "peak_rss_mb", "minor_faults")}}
+        if "minor_faults" in first:
+            sides[side]["minor_faults"] = [r["minor_faults"] for r in results]
     return sides
 
 
@@ -295,8 +305,11 @@ def bench(parent: Path, stages=STAGES) -> dict:
             "T": half_width, "h": spacing, **sides,
             "same_report": (sides["parent"].get("report_sha256")
                             == sides["change"].get("report_sha256"))})
-        print(f"defect run T={half_width:g} h={spacing:g}: {summary(sides)}",
-              flush=True)
+        faults = " -> ".join(
+            str(statistics.median(sides[side].get("minor_faults", [0])))
+            for side in ("parent", "change"))
+        print(f"defect run T={half_width:g} h={spacing:g}: {summary(sides)}, "
+              f"minor faults {faults}", flush=True)
     return out
 
 
