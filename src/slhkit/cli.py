@@ -30,19 +30,28 @@ from .linalg import cayley
 from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
                   slh_triple)
 from .punctured_line import (
+    SIDES,
     GridSpec,
+    Traces,
     boundary_phase,
-    decomposition_defects,
-    defect_vectors,
-    eigenrelation_defects,
+    decomposition_half,
+    decomposition_values,
+    defect_coefficients,
+    defect_halves,
+    eigenrelation_half,
+    eigenrelation_values,
     extension_domain_defect,
     jump_splitting_defect,
-    reproducing_defects,
-    sample,
+    norm_from_inner,
+    reproducing_half,
+    reproducing_residuals,
+    sample_half,
     scatter_regularized,
-    sobolev_inner,
-    sobolev_norm,
-    symmetry_defects,
+    sobolev_half,
+    sobolev_total,
+    symmetry_half,
+    symmetry_values,
+    trace_at_origin,
 )
 from .fock import (
     build_mode_operators,
@@ -53,7 +62,7 @@ from .fock import (
     stacked_boundary_rows,
 )
 from .config import ModelConfig, load_config
-from .ensembles import random_bump, random_coupling, random_grid_function
+from .ensembles import random_bump, random_coupling
 from .report import Report, emit_report
 
 
@@ -112,72 +121,138 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
 def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     spec = GridSpec(config.grid.half_width, config.grid.spacing)
     rng = np.random.default_rng(seed)
-    # One pairing panel and one (left, right) pair of half-line buffers,
-    # lent to every check group: each draw, each psi0 and each pairing
-    # writes into them, so the suite allocates no further complex node
-    # array but the symmetry group's g. One function per check group, so
-    # each group's other arrays are freed when it returns; the pairings
-    # stream every derivative, so none is held. The cached defect pair is
-    # released after its last reader, the eigenrelation group.
+    # One pairing panel and two half-line buffers, lent to every check
+    # group. A group draws its bumps first (a bump draws its parameters when
+    # it is made, not when it is evaluated), then makes a left and a right
+    # pass, each with one node grid, evaluating into the two buffers only
+    # the halves it pairs: a closed-form defect-vector half and a draw, f
+    # and psi0 over it, or f and g. Between the passes it keeps per-half
+    # scalars, joined in the order of the two-sided formulas, so no group
+    # holds a two-sided function or fills defect_vectors' cache.
     n = spec.n_nodes
     panel = np.empty(n, dtype=complex)
-    halves = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
-    _defect_vector_checks(spec, panel, report)
-    _reproducing_checks(spec, rng, halves, panel, report)
-    _decomposition_checks(spec, rng, halves, panel, report)
-    _eigenrelation_checks(spec, report)
-    defect_vectors.cache_clear()
+    buffers = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+    _defect_vector_checks(spec, buffers, panel, report)
+    _reproducing_checks(spec, rng, buffers, panel, report)
+    _decomposition_checks(spec, rng, buffers, panel, report)
+    _eigenrelation_checks(spec, buffers, report)
     _jump_splitting_check(rng, report)
-    _symmetry_checks(spec, rng, halves, panel, report)
+    _symmetry_checks(spec, rng, buffers, panel, report)
     _extension_check(report)
 
 
-def _defect_vector_checks(spec: GridSpec, panel: np.ndarray,
+def _passes(spec: GridSpec, half_pass) -> list:
+    """``half_pass(left, nodes)`` on the left half-line, then the right, each
+    with its node grid; the grid is freed when its pass returns."""
+    return [half_pass(left, spec.nodes(left)) for left in SIDES]
+
+
+def _defect_vector_checks(spec: GridSpec, buffers: tuple, panel: np.ndarray,
                           report: Report) -> None:
-    phi_plus, phi_minus = defect_vectors(spec)
-    report.add("jump_on_defect_plus", abs(phi_plus.jump - (-1j)), 0.0)
-    report.add("jump_on_defect_minus", abs(phi_minus.jump - (-1j)), 0.0)
-    report.add("defect_norm_plus", abs(sobolev_norm(phi_plus, panel) - 1.0),
+    def half_pass(left, nodes):
+        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
+        return ((phi_plus.limit, phi_minus.limit),
+                [sobolev_half(spec, left, u, v, panel)
+                 for u, v in ((phi_plus, phi_plus), (phi_minus, phi_minus),
+                              (phi_plus, phi_minus))])
+
+    (left_traces, left_terms), (right_traces, right_terms) = _passes(
+        spec, half_pass)
+    plus, minus = (Traces(*limits) for limits in zip(left_traces,
+                                                     right_traces))
+    norm_plus, norm_minus, overlap = (sobolev_total(*terms) for terms in
+                                      zip(left_terms, right_terms))
+    report.add("jump_on_defect_plus", abs(plus.jump - (-1j)), 0.0)
+    report.add("jump_on_defect_minus", abs(minus.jump - (-1j)), 0.0)
+    report.add("defect_norm_plus", abs(norm_from_inner(norm_plus) - 1.0),
                1e-5)
-    report.add("defect_norm_minus", abs(sobolev_norm(phi_minus, panel) - 1.0),
+    report.add("defect_norm_minus", abs(norm_from_inner(norm_minus) - 1.0),
                1e-5)
-    report.add("defect_overlap",
-               abs(sobolev_inner(phi_plus, phi_minus, panel)), 0.0)
+    report.add("defect_overlap", abs(overlap), 0.0)
 
 
 def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
-                        halves: tuple, panel: np.ndarray,
+                        buffers: tuple, panel: np.ndarray,
                         report: Report) -> None:
-    # psi_r is drawn into the right buffer and psi_l into the left one; the
-    # pair is released before the next is drawn over it.
-    worst_plus, worst_minus = reproducing_defects(spec, (
-        (sample(spec, right=random_bump(rng, "right"), out=halves),
-         sample(spec, left=random_bump(rng, "left"), out=halves))
-        for _ in range(10)), panel)
+    # psi_r is a bump on the right half-line and psi_l one on the left, so
+    # on each half-line one of the pair is drawn into the second buffer and
+    # the other is zero there.
+    draws = [(random_bump(rng, "right"), random_bump(rng, "left"))
+             for _ in range(10)]
+
+    def half_pass(left, nodes):
+        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
+        terms = []
+        for bump_r, bump_l in draws:
+            psi_r = sample_half(spec, left, None if left else bump_r, nodes,
+                                buffers[1])
+            psi_l = sample_half(spec, left, bump_l if left else None, nodes,
+                                buffers[1])
+            terms.append((reproducing_half(spec, left, phi_plus, phi_minus,
+                                           psi_r, psi_l, panel),
+                          psi_r.limit, psi_l.limit))
+        return terms
+
+    worst_plus = worst_minus = 0.0
+    for (left_terms, _, psi_l_trace), (right_terms, psi_r_trace, _) in zip(
+            *_passes(spec, half_pass)):
+        plus, minus = reproducing_residuals(left_terms, right_terms,
+                                            psi_r_trace, psi_l_trace)
+        worst_plus = max(worst_plus, plus)
+        worst_minus = max(worst_minus, minus)
     report.add("reproducing_plus", worst_plus, 1e-5)
     report.add("reproducing_minus", worst_minus, 1e-5)
 
 
+def _redraw(bump, nodes: np.ndarray):
+    """A ``decomposition_half`` reference: the bump re-evaluated on the
+    chunk's nodes."""
+    return lambda start, stop, out: bump(nodes[start:stop], out=out)
+
+
 def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
-                          halves: tuple, panel: np.ndarray,
+                          buffers: tuple, panel: np.ndarray,
                           report: Report) -> None:
     tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
                   "reconstruction": 1e-13}
+    # (left, right) bumps of each f; c_pm read both traces in either pass
+    draws = [(random_bump(rng, "left"), random_bump(rng, "right"))
+             for _ in range(10)]
+    coefficients = [defect_coefficients(*map(trace_at_origin, bumps))
+                    for bumps in draws]
+
+    def half_pass(left, nodes):
+        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
+        results = []
+        for bumps, (c_plus, c_minus) in zip(draws, coefficients):
+            bump = bumps[0] if left else bumps[1]
+            # f is drawn into the buffer and psi0 formed over it; the
+            # residual reads f from the bump, not from the buffer
+            f = sample_half(spec, left, bump, nodes, buffers[1])
+            results.append(decomposition_half(
+                spec, left, f, c_plus, c_minus, phi_plus, phi_minus,
+                buffers[1], _redraw(bump, nodes), panel))
+        return results
+
     worst = dict.fromkeys(tolerances, 0.0)
-    for _ in range(10):
-        # psi is drawn into the buffers and psi0 is then formed over it
-        defects = decomposition_defects(
-            random_grid_function(rng, spec, out=halves), panel, out=halves)
-        for key, value in defects.items():
+    for left, right in zip(*_passes(spec, half_pass)):
+        for key, value in decomposition_values(left, right).items():
             worst[key] = max(worst[key], value)
     for key, tol in tolerances.items():
         report.add(f"decomposition_{key}", worst[key], tol)
 
 
-def _eigenrelation_checks(spec: GridSpec, report: Report) -> None:
-    phi_plus, phi_minus = defect_vectors(spec)
-    for name, phi, sign in (("plus", phi_plus, 1.0), ("minus", phi_minus, -1.0)):
-        defects = eigenrelation_defects(phi, sign)
+def _eigenrelation_checks(spec: GridSpec, buffers: tuple,
+                          report: Report) -> None:
+    def half_pass(left, nodes):
+        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
+        return [(phi.limit, eigenrelation_half(spec, left, phi, sign))
+                for phi, sign in ((phi_plus, 1.0), (phi_minus, -1.0))]
+
+    for name, ((left_limit, left), (right_limit, right)) in zip(
+            ("plus", "minus"), zip(*_passes(spec, half_pass))):
+        defects = eigenrelation_values(Traces(left_limit, right_limit), left,
+                                       right)
         report.add(f"eigenrelation_{name}_coefficient",
                    defects["coefficient"], 0.0)
         report.add(f"eigenrelation_{name}_regular", defects["regular"], 1e-5)
@@ -196,12 +271,23 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
 
 
 def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
-                     halves: tuple, panel: np.ndarray,
+                     buffers: tuple, panel: np.ndarray,
                      report: Report) -> None:
-    # f is drawn into the buffers; g, read beside it, has its own arrays
-    f = random_grid_function(rng, spec, out=halves)
-    g = random_grid_function(rng, spec)
-    for name, value in symmetry_defects(f, g, 0.3, panel).items():
+    # f's halves are drawn into the first buffer and g's into the second
+    f_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
+    g_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
+
+    def half_pass(left, nodes):
+        f, g = (sample_half(spec, left, bumps[0] if left else bumps[1], nodes,
+                            buffer)
+                for bumps, buffer in zip((f_bumps, g_bumps), buffers))
+        return symmetry_half(spec, left, f, g, panel), (f.limit, g.limit)
+
+    (left_terms, left_traces), (right_terms, right_traces) = _passes(
+        spec, half_pass)
+    f, g = (Traces(*limits) for limits in zip(left_traces, right_traces))
+    for name, value in symmetry_values(left_terms, right_terms, f, g,
+                                       0.3).items():
         report.add(name, value, 1e-4)
 
 

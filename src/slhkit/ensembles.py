@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .linalg import adjoint
@@ -80,10 +78,9 @@ def random_bump(rng: np.random.Generator, side: str):
     return bump
 
 
-def random_grid_function(rng: np.random.Generator, spec: GridSpec,
-                         out: Optional[tuple] = None) -> GridFunction:
+def random_grid_function(rng: np.random.Generator,
+                         spec: GridSpec) -> GridFunction:
     """Independent random bumps on the two half-lines (left drawn first), so
-    the function has a random jump at 0; its halves are written into ``out``
-    when a (left, right) pair of buffers is lent (see ``sample``)."""
+    the function has a random jump at 0."""
     return sample(spec, left=random_bump(rng, "left"),
-                  right=random_bump(rng, "right"), out=out)
+                  right=random_bump(rng, "right"))

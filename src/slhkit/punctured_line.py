@@ -17,40 +17,59 @@ Conventions
   evaluates as <zeta|psi> = kappa_minus psi(0+) + kappa_plus psi(0-)
   (adjoint convention).
 
+Half-lines
+
+The two half-lines meet only through the traces, so every check is built
+from one-half-line pieces (a ``Half``: node values and the trace at 0 on
+that side). The per-half functions (``sobolev_half``, ``reproducing_half``,
+``decomposition_half``, ``symmetry_half``, ``eigenrelation_half``) return
+scalars, and the ``..._values``/``..._residuals`` functions and
+``sobolev_total`` combine a left and a right half's scalars in the order of
+the two-sided formula, (L2_- + L2_+) + (D_- + D_+). The two-sided functions
+(``sobolev_inner``, ``reproducing_defects``, ``decomposition_defects``,
+``symmetry_defects``, ``eigenrelation_defects``) run the same per-half
+functions on a GridFunction's halves; the CLI defect suite runs them one
+half-line at a time on halves it evaluates into lent buffers. Either way
+the values are equal bit for bit.
+
 Storage
 
 * a GridFunction holds read-only views of its value arrays (the array a
   caller passes in stays writable; a strided one is copied once, so every
-  value array is contiguous);
-* an identically zero half-line is stored as ``zero_half(n)``, one shared
-  read-only array per node count, recognised by identity: ``sample`` stores
-  it for a missing half and ``defect_vectors`` for the empty side of
-  phi_pm. Validation, scaling, addition, the derivative and the trapezoid
-  skip its nodes, with results equal to the full computation (the boundary
-  traces keep their stencils and the origin panel); a zero array from a
-  caller is an ordinary array;
+  value array but the shared zero half is contiguous); each half is
+  checked as ``_check_half`` checks a Half: finite values and trace,
+  vanishing at -T or T;
+* an identically zero half-line is stored as ``zero_half(n)``, one complex
+  zero broadcast read-only over the n nodes, so it holds no node array,
+  shared per node count and recognised by identity: ``sample`` and
+  ``sample_half`` store it for a missing half and ``defect_halves`` for the
+  empty side of phi_pm. Validation, scaling, addition, the derivative and
+  the trapezoid skip its nodes, with results equal to the full computation
+  (the boundary traces keep their stencils and the origin panel); a zero
+  array from a caller is an ordinary array;
 * no derivative is kept: every pairing, L2, Sobolev or <f|g'>, forms
   conj(f) g, with either factor replaced by its grid derivative where the
   pairing asks for one, ``PANEL_CHUNK`` nodes at a time into one n-node
-  panel per call, each derivative chunk formed right where the product
-  needs it; the trapezoid then overwrites the panel with its panel sums.
-  ``derivative`` forms the whole derivative afresh on each call, for the
-  callers that want the function itself;
+  panel per half-line, each derivative chunk formed right where the
+  product needs it; the trapezoid then overwrites the panel with its panel
+  sums. ``derivative`` forms the whole derivative afresh on each call, for
+  the callers that want the function itself;
 * a caller may lend node buffers: the pairings and the defect checks take
-  a ``panel``, ``sample`` hands a lent (left, right) pair of half-line
-  buffers to its callables, and ``decompose_sobolev`` writes psi0 into
-  one, which may be f's own storage. A function allocates what is not lent
-  and otherwise takes the same steps, so the values are equal bit for bit;
-  a function over lent buffers is spent once they are written again. The
-  CLI defect suite lends one panel and one pair to every check group;
+  a ``panel``, ``sample_half`` and ``defect_halves`` write one half into a
+  lent n-node buffer, and ``decomposition_half`` writes psi0's half into
+  one, which may be f's own storage. A function allocates what is not lent and
+  otherwise takes the same steps, so the values are equal bit for bit; a
+  function over lent buffers is spent once they are written again. The
+  CLI defect suite lends one panel and two half-line buffers to every
+  check group and never fills ``defect_vectors``' cache;
 * ``decompose_sobolev`` forms psi0, and the reconstruction and
   eigenrelation residuals are reduced, chunk by chunk with no full-size
-  temporary (``decomposition_defects`` reduces its residual before psi0
-  may overwrite f); subtraction subtracts directly, and validation checks
-  the float view of the values;
-* ``defect_vectors`` keeps the pair for the most recent spec; the CLI
-  defect suite releases it (``defect_vectors.cache_clear``) after its last
-  reader, the eigenrelation group, so the later groups run without it;
+  temporary; ``decomposition_half`` reduces its residual from psi0 as
+  stored against an independent f (``reference``), so it sees a wrong
+  psi0; subtraction subtracts directly, and validation checks the float
+  view of the values;
+* ``defect_vectors`` keeps the two-sided pair for the most recent spec,
+  for the two-sided functions;
 * GridSpec refuses a grid whose defect suite would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
 """
@@ -62,7 +81,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -73,13 +92,16 @@ from .linalg import kappas
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays the defect suite holds at once
-# (tracemalloc peak of the CLI suite, a shared zero half counted once, as
-# printed by tools/defect_peaks.py at 10k to 80k nodes, T = 30 and 40):
-# 3.30 to 3.67. The lent pairing panel and pair of half-line buffers (1.5
-# arrays) live through the whole suite, so the defect-vector, reproducing,
-# decomposition and symmetry groups each peak at 3.29 to 3.67: the lent
-# buffers, the defect pair or g, the zero half and one draw's node grid.
-DEFECT_LIVE_ARRAYS = 5
+# (tracemalloc peak of the CLI suite, as printed by tools/defect_peaks.py
+# at 10k to 80k nodes, T = 30 and 40): 1.85 to 2.56. Each check group works
+# one half-line at a time, so it holds the lent pairing panel and two
+# half-line buffers (1.5 arrays, live through the whole suite), one pass's
+# node grid (0.25) and chunk buffers of PANEL_CHUNK nodes, which weigh most
+# at 10k nodes; the shared zero half holds no node array.
+DEFECT_LIVE_ARRAYS = 3
+# The left half-line [-T, 0), then the right one (0, T]: the order of every
+# loop over halves and of the sums that join them.
+SIDES = (True, False)
 
 
 @dataclass(frozen=True)
@@ -124,13 +146,16 @@ class GridSpec:
         """Nodes h, 2h, ..., T."""
         return np.linspace(self.spacing, self.half_width, self.n_nodes)
 
+    def nodes(self, left: bool) -> np.ndarray:
+        """The nodes of the left or the right half-line."""
+        return self.left_nodes() if left else self.right_nodes()
+
 
 @functools.lru_cache(maxsize=1)
 def zero_half(n: int) -> np.ndarray:
-    """The shared read-only zero half-line of ``n`` nodes."""
-    zeros = np.zeros(n, dtype=complex)
-    zeros.flags.writeable = False
-    return zeros
+    """The shared read-only zero half-line of ``n`` nodes: one complex zero
+    broadcast over the nodes, so it holds no node array."""
+    return np.broadcast_to(np.zeros(1, dtype=complex), (n,))
 
 
 def _is_zero_half(values: np.ndarray, n: int) -> bool:
@@ -145,6 +170,55 @@ def _read_only(values, n: int) -> np.ndarray:
     view = np.ascontiguousarray(values, dtype=complex).view()
     view.flags.writeable = False
     return view
+
+
+class Half(NamedTuple):
+    """One half-line of a grid function: its node values (``zero_half(n)``
+    when identically zero) and its trace at the origin, psi(0-) on the
+    left half-line and psi(0+) on the right one."""
+
+    values: np.ndarray
+    limit: complex
+
+
+class Traces(NamedTuple):
+    """The boundary traces of a function, all the singular functionals
+    read."""
+
+    left_limit: complex   # psi(0-)
+    right_limit: complex  # psi(0+)
+
+    @property
+    def jump(self) -> complex:
+        return self.right_limit - self.left_limit
+
+    @property
+    def delta_star(self) -> complex:
+        return 0.5 * (self.right_limit + self.left_limit)
+
+
+def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
+    """The half with its values as ``_read_only`` gives them, after the
+    checks a GridFunction makes of each of its halves: n finite values, a
+    finite trace, and a value that vanishes at the truncation end, -T on
+    the left half-line and T on the right one."""
+    n = spec.n_nodes
+    values = _read_only(values, n)
+    if values.shape != (n,):
+        raise SpecMismatch(
+            f"value arrays must have shape ({n},), got {values.shape}")
+    # on the float parts, which is faster than on complex values
+    if not (_is_zero_half(values, n)
+            or np.isfinite(values.view(np.float64)).all()):
+        raise SpecMismatch("grid values must be finite")
+    if not math.isfinite(abs(limit)):
+        raise SpecMismatch("boundary values must be finite")
+    end = abs(values[0 if left else -1])
+    if end > DECAY_TOL:
+        raise SpecMismatch(
+            f"function must vanish at the truncation boundary: "
+            f"|psi({'-T' if left else 'T'})| = {end:.2e}")
+    return Half(values, complex(limit))
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,36 +236,29 @@ class GridFunction:
     right_limit: complex  # psi(0+)
 
     def __post_init__(self):
-        n = self.spec.n_nodes
-        left = _read_only(self.left, n)
-        right = _read_only(self.right, n)
-        if left.shape != (n,) or right.shape != (n,):
-            raise SpecMismatch(
-                f"value arrays must have shape ({n},), got {left.shape} and "
-                f"{right.shape}")
-        # on the float parts, which is faster than on complex values
-        if not all(_is_zero_half(a, n) or np.isfinite(a.view(np.float64)).all()
-                   for a in (left, right)):
-            raise SpecMismatch("grid values must be finite")
-        if not (math.isfinite(abs(self.left_limit))
-                and math.isfinite(abs(self.right_limit))):
-            raise SpecMismatch("boundary values must be finite")
-        if abs(left[0]) > DECAY_TOL or abs(right[-1]) > DECAY_TOL:
-            raise SpecMismatch(
-                f"function must vanish at the truncation boundary: "
-                f"|psi(-T)| = {abs(left[0]):.2e}, |psi(T)| = {abs(right[-1]):.2e}")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "left_limit", complex(self.left_limit))
-        object.__setattr__(self, "right_limit", complex(self.right_limit))
+        left = _check_half(self.spec, True, self.left, self.left_limit)
+        right = _check_half(self.spec, False, self.right, self.right_limit)
+        object.__setattr__(self, "left", left.values)
+        object.__setattr__(self, "right", right.values)
+        object.__setattr__(self, "left_limit", left.limit)
+        object.__setattr__(self, "right_limit", right.limit)
+
+    def half(self, left: bool) -> Half:
+        """The left or the right half, as views."""
+        return (Half(self.left, self.left_limit) if left
+                else Half(self.right, self.right_limit))
+
+    @property
+    def traces(self) -> Traces:
+        return Traces(self.left_limit, self.right_limit)
 
     @property
     def jump(self) -> complex:
-        return self.right_limit - self.left_limit
+        return self.traces.jump
 
     @property
     def delta_star(self) -> complex:
-        return 0.5 * (self.right_limit + self.left_limit)
+        return self.traces.delta_star
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_spec(self, other)
@@ -243,51 +310,93 @@ def require_same_spec(f: GridFunction, g: GridFunction) -> None:
         raise SpecMismatch(f"grid specs differ: {f.spec} vs {g.spec}")
 
 
+def trace_at_origin(fn: Callable[..., np.ndarray]) -> complex:
+    """A callable's value at 0, the boundary trace of its half-line."""
+    return complex(fn(np.array([0.0]))[0])
+
+
+def _evaluate_half(spec: GridSpec, left: bool,
+                   fn: Optional[Callable[..., np.ndarray]],
+                   nodes: Optional[np.ndarray],
+                   out: Optional[np.ndarray]) -> Half:
+    """``fn`` on one half-line's ``nodes`` (formed when None) and at 0,
+    unchecked; the shared zero half and trace 0 when ``fn`` is None. A
+    lent ``out`` buffer is handed to ``fn`` as ``fn(nodes, out=out)``."""
+    if fn is None:
+        return Half(zero_half(spec.n_nodes), 0j)
+    if nodes is None:
+        nodes = spec.nodes(left)
+    values = np.asarray(fn(nodes) if out is None else fn(nodes, out=out),
+                        dtype=complex)
+    return Half(values, trace_at_origin(fn))
+
+
+def sample_half(spec: GridSpec, left: bool,
+                fn: Optional[Callable[..., np.ndarray]],
+                nodes: Optional[np.ndarray] = None,
+                out: Optional[np.ndarray] = None) -> Half:
+    """One half of ``sample(spec, ...)``, checked as a GridFunction checks
+    it: ``fn`` on the left or right half-line's ``nodes`` (formed when
+    None) and its value at 0 as the trace; the shared zero half when
+    ``fn`` is None. ``out``, a writable n-node complex array, lends ``fn``
+    a buffer: it is called as ``fn(nodes, out=out)`` and returns the buffer
+    filled (``ensembles.random_bump`` does)."""
+    return _check_half(spec, left, *_evaluate_half(spec, left, fn, nodes, out))
+
+
 def sample(spec: GridSpec,
            left: Optional[Callable[..., np.ndarray]] = None,
-           right: Optional[Callable[..., np.ndarray]] = None,
-           out: Optional[tuple] = None) -> GridFunction:
+           right: Optional[Callable[..., np.ndarray]] = None) -> GridFunction:
     """Evaluate callables on the half-line grids.
 
     A missing half is identically zero; each boundary trace is the callable's
-    value at 0 (continuity from that side). ``out``, a (left, right) pair of
-    writable n-node complex arrays, lends each callable its half's buffer:
-    it is called as ``fn(nodes, out=buffer)`` and returns the buffer filled
-    (``ensembles.random_bump`` does).
+    value at 0 (continuity from that side).
     """
-    n = spec.n_nodes
-    lout, rout = (None, None) if out is None else out
-    lv = zero_half(n) if left is None else \
-        _evaluate(left, spec.left_nodes(), lout)
-    rv = zero_half(n) if right is None else \
-        _evaluate(right, spec.right_nodes(), rout)
-    ll = 0.0 if left is None else complex(left(np.array([0.0]))[0])
-    rl = 0.0 if right is None else complex(right(np.array([0.0]))[0])
-    return GridFunction(spec, lv, rv, ll, rl)
+    lh = _evaluate_half(spec, True, left, None, None)
+    rh = _evaluate_half(spec, False, right, None, None)
+    return GridFunction(spec, lh.values, rh.values, lh.limit, rh.limit)
 
 
-def _evaluate(fn: Callable[..., np.ndarray], nodes: np.ndarray,
-              out: Optional[np.ndarray]) -> np.ndarray:
-    """``fn``'s values on ``nodes`` as a complex array, written into ``out``
-    when a buffer is lent."""
-    return np.asarray(fn(nodes) if out is None else fn(nodes, out=out),
-                      dtype=complex)
-
-
-@functools.lru_cache(maxsize=1)
-def defect_vectors(spec: GridSpec):
-    """The normalized defect pair (phi_+, phi_-); needs T >= 30 so the tails
-    sit below the decay tolerance."""
+def defect_halves(spec: GridSpec, left: bool,
+                  nodes: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None) -> tuple:
+    """(phi_+, phi_-) on one half-line, checked: phi_- = i e^t on the left
+    half-line and phi_+ = -i e^-t on the right one, formed from ``nodes``
+    (formed when None) chunk by chunk into ``out`` (fresh when None), as
+    the whole-array expressions round them; the other is the shared zero
+    half. Needs T >= 30 so the tails sit below the decay tolerance."""
     if spec.half_width < MIN_HALF_WIDTH:
         raise DomainTooSmall(
             f"half-width {spec.half_width} < {MIN_HALF_WIDTH}: exponential "
             f"tails would not vanish at the truncation boundary")
-    zeros = zero_half(spec.n_nodes)
-    phi_plus = GridFunction(spec, zeros, -1j * np.exp(-spec.right_nodes()),
-                            0.0, -1j)
-    phi_minus = GridFunction(spec, 1j * np.exp(spec.left_nodes()), zeros,
-                             1j, 0.0)
-    return phi_plus, phi_minus
+    n = spec.n_nodes
+    if nodes is None:
+        nodes = spec.nodes(left)
+    if out is None:
+        out = np.empty(n, dtype=complex)
+    scratch = np.empty(min(PANEL_CHUNK, n))
+    for start, stop in node_chunks(n):
+        x = scratch[:stop - start]
+        if left:
+            np.exp(nodes[start:stop], out=x)
+        else:
+            np.exp(np.negative(nodes[start:stop], out=x), out=x)
+        np.multiply(1j if left else -1j, x, out=out[start:stop])
+    own = _check_half(spec, left, out, 1j if left else -1j)
+    zero = Half(zero_half(n), 0j)
+    return (zero, own) if left else (own, zero)
+
+
+@functools.lru_cache(maxsize=1)
+def defect_vectors(spec: GridSpec):
+    """The normalized defect pair (phi_+, phi_-) as two-sided functions,
+    from ``defect_halves``."""
+    zero, minus = defect_halves(spec, True)
+    plus, _ = defect_halves(spec, False)
+    return (GridFunction(spec, zero.values, plus.values, zero.limit,
+                         plus.limit),
+            GridFunction(spec, minus.values, zero.values, minus.limit,
+                         zero.limit))
 
 
 def _derivative_chunk(values: np.ndarray, h: float, start: int, stop: int,
@@ -318,30 +427,46 @@ def _derivative_chunk(values: np.ndarray, h: float, start: int, stop: int,
     return out
 
 
-def _derivative_traces(f: GridFunction, finite: bool = True) -> tuple:
-    """f'(0-) and f'(0+), one-sided three-point estimates on the stored
-    traces, after checking that the grid derivative of ``f`` is a grid
-    function: finite (``finite`` says whether its node values are) and
-    vanishing at -T and T. Both ``derivative`` and the streamed pairings
-    check through here, so they refuse the same functions."""
-    h = f.spec.spacing
-    dl0 = complex((3.0 * f.left_limit - 4.0 * f.left[-1] + f.left[-2])
-                  / (2.0 * h))
-    dr0 = complex((-3.0 * f.right_limit + 4.0 * f.right[0] - f.right[1])
-                  / (2.0 * h))
-    if not (finite and math.isfinite(abs(dl0)) and math.isfinite(abs(dr0))):
+def _derivative_trace(spec: GridSpec, left: bool, half: Half,
+                      finite: bool = True) -> complex:
+    """f'(0-) on the left half-line or f'(0+) on the right one, the
+    one-sided three-point estimate on the stored trace, after checking that
+    the half's grid derivative is a grid function: finite (``finite`` says
+    whether its node values are) and vanishing at -T or T. ``derivative``
+    and the streamed pairings check through here, so they refuse the same
+    functions."""
+    h, n = spec.spacing, spec.n_nodes
+    values, limit = half
+    if left:
+        trace = complex((3.0 * limit - 4.0 * values[-1] + values[-2])
+                        / (2.0 * h))
+    else:
+        trace = complex((-3.0 * limit + 4.0 * values[0] - values[1])
+                        / (2.0 * h))
+    if not (finite and math.isfinite(abs(trace))):
         raise SpecMismatch(
             f"grid derivative at spacing h = {h:g} is not finite")
-    n = f.spec.n_nodes
-    end = np.empty(1, dtype=complex)
-    first = abs(_derivative_chunk(f.left, h, 0, 1, end)[0])
-    last = abs(_derivative_chunk(f.right, h, n - 1, n, end)[0])
-    if first > DECAY_TOL or last > DECAY_TOL:
+    start = 0 if left else n - 1
+    end = abs(_derivative_chunk(values, h, start, start + 1,
+                                np.empty(1, dtype=complex))[0])
+    if end > DECAY_TOL:
         raise SpecMismatch(
             f"grid derivative at spacing h = {h:g} must vanish at the "
-            f"truncation boundary: |psi'(-T)| = {first:.2e}, "
-            f"|psi'(T)| = {last:.2e}")
-    return dl0, dr0
+            f"truncation boundary: |psi'({'-T' if left else 'T'})| = "
+            f"{end:.2e}")
+    return trace
+
+
+def _derivative_half(spec: GridSpec, left: bool, half: Half) -> Half:
+    """The half's grid derivative, formed whole, with its trace, checked by
+    ``_derivative_trace``; the shared zero half is its own derivative."""
+    values = half.values
+    if _is_zero_half(values, spec.n_nodes):
+        return Half(values, _derivative_trace(spec, left, half))
+    d = _derivative_chunk(values, spec.spacing, 0, values.size,
+                          np.empty_like(values))
+    return Half(d, _derivative_trace(spec, left, half,
+                                     np.isfinite(d.view(np.float64)).all()))
 
 
 def derivative(f: GridFunction) -> GridFunction:
@@ -352,14 +477,8 @@ def derivative(f: GridFunction) -> GridFunction:
     (``_l2_half``), so no caller keeps one. The shared zero half is its own
     derivative.
     """
-    h, n = f.spec.spacing, f.spec.n_nodes
-    dleft, dright = (
-        values if _is_zero_half(values, n)
-        else _derivative_chunk(values, h, 0, n, np.empty_like(values))
-        for values in (f.left, f.right))
-    dl0, dr0 = _derivative_traces(
-        f, all(np.isfinite(d.view(np.float64)).all() for d in (dleft, dright)))
-    return GridFunction(f.spec, dleft, dright, dl0, dr0)
+    dl, dr = (_derivative_half(f.spec, left, f.half(left)) for left in SIDES)
+    return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
 
 
 # Nodes per chunk of the pairing products and of the in-place panel steps of
@@ -409,32 +528,39 @@ def l2_inner(f: GridFunction, g: GridFunction) -> complex:
     return _pairing(f, g, False, False)
 
 
-def _pairing(f: GridFunction, g: GridFunction, diff_f: bool, diff_g: bool,
-             panel: Optional[np.ndarray] = None) -> complex:
-    """L2 pairing of f, or f' when ``diff_f``, with g, or g' when ``diff_g``,
-    each product formed in ``panel`` (one n-node buffer, fresh when None);
-    equal bit for bit to ``l2_inner`` on the materialized derivatives.
+def _pair_half(spec: GridSpec, left: bool, f: Half, g: Half, diff_f: bool,
+               diff_g: bool, panel: Optional[np.ndarray] = None) -> complex:
+    """One half-line's L2 pairing of f, or f' when ``diff_f``, with g, or g'
+    when ``diff_g``, the product formed in ``panel`` (one n-node buffer,
+    fresh when None); equal bit for bit to the same half of ``l2_inner``
+    on the materialized derivatives.
 
-    Any non-finite derivative value that enters a product makes the sum
-    non-finite, so only then are the derivatives formed whole, for
-    ``derivative`` to refuse them; a half paired with the shared zero half
-    is never differentiated, so its derivative is not checked there.
+    Any non-finite derivative value that enters the product makes the sum
+    non-finite, so only then is the half's derivative formed whole, for
+    ``_derivative_half`` to refuse it; a half paired with the shared zero
+    half is never differentiated, so its derivative is not checked there.
     """
-    require_same_spec(f, g)
-    h, n = f.spec.spacing, f.spec.n_nodes
-    if panel is None:
-        panel = np.empty(n, dtype=complex)
-    fl, fr = _derivative_traces(f) if diff_f else (f.left_limit, f.right_limit)
-    gl, gr = _derivative_traces(g) if diff_g else (g.left_limit, g.right_limit)
-    value = (_l2_half(f.left, g.left, np.conj(fl) * gl, h, n, True,
-                      diff_f, diff_g, panel)
-             + _l2_half(f.right, g.right, np.conj(fr) * gr, h, n, False,
-                        diff_f, diff_g, panel))
+    fb = _derivative_trace(spec, left, f) if diff_f else f.limit
+    gb = _derivative_trace(spec, left, g) if diff_g else g.limit
+    value = _l2_half(f.values, g.values, np.conj(fb) * gb, spec.spacing,
+                     spec.n_nodes, left, diff_f, diff_g, panel)
     if not cmath.isfinite(value):
         for u, diff in ((f, diff_f), (g, diff_g)):
             if diff:
-                derivative(u)
+                _derivative_half(spec, left, u)
     return value
+
+
+def _pairing(f: GridFunction, g: GridFunction, diff_f: bool, diff_g: bool,
+             panel: Optional[np.ndarray] = None) -> complex:
+    """``_pair_half`` on the left half-line plus the right, both in one
+    panel (fresh when None)."""
+    require_same_spec(f, g)
+    if panel is None:
+        panel = np.empty(f.spec.n_nodes, dtype=complex)
+    left, right = (_pair_half(f.spec, side, f.half(side), g.half(side),
+                              diff_f, diff_g, panel) for side in SIDES)
+    return left + right
 
 
 def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
@@ -469,19 +595,41 @@ def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
     return _trapezoid_half(product, boundary, h, boundary_is_right)
 
 
+def sobolev_half(spec: GridSpec, left: bool, f: Half, g: Half,
+                 panel: Optional[np.ndarray] = None) -> tuple:
+    """One half-line's terms (L2, D) of the Sobolev pairing <f|g>_S: the L2
+    pairing and the derivative pairing, both formed in ``panel``."""
+    return (_pair_half(spec, left, f, g, False, False, panel),
+            _pair_half(spec, left, f, g, True, True, panel))
+
+
+def sobolev_total(left: tuple, right: tuple) -> complex:
+    """<f|g>_S from the ``sobolev_half`` terms of both half-lines,
+    (L2_- + L2_+) + (D_- + D_+)."""
+    return (left[0] + right[0]) + (left[1] + right[1])
+
+
 def sobolev_inner(f: GridFunction, g: GridFunction,
                   panel: Optional[np.ndarray] = None) -> complex:
-    """Sobolev pairing int (conj(f) g + conj(f') g'), both parts formed in
+    """Sobolev pairing int (conj(f) g + conj(f') g'), every part formed in
     one n-node panel buffer (``panel`` when lent, else fresh) and no
     derivative formed whole."""
+    require_same_spec(f, g)
     if panel is None:
         panel = np.empty(f.spec.n_nodes, dtype=complex)
-    return _pairing(f, g, False, False, panel) + _pairing(f, g, True, True,
-                                                          panel)
+    return sobolev_total(*(sobolev_half(f.spec, left, f.half(left),
+                                        g.half(left), panel)
+                           for left in SIDES))
+
+
+def norm_from_inner(value: complex) -> float:
+    """The norm whose squared value is the real part of ``value``, a
+    function's pairing with itself (0 where rounding makes it negative)."""
+    return math.sqrt(max(value.real, 0.0))
 
 
 def sobolev_norm(f: GridFunction, panel: Optional[np.ndarray] = None) -> float:
-    return math.sqrt(max(sobolev_inner(f, f, panel).real, 0.0))
+    return norm_from_inner(sobolev_inner(f, f, panel))
 
 
 def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
@@ -490,8 +638,9 @@ def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
     return km * plus + kp * minus
 
 
-def zeta_eval(f: GridFunction, sigma: Optional[float]) -> complex:
-    """<zeta_sigma|f>; the symmetric delta when sigma is None."""
+def zeta_eval(f, sigma: Optional[float]) -> complex:
+    """<zeta_sigma|f> of a GridFunction or ``Traces``; the symmetric delta
+    when sigma is None."""
     if sigma is None:
         return f.delta_star
     return zeta_value(f.right_limit, f.left_limit, float(sigma))
@@ -532,10 +681,38 @@ def apply_iD(f: GridFunction) -> SingularSum:
     return SingularSum(regular=reg, coefficient=1j * f.jump)
 
 
-def jay_form(f: GridFunction, g: GridFunction) -> complex:
-    """<f|J g> = conj(f(0+)) g(0+) - conj(f(0-)) g(0-), exact boundary arithmetic."""
+def jay_form(f, g) -> complex:
+    """<f|J g> = conj(f(0+)) g(0+) - conj(f(0-)) g(0-), exact boundary
+    arithmetic on the traces of GridFunctions or ``Traces``."""
     return (np.conj(f.right_limit) * g.right_limit
             - np.conj(f.left_limit) * g.left_limit)
+
+
+def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half,
+                  panel: Optional[np.ndarray] = None) -> tuple:
+    """One half-line's terms of the regular pairings <f|g'> and <g|f'>,
+    each derivative streamed, so neither g' nor f' is formed whole."""
+    return (_pair_half(spec, left, f, g, False, True, panel),
+            _pair_half(spec, left, g, f, False, True, panel))
+
+
+def symmetry_values(left: tuple, right: tuple, f, g, sigma: float) -> dict:
+    """The residuals of ``symmetry_defects`` from both half-lines'
+    ``symmetry_half`` terms and the traces of f and g (GridFunctions or
+    ``Traces``)."""
+    f_ig = 1j * (left[0] + right[0])
+    g_if = 1j * (left[1] + right[1])
+
+    def id_defect(sig):
+        # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
+        # singular coefficient i jump against the conjugated functional
+        return abs((f_ig + 1j * g.jump * np.conj(zeta_eval(f, sig)))
+                   - np.conj(g_if + 1j * f.jump * np.conj(zeta_eval(g, sig))))
+
+    return {"boundary_form_vs_traces": abs(f_ig - np.conj(g_if)
+                                           + 1j * jay_form(f, g)),
+            "id_symmetry_defect": id_defect(None),
+            "id_symmetry_defect_damped": id_defect(sigma)}
 
 
 def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float,
@@ -550,47 +727,52 @@ def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float,
     computed once each, with the derivative streamed, so neither g' nor i g'
     is formed whole.
     """
-    f_ig = 1j * _pairing(f, g, False, True, panel)
-    g_if = 1j * _pairing(g, f, False, True, panel)
+    require_same_spec(f, g)
+    if panel is None:
+        panel = np.empty(f.spec.n_nodes, dtype=complex)
+    return symmetry_values(*(symmetry_half(f.spec, left, f.half(left),
+                                           g.half(left), panel)
+                             for left in SIDES), f, g, sigma)
 
-    def id_defect(sig):
-        # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
-        # singular coefficient i jump against the conjugated functional
-        return abs((f_ig + 1j * g.jump * np.conj(zeta_eval(f, sig)))
-                   - np.conj(g_if + 1j * f.jump * np.conj(zeta_eval(g, sig))))
 
-    return {"boundary_form_vs_traces": abs(f_ig - np.conj(g_if)
-                                           + 1j * jay_form(f, g)),
-            "id_symmetry_defect": id_defect(None),
-            "id_symmetry_defect_damped": id_defect(sigma)}
+def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
+                       sign: float) -> float:
+    """The largest node value of |i phi' + sign i phi| on one half-line, or
+    0 if that is larger (O(h^2)); 0 on the shared zero half. The half's
+    derivative is checked as ``derivative`` checks it.
+
+    Reduced chunk by chunk with no full-size temporary, each node rounded
+    as in ``apply_iD(phi).regular + (sign i) phi``.
+    """
+    h, n = spec.spacing, spec.n_nodes
+    _derivative_trace(spec, left, phi)
+    values = phi.values
+    if _is_zero_half(values, n):
+        return 0.0
+
+    def residual(start, stop, out):
+        d = _derivative_chunk(values, h, start, stop, out)
+        np.multiply(1j, d, out=d)
+        d += (sign * 1j) * values[start:stop]
+        return d
+    return max(0.0, _chunked_max_abs(n, residual))
+
+
+def eigenrelation_values(traces, left: float, right: float) -> dict:
+    """"coefficient" is |i jump(phi) - 1|, the singular coefficient of
+    ``apply_iD`` against its value 1 (exact), from phi's ``traces``, and
+    "regular" the larger ``eigenrelation_half`` residual of the halves."""
+    return {"coefficient": abs(1j * traces.jump - 1.0),
+            "regular": max(left, right)}
 
 
 def eigenrelation_defects(phi: GridFunction, sign: float) -> dict:
     """Residuals of the eigenrelation iD phi = -sign i phi of a defect
-    vector (sign +1 for phi_+, -1 for phi_-): "coefficient" is
-    |i jump(phi) - 1|, the singular coefficient of ``apply_iD`` against
-    its value 1 (exact), and "regular" the largest node value of
-    |i phi' + sign i phi| (O(h^2)).
-
-    The regular residual is reduced chunk by chunk with no full-size
-    temporary, each node rounded as in ``apply_iD(phi).regular + (sign i)
-    phi``; the shared zero half contributes 0. The derivative is checked
-    as ``derivative`` checks it.
-    """
-    h, n = phi.spec.spacing, phi.spec.n_nodes
-    _derivative_traces(phi)
-    regular = 0.0
-    for values in (phi.left, phi.right):
-        if _is_zero_half(values, n):
-            continue
-
-        def residual(start, stop, out):
-            d = _derivative_chunk(values, h, start, stop, out)
-            np.multiply(1j, d, out=d)
-            d += (sign * 1j) * values[start:stop]
-            return d
-        regular = max(regular, _chunked_max_abs(n, residual))
-    return {"coefficient": abs(1j * phi.jump - 1.0), "regular": regular}
+    vector (sign +1 for phi_+, -1 for phi_-): ``eigenrelation_values`` of
+    ``eigenrelation_half`` on both halves."""
+    return eigenrelation_values(phi.traces, *(
+        eigenrelation_half(phi.spec, left, phi.half(left), sign)
+        for left in SIDES))
 
 
 @dataclass(frozen=True)
@@ -603,9 +785,9 @@ class SobolevDecomposition:
     c_minus: complex
 
 
-def _defect_coefficients(f: GridFunction) -> tuple:
-    """(c_plus, c_minus) = (i psi(0+), -i psi(0-))."""
-    return 1j * f.right_limit, -1j * f.left_limit
+def defect_coefficients(left_limit: complex, right_limit: complex) -> tuple:
+    """(c_plus, c_minus) = (i psi(0+), -i psi(0-)) from the traces."""
+    return 1j * right_limit, -1j * left_limit
 
 
 def _psi0_chunk(c: complex, phi: np.ndarray, values: np.ndarray, n: int,
@@ -621,34 +803,39 @@ def _psi0_chunk(c: complex, phi: np.ndarray, values: np.ndarray, n: int,
     return np.subtract(values[start:stop], cphi, out=out)
 
 
-def decompose_sobolev(f: GridFunction,
-                      out: Optional[tuple] = None) -> SobolevDecomposition:
+def _psi0_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
+               c_minus: complex, phi_plus: Half, phi_minus: Half,
+               out: np.ndarray) -> Half:
+    """One half of psi0 = f - c_plus phi_+ - c_minus phi_-, unchecked,
+    rounded as that GridFunction expression rounds it: phi_- lives on the
+    left half-line and phi_+ on the right, so the half is c phi subtracted
+    from f's half, chunk by chunk, into ``out``, which may be f's own
+    storage (each node of f is read just before psi0 overwrites it)."""
+    n = spec.n_nodes
+    c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
+    cphi = np.empty(min(PANEL_CHUNK, n), dtype=complex)
+    for start, stop in node_chunks(n):
+        _psi0_chunk(c, phi.values, f.values, n, start, stop, out[start:stop],
+                    cphi[:stop - start])
+    return Half(out, (f.limit - c_plus * phi_plus.limit)
+                - c_minus * phi_minus.limit)
+
+
+def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     """Split off the defect-vector components: c_pm = +-i psi(0+-).
 
-    psi0 = f - c_plus phi_+ - c_minus phi_-, rounded as that GridFunction
-    expression rounds it: phi_- lives on the left half-line and phi_+ on the
-    right, so each half of psi0 is c phi subtracted from the half of f,
-    chunk by chunk, into ``out``, a (left, right) pair of n-node buffers
-    (fresh when None). ``out`` may be f's own storage: each node of f is
-    read just before psi0 overwrites it, and f is spent afterwards.
+    psi0 = f - c_plus phi_+ - c_minus phi_-, each half formed by
+    ``_psi0_half``.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     n = f.spec.n_nodes
-    c_plus, c_minus = _defect_coefficients(f)
-    if out is None:
-        out = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
-    cphi = np.empty(min(PANEL_CHUNK, n), dtype=complex)
-    for c, phi, values, half in ((c_minus, phi_minus.left, f.left, out[0]),
-                                 (c_plus, phi_plus.right, f.right, out[1])):
-        for start, stop in node_chunks(n):
-            _psi0_chunk(c, phi, values, n, start, stop, half[start:stop],
-                        cphi[:stop - start])
-    psi0 = GridFunction(
-        f.spec, *out,
-        (f.left_limit - c_plus * phi_plus.left_limit)
-        - c_minus * phi_minus.left_limit,
-        (f.right_limit - c_plus * phi_plus.right_limit)
-        - c_minus * phi_minus.right_limit)
+    c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
+    left, right = (_psi0_half(f.spec, side, f.half(side), c_plus, c_minus,
+                              phi_plus.half(side), phi_minus.half(side),
+                              np.empty(n, dtype=complex))
+                   for side in SIDES)
+    psi0 = GridFunction(f.spec, left.values, right.values, left.limit,
+                        right.limit)
     return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
 
 
@@ -661,70 +848,128 @@ def _chunked_max_abs(n: int, form: Callable) -> float:
                          for start, stop in node_chunks(n)]))
 
 
+def reproducing_half(spec: GridSpec, left: bool, phi_plus: Half,
+                     phi_minus: Half, psi_r: Half, psi_l: Half,
+                     panel: Optional[np.ndarray] = None) -> tuple:
+    """One half-line's ``sobolev_half`` terms of <phi_+|psi_r>_S and
+    <phi_-|psi_l>_S."""
+    return (sobolev_half(spec, left, phi_plus, psi_r, panel),
+            sobolev_half(spec, left, phi_minus, psi_l, panel))
+
+
+def reproducing_residuals(left: tuple, right: tuple, psi_r_trace: complex,
+                          psi_l_trace: complex) -> tuple:
+    """|<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|
+    from both half-lines' ``reproducing_half`` terms. Each psi is paired
+    with phi_pm itself and the product rotated, <i phi_+|psi>_S =
+    -i <phi_+|psi>_S and <-i phi_-|psi>_S = i <phi_-|psi>_S: a factor of
+    +-i only swaps and negates components, so the rotation commutes with
+    every rounding of the pairing and no scaled copy of phi_pm, or
+    derivative of one, is formed."""
+    return (abs(-1j * sobolev_total(left[0], right[0]) - psi_r_trace),
+            abs(1j * sobolev_total(left[1], right[1]) - psi_l_trace))
+
+
 def reproducing_defects(spec: GridSpec, pairs,
                         panel: Optional[np.ndarray] = None) -> tuple:
-    """Largest reproducing residuals over (psi_r, psi_l) pairs:
-    |<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|,
-    each O(h^2). Each psi is paired with phi_pm itself and the product
-    rotated, <i phi_+|psi>_S = -i <phi_+|psi>_S and <-i phi_-|psi>_S =
-    i <phi_-|psi>_S: a factor of +-i only swaps and negates components, so
-    the rotation commutes with every rounding of the pairing and no scaled
-    copy of phi_pm, or derivative of one, is formed. The pairs are read one
-    at a time and each is released before the next is read, so a generator
-    that draws them holds one pair at once, or may draw each pair into the
-    buffers of the last."""
+    """Largest ``reproducing_residuals`` over (psi_r, psi_l) pairs, each
+    O(h^2). The pairs are read one at a time and each is released before
+    the next is read, so a generator that draws them holds one pair at
+    once, or may draw each pair into the buffers of the last."""
     phi_plus, phi_minus = defect_vectors(spec)
+    if panel is None:
+        panel = np.empty(spec.n_nodes, dtype=complex)
     worst_plus = worst_minus = 0.0
     for psi_r, psi_l in pairs:
-        worst_plus = max(worst_plus, abs(
-            -1j * sobolev_inner(phi_plus, psi_r, panel) - psi_r.right_limit))
-        worst_minus = max(worst_minus, abs(
-            1j * sobolev_inner(phi_minus, psi_l, panel) - psi_l.left_limit))
+        require_same_spec(phi_plus, psi_r)
+        require_same_spec(phi_plus, psi_l)
+        plus, minus = reproducing_residuals(
+            *(reproducing_half(spec, left, phi_plus.half(left),
+                               phi_minus.half(left), psi_r.half(left),
+                               psi_l.half(left), panel) for left in SIDES),
+            psi_r.right_limit, psi_l.left_limit)
+        worst_plus = max(worst_plus, plus)
+        worst_minus = max(worst_minus, minus)
         del psi_r, psi_l
     return worst_plus, worst_minus
 
 
-def decomposition_defects(f: GridFunction, panel: Optional[np.ndarray] = None,
-                          out: Optional[tuple] = None) -> dict:
-    """Residuals of ``decompose_sobolev(f, out)``: "boundary_zero" is the
-    larger |psi0(0+-)| (exactly zero), "orthogonality" the larger
+def decomposition_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
+                       c_minus: complex, phi_plus: Half, phi_minus: Half,
+                       out: np.ndarray, reference: Callable,
+                       panel: Optional[np.ndarray] = None) -> tuple:
+    """One half-line of ``decomposition_defects``: psi0's half, formed by
+    ``_psi0_half`` into ``out`` (which may hold f itself; f is spent then)
+    and checked, and this half's (reconstruction, psi0 trace, Sobolev
+    terms of <psi0|psi0>, <phi_+|psi0> and <phi_-|psi0>).
+
+    The reconstruction residual is the largest node value of
+    (psi0 + c phi) - f, reduced chunk by chunk from psi0 as stored against
+    ``reference(start, stop, buf)``, f's nodes start:stop from a source
+    that psi0 does not overwrite (a draw re-evaluated from its closure into
+    ``buf``, or the values of an f that ``out`` does not hold). With psi0
+    formed right it rounds as the GridFunction expression
+    psi0 + c_plus phi_+ + c_minus phi_- - f; a wrong psi0 shows in it.
+    """
+    n = spec.n_nodes
+    psi0 = _check_half(spec, left, *_psi0_half(
+        spec, left, f, c_plus, c_minus, phi_plus, phi_minus, out))
+    c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
+    f_chunk = np.empty(min(PANEL_CHUNK, n), dtype=complex)
+
+    def residual(start, stop, buf):
+        # c phi + psi0 rounds as psi0 + c phi: addition commutes exactly
+        np.multiply(c, phi.values[start:stop], out=buf)
+        buf += psi0.values[start:stop]
+        buf -= reference(start, stop, f_chunk[:stop - start])
+        return buf
+    reconstruction = _chunked_max_abs(n, residual)
+    return (reconstruction, psi0.limit,
+            tuple(sobolev_half(spec, left, u, psi0, panel)
+                  for u in (psi0, phi_plus, phi_minus)))
+
+
+def decomposition_values(left: tuple, right: tuple) -> dict:
+    """The residuals of ``decomposition_defects`` from both half-lines'
+    ``decomposition_half`` results."""
+    (rec_l, trace_l, (self_l, plus_l, minus_l)) = left
+    (rec_r, trace_r, (self_r, plus_r, minus_r)) = right
+    scale = norm_from_inner(sobolev_total(self_l, self_r))
+    return {
+        "boundary_zero": max(abs(trace_l), abs(trace_r)),
+        "orthogonality": max(abs(sobolev_total(plus_l, plus_r)) / scale,
+                             abs(sobolev_total(minus_l, minus_r)) / scale),
+        "reconstruction": max(max(0.0, rec_l), rec_r),
+    }
+
+
+def _values_reference(values: np.ndarray) -> Callable:
+    """A ``decomposition_half`` reference that reads stored values."""
+    return lambda start, stop, buf: values[start:stop]
+
+
+def decomposition_defects(f: GridFunction,
+                          panel: Optional[np.ndarray] = None) -> dict:
+    """Residuals of ``decompose_sobolev(f)``: "boundary_zero" is the larger
+    |psi0(0+-)| (exactly zero), "orthogonality" the larger
     |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
     node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
 
-    The reconstruction residual is reduced first, from f and c phi alone,
-    chunk by chunk with no full-size temporary: phi_- lives on the left half
-    and phi_+ on the right, so each half is (psi0 + c phi) - f, each psi0
-    chunk formed as ``decompose_sobolev`` forms it, rounded as in the
-    GridFunction sum. Only then is psi0 formed, into ``out``, which may be
-    f's own storage. After that this function holds no reference to ``f``,
-    so a caller that keeps none either frees it before psi0's pairings.
+    ``decomposition_half`` on each half, psi0 formed into one fresh
+    half-line buffer that both halves reuse, the residual reduced against
+    f's own values; f is left as it was.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     n = f.spec.n_nodes
-    c_plus, c_minus = _defect_coefficients(f)
-    cphi = np.empty(min(PANEL_CHUNK, n), dtype=complex)
-    reconstruction = 0.0
-    for c, phi, values in ((c_minus, phi_minus.left, f.left),
-                           (c_plus, phi_plus.right, f.right)):
-        def residual(start, stop, buf):
-            psi0 = _psi0_chunk(c, phi, values, n, start, stop, buf,
-                               cphi[:stop - start])
-            psi0 += cphi[:stop - start]
-            psi0 -= values[start:stop]
-            return psi0
-        reconstruction = max(reconstruction, _chunked_max_abs(n, residual))
-    del values
-    dec = decompose_sobolev(f, out)
-    del f
-    scale = sobolev_norm(dec.psi0, panel)
-    return {
-        "boundary_zero": max(abs(dec.psi0.left_limit),
-                             abs(dec.psi0.right_limit)),
-        "orthogonality": max(
-            abs(sobolev_inner(phi_plus, dec.psi0, panel)) / scale,
-            abs(sobolev_inner(phi_minus, dec.psi0, panel)) / scale),
-        "reconstruction": reconstruction,
-    }
+    c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
+    if panel is None:
+        panel = np.empty(n, dtype=complex)
+    out = np.empty(n, dtype=complex)
+    return decomposition_values(*(
+        decomposition_half(f.spec, left, f.half(left), c_plus, c_minus,
+                           phi_plus.half(left), phi_minus.half(left), out,
+                           _values_reference(f.half(left).values), panel)
+        for left in SIDES))
 
 
 @dataclass(frozen=True)

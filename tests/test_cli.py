@@ -373,10 +373,11 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
     def test_coarse_grid_blames_the_grid_derivative(self, tmp_path):
-        # At T = 30, h = 2.5 the one-sided end stencil of phi_+'s derivative,
-        # e^-30 (3 - 4 e^h + e^2h) / 2h, exceeds the decay tolerance; the
-        # user gave no function, so the message names the derivative and
-        # the spacing.
+        # At T = 30, h = 2.5 the one-sided end stencil of a defect vector's
+        # derivative, e^-30 (3 - 4 e^h + e^2h) / 2h at T (phi_+) and at -T
+        # (phi_-, met first: the left half-line comes first), exceeds the
+        # decay tolerance; the user gave no function, so the message names
+        # the derivative and the spacing.
         coarse = dict(SCALAR_MODEL, grid={"T": 30.0, "h": 2.5})
         path = tmp_path / "coarse_grid.json"
         path.write_text(json.dumps(coarse))

@@ -11,6 +11,7 @@ from slhkit.ensembles import EXP_ZERO_BELOW, random_bump, random_grid_function
 from slhkit.report import Report
 from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLarge
 from slhkit.punctured_line import (
+    SIDES,
     GridFunction,
     GridSpec,
     PANEL_CHUNK,
@@ -20,6 +21,9 @@ from slhkit.punctured_line import (
     boundary_phase,
     decompose_sobolev,
     decomposition_defects,
+    decomposition_half,
+    decomposition_values,
+    defect_coefficients,
     defect_vectors,
     derivative,
     eigenrelation_defects,
@@ -28,6 +32,7 @@ from slhkit.punctured_line import (
     l2_inner,
     reproducing_defects,
     sample,
+    sample_half,
     scatter_regularized,
     sobolev_inner,
     sobolev_norm,
@@ -78,18 +83,22 @@ class TestGrid:
         assert GridSpec(40.0, 1e-5).n_nodes == 4_000_000
 
     def test_size_guard_edge(self):
-        # 2 GiB over DEFECT_LIVE_ARRAYS = 5 two-sided arrays of 32 B per
-        # node admits 13,421,772 nodes per half-line.
+        # 2 GiB over DEFECT_LIVE_ARRAYS = 3 two-sided arrays of 32 B per
+        # node admits 22,369,621 nodes per half-line.
         assert GridSpec(40.0, 4e-6).n_nodes == 10_000_000
-        assert GridSpec(40.0, 3.2e-6).n_nodes == 12_500_000
-        assert GridSpec(13.4, 1e-6).n_nodes == 13_400_000
+        assert GridSpec(13.5, 1e-6).n_nodes == 13_500_000
+        assert GridSpec(22.3, 1e-6).n_nodes == 22_300_000
         with pytest.raises(TooLarge):
-            GridSpec(13.5, 1e-6)       # 13.5M nodes
+            GridSpec(22.4, 1e-6)       # 22.4M nodes
 
     @pytest.mark.parametrize("half_width,spacing", [(30.0, 3e-3), (40.0, 2e-3)])
     def test_defect_suite_peak_within_guard(self, half_width, spacing):
         # The guard's premise: the CLI defect suite never holds more than
-        # DEFECT_LIVE_ARRAYS two-sided complex arrays.
+        # DEFECT_LIVE_ARRAYS two-sided complex arrays. Working one
+        # half-line at a time it holds the panel, two half-line buffers,
+        # one node grid and chunk buffers: measured 2.56 and 2.15 arrays
+        # at these sizes. A cached defect pair or a second draw half would
+        # add 0.5 or more.
         config = config_from_dict({"m": 1, "n": 1,
                                    "E": [[[0.3, 0.0], [0.5, -0.2]],
                                          [[0.5, 0.2], [1.0, 0.0]]],
@@ -105,75 +114,121 @@ class TestGrid:
         finally:
             tracemalloc.stop()
         assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * 32 * n
+        measured = {(30.0, 3e-3): 2.56, (40.0, 2e-3): 2.15}
+        assert peak <= (measured[half_width, spacing] + 0.1) * 32 * n
 
     def test_defect_suite_releases_the_defect_pair(self):
-        # The later check groups run without the cached pair.
+        # The groups form each defect-vector half in closed form in a lent
+        # buffer: the two-sided cached pair is never asked for.
         config = config_from_dict({"m": 1, "n": 1,
                                    "E": [[[0.3, 0.0], [0.5, -0.2]],
                                          [[0.5, 0.2], [1.0, 0.0]]],
                                    "grid": {"T": 30.0, "h": 3e-3}})
+        defect_vectors.cache_clear()
         command_defect(config, 0, 0, Report("defect", ""))
-        assert defect_vectors.cache_info().currsize == 0
+        info = defect_vectors.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_defect_suite_draws_into_the_lent_buffers(self, monkeypatch):
-        # Every reproducing and decomposition draw, and every psi0, writes
-        # into the same two half-line buffers, and every pairing into one
-        # panel; in the symmetry group f is drawn into the buffers and g,
-        # read beside it, shares no memory with them. Checked on the arrays
-        # themselves, so it does not depend on what the allocator reuses.
+        # Every group evaluates into the same two half-line buffers: each
+        # closed-form phi half into the first; every reproducing and
+        # decomposition draw, and every psi0, into the second; the symmetry
+        # checks' f into the first and g into the second. Every pairing
+        # gets the one panel. Checked on the arrays themselves, so it does
+        # not depend on what the allocator reuses.
         config = config_from_dict({"m": 1, "n": 1,
                                    "E": [[[0.3, 0.0], [0.5, -0.2]],
                                          [[0.5, 0.2], [1.0, 0.0]]],
                                    "grid": {"T": 30.0, "h": 3e-3}})
-        seen = {"sample": [], "random_grid_function": [], "psi0": [],
-                "panel": []}
+        n = GridSpec(30.0, 3e-3).n_nodes
+        seen = {"phi": [], "draw": [], "psi0": [], "panel": []}
 
-        def recording(name, fn, keep=lambda result: result):
+        def recording(name, fn, keep):
             def run(*args, **kwargs):
                 result = fn(*args, **kwargs)
-                seen[name].append(keep(result))
+                seen[name].extend(keep(result))
                 return result
             return run
 
-        def pairing(f, g, diff_f, diff_g, panel=None):
-            seen["panel"].append(panel)
-            return original_pairing(f, g, diff_f, diff_g, panel)
+        def evaluated(*halves):
+            return [h.values for h in halves if h.values is not zero_half(n)]
 
-        original_pairing = punctured_line._pairing
-        for name in ("sample", "random_grid_function"):
-            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
-        monkeypatch.setattr(punctured_line, "decompose_sobolev", recording(
-            "psi0", punctured_line.decompose_sobolev, lambda dec: dec.psi0))
-        monkeypatch.setattr(punctured_line, "_pairing", pairing)
+        def pair_half(spec, left, f, g, diff_f, diff_g, panel=None):
+            seen["panel"].append(panel)
+            return original_pair_half(spec, left, f, g, diff_f, diff_g, panel)
+
+        original_pair_half = punctured_line._pair_half
+        monkeypatch.setattr(cli, "defect_halves", recording(
+            "phi", cli.defect_halves, lambda pair: evaluated(*pair)))
+        monkeypatch.setattr(cli, "sample_half", recording(
+            "draw", cli.sample_half, evaluated))
+        monkeypatch.setattr(punctured_line, "_psi0_half", recording(
+            "psi0", punctured_line._psi0_half, evaluated))
+        monkeypatch.setattr(punctured_line, "_pair_half", pair_half)
         command_defect(config, 0, 0, Report("defect", ""))
 
-        n = GridSpec(30.0, 3e-3).n_nodes
-        draws, functions = seen["sample"], seen["random_grid_function"]
-        assert (len(draws), len(functions), len(seen["psi0"])) == (20, 12, 10)
-        right, left = draws[0].right, draws[1].left
-        assert not np.shares_memory(left, right)
-        for psi_r, psi_l in zip(draws[::2], draws[1::2]):
-            assert psi_r.left is zero_half(n) and psi_l.right is zero_half(n)
-            assert np.shares_memory(psi_r.right, right)
-            assert np.shares_memory(psi_l.left, left)
-        for u in functions[:10] + seen["psi0"] + functions[10:11]:
-            assert np.shares_memory(u.left, left)
-            assert np.shares_memory(u.right, right)
-        g = functions[11]
-        assert not any(np.shares_memory(a, b) for a in (g.left, g.right)
-                       for b in (left, right))
+        phi, draws, psi0 = seen["phi"], seen["draw"], seen["psi0"]
+        # four groups pair phi, two passes each; 20 reproducing, 20
+        # decomposition and 4 symmetry half evaluations
+        assert (len(phi), len(draws), len(psi0)) == (8, 44, 20)
+        first, second = phi[0], draws[0]
+        assert not np.shares_memory(first, second)
+        assert all(np.shares_memory(v, first) for v in phi + draws[40::2])
+        assert all(np.shares_memory(v, second)
+                   for v in draws[:40] + psi0 + draws[41::2])
         panel = seen["panel"][0]
         assert panel is not None and panel.shape == (n,)
         assert all(p is panel for p in seen["panel"])
 
+    def test_defect_suite_matches_the_two_sided_functions(self):
+        # The suite's half-line passes and the two-sided functions run the
+        # same per-half code: on the same draws every value is equal bit
+        # for bit.
+        spec = GridSpec(30.0, 3e-3)
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": 30.0, "h": 3e-3}, "seed": 5})
+        report = Report("defect", "")
+        command_defect(config, 5, 0, report)
+        got = {c.name: c.value for c in report.checks}
+
+        rng = np.random.default_rng(5)
+        pp, pm = defect_vectors(spec)
+        expected = {"jump_on_defect_plus": abs(pp.jump - (-1j)),
+                    "jump_on_defect_minus": abs(pm.jump - (-1j)),
+                    "defect_norm_plus": abs(sobolev_norm(pp) - 1.0),
+                    "defect_norm_minus": abs(sobolev_norm(pm) - 1.0),
+                    "defect_overlap": abs(sobolev_inner(pp, pm))}
+        expected["reproducing_plus"], expected["reproducing_minus"] = \
+            reproducing_defects(spec, (
+                (sample(spec, right=random_bump(rng, "right")),
+                 sample(spec, left=random_bump(rng, "left")))
+                for _ in range(10)))
+        for _ in range(10):
+            f = random_grid_function(rng, spec)
+            for key, value in decomposition_defects(f).items():
+                name = f"decomposition_{key}"
+                expected[name] = max(expected.get(name, 0.0), value)
+        for name, phi, sign in (("plus", pp, 1.0), ("minus", pm, -1.0)):
+            for key, value in eigenrelation_defects(phi, sign).items():
+                expected[f"eigenrelation_{name}_{key}"] = value
+        rng.uniform(-1, 1, size=(3, 100, 4, 2))  # the jump-splitting draw
+        f = random_grid_function(rng, spec)
+        expected.update(symmetry_defects(f, random_grid_function(rng, spec),
+                                         0.3))
+        assert len(expected) == 17
+        for name, value in expected.items():
+            assert got[name] == value, name
+
     def test_reproducing_defects_releases_each_pair(self):
-        # The pairs come from a generator, as in the CLI suite. While the next
-        # pair is drawn, the previous one must already be free, the pairing
-        # with phi_pm is rotated rather than formed on scaled copies of
-        # phi_pm, and every derivative is streamed: the peak stays near 3.2
-        # two-sided arrays (defect vectors, one pair, the shared zero half,
-        # one half-line pairing panel and its chunk buffers), not 4.0 (two
-        # pairs, scaled copies or a derivative formed whole) or more.
+        # The pairs come from a generator. While the next pair is drawn, the
+        # previous one must already be free, the pairing with phi_pm is
+        # rotated rather than formed on scaled copies of phi_pm, and every
+        # derivative is streamed: the peak stays near 2.9 two-sided arrays
+        # (defect vectors, one pair, one half-line pairing panel, one draw's
+        # node grid and chunk buffers), not 3.4 (two pairs, scaled copies or
+        # a derivative formed whole) or more.
         spec = GridSpec(40.0, 2e-3)
         rng = np.random.default_rng(0)
         defect_vectors.cache_clear()
@@ -187,7 +242,7 @@ class TestGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 32 * spec.n_nodes
+        assert peak <= 3.0 * 32 * spec.n_nodes
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -385,6 +440,22 @@ class TestRandomBump:
                 assert np.array_equal(got.view(np.int64),
                                       expected.view(np.int64))
 
+    def test_bump_on_node_chunks_matches_whole_evaluation(self):
+        # The CLI reduces the reconstruction residual against each draw
+        # re-evaluated on one node chunk at a time; that must be the
+        # drawn values bit for bit, partial last chunk included.
+        spec = GridSpec(30.0, 3e-3)
+        rng = np.random.default_rng(21)
+        for side in ("left", "right"):
+            bump = random_bump(rng, side)
+            nodes = spec.nodes(side == "left")
+            whole = bump(nodes)
+            chunk = np.empty(PANEL_CHUNK, dtype=complex)
+            for start, stop in punctured_line.node_chunks(spec.n_nodes):
+                got = bump(nodes[start:stop], out=chunk[:stop - start])
+                assert np.array_equal(got.view(np.int64),
+                                      whole[start:stop].view(np.int64))
+
 
 class TestApplyiD:
     def test_smooth_function_has_no_singular_part(self):
@@ -560,53 +631,92 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_psi0_over_f_storage_matches_fresh_psi0(self, spec):
-        # f drawn into lent buffers, then psi0 formed over them: psi0 and
+        # As the CLI suite does: f's halves drawn into lent buffers, then
+        # psi0 formed over them half by half by decomposition_half, the
+        # residual reduced against an independent copy of f. psi0 and
         # every residual equal those of a fresh psi0 beside an untouched
-        # copy of f, bit for bit, the reconstruction residual included
+        # copy of f, bit for bit, the reconstruction residual included.
         rng = np.random.default_rng(17)
         pp, pm = defect_vectors(spec)
         n = spec.n_nodes
-        draws = (lambda out: random_grid_function(rng, spec, out=out),
-                 lambda out: sample(spec, right=random_bump(rng, "right"),
-                                    out=out),
-                 lambda out: sample(spec, left=random_bump(rng, "left"),
-                                    out=out))
-        for draw in draws:
-            for form in (decompose_sobolev, decomposition_defects):
-                halves = (np.empty(n, dtype=complex),
-                          np.empty(n, dtype=complex))
-                f = draw(halves)
-                copy = GridFunction(
-                    spec, *(a if a is zero_half(n) else a.copy()
-                            for a in (f.left, f.right)),
-                    f.left_limit, f.right_limit)
-                fresh = decompose_sobolev(copy)
-                if form is decompose_sobolev:
-                    dec = decompose_sobolev(f, halves)
-                    assert (dec.c_plus, dec.c_minus) == (fresh.c_plus,
-                                                         fresh.c_minus)
-                    assert dec.psi0.left_limit == fresh.psi0.left_limit
-                    assert dec.psi0.right_limit == fresh.psi0.right_limit
-                    assert np.shares_memory(dec.psi0.left, halves[0])
-                    assert np.shares_memory(dec.psi0.right, halves[1])
-                else:
-                    diff = fresh.psi0 + fresh.c_plus * pp + fresh.c_minus * pm \
-                        - copy
-                    defects = decomposition_defects(f, out=halves)
-                    assert defects == decomposition_defects(copy)
-                    assert defects["reconstruction"] == max(
-                        float(np.abs(diff.left).max()),
-                        float(np.abs(diff.right).max()))
-                for got, want in zip(halves, (fresh.psi0.left,
-                                              fresh.psi0.right)):
-                    assert np.array_equal(got.view(np.int64),
-                                          want.view(np.int64))
+        for sides in (("left", "right"), ("right",), ("left",)):
+            bumps = {side: random_bump(rng, side) for side in sides}
+            halves = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+            lh, rh = (sample_half(spec, left,
+                                  bumps.get("left" if left else "right"),
+                                  out=buf)
+                      for left, buf in zip(SIDES, halves))
+            f = GridFunction(spec, lh.values, rh.values, lh.limit, rh.limit)
+            copy = GridFunction(
+                spec, *(a if a is zero_half(n) else a.copy()
+                        for a in (f.left, f.right)),
+                f.left_limit, f.right_limit)
+            fresh = decompose_sobolev(copy)
+            diff = fresh.psi0 + fresh.c_plus * pp + fresh.c_minus * pm - copy
+            c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
+            terms = []
+            for left, buf in zip(SIDES, halves):
+                reference = copy.half(left).values
+                terms.append(decomposition_half(
+                    spec, left, f.half(left), c_plus, c_minus, pp.half(left),
+                    pm.half(left), buf,
+                    lambda start, stop, out, ref=reference: ref[start:stop]))
+            defects = decomposition_values(*terms)
+            assert defects == decomposition_defects(copy)
+            assert defects["reconstruction"] == max(
+                float(np.abs(diff.left).max()),
+                float(np.abs(diff.right).max()))
+            for got, want in zip(halves, (fresh.psi0.left, fresh.psi0.right)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cli_reconstruction_check_sees_a_wrong_psi0(self, monkeypatch):
+        # The residual reads psi0 as stored and f from the draw itself, so
+        # the CLI check fails when psi0 is wrong: when the residual reads f
+        # from the buffer psi0 was formed over (psi0 read as f), or when
+        # c phi is subtracted twice.
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": 30.0, "h": 3e-3}})
+
+        def reconstruction():
+            report = Report("defect", "")
+            command_defect(config, 0, 0, report)
+            return next(c for c in report.checks
+                        if c.name == "decomposition_reconstruction")
+
+        assert reconstruction().passed
+        original_half = cli.decomposition_half
+        original_psi0 = punctured_line._psi0_half
+
+        def psi0_read_as_f(spec, left, f, c_plus, c_minus, phi_plus,
+                           phi_minus, out, reference, panel=None):
+            return original_half(spec, left, f, c_plus, c_minus, phi_plus,
+                                 phi_minus, out,
+                                 lambda start, stop, buf: out[start:stop],
+                                 panel)
+
+        def twice(spec, left, f, c_plus, c_minus, phi_plus, phi_minus, out):
+            once = original_psi0(spec, left, f, c_plus, c_minus, phi_plus,
+                                 phi_minus, out)
+            return original_psi0(spec, left, once, c_plus, c_minus,
+                                 phi_plus, phi_minus, out)
+
+        for target, name, mutant in ((cli, "decomposition_half",
+                                      psi0_read_as_f),
+                                     (punctured_line, "_psi0_half", twice)):
+            with monkeypatch.context() as patch:
+                patch.setattr(target, name, mutant)
+                check = reconstruction()
+            assert not check.passed and check.value > 1e-13
 
     @pytest.mark.parametrize("spec", [GridSpec(40.0, 1e-3), GridSpec(40.0, 5e-4)])
     def test_decomposition_peak(self, spec):
-        # Above f and the cached defect vectors: psi0, then one half-line
-        # pairing panel beside it, about 1.55 two-sided arrays; a residual
-        # buffer or a derivative formed whole would add 0.5 or more.
+        # Above f and the cached defect vectors: one half-line buffer that
+        # holds each half of psi0 in turn and one half-line pairing panel
+        # beside it, 1.08 to 1.16 two-sided arrays with the chunk buffers;
+        # a psi0 held on both halves, a residual buffer or a derivative
+        # formed whole would add 0.5 or more.
         rng = np.random.default_rng(12)
         f = random_grid_function(rng, spec)
         defect_vectors(spec)
@@ -616,7 +726,7 @@ class TestDecomposition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * 32 * spec.n_nodes
+        assert peak <= 1.25 * 32 * spec.n_nodes
 
 
 class TestBoundaryPhase:

@@ -8,8 +8,11 @@ import json
 import sys
 from pathlib import Path
 
-from slhkit import cli, fock
+import numpy as np
+
+from slhkit import cli, fock, punctured_line
 from slhkit.config import config_from_dict
+from slhkit.ensembles import random_grid_function
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -40,9 +43,18 @@ def test_hooks_measure_fock_and_grid_runs(monkeypatch):
     try:
         cli.run_command("fock", fock_config, 1, 1)
         cli.run_command("defect", defect_config)
+        # The defect suite pairs half-lines and calls no two-sided grid
+        # function; the grid hook reads the GridFunctions of a direct call.
+        grid_spans = len([s for s in tracer.spans
+                          if s.name.startswith("punctured_line.")])
+        spec = punctured_line.GridSpec(30.0, 3e-3)
+        rng = np.random.default_rng(0)
+        punctured_line.sobolev_inner(random_grid_function(rng, spec),
+                                     random_grid_function(rng, spec))
     finally:
         restore()
     assert not hasattr(cli.run_command, "__wrapped__")
+    assert grid_spans == 0
     totals = tracing.run_totals(tracer.spans)[0]
     for name in ("fock.dim", "fock.operator_bytes", "punctured_line.nodes",
                  "punctured_line.bytes"):

@@ -29,7 +29,13 @@ workloads.py``, seed 1) at T = 40 with h = 5e-4, 2.5e-4 and 1e-4 (80k,
 160k and 400k nodes per half-line).
 
 Every measurement is one cold call in a fresh child process with one BLAS
-thread, three per side, parent and change alternating which runs first.  Per
+thread, parent and change alternating which runs first: three per side, but
+``SOBOLEV_PAIRS`` (ten) per side for a Sobolev row, whose 2-4 ms calls
+three children cannot resolve.  A Sobolev row also records, as
+``pairs``, each side's median and quartiles of the per-child seconds, the
+number of pairs in which the change was faster, and whether the change
+wins at least nine in ten pairs with a median gap over the parent's
+interquartile range; its progress line prints them.  Per
 side a stage row records the seconds of each run and their median, the
 child's peak RSS, the total and per-sector kernel dims and, as
 ``sigma_max``, the rank-cut scale sigma~ <= sigma_max; a Sobolev row the
@@ -79,6 +85,7 @@ DEFECT_RUNS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
 # (T, h) of the Sobolev-pairing stage rows, and the timed calls per child
 SOBOLEV_GRIDS = ((40.0, 1e-3), (40.0, 5e-4))
 SOBOLEV_CALLS = 20
+SOBOLEV_PAIRS = 10
 STAGES = ("kernel", "fock-run", "sobolev", "defect-run")
 
 
@@ -215,10 +222,12 @@ def measure(src: Path, mode: str, spec: tuple) -> dict:
     return json.loads(proc.stdout)
 
 
-def alternate(trees: dict, mode: str, spec: tuple) -> dict:
-    """REPEATS measurements per side, the first side alternating."""
+def alternate(trees: dict, mode: str, spec: tuple,
+              repeats: int = REPEATS) -> dict:
+    """``repeats`` measurements per side, the first side alternating; the
+    i-th run of each side makes pair i."""
     runs = {"parent": [], "change": []}
-    for i in range(REPEATS):
+    for i in range(repeats):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(measure(trees[side], mode, spec))
@@ -237,6 +246,38 @@ def alternate(trees: dict, mode: str, spec: tuple) -> dict:
         if "minor_faults" in first:
             sides[side]["minor_faults"] = [r["minor_faults"] for r in results]
     return sides
+
+
+def quartiles(values) -> tuple:
+    """(q1, median, q3), as ``perfbench/run.py`` takes them."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    return tuple(statistics.quantiles(values, n=4))
+
+
+def pair_stats(sides: dict) -> dict:
+    """Each side's median and quartiles of the per-run seconds, the pairs
+    in which the change was faster, and whether that meets the
+    nine-in-ten rule: faster in at least 9 of 10 pairs, with the median
+    gap over the parent's interquartile range."""
+    parent, change = sides["parent"]["seconds"], sides["change"]["seconds"]
+    stats = {side: dict(zip(("q1", "median", "q3"), quartiles(values)))
+             for side, values in (("parent", parent), ("change", change))}
+    wins = sum(c < p for p, c in zip(parent, change))
+    gap = stats["parent"]["median"] - stats["change"]["median"]
+    return {**stats, "pairs": len(parent), "change_wins": wins,
+            "resolved": (10 * wins >= 9 * len(parent)
+                         and gap > stats["parent"]["q3"]
+                         - stats["parent"]["q1"])}
+
+
+def pair_summary(stats: dict) -> str:
+    sides = " -> ".join(
+        f"{1e3 * stats[side]['median']:.3f} ms ({1e3 * stats[side]['q1']:.3f}"
+        f"..{1e3 * stats[side]['q3']:.3f})" for side in ("parent", "change"))
+    return (f"{sides}, change faster in {stats['change_wins']}/"
+            f"{stats['pairs']} pairs"
+            f"{'' if stats['resolved'] else ', not resolved'}")
 
 
 def summary(sides: dict) -> str:
@@ -286,13 +327,16 @@ def bench(parent: Path, stages=STAGES) -> dict:
         print(f"({m},{n},{d}) E_l0 {record['e_l0']}: {summary(sides)}, "
               f"dim {sides['change'].get('dim')}", flush=True)
     for half_width, spacing in SOBOLEV_GRIDS if "sobolev" in stages else ():
-        sides = alternate(trees, "--sobolev-row", (half_width, spacing))
+        sides = alternate(trees, "--sobolev-row", (half_width, spacing),
+                          SOBOLEV_PAIRS)
+        stats = pair_stats(sides)
         out["sobolev_rows"].append({
             "T": half_width, "h": spacing, **sides,
             "speedup": sides["parent"]["median_s"] / sides["change"]["median_s"],
+            "pairs": stats,
             "same_value": sides["parent"]["value"] == sides["change"]["value"]})
         print(f"sobolev_inner T={half_width:g} h={spacing:g}: "
-              f"{summary(sides)}, call peak "
+              f"{pair_summary(stats)}, call peak "
               f"{sides['parent']['call_peak_arrays']:.2f} -> "
               f"{sides['change']['call_peak_arrays']:.2f} arrays", flush=True)
     for m, n, d in RUNS if "fock-run" in stages else ():

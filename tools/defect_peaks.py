@@ -1,5 +1,5 @@
 """Print the tracemalloc peak and the minor page faults of each check group
-of ``slhkit defect``.
+of ``slhkit defect``, and the peak-RSS growth of the whole command.
 
     PYTHONPATH=src python3 tools/defect_peaks.py
 
@@ -7,22 +7,36 @@ Runs ``cli.command_defect`` in-process at each grid of ``SIZES``, with the
 check groups it calls (the module-level ``_...`` functions it names) wrapped
 so that each records the traced peak reached while it runs and the minor
 page faults (``ru_minflt``) the process took meanwhile. Memory still held
-from earlier groups (the cached defect vectors, the shared zero half)
-counts. The peak's unit is one two-sided complex array, 32 bytes per node of
-a half-line, the unit of ``punctured_line.DEFECT_LIVE_ARRAYS``; the last row
-of the peak table is the peak of the whole command, the figure that
-constant bounds, and the last row of the fault table the whole command's
-faults. Faults are counted with tracemalloc on, so read them side by side
-with another tree's, not as those of a plain run.
+from earlier groups (the lent buffers) counts. The peak's unit is one
+two-sided complex array, 32 bytes per node of a half-line, the unit of
+``punctured_line.DEFECT_LIVE_ARRAYS``; the last row of the peak table is
+the peak of the whole command, the figure that constant bounds, and the
+last row of the fault table the whole command's faults. Faults are counted
+with tracemalloc on, so read them side by side with another tree's, not as
+those of a plain run.
+
+The last table is the end-to-end figure: for each grid, one
+``command_defect`` in a fresh child process (one BLAS thread, no
+tracemalloc) and the growth of its ``ru_maxrss`` over the call, in MB,
+after numpy, slhkit and the config are loaded. Linux carries a process's
+peak RSS across fork and exec into the child's ``ru_maxrss``, so the
+children run first, before this process runs anything in-process; from a
+caller whose own peak is higher, the growth reads low or 0.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
+import slhkit
 from slhkit import cli, punctured_line
 from slhkit.config import config_from_dict
 from slhkit.punctured_line import GridSpec
@@ -31,6 +45,7 @@ from slhkit.report import Report
 # (T, h): 10k, 20k, 40k and 80k nodes per half-line.
 SIZES = ((30.0, 3e-3), (40.0, 2e-3), (40.0, 1e-3), (40.0, 5e-4))
 COUPLING = [[[0.3, 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]]
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def group_names():
@@ -43,11 +58,40 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
+def grid_config(half_width: float, spacing: float):
+    return config_from_dict({"m": 1, "n": 1, "E": COUPLING,
+                             "grid": {"T": half_width, "h": spacing}})
+
+
+def max_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def child_rss_growth(half_width: float, spacing: float) -> float:
+    """In this process: the ``ru_maxrss`` growth, in MB, over one
+    ``command_defect`` call."""
+    config = grid_config(half_width, spacing)
+    np.random.default_rng(0)  # numpy.random imports lazily, once
+    before = max_rss_mb()
+    cli.command_defect(config, 0, 0, Report("defect", ""))
+    return max_rss_mb() - before
+
+
+def rss_growth(half_width: float, spacing: float) -> float:
+    """``child_rss_growth`` in a fresh child process on this slhkit tree."""
+    src = str(Path(slhkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--rss",
+         str(half_width), str(spacing)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
 def peaks(half_width: float, spacing: float) -> tuple:
     """Traced peak, in two-sided complex arrays, and minor page faults, per
     group and in total."""
-    config = config_from_dict({"m": 1, "n": 1, "E": COUPLING,
-                               "grid": {"T": half_width, "h": spacing}})
+    config = grid_config(half_width, spacing)
     unit = 32 * GridSpec(half_width, spacing).n_nodes
     np.random.default_rng(0)  # numpy.random imports lazily, once
     punctured_line.defect_vectors.cache_clear()
@@ -80,11 +124,19 @@ def peaks(half_width: float, spacing: float) -> tuple:
     return result, faults
 
 
-def main() -> int:
-    columns = [peaks(*size) for size in SIZES]
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--rss"]:
+        print(json.dumps(child_rss_growth(*map(float, argv[1:3]))))
+        return 0
+    growth = [rss_growth(*size) for size in SIZES]
+    columns = [(*peaks(*size), {"command_defect": rss})
+               for size, rss in zip(SIZES, growth)]
     heads = [f"T={t:g},n={GridSpec(t, h).n_nodes}" for t, h in SIZES]
     for title, index, form in (("peak (two-sided arrays)", 0, ".2f"),
-                               ("minor page faults", 1, "d")):
+                               ("minor page faults", 1, "d"),
+                               ("ru_maxrss growth (MB, fresh child)", 2,
+                                ".2f")):
         table = [column[index] for column in columns]
         width = max(len(name) for name in table[0])
         print(title)
