@@ -121,43 +121,30 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
 def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     spec = GridSpec(config.grid.half_width, config.grid.spacing)
     rng = np.random.default_rng(seed)
-    # One pairing panel and two half-line buffers, lent to every check
-    # group. A group draws its bumps first (a bump draws its parameters when
-    # it is made, not when it is evaluated), then makes a left and a right
-    # pass, each with one node grid, evaluating into the two buffers only
-    # the halves it pairs: a closed-form defect-vector half and a draw, f
-    # and psi0 over it, or f and g. Between the passes it keeps per-half
-    # scalars, joined in the order of the two-sided formulas, so no group
-    # holds a two-sided function or fills defect_vectors' cache.
-    n = spec.n_nodes
-    panel = np.empty(n, dtype=complex)
-    buffers = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
-    _defect_vector_checks(spec, buffers, panel, report)
-    _reproducing_checks(spec, rng, buffers, panel, report)
-    _decomposition_checks(spec, rng, buffers, panel, report)
-    _eigenrelation_checks(spec, buffers, report)
+    # A group draws its bumps first (a bump draws its parameters when it is
+    # made, not when it is evaluated), then checks the left half-line and
+    # then the right, all its draws in one pass over halves read leaf by
+    # leaf: phi_pm in closed form, each draw evaluated on the leaf's nodes.
+    # Between the halves it keeps per-half scalars, joined in the order of
+    # the two-sided formulas, so no group holds a node array.
+    _defect_vector_checks(spec, report)
+    _reproducing_checks(spec, rng, report)
+    _decomposition_checks(spec, rng, report)
+    _eigenrelation_checks(spec, report)
     _jump_splitting_check(rng, report)
-    _symmetry_checks(spec, rng, buffers, panel, report)
+    _symmetry_checks(spec, rng, report)
     _extension_check(report)
 
 
-def _passes(spec: GridSpec, half_pass) -> list:
-    """``half_pass(left, nodes)`` on the left half-line, then the right, each
-    with its node grid; the grid is freed when its pass returns."""
-    return [half_pass(left, spec.nodes(left)) for left in SIDES]
-
-
-def _defect_vector_checks(spec: GridSpec, buffers: tuple, panel: np.ndarray,
-                          report: Report) -> None:
-    def half_pass(left, nodes):
-        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
+def _defect_vector_checks(spec: GridSpec, report: Report) -> None:
+    def half(left):
+        phi_plus, phi_minus = defect_halves(spec, left)
         return ((phi_plus.limit, phi_minus.limit),
-                [sobolev_half(spec, left, u, v, panel)
+                [sobolev_half(spec, left, u, v)
                  for u, v in ((phi_plus, phi_plus), (phi_minus, phi_minus),
                               (phi_plus, phi_minus))])
 
-    (left_traces, left_terms), (right_traces, right_terms) = _passes(
-        spec, half_pass)
+    (left_traces, left_terms), (right_traces, right_terms) = map(half, SIDES)
     plus, minus = (Traces(*limits) for limits in zip(left_traces,
                                                      right_traces))
     norm_plus, norm_minus, overlap = (sobolev_total(*terms) for terms in
@@ -172,30 +159,24 @@ def _defect_vector_checks(spec: GridSpec, buffers: tuple, panel: np.ndarray,
 
 
 def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
-                        buffers: tuple, panel: np.ndarray,
                         report: Report) -> None:
     # psi_r is a bump on the right half-line and psi_l one on the left, so
-    # on each half-line one of the pair is drawn into the second buffer and
-    # the other is zero there.
+    # on each half-line one of the pair is drawn and the other is zero.
     draws = [(random_bump(rng, "right"), random_bump(rng, "left"))
              for _ in range(10)]
 
-    def half_pass(left, nodes):
-        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
-        terms = []
-        for bump_r, bump_l in draws:
-            psi_r = sample_half(spec, left, None if left else bump_r, nodes,
-                                buffers[1])
-            psi_l = sample_half(spec, left, bump_l if left else None, nodes,
-                                buffers[1])
-            terms.append((reproducing_half(spec, left, phi_plus, phi_minus,
-                                           psi_r, psi_l, panel),
-                          psi_r.limit, psi_l.limit))
-        return terms
+    def half(left):
+        phi = defect_halves(spec, left)
+        pairs = [(sample_half(spec, left, None if left else bump_r),
+                  sample_half(spec, left, bump_l if left else None))
+                 for bump_r, bump_l in draws]
+        terms = reproducing_half(spec, left, *phi, pairs)
+        return [(t, psi_r.limit, psi_l.limit)
+                for t, (psi_r, psi_l) in zip(terms, pairs)]
 
     worst_plus = worst_minus = 0.0
     for (left_terms, _, psi_l_trace), (right_terms, psi_r_trace, _) in zip(
-            *_passes(spec, half_pass)):
+            *map(half, SIDES)):
         plus, minus = reproducing_residuals(left_terms, right_terms,
                                             psi_r_trace, psi_l_trace)
         worst_plus = max(worst_plus, plus)
@@ -204,14 +185,7 @@ def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
     report.add("reproducing_minus", worst_minus, 1e-5)
 
 
-def _redraw(bump, nodes: np.ndarray):
-    """A ``decomposition_half`` reference: the bump re-evaluated on the
-    chunk's nodes."""
-    return lambda start, stop, out: bump(nodes[start:stop], out=out)
-
-
 def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
-                          buffers: tuple, panel: np.ndarray,
                           report: Report) -> None:
     tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
                   "reconstruction": 1e-13}
@@ -221,36 +195,28 @@ def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
     coefficients = [defect_coefficients(*map(trace_at_origin, bumps))
                     for bumps in draws]
 
-    def half_pass(left, nodes):
-        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
-        results = []
-        for bumps, (c_plus, c_minus) in zip(draws, coefficients):
-            bump = bumps[0] if left else bumps[1]
-            # f is drawn into the buffer and psi0 formed over it; the
-            # residual reads f from the bump, not from the buffer
-            f = sample_half(spec, left, bump, nodes, buffers[1])
-            results.append(decomposition_half(
-                spec, left, f, c_plus, c_minus, phi_plus, phi_minus,
-                buffers[1], _redraw(bump, nodes), panel))
-        return results
+    def half(left):
+        phi = defect_halves(spec, left)
+        return decomposition_half(spec, left, [
+            (sample_half(spec, left, bumps[0] if left else bumps[1]), *c)
+            for bumps, c in zip(draws, coefficients)], *phi)
 
     worst = dict.fromkeys(tolerances, 0.0)
-    for left, right in zip(*_passes(spec, half_pass)):
+    for left, right in zip(*map(half, SIDES)):
         for key, value in decomposition_values(left, right).items():
             worst[key] = max(worst[key], value)
     for key, tol in tolerances.items():
         report.add(f"decomposition_{key}", worst[key], tol)
 
 
-def _eigenrelation_checks(spec: GridSpec, buffers: tuple,
-                          report: Report) -> None:
-    def half_pass(left, nodes):
-        phi_plus, phi_minus = defect_halves(spec, left, nodes, buffers[0])
+def _eigenrelation_checks(spec: GridSpec, report: Report) -> None:
+    def half(left):
+        phi_plus, phi_minus = defect_halves(spec, left)
         return [(phi.limit, eigenrelation_half(spec, left, phi, sign))
                 for phi, sign in ((phi_plus, 1.0), (phi_minus, -1.0))]
 
     for name, ((left_limit, left), (right_limit, right)) in zip(
-            ("plus", "minus"), zip(*_passes(spec, half_pass))):
+            ("plus", "minus"), zip(*map(half, SIDES))):
         defects = eigenrelation_values(Traces(left_limit, right_limit), left,
                                        right)
         report.add(f"eigenrelation_{name}_coefficient",
@@ -271,20 +237,16 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
 
 
 def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
-                     buffers: tuple, panel: np.ndarray,
                      report: Report) -> None:
-    # f's halves are drawn into the first buffer and g's into the second
     f_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
     g_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
 
-    def half_pass(left, nodes):
-        f, g = (sample_half(spec, left, bumps[0] if left else bumps[1], nodes,
-                            buffer)
-                for bumps, buffer in zip((f_bumps, g_bumps), buffers))
-        return symmetry_half(spec, left, f, g, panel), (f.limit, g.limit)
+    def half(left):
+        f, g = (sample_half(spec, left, bumps[0] if left else bumps[1])
+                for bumps in (f_bumps, g_bumps))
+        return symmetry_half(spec, left, f, g), (f.limit, g.limit)
 
-    (left_terms, left_traces), (right_terms, right_traces) = _passes(
-        spec, half_pass)
+    (left_terms, left_traces), (right_terms, right_traces) = map(half, SIDES)
     f, g = (Traces(*limits) for limits in zip(left_traces, right_traces))
     for name, value in symmetry_values(left_terms, right_terms, f, g,
                                        0.3).items():

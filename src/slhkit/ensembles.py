@@ -50,18 +50,16 @@ def random_bump(rng: np.random.Generator, side: str):
     """Gaussian bump amp * exp(-width (t - center)^2) centred on the "left"
     or "right" half-line; its value at 0 is a random boundary trace.
 
-    The closure ``bump(t, out=None)`` writes its values into ``out``, a
-    complex array shaped like ``t`` (fresh when None), and returns it. It
+    The closure ``bump(t)`` returns its values on the nodes ``t``. It
     works ``PANEL_CHUNK`` nodes at a time in one chunk-size float scratch,
-    so a draw into a lent buffer allocates no node array; every node takes
-    the same steps whatever its chunk."""
+    and every node takes the same steps whatever its chunk, so a draw
+    evaluated on any run of nodes gives the whole draw's values there."""
     amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
     width = rng.uniform(0.5, 2.0)
     center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
 
-    def bump(t, out=None):
-        if out is None:
-            out = np.empty(t.shape, dtype=complex)
+    def bump(t):
+        out = np.empty(t.shape, dtype=complex)
         scratch = np.empty(min(PANEL_CHUNK, t.size))
         for start, stop in node_chunks(t.size):
             x = scratch[:stop - start]

@@ -23,60 +23,51 @@ The two half-lines meet only through the traces, so every check is built
 from one-half-line pieces (a ``Half``: node values and the trace at 0 on
 that side). The per-half functions (``sobolev_half``, ``reproducing_half``,
 ``decomposition_half``, ``symmetry_half``, ``eigenrelation_half``) return
-scalars, and the ``..._values``/``..._residuals`` functions and
-``sobolev_total`` combine a left and a right half's scalars in the order of
-the two-sided formula, (L2_- + L2_+) + (D_- + D_+). The two-sided functions
-(``sobolev_inner``, ``reproducing_defects``, ``decomposition_defects``,
-``symmetry_defects``, ``eigenrelation_defects``) run the same per-half
-functions on a GridFunction's halves; the CLI defect suite runs them one
-half-line at a time on halves it evaluates into lent buffers. Either way
-the values are equal bit for bit.
+scalars, which ``sobolev_total`` and the ``..._values``/``..._residuals``
+functions join in the order of the two-sided formula, (L2_- + L2_+) +
+(D_- + D_+). The two-sided functions run them on a GridFunction's stored
+halves; the CLI defect suite runs them on halves read from a source:
+phi_pm in closed form (``defect_halves``) and each draw evaluated on the
+nodes asked for (``sample_half``). Either way the values agree bit for bit.
+
+Leaves
+
+numpy's pairwise sum of n complex values is a fixed tree over index
+ranges: it halves the 2n floats, rounds the split down to a multiple of 8
+and recurses, and any subtree is exactly ``np.sum`` of its range. A
+per-half function makes one pass (``_pass``) over the leaves of that tree,
+its maximal subtrees of at most ``PANEL_CHUNK`` values (``_tree_sum``). On
+a leaf it reads each half once on the leaf's nodes, padded by the two
+neighbours the stencils and the origin panel need, forms each derivative
+once, and forms each pairing's products and trapezoid panels, scaled by h
+and then by 0.5 and summed by ``np.sum``. The leaf sums are joined in tree
+order, so a pairing is ``np.sum`` of its whole panel array bit for bit.
+Node maxima (reconstruction and eigenrelation residuals) are reduced on
+the same leaves. A pass forms no n-node array.
 
 Storage
 
 * a GridFunction holds read-only views of its value arrays (the array a
-  caller passes in stays writable; a strided one is copied once, so every
-  value array but the shared zero half is contiguous); each half is
-  checked as ``_check_half`` checks a Half: finite values and trace,
-  vanishing at -T or T;
-* an identically zero half-line is stored as ``zero_half(n)``, one complex
-  zero broadcast read-only over the n nodes, so it holds no node array,
-  shared per node count and recognised by identity: ``sample`` and
-  ``sample_half`` store it for a missing half and ``defect_halves`` for the
-  empty side of phi_pm. Validation, scaling, addition, the derivative and
-  the trapezoid skip its nodes, with results equal to the full computation
-  (the boundary traces keep their stencils and the origin panel); a zero
-  array from a caller is an ordinary array;
-* no derivative is kept: every pairing, L2, Sobolev or <f|g'>, forms
-  conj(f) g, with either factor replaced by its grid derivative where the
-  pairing asks for one, ``PANEL_CHUNK`` nodes at a time into one n-node
-  panel per half-line, each derivative chunk formed right where the
-  product needs it; the trapezoid then overwrites the panel with its panel
-  sums. ``derivative`` forms the whole derivative afresh on each call, for
-  the callers that want the function itself;
-* a caller may lend node buffers: the pairings and the defect checks take
-  a ``panel``, ``sample_half`` and ``defect_halves`` write one half into a
-  lent n-node buffer, and ``decomposition_half`` writes psi0's half into
-  one, which may be f's own storage. A function allocates what is not lent and
-  otherwise takes the same steps, so the values are equal bit for bit; a
-  function over lent buffers is spent once they are written again. The
-  CLI defect suite lends one panel and two half-line buffers to every
-  check group and never fills ``defect_vectors``' cache;
-* ``decompose_sobolev`` forms psi0, and the reconstruction and
-  eigenrelation residuals are reduced, chunk by chunk with no full-size
-  temporary; ``decomposition_half`` reduces its residual from psi0 as
-  stored against an independent f (``reference``), so it sees a wrong
-  psi0; subtraction subtracts directly, and validation checks the float
-  view of the values;
-* ``defect_vectors`` keeps the two-sided pair for the most recent spec,
-  for the two-sided functions;
-* GridSpec refuses a grid whose defect suite would need more than
+  caller passes in stays writable; a strided one is copied once); each
+  half is checked by ``_check_half``: finite values and trace, vanishing
+  at -T or T. A source half is checked alike, its values as they are read;
+* an identically zero half-line is ``zero_half(n)``, one read-only complex
+  zero broadcast over the n nodes with stride 0, recognised by that
+  structure whatever grid made it. Validation, scaling, addition, the
+  derivative and the pairings skip its nodes, with results equal to the
+  full computation; a zero array from a caller is an ordinary array;
+* ``derivative`` and ``decompose_sobolev`` form their result whole, for
+  the callers that want the function itself; the pairings keep no
+  derivative, and ``decomposition_half`` forms psi0 leaf by leaf;
+* ``defect_vectors`` keeps the two-sided pair for the most recent spec;
+* GridSpec refuses a grid whose two-sided checks would need more than
   ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import functools
 import math
 import sys
@@ -91,13 +82,13 @@ from .linalg import kappas
 
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
-# Most two-sided complex node arrays the defect suite holds at once
-# (tracemalloc peak of the CLI suite, as printed by tools/defect_peaks.py
-# at 10k to 80k nodes, T = 30 and 40): 1.85 to 2.56. Each check group works
-# one half-line at a time, so it holds the lent pairing panel and two
-# half-line buffers (1.5 arrays, live through the whole suite), one pass's
-# node grid (0.25) and chunk buffers of PANEL_CHUNK nodes, which weigh most
-# at 10k nodes; the shared zero half holds no node array.
+# Most two-sided complex node arrays the two-sided library checks hold at
+# once, the bound of the size guard: reproducing_defects over sampled pairs
+# holds the cached defect pair, one pair of draws and one draw's node grid
+# and temporaries (2.41 arrays at 20k nodes, tests/test_punctured_line.py).
+# The CLI defect suite holds no node array: its tracemalloc peak is one
+# leaf's buffers of at most PANEL_CHUNK values, whatever n
+# (tools/defect_peaks.py). Kept at 3, so the guard admits the same grids.
 DEFECT_LIVE_ARRAYS = 3
 # The left half-line [-T, 0), then the right one (0, T]: the order of every
 # loop over halves and of the sums that join them.
@@ -138,47 +129,73 @@ class GridSpec:
     def n_nodes(self) -> int:
         return int(round(self.half_width / self.spacing))
 
-    def left_nodes(self) -> np.ndarray:
-        """Nodes -T, -T+h, ..., -h."""
-        return np.linspace(-self.half_width, -self.spacing, self.n_nodes)
+    def nodes(self, left: bool, lo: int = 0,
+              hi: Optional[int] = None) -> np.ndarray:
+        """Nodes lo:hi (all by default) of the left half-line, -T, -T+h,
+        ..., -h, or of the right one, h, 2h, ..., T, each formed as
+        ``np.linspace`` forms it: k times the step, plus the first node,
+        and the last node set to the end."""
+        n = self.n_nodes
+        hi = n if hi is None else hi
+        first, last = ((-self.half_width, -self.spacing) if left
+                       else (self.spacing, self.half_width))
+        x = np.arange(lo, hi, dtype=float)
+        x *= (last - first) / (n - 1)
+        x += first
+        if hi == n:
+            x[-1] = last
+        return x
 
-    def right_nodes(self) -> np.ndarray:
-        """Nodes h, 2h, ..., T."""
-        return np.linspace(self.spacing, self.half_width, self.n_nodes)
 
-    def nodes(self, left: bool) -> np.ndarray:
-        """The nodes of the left or the right half-line."""
-        return self.left_nodes() if left else self.right_nodes()
+_ZERO = np.zeros(1, dtype=complex)
 
 
-@functools.lru_cache(maxsize=1)
 def zero_half(n: int) -> np.ndarray:
-    """The shared read-only zero half-line of ``n`` nodes: one complex zero
-    broadcast over the nodes, so it holds no node array."""
-    return np.broadcast_to(np.zeros(1, dtype=complex), (n,))
+    """A zero half-line of ``n`` nodes: one complex zero broadcast read-only
+    over the nodes with stride 0, so it holds no node array."""
+    return np.broadcast_to(_ZERO, (n,))
 
 
-def _is_zero_half(values: np.ndarray, n: int) -> bool:
-    return values is zero_half(n)
+def _is_zero_half(values) -> bool:
+    """Whether ``values`` is a zero half as ``zero_half`` makes it, one
+    read-only complex zero with stride 0, for whatever node count."""
+    return (isinstance(values, np.ndarray) and values.strides == (0,)
+            and values.dtype == complex and not values.flags.writeable
+            and not values[:1].view(np.int64).any())
 
 
-def _read_only(values, n: int) -> np.ndarray:
-    """The shared zero half itself, else a read-only contiguous complex view;
-    the array passed in keeps its own flags."""
-    if _is_zero_half(values, n):
+def _read_only(values) -> np.ndarray:
+    """A zero half itself, else a read-only contiguous complex view; the
+    array passed in keeps its own flags."""
+    if _is_zero_half(values):
         return values
     view = np.ascontiguousarray(values, dtype=complex).view()
     view.flags.writeable = False
     return view
 
 
-class Half(NamedTuple):
-    """One half-line of a grid function: its node values (``zero_half(n)``
-    when identically zero) and its trace at the origin, psi(0-) on the
-    left half-line and psi(0+) on the right one."""
+def _finite(values: np.ndarray) -> np.ndarray:
+    # on the float parts, which is faster than on complex values
+    if not np.isfinite(values.view(np.float64)).all():
+        raise SpecMismatch("grid values must be finite")
+    return values
 
-    values: np.ndarray
+
+class Half(NamedTuple):
+    """One half-line of a grid function: its node values, stored (an n-node
+    array) or a source ``read(lo, hi)`` of the values on nodes lo:hi, and
+    its trace at the origin, psi(0-) on the left and psi(0+) on the right."""
+
+    values: object
     limit: complex
+
+
+def _read(values, lo: int, hi: int) -> np.ndarray:
+    """Nodes lo:hi of a half's values: a view of stored values, or what its
+    source returns, checked finite."""
+    if isinstance(values, np.ndarray):
+        return values[lo:hi]
+    return _finite(values(lo, hi))
 
 
 class Traces(NamedTuple):
@@ -198,22 +215,21 @@ class Traces(NamedTuple):
 
 
 def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
-    """The half with its values as ``_read_only`` gives them, after the
-    checks a GridFunction makes of each of its halves: n finite values, a
-    finite trace, and a value that vanishes at the truncation end, -T on
-    the left half-line and T on the right one."""
+    """The half, stored values as ``_read_only`` gives them, after the
+    checks a GridFunction makes of each of its halves: n finite values (a
+    source's as they are read), a finite trace, and a value that vanishes
+    at the truncation end, -T on the left half-line and T on the right."""
     n = spec.n_nodes
-    values = _read_only(values, n)
-    if values.shape != (n,):
-        raise SpecMismatch(
-            f"value arrays must have shape ({n},), got {values.shape}")
-    # on the float parts, which is faster than on complex values
-    if not (_is_zero_half(values, n)
-            or np.isfinite(values.view(np.float64)).all()):
-        raise SpecMismatch("grid values must be finite")
+    if not callable(values):
+        values = _read_only(values)
+        if values.shape != (n,):
+            raise SpecMismatch(
+                f"value arrays must have shape ({n},), got {values.shape}")
+        if not _is_zero_half(values):
+            _finite(values)
+    end = abs(_read(values, *((0, 1) if left else (n - 1, n)))[0])
     if not math.isfinite(abs(limit)):
         raise SpecMismatch("boundary values must be finite")
-    end = abs(values[0 if left else -1])
     if end > DECAY_TOL:
         raise SpecMismatch(
             f"function must vanish at the truncation boundary: "
@@ -262,47 +278,44 @@ class GridFunction:
 
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_spec(self, other)
-        n = self.spec.n_nodes
-        return GridFunction(self.spec, _add_halves(self.left, other.left, n),
-                            _add_halves(self.right, other.right, n),
+        return GridFunction(self.spec, _add_halves(self.left, other.left),
+                            _add_halves(self.right, other.right),
                             self.left_limit + other.left_limit,
                             self.right_limit + other.right_limit)
 
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         require_same_spec(self, other)
-        n = self.spec.n_nodes
-        return GridFunction(self.spec, _sub_halves(self.left, other.left, n),
-                            _sub_halves(self.right, other.right, n),
+        return GridFunction(self.spec, _sub_halves(self.left, other.left),
+                            _sub_halves(self.right, other.right),
                             self.left_limit - other.left_limit,
                             self.right_limit - other.right_limit)
 
     def __mul__(self, scalar: complex) -> "GridFunction":
-        n = self.spec.n_nodes
-        return GridFunction(self.spec, _scale_half(scalar, self.left, n),
-                            _scale_half(scalar, self.right, n),
+        return GridFunction(self.spec, _scale_half(scalar, self.left),
+                            _scale_half(scalar, self.right),
                             scalar * self.left_limit, scalar * self.right_limit)
 
     __rmul__ = __mul__
 
 
-def _add_halves(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    if _is_zero_half(a, n):
+def _add_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if _is_zero_half(a):
         return b
-    if _is_zero_half(b, n):
+    if _is_zero_half(b):
         return a
     return a + b
 
 
-def _sub_halves(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    if _is_zero_half(b, n):
+def _sub_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if _is_zero_half(b):
         return a
-    if _is_zero_half(a, n):
+    if _is_zero_half(a):
         return -b
     return a - b
 
 
-def _scale_half(scalar: complex, values: np.ndarray, n: int) -> np.ndarray:
-    return values if _is_zero_half(values, n) else scalar * values
+def _scale_half(scalar: complex, values: np.ndarray) -> np.ndarray:
+    return values if _is_zero_half(values) else scalar * values
 
 
 def require_same_spec(f: GridFunction, g: GridFunction) -> None:
@@ -315,33 +328,15 @@ def trace_at_origin(fn: Callable[..., np.ndarray]) -> complex:
     return complex(fn(np.array([0.0]))[0])
 
 
-def _evaluate_half(spec: GridSpec, left: bool,
-                   fn: Optional[Callable[..., np.ndarray]],
-                   nodes: Optional[np.ndarray],
-                   out: Optional[np.ndarray]) -> Half:
-    """``fn`` on one half-line's ``nodes`` (formed when None) and at 0,
-    unchecked; the shared zero half and trace 0 when ``fn`` is None. A
-    lent ``out`` buffer is handed to ``fn`` as ``fn(nodes, out=out)``."""
+def sample_half(spec: GridSpec, left: bool,
+                fn: Optional[Callable[..., np.ndarray]]) -> Half:
+    """One half of ``sample(spec, ...)`` as a checked source: ``fn`` on the
+    nodes lo:hi asked for, and ``fn`` at 0 as the trace; a zero half when
+    ``fn`` is None."""
     if fn is None:
         return Half(zero_half(spec.n_nodes), 0j)
-    if nodes is None:
-        nodes = spec.nodes(left)
-    values = np.asarray(fn(nodes) if out is None else fn(nodes, out=out),
-                        dtype=complex)
-    return Half(values, trace_at_origin(fn))
-
-
-def sample_half(spec: GridSpec, left: bool,
-                fn: Optional[Callable[..., np.ndarray]],
-                nodes: Optional[np.ndarray] = None,
-                out: Optional[np.ndarray] = None) -> Half:
-    """One half of ``sample(spec, ...)``, checked as a GridFunction checks
-    it: ``fn`` on the left or right half-line's ``nodes`` (formed when
-    None) and its value at 0 as the trace; the shared zero half when
-    ``fn`` is None. ``out``, a writable n-node complex array, lends ``fn``
-    a buffer: it is called as ``fn(nodes, out=out)`` and returns the buffer
-    filled (``ensembles.random_bump`` does)."""
-    return _check_half(spec, left, *_evaluate_half(spec, left, fn, nodes, out))
+    return _check_half(spec, left, lambda lo, hi: np.ascontiguousarray(
+        fn(spec.nodes(left, lo, hi)), dtype=complex), trace_at_origin(fn))
 
 
 def sample(spec: GridSpec,
@@ -352,69 +347,60 @@ def sample(spec: GridSpec,
     A missing half is identically zero; each boundary trace is the callable's
     value at 0 (continuity from that side).
     """
-    lh = _evaluate_half(spec, True, left, None, None)
-    rh = _evaluate_half(spec, False, right, None, None)
-    return GridFunction(spec, lh.values, rh.values, lh.limit, rh.limit)
+    (lv, ll), (rv, rl) = ((zero_half(spec.n_nodes), 0j) if fn is None
+                          else (fn(spec.nodes(side)), trace_at_origin(fn))
+                          for side, fn in zip(SIDES, (left, right)))
+    return GridFunction(spec, lv, rv, ll, rl)
 
 
-def defect_halves(spec: GridSpec, left: bool,
-                  nodes: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None) -> tuple:
+def defect_halves(spec: GridSpec, left: bool) -> tuple:
     """(phi_+, phi_-) on one half-line, checked: phi_- = i e^t on the left
-    half-line and phi_+ = -i e^-t on the right one, formed from ``nodes``
-    (formed when None) chunk by chunk into ``out`` (fresh when None), as
-    the whole-array expressions round them; the other is the shared zero
-    half. Needs T >= 30 so the tails sit below the decay tolerance."""
+    half-line and phi_+ = -i e^-t on the right one, read in closed form on
+    the nodes asked for; the other is the shared zero half. Needs T >= 30
+    so the tails sit below the decay tolerance."""
     if spec.half_width < MIN_HALF_WIDTH:
         raise DomainTooSmall(
             f"half-width {spec.half_width} < {MIN_HALF_WIDTH}: exponential "
             f"tails would not vanish at the truncation boundary")
-    n = spec.n_nodes
-    if nodes is None:
-        nodes = spec.nodes(left)
-    if out is None:
-        out = np.empty(n, dtype=complex)
-    scratch = np.empty(min(PANEL_CHUNK, n))
-    for start, stop in node_chunks(n):
-        x = scratch[:stop - start]
-        if left:
-            np.exp(nodes[start:stop], out=x)
-        else:
-            np.exp(np.negative(nodes[start:stop], out=x), out=x)
-        np.multiply(1j if left else -1j, x, out=out[start:stop])
-    own = _check_half(spec, left, out, 1j if left else -1j)
-    zero = Half(zero_half(n), 0j)
+
+    def phi(lo, hi):
+        x = spec.nodes(left, lo, hi)
+        np.exp(x if left else np.negative(x, out=x), out=x)
+        return np.multiply(1j if left else -1j, x)
+    own = _check_half(spec, left, phi, 1j if left else -1j)
+    zero = Half(zero_half(spec.n_nodes), 0j)
     return (zero, own) if left else (own, zero)
 
 
 @functools.lru_cache(maxsize=1)
 def defect_vectors(spec: GridSpec):
     """The normalized defect pair (phi_+, phi_-) as two-sided functions,
-    from ``defect_halves``."""
+    from ``defect_halves`` read whole."""
+    n = spec.n_nodes
     zero, minus = defect_halves(spec, True)
     plus, _ = defect_halves(spec, False)
-    return (GridFunction(spec, zero.values, plus.values, zero.limit,
-                         plus.limit),
-            GridFunction(spec, minus.values, zero.values, minus.limit,
-                         zero.limit))
+    return (GridFunction(spec, zero.values, _read(plus.values, 0, n),
+                         zero.limit, plus.limit),
+            GridFunction(spec, _read(minus.values, 0, n), zero.values,
+                         minus.limit, zero.limit))
 
 
-def _derivative_chunk(values: np.ndarray, h: float, start: int, stop: int,
-                      out: np.ndarray) -> np.ndarray:
-    """Second-order derivative of one half-line grid on the nodes
-    ``start:stop``, written into ``out`` (``stop - start`` nodes) and
-    returned.
+def _derivative_chunk(values: np.ndarray, base: int, n: int, h: float,
+                      start: int, stop: int, out: np.ndarray) -> np.ndarray:
+    """Second-order derivative of an n-node half-line grid on the nodes
+    ``start:stop``, from ``values``, its nodes ``base:base + len(values)``,
+    written into ``out`` (``stop - start`` nodes) and returned.
 
     Central differences in the interior, one-sided three-point stencils at the
     two boundary-adjacent nodes of the half-line. Every node is formed by the
-    same operations whatever the chunk, so the chunks of a half-line make up
-    its whole derivative bit for bit.
+    same operations whatever the window, so the windows of a half-line make
+    up its whole derivative bit for bit.
     """
-    n = values.size
     lo, hi = max(start, 1), min(stop, n - 1)
     if lo < hi:
         interior = out[lo - start:hi - start]
-        np.subtract(values[lo + 1:hi + 1], values[lo - 1:hi - 1], out=interior)
+        np.subtract(values[lo + 1 - base:hi + 1 - base],
+                    values[lo - 1 - base:hi - 1 - base], out=interior)
         # numpy divides a complex array by a real scalar as a multiplication
         # by its reciprocal; doing that on the real view gives the same values
         # without the slower complex loop.
@@ -431,23 +417,24 @@ def _derivative_trace(spec: GridSpec, left: bool, half: Half,
                       finite: bool = True) -> complex:
     """f'(0-) on the left half-line or f'(0+) on the right one, the
     one-sided three-point estimate on the stored trace, after checking that
-    the half's grid derivative is a grid function: finite (``finite`` says
-    whether its node values are) and vanishing at -T or T. ``derivative``
-    and the streamed pairings check through here, so they refuse the same
-    functions."""
+    the half's grid derivative is finite (``finite`` says whether its node
+    values are) and vanishes at -T or T. ``derivative`` and the pairings
+    check through here, so they refuse the same functions."""
     h, n = spec.spacing, spec.n_nodes
     values, limit = half
     if left:
-        trace = complex((3.0 * limit - 4.0 * values[-1] + values[-2])
-                        / (2.0 * h))
+        v = _read(values, n - 2, n)
+        trace = complex((3.0 * limit - 4.0 * v[-1] + v[-2]) / (2.0 * h))
     else:
-        trace = complex((-3.0 * limit + 4.0 * values[0] - values[1])
-                        / (2.0 * h))
+        v = _read(values, 0, 2)
+        trace = complex((-3.0 * limit + 4.0 * v[0] - v[1]) / (2.0 * h))
     if not (finite and math.isfinite(abs(trace))):
         raise SpecMismatch(
             f"grid derivative at spacing h = {h:g} is not finite")
     start = 0 if left else n - 1
-    end = abs(_derivative_chunk(values, h, start, start + 1,
+    base = 0 if left else n - 3
+    end = abs(_derivative_chunk(_read(values, base, base + 3), base, n, h,
+                                start, start + 1,
                                 np.empty(1, dtype=complex))[0])
     if end > DECAY_TOL:
         raise SpecMismatch(
@@ -459,12 +446,12 @@ def _derivative_trace(spec: GridSpec, left: bool, half: Half,
 
 def _derivative_half(spec: GridSpec, left: bool, half: Half) -> Half:
     """The half's grid derivative, formed whole, with its trace, checked by
-    ``_derivative_trace``; the shared zero half is its own derivative."""
-    values = half.values
-    if _is_zero_half(values, spec.n_nodes):
-        return Half(values, _derivative_trace(spec, left, half))
-    d = _derivative_chunk(values, spec.spacing, 0, values.size,
-                          np.empty_like(values))
+    ``_derivative_trace``; a zero half is its own derivative."""
+    n = spec.n_nodes
+    if _is_zero_half(half.values):
+        return Half(half.values, _derivative_trace(spec, left, half))
+    d = _derivative_chunk(_read(half.values, 0, n), 0, n, spec.spacing, 0,
+                          n, np.empty(n, dtype=complex))
     return Half(d, _derivative_trace(spec, left, half,
                                      np.isfinite(d.view(np.float64)).all()))
 
@@ -473,17 +460,15 @@ def derivative(f: GridFunction) -> GridFunction:
     """Grid derivative; the boundary traces of the result are one-sided
     three-point estimates that use the stored traces of ``f``.
 
-    Formed afresh on every call: the pairings stream the derivative instead
-    (``_l2_half``), so no caller keeps one. The shared zero half is its own
-    derivative.
+    Formed afresh on every call; the pairings form it leaf by leaf
+    instead. A zero half is its own derivative.
     """
     dl, dr = (_derivative_half(f.spec, left, f.half(left)) for left in SIDES)
     return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
 
 
-# Nodes per chunk of the pairing products and of the in-place panel steps of
-# the trapezoid: numpy copies an input that overlaps its output, and a step
-# bounds that copy to one chunk.
+# Most values in a leaf of the pairing passes (see "Leaves"), 8192 floats,
+# and the nodes per chunk of a bump's evaluation.
 PANEL_CHUNK = 4096
 
 
@@ -493,34 +478,154 @@ def node_chunks(n: int):
             for start in range(0, n, PANEL_CHUNK))
 
 
-def _trapezoid_half(values: np.ndarray, boundary: complex, h: float,
-                    boundary_is_right: bool) -> complex:
-    """Composite trapezoid over one half-line, with the stored trace closing
-    the panel that touches the origin.
+def _tree_sum(n: int, leaf: Callable, start: int = 0) -> list:
+    """``leaf(a, b)``, a list of sums over the panels a:b, on each leaf of
+    numpy's pairwise-sum tree over the n complex values start:start + n,
+    joined as that tree joins its subtrees: one of more than PANEL_CHUNK
+    values splits its 2n floats after n rounded down to a multiple of 8."""
+    if n <= PANEL_CHUNK:
+        return leaf(start, start + n)
+    split = (n - n % 8) // 2
+    return [x + y for x, y in zip(_tree_sum(split, leaf, start),
+                                  _tree_sum(n - split, leaf, start + split))]
 
-    Overwrites the contiguous array ``values`` with the panel sums, in the
-    order ``np.trapezoid`` would form them on the trace-extended array, so
-    the pairwise sum is the same. Panel k reads nodes k and k + 1 on [-T, 0)
-    and k - 1 and k on (0, T], so the chunks run forward on the first and
-    backward on the second, and every node is read before it is overwritten.
-    """
-    n = values.size
-    if boundary_is_right:           # [-T, 0): nodes ..., -h, then trace at 0-
-        for start in range(0, n - 1, PANEL_CHUNK):
-            stop = min(start + PANEL_CHUNK, n - 1)
-            np.add(values[start + 1:stop + 1], values[start:stop],
-                   out=values[start:stop])
-        values[-1] = boundary + values[-1]
-    else:                           # (0, T]: trace at 0+, then nodes h, ...
-        for stop in range(n, 1, -PANEL_CHUNK):
-            start = max(stop - PANEL_CHUNK, 1)
-            np.add(values[start:stop], values[start - 1:stop - 1],
-                   out=values[start:stop])
-        values[0] = values[0] + boundary
-    real = values.view(np.float64)
+
+def _panel_nodes(a: int, b: int, n: int, left: bool) -> tuple:
+    """The nodes (start, stop) that the trapezoid panels a:b of an n-node
+    half-line read: panel k adds nodes k and k + 1 on [-T, 0) and k - 1 and
+    k on (0, T]; the trace closes the panel at the origin, n - 1 on the
+    left and 0 on the right."""
+    return (a, min(b + 1, n)) if left else (max(a - 1, 0), b)
+
+
+def _panel_sum(p: np.ndarray, a: int, b: int, n: int, boundary: complex,
+               h: float, left: bool) -> complex:
+    """``np.sum`` of the trapezoid panels a:b, each scaled by h and then by
+    0.5, from ``p``, the products on their nodes, and ``boundary``."""
+    panels = np.empty(b - a, dtype=complex)
+    inner = p.size - 1
+    if left:
+        np.add(p[1:], p[:-1], out=panels[:inner])
+        if b == n:
+            panels[-1] = boundary + p[-1]
+    else:
+        np.add(p[1:], p[:-1], out=panels[b - a - inner:])
+        if a == 0:
+            panels[0] = p[0] + boundary
+    real = panels.view(np.float64)
     real *= h
     real *= 0.5
-    return complex(values.sum())
+    return np.add.reduce(panels)
+
+
+class _Leaf:
+    """The panels a:b of a pass: each half read once on the nodes lo:hi,
+    the panels' nodes start:stop padded by two, and each derivative formed
+    once on start:stop."""
+
+    def __init__(self, spec: GridSpec, left: bool, a: int, b: int):
+        self.n, self.h, self.left, self.a, self.b = (
+            spec.n_nodes, spec.spacing, left, a, b)
+        self.lo, self.hi = max(a - 2, 0), min(b + 2, self.n)
+        self.start, self.stop = _panel_nodes(a, b, self.n, left)
+        self.cache = {}
+
+    def window(self, half: Half) -> np.ndarray:
+        """The half's values on the nodes lo:hi."""
+        key = (id(half.values), False)
+        if key not in self.cache:
+            self.cache[key] = _read(half.values, self.lo, self.hi)
+        return self.cache[key]
+
+    def factor(self, half: Half, diff: bool = False) -> np.ndarray:
+        """The half's values, or its derivative, on the panels' nodes."""
+        if not diff:
+            return self.window(half)[self.start - self.lo:
+                                     self.stop - self.lo]
+        key = (id(half.values), True)
+        if key not in self.cache:
+            self.cache[key] = _derivative_chunk(
+                self.window(half), self.lo, self.n, self.h, self.start,
+                self.stop, np.empty(self.stop - self.start, dtype=complex))
+        return self.cache[key]
+
+    def own(self, half: Half, diff: bool = False) -> np.ndarray:
+        """The half's values, or its derivative, on the nodes a:b."""
+        return self.factor(half, diff)[self.a - self.start:
+                                       self.b - self.start]
+
+    def pair(self, f: Half, g: Half, diff_f: bool, diff_g: bool,
+             boundary: complex) -> complex:
+        p = np.conj(self.factor(f, diff_f))
+        p *= self.factor(g, diff_g)
+        return _panel_sum(p, self.a, self.b, self.n, boundary, self.h,
+                          self.left)
+
+
+def _pass(spec: GridSpec, left: bool, jobs: list) -> list:
+    """One pass over the leaves of a half-line for ``jobs``, each a list of
+    pairings and an ``each(leaf)`` (or None) run on every leaf before them:
+    the values of each job's pairings. A pairing (f, g, diff_f, diff_g) is
+    the trapezoid of conj(f) g, or of f' or g' where asked, closed by the
+    traces. On a leaf the jobs run in turn, each dropping the windows no
+    other job reads.
+
+    Each differentiated factor is checked by ``_derivative_trace`` first,
+    pairing by pairing. A pairing with a zero half has only its origin
+    panel nonzero, so it is not formed; that panel is scaled in the same
+    order. A non-finite derivative value makes its formed pairing
+    non-finite, so only then is the derivative formed whole, for
+    ``_derivative_half`` to refuse it, in the order of the pairings and
+    before a failing trace check of a later pairing.
+    """
+    h = spec.spacing
+    pairs = [pair for job, _ in jobs for pair in job]
+    formed = [not (_is_zero_half(f.values) or _is_zero_half(g.values))
+              for f, g, _, _ in pairs]
+    values = []     # a formed pairing's traces, the value of any other
+    for (f, g, diff_f, diff_g), form in zip(pairs, formed):
+        try:
+            fb = _derivative_trace(spec, left, f) if diff_f else f.limit
+            gb = _derivative_trace(spec, left, g) if diff_g else g.limit
+        except SpecMismatch:
+            for earlier, was_formed, value in zip(pairs, formed, values):
+                if was_formed or not cmath.isfinite(value):
+                    _refuse(spec, left, earlier)
+            raise
+        boundary = np.conj(fb) * gb
+        values.append(boundary if form else complex(
+            (boundary.real * h) * 0.5, (boundary.imag * h) * 0.5))
+    readers = collections.Counter(key for job, _ in jobs for key in {
+        id(u.values) for pair in job for u in pair[:2]})
+
+    def leaf(a, b):
+        window, sums, k = _Leaf(spec, left, a, b), [], 0
+        for job, each in jobs:
+            if each is not None:
+                each(window)
+            sums += [window.pair(*pair, values[i])
+                     for i, pair in enumerate(job, k) if formed[i]]
+            k += len(job)
+            window.cache = {key: v for key, v in window.cache.items()
+                            if readers[key[0]] > 1}
+        return sums
+    sums = iter(_tree_sum(spec.n_nodes, leaf)
+                if any(formed) or any(each for _, each in jobs) else ())
+    values = [complex(next(sums)) if form else value
+              for value, form in zip(values, formed)]
+    for pair, value in zip(pairs, values):
+        if not cmath.isfinite(value):
+            _refuse(spec, left, pair)
+    values = iter(values)
+    return [[next(values) for _ in job] for job, _ in jobs]
+
+
+def _refuse(spec: GridSpec, left: bool, pair: tuple) -> None:
+    """Refuse a non-finite derivative of a differentiated factor."""
+    f, g, diff_f, diff_g = pair
+    for u, diff in ((f, diff_f), (g, diff_g)):
+        if diff:
+            _derivative_half(spec, left, u)
 
 
 def l2_inner(f: GridFunction, g: GridFunction) -> complex:
@@ -528,79 +633,30 @@ def l2_inner(f: GridFunction, g: GridFunction) -> complex:
     return _pairing(f, g, False, False)
 
 
-def _pair_half(spec: GridSpec, left: bool, f: Half, g: Half, diff_f: bool,
-               diff_g: bool, panel: Optional[np.ndarray] = None) -> complex:
-    """One half-line's L2 pairing of f, or f' when ``diff_f``, with g, or g'
-    when ``diff_g``, the product formed in ``panel`` (one n-node buffer,
-    fresh when None); equal bit for bit to the same half of ``l2_inner``
-    on the materialized derivatives.
-
-    Any non-finite derivative value that enters the product makes the sum
-    non-finite, so only then is the half's derivative formed whole, for
-    ``_derivative_half`` to refuse it; a half paired with the shared zero
-    half is never differentiated, so its derivative is not checked there.
-    """
-    fb = _derivative_trace(spec, left, f) if diff_f else f.limit
-    gb = _derivative_trace(spec, left, g) if diff_g else g.limit
-    value = _l2_half(f.values, g.values, np.conj(fb) * gb, spec.spacing,
-                     spec.n_nodes, left, diff_f, diff_g, panel)
-    if not cmath.isfinite(value):
-        for u, diff in ((f, diff_f), (g, diff_g)):
-            if diff:
-                _derivative_half(spec, left, u)
-    return value
-
-
-def _pairing(f: GridFunction, g: GridFunction, diff_f: bool, diff_g: bool,
-             panel: Optional[np.ndarray] = None) -> complex:
-    """``_pair_half`` on the left half-line plus the right, both in one
-    panel (fresh when None)."""
+def _pairing(f: GridFunction, g: GridFunction, diff_f: bool,
+             diff_g: bool) -> complex:
+    """The one-pairing ``_pass`` on the left half-line plus the right."""
     require_same_spec(f, g)
-    if panel is None:
-        panel = np.empty(f.spec.n_nodes, dtype=complex)
-    left, right = (_pair_half(f.spec, side, f.half(side), g.half(side),
-                              diff_f, diff_g, panel) for side in SIDES)
+    left, right = (_pass(f.spec, side, [([(f.half(side), g.half(side),
+                                           diff_f, diff_g)], None)])[0][0]
+                   for side in SIDES)
     return left + right
 
 
-def _l2_half(f: np.ndarray, g: np.ndarray, boundary: complex, h: float, n: int,
-             boundary_is_right: bool, diff_f: bool = False,
-             diff_g: bool = False,
-             panel: Optional[np.ndarray] = None) -> complex:
-    """Trapezoid of conj(f) g over one half-line closed by ``boundary``, with
-    f and g replaced by their grid derivatives when ``diff_f`` and
-    ``diff_g`` say so.
-
-    The product is formed in ``panel`` (fresh when None) ``PANEL_CHUNK``
-    nodes at a time, each derivative chunk right where the product needs it,
-    and the trapezoid then overwrites the panel with its panel sums. If
-    either factor is the shared zero half (its own derivative), only the
-    origin panel is nonzero; it is scaled in ``_trapezoid_half``'s order, so
-    the sum is the same."""
-    if _is_zero_half(f, n) or _is_zero_half(g, n):
-        return complex((boundary.real * h) * 0.5, (boundary.imag * h) * 0.5)
-    product = np.empty(n, dtype=complex) if panel is None else panel
-    if diff_f or diff_g:
-        scratch = np.empty(min(PANEL_CHUNK, n), dtype=complex)
-    for start, stop in node_chunks(n):
-        out = product[start:stop]
-        if diff_f:
-            np.conj(_derivative_chunk(f, h, start, stop,
-                                      scratch[:stop - start]), out=out)
-        else:
-            np.conj(f[start:stop], out=out)
-        if diff_g:
-            _derivative_chunk(g, h, start, stop, scratch[:stop - start])
-        out *= scratch[:stop - start] if diff_g else g[start:stop]
-    return _trapezoid_half(product, boundary, h, boundary_is_right)
+def _sobolev_job(pairs: list, each: Optional[Callable] = None) -> tuple:
+    """A ``_pass`` job of the L2 and derivative pairing of each (f, g) in
+    ``pairs``, whose values ``_terms`` reads as ``sobolev_half`` terms."""
+    return [(f, g, d, d) for f, g in pairs for d in (False, True)], each
 
 
-def sobolev_half(spec: GridSpec, left: bool, f: Half, g: Half,
-                 panel: Optional[np.ndarray] = None) -> tuple:
+def _terms(values: list) -> tuple:
+    return tuple(zip(values[::2], values[1::2]))
+
+
+def sobolev_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
     """One half-line's terms (L2, D) of the Sobolev pairing <f|g>_S: the L2
-    pairing and the derivative pairing, both formed in ``panel``."""
-    return (_pair_half(spec, left, f, g, False, False, panel),
-            _pair_half(spec, left, f, g, True, True, panel))
+    pairing and the derivative pairing."""
+    return _terms(_pass(spec, left, [_sobolev_job([(f, g)])])[0])[0]
 
 
 def sobolev_total(left: tuple, right: tuple) -> complex:
@@ -609,16 +665,12 @@ def sobolev_total(left: tuple, right: tuple) -> complex:
     return (left[0] + right[0]) + (left[1] + right[1])
 
 
-def sobolev_inner(f: GridFunction, g: GridFunction,
-                  panel: Optional[np.ndarray] = None) -> complex:
-    """Sobolev pairing int (conj(f) g + conj(f') g'), every part formed in
-    one n-node panel buffer (``panel`` when lent, else fresh) and no
-    derivative formed whole."""
+def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
+    """Sobolev pairing int (conj(f) g + conj(f') g'), formed leaf by leaf
+    with no derivative formed whole."""
     require_same_spec(f, g)
-    if panel is None:
-        panel = np.empty(f.spec.n_nodes, dtype=complex)
     return sobolev_total(*(sobolev_half(f.spec, left, f.half(left),
-                                        g.half(left), panel)
+                                        g.half(left))
                            for left in SIDES))
 
 
@@ -628,8 +680,8 @@ def norm_from_inner(value: complex) -> float:
     return math.sqrt(max(value.real, 0.0))
 
 
-def sobolev_norm(f: GridFunction, panel: Optional[np.ndarray] = None) -> float:
-    return norm_from_inner(sobolev_inner(f, f, panel))
+def sobolev_norm(f: GridFunction) -> float:
+    return norm_from_inner(sobolev_inner(f, f))
 
 
 def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
@@ -688,12 +740,13 @@ def jay_form(f, g) -> complex:
             - np.conj(f.left_limit) * g.left_limit)
 
 
-def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half,
-                  panel: Optional[np.ndarray] = None) -> tuple:
-    """One half-line's terms of the regular pairings <f|g'> and <g|f'>,
-    each derivative streamed, so neither g' nor f' is formed whole."""
-    return (_pair_half(spec, left, f, g, False, True, panel),
-            _pair_half(spec, left, g, f, False, True, panel))
+
+
+def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
+    """One half-line's terms of the regular pairings <f|g'> and <g|f'>, in
+    one pass, so neither g' nor f' is formed whole."""
+    return tuple(_pass(spec, left, [([(f, g, False, True),
+                                      (g, f, False, True)], None)])[0])
 
 
 def symmetry_values(left: tuple, right: tuple, f, g, sigma: float) -> dict:
@@ -715,8 +768,7 @@ def symmetry_values(left: tuple, right: tuple, f, g, sigma: float) -> dict:
             "id_symmetry_defect_damped": id_defect(sigma)}
 
 
-def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float,
-                     panel: Optional[np.ndarray] = None) -> dict:
+def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
     """Residuals of the symmetry of iD on (f, g), each O(h^2).
 
     "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
@@ -724,38 +776,35 @@ def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float,
     "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
     the singular functional, and "id_symmetry_defect_damped" the same with
     zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
-    computed once each, with the derivative streamed, so neither g' nor i g'
-    is formed whole.
+    computed once each, with the derivative formed leaf by leaf, so neither
+    g' nor i g' is formed whole.
     """
     require_same_spec(f, g)
-    if panel is None:
-        panel = np.empty(f.spec.n_nodes, dtype=complex)
     return symmetry_values(*(symmetry_half(f.spec, left, f.half(left),
-                                           g.half(left), panel)
+                                           g.half(left))
                              for left in SIDES), f, g, sigma)
 
 
 def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
                        sign: float) -> float:
     """The largest node value of |i phi' + sign i phi| on one half-line, or
-    0 if that is larger (O(h^2)); 0 on the shared zero half. The half's
-    derivative is checked as ``derivative`` checks it.
+    0 if that is larger (O(h^2)); 0 on a zero half. The half's derivative
+    is checked as ``derivative`` checks it.
 
-    Reduced chunk by chunk with no full-size temporary, each node rounded
-    as in ``apply_iD(phi).regular + (sign i) phi``.
+    Reduced leaf by leaf, each node rounded as in
+    ``apply_iD(phi).regular + (sign i) phi``.
     """
-    h, n = spec.spacing, spec.n_nodes
     _derivative_trace(spec, left, phi)
-    values = phi.values
-    if _is_zero_half(values, n):
+    if _is_zero_half(phi.values):
         return 0.0
+    maxima = []
 
-    def residual(start, stop, out):
-        d = _derivative_chunk(values, h, start, stop, out)
-        np.multiply(1j, d, out=d)
-        d += (sign * 1j) * values[start:stop]
-        return d
-    return max(0.0, _chunked_max_abs(n, residual))
+    def residual(leaf):
+        d = np.multiply(1j, leaf.own(phi, True))
+        d += (sign * 1j) * leaf.own(phi)
+        maxima.append(np.abs(d).max())
+    _pass(spec, left, [([], residual)])
+    return max(0.0, float(np.max(maxima)))
 
 
 def eigenrelation_values(traces, left: float, right: float) -> dict:
@@ -790,71 +839,56 @@ def defect_coefficients(left_limit: complex, right_limit: complex) -> tuple:
     return 1j * right_limit, -1j * left_limit
 
 
-def _psi0_chunk(c: complex, phi: np.ndarray, values: np.ndarray, n: int,
-                start: int, stop: int, out: np.ndarray,
-                cphi: np.ndarray) -> np.ndarray:
-    """Nodes ``start:stop`` of one half of psi0 = f - c phi, with c phi
-    formed in the chunk buffer ``cphi`` (which keeps it) and psi0 written
-    into ``out``, which may be the same nodes of ``values`` itself. A shared
-    zero half of f is negated, as GridFunction subtraction does."""
-    np.multiply(c, phi[start:stop], out=cphi)
-    if _is_zero_half(values, n):
-        return np.negative(cphi, out=out)
-    return np.subtract(values[start:stop], cphi, out=out)
+def _psi0_window(c: complex, phi: np.ndarray, f: np.ndarray,
+                 f_is_zero: bool) -> np.ndarray:
+    """psi0 = f - c phi on some nodes, c phi formed and then subtracted
+    from f; a zero half of f is negated, as GridFunction subtraction
+    does."""
+    cphi = np.multiply(c, phi)
+    if f_is_zero:
+        return np.negative(cphi, out=cphi)
+    return np.subtract(f, cphi, out=cphi)
 
 
 def _psi0_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
-               c_minus: complex, phi_plus: Half, phi_minus: Half,
-               out: np.ndarray) -> Half:
-    """One half of psi0 = f - c_plus phi_+ - c_minus phi_-, unchecked,
-    rounded as that GridFunction expression rounds it: phi_- lives on the
-    left half-line and phi_+ on the right, so the half is c phi subtracted
-    from f's half, chunk by chunk, into ``out``, which may be f's own
-    storage (each node of f is read just before psi0 overwrites it)."""
-    n = spec.n_nodes
+               c_minus: complex, phi_plus: Half, phi_minus: Half) -> Half:
+    """One half of psi0 = f - c_plus phi_+ - c_minus phi_-, unchecked, as a
+    source, rounded as that GridFunction expression rounds it: phi_- lives
+    on the left half-line and phi_+ on the right, so the half is c phi
+    subtracted from f's half (``_psi0_window``)."""
     c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
-    cphi = np.empty(min(PANEL_CHUNK, n), dtype=complex)
-    for start, stop in node_chunks(n):
-        _psi0_chunk(c, phi.values, f.values, n, start, stop, out[start:stop],
-                    cphi[:stop - start])
-    return Half(out, (f.limit - c_plus * phi_plus.limit)
+    zero = _is_zero_half(f.values)
+    return Half(lambda lo, hi: _psi0_window(c, _read(phi.values, lo, hi),
+                                            _read(f.values, lo, hi), zero),
+                (f.limit - c_plus * phi_plus.limit)
                 - c_minus * phi_minus.limit)
 
 
 def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     """Split off the defect-vector components: c_pm = +-i psi(0+-).
 
-    psi0 = f - c_plus phi_+ - c_minus phi_-, each half formed by
-    ``_psi0_half``.
+    psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` read
+    whole.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
     n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
     left, right = (_psi0_half(f.spec, side, f.half(side), c_plus, c_minus,
-                              phi_plus.half(side), phi_minus.half(side),
-                              np.empty(n, dtype=complex))
+                              phi_plus.half(side), phi_minus.half(side))
                    for side in SIDES)
-    psi0 = GridFunction(f.spec, left.values, right.values, left.limit,
-                        right.limit)
+    psi0 = GridFunction(f.spec, _read(left.values, 0, n),
+                        _read(right.values, 0, n), left.limit, right.limit)
     return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
 
 
-def _chunked_max_abs(n: int, form: Callable) -> float:
-    """Largest |value| over one half-line's nodes, formed chunk by chunk by
-    ``form(start, stop, out)`` into one chunk buffer, which it returns; NaN
-    propagates as in one ``np.abs(...).max()``."""
-    buf = np.empty(min(PANEL_CHUNK, n), dtype=complex)
-    return float(np.max([np.abs(form(start, stop, buf[:stop - start])).max()
-                         for start, stop in node_chunks(n)]))
-
-
 def reproducing_half(spec: GridSpec, left: bool, phi_plus: Half,
-                     phi_minus: Half, psi_r: Half, psi_l: Half,
-                     panel: Optional[np.ndarray] = None) -> tuple:
+                     phi_minus: Half, pairs: list) -> list:
     """One half-line's ``sobolev_half`` terms of <phi_+|psi_r>_S and
-    <phi_-|psi_l>_S."""
-    return (sobolev_half(spec, left, phi_plus, psi_r, panel),
-            sobolev_half(spec, left, phi_minus, psi_l, panel))
+    <phi_-|psi_l>_S for each (psi_r, psi_l) in ``pairs``, all in one pass
+    that reads phi_pm once."""
+    return [_terms(values) for values in _pass(spec, left, [
+        _sobolev_job([(phi_plus, psi_r), (phi_minus, psi_l)])
+        for psi_r, psi_l in pairs])]
 
 
 def reproducing_residuals(left: tuple, right: tuple, psi_r_trace: complex,
@@ -870,23 +904,21 @@ def reproducing_residuals(left: tuple, right: tuple, psi_r_trace: complex,
             abs(1j * sobolev_total(left[1], right[1]) - psi_l_trace))
 
 
-def reproducing_defects(spec: GridSpec, pairs,
-                        panel: Optional[np.ndarray] = None) -> tuple:
+def reproducing_defects(spec: GridSpec, pairs) -> tuple:
     """Largest ``reproducing_residuals`` over (psi_r, psi_l) pairs, each
     O(h^2). The pairs are read one at a time and each is released before
     the next is read, so a generator that draws them holds one pair at
-    once, or may draw each pair into the buffers of the last."""
+    once."""
     phi_plus, phi_minus = defect_vectors(spec)
-    if panel is None:
-        panel = np.empty(spec.n_nodes, dtype=complex)
     worst_plus = worst_minus = 0.0
     for psi_r, psi_l in pairs:
         require_same_spec(phi_plus, psi_r)
         require_same_spec(phi_plus, psi_l)
         plus, minus = reproducing_residuals(
             *(reproducing_half(spec, left, phi_plus.half(left),
-                               phi_minus.half(left), psi_r.half(left),
-                               psi_l.half(left), panel) for left in SIDES),
+                               phi_minus.half(left),
+                               [(psi_r.half(left), psi_l.half(left))])[0]
+              for left in SIDES),
             psi_r.right_limit, psi_l.left_limit)
         worst_plus = max(worst_plus, plus)
         worst_minus = max(worst_minus, minus)
@@ -894,39 +926,46 @@ def reproducing_defects(spec: GridSpec, pairs,
     return worst_plus, worst_minus
 
 
-def decomposition_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
-                       c_minus: complex, phi_plus: Half, phi_minus: Half,
-                       out: np.ndarray, reference: Callable,
-                       panel: Optional[np.ndarray] = None) -> tuple:
-    """One half-line of ``decomposition_defects``: psi0's half, formed by
-    ``_psi0_half`` into ``out`` (which may hold f itself; f is spent then)
-    and checked, and this half's (reconstruction, psi0 trace, Sobolev
-    terms of <psi0|psi0>, <phi_+|psi0> and <phi_-|psi0>).
+def decomposition_half(spec: GridSpec, left: bool, draws: list,
+                       phi_plus: Half, phi_minus: Half) -> list:
+    """One half-line of ``decomposition_defects`` for each (f, c_plus,
+    c_minus) in ``draws``, all in one pass that reads phi_pm once: this
+    half's (reconstruction, psi0 trace, Sobolev terms of <psi0|psi0>,
+    <phi_+|psi0> and <phi_-|psi0>).
 
-    The reconstruction residual is the largest node value of
-    (psi0 + c phi) - f, reduced chunk by chunk from psi0 as stored against
-    ``reference(start, stop, buf)``, f's nodes start:stop from a source
-    that psi0 does not overwrite (a draw re-evaluated from its closure into
-    ``buf``, or the values of an f that ``out`` does not hold). With psi0
-    formed right it rounds as the GridFunction expression
-    psi0 + c_plus phi_+ + c_minus phi_- - f; a wrong psi0 shows in it.
+    psi0's half (``_psi0_half``) is checked, and formed on each leaf from
+    f's and phi's values into a window of its own. The reconstruction
+    residual, the largest node value of (psi0 + c phi) - f, is reduced from
+    that psi0 against f's values; with psi0 formed right it rounds as the
+    GridFunction expression, and a wrong psi0 shows in it.
     """
-    n = spec.n_nodes
-    psi0 = _check_half(spec, left, *_psi0_half(
-        spec, left, f, c_plus, c_minus, phi_plus, phi_minus, out))
-    c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
-    f_chunk = np.empty(min(PANEL_CHUNK, n), dtype=complex)
+    jobs, found = [], []
+    for f, c_plus, c_minus in draws:
+        psi0 = _check_half(spec, left, *_psi0_half(
+            spec, left, f, c_plus, c_minus, phi_plus, phi_minus))
+        c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
+        maxima = []
+        jobs.append(_sobolev_job([(u, psi0) for u in (psi0, phi_plus,
+                                                      phi_minus)],
+                                 functools.partial(_psi0_leaf, f, c, phi,
+                                                   psi0, maxima)))
+        found.append((maxima, psi0.limit))
+    return [(float(np.max(maxima)), limit, _terms(values))
+            for (maxima, limit), values in zip(found, _pass(spec, left,
+                                                            jobs))]
 
-    def residual(start, stop, buf):
-        # c phi + psi0 rounds as psi0 + c phi: addition commutes exactly
-        np.multiply(c, phi.values[start:stop], out=buf)
-        buf += psi0.values[start:stop]
-        buf -= reference(start, stop, f_chunk[:stop - start])
-        return buf
-    reconstruction = _chunked_max_abs(n, residual)
-    return (reconstruction, psi0.limit,
-            tuple(sobolev_half(spec, left, u, psi0, panel)
-                  for u in (psi0, phi_plus, phi_minus)))
+
+def _psi0_leaf(f: Half, c: complex, phi: Half, psi0: Half, maxima: list,
+               leaf: _Leaf) -> None:
+    """On one leaf: psi0's window, kept for the pairings, and the largest
+    reconstruction residual on the leaf's nodes, appended to ``maxima``."""
+    leaf.cache[id(psi0.values), False] = _finite(_psi0_window(
+        c, leaf.window(phi), leaf.window(f), _is_zero_half(f.values)))
+    # c phi + psi0 rounds as psi0 + c phi: addition commutes exactly
+    r = np.multiply(c, leaf.own(phi))
+    r += leaf.own(psi0)
+    r -= leaf.own(f)
+    maxima.append(np.abs(r).max())
 
 
 def decomposition_values(left: tuple, right: tuple) -> dict:
@@ -943,32 +982,20 @@ def decomposition_values(left: tuple, right: tuple) -> dict:
     }
 
 
-def _values_reference(values: np.ndarray) -> Callable:
-    """A ``decomposition_half`` reference that reads stored values."""
-    return lambda start, stop, buf: values[start:stop]
-
-
-def decomposition_defects(f: GridFunction,
-                          panel: Optional[np.ndarray] = None) -> dict:
+def decomposition_defects(f: GridFunction) -> dict:
     """Residuals of ``decompose_sobolev(f)``: "boundary_zero" is the larger
     |psi0(0+-)| (exactly zero), "orthogonality" the larger
     |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
     node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
 
-    ``decomposition_half`` on each half, psi0 formed into one fresh
-    half-line buffer that both halves reuse, the residual reduced against
-    f's own values; f is left as it was.
+    ``decomposition_half`` on each half, so psi0 is never held whole; f is
+    left as it was.
     """
     phi_plus, phi_minus = defect_vectors(f.spec)
-    n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
-    if panel is None:
-        panel = np.empty(n, dtype=complex)
-    out = np.empty(n, dtype=complex)
     return decomposition_values(*(
-        decomposition_half(f.spec, left, f.half(left), c_plus, c_minus,
-                           phi_plus.half(left), phi_minus.half(left), out,
-                           _values_reference(f.half(left).values), panel)
+        decomposition_half(f.spec, left, [(f.half(left), c_plus, c_minus)],
+                           phi_plus.half(left), phi_minus.half(left))[0]
         for left in SIDES))
 
 

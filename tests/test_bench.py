@@ -43,7 +43,7 @@ def test_sobolev_row_records_call_peak_and_value():
     assert set(result) == {"seconds", "nodes", "call_peak_mb",
                            "call_peak_arrays", "value"}
     assert result["nodes"] == 10_000 and result["seconds"] >= 0
-    # one half-line panel and chunk buffers: no derivative formed whole
+    # one leaf's buffers: no derivative or product formed whole
     assert result["call_peak_arrays"] < 1.0
     assert all(isinstance(float.fromhex(x), float) for x in result["value"])
 

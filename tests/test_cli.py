@@ -247,7 +247,7 @@ class TestDeterminism:
         skipped = report_to_json_bytes(run_command("defect", cfg))
         punctured_line.defect_vectors.cache_clear()
         monkeypatch.setattr(punctured_line, "_is_zero_half",
-                            lambda values, n: False)
+                            lambda values: False)
         full = report_to_json_bytes(run_command("defect", cfg))
         punctured_line.defect_vectors.cache_clear()
         assert full == skipped

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slhkit import cli, punctured_line
+from slhkit import punctured_line
 from slhkit.cli import command_defect
 from slhkit.config import config_from_dict
 from slhkit.ensembles import EXP_ZERO_BELOW, random_bump, random_grid_function
@@ -15,8 +15,12 @@ from slhkit.punctured_line import (
     GridFunction,
     GridSpec,
     PANEL_CHUNK,
-    _l2_half,
-    _trapezoid_half,
+    Half,
+    _is_zero_half,
+    _panel_nodes,
+    _panel_sum,
+    _pass,
+    _tree_sum,
     apply_iD,
     boundary_phase,
     decompose_sobolev,
@@ -24,6 +28,7 @@ from slhkit.punctured_line import (
     decomposition_half,
     decomposition_values,
     defect_coefficients,
+    defect_halves,
     defect_vectors,
     derivative,
     eigenrelation_defects,
@@ -48,6 +53,22 @@ def gaussian(amp, width, center):
     return lambda t: amp * np.exp(-width * (t - center) ** 2)
 
 
+def defect_suite_peak(half_width, spacing):
+    """The tracemalloc peak, in bytes, of one CLI defect suite."""
+    config = config_from_dict({"m": 1, "n": 1,
+                               "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                     [[0.5, 0.2], [1.0, 0.0]]],
+                               "grid": {"T": half_width, "h": spacing}})
+    np.random.default_rng(0)  # numpy.random imports lazily, once
+    defect_vectors.cache_clear()
+    tracemalloc.start()
+    try:
+        command_defect(config, 0, 0, Report("defect", ""))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestGrid:
     def test_spec_requires_integer_ratio(self):
         with pytest.raises(SpecMismatch):
@@ -58,8 +79,25 @@ class TestGrid:
             GridSpec(0.005, 1e-3)
 
     def test_no_node_at_origin(self):
-        assert SPEC.left_nodes()[-1] == -SPEC.spacing
-        assert SPEC.right_nodes()[0] == SPEC.spacing
+        assert SPEC.nodes(True)[-1] == -SPEC.spacing
+        assert SPEC.nodes(False)[0] == SPEC.spacing
+
+    @pytest.mark.parametrize("half_width,spacing", [
+        (40.0, 5e-4), (30.0, 3e-3), (40.0, 1e-4), (0.011, 1e-3)])
+    def test_node_windows_match_linspace(self, half_width, spacing):
+        # The defect suite forms each leaf's nodes by themselves; they are
+        # np.linspace's nodes bit for bit, the last one included.
+        spec = GridSpec(half_width, spacing)
+        n = spec.n_nodes
+        for left in SIDES:
+            whole = (np.linspace(-half_width, -spacing, n) if left
+                     else np.linspace(spacing, half_width, n))
+            assert np.array_equal(spec.nodes(left).view(np.int64),
+                                  whole.view(np.int64))
+            for lo in (*range(0, n, 2531), n - 3):
+                hi = min(lo + 2600, n)
+                assert np.array_equal(spec.nodes(left, lo, hi).view(np.int64),
+                                      whole[lo:hi].view(np.int64))
 
     @pytest.mark.parametrize("half_width,spacing", [
         (float("nan"), 1e-3), (float("inf"), 1e-3),
@@ -94,32 +132,19 @@ class TestGrid:
     @pytest.mark.parametrize("half_width,spacing", [(30.0, 3e-3), (40.0, 2e-3)])
     def test_defect_suite_peak_within_guard(self, half_width, spacing):
         # The guard's premise: the CLI defect suite never holds more than
-        # DEFECT_LIVE_ARRAYS two-sided complex arrays. Working one
-        # half-line at a time it holds the panel, two half-line buffers,
-        # one node grid and chunk buffers: measured 2.56 and 2.15 arrays
-        # at these sizes. A cached defect pair or a second draw half would
-        # add 0.5 or more.
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": half_width, "h": spacing}})
+        # DEFECT_LIVE_ARRAYS two-sided complex arrays. Reading every half
+        # leaf by leaf it holds one leaf's buffers and no node array:
+        # measured 1.05 and 0.51 arrays at these sizes. One half-line
+        # buffer would add 0.5.
         n = GridSpec(half_width, spacing).n_nodes
-        np.random.default_rng(0)  # numpy.random imports lazily, once
-        defect_vectors.cache_clear()
-        zero_half.cache_clear()
-        tracemalloc.start()
-        try:
-            command_defect(config, 0, 0, Report("defect", ""))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = defect_suite_peak(half_width, spacing)
         assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * 32 * n
-        measured = {(30.0, 3e-3): 2.56, (40.0, 2e-3): 2.15}
+        measured = {(30.0, 3e-3): 1.05, (40.0, 2e-3): 0.51}
         assert peak <= (measured[half_width, spacing] + 0.1) * 32 * n
 
     def test_defect_suite_releases_the_defect_pair(self):
-        # The groups form each defect-vector half in closed form in a lent
-        # buffer: the two-sided cached pair is never asked for.
+        # The groups read each defect-vector half in closed form: the
+        # two-sided cached pair is never asked for.
         config = config_from_dict({"m": 1, "n": 1,
                                    "E": [[[0.3, 0.0], [0.5, -0.2]],
                                          [[0.5, 0.2], [1.0, 0.0]]],
@@ -129,56 +154,16 @@ class TestGrid:
         info = defect_vectors.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
-    def test_defect_suite_draws_into_the_lent_buffers(self, monkeypatch):
-        # Every group evaluates into the same two half-line buffers: each
-        # closed-form phi half into the first; every reproducing and
-        # decomposition draw, and every psi0, into the second; the symmetry
-        # checks' f into the first and g into the second. Every pairing
-        # gets the one panel. Checked on the arrays themselves, so it does
-        # not depend on what the allocator reuses.
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": 30.0, "h": 3e-3}})
-        n = GridSpec(30.0, 3e-3).n_nodes
-        seen = {"phi": [], "draw": [], "psi0": [], "panel": []}
-
-        def recording(name, fn, keep):
-            def run(*args, **kwargs):
-                result = fn(*args, **kwargs)
-                seen[name].extend(keep(result))
-                return result
-            return run
-
-        def evaluated(*halves):
-            return [h.values for h in halves if h.values is not zero_half(n)]
-
-        def pair_half(spec, left, f, g, diff_f, diff_g, panel=None):
-            seen["panel"].append(panel)
-            return original_pair_half(spec, left, f, g, diff_f, diff_g, panel)
-
-        original_pair_half = punctured_line._pair_half
-        monkeypatch.setattr(cli, "defect_halves", recording(
-            "phi", cli.defect_halves, lambda pair: evaluated(*pair)))
-        monkeypatch.setattr(cli, "sample_half", recording(
-            "draw", cli.sample_half, evaluated))
-        monkeypatch.setattr(punctured_line, "_psi0_half", recording(
-            "psi0", punctured_line._psi0_half, evaluated))
-        monkeypatch.setattr(punctured_line, "_pair_half", pair_half)
-        command_defect(config, 0, 0, Report("defect", ""))
-
-        phi, draws, psi0 = seen["phi"], seen["draw"], seen["psi0"]
-        # four groups pair phi, two passes each; 20 reproducing, 20
-        # decomposition and 4 symmetry half evaluations
-        assert (len(phi), len(draws), len(psi0)) == (8, 44, 20)
-        first, second = phi[0], draws[0]
-        assert not np.shares_memory(first, second)
-        assert all(np.shares_memory(v, first) for v in phi + draws[40::2])
-        assert all(np.shares_memory(v, second)
-                   for v in draws[:40] + psi0 + draws[41::2])
-        panel = seen["panel"][0]
-        assert panel is not None and panel.shape == (n,)
-        assert all(p is panel for p in seen["panel"])
+    def test_defect_suite_peak_is_flat_in_n(self):
+        # The peak is one leaf's buffers, under nine complex arrays of at
+        # most PANEL_CHUNK values, whatever n: measured 327.2 and 326.8 KiB
+        # at 10k and 80k nodes, whose leaves both hold 2,500 values. One
+        # half-line buffer at 80k nodes is 1.25 MB.
+        leaf = 16 * PANEL_CHUNK
+        small, large = (defect_suite_peak(*size)
+                        for size in ((30.0, 3e-3), (40.0, 5e-4)))
+        assert max(small, large) <= 9 * leaf
+        assert abs(large - small) <= leaf
 
     def test_defect_suite_matches_the_two_sided_functions(self):
         # The suite's half-line passes and the two-sided functions run the
@@ -225,14 +210,13 @@ class TestGrid:
         # The pairs come from a generator. While the next pair is drawn, the
         # previous one must already be free, the pairing with phi_pm is
         # rotated rather than formed on scaled copies of phi_pm, and every
-        # derivative is streamed: the peak stays near 2.9 two-sided arrays
-        # (defect vectors, one pair, one half-line pairing panel, one draw's
-        # node grid and chunk buffers), not 3.4 (two pairs, scaled copies or
-        # a derivative formed whole) or more.
+        # derivative is formed leaf by leaf: the peak stays near 2.4
+        # two-sided arrays (defect vectors, one pair, one draw's node grid
+        # and temporaries, leaf buffers), not 2.9 (a half-line buffer, a
+        # scaled copy or a derivative formed whole) or more.
         spec = GridSpec(40.0, 2e-3)
         rng = np.random.default_rng(0)
         defect_vectors.cache_clear()
-        zero_half.cache_clear()
         tracemalloc.start()
         try:
             reproducing_defects(spec, (
@@ -242,7 +226,7 @@ class TestGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * 32 * spec.n_nodes
+        assert peak <= 2.5 * 32 * spec.n_nodes
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -382,8 +366,8 @@ class TestRandomBump:
         rng = np.random.default_rng(4)
         for _ in range(20):
             f = random_grid_function(rng, SPEC)
-            left_peak = SPEC.left_nodes()[np.argmax(np.abs(f.left))]
-            right_peak = SPEC.right_nodes()[np.argmax(np.abs(f.right))]
+            left_peak = SPEC.nodes(True)[np.argmax(np.abs(f.left))]
+            right_peak = SPEC.nodes(False)[np.argmax(np.abs(f.right))]
             assert -2.2 <= left_peak <= -0.7 and 0.7 <= right_peak <= 2.2
             assert f.left_limit != 0.0 and f.right_limit != 0.0
             assert f.jump != 0.0
@@ -408,11 +392,11 @@ class TestRandomBump:
         width, center = ref.uniform(0.5, 2.0), ref.uniform(0.7, 2.2)
         # T = 40 reaches arguments far below exp's underflow, and the
         # subnormal results just above it
-        t = SPEC.right_nodes()
+        t = SPEC.nodes(False)
         values = bump(t)
         expected = amp * np.exp(-width * (t - center) ** 2)
         assert np.array_equal(values.view(np.int64), expected.view(np.int64))
-        assert np.array_equal(t, SPEC.right_nodes())
+        assert np.array_equal(t, SPEC.nodes(False))
 
     @pytest.mark.parametrize("n", [10, 4095, 4096, 4097, 12295])
     def test_chunked_bump_matches_one_temporary_expression(self, n):
@@ -434,27 +418,25 @@ class TestRandomBump:
             x[x < EXP_ZERO_BELOW] = 0.0
             expected = amp * x
             assert (x == 0.0).any() and (x > 0.0).any()
-            lent = np.full(n, np.nan, dtype=complex)
-            assert bump(t, out=lent) is lent
-            for got in (lent, bump(t)):
-                assert np.array_equal(got.view(np.int64),
-                                      expected.view(np.int64))
+            assert np.array_equal(bump(t).view(np.int64),
+                                  expected.view(np.int64))
 
     def test_bump_on_node_chunks_matches_whole_evaluation(self):
-        # The CLI reduces the reconstruction residual against each draw
-        # re-evaluated on one node chunk at a time; that must be the
-        # drawn values bit for bit, partial last chunk included.
+        # The CLI evaluates each draw on one leaf's nodes at a time, padded
+        # windows that overlap, and again on the leaf's own nodes for the
+        # reconstruction residual; each must be the whole draw's values bit
+        # for bit, partial last window included.
         spec = GridSpec(30.0, 3e-3)
         rng = np.random.default_rng(21)
+        n = spec.n_nodes
         for side in ("left", "right"):
             bump = random_bump(rng, side)
-            nodes = spec.nodes(side == "left")
-            whole = bump(nodes)
-            chunk = np.empty(PANEL_CHUNK, dtype=complex)
-            for start, stop in punctured_line.node_chunks(spec.n_nodes):
-                got = bump(nodes[start:stop], out=chunk[:stop - start])
+            whole = bump(spec.nodes(side == "left"))
+            half = sample_half(spec, side == "left", bump)
+            for lo, hi in ((0, 2502), (2498, 5002), (4998, n), (n - 3, n)):
+                got = half.values(lo, hi)
                 assert np.array_equal(got.view(np.int64),
-                                      whole[start:stop].view(np.int64))
+                                      whole[lo:hi].view(np.int64))
 
 
 class TestApplyiD:
@@ -464,7 +446,7 @@ class TestApplyiD:
         out = apply_iD(psi)
         assert out.coefficient == 0.0
         # regular part approximates i * derivative
-        t = SPEC.right_nodes()
+        t = SPEC.nodes(False)
         exact = 1j * (-2.0 * t * np.exp(-t ** 2))
         assert np.abs(out.regular.right - exact).max() <= 1e-5
 
@@ -599,7 +581,7 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_reconstruction_equals_grid_function_expression(self, spec):
-        # the per-half buffers add in the order of the GridFunction sum
+        # the leaf windows add in the order of the GridFunction sum
         rng = np.random.default_rng(11)
         pp, pm = defect_vectors(spec)
         for f in (random_grid_function(rng, spec),
@@ -612,8 +594,8 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_psi0_equals_grid_function_expression(self, spec):
-        # one buffer per half, c phi then subtracted from f in place; a
-        # shared zero half of f is negated, as GridFunction subtraction does
+        # c phi formed, then subtracted from f; a shared zero half of f is
+        # negated, as GridFunction subtraction does
         rng = np.random.default_rng(13)
         pp, pm = defect_vectors(spec)
         for f in (random_grid_function(rng, spec),
@@ -630,50 +612,43 @@ class TestDecomposition:
                                   traces[2:].view(np.int64))
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
-    def test_psi0_over_f_storage_matches_fresh_psi0(self, spec):
-        # As the CLI suite does: f's halves drawn into lent buffers, then
-        # psi0 formed over them half by half by decomposition_half, the
-        # residual reduced against an independent copy of f. psi0 and
-        # every residual equal those of a fresh psi0 beside an untouched
-        # copy of f, bit for bit, the reconstruction residual included.
+    def test_psi0_from_sources_matches_fresh_psi0(self, spec):
+        # As the CLI suite does: f's halves and phi_pm read from their
+        # sources, psi0 formed leaf by leaf by decomposition_half and the
+        # residual reduced against f read again. psi0 and every residual
+        # equal those of a fresh psi0 of the stored f, bit for bit, the
+        # reconstruction residual included.
         rng = np.random.default_rng(17)
         pp, pm = defect_vectors(spec)
-        n = spec.n_nodes
         for sides in (("left", "right"), ("right",), ("left",)):
             bumps = {side: random_bump(rng, side) for side in sides}
-            halves = (np.empty(n, dtype=complex), np.empty(n, dtype=complex))
-            lh, rh = (sample_half(spec, left,
-                                  bumps.get("left" if left else "right"),
-                                  out=buf)
-                      for left, buf in zip(SIDES, halves))
-            f = GridFunction(spec, lh.values, rh.values, lh.limit, rh.limit)
-            copy = GridFunction(
-                spec, *(a if a is zero_half(n) else a.copy()
-                        for a in (f.left, f.right)),
-                f.left_limit, f.right_limit)
-            fresh = decompose_sobolev(copy)
-            diff = fresh.psi0 + fresh.c_plus * pp + fresh.c_minus * pm - copy
+            halves = [sample_half(spec, left,
+                                  bumps.get("left" if left else "right"))
+                      for left in SIDES]
+            f = sample(spec, bumps.get("left"), bumps.get("right"))
+            fresh = decompose_sobolev(f)
+            diff = fresh.psi0 + fresh.c_plus * pp + fresh.c_minus * pm - f
             c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
-            terms = []
-            for left, buf in zip(SIDES, halves):
-                reference = copy.half(left).values
-                terms.append(decomposition_half(
-                    spec, left, f.half(left), c_plus, c_minus, pp.half(left),
-                    pm.half(left), buf,
-                    lambda start, stop, out, ref=reference: ref[start:stop]))
+            terms = [decomposition_half(spec, left, [(half, c_plus, c_minus)],
+                                        *defect_halves(spec, left))[0]
+                     for left, half in zip(SIDES, halves)]
             defects = decomposition_values(*terms)
-            assert defects == decomposition_defects(copy)
+            assert defects == decomposition_defects(f)
             assert defects["reconstruction"] == max(
                 float(np.abs(diff.left).max()),
                 float(np.abs(diff.right).max()))
-            for got, want in zip(halves, (fresh.psi0.left, fresh.psi0.right)):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            for left, half, want in zip(SIDES, halves,
+                                        (fresh.psi0.left, fresh.psi0.right)):
+                psi0 = punctured_line._psi0_half(
+                    spec, left, half, c_plus, c_minus,
+                    *defect_halves(spec, left)).values(0, spec.n_nodes)
+                assert np.array_equal(psi0.view(np.int64),
+                                      want.view(np.int64))
 
     def test_cli_reconstruction_check_sees_a_wrong_psi0(self, monkeypatch):
-        # The residual reads psi0 as stored and f from the draw itself, so
-        # the CLI check fails when psi0 is wrong: when the residual reads f
-        # from the buffer psi0 was formed over (psi0 read as f), or when
-        # c phi is subtracted twice.
+        # The residual reads psi0 as the pairings see it and f from the
+        # draw itself, so the CLI check fails when psi0 is wrong: when c phi
+        # is subtracted twice, or not at all.
         config = config_from_dict({"m": 1, "n": 1,
                                    "E": [[[0.3, 0.0], [0.5, -0.2]],
                                          [[0.5, 0.2], [1.0, 0.0]]],
@@ -686,37 +661,21 @@ class TestDecomposition:
                         if c.name == "decomposition_reconstruction")
 
         assert reconstruction().passed
-        original_half = cli.decomposition_half
-        original_psi0 = punctured_line._psi0_half
-
-        def psi0_read_as_f(spec, left, f, c_plus, c_minus, phi_plus,
-                           phi_minus, out, reference, panel=None):
-            return original_half(spec, left, f, c_plus, c_minus, phi_plus,
-                                 phi_minus, out,
-                                 lambda start, stop, buf: out[start:stop],
-                                 panel)
-
-        def twice(spec, left, f, c_plus, c_minus, phi_plus, phi_minus, out):
-            once = original_psi0(spec, left, f, c_plus, c_minus, phi_plus,
-                                 phi_minus, out)
-            return original_psi0(spec, left, once, c_plus, c_minus,
-                                 phi_plus, phi_minus, out)
-
-        for target, name, mutant in ((cli, "decomposition_half",
-                                      psi0_read_as_f),
-                                     (punctured_line, "_psi0_half", twice)):
+        original = punctured_line._psi0_window
+        for scale in (2.0, 0.0):
             with monkeypatch.context() as patch:
-                patch.setattr(target, name, mutant)
+                patch.setattr(punctured_line, "_psi0_window",
+                              lambda c, phi, f, zero, scale=scale:
+                              original(scale * c, phi, f, zero))
                 check = reconstruction()
             assert not check.passed and check.value > 1e-13
 
     @pytest.mark.parametrize("spec", [GridSpec(40.0, 1e-3), GridSpec(40.0, 5e-4)])
     def test_decomposition_peak(self, spec):
-        # Above f and the cached defect vectors: one half-line buffer that
-        # holds each half of psi0 in turn and one half-line pairing panel
-        # beside it, 1.08 to 1.16 two-sided arrays with the chunk buffers;
-        # a psi0 held on both halves, a residual buffer or a derivative
-        # formed whole would add 0.5 or more.
+        # Above f and the cached defect vectors: psi0 is formed leaf by
+        # leaf, so only leaf buffers, 0.16 and 0.08 two-sided arrays
+        # (209 KB); psi0 held on one half, a residual buffer or a
+        # derivative formed whole would add 0.5 or more.
         rng = np.random.default_rng(12)
         f = random_grid_function(rng, spec)
         defect_vectors(spec)
@@ -726,7 +685,7 @@ class TestDecomposition:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 32 * spec.n_nodes
+        assert peak <= 0.2 * 32 * spec.n_nodes
 
 
 class TestBoundaryPhase:
@@ -820,6 +779,15 @@ def old_derivative_half(values, h):
     return d
 
 
+def tree_trapezoid(values, boundary, h, left):
+    """The trapezoid of one half-line's values closed by ``boundary``, as
+    the pairing passes form it: leaf sums joined in pairwise-tree order."""
+    n = values.size
+    return complex(_tree_sum(n, lambda a, b: [_panel_sum(
+        values[slice(*_panel_nodes(a, b, n, left))], a, b, n, boundary, h,
+        left)])[0])
+
+
 def random_noise_function(rng, spec):
     """Unstructured complex values, zero only on the three nodes at each
     truncation boundary (so the derivative vanishes there too)."""
@@ -844,30 +812,33 @@ class TestKernelOracles:
             b = complex(*rng.standard_normal(2))
             left = complex(np.trapezoid(np.concatenate([values, [b]]), dx=h))
             right = complex(np.trapezoid(np.concatenate([[b], values]), dx=h))
-            # the trapezoid overwrites its input with the panel sums
-            assert _trapezoid_half(values.copy(), b, h, True) == left
-            assert _trapezoid_half(values.copy(), b, h, False) == right
+            assert tree_trapezoid(values, b, h, True) == left
+            assert tree_trapezoid(values, b, h, False) == right
 
     @pytest.mark.parametrize("n", [10, 4095, 4096, 4097, 8193, 80_000])
     def test_l2_half_matches_trapezoid_and_keeps_its_factors(self, n):
-        # chunk edges on both sides of PANEL_CHUNK = 4096, contiguous and
-        # strided factors (every other node of a wider array)
+        # one half-line's L2 pass: leaves on both sides of PANEL_CHUNK =
+        # 4096, contiguous and strided factors (every other node of a
+        # wider array)
         rng = np.random.default_rng(n)
-        h = 5e-4
+        h = 2.0 ** -11
+        spec = GridSpec(n * h, h)
         wide = rng.standard_normal((2, 2 * n)) + 1j * rng.standard_normal((2, 2 * n))
         for f, g in ((wide[0, :n], wide[1, :n]), (wide[0, ::2], wide[1, ::2])):
             f_before, g_before = f.copy(), g.copy()
-            b = complex(*rng.standard_normal(2))
+            fb, gb = (complex(*rng.standard_normal(2)) for _ in range(2))
+            b = np.conj(fb) * gb
             product = np.conj(f) * g
             left = complex(np.trapezoid(np.concatenate([product, [b]]), dx=h))
             right = complex(np.trapezoid(np.concatenate([[b], product]), dx=h))
-            assert _l2_half(f, g, b, h, n, True) == left
-            assert _l2_half(f, g, b, h, n, False) == right
+            for side, want in ((True, left), (False, right)):
+                pair = (Half(f, fb), Half(g, gb), False, False)
+                assert _pass(spec, side, [([pair], None)]) == [[want]]
             assert np.array_equal(f, f_before) and np.array_equal(g, g_before)
 
     def test_l2_inner_holds_one_buffer_per_half(self):
-        # one n-node complex buffer per half, plus numpy's copy of the
-        # overlapping input of one panel chunk and a few small objects
+        # no n-node buffer: a leaf's product and panels, each at most
+        # PANEL_CHUNK values, and a few small objects
         spec = GridSpec(40.0, 5e-4)
         rng = np.random.default_rng(9)
         f = random_noise_function(rng, spec)
@@ -878,7 +849,7 @@ class TestKernelOracles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * (spec.n_nodes + PANEL_CHUNK) + 4096
+        assert peak <= 16 * 2 * PANEL_CHUNK + 4096
 
     @pytest.mark.parametrize("spec", [SPEC, GridSpec(40.0, 5e-4),
                                       GridSpec(30.0, 3e-3)])
@@ -1014,10 +985,11 @@ class TestZeroHalves:
         fs = self.functions()
         zeros = zero_half(self.SPEC.n_nodes)
         assert not zeros.flags.writeable and not np.any(zeros)
+        assert zeros.strides == (0,) and _is_zero_half(zeros)
         for name in ("phi_plus", "right", "right_jump", "interior"):
-            assert fs[name].left is zeros
+            assert _is_zero_half(fs[name].left)
         for name in ("phi_minus", "left"):
-            assert fs[name].right is zeros
+            assert _is_zero_half(fs[name].right)
         assert fs["right_jump"].left_limit == 0.3
         with pytest.raises(ValueError):
             zeros[0] = 1.0
@@ -1036,19 +1008,17 @@ class TestZeroHalves:
         assert sobolev_inner(fs["phi_plus"], fs["phi_minus"]) == 0.0
 
     def test_derivative_matches_full_computation(self):
-        zeros = zero_half(self.SPEC.n_nodes)
         for f in self.functions().values():
             d = derivative(f)
             assert same(d, derivative_values(f))
             assert same(derivative(plain(f)), derivative_values(f))
-            assert (d.left is zeros) == (f.left is zeros)
-            assert (d.right is zeros) == (f.right is zeros)
+            assert _is_zero_half(d.left) == _is_zero_half(f.left)
+            assert _is_zero_half(d.right) == _is_zero_half(f.right)
 
     def test_arithmetic_matches_full_computation(self):
         fs = self.functions()
-        zeros = zero_half(self.SPEC.n_nodes)
-        assert (2.0 * fs["phi_plus"]).left is zeros
-        assert (fs["phi_plus"] - fs["right"]).left is zeros
+        assert _is_zero_half((2.0 * fs["phi_plus"]).left)
+        assert _is_zero_half((fs["phi_plus"] - fs["right"]).left)
         for f in fs.values():
             fv = values(f)
             for scalar in (0.7 - 1.3j, -1.0, 2.0):
@@ -1061,3 +1031,24 @@ class TestZeroHalves:
                 assert same(f + g, total) and same(plain(f) + plain(g), total)
                 diff = tuple(x - y for x, y in zip(fv, gv))
                 assert same(f - g, diff) and same(plain(f) - plain(g), diff)
+
+    def test_zero_half_is_recognised_whatever_grid_made_it(self):
+        # Two specs in turn: each function's zero half still takes every
+        # shortcut, so scaling, adding and subtracting store no node array.
+        other = GridSpec(40.0, 2e-3)
+        rng = np.random.default_rng(9)
+        f = sample(self.SPEC, right=random_bump(rng, "right"))
+        g = sample(other, right=random_bump(rng, "right"))
+        for u in (f, g, f, g):
+            for op in (lambda u: u * 2.0, lambda u: u + u, lambda u: u - u):
+                tracemalloc.start()
+                try:
+                    result = op(u)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                # the right half's new array, and none for the left
+                assert _is_zero_half(result.left)
+                assert peak < 1.5 * 16 * u.spec.n_nodes
+        assert not _is_zero_half(np.zeros(self.SPEC.n_nodes, dtype=complex))
+        assert not _is_zero_half(np.broadcast_to(1j, (self.SPEC.n_nodes,)))

@@ -7,13 +7,15 @@ Runs ``cli.command_defect`` in-process at each grid of ``SIZES``, with the
 check groups it calls (the module-level ``_...`` functions it names) wrapped
 so that each records the traced peak reached while it runs and the minor
 page faults (``ru_minflt``) the process took meanwhile. Memory still held
-from earlier groups (the lent buffers) counts. The peak's unit is one
-two-sided complex array, 32 bytes per node of a half-line, the unit of
-``punctured_line.DEFECT_LIVE_ARRAYS``; the last row of the peak table is
-the peak of the whole command, the figure that constant bounds, and the
-last row of the fault table the whole command's faults. Faults are counted
-with tracemalloc on, so read them side by side with another tree's, not as
-those of a plain run.
+from earlier groups counts. The peak is printed twice: in two-sided complex
+arrays, 32 bytes per node of a half-line, the unit of
+``punctured_line.DEFECT_LIVE_ARRAYS``, and in KiB. The suite holds no node
+array, so its peak is a few leaves' buffers of at most
+``punctured_line.PANEL_CHUNK`` values: the KiB figures stay flat in n while
+the array figures fall towards 0. The last row of the peak tables is the
+peak of the whole command, and the last row of the fault table the whole
+command's faults. Faults are counted with tracemalloc on, so read them side
+by side with another tree's, not as those of a plain run.
 
 The last table is the end-to-end figure: for each grid, one
 ``command_defect`` in a fresh child process (one BLAS thread, no
@@ -42,8 +44,9 @@ from slhkit.config import config_from_dict
 from slhkit.punctured_line import GridSpec
 from slhkit.report import Report
 
-# (T, h): 10k, 20k, 40k and 80k nodes per half-line.
-SIZES = ((30.0, 3e-3), (40.0, 2e-3), (40.0, 1e-3), (40.0, 5e-4))
+# (T, h): 10k, 20k, 40k, 80k and 400k nodes per half-line.
+SIZES = ((30.0, 3e-3), (40.0, 2e-3), (40.0, 1e-3), (40.0, 5e-4),
+         (40.0, 1e-4))
 COUPLING = [[[0.3, 0.0], [0.5, -0.2]], [[0.5, 0.2], [1.0, 0.0]]]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -89,13 +92,11 @@ def rss_growth(half_width: float, spacing: float) -> float:
 
 
 def peaks(half_width: float, spacing: float) -> tuple:
-    """Traced peak, in two-sided complex arrays, and minor page faults, per
-    group and in total."""
+    """Traced peak in bytes, and minor page faults, per group and in
+    total."""
     config = grid_config(half_width, spacing)
-    unit = 32 * GridSpec(half_width, spacing).n_nodes
     np.random.default_rng(0)  # numpy.random imports lazily, once
     punctured_line.defect_vectors.cache_clear()
-    punctured_line.zero_half.cache_clear()
     result, faults = {}, {}
 
     def measured(name, group):
@@ -104,7 +105,7 @@ def peaks(half_width: float, spacing: float) -> tuple:
             before = minor_faults()
             group(*args)
             faults[name] = minor_faults() - before
-            result[name] = tracemalloc.get_traced_memory()[1] / unit
+            result[name] = tracemalloc.get_traced_memory()[1]
         return run
 
     originals = {name: getattr(cli, name) for name in group_names()}
@@ -130,12 +131,18 @@ def main(argv=None) -> int:
         print(json.dumps(child_rss_growth(*map(float, argv[1:3]))))
         return 0
     growth = [rss_growth(*size) for size in SIZES]
-    columns = [(*peaks(*size), {"command_defect": rss})
-               for size, rss in zip(SIZES, growth)]
+    columns = []
+    for size, rss in zip(SIZES, growth):
+        peak, faults = peaks(*size)
+        unit = 32 * GridSpec(*size).n_nodes
+        columns.append(({k: v / unit for k, v in peak.items()},
+                        {k: v / 1024 for k, v in peak.items()}, faults,
+                        {"command_defect": rss}))
     heads = [f"T={t:g},n={GridSpec(t, h).n_nodes}" for t, h in SIZES]
-    for title, index, form in (("peak (two-sided arrays)", 0, ".2f"),
-                               ("minor page faults", 1, "d"),
-                               ("ru_maxrss growth (MB, fresh child)", 2,
+    for title, index, form in (("peak (two-sided arrays)", 0, ".4f"),
+                               ("peak (KiB)", 1, ".1f"),
+                               ("minor page faults", 2, "d"),
+                               ("ru_maxrss growth (MB, fresh child)", 3,
                                 ".2f")):
         table = [column[index] for column in columns]
         width = max(len(name) for name in table[0])
