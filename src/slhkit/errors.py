@@ -1,8 +1,8 @@
 """Exception types shared across the package."""
 
-# Desk-scale memory budget behind TooLarge: the most bytes one Fock kernel
-# solve (fock.TruncatedFockSpace.solve_bytes) or one grid defect suite
-# (checked by punctured_line.GridSpec) may need.
+# Desk-scale memory budget behind TooLarge: the most bytes one level of a
+# Fock kernel solve (charged by fock.boundary_kernel) or one grid defect
+# suite (checked by punctured_line.GridSpec) may need.
 MAX_SOLVE_BYTES = 2 * 2 ** 30
 
 

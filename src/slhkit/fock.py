@@ -78,14 +78,14 @@ triple once and hands them down: ``subspace_equivalence`` solves both
 kernels, ``sample_domain_vectors`` draws from route B's guarded part, and
 ``action_residuals`` applies the rows and the action read off ``res.ito``.
 
-Size guard: ``TruncatedFockSpace`` estimates the peak bytes of a kernel solve
-(``solve_bytes``: the largest sector block with its SVD factors, or the
-returned columns, whose width is at most m d^n by ``kernel_rank``, plus the
-sector kernels and index tables held beside them) and raises TooLarge above
-``MAX_SOLVE_BYTES`` before anything is allocated; with a nonzero E_l0 each
-block of the sectors <= N is checked against the same bound before it is
-assembled.  With E_l0 = 0, (1,3,5) and (1,3,6) (dim 15625 and 46656, about
-0.32 and 1.9 GiB) fit; (1,3,7) and (2,3,8) do not.
+Size guard: ``boundary_kernel`` charges each level before its block is
+assembled (``_level_bytes``: the block and what ``null_space`` allocates
+for it, LAPACK's SVD workspace included, plus the kernels held from earlier
+levels and the index tables) and raises TooLarge, naming the level, above
+``MAX_SOLVE_BYTES``.  A space is refused on construction only by closed
+forms, the returned columns (at most m d^n, ``kernel_rank``) and the index
+tables, so a huge cutoff is refused at once.  With E_l0 = 0, (1,3,7) stops
+after level 11, charged 1.7 GiB; (2,3,8) is refused on construction.
 """
 
 from __future__ import annotations
@@ -99,13 +99,6 @@ import numpy as np
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
 from .linalg import adjoint, channel_blocks, null_space, principal_angles
 from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
-
-
-def _svd_block_bytes(rows: int, cols: int) -> int:
-    """Bytes of a complex rows x cols block plus what its kernel solve
-    allocates beside it: rows x min(rows, cols) for the QR copy of a tall
-    block or U of a wide one, and V of cols x cols."""
-    return 16 * (rows * cols + rows * min(rows, cols) + cols * cols)
 
 
 # A ladder operator as applied: a|x> = weight[x] |target[x]> on Fock indices x,
@@ -138,10 +131,10 @@ class TruncatedFockSpace:
         if self.d < 3 or self.m < 1 or self.n < 1:
             raise TooLarge(f"need d >= 3, m >= 1, n >= 1, got "
                            f"(m, n, d) = ({self.m}, {self.n}, {self.d})")
-        # The kernel columns are a closed form: testing them first rejects a
-        # huge cutoff before any sector is counted.
-        if (self.kernel_bytes() > MAX_SOLVE_BYTES
-                or self.solve_bytes() > MAX_SOLVE_BYTES):
+        # Closed forms only, so a huge cutoff is refused before anything is
+        # counted; boundary_kernel charges each level of a solve.
+        columns = 16 * self.dim * self.kernel_rank()
+        if columns + self.table_bytes() > MAX_SOLVE_BYTES:
             raise TooLarge(
                 f"a boundary kernel solve at (m, n, d) = ({self.m}, "
                 f"{self.n}, {self.d}) needs more than the desk-scale guard "
@@ -159,13 +152,6 @@ class TruncatedFockSpace:
     def dim(self) -> int:
         return self.m * self.fock_dim
 
-    def sector_sizes(self) -> np.ndarray:
-        """Number of occupation tuples with total photon number N = 0, 1, ..."""
-        sizes = np.ones(1, dtype=np.int64)
-        for _ in range(self.n_modes):
-            sizes = np.convolve(sizes, np.ones(self.d, dtype=np.int64))
-        return sizes
-
     def kernel_rank(self) -> int:
         """Bound m d^n on the dimension of any boundary kernel.  A kernel
         vector v is fixed by its component on the a_- vacuum: the stacked
@@ -180,25 +166,12 @@ class TruncatedFockSpace:
         a_- vacuum holds m d^n states."""
         return self.m * self.d ** self.n
 
-    def kernel_bytes(self) -> int:
-        """Bytes of the largest kernel columns a solve can return."""
-        return 16 * self.dim * self.kernel_rank()
-
-    def solve_bytes(self) -> int:
-        """Estimated peak bytes of a kernel solve without constant term: the
-        largest sector block of the n stacked boundary rows (sector N into
-        N-1) with its SVD factors, or the returned columns, which are
-        allocated after the last block is freed; plus the sector kernels
-        held meanwhile, at most (widest sector) x ``kernel_rank`` entries;
-        plus the index tables, built once per space (occupation digits,
-        slot maps and sector lists with their temporaries, at most 12n + 8
-        words per Fock state), and 64 KiB for array and object headers."""
-        c = [self.m * int(x) for x in self.sector_sizes()]
-        largest = max(_svd_block_bytes(self.n * c[k - 1], c[k])
-                      for k in range(1, len(c)))
-        return (max(largest, self.kernel_bytes())
-                + 16 * max(c) * self.kernel_rank()
-                + 8 * self.fock_dim * (12 * self.n + 8) + 2 ** 16)
+    def table_bytes(self) -> int:
+        """Bytes of the index tables a solve builds once per space
+        (occupation digits, slot maps and sector lists with their
+        temporaries, at most 12n + 8 words per Fock state), and 1 MiB, one
+        pymalloc arena, for the Python objects and array headers."""
+        return 8 * self.fock_dim * (12 * self.n + 8) + 2 ** 20
 
     @cached_property
     def _digits(self) -> np.ndarray:
@@ -383,15 +356,39 @@ def _scale(space: TruncatedFockSpace, coef: np.ndarray) -> float:
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
+def _level_bytes(space: TruncatedFockSpace, rows: int, cols: int,
+                 held: Sequence[Tuple[np.ndarray, np.ndarray]]) -> int:
+    """Bytes charged for one level of a kernel solve: the index tables, the
+    arrays ``held`` from earlier levels, and the peak of ``null_space`` on
+    the complex rows x cols block, the block included.  The block is a
+    temporary of that call, so a tall one lives only through its QR, beside
+    numpy's copy and LAPACK's, and R (cols x cols) replaces it.  The SVD of
+    the square or wide matrix then holds numpy's copy of it, U (rows x rows)
+    and V^H (cols x cols) in zgesdd's buffers and again in numpy's outputs,
+    zgesdd's WORK, at most mn^2 (when mx >= 17 mn / 9) + 2 mn + 64 (mn + mx)
+    entries, and its RWORK, mn max(5 mn + 7, 2 mx + 2 mn + 1) doubles, for
+    mn and mx the shorter and longer side."""
+    qr = 0
+    if rows > cols:
+        qr, rows = 3 * rows * cols + 64 * cols, cols
+    mn, mx = min(rows, cols), max(rows, cols)
+    work = (mn * mn if mx >= 17 * mn // 9 else 0) + 2 * mn + 64 * (mn + mx)
+    svd = 2 * rows * cols + 2 * (rows * rows + cols * cols) + work
+    rwork = mn * max(5 * mn + 7, 2 * mx + 2 * mn + 1)
+    return (space.table_bytes() + sum(c.nbytes + k.nbytes for c, k in held)
+            + max(16 * qr, 16 * svd + 8 * rwork))
+
+
 def boundary_kernel(space: TruncatedFockSpace,
                     coef: np.ndarray) -> BoundarySubspace:
     """Kernel of the stacked forms ``coef`` as flat columns, decided one
     photon-number level N = 0, 1, ... at a time and stopped at the first
     level that adds no kernel dimension (module docstring).  Without a
     constant term level N is the sector-N block and the kernels add up; with
-    one it is the block of the sectors <= N, whose kernel replaces the last,
-    and TooLarge is raised before such a block above ``MAX_SOLVE_BYTES`` is
-    assembled.  Every rank cut is NULLSPACE_TOL x sigma~ (``_scale``)."""
+    one it is the block of the sectors <= N, whose kernel replaces the last.
+    Each level is charged (``_level_bytes``) before its block is assembled,
+    and TooLarge is raised when the charge passes ``MAX_SOLVE_BYTES``.
+    Every rank cut is NULLSPACE_TOL x sigma~ (``_scale``)."""
     scale = _scale(space, coef)
     sectors = space.sectors()
     coupled = bool(np.any(coef[:, 0]))
@@ -399,16 +396,16 @@ def boundary_kernel(space: TruncatedFockSpace,
     for level, sector in enumerate(sectors):
         if coupled:
             cols = rows = np.concatenate(sectors[:level + 1])
-            need = _svd_block_bytes(coef.shape[0] * space.m * cols.size,
-                                    space.m * cols.size)
-            if need > MAX_SOLVE_BYTES:
-                raise TooLarge(
-                    f"a nonzero E_l0 couples the photon-number sectors <= "
-                    f"{level} into one block of about {need / 2 ** 30:.1f} "
-                    f"GiB, above the desk-scale guard of "
-                    f"{MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
         else:
             cols, rows = sector, sectors[level - 1] if level else sector[:0]
+        need = _level_bytes(space, coef.shape[0] * space.m * rows.size,
+                            space.m * cols.size, found)
+        if need > MAX_SOLVE_BYTES:
+            raise TooLarge(
+                f"photon-number level {level} of a boundary kernel solve at "
+                f"(m, n, d) = ({space.m}, {space.n}, {space.d}) needs about "
+                f"{need / 2 ** 30:.2f} GiB, above the desk-scale guard of "
+                f"{MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
         kernel = null_space(_sector_block(space, coef, cols, rows), scale)
         added = kernel.shape[1] - (dim if coupled else 0)
         if added == 0:

@@ -1,8 +1,9 @@
 """Smoke test of the stage-bench row functions (no timing gate): rows of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
-guard refuses, one ``sobolev_inner`` row and one ``defect`` run on a
-T = 30, h = 3e-3 grid, the paired statistics of a Sobolev stage row (on
-stand-in measurements), and the bench's refusal to run without ``--out``."""
+guard refuses on construction and one it refuses at a level, one
+``sobolev_inner`` row and one ``defect`` run on a T = 30, h = 3e-3 grid,
+the paired statistics of a Sobolev and a defect stage row (on stand-in
+measurements), and the bench's refusal to run without ``--out``."""
 
 import importlib.util
 from pathlib import Path
@@ -21,10 +22,17 @@ def load_bench():
 
 def test_row_records_dims_and_sigma_max():
     result = load_bench().row(1, 2, 3, False)
-    assert set(result) == {"seconds", "dim", "sector_dims", "sigma_max"}
+    assert set(result) == {"seconds", "dim", "sector_dims", "sigma_max",
+                           "last_level", "largest_charge_mb",
+                           "rss_before_mb", "rss_after_mb"}
     assert len(result["sector_dims"]) == 4 * 2 + 1
     assert sum(result["sector_dims"]) == result["dim"] > 0
     assert result["sigma_max"] > 0 and result["seconds"] >= 0
+    # the solve stops at the first level that adds nothing
+    assert result["sector_dims"][result["last_level"]] == 0
+    assert not any(result["sector_dims"][result["last_level"]:])
+    assert 1.0 < result["largest_charge_mb"] < 2.0
+    assert 0 < result["rss_before_mb"] <= result["rss_after_mb"]
 
 
 def test_row_with_generic_el0_has_empty_kernel():
@@ -34,8 +42,19 @@ def test_row_with_generic_el0_has_empty_kernel():
 
 
 def test_row_records_a_refused_size():
-    result = load_bench().row(1, 3, 7, False)
+    result = load_bench().row(2, 3, 8, False)
     assert set(result) == {"refused"} and "guard" in result["refused"]
+
+
+def test_row_records_a_refused_level(monkeypatch):
+    # a level charge above the guard raises inside boundary_kernel
+    from slhkit import fock
+    from slhkit.errors import MAX_SOLVE_BYTES
+
+    monkeypatch.setattr(fock, "_level_bytes",
+                        lambda *args: MAX_SOLVE_BYTES + 1)
+    result = load_bench().row(1, 2, 3, False)
+    assert set(result) == {"refused"} and "level 0 of" in result["refused"]
 
 
 def test_sobolev_row_records_call_peak_and_value():
@@ -79,8 +98,8 @@ def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
     out = bench.bench(tmp_path, ["sobolev"])
-    assert bench.SOBOLEV_PAIRS >= 10
-    n = bench.SOBOLEV_PAIRS
+    assert bench.PAIRS >= 10
+    n = bench.PAIRS
     assert len(calls) == 2 * n * len(bench.SOBOLEV_GRIDS)
     assert calls[:4] == ["parent", "change", "change", "parent"]
     row = out["sobolev_rows"][0]
@@ -95,6 +114,39 @@ def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     line = capsys.readouterr().out.splitlines()[0]
     assert f"change faster in {n - 1}/{n} pairs" in line
     assert "ms (" in line and "not resolved" not in line
+
+
+def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
+                                                 tmp_path):
+    # Stand-in children: the change is faster in every pair but the fifth,
+    # and both sides write the same report.
+    bench = load_bench()
+    calls = []
+
+    def measure(src, mode, spec):
+        side = "parent" if src == tmp_path / "src" else "change"
+        calls.append(side)
+        i = calls.count(side)
+        seconds = 0.25 + 1e-3 * i
+        if side == "change" and i != 5:
+            seconds -= 0.03
+        return {"seconds": seconds, "minor_faults": 150 + i, "exit_code": 0,
+                "report_sha256": "0" * 64, "peak_rss_mb": 1.0}
+
+    monkeypatch.setattr(bench, "measure", measure)
+    monkeypatch.setattr(bench, "machine", lambda: {})
+    out = bench.bench(tmp_path, ["defect-run"])
+    n = bench.PAIRS
+    assert len(calls) == 2 * n * len(bench.DEFECT_RUNS)
+    assert calls[:4] == ["parent", "change", "change", "parent"]
+    row = out["defect_runs"][0]
+    stats = row["pairs"]
+    assert stats["pairs"] == n and stats["change_wins"] == n - 1
+    assert stats["resolved"] and row["same_report"]
+    assert row["change"]["minor_faults"] == [151 + i for i in range(n)]
+    line = capsys.readouterr().out.splitlines()[0]
+    assert f"change faster in {n - 1}/{n} pairs" in line
+    assert "minor faults" in line and "not resolved" not in line
 
 
 def test_pair_stats_need_nine_in_ten_and_a_gap_over_the_iqr():

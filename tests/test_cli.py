@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -371,6 +372,20 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "TooLarge" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_oversized_fock_exits_1(self, tmp_path):
+        # (m, n, d) = (2, 3, 8) would return up to 8 GiB of kernel columns;
+        # the space is refused on construction, before any level is charged
+        big = {"m": 2, "n": 3, "E": [[[0.0, 0.0]] * 8] * 8, "fock": {"d": 8}}
+        path = tmp_path / "big_fock.json"
+        path.write_text(json.dumps(big))
+        start = time.monotonic()
+        assert cli.main(["fock", "--config", str(path)]) == 1
+        assert time.monotonic() - start <= 1.0
+        proc = run_cli(["fock", "--config", str(path)])
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("TooLarge: ")
 
     def test_coarse_grid_blames_the_grid_derivative(self, tmp_path):
         # At T = 30, h = 2.5 the one-sided end stencil of a defect vector's

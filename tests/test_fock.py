@@ -1,7 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,42 @@ SINGULAR_EL0 = coupling_from_blocks(
 )
 
 
+def record_charges(monkeypatch):
+    """The list ``fock._level_bytes`` appends each level's charge to."""
+    charges, charge = [], fock._level_bytes
+
+    def recording(*args):
+        charges.append(charge(*args))
+        return charges[-1]
+
+    monkeypatch.setattr(fock, "_level_bytes", recording)
+    return charges
+
+
+# Prints the ru_maxrss growth, in bytes, of linalg.null_space on a random
+# complex block of the shape given on the command line, the block built as
+# a temporary of the call after a warm-up SVD and QR.
+RSS_CHILD = """
+import resource, sys
+import numpy as np
+from slhkit.linalg import null_space
+
+def block(rows, cols):
+    out = np.empty((rows, cols), dtype=complex)
+    np.random.default_rng(1).standard_normal(out=out.view(float))
+    return out
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+
+null_space(block(60, 40))
+null_space(block(40, 60))
+before = peak()
+null_space(block(int(sys.argv[1]), int(sys.argv[2])), 1.0)
+print(peak() - before)
+"""
+
+
 class TestTruncatedSpace:
     def test_cutoff_guard(self):
         with pytest.raises(TooLarge):
@@ -100,31 +140,43 @@ class TestTruncatedSpace:
             TruncatedFockSpace(m=1, n=1, d=10 ** 6)
         assert time.monotonic() - start <= 1.0
 
-    def test_size_guard_admits_three_channels(self):
-        # dim 4096: dense operators would take about 3.3 GiB, a graded
-        # kernel solve about 60 MiB
-        space = TruncatedFockSpace(m=1, n=3, d=4)
-        assert space.dim == 4096
-        assert space.solve_bytes() < 64 * 2 ** 20
+    def test_size_guard_admits_three_channels(self, monkeypatch):
+        # dim 4096: dense operators would take about 3.3 GiB; the levels of
+        # a graded route-B solve are charged under 20 MiB
+        ops = build_mode_operators(1, 3, 4, ScalarGauge(0.3))
+        assert ops.space.dim == 4096
+        e = random_coupling(np.random.default_rng(1), 1, 3,
+                            zero_channel_system=True)
+        charges = record_charges(monkeypatch)
+        assert boundary_kernel(ops.space, stacked_boundary_rows(e, ops)).dim
+        assert 0 < max(charges) < 20 * 2 ** 20
 
     def test_size_guard_admission(self):
-        # (1,3,6) is admitted (largest sector block with its SVD factors 1.91
-        # GiB); (1,3,7) is refused on construction, before any array of a
-        # solve exists ((2,3,8): test_size_guard)
-        assert TruncatedFockSpace(m=1, n=3, d=6).solve_bytes() <= MAX_SOLVE_BYTES
-        with pytest.raises(TooLarge):
-            TruncatedFockSpace(m=1, n=3, d=7)
+        # (1,3,6) and (1,3,7) are admitted on construction (the columns and
+        # index tables fit); an E_l0 = 0 solve at (1,3,7) stops after level
+        # 11, whose charge fits, while a level-12 block would be refused
+        # ((2,3,8): test_size_guard)
+        TruncatedFockSpace(m=1, n=3, d=6)
+        space = TruncatedFockSpace(m=1, n=3, d=7)
+        sizes = [s.size for s in space.sectors()]
+
+        def charge(level):
+            return fock._level_bytes(space, 3 * sizes[level - 1],
+                                     sizes[level], [])
+
+        assert charge(11) <= MAX_SOLVE_BYTES < charge(12)
 
     @pytest.mark.parametrize("size", [(2, 1, 8), (1, 1, 30), (1, 3, 4)])
-    def test_solve_bytes_covers_the_solve(self, size):
+    def test_solve_bytes_covers_the_solve(self, size, monkeypatch):
         # everything a route-B solve allocates, the index tables it builds
-        # and the kernel columns it returns included, stays within the
-        # estimate the guard admits
+        # and the kernel columns it returns included, stays within its
+        # largest level charge plus the columns
         m, n, d = size
         ops = build_mode_operators(m, n, d, ScalarGauge(0.3))
         e = random_coupling(np.random.default_rng(1), m, n,
                             zero_channel_system=True)
         rows = stacked_boundary_rows(e, ops)
+        charges = record_charges(monkeypatch)
         tracemalloc.start()
         try:
             sub = boundary_kernel(ops.space, rows)
@@ -132,12 +184,33 @@ class TestTruncatedSpace:
         finally:
             tracemalloc.stop()
         assert sub.dim > 0
-        assert peak <= ops.space.solve_bytes()
+        assert peak <= max(charges) + sub.columns.nbytes
+
+    @pytest.mark.parametrize("shape", [(3000, 1100), (1770, 1770),
+                                       (1100, 3000)])
+    def test_level_charge_bounds_null_space_rss(self, shape):
+        # tall, square and wide blocks of 50-55 MB, each in a fresh child
+        # with one BLAS thread after a warm-up SVD and QR: the growth of
+        # ru_maxrss over null_space on the block, built as a temporary of
+        # the call as boundary_kernel builds it, stays within the charge.
+        # tracemalloc cannot see this: zgesdd's buffers are malloc'd
+        # outside it.
+        rows, cols = shape
+        space = TruncatedFockSpace(m=1, n=1, d=3)
+        charge = fock._level_bytes(space, rows, cols, []) - space.table_bytes()
+        src = str(Path(fock.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_CHILD, str(rows), str(cols)],
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+                     OMP_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+            capture_output=True, text=True, check=True)
+        assert 16 * rows * cols < int(proc.stdout) <= charge
 
     def test_sector_sizes_partition_the_space(self):
         space = TruncatedFockSpace(m=1, n=2, d=4)
         sectors = space.sectors()
-        assert [s.size for s in sectors] == list(space.sector_sizes())
+        assert [s.size for s in sectors] == [1, 4, 10, 20, 31, 40, 44, 40,
+                                             31, 20, 10, 4, 1]
         assert np.array_equal(np.sort(np.concatenate(sectors)),
                               np.arange(space.fock_dim))
 
@@ -399,10 +472,13 @@ class TestBoundarySubspaces:
             return assemble(space, coef, cols, rows)
 
         monkeypatch.setattr(fock, "_sector_block", recording)
-        # prefixes hold 1, 3, 6, 10, 15, ... Fock states; admit 10
-        monkeypatch.setattr(fock, "MAX_SOLVE_BYTES",
-                            fock._svd_block_bytes(2 * 10, 2 * 10))
-        with pytest.raises(TooLarge, match="sectors <= 4"):
+        # prefixes hold 1, 3, 6, 10, 15, ... Fock states; admit the charge
+        # of level 3 (10 states), read off an unguarded solve
+        charges = record_charges(monkeypatch)
+        boundary_kernel(ops.space, rows)
+        monkeypatch.setattr(fock, "MAX_SOLVE_BYTES", charges[3])
+        widths.clear()
+        with pytest.raises(TooLarge, match="level 4 of"):
             boundary_kernel(ops.space, rows)
         assert widths == [1, 3, 6, 10]
 

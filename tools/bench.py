@@ -10,7 +10,7 @@ change.  Each stage row is one ``fock.boundary_kernel(space, rows)`` call on
 the coupling-form rows (route B) of a seeded coupling with sigma = 0.3:
 
 * E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4),
-  (1,3,5) and (1,3,6);
+  (1,3,5), (1,3,6) and (1,3,7);
 * a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
 
 Each Sobolev row is ``punctured_line.sobolev_inner`` on two seeded random
@@ -30,23 +30,26 @@ workloads.py``, seed 1) at T = 40 with h = 5e-4, 2.5e-4 and 1e-4 (80k,
 
 Every measurement is one cold call in a fresh child process with one BLAS
 thread, parent and change alternating which runs first: three per side, but
-``SOBOLEV_PAIRS`` (ten) per side for a Sobolev row, whose 2-4 ms calls
-three children cannot resolve.  A Sobolev row also records, as
-``pairs``, each side's median and quartiles of the per-child seconds, the
-number of pairs in which the change was faster, and whether the change
-wins at least nine in ten pairs with a median gap over the parent's
-interquartile range; its progress line prints them.  Per
-side a stage row records the seconds of each run and their median, the
-child's peak RSS, the total and per-sector kernel dims and, as
-``sigma_max``, the rank-cut scale sigma~ <= sigma_max; a Sobolev row the
+``PAIRS`` (ten) per side for a Sobolev or defect row, which three children
+cannot resolve.  A Sobolev or defect row also records, as ``pairs``, each
+side's median and quartiles of the per-child seconds, the number of pairs
+in which the change was faster, and whether the change wins at least nine
+in ten pairs with a median gap over the parent's interquartile range; its
+progress line prints them.  Per side a stage row records the seconds of
+each run and their median, the child's peak RSS, the total and per-sector
+kernel dims, as ``sigma_max`` the rank-cut scale sigma~ <= sigma_max, the
+last level assembled, the guard's largest level charge (a tree without
+per-level charges gives its whole-solve estimate and no level), and the
+child's peak RSS before and after the solve (after a warm-up QR and
+SVD, so that LAPACK's first-call pages are not counted); a Sobolev row the
 per-call seconds, the child's peak RSS, the call's traced peak and the
-pairing's value (as float hex, with whether both sides agree bit for bit);
-a run row the seconds,
-peak RSS, exit code and kernel dims; a defect row the seconds, the minor
-page faults of the ``cli.main`` call (``ru_minflt``), peak RSS, exit code
-and the SHA-256 of the report bytes, and whether the two sides wrote the
-same report.  A size the tree's guard refuses records its
-TooLarge message instead.  The machine block is the output of
+pairing's value (as float hex, with whether both sides agree bit for
+bit); a run row the seconds, peak RSS, exit code and kernel dims; a defect
+row the seconds, the minor page faults of the ``cli.main`` call
+(``ru_minflt``), peak RSS, exit code and the SHA-256 of the report bytes,
+and whether the two sides wrote the same report.  A size the tree's guard
+refuses, on construction or at a level of the solve, records its TooLarge
+message instead.  The machine block is the output of
 ``perfbench/probe.py``, run as a child the way the benchmark runs it.  The
 JSON goes to FILE, which has no default, so a run never overwrites an
 earlier BENCH file unless told to.
@@ -55,6 +58,7 @@ earlier BENCH file unless told to.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -65,6 +69,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +80,7 @@ SIGMA = 0.3
 SEED = 1
 REPEATS = 3
 SIZES = ((1, 2, 4), (2, 2, 4), (1, 2, 6), (2, 2, 5), (1, 3, 4), (1, 3, 5),
-         (1, 3, 6))
+         (1, 3, 6), (1, 3, 7))
 # (m, n, d, generic E_l0)
 ROWS = ([(*size, False) for size in SIZES]
         + [(1, 2, 4, True), (1, 3, 3, True), (1, 3, 4, True)])
@@ -85,7 +90,8 @@ DEFECT_RUNS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
 # (T, h) of the Sobolev-pairing stage rows, and the timed calls per child
 SOBOLEV_GRIDS = ((40.0, 1e-3), (40.0, 5e-4))
 SOBOLEV_CALLS = 20
-SOBOLEV_PAIRS = 10
+# alternating children per side of a Sobolev or defect row
+PAIRS = 10
 STAGES = ("kernel", "fock-run", "sobolev", "defect-run")
 
 
@@ -101,17 +107,32 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     # imported here: the child that calls this picks the tree by PYTHONPATH
     from slhkit import fock
     from slhkit.errors import TooLarge
+    from slhkit.linalg import null_space
     from slhkit.slh import ScalarGauge
 
     e = coupling(m, n, generic_el0)
+    charges, charge = [], getattr(fock, "_level_bytes", None)
+
+    def recording(*args):
+        charges.append(charge(*args))
+        return charges[-1]
+
+    patch = (mock.patch.object(fock, "_level_bytes", recording) if charge
+             else contextlib.nullcontext())
     try:
         ops = fock.build_mode_operators(m, n, d, ScalarGauge(SIGMA))
+        rows = fock.stacked_boundary_rows(e, ops)
+        # a tall and a wide warm-up solve: LAPACK's first-call pages are
+        # not the solve's
+        null_space(np.ones((3, 2))), null_space(np.ones((2, 3)))
+        before = peak_rss_mb()
+        with patch:
+            start = time.perf_counter()
+            sub = fock.boundary_kernel(ops.space, rows)
+            seconds = time.perf_counter() - start
+        after = peak_rss_mb()
     except TooLarge as err:
         return {"refused": str(err)}
-    rows = fock.stacked_boundary_rows(e, ops)
-    start = time.perf_counter()
-    sub = fock.boundary_kernel(ops.space, rows)
-    seconds = time.perf_counter() - start
     sectors = ops.space.sectors()
     photons = np.full(ops.space.fock_dim, -1)
     for total, sector in enumerate(sectors):
@@ -122,8 +143,13 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     if all(len(h) == 1 for h in held):
         per_sector = np.bincount([h.pop() for h in held],
                                  minlength=len(sectors)).tolist()
+    # a tree without the per-level charge has a whole-solve estimate
+    largest = max(charges) if charges else ops.space.solve_bytes()
     return {"seconds": seconds, "dim": sub.dim, "sector_dims": per_sector,
-            "sigma_max": sub.sigma_max}
+            "sigma_max": sub.sigma_max,
+            "last_level": len(charges) - 1 if charges else None,
+            "largest_charge_mb": largest / 2 ** 20,
+            "rss_before_mb": before, "rss_after_mb": after}
 
 
 def sobolev_row(half_width: float, spacing: float) -> dict:
@@ -200,6 +226,10 @@ def defect_run(half_width: float, spacing: float) -> dict:
                   if out.exists() else None)
     return {"seconds": seconds, "minor_faults": faults, "exit_code": code,
             "report_sha256": digest}
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def minor_faults() -> int:
@@ -325,10 +355,11 @@ def bench(parent: Path, stages=STAGES) -> dict:
                 for k in ("dim", "sector_dims"))
         out["rows"].append(record)
         print(f"({m},{n},{d}) E_l0 {record['e_l0']}: {summary(sides)}, "
-              f"dim {sides['change'].get('dim')}", flush=True)
+              f"dim {sides['change'].get('dim')}, last level "
+              f"{sides['change'].get('last_level')}", flush=True)
     for half_width, spacing in SOBOLEV_GRIDS if "sobolev" in stages else ():
         sides = alternate(trees, "--sobolev-row", (half_width, spacing),
-                          SOBOLEV_PAIRS)
+                          PAIRS)
         stats = pair_stats(sides)
         out["sobolev_rows"].append({
             "T": half_width, "h": spacing, **sides,
@@ -344,16 +375,18 @@ def bench(parent: Path, stages=STAGES) -> dict:
         out["runs"].append({"m": m, "n": n, "d": d, **sides})
         print(f"fock run ({m},{n},{d}): {summary(sides)}", flush=True)
     for half_width, spacing in DEFECT_RUNS if "defect-run" in stages else ():
-        sides = alternate(trees, "--defect-run", (half_width, spacing))
+        sides = alternate(trees, "--defect-run", (half_width, spacing),
+                          PAIRS)
+        stats = pair_stats(sides)
         out["defect_runs"].append({
-            "T": half_width, "h": spacing, **sides,
+            "T": half_width, "h": spacing, **sides, "pairs": stats,
             "same_report": (sides["parent"].get("report_sha256")
                             == sides["change"].get("report_sha256"))})
         faults = " -> ".join(
             str(statistics.median(sides[side].get("minor_faults", [0])))
             for side in ("parent", "change"))
-        print(f"defect run T={half_width:g} h={spacing:g}: {summary(sides)}, "
-              f"minor faults {faults}", flush=True)
+        print(f"defect run T={half_width:g} h={spacing:g}: "
+              f"{pair_summary(stats)}, minor faults {faults}", flush=True)
     return out
 
 
@@ -380,8 +413,7 @@ def main(argv=None) -> int:
             result = fock_run(*args.fock_run)
         else:
             result = defect_run(*args.defect_run)
-        result["peak_rss_mb"] = resource.getrusage(
-            resource.RUSAGE_SELF).ru_maxrss / 1024
+        result["peak_rss_mb"] = peak_rss_mb()
         print(json.dumps(result))
         return 0
     if args.parent is None or not (args.parent / "src" / "slhkit").is_dir():
