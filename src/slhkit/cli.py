@@ -10,6 +10,16 @@ It computes these records itself from library values: the defect-vector
 jump, norm and overlap records, ``phase[...]`` and ``scatter`` records, ``scalar_cayley_match``, ``gauge_zero_reduction`` and
 the ``sweep[i].fock`` verdict.
 
+Layers: this module imports ``config``, ``ensembles``, ``report``, ``slh``
+and ``phases``, which every subcommand or the config needs. It holds the
+Fock and grid layers in ``sys.modules`` as lazy modules (``_lazy``) and
+calls them through their attributes (``fock.fock_battery``,
+``punctured_line.sobolev_half``, ...), so a process executes only its
+subcommand's layer: ``fock`` runs no grid code, ``defect`` no Fock code,
+and ``slh``, ``phase`` and ``scatter`` neither. A tool that wraps functions
+found in ``sys.modules`` finds both layers there; its first read of one
+runs it. The run time printed on stderr includes loading the layer.
+
 Exit code 0 iff every emitted check passes; config problems, a negative
 ``--seed`` or ``--sweep``, and a nonzero ``--sweep`` for a subcommand other
 than ``slh`` and ``fock`` exit 2, and the first failing check (or a
@@ -19,51 +29,43 @@ module-level numerical error) exits 1.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 import time
 from typing import Optional
 
 import numpy as np
 
-from .errors import ParseError, SlhkitError, ValidationError
-from .linalg import cayley
-from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
-                  slh_triple)
-from .punctured_line import (
-    SIDES,
-    GridSpec,
-    Traces,
-    boundary_phase,
-    decomposition_half,
-    decomposition_values,
-    defect_coefficients,
-    defect_halves,
-    eigenrelation_half,
-    eigenrelation_values,
-    extension_domain_defect,
-    jump_splitting_defect,
-    norm_from_inner,
-    reproducing_half,
-    reproducing_residuals,
-    sample_half,
-    scatter_regularized,
-    sobolev_half,
-    sobolev_total,
-    symmetry_half,
-    symmetry_values,
-    trace_at_origin,
-)
-from .fock import (
-    build_mode_operators,
-    commutator_defect,
-    fock_battery,
-    number_defect_residual,
-    number_spectrum_defect,
-    stacked_boundary_rows,
-)
+from . import phases
 from .config import ModelConfig, load_config
 from .ensembles import random_bump, random_coupling
+from .errors import ParseError, SlhkitError, ValidationError
+from .linalg import cayley
 from .report import Report, emit_report
+from .slh import (ScalarGauge, gauge_reduction_check, identity_residuals,
+                  slh_triple)
+
+
+def _lazy(name: str):
+    """``slhkit.<name>``, held in ``sys.modules`` but not yet run: its code
+    runs on the first read of any of its attributes (the
+    ``importlib.util.LazyLoader`` recipe). A module already imported is
+    returned as it is."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Each layer runs when the subcommand that needs it first calls into it.
+fock = _lazy("fock")
+punctured_line = _lazy("punctured_line")
 
 
 # --- slh ---------------------------------------------------------------------
@@ -103,15 +105,15 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
     rows = []
     for sigma in config.phase.sigma_values:
         for e in config.phase.e_values:
-            phases = boundary_phase(e, sigma)
-            rows.append([e, sigma, phases.s, phases.s_sigma, phases.s_chebotarev])
-            defect = max(abs(abs(phases.s) - 1.0),
-                         abs(abs(phases.s_sigma) - 1.0),
-                         abs(abs(phases.s_chebotarev) - 1.0))
+            ph = phases.boundary_phase(e, sigma)
+            rows.append([e, sigma, ph.s, ph.s_sigma, ph.s_chebotarev])
+            defect = max(abs(abs(ph.s) - 1.0),
+                         abs(abs(ph.s_sigma) - 1.0),
+                         abs(abs(ph.s_chebotarev) - 1.0))
             report.add(f"phase[e={e!r},sigma={sigma!r}].unimodular", defect, 1e-14)
             if sigma == 0.0:
                 report.add(f"phase[e={e!r},sigma={sigma!r}].sigma_zero_exact",
-                           abs(phases.s_sigma - phases.s), 0.0)
+                           abs(ph.s_sigma - ph.s), 0.0)
     report.results["columns"] = ["e", "sigma", "s", "s_sigma", "s_chebotarev"]
     report.results["rows"] = rows
 
@@ -119,7 +121,7 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
 # --- defect ---------------------------------------------------------------
 
 def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
-    spec = GridSpec(config.grid.half_width, config.grid.spacing)
+    spec = punctured_line.GridSpec(config.grid.half_width, config.grid.spacing)
     rng = np.random.default_rng(seed)
     # A group draws its bumps first (a bump draws its parameters when it is
     # made, not when it is evaluated), then checks the left half-line and
@@ -136,89 +138,97 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     _extension_check(report)
 
 
-def _defect_vector_checks(spec: GridSpec, report: Report) -> None:
+def _defect_vector_checks(spec: punctured_line.GridSpec, report: Report) -> None:
     def half(left):
-        phi_plus, phi_minus = defect_halves(spec, left)
+        phi_plus, phi_minus = punctured_line.defect_halves(spec, left)
         return ((phi_plus.limit, phi_minus.limit),
-                [sobolev_half(spec, left, u, v)
+                [punctured_line.sobolev_half(spec, left, u, v)
                  for u, v in ((phi_plus, phi_plus), (phi_minus, phi_minus),
                               (phi_plus, phi_minus))])
 
-    (left_traces, left_terms), (right_traces, right_terms) = map(half, SIDES)
-    plus, minus = (Traces(*limits) for limits in zip(left_traces,
-                                                     right_traces))
-    norm_plus, norm_minus, overlap = (sobolev_total(*terms) for terms in
-                                      zip(left_terms, right_terms))
+    (left_traces, left_terms), (right_traces, right_terms) = map(
+        half, punctured_line.SIDES)
+    plus, minus = (punctured_line.Traces(*limits)
+                   for limits in zip(left_traces, right_traces))
+    norm_plus, norm_minus, overlap = (punctured_line.sobolev_total(*terms)
+                                      for terms in zip(left_terms, right_terms))
     report.add("jump_on_defect_plus", abs(plus.jump - (-1j)), 0.0)
     report.add("jump_on_defect_minus", abs(minus.jump - (-1j)), 0.0)
-    report.add("defect_norm_plus", abs(norm_from_inner(norm_plus) - 1.0),
-               1e-5)
-    report.add("defect_norm_minus", abs(norm_from_inner(norm_minus) - 1.0),
-               1e-5)
+    report.add("defect_norm_plus",
+               abs(punctured_line.norm_from_inner(norm_plus) - 1.0), 1e-5)
+    report.add("defect_norm_minus",
+               abs(punctured_line.norm_from_inner(norm_minus) - 1.0), 1e-5)
     report.add("defect_overlap", abs(overlap), 0.0)
 
 
-def _reproducing_checks(spec: GridSpec, rng: np.random.Generator,
-                        report: Report) -> None:
+def _reproducing_checks(spec: punctured_line.GridSpec,
+                        rng: np.random.Generator, report: Report) -> None:
     # psi_r is a bump on the right half-line and psi_l one on the left, so
     # on each half-line one of the pair is drawn and the other is zero.
     draws = [(random_bump(rng, "right"), random_bump(rng, "left"))
              for _ in range(10)]
 
     def half(left):
-        phi = defect_halves(spec, left)
-        pairs = [(sample_half(spec, left, None if left else bump_r),
-                  sample_half(spec, left, bump_l if left else None))
+        phi = punctured_line.defect_halves(spec, left)
+        pairs = [(punctured_line.sample_half(spec, left,
+                                             None if left else bump_r),
+                  punctured_line.sample_half(spec, left,
+                                             bump_l if left else None))
                  for bump_r, bump_l in draws]
-        terms = reproducing_half(spec, left, *phi, pairs)
+        terms = punctured_line.reproducing_half(spec, left, *phi, pairs)
         return [(t, psi_r.limit, psi_l.limit)
                 for t, (psi_r, psi_l) in zip(terms, pairs)]
 
     worst_plus = worst_minus = 0.0
     for (left_terms, _, psi_l_trace), (right_terms, psi_r_trace, _) in zip(
-            *map(half, SIDES)):
-        plus, minus = reproducing_residuals(left_terms, right_terms,
-                                            psi_r_trace, psi_l_trace)
+            *map(half, punctured_line.SIDES)):
+        plus, minus = punctured_line.reproducing_residuals(
+            left_terms, right_terms, psi_r_trace, psi_l_trace)
         worst_plus = max(worst_plus, plus)
         worst_minus = max(worst_minus, minus)
     report.add("reproducing_plus", worst_plus, 1e-5)
     report.add("reproducing_minus", worst_minus, 1e-5)
 
 
-def _decomposition_checks(spec: GridSpec, rng: np.random.Generator,
-                          report: Report) -> None:
+def _decomposition_checks(spec: punctured_line.GridSpec,
+                          rng: np.random.Generator, report: Report) -> None:
     tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
                   "reconstruction": 1e-13}
     # (left, right) bumps of each f; c_pm read both traces in either pass
     draws = [(random_bump(rng, "left"), random_bump(rng, "right"))
              for _ in range(10)]
-    coefficients = [defect_coefficients(*map(trace_at_origin, bumps))
+    coefficients = [punctured_line.defect_coefficients(
+                        *map(punctured_line.trace_at_origin, bumps))
                     for bumps in draws]
 
     def half(left):
-        phi = defect_halves(spec, left)
-        return decomposition_half(spec, left, [
-            (sample_half(spec, left, bumps[0] if left else bumps[1]), *c)
+        phi = punctured_line.defect_halves(spec, left)
+        return punctured_line.decomposition_half(spec, left, [
+            (punctured_line.sample_half(spec, left,
+                                        bumps[0] if left else bumps[1]), *c)
             for bumps, c in zip(draws, coefficients)], *phi)
 
     worst = dict.fromkeys(tolerances, 0.0)
-    for left, right in zip(*map(half, SIDES)):
-        for key, value in decomposition_values(left, right).items():
+    for left, right in zip(*map(half, punctured_line.SIDES)):
+        for key, value in punctured_line.decomposition_values(
+                left, right).items():
             worst[key] = max(worst[key], value)
     for key, tol in tolerances.items():
         report.add(f"decomposition_{key}", worst[key], tol)
 
 
-def _eigenrelation_checks(spec: GridSpec, report: Report) -> None:
+def _eigenrelation_checks(spec: punctured_line.GridSpec,
+                          report: Report) -> None:
     def half(left):
-        phi_plus, phi_minus = defect_halves(spec, left)
-        return [(phi.limit, eigenrelation_half(spec, left, phi, sign))
+        phi_plus, phi_minus = punctured_line.defect_halves(spec, left)
+        return [(phi.limit,
+                 punctured_line.eigenrelation_half(spec, left, phi, sign))
                 for phi, sign in ((phi_plus, 1.0), (phi_minus, -1.0))]
 
     for name, ((left_limit, left), (right_limit, right)) in zip(
-            ("plus", "minus"), zip(*map(half, SIDES))):
-        defects = eigenrelation_values(Traces(left_limit, right_limit), left,
-                                       right)
+            ("plus", "minus"), zip(*map(half, punctured_line.SIDES))):
+        defects = punctured_line.eigenrelation_values(
+            punctured_line.Traces(left_limit, right_limit), left, right)
         report.add(f"eigenrelation_{name}_coefficient",
                    defects["coefficient"], 0.0)
         report.add(f"eigenrelation_{name}_regular", defects["regular"], 1e-5)
@@ -232,29 +242,35 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
     worst = 0.0
     for sigma, instances in zip((0.0, 0.3, -1.0), values.tolist()):
         for fp, fm, gp, gm in instances:
-            worst = max(worst, jump_splitting_defect(fp, fm, gp, gm, sigma))
+            worst = max(worst, punctured_line.jump_splitting_defect(
+                fp, fm, gp, gm, sigma))
     report.add("jump_splitting_identity", worst, 1e-13)
 
 
-def _symmetry_checks(spec: GridSpec, rng: np.random.Generator,
+def _symmetry_checks(spec: punctured_line.GridSpec, rng: np.random.Generator,
                      report: Report) -> None:
     f_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
     g_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
 
     def half(left):
-        f, g = (sample_half(spec, left, bumps[0] if left else bumps[1])
+        f, g = (punctured_line.sample_half(spec, left,
+                                           bumps[0] if left else bumps[1])
                 for bumps in (f_bumps, g_bumps))
-        return symmetry_half(spec, left, f, g), (f.limit, g.limit)
+        return (punctured_line.symmetry_half(spec, left, f, g),
+                (f.limit, g.limit))
 
-    (left_terms, left_traces), (right_terms, right_traces) = map(half, SIDES)
-    f, g = (Traces(*limits) for limits in zip(left_traces, right_traces))
-    for name, value in symmetry_values(left_terms, right_terms, f, g,
-                                       0.3).items():
+    (left_terms, left_traces), (right_terms, right_traces) = map(
+        half, punctured_line.SIDES)
+    f, g = (punctured_line.Traces(*limits)
+            for limits in zip(left_traces, right_traces))
+    for name, value in punctured_line.symmetry_values(
+            left_terms, right_terms, f, g, 0.3).items():
         report.add(name, value, 1e-4)
 
 
 def _extension_check(report: Report) -> None:
-    worst = max(extension_domain_defect(e, sigma, complex(0.7, -0.4))
+    worst = max(punctured_line.extension_domain_defect(e, sigma,
+                                                       complex(0.7, -0.4))
                 for e in (0.5, 2.0, float(np.pi)) for sigma in (0.0, 0.3))
     report.add("extension_domain_annihilation", worst, 1e-13)
 
@@ -264,18 +280,18 @@ def _extension_check(report: Report) -> None:
 def command_scatter(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     e = config.scatter.e_value
     rows = []
-    phases = []
+    transmitted = []
     for eps in config.scatter.epsilons:
-        r = scatter_regularized(e, eps, config.scatter.mollifier)
+        r = phases.scatter_regularized(e, eps, config.scatter.mollifier)
         rows.append([r.epsilon, r.transmitted_phase, r.phase_error,
                      r.contrast, r.mollifier_integral - 1.0])
-        phases.append(r.transmitted_phase)
+        transmitted.append(r.transmitted_phase)
         report.add(f"scatter[eps={eps!r}].mollifier_norm",
                    abs(r.mollifier_integral - 1.0), 1e-8)
         report.add(f"scatter[eps={eps!r}].phase_error", r.phase_error, 1e-6)
-    for i in range(1, len(phases)):
+    for i in range(1, len(transmitted)):
         report.add(f"scatter.eps_independence[{i}]",
-                   abs(phases[i] - phases[0]), 1e-8)
+                   abs(transmitted[i] - transmitted[0]), 1e-8)
     contrast = rows[0][3]
     report.results["columns"] = ["epsilon", "transmitted_phase", "phase_error",
                                  "contrast_vs_cayley", "mollifier_defect"]
@@ -289,7 +305,7 @@ def command_scatter(config: ModelConfig, seed: int, sweep: int, report: Report) 
 
 def _fock_battery(eq: dict, number_defect: float, report: Report,
                   prefix: str, angle_tol: float, action_tol: float) -> None:
-    """Report records of one ``fock_battery`` result."""
+    """Report records of one ``fock.fock_battery`` result."""
     report.add(f"{prefix}kernel_dims", [eq["dim_b"], eq["dim_c"]], None,
                passed=eq["dim_b"] == eq["dim_c"])
     if eq["max_angle"] is not None:
@@ -307,28 +323,28 @@ def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> 
     rng = np.random.default_rng(seed)
     angle_tol, atol = config.tolerances.kernel, config.tolerances.action
 
-    ops = build_mode_operators(m, n, d)
-    report.add("ladder_commutators", commutator_defect(ops), 1e-12)
-    report.add("number_spectra", number_spectrum_defect(ops), 1e-12)
+    ops = fock.build_mode_operators(m, n, d)
+    report.add("ladder_commutators", fock.commutator_defect(ops), 1e-12)
+    report.add("number_spectra", fock.number_spectrum_defect(ops), 1e-12)
     # The defect reads a_star, a_plus and a_minus only, which no gauge changes.
-    defect = number_defect_residual(ops)
-    _fock_battery(fock_battery(coupling, ops, 10, rng, atol), defect, report,
-                  "", angle_tol, atol)
+    defect = fock.number_defect_residual(ops)
+    _fock_battery(fock.fock_battery(coupling, ops, 10, rng, atol), defect,
+                  report, "", angle_tol, atol)
 
     # sigma = 0 builds frak_a by the kappa formula; it must match a_star.
-    ops_zero = build_mode_operators(m, n, d, ScalarGauge(0.0))
-    reduction = float(np.abs(stacked_boundary_rows(coupling, ops_zero)
-                             - stacked_boundary_rows(coupling, ops)).max())
+    ops_zero = fock.build_mode_operators(m, n, d, ScalarGauge(0.0))
+    reduction = float(np.abs(fock.stacked_boundary_rows(coupling, ops_zero)
+                             - fock.stacked_boundary_rows(coupling, ops)).max())
     report.add("gauge_zero_reduction", reduction, 1e-12)
 
     if gauge is not None:
-        ops = build_mode_operators(m, n, d, gauge)
-        _fock_battery(fock_battery(coupling, ops, 10, rng, atol), defect,
+        ops = fock.build_mode_operators(m, n, d, gauge)
+        _fock_battery(fock.fock_battery(coupling, ops, 10, rng, atol), defect,
                       report, "gauged.", angle_tol, atol)
 
     for i in range(sweep):
         e_i = random_coupling(rng, m, n, zero_channel_system=True)
-        eq = fock_battery(e_i, ops, 3, rng, atol)
+        eq = fock.fock_battery(e_i, ops, 3, rng, atol)
         worst = max(eq["action_residuals"], default=0.0)
         angle = eq["max_angle"] if eq["max_angle"] is not None else 0.0
         ok = eq["dim_b"] == eq["dim_c"] and angle <= angle_tol and worst <= atol

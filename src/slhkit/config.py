@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NonHermitianInput, ParseError, SizeMismatch, ValidationError
 from .linalg import adjoint, channel_blocks
-from .punctured_line import MOLLIFIER_SHAPES
+from .phases import MOLLIFIER_SHAPES
 from .slh import CouplingMatrix, Gauge, GaugeMatrix, ScalarGauge
 
 

@@ -1,13 +1,19 @@
-"""Seeded random ensembles used by property sweeps and the CLI."""
+"""Seeded random ensembles used by property sweeps and the CLI.
+
+The grid draws import ``punctured_line`` when they are called, so drawing a
+coupling loads no grid code."""
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import adjoint
-from .punctured_line import (PANEL_CHUNK, GridFunction, GridSpec, node_chunks,
-                             sample)
 from .slh import CouplingMatrix, GaugeMatrix, validate_coupling
+
+if TYPE_CHECKING:
+    from .punctured_line import GridFunction, GridSpec
 
 
 # exp(x) is +0 in double precision for every x below this (it is below
@@ -54,6 +60,8 @@ def random_bump(rng: np.random.Generator, side: str):
     works ``PANEL_CHUNK`` nodes at a time in one chunk-size float scratch,
     and every node takes the same steps whatever its chunk, so a draw
     evaluated on any run of nodes gives the whole draw's values there."""
+    from .punctured_line import PANEL_CHUNK, node_chunks
+
     amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
     width = rng.uniform(0.5, 2.0)
     center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
@@ -80,5 +88,7 @@ def random_grid_function(rng: np.random.Generator,
                          spec: GridSpec) -> GridFunction:
     """Independent random bumps on the two half-lines (left drawn first), so
     the function has a random jump at 0."""
+    from .punctured_line import sample
+
     return sample(spec, left=random_bump(rng, "left"),
                   right=random_bump(rng, "right"))

@@ -15,8 +15,9 @@ the matrix's own largest singular value unless the caller passes the scale
 of a larger operator the matrix is a block of.  No rank is read off a Gram
 matrix.
 
-``kappas``, the gauge split kappa_pm = 1/2 +- i sigma, is here because both
-``slh`` and ``punctured_line`` read it and neither imports the other.
+``kappas``, the gauge split kappa_pm = 1/2 +- i sigma, is here because
+``slh``, ``phases`` and ``punctured_line`` read it and ``slh`` imports
+neither of the others.
 """
 
 from __future__ import annotations

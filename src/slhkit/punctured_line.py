@@ -17,6 +17,9 @@ Conventions
   evaluates as <zeta|psi> = kappa_minus psi(0+) + kappa_plus psi(0-)
   (adjoint convention).
 
+The boundary phases and the mollified scattering need no grid; they live in
+``phases``, which ``extension_domain_defect`` reads for s_sigma.
+
 Half-lines
 
 The two half-lines meet only through the traces, so every check is built
@@ -70,14 +73,13 @@ import cmath
 import collections
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (MAX_SOLVE_BYTES, DomainTooSmall, InvalidMollifier,
-                     SpecMismatch, TooLarge)
+from . import phases
+from .errors import MAX_SOLVE_BYTES, DomainTooSmall, SpecMismatch, TooLarge
 from .linalg import kappas
 
 DECAY_TOL = 1e-12
@@ -999,115 +1001,10 @@ def decomposition_defects(f: GridFunction) -> dict:
         for left in SIDES))
 
 
-@dataclass(frozen=True)
-class BoundaryPhases:
-    """The three boundary phases attached to a real coupling strength."""
-
-    s: complex             # Cayley phase (1 - iE/2)/(1 + iE/2)
-    s_sigma: complex       # damped phase (1 - i kappa_minus E)/(1 + i kappa_plus E)
-    s_chebotarev: complex  # exp(-iE)
-
-
-def boundary_phase(e: float, sigma: Optional[float] = None) -> BoundaryPhases:
-    """Boundary phases for coupling strength e and gauge sigma (0 when None).
-    s is the Cayley closed form and s_sigma the kappa formula, which at
-    sigma = 0 rounds to the same value: the CLI checks them for equality."""
-    e = float(e)
-    sig = 0.0 if sigma is None else float(sigma)
-    return BoundaryPhases(s=(1.0 - 0.5j * e) / (1.0 + 0.5j * e),
-                          s_sigma=_damped_phase(e, sig),
-                          s_chebotarev=complex(np.exp(-1j * e)))
-
-
-def _damped_phase(e: float, sigma: float) -> complex:
-    kp, km = kappas(sigma)
-    return (1.0 - 1j * km * e) / (1.0 + 1j * kp * e)
-
-
 def extension_domain_defect(e: float, sigma: float, psi_plus: complex) -> float:
     """|i jump psi + e <zeta_sigma|psi>| for the traces psi(0+) = psi_plus and
     psi(0-) = s_sigma(e) psi(0+): the singular part of the coupled generator
     vanishes on its extension domain, so this is zero up to rounding."""
-    psi_minus = boundary_phase(e, sigma).s_sigma * psi_plus
+    psi_minus = phases.boundary_phase(e, sigma).s_sigma * psi_plus
     return abs(1j * (psi_plus - psi_minus)
                + e * zeta_value(psi_plus, psi_minus, sigma))
-
-
-# --- regularized scattering ------------------------------------------------
-
-# Gauss-Legendre nodes per panel of the mollifier quadratures.
-SCATTER_QUAD_NODES = 64
-
-MOLLIFIER_SHAPES = {
-    # smooth bump with all derivatives vanishing at the support edges
-    "bump": lambda u: np.where(np.abs(u) < 1.0,
-                               np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)),
-                               0.0),
-    # cosine-squared hump, C^1 at the edges
-    "cos2": lambda u: np.where(np.abs(u) < 1.0,
-                               np.cos(0.5 * np.pi * np.clip(u, -1, 1)) ** 2,
-                               0.0),
-}
-
-
-@dataclass(frozen=True)
-class ScatterResult:
-    """Transmitted phase across a mollified point coupling vs the exact phases."""
-
-    epsilon: float
-    mollifier_integral: float
-    transmitted_phase: complex
-    phase_error: float      # |transmitted - exp(-iE)|
-    contrast: float         # |exp(-iE) - s(E)|
-
-
-def scatter_regularized(e: float, epsilon: float,
-                        mollifier: str = "bump") -> ScatterResult:
-    """Transport a left-moving characteristic through the mollified coupling.
-
-    The profile g_eps supported on (-eps, eps) is normalized by Gauss-Legendre
-    quadrature; the accumulated phase along the characteristic is the line
-    integral of g_eps (unit speed), evaluated with an independent composite
-    rule, so the transmitted phase is exp(-iE * integral) = exp(-iE) up to
-    quadrature disagreement.
-    """
-    if epsilon <= 0:
-        raise InvalidMollifier("mollifier width must be positive")
-    try:
-        shape = MOLLIFIER_SHAPES[mollifier]
-    except KeyError:
-        raise InvalidMollifier(
-            f"unknown mollifier {mollifier!r}; choose from "
-            f"{sorted(MOLLIFIER_SHAPES)}") from None
-    nodes, weights = np.polynomial.legendre.leggauss(SCATTER_QUAD_NODES)
-    raw = float(np.sum(weights * shape(nodes)))
-    if raw <= 0:
-        raise InvalidMollifier("mollifier has nonpositive integral")
-    if np.any(shape(nodes) < 0):
-        raise InvalidMollifier("mollifier must be nonnegative")
-    # a subnormal product is 0 or has an infinite inverse
-    if epsilon * raw < sys.float_info.min:
-        raise InvalidMollifier(
-            f"mollifier width {epsilon!r} is too small to normalize")
-    norm = 1.0 / (epsilon * raw)
-
-    # Characteristic enters at x = eps and exits at x = -eps at unit speed;
-    # accumulate the line integral panel by panel (4 composite GL panels).
-    accumulated = 0.0
-    edges = np.linspace(-epsilon, epsilon, 5)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        x = mid + half * nodes
-        accumulated += half * float(np.sum(weights * norm * shape(x / epsilon)))
-    if abs(accumulated - 1.0) > 1e-8:
-        raise InvalidMollifier(
-            f"normalized mollifier integrates to {accumulated!r} along the "
-            f"characteristic (must be 1 within 1e-8)")
-
-    transmitted = complex(np.exp(-1j * float(e) * accumulated))
-    phases = boundary_phase(e)
-    return ScatterResult(
-        epsilon=float(epsilon), mollifier_integral=accumulated,
-        transmitted_phase=transmitted,
-        phase_error=abs(transmitted - phases.s_chebotarev),
-        contrast=abs(phases.s_chebotarev - phases.s))

@@ -15,15 +15,14 @@ from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.fock import (build_mode_operators, fock_battery, scattering_rows,
                          stacked_boundary_rows, subspace_equivalence)
 from slhkit.linalg import cayley
+from slhkit.phases import boundary_phase, scatter_regularized
 from slhkit.punctured_line import (
     GridSpec,
-    boundary_phase,
     decomposition_defects,
     defect_vectors,
     jump_splitting_defect,
     reproducing_defects,
     sample,
-    scatter_regularized,
     sobolev_norm,
     symmetry_defects,
 )

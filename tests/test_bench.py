@@ -2,8 +2,8 @@
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
 guard refuses on construction and one it refuses at a level, one
 ``sobolev_inner`` row and one ``defect`` run on a T = 30, h = 3e-3 grid,
-the paired statistics of a Sobolev and a defect stage row (on stand-in
-measurements), and the bench's refusal to run without ``--out``."""
+the paired statistics of a Sobolev, a defect and a startup stage row (on
+stand-in measurements), and the bench's refusal to run without ``--out``."""
 
 import importlib.util
 from pathlib import Path
@@ -147,6 +147,63 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     line = capsys.readouterr().out.splitlines()[0]
     assert f"change faster in {n - 1}/{n} pairs" in line
     assert "minor faults" in line and "not resolved" not in line
+
+
+def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
+                                                  tmp_path):
+    # Stand-in children: each pair spawns the setup probe and then the CLI
+    # on each side; the change is faster in every pair but the fifth, and
+    # its CLI child is always 0.5 MB smaller.
+    bench = load_bench()
+    spawns = []
+
+    def spawn(src, argv):
+        side = "parent" if src == tmp_path / "src" else "change"
+        spawns.append((side, "probe" if argv[1] == "-c" else "cli", argv))
+        i = sum(s == side for s, _, _ in spawns)
+        seconds = 0.25 + 1e-3 * i
+        if side == "change" and (i + 1) // 2 != 5:
+            seconds -= 0.03
+        return {"seconds": seconds, "exit_code": 0,
+                "peak_rss_mb": 40.0 - 0.5 * (side == "change")}
+
+    def measure(src, mode, spec):
+        assert mode == "--startup-modules"
+        side = "parent" if src == tmp_path / "src" else "change"
+        return {"exit_code": 0, "modules": [side], "peak_rss_mb": 1.0}
+
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.setattr(bench, "measure", measure)
+    monkeypatch.setattr(bench, "machine", lambda: {})
+    out = bench.bench(tmp_path, ["startup"])
+    n = bench.PAIRS
+    rows = out["startup_rows"]
+    assert len(spawns) == 4 * n * len(bench.STARTUP_ROWS) == 4 * n * len(rows)
+    assert [(side, kind) for side, kind, _ in spawns[:8]] == [
+        ("parent", "probe"), ("parent", "cli"), ("change", "probe"),
+        ("change", "cli"), ("change", "probe"), ("change", "cli"),
+        ("parent", "probe"), ("parent", "cli")]
+    # the probe is perfbench's line; the CLI runs the row's command
+    assert spawns[0][2][2] == bench.SETUP_PROBE
+    assert {(row["command"], row["config"]) for row in rows} == set(
+        bench.STARTUP_ROWS)
+    kernel = next(row for row in rows if row["config"] == "fock-kernel")
+    assert kernel["sweep"] == 1
+    argv = next(a for _, kind, a in spawns if kind == "cli" and
+                a[a.index("--config") + 1].endswith("fock-kernel.json"))
+    assert argv[argv.index("--sweep") + 1] == "1"
+    row = rows[0]
+    for key in ("setup", "wall"):
+        assert row[key]["pairs"] == n and row[key]["change_wins"] == n - 1
+        assert row[key]["resolved"]
+    assert row["peak_rss"]["change_wins"] == n
+    assert row["peak_rss"]["change"]["median"] == 39.5
+    assert row["parent"]["modules"] == ["parent"]
+    assert row["change"]["exit_codes"] == [0] * n
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("startup slh configs/example.json: setup ")
+    assert f"change faster in {n - 1}/{n} pairs" in line
+    assert f"40.00 -> 39.50 MB, lower in {n}/{n} pairs" in line
 
 
 def test_pair_stats_need_nine_in_ten_and_a_gap_over_the_iqr():

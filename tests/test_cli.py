@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slhkit import cli, punctured_line
+from slhkit import cli, phases, punctured_line
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict, load_config
 from slhkit.ensembles import random_coupling
@@ -295,7 +295,7 @@ class TestPhaseRows:
     def test_sigma_zero_exact_compares_two_formulas(self, monkeypatch):
         # s comes from the Cayley closed form and s_sigma from the kappa
         # formula, so a wrong kappa formula fails the sigma = 0 check
-        monkeypatch.setattr(punctured_line, "_damped_phase",
+        monkeypatch.setattr(phases, "_damped_phase",
                             lambda e, sigma: (1.0 - 0.6j * e) / (1.0 + 0.5j * e))
         cfg = config_from_dict({**MINIMAL,
                                 "phase": {"E": [1.0], "sigma": [0.0]}})

@@ -5,7 +5,9 @@ broken, through ``cli.main`` for ``slh``, ``phase`` and ``scatter``, and
 Every run exits 0, 1 or 2 without an escaping exception; exit 2 prints
 exactly one ``config error:`` line and writes no report; and an accepted
 config keeps its ``config_hash``, and its report every byte, when its keys
-are reordered."""
+are reordered.  A valid config, for any of the five subcommands (``defect``
+on coarse grids, ``fock`` at d = 3 and 4), gives a report that is strict
+JSON: no NaN or Infinity constant, however extreme its finite numbers."""
 
 import contextlib
 import io
@@ -223,3 +225,57 @@ def test_defect_config_boundary_exits_cleanly(data):
     else:
         # a refused grid writes no report; a completed run writes one
         assert (report is None) == (code == 1 and "checks passed" not in err)
+
+
+def strict_json(text: str):
+    """``json.loads`` refusing the NaN, Infinity and -Infinity constants
+    that Python's json writes and reads by default."""
+    def refuse(constant):
+        raise ValueError(f"non-finite constant {constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def without_system_channel_blocks(e: list, m: int) -> list:
+    """``e`` with its E_l0 and E_0l blocks zero, so the Fock kernels are
+    not empty."""
+    return [[[0.0, 0.0] if (i < m) != (j < m) else cell
+             for j, cell in enumerate(row)] for i, row in enumerate(e)]
+
+
+# Finite numbers whose products and quotients overflow: a phase at such an
+# E and sigma, or a mollifier that wide, computes inf and nan.
+HUGE = st.sampled_from((sys.float_info.max, 1e300, 1e154))
+EXTREME = st.one_of(HUGE, HUGE.map(lambda x: -x), NUMBER)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(("slh", "phase", "scatter", "defect", "fock")),
+       st.data())
+def test_valid_configs_give_strict_json_reports(command, data):
+    config = data.draw(valid_config(command))
+    numbers = st.lists(EXTREME, min_size=1, max_size=3)
+    if command == "phase":
+        config["phase"] = {"E": data.draw(numbers),
+                           "sigma": data.draw(numbers)}
+    elif command == "scatter":
+        config["scatter"] = {
+            "E": data.draw(EXTREME),
+            "epsilon": data.draw(st.lists(st.one_of(HUGE, POSITIVE),
+                                          min_size=1, max_size=3))}
+    elif command == "defect":
+        config["grid"] = {"T": data.draw(st.sampled_from((30.0, 40.0))),
+                          "h": data.draw(SPACINGS["coarse"])}
+    elif command == "fock":
+        config["fock"] = {"d": data.draw(st.integers(3, 4))}
+        if data.draw(st.booleans()):
+            config["E"] = without_system_channel_blocks(config["E"],
+                                                        config["m"])
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err, report = run(command, json.dumps(config), Path(tmp),
+                                "config")
+    assert code in (0, 1), err
+    # exit 1 without a report is a numerical error, named on one line
+    if report is None:
+        assert code == 1 and len(err.splitlines()) == 1, err
+        return
+    assert strict_json(report.decode())["command"] == command

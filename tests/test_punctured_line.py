@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slhkit import punctured_line
+from slhkit import phases, punctured_line
 from slhkit.cli import command_defect
 from slhkit.config import config_from_dict
 from slhkit.ensembles import EXP_ZERO_BELOW, random_bump, random_grid_function
 from slhkit.report import Report
 from slhkit.errors import DomainTooSmall, InvalidMollifier, SpecMismatch, TooLarge
+from slhkit.phases import boundary_phase, scatter_regularized
 from slhkit.punctured_line import (
     SIDES,
     GridFunction,
@@ -22,7 +23,6 @@ from slhkit.punctured_line import (
     _pass,
     _tree_sum,
     apply_iD,
-    boundary_phase,
     decompose_sobolev,
     decomposition_defects,
     decomposition_half,
@@ -38,7 +38,6 @@ from slhkit.punctured_line import (
     reproducing_defects,
     sample,
     sample_half,
-    scatter_regularized,
     sobolev_inner,
     sobolev_norm,
     symmetry_defects,
@@ -721,7 +720,7 @@ class TestBoundaryPhase:
 
     def test_wrong_damped_phase_leaves_the_extension_domain(self, monkeypatch):
         # still unimodular, but not the phase of the kappa boundary condition
-        monkeypatch.setattr(punctured_line, "_damped_phase",
+        monkeypatch.setattr(phases, "_damped_phase",
                             lambda e, sigma: (1.0 - 0.6j * e) / (1.0 + 0.6j * e))
         for e in (0.5, 2.0, float(np.pi)):
             assert extension_domain_defect(e, 0.0, complex(0.7, -0.4)) > 1e-3

@@ -5,6 +5,8 @@ arrays); a layout change that breaks them must fail here, not only under
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +17,24 @@ from slhkit.config import config_from_dict
 from slhkit.ensembles import random_grid_function
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# perfbench's traced loop: import slhkit.cli alone, instrument, then load the
+# config and run the command.
+TRACED_CHILD = """
+import json, sys
+sys.path.insert(0, {perfbench!r})
+import importlib
+cli = importlib.import_module("slhkit.cli")
+from tracing import Tracer, instrument
+tracer = Tracer()
+restore = instrument(tracer)
+try:
+    cli.run_command("fock", cli.load_config({config!r}))
+finally:
+    restore()
+print(json.dumps(sorted({{s.name for s in tracer.spans}})))
+"""
 
 
 def _load(name):
@@ -82,3 +102,21 @@ def test_hooks_measure_fock_and_grid_runs(monkeypatch):
               if s.name == "linalg.null_space"]
     assert solves.count("fock.sample_domain_vectors") == 3
     assert set(solves) == {"fock.boundary_kernel", "fock.sample_domain_vectors"}
+
+
+def test_tracer_instruments_a_process_that_imported_only_the_cli(tmp_path):
+    # cli holds the fock and grid layers unexecuted; instrument reads them
+    # from sys.modules, which runs them, and must then span the calls cli
+    # makes through them.
+    config = tmp_path / "fock-kernel.json"
+    config.write_bytes(_load("workloads").generate_config("fock-kernel", 1))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_CHILD.format(perfbench=str(PERFBENCH),
+                                                   config=str(config))],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = set(json.loads(proc.stdout))
+    assert {"cli.run_command", "fock.build_mode_operators",
+            "fock.subspace_equivalence", "linalg.null_space"} <= names

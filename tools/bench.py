@@ -1,13 +1,15 @@
-"""Time the route-B boundary-kernel and the Sobolev-pairing stages, and full
-``fock`` and ``defect`` runs, of a parent tree and of this tree.
+"""Time the route-B boundary-kernel and the Sobolev-pairing stages, full
+``fock`` and ``defect`` runs, and CLI process start-up, of a parent tree and
+of this tree.
 
     python3 tools/bench.py --parent DIR --out FILE [--stages STAGE ...]
 
-STAGE is ``kernel``, ``fock-run``, ``sobolev`` or ``defect-run`` (default:
-all four, in that order).  DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
-its ``src/`` is imported for the parent side, this tree's ``src/`` for the
-change.  Each stage row is one ``fock.boundary_kernel(space, rows)`` call on
-the coupling-form rows (route B) of a seeded coupling with sigma = 0.3:
+STAGE is ``kernel``, ``fock-run``, ``sobolev``, ``defect-run`` or
+``startup`` (default: all five, in that order).  DIR is a checkout of the
+parent commit (``git clone`` or ``git archive``); its ``src/`` is imported
+for the parent side, this tree's ``src/`` for the change.  Each stage row
+is one ``fock.boundary_kernel(space, rows)`` call on the coupling-form rows
+(route B) of a seeded coupling with sigma = 0.3:
 
 * E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4),
   (1,3,5), (1,3,6) and (1,3,7);
@@ -49,8 +51,23 @@ row the seconds, the minor page faults of the ``cli.main`` call
 (``ru_minflt``), peak RSS, exit code and the SHA-256 of the report bytes,
 and whether the two sides wrote the same report.  A size the tree's guard
 refuses, on construction or at a level of the solve, records its TooLarge
-message instead.  The machine block is the output of
-``perfbench/probe.py``, run as a child the way the benchmark runs it.  The
+message instead.
+
+Each startup row is one subcommand on one config: each of the five on
+``configs/example.json``, ``fock --sweep 1`` on the ``fock-kernel`` and
+``defect`` on the ``grid-defect`` benchmark config (seed 1).  A pair runs,
+per side, the benchmark's setup probe (``perfbench/run.py``'s
+``SETUP_PROBE``: import ``slhkit.cli`` and load the config) and then the
+whole ``python -m slhkit`` process, each a bare child timed from this
+process's clock with its peak RSS read by ``wait4``, as the benchmark
+does; ``PAIRS`` (ten) alternating pairs.  The row records each side's
+probe and CLI seconds, the CLI child's peak RSS and exit codes, their
+paired statistics (``setup``, ``wall`` and ``peak_rss``), and the slhkit
+modules that one more CLI run executed (a module that ``slhkit.cli`` only
+holds as a lazy placeholder is not counted).  The machine block is the
+output of ``perfbench/probe.py``, run as a child the way the benchmark
+runs it, and says whether ``PYTHONDONTWRITEBYTECODE`` is set: with it,
+every child compiles slhkit from source.  The
 JSON goes to FILE, which has no default, so a run never overwrites an
 earlier BENCH file unless told to.
 """
@@ -69,11 +86,13 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from unittest import mock
+import types
 from pathlib import Path
 
-import numpy as np
-
+# numpy and unittest.mock are imported only in the functions a child runs:
+# a child's peak RSS (from wait4, or its own getrusage) starts at this
+# process's high-water mark, which importing them here would raise to that
+# of a bare CLI process.
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SIGMA = 0.3
@@ -90,12 +109,20 @@ DEFECT_RUNS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
 # (T, h) of the Sobolev-pairing stage rows, and the timed calls per child
 SOBOLEV_GRIDS = ((40.0, 1e-3), (40.0, 5e-4))
 SOBOLEV_CALLS = 20
-# alternating children per side of a Sobolev or defect row
+# alternating children per side of a Sobolev, defect or startup row
 PAIRS = 10
-STAGES = ("kernel", "fock-run", "sobolev", "defect-run")
+# (command, config) of the startup rows: a path under ROOT, or a benchmark
+# workload whose config perfbench/workloads.py generates
+STARTUP_ROWS = tuple((command, "configs/example.json") for command in
+                     ("slh", "phase", "defect", "scatter", "fock")) + (
+    ("fock", "fock-kernel"), ("defect", "grid-defect"))
+# perfbench/run.py's SETUP_PROBE
+SETUP_PROBE = "import sys; from slhkit import cli; cli.load_config(sys.argv[1])"
+STAGES = ("kernel", "fock-run", "sobolev", "defect-run", "startup")
 
 
 def coupling(m: int, n: int, generic_el0: bool):
+    import numpy as np
     from slhkit.ensembles import random_coupling
     return random_coupling(np.random.default_rng(SEED), m, n,
                            zero_channel_system=not generic_el0)
@@ -105,6 +132,9 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     """One timed route-B kernel solve on the slhkit tree this process
     imports; per-sector dims are None when a kernel column spans sectors."""
     # imported here: the child that calls this picks the tree by PYTHONPATH
+    from unittest import mock
+
+    import numpy as np
     from slhkit import fock
     from slhkit.errors import TooLarge
     from slhkit.linalg import null_space
@@ -155,6 +185,7 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
 def sobolev_row(half_width: float, spacing: float) -> dict:
     """Median per-call seconds and traced peak of ``sobolev_inner`` on two
     random grid functions of the (T, h) grid."""
+    import numpy as np
     from slhkit.ensembles import random_grid_function
     from slhkit.punctured_line import GridFunction, GridSpec, sobolev_inner
 
@@ -228,6 +259,20 @@ def defect_run(half_width: float, spacing: float) -> dict:
             "report_sha256": digest}
 
 
+def startup_modules(command: str, config: str, sweep: str) -> dict:
+    """The slhkit modules one CLI run executes; a lazy placeholder that was
+    never read is not a ``types.ModuleType`` yet, and ``type()`` reads no
+    attribute of it."""
+    from slhkit import cli
+
+    code = cli.main([command, "--config", config, "--out", os.devnull,
+                     "--sweep", sweep])
+    return {"exit_code": code,
+            "modules": sorted(name for name, module in sys.modules.items()
+                              if name.startswith("slhkit.")
+                              and type(module) is types.ModuleType)}
+
+
 def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
@@ -250,6 +295,46 @@ def measure(src: Path, mode: str, spec: tuple) -> dict:
         env=child_env(src), cwd=ROOT, capture_output=True, text=True,
         check=True)
     return json.loads(proc.stdout)
+
+
+def spawn(src: Path, argv: list) -> dict:
+    """One bare child importing ``src``, run to exit as ``perfbench/run.py``
+    runs it: seconds on this process's clock, peak RSS from ``wait4``."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(argv, env=child_env(src), cwd=ROOT,
+                            stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024,
+            "exit_code": proc.returncode}
+
+
+def startup_row(trees: dict, command: str, config: Path, sweep: int) -> dict:
+    """``PAIRS`` alternating pairs of the setup probe and the CLI process,
+    and the modules a CLI run executes, per side."""
+    probe = [sys.executable, "-c", SETUP_PROBE, str(config)]
+    run = [sys.executable, "-m", "slhkit", command, "--config", str(config),
+           "--out", os.devnull, "--sweep", str(sweep)]
+    sides = {side: {"setup_s": [], "seconds": [], "peak_rss_mb": [],
+                    "exit_codes": []} for side in trees}
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            sides[side]["setup_s"].append(spawn(trees[side], probe)["seconds"])
+            result = spawn(trees[side], run)
+            for key in ("seconds", "peak_rss_mb"):
+                sides[side][key].append(result[key])
+            sides[side]["exit_codes"].append(result["exit_code"])
+    for side in trees:
+        sides[side]["modules"] = measure(trees[side], "--startup-modules",
+                                         (command, config, sweep))["modules"]
+    return {**sides,
+            "setup": pair_stats(sides, "setup_s"),
+            "wall": pair_stats(sides),
+            "peak_rss": pair_stats(sides, "peak_rss_mb")}
 
 
 def alternate(trees: dict, mode: str, spec: tuple,
@@ -285,12 +370,13 @@ def quartiles(values) -> tuple:
     return tuple(statistics.quantiles(values, n=4))
 
 
-def pair_stats(sides: dict) -> dict:
-    """Each side's median and quartiles of the per-run seconds, the pairs
-    in which the change was faster, and whether that meets the
-    nine-in-ten rule: faster in at least 9 of 10 pairs, with the median
-    gap over the parent's interquartile range."""
-    parent, change = sides["parent"]["seconds"], sides["change"]["seconds"]
+def pair_stats(sides: dict, key: str = "seconds") -> dict:
+    """Each side's median and quartiles of the per-run ``key`` (seconds
+    unless named; lower is better), the pairs in which the change was
+    lower, and whether that meets the nine-in-ten rule: lower in at least 9
+    of 10 pairs, with the median gap over the parent's interquartile
+    range."""
+    parent, change = sides["parent"][key], sides["change"][key]
     stats = {side: dict(zip(("q1", "median", "q3"), quartiles(values)))
              for side, values in (("parent", parent), ("change", change))}
     wins = sum(c < p for p, c in zip(parent, change))
@@ -324,6 +410,7 @@ def machine() -> dict:
     info.pop("slhkit_file")
     info["nproc"] = len(os.sched_getaffinity(0))
     info["blas_threads_env"] = 1
+    info["dont_write_bytecode"] = bool(os.environ.get("PYTHONDONTWRITEBYTECODE"))
     info["mem_total_mb"] = round(
         os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") / 2 ** 20)
     return info
@@ -342,7 +429,7 @@ def bench(parent: Path, stages=STAGES) -> dict:
            "seed": SEED, "repeats": REPEATS, "machine": machine(),
            "revisions": {"parent": revision(parent), "change": revision(ROOT)},
            "stages": list(stages), "rows": [], "sobolev_rows": [], "runs": [],
-           "defect_runs": []}
+           "defect_runs": [], "startup_rows": []}
     for m, n, d, generic_el0 in ROWS if "kernel" in stages else ():
         sides = alternate(trees, "--row", (m, n, d, generic_el0))
         record = {"m": m, "n": n, "d": d,
@@ -387,6 +474,29 @@ def bench(parent: Path, stages=STAGES) -> dict:
             for side in ("parent", "change"))
         print(f"defect run T={half_width:g} h={spacing:g}: "
               f"{pair_summary(stats)}, minor faults {faults}", flush=True)
+    if "startup" in stages:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        from workloads import WORKLOADS, generate_config
+
+        with tempfile.TemporaryDirectory() as tmp:
+            for command, name in STARTUP_ROWS:
+                config, sweep = ROOT / name, 0
+                if name in WORKLOADS:
+                    config = Path(tmp) / f"{name}.json"
+                    config.write_bytes(generate_config(name, SEED))
+                    sweep = WORKLOADS[name].sweep
+                record = {"command": command, "config": name, "sweep": sweep,
+                          **startup_row(trees, command, config, sweep)}
+                out["startup_rows"].append(record)
+                rss = " -> ".join(f"{record['peak_rss'][side]['median']:.2f}"
+                                  for side in ("parent", "change"))
+                print(f"startup {command} {name}: setup "
+                      f"{pair_summary(record['setup'])}; cli "
+                      f"{pair_summary(record['wall'])}; peak RSS {rss} MB, "
+                      f"lower in {record['peak_rss']['change_wins']}/"
+                      f"{record['peak_rss']['pairs']} pairs; modules "
+                      f"{len(record['parent']['modules'])} -> "
+                      f"{len(record['change']['modules'])}", flush=True)
     return out
 
 
@@ -401,9 +511,11 @@ def main(argv=None) -> int:
     parser.add_argument("--fock-run", type=int, nargs=3, help=argparse.SUPPRESS)
     parser.add_argument("--defect-run", type=float, nargs=2,
                         help=argparse.SUPPRESS)
+    parser.add_argument("--startup-modules", nargs=3, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    children = (args.row, args.sobolev_row, args.fock_run, args.defect_run)
-    if children != (None,) * 4:
+    children = (args.row, args.sobolev_row, args.fock_run, args.defect_run,
+                args.startup_modules)
+    if children != (None,) * 5:
         if args.row is not None:
             m, n, d, generic_el0 = args.row
             result = row(m, n, d, bool(generic_el0))
@@ -411,8 +523,10 @@ def main(argv=None) -> int:
             result = sobolev_row(*args.sobolev_row)
         elif args.fock_run is not None:
             result = fock_run(*args.fock_run)
-        else:
+        elif args.defect_run is not None:
             result = defect_run(*args.defect_run)
+        else:
+            result = startup_modules(*args.startup_modules)
         result["peak_rss_mb"] = peak_rss_mb()
         print(json.dumps(result))
         return 0
