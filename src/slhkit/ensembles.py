@@ -1,19 +1,14 @@
 """Seeded random ensembles used by property sweeps and the CLI.
 
-The grid draws import ``punctured_line`` when they are called, so drawing a
-coupling loads no grid code."""
+A grid draw (``random_bump``) imports ``punctured_line`` when it is called,
+so drawing a coupling loads no grid code."""
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import adjoint
 from .slh import CouplingMatrix, GaugeMatrix, validate_coupling
-
-if TYPE_CHECKING:
-    from .punctured_line import GridFunction, GridSpec
 
 
 # exp(x) is +0 in double precision for every x below this (it is below
@@ -82,13 +77,3 @@ def random_bump(rng: np.random.Generator, side: str):
             np.multiply(amp, x, out=out[start:stop])
         return out
     return bump
-
-
-def random_grid_function(rng: np.random.Generator,
-                         spec: GridSpec) -> GridFunction:
-    """Independent random bumps on the two half-lines (left drawn first), so
-    the function has a random jump at 0."""
-    from .punctured_line import sample
-
-    return sample(spec, left=random_bump(rng, "left"),
-                  right=random_bump(rng, "right"))

@@ -28,10 +28,14 @@ that side). The per-half functions (``sobolev_half``, ``reproducing_half``,
 ``decomposition_half``, ``symmetry_half``, ``eigenrelation_half``) return
 scalars, which ``sobolev_total`` and the ``..._values``/``..._residuals``
 functions join in the order of the two-sided formula, (L2_- + L2_+) +
-(D_- + D_+). The two-sided functions run them on a GridFunction's stored
-halves; the CLI defect suite runs them on halves read from a source:
+(D_- + D_+). The CLI defect suite runs them on halves read from a source:
 phi_pm in closed form (``defect_halves``) and each draw evaluated on the
-nodes asked for (``sample_half``). Either way the values agree bit for bit.
+nodes asked for (``sample_half``).
+
+Three two-sided functions of a GridFunction remain, ``sobolev_inner``,
+``derivative`` and ``decompose_sobolev``, only because the benchmark's
+tracer wraps them by name and reads a GridFunction's arrays
+(ROADMAP item 7 retargets those spans to the half-line core).
 
 Leaves
 
@@ -56,15 +60,14 @@ Storage
   at -T or T. A source half is checked alike, its values as they are read;
 * an identically zero half-line is ``zero_half(n)``, one read-only complex
   zero broadcast over the n nodes with stride 0, recognised by that
-  structure whatever grid made it. Validation, scaling, addition, the
-  derivative and the pairings skip its nodes, with results equal to the
-  full computation; a zero array from a caller is an ordinary array;
-* ``derivative`` and ``decompose_sobolev`` form their result whole, for
-  the callers that want the function itself; the pairings keep no
-  derivative, and ``decomposition_half`` forms psi0 leaf by leaf;
-* ``defect_vectors`` keeps the two-sided pair for the most recent spec;
-* GridSpec refuses a grid whose two-sided checks would need more than
-  ``MAX_SOLVE_BYTES`` of live arrays (TooLarge), before anything is allocated.
+  structure whatever grid made it. Validation, the derivative and the
+  pairings skip its nodes, with results equal to the full computation; a
+  zero array from a caller is an ordinary array;
+* ``derivative`` and ``decompose_sobolev`` form their result whole; the
+  pairings keep no derivative, and ``decomposition_half`` forms psi0 leaf
+  by leaf;
+* GridSpec refuses a grid whose node arrays would need more than
+  ``MAX_SOLVE_BYTES`` (TooLarge), before anything is allocated.
 """
 
 from __future__ import annotations
@@ -84,13 +87,13 @@ from .linalg import kappas
 
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
-# Most two-sided complex node arrays the two-sided library checks hold at
-# once, the bound of the size guard: reproducing_defects over sampled pairs
-# holds the cached defect pair, one pair of draws and one draw's node grid
-# and temporaries (2.41 arrays at 20k nodes, tests/test_punctured_line.py).
-# The CLI defect suite holds no node array: its tracemalloc peak is one
-# leaf's buffers of at most PANEL_CHUNK values, whatever n
-# (tools/defect_peaks.py). Kept at 3, so the guard admits the same grids.
+# Most two-sided complex node arrays held at once, the bound of the size
+# guard. Only decompose_sobolev and derivative form node arrays: with their
+# argument they peak at 2.50 and 2.07 arrays at 20k and 40k nodes
+# (tests/test_punctured_line.py). The CLI defect suite holds no node array:
+# its tracemalloc peak is one leaf's buffers of at most PANEL_CHUNK values,
+# whatever n (tools/defect_peaks.py). Kept at 3, so the guard admits the
+# same grids.
 DEFECT_LIVE_ARRAYS = 3
 # The left half-line [-T, 0), then the right one (0, T]: the order of every
 # loop over halves and of the sums that join them.
@@ -241,7 +244,8 @@ def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
 
 @dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Complex values on the two half-line grids plus exact boundary traces.
+    """Complex values on the two half-line grids plus exact boundary traces:
+    the argument of the traced two-sided entry points.
 
     The value arrays are read-only views.  Equality is identity: compare the
     value arrays to compare two functions.
@@ -266,59 +270,6 @@ class GridFunction:
         return (Half(self.left, self.left_limit) if left
                 else Half(self.right, self.right_limit))
 
-    @property
-    def traces(self) -> Traces:
-        return Traces(self.left_limit, self.right_limit)
-
-    @property
-    def jump(self) -> complex:
-        return self.traces.jump
-
-    @property
-    def delta_star(self) -> complex:
-        return self.traces.delta_star
-
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        require_same_spec(self, other)
-        return GridFunction(self.spec, _add_halves(self.left, other.left),
-                            _add_halves(self.right, other.right),
-                            self.left_limit + other.left_limit,
-                            self.right_limit + other.right_limit)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        require_same_spec(self, other)
-        return GridFunction(self.spec, _sub_halves(self.left, other.left),
-                            _sub_halves(self.right, other.right),
-                            self.left_limit - other.left_limit,
-                            self.right_limit - other.right_limit)
-
-    def __mul__(self, scalar: complex) -> "GridFunction":
-        return GridFunction(self.spec, _scale_half(scalar, self.left),
-                            _scale_half(scalar, self.right),
-                            scalar * self.left_limit, scalar * self.right_limit)
-
-    __rmul__ = __mul__
-
-
-def _add_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _is_zero_half(a):
-        return b
-    if _is_zero_half(b):
-        return a
-    return a + b
-
-
-def _sub_halves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _is_zero_half(b):
-        return a
-    if _is_zero_half(a):
-        return -b
-    return a - b
-
-
-def _scale_half(scalar: complex, values: np.ndarray) -> np.ndarray:
-    return values if _is_zero_half(values) else scalar * values
-
 
 def require_same_spec(f: GridFunction, g: GridFunction) -> None:
     if f.spec != g.spec:
@@ -332,27 +283,13 @@ def trace_at_origin(fn: Callable[..., np.ndarray]) -> complex:
 
 def sample_half(spec: GridSpec, left: bool,
                 fn: Optional[Callable[..., np.ndarray]]) -> Half:
-    """One half of ``sample(spec, ...)`` as a checked source: ``fn`` on the
-    nodes lo:hi asked for, and ``fn`` at 0 as the trace; a zero half when
-    ``fn`` is None."""
+    """A callable on one half-line as a checked source: ``fn`` on the nodes
+    lo:hi asked for, and ``fn`` at 0 as the trace (continuity from that
+    side); a zero half when ``fn`` is None."""
     if fn is None:
         return Half(zero_half(spec.n_nodes), 0j)
     return _check_half(spec, left, lambda lo, hi: np.ascontiguousarray(
         fn(spec.nodes(left, lo, hi)), dtype=complex), trace_at_origin(fn))
-
-
-def sample(spec: GridSpec,
-           left: Optional[Callable[..., np.ndarray]] = None,
-           right: Optional[Callable[..., np.ndarray]] = None) -> GridFunction:
-    """Evaluate callables on the half-line grids.
-
-    A missing half is identically zero; each boundary trace is the callable's
-    value at 0 (continuity from that side).
-    """
-    (lv, ll), (rv, rl) = ((zero_half(spec.n_nodes), 0j) if fn is None
-                          else (fn(spec.nodes(side)), trace_at_origin(fn))
-                          for side, fn in zip(SIDES, (left, right)))
-    return GridFunction(spec, lv, rv, ll, rl)
 
 
 def defect_halves(spec: GridSpec, left: bool) -> tuple:
@@ -372,19 +309,6 @@ def defect_halves(spec: GridSpec, left: bool) -> tuple:
     own = _check_half(spec, left, phi, 1j if left else -1j)
     zero = Half(zero_half(spec.n_nodes), 0j)
     return (zero, own) if left else (own, zero)
-
-
-@functools.lru_cache(maxsize=1)
-def defect_vectors(spec: GridSpec):
-    """The normalized defect pair (phi_+, phi_-) as two-sided functions,
-    from ``defect_halves`` read whole."""
-    n = spec.n_nodes
-    zero, minus = defect_halves(spec, True)
-    plus, _ = defect_halves(spec, False)
-    return (GridFunction(spec, zero.values, _read(plus.values, 0, n),
-                         zero.limit, plus.limit),
-            GridFunction(spec, _read(minus.values, 0, n), zero.values,
-                         minus.limit, zero.limit))
 
 
 def _derivative_chunk(values: np.ndarray, base: int, n: int, h: float,
@@ -463,7 +387,8 @@ def derivative(f: GridFunction) -> GridFunction:
     three-point estimates that use the stored traces of ``f``.
 
     Formed afresh on every call; the pairings form it leaf by leaf
-    instead. A zero half is its own derivative.
+    instead. A zero half is its own derivative. Kept as a traced entry
+    point of the benchmark (ROADMAP item 7).
     """
     dl, dr = (_derivative_half(f.spec, left, f.half(left)) for left in SIDES)
     return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
@@ -630,21 +555,6 @@ def _refuse(spec: GridSpec, left: bool, pair: tuple) -> None:
             _derivative_half(spec, left, u)
 
 
-def l2_inner(f: GridFunction, g: GridFunction) -> complex:
-    """L2 pairing int conj(f) g over both half-lines (trapezoid, O(h^2))."""
-    return _pairing(f, g, False, False)
-
-
-def _pairing(f: GridFunction, g: GridFunction, diff_f: bool,
-             diff_g: bool) -> complex:
-    """The one-pairing ``_pass`` on the left half-line plus the right."""
-    require_same_spec(f, g)
-    left, right = (_pass(f.spec, side, [([(f.half(side), g.half(side),
-                                           diff_f, diff_g)], None)])[0][0]
-                   for side in SIDES)
-    return left + right
-
-
 def _sobolev_job(pairs: list, each: Optional[Callable] = None) -> tuple:
     """A ``_pass`` job of the L2 and derivative pairing of each (f, g) in
     ``pairs``, whose values ``_terms`` reads as ``sobolev_half`` terms."""
@@ -668,8 +578,9 @@ def sobolev_total(left: tuple, right: tuple) -> complex:
 
 
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
-    """Sobolev pairing int (conj(f) g + conj(f') g'), formed leaf by leaf
-    with no derivative formed whole."""
+    """Sobolev pairing int (conj(f) g + conj(f') g'), ``sobolev_half`` on
+    both halves, with no derivative formed whole. Kept as a traced entry
+    point of the benchmark (ROADMAP item 7)."""
     require_same_spec(f, g)
     return sobolev_total(*(sobolev_half(f.spec, left, f.half(left),
                                         g.half(left))
@@ -682,19 +593,15 @@ def norm_from_inner(value: complex) -> float:
     return math.sqrt(max(value.real, 0.0))
 
 
-def sobolev_norm(f: GridFunction) -> float:
-    return norm_from_inner(sobolev_inner(f, f))
-
-
 def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
     """<zeta_sigma|psi> from the traces psi(0+) = plus and psi(0-) = minus."""
     kp, km = kappas(sigma)
     return km * plus + kp * minus
 
 
-def zeta_eval(f, sigma: Optional[float]) -> complex:
-    """<zeta_sigma|f> of a GridFunction or ``Traces``; the symmetric delta
-    when sigma is None."""
+def zeta_eval(f: Traces, sigma: Optional[float]) -> complex:
+    """<zeta_sigma|f> from f's ``Traces``; the symmetric delta when sigma is
+    None."""
     if sigma is None:
         return f.delta_star
     return zeta_value(f.right_limit, f.left_limit, float(sigma))
@@ -716,32 +623,11 @@ def jump_splitting_defect(fp: complex, fm: complex, gp: complex, gm: complex,
     return abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class SingularSum:
-    """Regular grid function plus a coefficient on the singular functional,
-    delta_star or zeta_sigma: the pairing that reads it names the one."""
-
-    regular: GridFunction
-    coefficient: complex
-
-
-def apply_iD(f: GridFunction) -> SingularSum:
-    """Distributional derivative i*d/dt + i |singular><jump|.
-
-    The regular part is i times the finite-difference derivative; the singular
-    coefficient i * jump(f) is exact boundary arithmetic.
-    """
-    reg = 1j * derivative(f)
-    return SingularSum(regular=reg, coefficient=1j * f.jump)
-
-
-def jay_form(f, g) -> complex:
+def jay_form(f: Traces, g: Traces) -> complex:
     """<f|J g> = conj(f(0+)) g(0+) - conj(f(0-)) g(0-), exact boundary
-    arithmetic on the traces of GridFunctions or ``Traces``."""
+    arithmetic on the ``Traces`` of f and g."""
     return (np.conj(f.right_limit) * g.right_limit
             - np.conj(f.left_limit) * g.left_limit)
-
-
 
 
 def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
@@ -751,10 +637,19 @@ def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
                                       (g, f, False, True)], None)])[0])
 
 
-def symmetry_values(left: tuple, right: tuple, f, g, sigma: float) -> dict:
-    """The residuals of ``symmetry_defects`` from both half-lines'
-    ``symmetry_half`` terms and the traces of f and g (GridFunctions or
-    ``Traces``)."""
+def symmetry_values(left: tuple, right: tuple, f: Traces, g: Traces,
+                    sigma: float) -> dict:
+    """Residuals of the symmetry of iD = i d/dt + i |singular><jump| on
+    (f, g), each O(h^2), from both half-lines' ``symmetry_half`` terms and
+    the ``Traces`` of f and g.
+
+    "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
+    boundary form of the regular derivative alone equals -i <f|J g>.
+    "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
+    the singular functional, and "id_symmetry_defect_damped" the same with
+    zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
+    each joined once from the halves.
+    """
     f_ig = 1j * (left[0] + right[0])
     g_if = 1j * (left[1] + right[1])
 
@@ -770,31 +665,14 @@ def symmetry_values(left: tuple, right: tuple, f, g, sigma: float) -> dict:
             "id_symmetry_defect_damped": id_defect(sigma)}
 
 
-def symmetry_defects(f: GridFunction, g: GridFunction, sigma: float) -> dict:
-    """Residuals of the symmetry of iD on (f, g), each O(h^2).
-
-    "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
-    boundary form of the regular derivative alone equals -i <f|J g>.
-    "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
-    the singular functional, and "id_symmetry_defect_damped" the same with
-    zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
-    computed once each, with the derivative formed leaf by leaf, so neither
-    g' nor i g' is formed whole.
-    """
-    require_same_spec(f, g)
-    return symmetry_values(*(symmetry_half(f.spec, left, f.half(left),
-                                           g.half(left))
-                             for left in SIDES), f, g, sigma)
-
-
 def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
                        sign: float) -> float:
     """The largest node value of |i phi' + sign i phi| on one half-line, or
     0 if that is larger (O(h^2)); 0 on a zero half. The half's derivative
     is checked as ``derivative`` checks it.
 
-    Reduced leaf by leaf, each node rounded as in
-    ``apply_iD(phi).regular + (sign i) phi``.
+    Reduced leaf by leaf, each node rounded as i times the grid derivative,
+    plus (sign i) times phi.
     """
     _derivative_trace(spec, left, phi)
     if _is_zero_half(phi.values):
@@ -809,27 +687,21 @@ def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
     return max(0.0, float(np.max(maxima)))
 
 
-def eigenrelation_values(traces, left: float, right: float) -> dict:
-    """"coefficient" is |i jump(phi) - 1|, the singular coefficient of
-    ``apply_iD`` against its value 1 (exact), from phi's ``traces``, and
-    "regular" the larger ``eigenrelation_half`` residual of the halves."""
+def eigenrelation_values(traces: Traces, left: float, right: float) -> dict:
+    """Residuals of the eigenrelation iD phi = -sign i phi of a defect
+    vector (sign +1 for phi_+, -1 for phi_-): "coefficient" is
+    |i jump(phi) - 1|, the singular coefficient of iD phi against its value
+    1 (exact), from phi's ``traces``, and "regular" the larger
+    ``eigenrelation_half`` residual of the halves."""
     return {"coefficient": abs(1j * traces.jump - 1.0),
             "regular": max(left, right)}
-
-
-def eigenrelation_defects(phi: GridFunction, sign: float) -> dict:
-    """Residuals of the eigenrelation iD phi = -sign i phi of a defect
-    vector (sign +1 for phi_+, -1 for phi_-): ``eigenrelation_values`` of
-    ``eigenrelation_half`` on both halves."""
-    return eigenrelation_values(phi.traces, *(
-        eigenrelation_half(phi.spec, left, phi.half(left), sign)
-        for left in SIDES))
 
 
 @dataclass(frozen=True)
 class SobolevDecomposition:
     """Triple (psi0, c_plus, c_minus) with psi0 vanishing at the origin and
-    psi = psi0 + c_plus phi_+ + c_minus phi_-."""
+    psi = psi0 + c_plus phi_+ + c_minus phi_-: the result of the traced
+    ``decompose_sobolev``."""
 
     psi0: GridFunction
     c_plus: complex
@@ -841,27 +713,22 @@ def defect_coefficients(left_limit: complex, right_limit: complex) -> tuple:
     return 1j * right_limit, -1j * left_limit
 
 
-def _psi0_window(c: complex, phi: np.ndarray, f: np.ndarray,
-                 f_is_zero: bool) -> np.ndarray:
+def _psi0_window(c: complex, phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     """psi0 = f - c phi on some nodes, c phi formed and then subtracted
-    from f; a zero half of f is negated, as GridFunction subtraction
-    does."""
+    from f."""
     cphi = np.multiply(c, phi)
-    if f_is_zero:
-        return np.negative(cphi, out=cphi)
     return np.subtract(f, cphi, out=cphi)
 
 
 def _psi0_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
                c_minus: complex, phi_plus: Half, phi_minus: Half) -> Half:
     """One half of psi0 = f - c_plus phi_+ - c_minus phi_-, unchecked, as a
-    source, rounded as that GridFunction expression rounds it: phi_- lives
-    on the left half-line and phi_+ on the right, so the half is c phi
-    subtracted from f's half (``_psi0_window``)."""
+    source: phi_- lives on the left half-line and phi_+ on the right, so
+    the half is c phi subtracted from f's half (``_psi0_window``), and the
+    trace is that expression on the traces, in that order."""
     c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
-    zero = _is_zero_half(f.values)
     return Half(lambda lo, hi: _psi0_window(c, _read(phi.values, lo, hi),
-                                            _read(f.values, lo, hi), zero),
+                                            _read(f.values, lo, hi)),
                 (f.limit - c_plus * phi_plus.limit)
                 - c_minus * phi_minus.limit)
 
@@ -869,14 +736,14 @@ def _psi0_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
 def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     """Split off the defect-vector components: c_pm = +-i psi(0+-).
 
-    psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` read
-    whole.
+    psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` of
+    the ``defect_halves`` read whole. Kept as a traced entry point of the
+    benchmark (ROADMAP item 7).
     """
-    phi_plus, phi_minus = defect_vectors(f.spec)
     n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
     left, right = (_psi0_half(f.spec, side, f.half(side), c_plus, c_minus,
-                              phi_plus.half(side), phi_minus.half(side))
+                              *defect_halves(f.spec, side))
                    for side in SIDES)
     psi0 = GridFunction(f.spec, _read(left.values, 0, n),
                         _read(right.values, 0, n), left.limit, right.limit)
@@ -906,40 +773,18 @@ def reproducing_residuals(left: tuple, right: tuple, psi_r_trace: complex,
             abs(1j * sobolev_total(left[1], right[1]) - psi_l_trace))
 
 
-def reproducing_defects(spec: GridSpec, pairs) -> tuple:
-    """Largest ``reproducing_residuals`` over (psi_r, psi_l) pairs, each
-    O(h^2). The pairs are read one at a time and each is released before
-    the next is read, so a generator that draws them holds one pair at
-    once."""
-    phi_plus, phi_minus = defect_vectors(spec)
-    worst_plus = worst_minus = 0.0
-    for psi_r, psi_l in pairs:
-        require_same_spec(phi_plus, psi_r)
-        require_same_spec(phi_plus, psi_l)
-        plus, minus = reproducing_residuals(
-            *(reproducing_half(spec, left, phi_plus.half(left),
-                               phi_minus.half(left),
-                               [(psi_r.half(left), psi_l.half(left))])[0]
-              for left in SIDES),
-            psi_r.right_limit, psi_l.left_limit)
-        worst_plus = max(worst_plus, plus)
-        worst_minus = max(worst_minus, minus)
-        del psi_r, psi_l
-    return worst_plus, worst_minus
-
-
 def decomposition_half(spec: GridSpec, left: bool, draws: list,
                        phi_plus: Half, phi_minus: Half) -> list:
-    """One half-line of ``decomposition_defects`` for each (f, c_plus,
-    c_minus) in ``draws``, all in one pass that reads phi_pm once: this
-    half's (reconstruction, psi0 trace, Sobolev terms of <psi0|psi0>,
-    <phi_+|psi0> and <phi_-|psi0>).
+    """One half-line of the decomposition psi0 = f - c_plus phi_+ -
+    c_minus phi_- for each (f, c_plus, c_minus) in ``draws``, all in one
+    pass that reads phi_pm once: this half's (reconstruction, psi0 trace,
+    Sobolev terms of <psi0|psi0>, <phi_+|psi0> and <phi_-|psi0>).
 
     psi0's half (``_psi0_half``) is checked, and formed on each leaf from
-    f's and phi's values into a window of its own. The reconstruction
-    residual, the largest node value of (psi0 + c phi) - f, is reduced from
-    that psi0 against f's values; with psi0 formed right it rounds as the
-    GridFunction expression, and a wrong psi0 shows in it.
+    f's and phi's values into a window of its own, so psi0 is never held
+    whole. The reconstruction residual, the largest node value of
+    (psi0 + c phi) - f, is reduced from that psi0 against f's values, so a
+    wrong psi0 shows in it.
     """
     jobs, found = [], []
     for f, c_plus, c_minus in draws:
@@ -962,7 +807,7 @@ def _psi0_leaf(f: Half, c: complex, phi: Half, psi0: Half, maxima: list,
     """On one leaf: psi0's window, kept for the pairings, and the largest
     reconstruction residual on the leaf's nodes, appended to ``maxima``."""
     leaf.cache[id(psi0.values), False] = _finite(_psi0_window(
-        c, leaf.window(phi), leaf.window(f), _is_zero_half(f.values)))
+        c, leaf.window(phi), leaf.window(f)))
     # c phi + psi0 rounds as psi0 + c phi: addition commutes exactly
     r = np.multiply(c, leaf.own(phi))
     r += leaf.own(psi0)
@@ -971,8 +816,11 @@ def _psi0_leaf(f: Half, c: complex, phi: Half, psi0: Half, maxima: list,
 
 
 def decomposition_values(left: tuple, right: tuple) -> dict:
-    """The residuals of ``decomposition_defects`` from both half-lines'
-    ``decomposition_half`` results."""
+    """Residuals of the decomposition from both half-lines'
+    ``decomposition_half`` results: "boundary_zero" is the larger
+    |psi0(0+-)| (exactly zero), "orthogonality" the larger
+    |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
+    node value of psi0 + c phi - f (rounding)."""
     (rec_l, trace_l, (self_l, plus_l, minus_l)) = left
     (rec_r, trace_r, (self_r, plus_r, minus_r)) = right
     scale = norm_from_inner(sobolev_total(self_l, self_r))
@@ -982,23 +830,6 @@ def decomposition_values(left: tuple, right: tuple) -> dict:
                              abs(sobolev_total(minus_l, minus_r)) / scale),
         "reconstruction": max(max(0.0, rec_l), rec_r),
     }
-
-
-def decomposition_defects(f: GridFunction) -> dict:
-    """Residuals of ``decompose_sobolev(f)``: "boundary_zero" is the larger
-    |psi0(0+-)| (exactly zero), "orthogonality" the larger
-    |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
-    node value of psi0 + c_plus phi_+ + c_minus phi_- - f (rounding).
-
-    ``decomposition_half`` on each half, so psi0 is never held whole; f is
-    left as it was.
-    """
-    phi_plus, phi_minus = defect_vectors(f.spec)
-    c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
-    return decomposition_values(*(
-        decomposition_half(f.spec, left, [(f.half(left), c_plus, c_minus)],
-                           phi_plus.half(left), phi_minus.half(left))[0]
-        for left in SIDES))
 
 
 def extension_domain_defect(e: float, sigma: float, psi_plus: complex) -> float:

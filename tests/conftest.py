@@ -1,17 +1,25 @@
-"""Shared test fixtures: the dense Kronecker-product oracle for the graded
-Fock layer, and the every-sector reference for its kernel solve.
+"""Shared test oracles: the dense Kronecker-product oracle for the graded
+Fock layer, the every-sector reference for its kernel solve, and the
+two-sided oracle for the punctured-line grid.
 
 Every mode operator, boundary row and action operator is built here as a full
 dim x dim matrix with ``np.kron``, independently of ``slhkit.fock``'s graded
 representation, and kernels come from one SVD of the whole stacked operator.
 Only for small truncations: memory grows as dim^2 and time as dim^3.
+
+``TwoSided`` holds a grid function as two plain n-node arrays and its two
+stored traces, and forms the derivative, the trapezoid pairings and the
+boundary functionals from the formulas written out on whole arrays, with
+none of ``slhkit.punctured_line``'s leaf passes.
 """
 
 import numpy as np
 import pytest
 
 from slhkit import fock
+from slhkit.ensembles import random_bump
 from slhkit.linalg import NULLSPACE_TOL, adjoint, null_space
+from slhkit.punctured_line import GridFunction, trace_at_origin
 from slhkit.slh import gauge_zll, slh_triple
 
 
@@ -160,3 +168,127 @@ def sector_reference():
 def dense_fock():
     """The oracle class; call it as dense_fock(m, n, d, gauge)."""
     return DenseFock
+
+
+class TwoSided:
+    """A grid function on [-T, 0) and (0, T]: ``left`` and ``right``, n
+    complex node values each (writable copies), and the stored traces
+    ``left_limit`` = psi(0-) and ``right_limit`` = psi(0+)."""
+
+    def __init__(self, h, left, right, left_limit, right_limit):
+        self.h = h
+        self.left = np.array(left, dtype=complex)
+        self.right = np.array(right, dtype=complex)
+        self.left_limit = complex(left_limit)
+        self.right_limit = complex(right_limit)
+
+    @staticmethod
+    def nodes(half_width, spacing, left):
+        n = int(round(half_width / spacing))
+        return (np.linspace(-half_width, -spacing, n) if left
+                else np.linspace(spacing, half_width, n))
+
+    @classmethod
+    def sample(cls, half_width, spacing, left=None, right=None):
+        """Callables on the ``np.linspace`` nodes of each half-line, the
+        trace their value at 0; a missing half is zero, trace and all."""
+        halves = []
+        for side, fn in ((True, left), (False, right)):
+            t = cls.nodes(half_width, spacing, side)
+            halves.append((np.zeros(t.size), 0j) if fn is None
+                          else (fn(t), complex(fn(np.array([0.0]))[0])))
+        (lv, ll), (rv, rl) = halves
+        return cls(spacing, lv, rv, ll, rl)
+
+    @classmethod
+    def of(cls, f):
+        """A ``punctured_line.GridFunction``'s arrays and traces."""
+        return cls(f.spec.spacing, f.left, f.right, f.left_limit,
+                   f.right_limit)
+
+    @classmethod
+    def defect_pair(cls, half_width, spacing):
+        """phi_+ = -i e^-t on (0, T] and phi_- = i e^t on [-T, 0), each
+        zero on the other half-line."""
+        t_left = cls.nodes(half_width, spacing, True)
+        t_right = cls.nodes(half_width, spacing, False)
+        zero = np.zeros(t_left.size)
+        return (cls(spacing, zero, -1j * np.exp(-t_right), 0j, -1j),
+                cls(spacing, 1j * np.exp(t_left), zero, 1j, 0j))
+
+    def __add__(self, other):
+        return TwoSided(self.h, self.left + other.left,
+                        self.right + other.right,
+                        self.left_limit + other.left_limit,
+                        self.right_limit + other.right_limit)
+
+    def __sub__(self, other):
+        return TwoSided(self.h, self.left - other.left,
+                        self.right - other.right,
+                        self.left_limit - other.left_limit,
+                        self.right_limit - other.right_limit)
+
+    def __rmul__(self, scalar):
+        return TwoSided(self.h, scalar * self.left, scalar * self.right,
+                        scalar * self.left_limit, scalar * self.right_limit)
+
+    @property
+    def jump(self):
+        return self.right_limit - self.left_limit
+
+    @property
+    def delta_star(self):
+        return 0.5 * (self.right_limit + self.left_limit)
+
+    def zeta(self, sigma):
+        """<zeta_sigma|psi> = (1/2 - i sigma) psi(0+) + (1/2 + i sigma)
+        psi(0-); the symmetric delta when sigma is None."""
+        if sigma is None:
+            return self.delta_star
+        return (complex(0.5, -sigma) * self.right_limit
+                + complex(0.5, sigma) * self.left_limit)
+
+    def derivative(self):
+        """Central differences inside each half-line, one-sided three-point
+        stencils at its two end nodes; the traces are the one-sided
+        three-point stencils on the stored traces."""
+        h = self.h
+
+        def stencil(v):
+            d = np.empty_like(v)
+            d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+            d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+            d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+            return d
+
+        left, right = self.left, self.right
+        return TwoSided(
+            h, stencil(left), stencil(right),
+            (3.0 * self.left_limit - 4.0 * left[-1] + left[-2]) / (2.0 * h),
+            (-3.0 * self.right_limit + 4.0 * right[0] - right[1]) / (2.0 * h))
+
+    def l2(self, other):
+        """int conj(self) other: ``np.trapezoid`` over [-T, 0] and over
+        [0, T], each half-line closed at 0 by the product of the traces."""
+        h = self.h
+        left = np.append(np.conj(self.left) * other.left,
+                         np.conj(self.left_limit) * other.left_limit)
+        right = np.insert(np.conj(self.right) * other.right, 0,
+                          np.conj(self.right_limit) * other.right_limit)
+        return (complex(np.trapezoid(left, dx=h))
+                + complex(np.trapezoid(right, dx=h)))
+
+    def sobolev(self, other):
+        """<self|other>_S, the L2 pairing plus that of the derivatives."""
+        return self.l2(other) + self.derivative().l2(other.derivative())
+
+    def norm(self):
+        return float(np.sqrt(max(self.sobolev(self).real, 0.0)))
+
+
+def bump_function(rng, spec):
+    """A ``punctured_line.GridFunction`` of a random bump on each half-line,
+    the left one drawn first, so it has a random jump at 0."""
+    left, right = random_bump(rng, "left"), random_bump(rng, "right")
+    return GridFunction(spec, left(spec.nodes(True)), right(spec.nodes(False)),
+                        trace_at_origin(left), trace_at_origin(right))

@@ -17,14 +17,22 @@ from slhkit.fock import (build_mode_operators, fock_battery, scattering_rows,
 from slhkit.linalg import cayley
 from slhkit.phases import boundary_phase, scatter_regularized
 from slhkit.punctured_line import (
+    SIDES,
     GridSpec,
-    decomposition_defects,
-    defect_vectors,
+    Traces,
+    decomposition_half,
+    decomposition_values,
+    defect_coefficients,
+    defect_halves,
     jump_splitting_defect,
-    reproducing_defects,
-    sample,
-    sobolev_norm,
-    symmetry_defects,
+    norm_from_inner,
+    reproducing_half,
+    reproducing_residuals,
+    sample_half,
+    sobolev_half,
+    sobolev_total,
+    symmetry_half,
+    symmetry_values,
 )
 from slhkit.slh import (
     GAUGE_CHECK_SIGMAS,
@@ -74,40 +82,60 @@ def test_criterion_2_jump_splitting_identities():
 
 
 def test_criterion_3_defect_vector_suite():
+    # The half-line functions cli.command_defect calls: each check is one
+    # per-half function on the left half-line and on the right, joined by
+    # its ``..._values``/``..._residuals`` function.
     rng = np.random.default_rng(303)
-    phi_plus, phi_minus = defect_vectors(GRID)
-    assert phi_plus.jump == -1j and phi_minus.jump == -1j
-    assert abs(sobolev_norm(phi_plus) - 1.0) <= 1e-5
-    assert abs(sobolev_norm(phi_minus) - 1.0) <= 1e-5
+    phi = [defect_halves(GRID, left) for left in SIDES]  # (phi_+, phi_-)
+    for k in (0, 1):
+        assert Traces(phi[0][k].limit, phi[1][k].limit).jump == -1j
+        norm = sobolev_total(*(sobolev_half(GRID, left, p[k], p[k])
+                               for left, p in zip(SIDES, phi)))
+        assert abs(norm_from_inner(norm) - 1.0) <= 1e-5
 
     def gauss(amp, width, center):
         return lambda t: amp * np.exp(-width * (t - center) ** 2)
 
-    def reproducing_pairs():
-        for _ in range(10):
-            amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1))
-            w, c = rng.uniform(0.5, 2.0), rng.uniform(0.7, 2.2)
-            yield (sample(GRID, right=gauss(amp, w, c)),
-                   sample(GRID, left=gauss(amp, w, -c)))
+    def halves(spec, left=None, right=None):
+        return [sample_half(spec, side, fn)
+                for side, fn in zip(SIDES, (left, right))]
 
-    assert max(reproducing_defects(GRID, reproducing_pairs())) <= 1e-5
+    worst = 0.0
+    for _ in range(10):
+        amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1))
+        w, c = rng.uniform(0.5, 2.0), rng.uniform(0.7, 2.2)
+        psi_r = halves(GRID, right=gauss(amp, w, c))
+        psi_l = halves(GRID, left=gauss(amp, w, -c))
+        worst = max(worst, *reproducing_residuals(
+            *(reproducing_half(GRID, left, *p, [(r, l)])[0]
+              for left, p, r, l in zip(SIDES, phi, psi_r, psi_l)),
+            psi_r[1].limit, psi_l[0].limit))
+    assert worst <= 1e-5
 
     for _ in range(5):
-        psi = sample(GRID,
-                     left=gauss(complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
-                                rng.uniform(0.5, 2.0), -rng.uniform(0.7, 2.2)),
-                     right=gauss(complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
-                                 rng.uniform(0.5, 2.0), rng.uniform(0.7, 2.2)))
-        assert decomposition_defects(psi)["orthogonality"] <= 1e-5
+        psi = halves(
+            GRID,
+            gauss(complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
+                  rng.uniform(0.5, 2.0), -rng.uniform(0.7, 2.2)),
+            gauss(complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
+                  rng.uniform(0.5, 2.0), rng.uniform(0.7, 2.2)))
+        c_pm = defect_coefficients(psi[0].limit, psi[1].limit)
+        defects = decomposition_values(*(
+            decomposition_half(GRID, left, [(u, *c_pm)], *p)[0]
+            for left, p, u in zip(SIDES, phi, psi)))
+        assert defects["orthogonality"] <= 1e-5
 
     fl, fr = gauss(0.4 - 0.3j, 0.7, -1.1), gauss(1.2 + 0.5j, 1.3, 0.8)
     gl, gr = gauss(0.9 + 0.2j, 0.5, -1.7), gauss(0.3 - 0.8j, 0.9, 1.4)
     defects = {}
     for h in (1e-3, 5e-4):
         spec = GridSpec(40.0, h)
-        f = sample(spec, left=fl, right=fr)
-        g = sample(spec, left=gl, right=gr)
-        defects[h] = symmetry_defects(f, g, 0.3)["id_symmetry_defect"]
+        f, g = halves(spec, fl, fr), halves(spec, gl, gr)
+        defects[h] = symmetry_values(
+            *(symmetry_half(spec, left, u, v)
+              for left, u, v in zip(SIDES, f, g)),
+            Traces(f[0].limit, f[1].limit), Traces(g[0].limit, g[1].limit),
+            0.3)["id_symmetry_defect"]
     ratio = defects[1e-3] / defects[5e-4]
     assert 3.5 <= ratio <= 4.5
     announce(3, f"defect-vector suite (symmetry ratio {ratio:.3f})")

@@ -244,13 +244,10 @@ class TestDeterminism:
         # With the identity test always False every shared zero half is
         # stored, validated, scaled and integrated like any other array.
         cfg = load_config(EXAMPLE)
-        punctured_line.defect_vectors.cache_clear()
         skipped = report_to_json_bytes(run_command("defect", cfg))
-        punctured_line.defect_vectors.cache_clear()
         monkeypatch.setattr(punctured_line, "_is_zero_half",
                             lambda values: False)
         full = report_to_json_bytes(run_command("defect", cfg))
-        punctured_line.defect_vectors.cache_clear()
         assert full == skipped
 
     def test_jump_splitting_draw_matches_scalar_draws(self):

@@ -1,7 +1,9 @@
 """Properties of the leaf-by-leaf pairings.
 
-Forming each derivative leaf by leaf inside the pairing gives the same bits
-as pairing the whole derivative: grids of n = 10, PANEL_CHUNK - 1,
+Forming each derivative leaf by leaf inside a half-line pass gives the same
+bits as the two-sided oracle (``conftest.TwoSided``): ``np.trapezoid`` of
+the derivative formed whole by the plain stencils, and ``derivative`` forms
+that derivative's values bit for bit. Grids of n = 10, PANEL_CHUNK - 1,
 PANEL_CHUNK, PANEL_CHUNK + 1 and 3 PANEL_CHUNK + 7 nodes per half-line,
 each half of f and g the shared zero half, a plain zero array or random
 values, and g sometimes f itself. The values vanish on the three nodes next
@@ -17,16 +19,17 @@ tree order."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import TwoSided
 from slhkit.punctured_line import (
     PANEL_CHUNK,
+    SIDES,
     GridFunction,
     GridSpec,
-    _pairing,
     _panel_nodes,
     _panel_sum,
+    _pass,
     _tree_sum,
     derivative,
-    l2_inner,
     sobolev_inner,
     zero_half,
 )
@@ -37,6 +40,15 @@ HALVES = ("shared_zero", "plain_zero", "values")
 
 def bits(value: complex) -> np.ndarray:
     return np.array([value]).view(np.int64)
+
+
+def pairing(f, g, diff_f, diff_g):
+    """The trapezoid of conj(f) g, of f' or g' where asked, as one ``_pass``
+    on each half-line, joined left + right."""
+    left, right = (_pass(f.spec, side, [([(f.half(side), g.half(side), diff_f,
+                                           diff_g)], None)])[0][0]
+                   for side in SIDES)
+    return left + right
 
 
 def half(kind: str, rng: np.random.Generator, n: int, scale: float,
@@ -75,15 +87,19 @@ def test_streamed_pairings_equal_materialized(n, h, seed, same, data):
     rng = np.random.default_rng(seed)
     f = data.draw(grid_function(spec, rng))
     g = f if same else data.draw(grid_function(spec, rng))
-    df, dg = derivative(f), derivative(g)
-    assert np.array_equal(bits(_pairing(f, g, True, True)),
-                          bits(l2_inner(df, dg)))
-    assert np.array_equal(bits(_pairing(f, g, False, True)),
-                          bits(l2_inner(f, dg)))
-    assert np.array_equal(bits(_pairing(g, f, False, True)),
-                          bits(l2_inner(g, df)))
+    of, og = TwoSided.of(f), TwoSided.of(g)
+    df, dg = of.derivative(), og.derivative()
+    assert np.array_equal(bits(pairing(f, g, True, True)), bits(df.l2(dg)))
+    assert np.array_equal(bits(pairing(f, g, False, True)), bits(of.l2(dg)))
+    assert np.array_equal(bits(pairing(g, f, False, True)), bits(og.l2(df)))
     assert np.array_equal(bits(sobolev_inner(f, g)),
-                          bits(l2_inner(f, g) + l2_inner(df, dg)))
+                          bits(of.l2(og) + df.l2(dg)))
+    whole = derivative(f)
+    for got, want in ((whole.left, df.left), (whole.right, df.right),
+                      (whole.left_limit, df.left_limit),
+                      (whole.right_limit, df.right_limit)):
+        assert np.array_equal(np.array(got, ndmin=1).view(np.int64),
+                              np.array(want, ndmin=1).view(np.int64))
 
 
 def old_trapezoid_half(values, boundary, h, boundary_is_right):

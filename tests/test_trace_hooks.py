@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import bump_function
 from slhkit import cli, fock, punctured_line
 from slhkit.config import config_from_dict
-from slhkit.ensembles import random_grid_function
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -69,8 +69,8 @@ def test_hooks_measure_fock_and_grid_runs(monkeypatch):
                           if s.name.startswith("punctured_line.")])
         spec = punctured_line.GridSpec(30.0, 3e-3)
         rng = np.random.default_rng(0)
-        punctured_line.sobolev_inner(random_grid_function(rng, spec),
-                                     random_grid_function(rng, spec))
+        punctured_line.sobolev_inner(bump_function(rng, spec),
+                                     bump_function(rng, spec))
     finally:
         restore()
     assert not hasattr(cli.run_command, "__wrapped__")

@@ -16,8 +16,9 @@ is one ``fock.boundary_kernel(space, rows)`` call on the coupling-form rows
 * a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
 
 Each Sobolev row is ``punctured_line.sobolev_inner`` on two seeded random
-two-sided grid functions (``ensembles.random_grid_function``) at T = 40 with
-h = 1e-3 and 5e-4 (40k and 80k nodes per half-line).  The child times
+two-sided grid functions, each an ``ensembles.random_bump`` on either
+half-line (the left one drawn first), at T = 40 with h = 1e-3 and 5e-4 (40k
+and 80k nodes per half-line).  The child times
 ``SOBOLEV_CALLS`` calls, each on fresh ``GridFunction`` instances over the
 same arrays (so a tree that caches derivatives on an instance forms them
 in every call), and reports the median; it then traces one more call with
@@ -186,12 +187,20 @@ def sobolev_row(half_width: float, spacing: float) -> dict:
     """Median per-call seconds and traced peak of ``sobolev_inner`` on two
     random grid functions of the (T, h) grid."""
     import numpy as np
-    from slhkit.ensembles import random_grid_function
-    from slhkit.punctured_line import GridFunction, GridSpec, sobolev_inner
+    from slhkit.ensembles import random_bump
+    from slhkit.punctured_line import (GridFunction, GridSpec, sobolev_inner,
+                                       trace_at_origin)
 
     spec = GridSpec(half_width, spacing)
     rng = np.random.default_rng(SEED)
-    f, g = random_grid_function(rng, spec), random_grid_function(rng, spec)
+
+    def draw():
+        left, right = random_bump(rng, "left"), random_bump(rng, "right")
+        return GridFunction(spec, left(spec.nodes(True)),
+                            right(spec.nodes(False)), trace_at_origin(left),
+                            trace_at_origin(right))
+
+    f, g = draw(), draw()
 
     def fresh():
         return tuple(GridFunction(spec, u.left, u.right, u.left_limit,

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 import slhkit
-from slhkit import cli, punctured_line
+from slhkit import cli
 from slhkit.config import config_from_dict
 from slhkit.punctured_line import GridSpec
 from slhkit.report import Report
@@ -96,7 +96,6 @@ def peaks(half_width: float, spacing: float) -> tuple:
     total."""
     config = grid_config(half_width, spacing)
     np.random.default_rng(0)  # numpy.random imports lazily, once
-    punctured_line.defect_vectors.cache_clear()
     result, faults = {}, {}
 
     def measured(name, group):
