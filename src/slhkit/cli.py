@@ -7,8 +7,9 @@ Most check values come from a library function that the tests call too
 (``slh.identity_residuals``, ``fock.fock_battery``, ...); this module names
 the records, sets their tolerances and fixes the order of the random draws.
 It computes these records itself from library values: the defect-vector
-jump, norm and overlap records, ``phase[...]`` and ``scatter`` records, ``scalar_cayley_match``, ``gauge_zero_reduction`` and
-the ``sweep[i].fock`` verdict.
+jump and norm records (``defect_overlap`` is 0 by construction),
+``phase[...]`` and ``scatter`` records, ``scalar_cayley_match``,
+``gauge_zero_reduction`` and the ``sweep[i].fock`` verdict.
 
 Layers: this module imports ``config``, ``ensembles``, ``report``, ``slh``
 and ``phases``, which every subcommand or the config needs. It holds the
@@ -126,7 +127,8 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     # A group draws its bumps first (a bump draws its parameters when it is
     # made, not when it is evaluated), then checks the left half-line and
     # then the right, all its draws in one pass over halves read leaf by
-    # leaf: phi_pm in closed form, each draw evaluated on the leaf's nodes.
+    # leaf: the half-line's defect vector in closed form, each draw
+    # evaluated on the leaf's nodes.
     # Between the halves it keeps per-half scalars, joined in the order of
     # the two-sided formulas, so no group holds a node array.
     _defect_vector_checks(spec, report)
@@ -138,63 +140,51 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     _extension_check(report)
 
 
-def _defect_vector_checks(spec: punctured_line.GridSpec, report: Report) -> None:
-    def half(left):
-        phi_plus, phi_minus = punctured_line.defect_halves(spec, left)
-        return ((phi_plus.limit, phi_minus.limit),
-                [punctured_line.sobolev_half(spec, left, u, v)
-                 for u, v in ((phi_plus, phi_plus), (phi_minus, phi_minus),
-                              (phi_plus, phi_minus))])
+# Each defect vector's record name and the half-line it lives on: phi_+
+# on the right, phi_- on the left, each zero on the other, trace included.
+DEFECT_SIDES = (("plus", False), ("minus", True))
 
-    (left_traces, left_terms), (right_traces, right_terms) = map(
-        half, punctured_line.SIDES)
-    plus, minus = (punctured_line.Traces(*limits)
-                   for limits in zip(left_traces, right_traces))
-    norm_plus, norm_minus, overlap = (punctured_line.sobolev_total(*terms)
-                                      for terms in zip(left_terms, right_terms))
-    report.add("jump_on_defect_plus", abs(plus.jump - (-1j)), 0.0)
-    report.add("jump_on_defect_minus", abs(minus.jump - (-1j)), 0.0)
-    report.add("defect_norm_plus",
-               abs(punctured_line.norm_from_inner(norm_plus) - 1.0), 1e-5)
-    report.add("defect_norm_minus",
-               abs(punctured_line.norm_from_inner(norm_minus) - 1.0), 1e-5)
-    report.add("defect_overlap", abs(overlap), 0.0)
+
+def _defect_vector_checks(spec: punctured_line.GridSpec, report: Report) -> None:
+    phi = {left: punctured_line.defect_half(spec, left)
+           for left in punctured_line.SIDES}
+    for name, left in DEFECT_SIDES:
+        jump = punctured_line.Traces.one_sided(left, phi[left].limit).jump
+        report.add(f"jump_on_defect_{name}", abs(jump - (-1j)), 0.0)
+    for name, left in DEFECT_SIDES:
+        norm = punctured_line.norm_from_inner(
+            sum(punctured_line.sobolev_half(spec, left, phi[left], phi[left])))
+        report.add(f"defect_norm_{name}", abs(norm - 1.0), 1e-5)
+    # <phi_+|phi_->_S: the supports are disjoint, so no half-line holds
+    # both and the pairing is 0 by construction. Kept for the report.
+    report.add("defect_overlap", 0.0, 0.0)
 
 
 def _reproducing_checks(spec: punctured_line.GridSpec,
                         rng: np.random.Generator, report: Report) -> None:
-    # psi_r is a bump on the right half-line and psi_l one on the left, so
-    # on each half-line one of the pair is drawn and the other is zero.
+    # psi_r is a bump on the right half-line, paired with phi_+, and psi_l
+    # one on the left, paired with phi_-.
     draws = [(random_bump(rng, "right"), random_bump(rng, "left"))
              for _ in range(10)]
-
-    def half(left):
-        phi = punctured_line.defect_halves(spec, left)
-        pairs = [(punctured_line.sample_half(spec, left,
-                                             None if left else bump_r),
-                  punctured_line.sample_half(spec, left,
-                                             bump_l if left else None))
-                 for bump_r, bump_l in draws]
-        terms = punctured_line.reproducing_half(spec, left, *phi, pairs)
-        return [(t, psi_r.limit, psi_l.limit)
-                for t, (psi_r, psi_l) in zip(terms, pairs)]
-
-    worst_plus = worst_minus = 0.0
-    for (left_terms, _, psi_l_trace), (right_terms, psi_r_trace, _) in zip(
-            *map(half, punctured_line.SIDES)):
-        plus, minus = punctured_line.reproducing_residuals(
-            left_terms, right_terms, psi_r_trace, psi_l_trace)
-        worst_plus = max(worst_plus, plus)
-        worst_minus = max(worst_minus, minus)
-    report.add("reproducing_plus", worst_plus, 1e-5)
-    report.add("reproducing_minus", worst_minus, 1e-5)
+    worst = {}
+    for left in punctured_line.SIDES:
+        phi = punctured_line.defect_half(spec, left)
+        psis = [punctured_line.sample_half(spec, left,
+                                           bump_l if left else bump_r)
+                for bump_r, bump_l in draws]
+        worst[left] = max([0.0] + [
+            punctured_line.reproducing_residual(left, terms, psi.limit)
+            for terms, psi in zip(punctured_line.reproducing_half(
+                spec, left, phi, psis), psis)])
+    for name, left in DEFECT_SIDES:
+        report.add(f"reproducing_{name}", worst[left], 1e-5)
 
 
 def _decomposition_checks(spec: punctured_line.GridSpec,
                           rng: np.random.Generator, report: Report) -> None:
     tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
                   "reconstruction": 1e-13}
-    # (left, right) bumps of each f; c_pm read both traces in either pass
+    # (left, right) bumps of each f, and its (c_plus, c_minus) from them
     draws = [(random_bump(rng, "left"), random_bump(rng, "right"))
              for _ in range(10)]
     coefficients = [punctured_line.defect_coefficients(
@@ -202,11 +192,15 @@ def _decomposition_checks(spec: punctured_line.GridSpec,
                     for bumps in draws]
 
     def half(left):
-        phi = punctured_line.defect_halves(spec, left)
+        # psi0 = f - c_minus phi_- on the left half-line, f - c_plus phi_+
+        # on the right
+        phi = punctured_line.defect_half(spec, left)
         return punctured_line.decomposition_half(spec, left, [
             (punctured_line.sample_half(spec, left,
-                                        bumps[0] if left else bumps[1]), *c)
-            for bumps, c in zip(draws, coefficients)], *phi)
+                                        bump_l if left else bump_r),
+             c_minus if left else c_plus)
+            for (bump_l, bump_r), (c_plus, c_minus) in zip(draws,
+                                                           coefficients)], phi)
 
     worst = dict.fromkeys(tolerances, 0.0)
     for left, right in zip(*map(half, punctured_line.SIDES)):
@@ -219,19 +213,18 @@ def _decomposition_checks(spec: punctured_line.GridSpec,
 
 def _eigenrelation_checks(spec: punctured_line.GridSpec,
                           report: Report) -> None:
-    def half(left):
-        phi_plus, phi_minus = punctured_line.defect_halves(spec, left)
-        return [(phi.limit,
-                 punctured_line.eigenrelation_half(spec, left, phi, sign))
-                for phi, sign in ((phi_plus, 1.0), (phi_minus, -1.0))]
-
-    for name, ((left_limit, left), (right_limit, right)) in zip(
-            ("plus", "minus"), zip(*map(half, punctured_line.SIDES))):
-        defects = punctured_line.eigenrelation_values(
-            punctured_line.Traces(left_limit, right_limit), left, right)
+    defects = {}
+    for left in punctured_line.SIDES:
+        phi = punctured_line.defect_half(spec, left)
+        defects[left] = punctured_line.eigenrelation_values(
+            punctured_line.Traces.one_sided(left, phi.limit),
+            punctured_line.eigenrelation_half(spec, left, phi,
+                                              -1.0 if left else 1.0))
+    for name, left in DEFECT_SIDES:
         report.add(f"eigenrelation_{name}_coefficient",
-                   defects["coefficient"], 0.0)
-        report.add(f"eigenrelation_{name}_regular", defects["regular"], 1e-5)
+                   defects[left]["coefficient"], 0.0)
+        report.add(f"eigenrelation_{name}_regular",
+                   defects[left]["regular"], 1e-5)
 
 
 def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:

@@ -26,11 +26,13 @@ The two half-lines meet only through the traces, so every check is built
 from one-half-line pieces (a ``Half``: node values and the trace at 0 on
 that side). The per-half functions (``sobolev_half``, ``reproducing_half``,
 ``decomposition_half``, ``symmetry_half``, ``eigenrelation_half``) return
-scalars, which ``sobolev_total`` and the ``..._values``/``..._residuals``
+scalars, which ``sobolev_total`` and the ``..._values``/``..._residual``
 functions join in the order of the two-sided formula, (L2_- + L2_+) +
 (D_- + D_+). The CLI defect suite runs them on halves read from a source:
-phi_pm in closed form (``defect_halves``) and each draw evaluated on the
-nodes asked for (``sample_half``).
+the defect vector of each half-line in closed form (``defect_half``) and
+each draw evaluated on the nodes asked for (``sample_half``). phi_- is
+zero on the right half-line and phi_+ on the left, traces included, so a
+half-line pairs only its own: the other's pairings are signed zeros.
 
 Three two-sided functions of a GridFunction remain, ``sobolev_inner``,
 ``derivative`` and ``decompose_sobolev``, only because the benchmark's
@@ -58,11 +60,6 @@ Storage
   caller passes in stays writable; a strided one is copied once); each
   half is checked by ``_check_half``: finite values and trace, vanishing
   at -T or T. A source half is checked alike, its values as they are read;
-* an identically zero half-line is ``zero_half(n)``, one read-only complex
-  zero broadcast over the n nodes with stride 0, recognised by that
-  structure whatever grid made it. Validation, the derivative and the
-  pairings skip its nodes, with results equal to the full computation; a
-  zero array from a caller is an ordinary array;
 * ``derivative`` and ``decompose_sobolev`` form their result whole; the
   pairings keep no derivative, and ``decomposition_half`` forms psi0 leaf
   by leaf;
@@ -152,28 +149,9 @@ class GridSpec:
         return x
 
 
-_ZERO = np.zeros(1, dtype=complex)
-
-
-def zero_half(n: int) -> np.ndarray:
-    """A zero half-line of ``n`` nodes: one complex zero broadcast read-only
-    over the nodes with stride 0, so it holds no node array."""
-    return np.broadcast_to(_ZERO, (n,))
-
-
-def _is_zero_half(values) -> bool:
-    """Whether ``values`` is a zero half as ``zero_half`` makes it, one
-    read-only complex zero with stride 0, for whatever node count."""
-    return (isinstance(values, np.ndarray) and values.strides == (0,)
-            and values.dtype == complex and not values.flags.writeable
-            and not values[:1].view(np.int64).any())
-
-
 def _read_only(values) -> np.ndarray:
-    """A zero half itself, else a read-only contiguous complex view; the
-    array passed in keeps its own flags."""
-    if _is_zero_half(values):
-        return values
+    """A read-only contiguous complex view; the array passed in keeps its
+    own flags."""
     view = np.ascontiguousarray(values, dtype=complex).view()
     view.flags.writeable = False
     return view
@@ -218,6 +196,12 @@ class Traces(NamedTuple):
     def delta_star(self) -> complex:
         return 0.5 * (self.right_limit + self.left_limit)
 
+    @classmethod
+    def one_sided(cls, left: bool, limit: complex) -> Traces:
+        """The traces of a function that lives on one half-line: ``limit``
+        on that side and 0 on the other."""
+        return cls(limit, 0j) if left else cls(0j, limit)
+
 
 def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
     """The half, stored values as ``_read_only`` gives them, after the
@@ -230,8 +214,7 @@ def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
         if values.shape != (n,):
             raise SpecMismatch(
                 f"value arrays must have shape ({n},), got {values.shape}")
-        if not _is_zero_half(values):
-            _finite(values)
+        _finite(values)
     end = abs(_read(values, *((0, 1) if left else (n - 1, n)))[0])
     if not math.isfinite(abs(limit)):
         raise SpecMismatch("boundary values must be finite")
@@ -282,21 +265,19 @@ def trace_at_origin(fn: Callable[..., np.ndarray]) -> complex:
 
 
 def sample_half(spec: GridSpec, left: bool,
-                fn: Optional[Callable[..., np.ndarray]]) -> Half:
+                fn: Callable[..., np.ndarray]) -> Half:
     """A callable on one half-line as a checked source: ``fn`` on the nodes
     lo:hi asked for, and ``fn`` at 0 as the trace (continuity from that
-    side); a zero half when ``fn`` is None."""
-    if fn is None:
-        return Half(zero_half(spec.n_nodes), 0j)
+    side)."""
     return _check_half(spec, left, lambda lo, hi: np.ascontiguousarray(
         fn(spec.nodes(left, lo, hi)), dtype=complex), trace_at_origin(fn))
 
 
-def defect_halves(spec: GridSpec, left: bool) -> tuple:
-    """(phi_+, phi_-) on one half-line, checked: phi_- = i e^t on the left
-    half-line and phi_+ = -i e^-t on the right one, read in closed form on
-    the nodes asked for; the other is the shared zero half. Needs T >= 30
-    so the tails sit below the decay tolerance."""
+def defect_half(spec: GridSpec, left: bool) -> Half:
+    """The defect vector that lives on one half-line, checked: phi_- = i e^t
+    on the left half-line and phi_+ = -i e^-t on the right one, read in
+    closed form on the nodes asked for. Needs T >= 30 so the tail sits
+    below the decay tolerance."""
     if spec.half_width < MIN_HALF_WIDTH:
         raise DomainTooSmall(
             f"half-width {spec.half_width} < {MIN_HALF_WIDTH}: exponential "
@@ -306,9 +287,7 @@ def defect_halves(spec: GridSpec, left: bool) -> tuple:
         x = spec.nodes(left, lo, hi)
         np.exp(x if left else np.negative(x, out=x), out=x)
         return np.multiply(1j if left else -1j, x)
-    own = _check_half(spec, left, phi, 1j if left else -1j)
-    zero = Half(zero_half(spec.n_nodes), 0j)
-    return (zero, own) if left else (own, zero)
+    return _check_half(spec, left, phi, 1j if left else -1j)
 
 
 def _derivative_chunk(values: np.ndarray, base: int, n: int, h: float,
@@ -372,10 +351,8 @@ def _derivative_trace(spec: GridSpec, left: bool, half: Half,
 
 def _derivative_half(spec: GridSpec, left: bool, half: Half) -> Half:
     """The half's grid derivative, formed whole, with its trace, checked by
-    ``_derivative_trace``; a zero half is its own derivative."""
+    ``_derivative_trace``."""
     n = spec.n_nodes
-    if _is_zero_half(half.values):
-        return Half(half.values, _derivative_trace(spec, left, half))
     d = _derivative_chunk(_read(half.values, 0, n), 0, n, spec.spacing, 0,
                           n, np.empty(n, dtype=complex))
     return Half(d, _derivative_trace(spec, left, half,
@@ -387,8 +364,8 @@ def derivative(f: GridFunction) -> GridFunction:
     three-point estimates that use the stored traces of ``f``.
 
     Formed afresh on every call; the pairings form it leaf by leaf
-    instead. A zero half is its own derivative. Kept as a traced entry
-    point of the benchmark (ROADMAP item 7).
+    instead. Kept as a traced entry point of the benchmark (ROADMAP item
+    7).
     """
     dl, dr = (_derivative_half(f.spec, left, f.half(left)) for left in SIDES)
     return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
@@ -498,48 +475,35 @@ def _pass(spec: GridSpec, left: bool, jobs: list) -> list:
     other job reads.
 
     Each differentiated factor is checked by ``_derivative_trace`` first,
-    pairing by pairing. A pairing with a zero half has only its origin
-    panel nonzero, so it is not formed; that panel is scaled in the same
-    order. A non-finite derivative value makes its formed pairing
+    pairing by pairing. A non-finite derivative value makes its pairing
     non-finite, so only then is the derivative formed whole, for
     ``_derivative_half`` to refuse it, in the order of the pairings and
     before a failing trace check of a later pairing.
     """
-    h = spec.spacing
     pairs = [pair for job, _ in jobs for pair in job]
-    formed = [not (_is_zero_half(f.values) or _is_zero_half(g.values))
-              for f, g, _, _ in pairs]
-    values = []     # a formed pairing's traces, the value of any other
-    for (f, g, diff_f, diff_g), form in zip(pairs, formed):
+    boundaries = []
+    for f, g, diff_f, diff_g in pairs:
         try:
             fb = _derivative_trace(spec, left, f) if diff_f else f.limit
             gb = _derivative_trace(spec, left, g) if diff_g else g.limit
         except SpecMismatch:
-            for earlier, was_formed, value in zip(pairs, formed, values):
-                if was_formed or not cmath.isfinite(value):
-                    _refuse(spec, left, earlier)
+            for earlier in pairs[:len(boundaries)]:
+                _refuse(spec, left, earlier)
             raise
-        boundary = np.conj(fb) * gb
-        values.append(boundary if form else complex(
-            (boundary.real * h) * 0.5, (boundary.imag * h) * 0.5))
+        boundaries.append(np.conj(fb) * gb)
     readers = collections.Counter(key for job, _ in jobs for key in {
         id(u.values) for pair in job for u in pair[:2]})
 
     def leaf(a, b):
-        window, sums, k = _Leaf(spec, left, a, b), [], 0
+        window, sums, bounds = _Leaf(spec, left, a, b), [], iter(boundaries)
         for job, each in jobs:
             if each is not None:
                 each(window)
-            sums += [window.pair(*pair, values[i])
-                     for i, pair in enumerate(job, k) if formed[i]]
-            k += len(job)
+            sums += [window.pair(*pair, next(bounds)) for pair in job]
             window.cache = {key: v for key, v in window.cache.items()
                             if readers[key[0]] > 1}
         return sums
-    sums = iter(_tree_sum(spec.n_nodes, leaf)
-                if any(formed) or any(each for _, each in jobs) else ())
-    values = [complex(next(sums)) if form else value
-              for value, form in zip(values, formed)]
+    values = [complex(total) for total in _tree_sum(spec.n_nodes, leaf)]
     for pair, value in zip(pairs, values):
         if not cmath.isfinite(value):
             _refuse(spec, left, pair)
@@ -668,15 +632,13 @@ def symmetry_values(left: tuple, right: tuple, f: Traces, g: Traces,
 def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
                        sign: float) -> float:
     """The largest node value of |i phi' + sign i phi| on one half-line, or
-    0 if that is larger (O(h^2)); 0 on a zero half. The half's derivative
-    is checked as ``derivative`` checks it.
+    0 if that is larger (O(h^2)). The half's derivative is checked as
+    ``derivative`` checks it.
 
     Reduced leaf by leaf, each node rounded as i times the grid derivative,
     plus (sign i) times phi.
     """
     _derivative_trace(spec, left, phi)
-    if _is_zero_half(phi.values):
-        return 0.0
     maxima = []
 
     def residual(leaf):
@@ -687,14 +649,13 @@ def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
     return max(0.0, float(np.max(maxima)))
 
 
-def eigenrelation_values(traces: Traces, left: float, right: float) -> dict:
+def eigenrelation_values(traces: Traces, regular: float) -> dict:
     """Residuals of the eigenrelation iD phi = -sign i phi of a defect
     vector (sign +1 for phi_+, -1 for phi_-): "coefficient" is
     |i jump(phi) - 1|, the singular coefficient of iD phi against its value
-    1 (exact), from phi's ``traces``, and "regular" the larger
-    ``eigenrelation_half`` residual of the halves."""
-    return {"coefficient": abs(1j * traces.jump - 1.0),
-            "regular": max(left, right)}
+    1 (exact), from phi's ``traces``, and "regular" the
+    ``eigenrelation_half`` residual of the half-line phi lives on."""
+    return {"coefficient": abs(1j * traces.jump - 1.0), "regular": regular}
 
 
 @dataclass(frozen=True)
@@ -720,65 +681,61 @@ def _psi0_window(c: complex, phi: np.ndarray, f: np.ndarray) -> np.ndarray:
     return np.subtract(f, cphi, out=cphi)
 
 
-def _psi0_half(spec: GridSpec, left: bool, f: Half, c_plus: complex,
-               c_minus: complex, phi_plus: Half, phi_minus: Half) -> Half:
-    """One half of psi0 = f - c_plus phi_+ - c_minus phi_-, unchecked, as a
-    source: phi_- lives on the left half-line and phi_+ on the right, so
-    the half is c phi subtracted from f's half (``_psi0_window``), and the
-    trace is that expression on the traces, in that order."""
-    c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
+def _psi0_half(f: Half, c: complex, phi: Half) -> Half:
+    """One half of psi0 = f - c phi, with phi the defect vector of that
+    half-line and c its coefficient, unchecked, as a source: c phi
+    subtracted from f's half (``_psi0_window``), and the trace that
+    expression on the traces."""
     return Half(lambda lo, hi: _psi0_window(c, _read(phi.values, lo, hi),
                                             _read(f.values, lo, hi)),
-                (f.limit - c_plus * phi_plus.limit)
-                - c_minus * phi_minus.limit)
+                f.limit - c * phi.limit)
 
 
 def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     """Split off the defect-vector components: c_pm = +-i psi(0+-).
 
     psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` of
-    the ``defect_halves`` read whole. Kept as a traced entry point of the
-    benchmark (ROADMAP item 7).
+    that half-line's ``defect_half`` read whole. Kept as a traced entry
+    point of the benchmark (ROADMAP item 7).
     """
     n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
-    left, right = (_psi0_half(f.spec, side, f.half(side), c_plus, c_minus,
-                              *defect_halves(f.spec, side))
+    left, right = (_psi0_half(f.half(side), c_minus if side else c_plus,
+                              defect_half(f.spec, side))
                    for side in SIDES)
     psi0 = GridFunction(f.spec, _read(left.values, 0, n),
                         _read(right.values, 0, n), left.limit, right.limit)
     return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
 
 
-def reproducing_half(spec: GridSpec, left: bool, phi_plus: Half,
-                     phi_minus: Half, pairs: list) -> list:
-    """One half-line's ``sobolev_half`` terms of <phi_+|psi_r>_S and
-    <phi_-|psi_l>_S for each (psi_r, psi_l) in ``pairs``, all in one pass
-    that reads phi_pm once."""
-    return [_terms(values) for values in _pass(spec, left, [
-        _sobolev_job([(phi_plus, psi_r), (phi_minus, psi_l)])
-        for psi_r, psi_l in pairs])]
+def reproducing_half(spec: GridSpec, left: bool, phi: Half,
+                     psis: list) -> list:
+    """This half-line's ``sobolev_half`` terms of <phi|psi>_S for each psi
+    in ``psis``, with phi its defect vector (``defect_half``), all in one
+    pass that reads phi once."""
+    return [_terms(values)[0] for values in _pass(
+        spec, left, [_sobolev_job([(phi, psi)]) for psi in psis])]
 
 
-def reproducing_residuals(left: tuple, right: tuple, psi_r_trace: complex,
-                          psi_l_trace: complex) -> tuple:
-    """|<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|
-    from both half-lines' ``reproducing_half`` terms. Each psi is paired
-    with phi_pm itself and the product rotated, <i phi_+|psi>_S =
-    -i <phi_+|psi>_S and <-i phi_-|psi>_S = i <phi_-|psi>_S: a factor of
-    +-i only swaps and negates components, so the rotation commutes with
-    every rounding of the pairing and no scaled copy of phi_pm, or
-    derivative of one, is formed."""
-    return (abs(-1j * sobolev_total(left[0], right[0]) - psi_r_trace),
-            abs(1j * sobolev_total(left[1], right[1]) - psi_l_trace))
+def reproducing_residual(left: bool, terms: tuple, trace: complex) -> float:
+    """|<-i phi_-|psi>_S - psi(0-)| on the left half-line or
+    |<i phi_+|psi>_S - psi(0+)| on the right, from that half's
+    ``reproducing_half`` terms of a psi that lives there and its trace.
+    psi is paired with phi_pm itself and the product rotated,
+    <i phi_+|psi>_S = -i <phi_+|psi>_S and <-i phi_-|psi>_S =
+    i <phi_-|psi>_S: a factor of +-i only swaps and negates components, so
+    the rotation commutes with every rounding of the pairing and no scaled
+    copy of phi_pm, or derivative of one, is formed."""
+    return abs((1j if left else -1j) * sum(terms) - trace)
 
 
 def decomposition_half(spec: GridSpec, left: bool, draws: list,
-                       phi_plus: Half, phi_minus: Half) -> list:
-    """One half-line of the decomposition psi0 = f - c_plus phi_+ -
-    c_minus phi_- for each (f, c_plus, c_minus) in ``draws``, all in one
-    pass that reads phi_pm once: this half's (reconstruction, psi0 trace,
-    Sobolev terms of <psi0|psi0>, <phi_+|psi0> and <phi_-|psi0>).
+                       phi: Half) -> list:
+    """One half-line of the decomposition psi0 = f - c phi for each (f, c)
+    in ``draws``, with phi the half-line's defect vector (``defect_half``)
+    and c its coefficient, all in one pass that reads phi once: this
+    half's (reconstruction, psi0 trace, Sobolev terms of <psi0|psi0> and
+    <phi|psi0>).
 
     psi0's half (``_psi0_half``) is checked, and formed on each leaf from
     f's and phi's values into a window of its own, so psi0 is never held
@@ -787,13 +744,10 @@ def decomposition_half(spec: GridSpec, left: bool, draws: list,
     wrong psi0 shows in it.
     """
     jobs, found = [], []
-    for f, c_plus, c_minus in draws:
-        psi0 = _check_half(spec, left, *_psi0_half(
-            spec, left, f, c_plus, c_minus, phi_plus, phi_minus))
-        c, phi = (c_minus, phi_minus) if left else (c_plus, phi_plus)
+    for f, c in draws:
+        psi0 = _check_half(spec, left, *_psi0_half(f, c, phi))
         maxima = []
-        jobs.append(_sobolev_job([(u, psi0) for u in (psi0, phi_plus,
-                                                      phi_minus)],
+        jobs.append(_sobolev_job([(psi0, psi0), (phi, psi0)],
                                  functools.partial(_psi0_leaf, f, c, phi,
                                                    psi0, maxima)))
         found.append((maxima, psi0.limit))
@@ -819,15 +773,16 @@ def decomposition_values(left: tuple, right: tuple) -> dict:
     """Residuals of the decomposition from both half-lines'
     ``decomposition_half`` results: "boundary_zero" is the larger
     |psi0(0+-)| (exactly zero), "orthogonality" the larger
-    |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)) and "reconstruction" the largest
-    node value of psi0 + c phi - f (rounding)."""
-    (rec_l, trace_l, (self_l, plus_l, minus_l)) = left
-    (rec_r, trace_r, (self_r, plus_r, minus_r)) = right
+    |<phi_pm|psi0>_S| / ||psi0||_S (O(h^2)), <phi_+|psi0>_S read from the
+    right half-line and <phi_-|psi0>_S from the left, and "reconstruction"
+    the largest node value of psi0 + c phi - f (rounding)."""
+    (rec_l, trace_l, (self_l, minus)) = left
+    (rec_r, trace_r, (self_r, plus)) = right
     scale = norm_from_inner(sobolev_total(self_l, self_r))
     return {
         "boundary_zero": max(abs(trace_l), abs(trace_r)),
-        "orthogonality": max(abs(sobolev_total(plus_l, plus_r)) / scale,
-                             abs(sobolev_total(minus_l, minus_r)) / scale),
+        "orthogonality": max(abs(sum(plus)) / scale,
+                             abs(sum(minus)) / scale),
         "reconstruction": max(max(0.0, rec_l), rec_r),
     }
 

@@ -23,14 +23,13 @@ from slhkit.punctured_line import (
     decomposition_half,
     decomposition_values,
     defect_coefficients,
-    defect_halves,
+    defect_half,
     jump_splitting_defect,
     norm_from_inner,
     reproducing_half,
-    reproducing_residuals,
+    reproducing_residual,
     sample_half,
     sobolev_half,
-    sobolev_total,
     symmetry_half,
     symmetry_values,
 )
@@ -84,19 +83,19 @@ def test_criterion_2_jump_splitting_identities():
 def test_criterion_3_defect_vector_suite():
     # The half-line functions cli.command_defect calls: each check is one
     # per-half function on the left half-line and on the right, joined by
-    # its ``..._values``/``..._residuals`` function.
+    # its ``..._values``/``..._residual`` function. phi_- lives on the left
+    # half-line and phi_+ on the right.
     rng = np.random.default_rng(303)
-    phi = [defect_halves(GRID, left) for left in SIDES]  # (phi_+, phi_-)
-    for k in (0, 1):
-        assert Traces(phi[0][k].limit, phi[1][k].limit).jump == -1j
-        norm = sobolev_total(*(sobolev_half(GRID, left, p[k], p[k])
-                               for left, p in zip(SIDES, phi)))
+    phi = {left: defect_half(GRID, left) for left in SIDES}
+    for left in SIDES:
+        assert Traces.one_sided(left, phi[left].limit).jump == -1j
+        norm = sum(sobolev_half(GRID, left, phi[left], phi[left]))
         assert abs(norm_from_inner(norm) - 1.0) <= 1e-5
 
     def gauss(amp, width, center):
         return lambda t: amp * np.exp(-width * (t - center) ** 2)
 
-    def halves(spec, left=None, right=None):
+    def halves(spec, left, right):
         return [sample_half(spec, side, fn)
                 for side, fn in zip(SIDES, (left, right))]
 
@@ -104,12 +103,11 @@ def test_criterion_3_defect_vector_suite():
     for _ in range(10):
         amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1))
         w, c = rng.uniform(0.5, 2.0), rng.uniform(0.7, 2.2)
-        psi_r = halves(GRID, right=gauss(amp, w, c))
-        psi_l = halves(GRID, left=gauss(amp, w, -c))
-        worst = max(worst, *reproducing_residuals(
-            *(reproducing_half(GRID, left, *p, [(r, l)])[0]
-              for left, p, r, l in zip(SIDES, phi, psi_r, psi_l)),
-            psi_r[1].limit, psi_l[0].limit))
+        # psi_r on the right half-line, psi_l on the left
+        for left, fn in ((False, gauss(amp, w, c)), (True, gauss(amp, w, -c))):
+            psi = sample_half(GRID, left, fn)
+            worst = max(worst, reproducing_residual(left, reproducing_half(
+                GRID, left, phi[left], [psi])[0], psi.limit))
     assert worst <= 1e-5
 
     for _ in range(5):
@@ -119,10 +117,10 @@ def test_criterion_3_defect_vector_suite():
                   rng.uniform(0.5, 2.0), -rng.uniform(0.7, 2.2)),
             gauss(complex(rng.uniform(0.3, 1.5), rng.uniform(-1, 1)),
                   rng.uniform(0.5, 2.0), rng.uniform(0.7, 2.2)))
-        c_pm = defect_coefficients(psi[0].limit, psi[1].limit)
+        c_plus, c_minus = defect_coefficients(psi[0].limit, psi[1].limit)
         defects = decomposition_values(*(
-            decomposition_half(GRID, left, [(u, *c_pm)], *p)[0]
-            for left, p, u in zip(SIDES, phi, psi)))
+            decomposition_half(GRID, left, [(u, c)], phi[left])[0]
+            for left, u, c in zip(SIDES, psi, (c_minus, c_plus))))
         assert defects["orthogonality"] <= 1e-5
 
     fl, fr = gauss(0.4 - 0.3j, 0.7, -1.1), gauss(1.2 + 0.5j, 1.3, 0.8)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slhkit import cli, phases, punctured_line
+from slhkit import cli, phases
 from slhkit.cli import run_command
 from slhkit.config import config_from_dict, load_config
 from slhkit.ensembles import random_coupling
@@ -239,16 +239,6 @@ class TestDeterminism:
         rep2 = run_command(command, cfg, sweep=2 if command in ("slh", "fock") else 0)
         assert report_to_json_bytes(rep1) == report_to_json_bytes(rep2)
         assert report_to_csv_bytes(rep1) == report_to_csv_bytes(rep2)
-
-    def test_defect_bytes_do_not_depend_on_zero_half_skips(self, monkeypatch):
-        # With the identity test always False every shared zero half is
-        # stored, validated, scaled and integrated like any other array.
-        cfg = load_config(EXAMPLE)
-        skipped = report_to_json_bytes(run_command("defect", cfg))
-        monkeypatch.setattr(punctured_line, "_is_zero_half",
-                            lambda values: False)
-        full = report_to_json_bytes(run_command("defect", cfg))
-        assert full == skipped
 
     def test_jump_splitting_draw_matches_scalar_draws(self):
         # The one array draw leaves the generator where 2,400 scalar draws

@@ -5,8 +5,8 @@ bits as the two-sided oracle (``conftest.TwoSided``): ``np.trapezoid`` of
 the derivative formed whole by the plain stencils, and ``derivative`` forms
 that derivative's values bit for bit. Grids of n = 10, PANEL_CHUNK - 1,
 PANEL_CHUNK, PANEL_CHUNK + 1 and 3 PANEL_CHUNK + 7 nodes per half-line,
-each half of f and g the shared zero half, a plain zero array or random
-values, and g sometimes f itself. The values vanish on the three nodes next
+each half of f and g a zero array or random values, and g sometimes f
+itself. The values vanish on the three nodes next
 to each truncation boundary, so the derivative is a grid function too.
 
 The trapezoid summed leaf by leaf and joined in pairwise-tree order gives
@@ -31,11 +31,10 @@ from slhkit.punctured_line import (
     _tree_sum,
     derivative,
     sobolev_inner,
-    zero_half,
 )
 
 SIZES = (10, PANEL_CHUNK - 1, PANEL_CHUNK, PANEL_CHUNK + 1, 3 * PANEL_CHUNK + 7)
-HALVES = ("shared_zero", "plain_zero", "values")
+HALVES = ("zero", "values")
 
 
 def bits(value: complex) -> np.ndarray:
@@ -53,8 +52,6 @@ def pairing(f, g, diff_f, diff_g):
 
 def half(kind: str, rng: np.random.Generator, n: int, scale: float,
          left: bool) -> np.ndarray:
-    if kind == "shared_zero":
-        return zero_half(n)
     values = np.zeros(n, dtype=complex)
     if kind == "values":
         values[:] = scale * (rng.standard_normal(n)
@@ -148,7 +145,7 @@ def tree_trapezoid(values, boundary, h, left):
 
 TREE_SIZES = (10, PANEL_CHUNK - 1, PANEL_CHUNK, PANEL_CHUNK + 1,
               3 * PANEL_CHUNK + 7, 80_000)
-KINDS = ("values", "zero", "shared_zero", "subnormal_tail",
+KINDS = ("values", "zero", "subnormal_tail",
          "negative_zero_leaves", "wide_range")
 
 
@@ -162,8 +159,6 @@ def test_leaf_tree_trapezoid_equals_one_sum(n, kind, h, left, seed):
     boundary = complex(*rng.standard_normal(2))
     if kind == "zero":
         values[:] = 0.0
-    elif kind == "shared_zero":
-        values = zero_half(n)
     elif kind == "subnormal_tail":
         tail = rng.integers(1, n)
         values[tail:] = 5e-324 * (rng.integers(-4, 5, n - tail)
