@@ -126,9 +126,9 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     rng = np.random.default_rng(seed)
     # A group draws its bumps first (a bump draws its parameters when it is
     # made, not when it is evaluated), then checks the left half-line and
-    # then the right, all its draws in one pass over halves read leaf by
-    # leaf: the half-line's defect vector in closed form, each draw
-    # evaluated on the leaf's nodes.
+    # then the right, all its draws in one pass over halves read chunk by
+    # chunk: the half-line's defect vector in closed form, each draw
+    # evaluated on the chunk's nodes.
     # Between the halves it keeps per-half scalars, joined in the order of
     # the two-sided formulas, so no group holds a node array.
     _defect_vector_checks(spec, report)

@@ -52,10 +52,11 @@ def random_bump(rng: np.random.Generator, side: str):
     or "right" half-line; its value at 0 is a random boundary trace.
 
     The closure ``bump(t)`` returns its values on the nodes ``t``. It
-    works ``PANEL_CHUNK`` nodes at a time in one chunk-size float scratch,
-    and every node takes the same steps whatever its chunk, so a draw
-    evaluated on any run of nodes gives the whole draw's values there."""
-    from .punctured_line import PANEL_CHUNK, node_chunks
+    works ``NODE_CHUNK + 2`` nodes at a time, the window a pairing pass
+    reads, in one step-size float scratch, and every node takes the same
+    steps whatever its step, so a draw evaluated on any run of nodes gives
+    the whole draw's values there."""
+    from .punctured_line import NODE_CHUNK
 
     amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
     width = rng.uniform(0.5, 2.0)
@@ -63,17 +64,19 @@ def random_bump(rng: np.random.Generator, side: str):
 
     def bump(t):
         out = np.empty(t.shape, dtype=complex)
-        scratch = np.empty(min(PANEL_CHUNK, t.size))
-        for start, stop in node_chunks(t.size):
+        step = NODE_CHUNK + 2
+        scratch = np.empty(min(step, t.size))
+        for start in range(0, t.size, step):
+            stop = min(start + step, t.size)
             x = scratch[:stop - start]
             np.subtract(t[start:stop], center, out=x)
             np.square(x, out=x)
             x *= -width
             # exp is several times slower where its result underflows; there
-            # it is +0, so those nodes, which keep their argument, are set
-            # to 0.
+            # it is +0, so those nodes keep their argument, below -750, and
+            # are then set to +0 with every exp result, itself >= +0, kept.
             np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
-            x[x < EXP_ZERO_BELOW] = 0.0
+            np.maximum(x, 0.0, out=x)
             np.multiply(amp, x, out=out[start:stop])
         return out
     return bump

@@ -39,20 +39,20 @@ Three two-sided functions of a GridFunction remain, ``sobolev_inner``,
 tracer wraps them by name and reads a GridFunction's arrays
 (ROADMAP item 7 retargets those spans to the half-line core).
 
-Leaves
+Chunks
 
-numpy's pairwise sum of n complex values is a fixed tree over index
-ranges: it halves the 2n floats, rounds the split down to a multiple of 8
-and recurses, and any subtree is exactly ``np.sum`` of its range. A
-per-half function makes one pass (``_pass``) over the leaves of that tree,
-its maximal subtrees of at most ``PANEL_CHUNK`` values (``_tree_sum``). On
-a leaf it reads each half once on the leaf's nodes, padded by the two
-neighbours the stencils and the origin panel need, forms each derivative
-once, and forms each pairing's products and trapezoid panels, scaled by h
-and then by 0.5 and summed by ``np.sum``. The leaf sums are joined in tree
-order, so a pairing is ``np.sum`` of its whole panel array bit for bit.
-Node maxima (reconstruction and eigenrelation residuals) are reduced on
-the same leaves. A pass forms no n-node array.
+A per-half function makes one pass over the half-line in chunks of
+``NODE_CHUNK`` nodes (``node_chunks``). On a chunk it reads each half once
+on the chunk's nodes and one neighbour on each side, forms each derivative
+there once, and adds each pairing's ``np.vdot`` to that pairing's sum
+(``_Trapezoids``). A pairing is the trapezoid rule h (S - p(end)/2 +
+p(0)/2): S the chunk sums added in node order, p(end) the product at -T
+or T and p(0) that of the traces. That is the panel sum of the two-sided
+formula up to rounding, within gamma_n sum |conj(f) g| (Higham, Accuracy
+and Stability of Numerical Algorithms, 4.2); no product or panel array is
+formed. Node maxima (reconstruction and eigenrelation residuals) are
+reduced on the same chunks, each node rounded as on the whole array. A
+pass forms no n-node array.
 
 Storage
 
@@ -60,9 +60,13 @@ Storage
   caller passes in stays writable; a strided one is copied once); each
   half is checked by ``_check_half``: finite values and trace, vanishing
   at -T or T. A source half is checked alike, its values as they are read;
-* ``derivative`` and ``decompose_sobolev`` form their result whole; the
-  pairings keep no derivative, and ``decomposition_half`` forms psi0 leaf
-  by leaf;
+* ``derivative`` and ``decompose_sobolev`` form their result whole;
+* a pass holds one chunk's arrays at a time, deleting them before it
+  reads the next chunk: each half's window of at most NODE_CHUNK + 2
+  values, its derivative on the chunk's nodes and, in
+  ``decomposition_half``, psi0's window and the residual; a pairing keeps
+  three scalars (its sum, the product at -T or T and the traces'
+  product);
 * GridSpec refuses a grid whose node arrays would need more than
   ``MAX_SOLVE_BYTES`` (TooLarge), before anything is allocated.
 """
@@ -70,8 +74,6 @@ Storage
 from __future__ import annotations
 
 import cmath
-import collections
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -88,7 +90,7 @@ MIN_HALF_WIDTH = 30.0
 # guard. Only decompose_sobolev and derivative form node arrays: with their
 # argument they peak at 2.50 and 2.07 arrays at 20k and 40k nodes
 # (tests/test_punctured_line.py). The CLI defect suite holds no node array:
-# its tracemalloc peak is one leaf's buffers of at most PANEL_CHUNK values,
+# its tracemalloc peak is a few windows of a chunk of NODE_CHUNK nodes,
 # whatever n (tools/defect_peaks.py). Kept at 3, so the guard admits the
 # same grids.
 DEFECT_LIVE_ARRAYS = 3
@@ -363,7 +365,7 @@ def derivative(f: GridFunction) -> GridFunction:
     """Grid derivative; the boundary traces of the result are one-sided
     three-point estimates that use the stored traces of ``f``.
 
-    Formed afresh on every call; the pairings form it leaf by leaf
+    Formed afresh on every call; the pairings form it chunk by chunk
     instead. Kept as a traced entry point of the benchmark (ROADMAP item
     7).
     """
@@ -371,144 +373,109 @@ def derivative(f: GridFunction) -> GridFunction:
     return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
 
 
-# Most values in a leaf of the pairing passes (see "Leaves"), 8192 floats,
-# and the nodes per chunk of a bump's evaluation.
-PANEL_CHUNK = 4096
+# Nodes per chunk of the pairing passes (see "Chunks"). It stays below the
+# 10000 elements up to which OpenBLAS computes zdot on one thread, so a
+# pairing's bits do not depend on the number of BLAS threads.
+NODE_CHUNK = 2048
 
 
 def node_chunks(n: int):
-    """(start, stop) of each run of ``PANEL_CHUNK`` nodes of a half-line."""
-    return ((start, min(start + PANEL_CHUNK, n))
-            for start in range(0, n, PANEL_CHUNK))
+    """(start, stop) of each run of ``NODE_CHUNK`` nodes of a half-line."""
+    return ((start, min(start + NODE_CHUNK, n))
+            for start in range(0, n, NODE_CHUNK))
 
 
-def _tree_sum(n: int, leaf: Callable, start: int = 0) -> list:
-    """``leaf(a, b)``, a list of sums over the panels a:b, on each leaf of
-    numpy's pairwise-sum tree over the n complex values start:start + n,
-    joined as that tree joins its subtrees: one of more than PANEL_CHUNK
-    values splits its 2n floats after n rounded down to a multiple of 8."""
-    if n <= PANEL_CHUNK:
-        return leaf(start, start + n)
-    split = (n - n % 8) // 2
-    return [x + y for x, y in zip(_tree_sum(split, leaf, start),
-                                  _tree_sum(n - split, leaf, start + split))]
+class _Chunk(NamedTuple):
+    """The nodes start:stop of an n-node half-line and the window lo:hi a
+    half is read on: one neighbour on each side for the derivative
+    stencils, and the three end nodes for a one-node last chunk."""
+
+    n: int
+    h: float
+    lo: int
+    hi: int
+    start: int
+    stop: int
+
+    def read(self, half: Half) -> np.ndarray:
+        """The half's values on the window."""
+        return _read(half.values, self.lo, self.hi)
+
+    def own(self, window: np.ndarray) -> np.ndarray:
+        """A window's values on the chunk's nodes."""
+        return window[self.start - self.lo:self.stop - self.lo]
+
+    def slope(self, window: np.ndarray) -> np.ndarray:
+        """The grid derivative on the chunk's nodes, from a window."""
+        return _derivative_chunk(window, self.lo, self.n, self.h, self.start,
+                                 self.stop, np.empty(self.stop - self.start,
+                                                     dtype=complex))
+
+    def factor(self, half: Half) -> tuple:
+        """The half's window and its derivative on the chunk's nodes."""
+        window = self.read(half)
+        return window, self.slope(window)
 
 
-def _panel_nodes(a: int, b: int, n: int, left: bool) -> tuple:
-    """The nodes (start, stop) that the trapezoid panels a:b of an n-node
-    half-line read: panel k adds nodes k and k + 1 on [-T, 0) and k - 1 and
-    k on (0, T]; the trace closes the panel at the origin, n - 1 on the
-    left and 0 on the right."""
-    return (a, min(b + 1, n)) if left else (max(a - 1, 0), b)
+def _chunks(spec: GridSpec):
+    """The ``_Chunk`` of each of ``node_chunks``, in node order."""
+    n = spec.n_nodes
+    return (_Chunk(n, spec.spacing, max(min(start - 1, n - 3), 0),
+                   min(stop + 1, n), start, stop)
+            for start, stop in node_chunks(n))
 
 
-def _panel_sum(p: np.ndarray, a: int, b: int, n: int, boundary: complex,
-               h: float, left: bool) -> complex:
-    """``np.sum`` of the trapezoid panels a:b, each scaled by h and then by
-    0.5, from ``p``, the products on their nodes, and ``boundary``."""
-    panels = np.empty(b - a, dtype=complex)
-    inner = p.size - 1
-    if left:
-        np.add(p[1:], p[:-1], out=panels[:inner])
-        if b == n:
-            panels[-1] = boundary + p[-1]
-    else:
-        np.add(p[1:], p[:-1], out=panels[b - a - inner:])
-        if a == 0:
-            panels[0] = p[0] + boundary
-    real = panels.view(np.float64)
-    real *= h
-    real *= 0.5
-    return np.add.reduce(panels)
-
-
-class _Leaf:
-    """The panels a:b of a pass: each half read once on the nodes lo:hi,
-    the panels' nodes start:stop padded by two, and each derivative formed
-    once on start:stop."""
-
-    def __init__(self, spec: GridSpec, left: bool, a: int, b: int):
-        self.n, self.h, self.left, self.a, self.b = (
-            spec.n_nodes, spec.spacing, left, a, b)
-        self.lo, self.hi = max(a - 2, 0), min(b + 2, self.n)
-        self.start, self.stop = _panel_nodes(a, b, self.n, left)
-        self.cache = {}
-
-    def window(self, half: Half) -> np.ndarray:
-        """The half's values on the nodes lo:hi."""
-        key = (id(half.values), False)
-        if key not in self.cache:
-            self.cache[key] = _read(half.values, self.lo, self.hi)
-        return self.cache[key]
-
-    def factor(self, half: Half, diff: bool = False) -> np.ndarray:
-        """The half's values, or its derivative, on the panels' nodes."""
-        if not diff:
-            return self.window(half)[self.start - self.lo:
-                                     self.stop - self.lo]
-        key = (id(half.values), True)
-        if key not in self.cache:
-            self.cache[key] = _derivative_chunk(
-                self.window(half), self.lo, self.n, self.h, self.start,
-                self.stop, np.empty(self.stop - self.start, dtype=complex))
-        return self.cache[key]
-
-    def own(self, half: Half, diff: bool = False) -> np.ndarray:
-        """The half's values, or its derivative, on the nodes a:b."""
-        return self.factor(half, diff)[self.a - self.start:
-                                       self.b - self.start]
-
-    def pair(self, f: Half, g: Half, diff_f: bool, diff_g: bool,
-             boundary: complex) -> complex:
-        p = np.conj(self.factor(f, diff_f))
-        p *= self.factor(g, diff_g)
-        return _panel_sum(p, self.a, self.b, self.n, boundary, self.h,
-                          self.left)
-
-
-def _pass(spec: GridSpec, left: bool, jobs: list) -> list:
-    """One pass over the leaves of a half-line for ``jobs``, each a list of
-    pairings and an ``each(leaf)`` (or None) run on every leaf before them:
-    the values of each job's pairings. A pairing (f, g, diff_f, diff_g) is
-    the trapezoid of conj(f) g, or of f' or g' where asked, closed by the
-    traces. On a leaf the jobs run in turn, each dropping the windows no
-    other job reads.
+class _Trapezoids:
+    """One half-line's trapezoid rules of ``pairs``, each (f, g, diff_f,
+    diff_g): the rule for conj(f) g, or f' or g' where asked, closed at the
+    origin by the traces, h (S - p(end) / 2 + p(0) / 2). S is the sum of
+    ``np.vdot`` over the chunks, p(end) the product at -T or T and p(0)
+    that of the traces.
 
     Each differentiated factor is checked by ``_derivative_trace`` first,
-    pairing by pairing. A non-finite derivative value makes its pairing
-    non-finite, so only then is the derivative formed whole, for
-    ``_derivative_half`` to refuse it, in the order of the pairings and
-    before a failing trace check of a later pairing.
+    pairing by pairing; when a check fails, ``_refuse`` is called on every
+    earlier pairing, in order, before the failure is raised. A non-finite
+    pairing is passed to ``_refuse`` when ``values`` is read.
     """
-    pairs = [pair for job, _ in jobs for pair in job]
-    boundaries = []
-    for f, g, diff_f, diff_g in pairs:
-        try:
-            fb = _derivative_trace(spec, left, f) if diff_f else f.limit
-            gb = _derivative_trace(spec, left, g) if diff_g else g.limit
-        except SpecMismatch:
-            for earlier in pairs[:len(boundaries)]:
-                _refuse(spec, left, earlier)
-            raise
-        boundaries.append(np.conj(fb) * gb)
-    readers = collections.Counter(key for job, _ in jobs for key in {
-        id(u.values) for pair in job for u in pair[:2]})
 
-    def leaf(a, b):
-        window, sums, bounds = _Leaf(spec, left, a, b), [], iter(boundaries)
-        for job, each in jobs:
-            if each is not None:
-                each(window)
-            sums += [window.pair(*pair, next(bounds)) for pair in job]
-            window.cache = {key: v for key, v in window.cache.items()
-                            if readers[key[0]] > 1}
-        return sums
-    values = [complex(total) for total in _tree_sum(spec.n_nodes, leaf)]
-    for pair, value in zip(pairs, values):
-        if not cmath.isfinite(value):
-            _refuse(spec, left, pair)
-    values = iter(values)
-    return [[next(values) for _ in job] for job, _ in jobs]
+    def __init__(self, spec: GridSpec, left: bool, pairs: list):
+        self.spec, self.left, self.pairs = spec, left, pairs
+        self.end = 0 if left else spec.n_nodes - 1
+        self.boundaries = []
+        for f, g, diff_f, diff_g in pairs:
+            try:
+                fb = _derivative_trace(spec, left, f) if diff_f else f.limit
+                gb = _derivative_trace(spec, left, g) if diff_g else g.limit
+            except SpecMismatch:
+                for earlier in pairs[:len(self.boundaries)]:
+                    _refuse(spec, left, earlier)
+                raise
+            self.boundaries.append(np.conj(fb) * gb)
+        self.sums = [0j] * len(pairs)
+        self.ends = [0j] * len(pairs)
+
+    def add(self, k: int, chunk: _Chunk, f: np.ndarray,
+            g: np.ndarray) -> None:
+        """Pairing k's factors on the chunk's nodes."""
+        self.sums[k] += np.vdot(f, g)
+        if chunk.start <= self.end < chunk.stop:
+            at = self.end - chunk.start
+            self.ends[k] = np.conj(f[at]) * g[at]
+
+    def sobolev(self, k: int, chunk: _Chunk, f: tuple, g: tuple) -> None:
+        """Pairings k and k + 1 (``_sobolev_pairs``) of two ``factor``s."""
+        self.add(k, chunk, chunk.own(f[0]), chunk.own(g[0]))
+        self.add(k + 1, chunk, f[1], g[1])
+
+    def values(self) -> list:
+        h = self.spec.spacing
+        values = [complex(h * (total - 0.5 * end + 0.5 * boundary))
+                  for total, end, boundary in zip(self.sums, self.ends,
+                                                  self.boundaries)]
+        for pair, value in zip(self.pairs, values):
+            if not cmath.isfinite(value):
+                _refuse(self.spec, self.left, pair)
+        return values
 
 
 def _refuse(spec: GridSpec, left: bool, pair: tuple) -> None:
@@ -519,20 +486,21 @@ def _refuse(spec: GridSpec, left: bool, pair: tuple) -> None:
             _derivative_half(spec, left, u)
 
 
-def _sobolev_job(pairs: list, each: Optional[Callable] = None) -> tuple:
-    """A ``_pass`` job of the L2 and derivative pairing of each (f, g) in
-    ``pairs``, whose values ``_terms`` reads as ``sobolev_half`` terms."""
-    return [(f, g, d, d) for f, g in pairs for d in (False, True)], each
-
-
-def _terms(values: list) -> tuple:
-    return tuple(zip(values[::2], values[1::2]))
+def _sobolev_pairs(f: Half, g: Half) -> list:
+    """The L2 and the derivative pairing of <f|g>_S."""
+    return [(f, g, diff, diff) for diff in (False, True)]
 
 
 def sobolev_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
     """One half-line's terms (L2, D) of the Sobolev pairing <f|g>_S: the L2
     pairing and the derivative pairing."""
-    return _terms(_pass(spec, left, [_sobolev_job([(f, g)])])[0])[0]
+    rule = _Trapezoids(spec, left, _sobolev_pairs(f, g))
+    for chunk in _chunks(spec):
+        u = chunk.factor(f)
+        rule.sobolev(0, chunk, u,
+                     u if g.values is f.values else chunk.factor(g))
+        del u
+    return tuple(rule.values())
 
 
 def sobolev_total(left: tuple, right: tuple) -> complex:
@@ -597,8 +565,13 @@ def jay_form(f: Traces, g: Traces) -> complex:
 def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
     """One half-line's terms of the regular pairings <f|g'> and <g|f'>, in
     one pass, so neither g' nor f' is formed whole."""
-    return tuple(_pass(spec, left, [([(f, g, False, True),
-                                      (g, f, False, True)], None)])[0])
+    rule = _Trapezoids(spec, left, [(f, g, False, True), (g, f, False, True)])
+    for chunk in _chunks(spec):
+        (fw, df), (gw, dg) = chunk.factor(f), chunk.factor(g)
+        rule.add(0, chunk, chunk.own(fw), dg)
+        rule.add(1, chunk, chunk.own(gw), df)
+        del fw, df, gw, dg
+    return tuple(rule.values())
 
 
 def symmetry_values(left: tuple, right: tuple, f: Traces, g: Traces,
@@ -635,18 +608,18 @@ def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
     0 if that is larger (O(h^2)). The half's derivative is checked as
     ``derivative`` checks it.
 
-    Reduced leaf by leaf, each node rounded as i times the grid derivative,
-    plus (sign i) times phi.
+    Reduced chunk by chunk, each node rounded as i times the grid
+    derivative, plus (sign i) times phi.
     """
     _derivative_trace(spec, left, phi)
-    maxima = []
-
-    def residual(leaf):
-        d = np.multiply(1j, leaf.own(phi, True))
-        d += (sign * 1j) * leaf.own(phi)
-        maxima.append(np.abs(d).max())
-    _pass(spec, left, [([], residual)])
-    return max(0.0, float(np.max(maxima)))
+    worst = 0.0
+    for chunk in _chunks(spec):
+        window, d = chunk.factor(phi)
+        np.multiply(1j, d, out=d)
+        d += (sign * 1j) * chunk.own(window)
+        worst = max(worst, float(np.abs(d).max()))
+        del window, d
+    return worst
 
 
 def eigenrelation_values(traces: Traces, regular: float) -> dict:
@@ -713,8 +686,15 @@ def reproducing_half(spec: GridSpec, left: bool, phi: Half,
     """This half-line's ``sobolev_half`` terms of <phi|psi>_S for each psi
     in ``psis``, with phi its defect vector (``defect_half``), all in one
     pass that reads phi once."""
-    return [_terms(values)[0] for values in _pass(
-        spec, left, [_sobolev_job([(phi, psi)]) for psi in psis])]
+    rule = _Trapezoids(spec, left, [pair for psi in psis
+                                    for pair in _sobolev_pairs(phi, psi)])
+    for chunk in _chunks(spec):
+        u = chunk.factor(phi)
+        for k, psi in enumerate(psis):
+            rule.sobolev(2 * k, chunk, u, chunk.factor(psi))
+        del u
+    values = rule.values()
+    return list(zip(values[::2], values[1::2]))
 
 
 def reproducing_residual(left: bool, terms: tuple, trace: complex) -> float:
@@ -723,9 +703,10 @@ def reproducing_residual(left: bool, terms: tuple, trace: complex) -> float:
     ``reproducing_half`` terms of a psi that lives there and its trace.
     psi is paired with phi_pm itself and the product rotated,
     <i phi_+|psi>_S = -i <phi_+|psi>_S and <-i phi_-|psi>_S =
-    i <phi_-|psi>_S: a factor of +-i only swaps and negates components, so
-    the rotation commutes with every rounding of the pairing and no scaled
-    copy of phi_pm, or derivative of one, is formed."""
+    i <phi_-|psi>_S, so no scaled copy of phi_pm, or derivative of one, is
+    formed. A factor of +-i only swaps and negates components, so it
+    commutes exactly with the stencils and the rule's scalar steps; that it
+    commutes with ``np.vdot`` too is tested, bit for bit, not assumed."""
     return abs((1j if left else -1j) * sum(terms) - trace)
 
 
@@ -737,36 +718,35 @@ def decomposition_half(spec: GridSpec, left: bool, draws: list,
     half's (reconstruction, psi0 trace, Sobolev terms of <psi0|psi0> and
     <phi|psi0>).
 
-    psi0's half (``_psi0_half``) is checked, and formed on each leaf from
-    f's and phi's values into a window of its own, so psi0 is never held
-    whole. The reconstruction residual, the largest node value of
-    (psi0 + c phi) - f, is reduced from that psi0 against f's values, so a
-    wrong psi0 shows in it.
+    psi0's half (``_psi0_half``) is checked, and formed on each chunk from
+    f's and phi's windows, so psi0 is never held whole. The reconstruction
+    residual, the largest node value of (psi0 + c phi) - f, is reduced from
+    that psi0 against f's values, so a wrong psi0 shows in it.
     """
-    jobs, found = [], []
-    for f, c in draws:
-        psi0 = _check_half(spec, left, *_psi0_half(f, c, phi))
-        maxima = []
-        jobs.append(_sobolev_job([(psi0, psi0), (phi, psi0)],
-                                 functools.partial(_psi0_leaf, f, c, phi,
-                                                   psi0, maxima)))
-        found.append((maxima, psi0.limit))
-    return [(float(np.max(maxima)), limit, _terms(values))
-            for (maxima, limit), values in zip(found, _pass(spec, left,
-                                                            jobs))]
-
-
-def _psi0_leaf(f: Half, c: complex, phi: Half, psi0: Half, maxima: list,
-               leaf: _Leaf) -> None:
-    """On one leaf: psi0's window, kept for the pairings, and the largest
-    reconstruction residual on the leaf's nodes, appended to ``maxima``."""
-    leaf.cache[id(psi0.values), False] = _finite(_psi0_window(
-        c, leaf.window(phi), leaf.window(f)))
-    # c phi + psi0 rounds as psi0 + c phi: addition commutes exactly
-    r = np.multiply(c, leaf.own(phi))
-    r += leaf.own(psi0)
-    r -= leaf.own(f)
-    maxima.append(np.abs(r).max())
+    psi0s = [_check_half(spec, left, *_psi0_half(f, c, phi))
+             for f, c in draws]
+    rule = _Trapezoids(spec, left, [pair for psi0 in psi0s for u in (psi0, phi)
+                                    for pair in _sobolev_pairs(u, psi0)])
+    worst = [0.0] * len(draws)
+    for chunk in _chunks(spec):
+        p = chunk.factor(phi)
+        for k, (f, c) in enumerate(draws):
+            fw = chunk.read(f)
+            w = _finite(_psi0_window(c, p[0], fw))
+            # c phi + psi0 rounds as psi0 + c phi: addition commutes exactly
+            r = np.multiply(c, chunk.own(p[0]))
+            r += chunk.own(w)
+            r -= chunk.own(fw)
+            worst[k] = max(worst[k], float(np.abs(r).max()))
+            u = (w, chunk.slope(w))
+            rule.sobolev(4 * k, chunk, u, u)
+            rule.sobolev(4 * k + 2, chunk, p, u)
+            del fw, w, r, u
+        del p
+    values = rule.values()
+    return [(worst[k], psi0.limit, (tuple(values[4 * k:4 * k + 2]),
+                                    tuple(values[4 * k + 2:4 * k + 4])))
+            for k, psi0 in enumerate(psi0s)]
 
 
 def decomposition_values(left: tuple, right: tuple) -> dict:

@@ -10,7 +10,9 @@ Only for small truncations: memory grows as dim^2 and time as dim^3.
 ``TwoSided`` holds a grid function as two plain n-node arrays and its two
 stored traces, and forms the derivative, the trapezoid pairings and the
 boundary functionals from the formulas written out on whole arrays, with
-none of ``slhkit.punctured_line``'s leaf passes.
+none of ``slhkit.punctured_line``'s chunk passes. It also bounds the
+rounding gap between its pairings and the chunked ones. ``half_pairing``
+is one pairing of the chunk pass itself, for tests of that pass.
 """
 
 import numpy as np
@@ -19,7 +21,8 @@ import pytest
 from slhkit import fock
 from slhkit.ensembles import random_bump
 from slhkit.linalg import NULLSPACE_TOL, adjoint, null_space
-from slhkit.punctured_line import GridFunction, trace_at_origin
+from slhkit.punctured_line import (GridFunction, _chunks, _Trapezoids,
+                                   trace_at_origin)
 from slhkit.slh import gauge_zll, slh_triple
 
 
@@ -170,6 +173,9 @@ def dense_fock():
     return DenseFock
 
 
+EPS = float(np.finfo(float).eps)
+
+
 class TwoSided:
     """A grid function on [-T, 0) and (0, T]: ``left`` and ``right``, n
     complex node values each (writable copies), and the stored traces
@@ -199,6 +205,14 @@ class TwoSided:
                           else (fn(t), complex(fn(np.array([0.0]))[0])))
         (lv, ll), (rv, rl) = halves
         return cls(spacing, lv, rv, ll, rl)
+
+    @classmethod
+    def one_half(cls, h, left, values, limit):
+        """A function that lives on one half-line: ``values`` and the trace
+        ``limit`` there, zero and 0 on the other."""
+        zero = np.zeros(len(values), dtype=complex)
+        return (cls(h, values, zero, limit, 0j) if left
+                else cls(h, zero, values, 0j, limit))
 
     @classmethod
     def of(cls, f):
@@ -282,6 +296,27 @@ class TwoSided:
         """<self|other>_S, the L2 pairing plus that of the derivatives."""
         return self.l2(other) + self.derivative().l2(other.derivative())
 
+    def l2_bound(self, other):
+        """The largest gap rounding allows between ``l2`` and the same
+        trapezoid rule with each half-line's terms summed in any other
+        order: 2 (n + 8) eps h M, where M is the sum over both half-lines
+        of |conj(self) other| at the nodes plus the traces' |product|.
+        Each side is within sqrt(2) gamma_{n+5} h M of the exact rule
+        (n additions per component, the product, the halving and h;
+        Higham, Accuracy and Stability of Numerical Algorithms, 3.6 and
+        4.2), and gamma_k < k eps / 2 (1 + k eps) here."""
+        terms = sum(float(np.abs(np.conj(u) * v).sum())
+                    for u, v in ((self.left, other.left),
+                                 (self.right, other.right)))
+        traces = (abs(np.conj(self.left_limit) * other.left_limit)
+                  + abs(np.conj(self.right_limit) * other.right_limit))
+        return 2 * (self.left.size + 8) * EPS * self.h * (terms + traces)
+
+    def sobolev_bound(self, other):
+        """``l2_bound`` of the L2 and of the derivative pairing, added."""
+        return (self.l2_bound(other)
+                + self.derivative().l2_bound(other.derivative()))
+
     def norm(self):
         return float(np.sqrt(max(self.sobolev(self).real, 0.0)))
 
@@ -292,3 +327,18 @@ def bump_function(rng, spec):
     left, right = random_bump(rng, "left"), random_bump(rng, "right")
     return GridFunction(spec, left(spec.nodes(True)), right(spec.nodes(False)),
                         trace_at_origin(left), trace_at_origin(right))
+
+
+def half_pairing(spec, left, f, g, diff_f=False, diff_g=False):
+    """One pairing of ``punctured_line``'s chunk pass on one half-line: the
+    trapezoid of conj(f) g, or of f' or g' where asked, closed by the
+    traces, each factor read on a chunk's window as the per-half functions
+    read it."""
+    rule = _Trapezoids(spec, left, [(f, g, diff_f, diff_g)])
+    for chunk in _chunks(spec):
+        factors = []
+        for half, diff in ((f, diff_f), (g, diff_g)):
+            window = chunk.read(half)
+            factors.append(chunk.slope(window) if diff else chunk.own(window))
+        rule.add(0, chunk, *factors)
+    return rule.values()[0]

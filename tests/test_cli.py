@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -248,6 +249,25 @@ class TestDeterminism:
         for _ in range(2400):
             scalar.uniform(-1, 1)
         assert rng.bit_generator.state == scalar.bit_generator.state
+
+    def test_defect_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Each pairing adds one np.vdot per chunk of NODE_CHUNK nodes,
+        # below the size up to which OpenBLAS computes zdot on one thread:
+        # one or two BLAS threads write the same report.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SCALAR_MODEL,
+                                    "grid": {"T": 30.0, "h": 3e-3}}))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "slhkit", "defect", "--config",
+                 str(path), "--out", str(out)],
+                capture_output=True, text=True,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
     def test_sweep_count_records(self):
         cfg = config_from_dict(SCALAR_MODEL)

@@ -10,8 +10,8 @@ page faults (``ru_minflt``) the process took meanwhile. Memory still held
 from earlier groups counts. The peak is printed twice: in two-sided complex
 arrays, 32 bytes per node of a half-line, the unit of
 ``punctured_line.DEFECT_LIVE_ARRAYS``, and in KiB. The suite holds no node
-array, so its peak is a few leaves' buffers of at most
-``punctured_line.PANEL_CHUNK`` values: the KiB figures stay flat in n while
+array, so its peak is a few windows of one chunk of
+``punctured_line.NODE_CHUNK`` nodes: the KiB figures stay flat in n while
 the array figures fall towards 0. The last row of the peak tables is the
 peak of the whole command, and the last row of the fault table the whole
 command's faults. Faults are counted with tracemalloc on, so read them side
