@@ -5,11 +5,8 @@
 
 Most check values come from a library function that the tests call too
 (``slh.identity_residuals``, ``fock.fock_battery``, ...); this module names
-the records, sets their tolerances and fixes the order of the random draws.
-It computes these records itself from library values: the defect-vector
-jump and norm records (``defect_overlap`` is 0 by construction),
-``phase[...]`` and ``scatter`` records, ``scalar_cayley_match``,
-``gauge_zero_reduction`` and the ``sweep[i].fock`` verdict.
+the records, holds each to its entry of ``TOLERANCES`` (the Fock angle and
+action tolerances are the config's) and fixes the order of the random draws.
 
 Layers: this module imports ``config``, ``ensembles``, ``report``, ``slh``
 and ``phases``, which every subcommand or the config needs. It holds the
@@ -30,6 +27,7 @@ module-level numerical error) exits 1.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.util
 import sys
 import time
@@ -38,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from . import phases
-from .config import ModelConfig, load_config
+from .config import ModelConfig, Tolerances, load_config
 from .ensembles import random_bump, random_coupling
 from .errors import ParseError, SlhkitError, ValidationError
 from .linalg import cayley
@@ -69,6 +67,37 @@ fock = _lazy("fock")
 punctured_line = _lazy("punctured_line")
 
 
+# The tolerance of every check, keyed by check: a record's name without its
+# sweep index, parameters or defect-vector side. Each record states its
+# tolerance. The Fock angle and action tolerances are ``config.Tolerances``.
+TOLERANCES = {
+    # slh: identity_residuals by name; a sweep instance's largest residual
+    "ito_isometry": 1e-10, "s_unitarity": 1e-10, "h_hermiticity": 1e-10,
+    "recomposition": 1e-10, "first_row": 0.0, "g_equals_minus_ief": 1e-12,
+    "dressing_inverse": 1e-10, "half_e_galilean": 1e-10,
+    "scalar_cayley_match": 1e-12, "gauge_z_zero_reduction": 1e-12,
+    "gauge_scalar_closed_form": 1e-12, "sweep.identities": 1e-10,
+    # phase
+    "phase.unimodular": 1e-14, "phase.sigma_zero_exact": 0.0,
+    # defect
+    "jump_on_defect": 0.0, "defect_norm": 1e-5, "defect_overlap": 0.0,
+    "reproducing": 1e-5, "decomposition_boundary_zero": 0.0,
+    "decomposition_orthogonality": 1e-5,
+    "decomposition_reconstruction": 1e-13,
+    "eigenrelation_coefficient": 0.0, "eigenrelation_regular": 1e-5,
+    "jump_splitting_identity": 1e-13, "boundary_form_vs_traces": 1e-4,
+    "id_symmetry_defect": 1e-4, "id_symmetry_defect_damped": 1e-4,
+    "extension_domain_annihilation": 1e-13,
+    # scatter: the contrast at E = pi must exceed its entry, a bound its
+    # record does not state
+    "scatter.mollifier_norm": 1e-8, "scatter.phase_error": 1e-6,
+    "scatter.eps_independence": 1e-8, "scatter.contrast_exceeds_half": 0.5,
+    # fock
+    "ladder_commutators": 1e-12, "number_spectra": 1e-12,
+    "number_defect_identity": 1e-12, "gauge_zero_reduction": 1e-12,
+}
+
+
 # --- slh ---------------------------------------------------------------------
 
 def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
@@ -79,25 +108,26 @@ def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> N
         "F": res.dressing, "S": res.s, "L": res.l, "H": res.h,
     }
     for name, value in identity_residuals(res).items():
-        tol = 0.0 if name == "first_row" else \
-            (1e-12 if name in ("g_equals_minus_ief",) else 1e-10)
-        report.add(name, value, tol)
+        report.add(name, value, TOLERANCES[name])
     if coupling.n * coupling.m == 1 and gauge is None:
         s_ref = cayley(coupling.full[1:, 1:], 0.5)[0, 0]
         report.add("scalar_cayley_match",
-                   abs(complex(res.s[0, 0]) - complex(s_ref)), 1e-12)
+                   abs(complex(res.s[0, 0]) - complex(s_ref)),
+                   TOLERANCES["scalar_cayley_match"])
     if gauge is None:
         reduction = gauge_reduction_check(coupling)
-        report.add("gauge_z_zero_reduction", reduction["z_zero_residual"], 1e-12)
+        report.add("gauge_z_zero_reduction", reduction["z_zero_residual"],
+                   TOLERANCES["gauge_z_zero_reduction"])
         for sigma, residuals in reduction["scalar_residuals"].items():
             report.add(f"gauge_scalar_closed_form[sigma={sigma!r}]",
-                       max(residuals.values()), 1e-12)
+                       max(residuals.values()),
+                       TOLERANCES["gauge_scalar_closed_form"])
     rng = np.random.default_rng(seed)
     for i in range(sweep):
-        e_i = random_coupling(rng, coupling.m, coupling.n)
-        res_i = slh_triple(e_i)
+        res_i = slh_triple(random_coupling(rng, coupling.m, coupling.n))
         report.add(f"sweep[{i:03d}].identities",
-                   max(identity_residuals(res_i).values()), 1e-10)
+                   max(identity_residuals(res_i).values()),
+                   TOLERANCES["sweep.identities"])
 
 
 # --- phase ---------------------------------------------------------------
@@ -108,13 +138,14 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
         for e in config.phase.e_values:
             ph = phases.boundary_phase(e, sigma)
             rows.append([e, sigma, ph.s, ph.s_sigma, ph.s_chebotarev])
-            defect = max(abs(abs(ph.s) - 1.0),
-                         abs(abs(ph.s_sigma) - 1.0),
-                         abs(abs(ph.s_chebotarev) - 1.0))
-            report.add(f"phase[e={e!r},sigma={sigma!r}].unimodular", defect, 1e-14)
+            defect = max(abs(abs(s) - 1.0)
+                         for s in (ph.s, ph.s_sigma, ph.s_chebotarev))
+            report.add(f"phase[e={e!r},sigma={sigma!r}].unimodular", defect,
+                       TOLERANCES["phase.unimodular"])
             if sigma == 0.0:
                 report.add(f"phase[e={e!r},sigma={sigma!r}].sigma_zero_exact",
-                           abs(ph.s_sigma - ph.s), 0.0)
+                           abs(ph.s_sigma - ph.s),
+                           TOLERANCES["phase.sigma_zero_exact"])
     report.results["columns"] = ["e", "sigma", "s", "s_sigma", "s_chebotarev"]
     report.results["rows"] = rows
 
@@ -150,14 +181,16 @@ def _defect_vector_checks(spec: punctured_line.GridSpec, report: Report) -> None
            for left in punctured_line.SIDES}
     for name, left in DEFECT_SIDES:
         jump = punctured_line.Traces.one_sided(left, phi[left].limit).jump
-        report.add(f"jump_on_defect_{name}", abs(jump - (-1j)), 0.0)
+        report.add(f"jump_on_defect_{name}", abs(jump - (-1j)),
+                   TOLERANCES["jump_on_defect"])
     for name, left in DEFECT_SIDES:
         norm = punctured_line.norm_from_inner(
             sum(punctured_line.sobolev_half(spec, left, phi[left], phi[left])))
-        report.add(f"defect_norm_{name}", abs(norm - 1.0), 1e-5)
+        report.add(f"defect_norm_{name}", abs(norm - 1.0),
+                   TOLERANCES["defect_norm"])
     # <phi_+|phi_->_S: the supports are disjoint, so no half-line holds
     # both and the pairing is 0 by construction. Kept for the report.
-    report.add("defect_overlap", 0.0, 0.0)
+    report.add("defect_overlap", 0.0, TOLERANCES["defect_overlap"])
 
 
 def _reproducing_checks(spec: punctured_line.GridSpec,
@@ -177,13 +210,12 @@ def _reproducing_checks(spec: punctured_line.GridSpec,
             for terms, psi in zip(punctured_line.reproducing_half(
                 spec, left, phi, psis), psis)])
     for name, left in DEFECT_SIDES:
-        report.add(f"reproducing_{name}", worst[left], 1e-5)
+        report.add(f"reproducing_{name}", worst[left],
+                   TOLERANCES["reproducing"])
 
 
 def _decomposition_checks(spec: punctured_line.GridSpec,
                           rng: np.random.Generator, report: Report) -> None:
-    tolerances = {"boundary_zero": 0.0, "orthogonality": 1e-5,
-                  "reconstruction": 1e-13}
     # (left, right) bumps of each f, and its (c_plus, c_minus) from them
     draws = [(random_bump(rng, "left"), random_bump(rng, "right"))
              for _ in range(10)]
@@ -202,13 +234,14 @@ def _decomposition_checks(spec: punctured_line.GridSpec,
             for (bump_l, bump_r), (c_plus, c_minus) in zip(draws,
                                                            coefficients)], phi)
 
-    worst = dict.fromkeys(tolerances, 0.0)
+    worst = {}
     for left, right in zip(*map(half, punctured_line.SIDES)):
         for key, value in punctured_line.decomposition_values(
                 left, right).items():
-            worst[key] = max(worst[key], value)
-    for key, tol in tolerances.items():
-        report.add(f"decomposition_{key}", worst[key], tol)
+            name = f"decomposition_{key}"
+            worst[name] = max(worst.get(name, 0.0), value)
+    for name, value in worst.items():
+        report.add(name, value, TOLERANCES[name])
 
 
 def _eigenrelation_checks(spec: punctured_line.GridSpec,
@@ -221,10 +254,9 @@ def _eigenrelation_checks(spec: punctured_line.GridSpec,
             punctured_line.eigenrelation_half(spec, left, phi,
                                               -1.0 if left else 1.0))
     for name, left in DEFECT_SIDES:
-        report.add(f"eigenrelation_{name}_coefficient",
-                   defects[left]["coefficient"], 0.0)
-        report.add(f"eigenrelation_{name}_regular",
-                   defects[left]["regular"], 1e-5)
+        for key in ("coefficient", "regular"):
+            report.add(f"eigenrelation_{name}_{key}", defects[left][key],
+                       TOLERANCES[f"eigenrelation_{key}"])
 
 
 def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
@@ -237,7 +269,8 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
         for fp, fm, gp, gm in instances:
             worst = max(worst, punctured_line.jump_splitting_defect(
                 fp, fm, gp, gm, sigma))
-    report.add("jump_splitting_identity", worst, 1e-13)
+    report.add("jump_splitting_identity", worst,
+               TOLERANCES["jump_splitting_identity"])
 
 
 def _symmetry_checks(spec: punctured_line.GridSpec, rng: np.random.Generator,
@@ -258,14 +291,15 @@ def _symmetry_checks(spec: punctured_line.GridSpec, rng: np.random.Generator,
             for limits in zip(left_traces, right_traces))
     for name, value in punctured_line.symmetry_values(
             left_terms, right_terms, f, g, 0.3).items():
-        report.add(name, value, 1e-4)
+        report.add(name, value, TOLERANCES[name])
 
 
 def _extension_check(report: Report) -> None:
     worst = max(punctured_line.extension_domain_defect(e, sigma,
                                                        complex(0.7, -0.4))
                 for e in (0.5, 2.0, float(np.pi)) for sigma in (0.0, 0.3))
-    report.add("extension_domain_annihilation", worst, 1e-13)
+    report.add("extension_domain_annihilation", worst,
+               TOLERANCES["extension_domain_annihilation"])
 
 
 # --- scatter ---------------------------------------------------------------
@@ -273,76 +307,88 @@ def _extension_check(report: Report) -> None:
 def command_scatter(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
     e = config.scatter.e_value
     rows = []
-    transmitted = []
     for eps in config.scatter.epsilons:
         r = phases.scatter_regularized(e, eps, config.scatter.mollifier)
         rows.append([r.epsilon, r.transmitted_phase, r.phase_error,
                      r.contrast, r.mollifier_integral - 1.0])
-        transmitted.append(r.transmitted_phase)
         report.add(f"scatter[eps={eps!r}].mollifier_norm",
-                   abs(r.mollifier_integral - 1.0), 1e-8)
-        report.add(f"scatter[eps={eps!r}].phase_error", r.phase_error, 1e-6)
-    for i in range(1, len(transmitted)):
+                   abs(r.mollifier_integral - 1.0),
+                   TOLERANCES["scatter.mollifier_norm"])
+        report.add(f"scatter[eps={eps!r}].phase_error", r.phase_error,
+                   TOLERANCES["scatter.phase_error"])
+    for i in range(1, len(rows)):
         report.add(f"scatter.eps_independence[{i}]",
-                   abs(transmitted[i] - transmitted[0]), 1e-8)
+                   abs(rows[i][1] - rows[0][1]),
+                   TOLERANCES["scatter.eps_independence"])
     contrast = rows[0][3]
     report.results["columns"] = ["epsilon", "transmitted_phase", "phase_error",
                                  "contrast_vs_cayley", "mollifier_defect"]
     report.results["rows"] = rows
     if abs(e - np.pi) < 1e-12:
         report.add("scatter.contrast_exceeds_half", contrast, None,
-                   passed=contrast > 0.5)
+                   passed=contrast > TOLERANCES["scatter.contrast_exceeds_half"])
 
 
 # --- fock ---------------------------------------------------------------
 
+def _fock_entries(eq: dict, prefix: str, tol: Tolerances) -> list:
+    """(name, value, tolerance, passed) of the kernel-dims, principal-angle
+    and action records of one ``fock.fock_battery`` result: no angle record
+    without a kernel, no action record without domain vectors."""
+    dims = [eq["dim_b"], eq["dim_c"]]
+    return [(f"{prefix}kernel_dims", dims, None, dims[0] == dims[1])] + [
+        (prefix + name, value, bound, abs(value) <= bound)
+        for name, value, bound in (
+            ("max_principal_angle", eq["max_angle"], tol.kernel),
+            ("max_action_residual", max(eq["action_residuals"], default=None),
+             tol.action))
+        if value is not None]
+
+
 def _fock_battery(eq: dict, number_defect: float, report: Report,
-                  prefix: str, angle_tol: float, action_tol: float) -> None:
+                  prefix: str, tol: Tolerances) -> None:
     """Report records of one ``fock.fock_battery`` result."""
-    report.add(f"{prefix}kernel_dims", [eq["dim_b"], eq["dim_c"]], None,
-               passed=eq["dim_b"] == eq["dim_c"])
-    if eq["max_angle"] is not None:
-        report.add(f"{prefix}max_principal_angle", eq["max_angle"], angle_tol)
-    residuals = eq["action_residuals"]
-    report.results[f"{prefix}domain_vectors"] = len(residuals)
-    if residuals:
-        report.add(f"{prefix}max_action_residual", max(residuals), action_tol)
-    report.add(f"{prefix}number_defect_identity", number_defect, 1e-12)
+    report.results[f"{prefix}domain_vectors"] = len(eq["action_residuals"])
+    for entry in _fock_entries(eq, prefix, tol):
+        report.add(*entry)
+    report.add(f"{prefix}number_defect_identity", number_defect,
+               TOLERANCES["number_defect_identity"])
 
 
 def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
-    coupling, gauge = config.coupling, config.gauge
+    coupling, gauge, tol = config.coupling, config.gauge, config.tolerances
     m, n, d = coupling.m, coupling.n, config.fock.d
     rng = np.random.default_rng(seed)
-    angle_tol, atol = config.tolerances.kernel, config.tolerances.action
 
     ops = fock.build_mode_operators(m, n, d)
-    report.add("ladder_commutators", fock.commutator_defect(ops), 1e-12)
-    report.add("number_spectra", fock.number_spectrum_defect(ops), 1e-12)
+    for name, value in (("ladder_commutators", fock.commutator_defect(ops)),
+                        ("number_spectra", fock.number_spectrum_defect(ops))):
+        report.add(name, value, TOLERANCES[name])
     # The defect reads a_star, a_plus and a_minus only, which no gauge changes.
     defect = fock.number_defect_residual(ops)
-    _fock_battery(fock.fock_battery(coupling, ops, 10, rng, atol), defect,
-                  report, "", angle_tol, atol)
+    _fock_battery(fock.fock_battery(coupling, ops, 10, rng, tol.action),
+                  defect, report, "", tol)
 
     # sigma = 0 builds frak_a by the kappa formula; it must match a_star.
     ops_zero = fock.build_mode_operators(m, n, d, ScalarGauge(0.0))
     reduction = float(np.abs(fock.stacked_boundary_rows(coupling, ops_zero)
                              - fock.stacked_boundary_rows(coupling, ops)).max())
-    report.add("gauge_zero_reduction", reduction, 1e-12)
+    report.add("gauge_zero_reduction", reduction,
+               TOLERANCES["gauge_zero_reduction"])
 
     if gauge is not None:
         ops = fock.build_mode_operators(m, n, d, gauge)
-        _fock_battery(fock.fock_battery(coupling, ops, 10, rng, atol), defect,
-                      report, "gauged.", angle_tol, atol)
+        _fock_battery(fock.fock_battery(coupling, ops, 10, rng, tol.action),
+                      defect, report, "gauged.", tol)
 
     for i in range(sweep):
         e_i = random_coupling(rng, m, n, zero_channel_system=True)
-        eq = fock.fock_battery(e_i, ops, 3, rng, atol)
-        worst = max(eq["action_residuals"], default=0.0)
-        angle = eq["max_angle"] if eq["max_angle"] is not None else 0.0
-        ok = eq["dim_b"] == eq["dim_c"] and angle <= angle_tol and worst <= atol
+        eq = fock.fock_battery(e_i, ops, 3, rng, tol.action)
+        # the battery records' verdict; 0.0 stands for an absent value
         report.add(f"sweep[{i:03d}].fock",
-                   [eq["dim_b"], eq["dim_c"], angle, worst], None, passed=ok)
+                   [eq["dim_b"], eq["dim_c"], eq["max_angle"] or 0.0,
+                    max(eq["action_residuals"], default=0.0)], None,
+                   passed=all(ok for *_, ok in _fock_entries(eq, "", tol)))
 
 
 SWEEP_COMMANDS = ("slh", "fock")
@@ -383,14 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(command: str, config: ModelConfig, seed: Optional[int] = None,
                 sweep: int = 0) -> Report:
     """Execute one subcommand and return its report (wall time included).
-
-    A LAPACK failure surfaces as SlhkitError, like every other numerical error.
+    A ``seed`` replaces the config's, in the run and in ``config_hash``. A
+    LAPACK failure surfaces as SlhkitError, like every other numerical error.
     """
-    effective_seed = config.seed if seed is None else seed
+    if seed is not None:
+        config = dataclasses.replace(config, seed=seed)
     report = Report(command=command, config_hash=config.config_hash())
     start = time.monotonic()
     try:
-        COMMANDS[command](config, effective_seed, sweep, report)
+        COMMANDS[command](config, config.seed, sweep, report)
     except np.linalg.LinAlgError as exc:
         raise SlhkitError(f"numerical failure in {command}: {exc}") from exc
     report.wall_time_s = time.monotonic() - start

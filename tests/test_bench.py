@@ -1,8 +1,8 @@
 """Smoke test of the stage-bench row functions (no timing gate): rows of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
-guard refuses on construction and one it refuses at a level, one
-``sobolev_inner`` row and one ``defect`` run on a T = 30, h = 3e-3 grid,
-the paired statistics of a Sobolev, a defect and a startup stage row (on
+guard refuses on construction and one it refuses at a level, one Sobolev
+row (``sobolev_half`` on sources) and one ``defect`` run on a T = 30,
+h = 3e-3 grid, the paired statistics of a Sobolev, a defect and a startup stage row (on
 stand-in measurements), and the bench's refusal to run without ``--out``."""
 
 import importlib.util
@@ -62,7 +62,7 @@ def test_sobolev_row_records_call_peak_and_value():
     assert set(result) == {"seconds", "nodes", "call_peak_mb",
                            "call_peak_arrays", "value"}
     assert result["nodes"] == 10_000 and result["seconds"] >= 0
-    # one leaf's buffers: no derivative or product formed whole
+    # one chunk's buffers: no node array stored or formed whole
     assert result["call_peak_arrays"] < 1.0
     assert all(isinstance(float.fromhex(x), float) for x in result["value"])
 

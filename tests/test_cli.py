@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -283,6 +284,79 @@ class TestDeterminism:
         v1 = [c.value for c in rep1.checks if c.name.startswith("sweep")]
         v2 = [c.value for c in rep2.checks if c.name.startswith("sweep")]
         assert v1 != v2
+
+    def test_config_hash_reads_the_effective_seed(self):
+        # SCALAR_MODEL's own seed is 7
+        cfg = config_from_dict(SCALAR_MODEL)
+        hashes = {seed: run_command("phase", cfg, seed=seed).config_hash
+                  for seed in (3, 4, 7, None)}
+        assert hashes[3] != hashes[4]
+        assert hashes[7] == hashes[None] == cfg.config_hash()
+
+    @pytest.mark.parametrize("dims, angle, residuals", [
+        ((2, 2), 1e-12, [0.0, 1e-9]),
+        ((2, 2), 2e-8, [0.0]),
+        ((2, 2), 1e-12, [1e-9, 3e-8]),
+        ((2, 3), 1e-12, [0.0]),
+        ((0, 0), None, []),
+    ])
+    def test_fock_sweep_verdict_is_the_battery_records(self, monkeypatch,
+                                                       dims, angle,
+                                                       residuals):
+        eq = {"dim_b": dims[0], "dim_c": dims[1], "max_angle": angle,
+              "action_residuals": residuals}
+        monkeypatch.setattr(cli.fock, "fock_battery", lambda *args: eq)
+        rep = run_command("fock", config_from_dict(SCALAR_MODEL), sweep=1)
+        battery = [c for c in rep.checks if c.name in (
+            "kernel_dims", "max_principal_angle", "max_action_residual")]
+        assert len(battery) == 1 + (angle is not None) + bool(residuals)
+        sweep = rep.checks[-1]
+        assert sweep.name == "sweep[000].fock"
+        assert sweep.value == [*dims, angle or 0.0, max(residuals, default=0.0)]
+        assert sweep.passed == all(c.passed for c in battery)
+
+
+def literal_tolerances(source: str) -> list:
+    """Lines of the ``report.add`` calls in ``source`` whose tolerance (third
+    argument or ``tolerance=``) or pass verdict (fourth argument or
+    ``passed=``) holds a numeric literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "report"):
+            continue
+        args = node.args[2:4] + [k.value for k in node.keywords
+                                 if k.arg in ("tolerance", "passed")]
+        if any(isinstance(leaf, ast.Constant)
+               and type(leaf.value) in (int, float, complex)
+               for arg in args for leaf in ast.walk(arg)):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestToleranceTable:
+    SOURCE = Path(cli.__file__).read_text()
+
+    def test_cli_states_no_literal_tolerance(self):
+        assert literal_tolerances(self.SOURCE) == []
+
+    def test_guard_sees_a_literal_written_back(self):
+        mutant = self.SOURCE.replace('TOLERANCES["reproducing"]', "1e-5")
+        assert mutant != self.SOURCE
+        assert len(literal_tolerances(mutant)) == 1
+
+    def test_contrast_threshold_is_the_table_entry(self, monkeypatch):
+        # a lower bound checked through passed=, not stated as a tolerance
+        cfg = config_from_dict(SCALAR_MODEL)
+        contrast = run_command("scatter", cfg).checks[-1]
+        assert contrast.name == "scatter.contrast_exceeds_half"
+        assert contrast.tolerance is None and contrast.passed
+        monkeypatch.setitem(cli.TOLERANCES, "scatter.contrast_exceeds_half",
+                            contrast.value)
+        assert not run_command("scatter", cfg).checks[-1].passed
 
 
 class TestPhaseRows:

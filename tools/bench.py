@@ -15,15 +15,16 @@ is one ``fock.boundary_kernel(space, rows)`` call on the coupling-form rows
   (1,3,5), (1,3,6) and (1,3,7);
 * a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
 
-Each Sobolev row is ``punctured_line.sobolev_inner`` on two seeded random
-two-sided grid functions, each an ``ensembles.random_bump`` on either
-half-line (the left one drawn first), at T = 40 with h = 1e-3 and 5e-4 (40k
-and 80k nodes per half-line).  The child times
-``SOBOLEV_CALLS`` calls, each on fresh ``GridFunction`` instances over the
-same arrays (so a tree that caches derivatives on an instance forms them
-in every call), and reports the median; it then traces one more call with
-tracemalloc, whose peak above the inputs is the row's ``call_peak_mb``, also
-given in two-sided complex arrays (32 bytes per node of a half-line).
+Each Sobolev row is one pairing <f|g>_S on the half-line core at T = 40
+with h = 1e-3 and 5e-4 (40k and 80k nodes per half-line): f and g are each
+two seeded ``ensembles.random_bump`` draws, the left one first, read as
+``punctured_line.sample_half`` sources, and the pairing is
+``sobolev_half`` on each half-line joined by ``sobolev_total``, the calls
+the ``defect`` suite makes.  No node array is stored: each call evaluates
+the bumps chunk by chunk.  The child times ``SOBOLEV_CALLS`` calls and
+reports the median; it then traces one more call with tracemalloc, whose
+peak is the row's ``call_peak_mb``, also given in two-sided complex arrays
+(32 bytes per node of a half-line).
 
 Each run row is one ``slhkit fock`` run, sweep 0, on the E_l0 = 0 coupling
 of (1,3,5) and (1,3,6) with sigma = 0.3.  Each defect row is one ``slhkit
@@ -184,38 +185,32 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
 
 
 def sobolev_row(half_width: float, spacing: float) -> dict:
-    """Median per-call seconds and traced peak of ``sobolev_inner`` on two
-    random grid functions of the (T, h) grid."""
+    """Median per-call seconds and traced peak of one Sobolev pairing on the
+    half-line core, for two random functions of the (T, h) grid."""
     import numpy as np
     from slhkit.ensembles import random_bump
-    from slhkit.punctured_line import (GridFunction, GridSpec, sobolev_inner,
-                                       trace_at_origin)
+    from slhkit.punctured_line import (SIDES, GridSpec, sample_half,
+                                       sobolev_half, sobolev_total)
 
     spec = GridSpec(half_width, spacing)
     rng = np.random.default_rng(SEED)
+    # f's and g's (left, right) bumps, each drawn left first
+    f, g = ((random_bump(rng, "left"), random_bump(rng, "right"))
+            for _ in range(2))
+    halves = {left: [sample_half(spec, left, u[0] if left else u[1])
+                     for u in (f, g)] for left in SIDES}
 
-    def draw():
-        left, right = random_bump(rng, "left"), random_bump(rng, "right")
-        return GridFunction(spec, left(spec.nodes(True)),
-                            right(spec.nodes(False)), trace_at_origin(left),
-                            trace_at_origin(right))
-
-    f, g = draw(), draw()
-
-    def fresh():
-        return tuple(GridFunction(spec, u.left, u.right, u.left_limit,
-                                  u.right_limit) for u in (f, g))
+    def pairing():
+        return sobolev_total(*(sobolev_half(spec, left, *halves[left])
+                               for left in SIDES))
 
     times = []
     for _ in range(SOBOLEV_CALLS):
-        a, b = fresh()
         start = time.perf_counter()
-        value = sobolev_inner(a, b)
+        value = pairing()
         times.append(time.perf_counter() - start)
-        del a, b
-    a, b = fresh()
     tracemalloc.start()
-    sobolev_inner(a, b)
+    pairing()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {"seconds": statistics.median(times), "nodes": spec.n_nodes,
@@ -462,7 +457,7 @@ def bench(parent: Path, stages=STAGES) -> dict:
             "speedup": sides["parent"]["median_s"] / sides["change"]["median_s"],
             "pairs": stats,
             "same_value": sides["parent"]["value"] == sides["change"]["value"]})
-        print(f"sobolev_inner T={half_width:g} h={spacing:g}: "
+        print(f"sobolev_half T={half_width:g} h={spacing:g}: "
               f"{pair_summary(stats)}, call peak "
               f"{sides['parent']['call_peak_arrays']:.2f} -> "
               f"{sides['change']['call_peak_arrays']:.2f} arrays", flush=True)
