@@ -12,7 +12,7 @@ Layers: this module imports ``config``, ``ensembles``, ``report``, ``slh``
 and ``phases``, which every subcommand or the config needs. It holds the
 Fock and grid layers in ``sys.modules`` as lazy modules (``_lazy``) and
 calls them through their attributes (``fock.fock_battery``,
-``punctured_line.sobolev_half``, ...), so a process executes only its
+``punctured_line.reproducing_defects``, ...), so a process executes only its
 subcommand's layer: ``fock`` runs no grid code, ``defect`` no Fock code,
 and ``slh``, ``phase`` and ``scatter`` neither. A tool that wraps functions
 found in ``sys.modules`` finds both layers there; its first read of one
@@ -156,107 +156,48 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     spec = punctured_line.GridSpec(config.grid.half_width, config.grid.spacing)
     rng = np.random.default_rng(seed)
     # A group draws its bumps first (a bump draws its parameters when it is
-    # made, not when it is evaluated), then checks the left half-line and
-    # then the right, all its draws in one pass over halves read chunk by
-    # chunk: the half-line's defect vector in closed form, each draw
-    # evaluated on the chunk's nodes.
-    # Between the halves it keeps per-half scalars, joined in the order of
-    # the two-sided formulas, so no group holds a node array.
-    _defect_vector_checks(spec, report)
-    _reproducing_checks(spec, rng, report)
-    _decomposition_checks(spec, rng, report)
-    _eigenrelation_checks(spec, report)
-    _jump_splitting_check(rng, report)
-    _symmetry_checks(spec, rng, report)
-    _extension_check(report)
+    # made, not when it is evaluated), each function a (left, right) pair
+    # of sources read chunk by chunk; the grid layer's group function then
+    # checks both half-lines and returns the values this names.
+    def bumps():
+        # a bump on each half-line, the left one drawn first
+        return punctured_line.sample(spec, random_bump(rng, "left"),
+                                     random_bump(rng, "right"))
 
-
-# Each defect vector's record name and the half-line it lives on: phi_+
-# on the right, phi_- on the left, each zero on the other, trace included.
-DEFECT_SIDES = (("plus", False), ("minus", True))
-
-
-def _defect_vector_checks(spec: punctured_line.GridSpec, report: Report) -> None:
-    phi = {left: punctured_line.defect_half(spec, left)
-           for left in punctured_line.SIDES}
-    for name, left in DEFECT_SIDES:
-        jump = punctured_line.Traces.one_sided(left, phi[left].limit).jump
-        report.add(f"jump_on_defect_{name}", abs(jump - (-1j)),
-                   TOLERANCES["jump_on_defect"])
-    for name, left in DEFECT_SIDES:
-        norm = punctured_line.norm_from_inner(
-            sum(punctured_line.sobolev_half(spec, left, phi[left], phi[left])))
-        report.add(f"defect_norm_{name}", abs(norm - 1.0),
-                   TOLERANCES["defect_norm"])
+    for check, values in punctured_line.defect_vector_defects(spec).items():
+        for name, value in values.items():
+            report.add(f"{check}_{name}", value, TOLERANCES[check])
     # <phi_+|phi_->_S: the supports are disjoint, so no half-line holds
     # both and the pairing is 0 by construction. Kept for the report.
     report.add("defect_overlap", 0.0, TOLERANCES["defect_overlap"])
 
-
-def _reproducing_checks(spec: punctured_line.GridSpec,
-                        rng: np.random.Generator, report: Report) -> None:
     # psi_r is a bump on the right half-line, paired with phi_+, and psi_l
-    # one on the left, paired with phi_-.
-    draws = [(random_bump(rng, "right"), random_bump(rng, "left"))
-             for _ in range(10)]
-    worst = {}
-    for left in punctured_line.SIDES:
-        phi = punctured_line.defect_half(spec, left)
-        psis = [punctured_line.sample_half(spec, left,
-                                           bump_l if left else bump_r)
-                for bump_r, bump_l in draws]
-        worst[left] = max([0.0] + [
-            punctured_line.reproducing_residual(left, terms, psi.limit)
-            for terms, psi in zip(punctured_line.reproducing_half(
-                spec, left, phi, psis), psis)])
-    for name, left in DEFECT_SIDES:
-        report.add(f"reproducing_{name}", worst[left],
+    # one on the left, paired with phi_-, drawn in that order.
+    draws = ((random_bump(rng, "right"), random_bump(rng, "left"))
+             for _ in range(10))
+    for name, values in punctured_line.reproducing_defects(spec, [
+            punctured_line.sample(spec, psi_l, psi_r)
+            for psi_r, psi_l in draws]).items():
+        report.add(f"reproducing_{name}", max([0.0] + values),
                    TOLERANCES["reproducing"])
 
+    for key, values in punctured_line.decomposition_defects(
+            spec, [bumps() for _ in range(10)]).items():
+        name = f"decomposition_{key}"
+        report.add(name, max([0.0] + values), TOLERANCES[name])
 
-def _decomposition_checks(spec: punctured_line.GridSpec,
-                          rng: np.random.Generator, report: Report) -> None:
-    # (left, right) bumps of each f, and its (c_plus, c_minus) from them
-    draws = [(random_bump(rng, "left"), random_bump(rng, "right"))
-             for _ in range(10)]
-    coefficients = [punctured_line.defect_coefficients(
-                        *map(punctured_line.trace_at_origin, bumps))
-                    for bumps in draws]
+    for name, values in punctured_line.eigenrelation_defects(spec).items():
+        for key, value in values.items():
+            report.add(f"eigenrelation_{name}_{key}", value,
+                       TOLERANCES[f"eigenrelation_{key}"])
 
-    def half(left):
-        # psi0 = f - c_minus phi_- on the left half-line, f - c_plus phi_+
-        # on the right
-        phi = punctured_line.defect_half(spec, left)
-        return punctured_line.decomposition_half(spec, left, [
-            (punctured_line.sample_half(spec, left,
-                                        bump_l if left else bump_r),
-             c_minus if left else c_plus)
-            for (bump_l, bump_r), (c_plus, c_minus) in zip(draws,
-                                                           coefficients)], phi)
+    _jump_splitting_check(rng, report)
 
-    worst = {}
-    for left, right in zip(*map(half, punctured_line.SIDES)):
-        for key, value in punctured_line.decomposition_values(
-                left, right).items():
-            name = f"decomposition_{key}"
-            worst[name] = max(worst.get(name, 0.0), value)
-    for name, value in worst.items():
+    for name, value in punctured_line.symmetry_defects(spec, bumps(), bumps(),
+                                                        0.3).items():
         report.add(name, value, TOLERANCES[name])
 
-
-def _eigenrelation_checks(spec: punctured_line.GridSpec,
-                          report: Report) -> None:
-    defects = {}
-    for left in punctured_line.SIDES:
-        phi = punctured_line.defect_half(spec, left)
-        defects[left] = punctured_line.eigenrelation_values(
-            punctured_line.Traces.one_sided(left, phi.limit),
-            punctured_line.eigenrelation_half(spec, left, phi,
-                                              -1.0 if left else 1.0))
-    for name, left in DEFECT_SIDES:
-        for key in ("coefficient", "regular"):
-            report.add(f"eigenrelation_{name}_{key}", defects[left][key],
-                       TOLERANCES[f"eigenrelation_{key}"])
+    _extension_check(report)
 
 
 def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
@@ -271,27 +212,6 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
                 fp, fm, gp, gm, sigma))
     report.add("jump_splitting_identity", worst,
                TOLERANCES["jump_splitting_identity"])
-
-
-def _symmetry_checks(spec: punctured_line.GridSpec, rng: np.random.Generator,
-                     report: Report) -> None:
-    f_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
-    g_bumps = (random_bump(rng, "left"), random_bump(rng, "right"))
-
-    def half(left):
-        f, g = (punctured_line.sample_half(spec, left,
-                                           bumps[0] if left else bumps[1])
-                for bumps in (f_bumps, g_bumps))
-        return (punctured_line.symmetry_half(spec, left, f, g),
-                (f.limit, g.limit))
-
-    (left_terms, left_traces), (right_terms, right_traces) = map(
-        half, punctured_line.SIDES)
-    f, g = (punctured_line.Traces(*limits)
-            for limits in zip(left_traces, right_traces))
-    for name, value in punctured_line.symmetry_values(
-            left_terms, right_terms, f, g, 0.3).items():
-        report.add(name, value, TOLERANCES[name])
 
 
 def _extension_check(report: Report) -> None:

@@ -1,7 +1,7 @@
 """Seeded random ensembles used by property sweeps and the CLI.
 
-A grid draw (``random_bump``) imports ``punctured_line`` when it is called,
-so drawing a coupling loads no grid code."""
+The grid draw (``random_bump``) is a plain callable on nodes, so this
+module imports no grid code."""
 
 from __future__ import annotations
 
@@ -51,32 +51,23 @@ def random_bump(rng: np.random.Generator, side: str):
     """Gaussian bump amp * exp(-width (t - center)^2) centred on the "left"
     or "right" half-line; its value at 0 is a random boundary trace.
 
-    The closure ``bump(t)`` returns its values on the nodes ``t``. It
-    works ``NODE_CHUNK + 2`` nodes at a time, the window a pairing pass
-    reads, in one step-size float scratch, and every node takes the same
-    steps whatever its step, so a draw evaluated on any run of nodes gives
-    the whole draw's values there."""
-    from .punctured_line import NODE_CHUNK
-
+    The closure ``bump(t)`` returns its values on the nodes ``t``, formed
+    in one float temporary. Every step is elementwise, so a draw evaluated
+    on any run of nodes (a pass reads one window of at most
+    ``punctured_line.NODE_CHUNK + 2`` nodes at a time) gives the whole
+    draw's values there."""
     amp = complex(rng.uniform(0.3, 1.5), rng.uniform(-1.0, 1.0))
     width = rng.uniform(0.5, 2.0)
     center = rng.uniform(0.7, 2.2) * (1.0 if side == "right" else -1.0)
 
     def bump(t):
-        out = np.empty(t.shape, dtype=complex)
-        step = NODE_CHUNK + 2
-        scratch = np.empty(min(step, t.size))
-        for start in range(0, t.size, step):
-            stop = min(start + step, t.size)
-            x = scratch[:stop - start]
-            np.subtract(t[start:stop], center, out=x)
-            np.square(x, out=x)
-            x *= -width
-            # exp is several times slower where its result underflows; there
-            # it is +0, so those nodes keep their argument, below -750, and
-            # are then set to +0 with every exp result, itself >= +0, kept.
-            np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
-            np.maximum(x, 0.0, out=x)
-            np.multiply(amp, x, out=out[start:stop])
-        return out
+        x = np.subtract(t, center)
+        np.square(x, out=x)
+        x *= -width
+        # exp is several times slower where its result underflows; there it
+        # is +0, so those nodes keep their argument, below -750, and are
+        # then set to +0 with every exp result, itself >= +0, kept.
+        np.exp(x, out=x, where=x >= EXP_ZERO_BELOW)
+        np.maximum(x, 0.0, out=x)
+        return np.multiply(amp, x)
     return bump

@@ -541,7 +541,7 @@ def number_spectrum_defect(ops: ModeOperators) -> float:
 
 
 def action_residuals(res: SLHResult, ops: ModeOperators, rows: np.ndarray,
-                     vectors, tol: float = 1e-8, *, scale: float) -> List[float]:
+                     vectors, tol: float, *, scale: float) -> List[float]:
     """Singular-action residuals of the coupling ``res.coupling`` for a batch
     of domain vectors, applied matrix-free to the whole batch at once.
 

@@ -23,21 +23,27 @@ The boundary phases and the mollified scattering need no grid; they live in
 Half-lines
 
 The two half-lines meet only through the traces, so every check is built
-from one-half-line pieces (a ``Half``: node values and the trace at 0 on
-that side). The per-half functions (``sobolev_half``, ``reproducing_half``,
-``decomposition_half``, ``symmetry_half``, ``eigenrelation_half``) return
-scalars, which ``sobolev_total`` and the ``..._values``/``..._residual``
-functions join in the order of the two-sided formula, (L2_- + L2_+) +
-(D_- + D_+). The CLI defect suite runs them on halves read from a source:
-the defect vector of each half-line in closed form (``defect_half``) and
-each draw evaluated on the nodes asked for (``sample_half``). phi_- is
-zero on the right half-line and phi_+ on the left, traces included, so a
-half-line pairs only its own: the other's pairings are signed zeros.
+from one-half-line passes (a ``Half``: node values and the trace at 0 on
+that side). The per-half functions (``reproducing_half``, of which
+``sobolev_half`` is the one-psi case, ``decomposition_half``,
+``symmetry_half`` and ``eigenrelation_half``) return scalars. One
+two-sided function per check group (``defect_vector_defects``,
+``reproducing_defects``, ``decomposition_defects``,
+``eigenrelation_defects`` and ``symmetry_defects``, and ``sobolev`` for the
+pairing alone) takes its functions as (left, right) pairs of halves, runs
+the passes of both half-lines and joins their scalars in the order of the
+two-sided formula, (L2_- + L2_+) + (D_- + D_+). It returns plain values,
+per draw or per defect vector; the CLI defect suite names them. A half is
+stored values or a source read on the nodes asked for: the defect vector
+of a half-line in closed form (``defect_half``), or a callable
+(``sample_half``; ``sample`` makes a pair). phi_- is zero on the right
+half-line and phi_+ on the left, traces included, so a half-line pairs
+only its own (``DEFECT_SIDES``).
 
 Three two-sided functions of a GridFunction remain, ``sobolev_inner``,
 ``derivative`` and ``decompose_sobolev``, only because the benchmark's
 tracer wraps them by name and reads a GridFunction's arrays
-(ROADMAP item 7 retargets those spans to the half-line core).
+(ROADMAP item 9 retargets those spans to the half-line core).
 
 Chunks
 
@@ -45,14 +51,15 @@ A per-half function makes one pass over the half-line in chunks of
 ``NODE_CHUNK`` nodes (``node_chunks``). On a chunk it reads each half once
 on the chunk's nodes and one neighbour on each side, forms each derivative
 there once, and adds each pairing's ``np.vdot`` to that pairing's sum
-(``_Trapezoids``). A pairing is the trapezoid rule h (S - p(end)/2 +
-p(0)/2): S the chunk sums added in node order, p(end) the product at -T
-or T and p(0) that of the traces. That is the panel sum of the two-sided
-formula up to rounding, within gamma_n sum |conj(f) g| (Higham, Accuracy
-and Stability of Numerical Algorithms, 4.2); no product or panel array is
-formed. Node maxima (reconstruction and eigenrelation residuals) are
-reduced on the same chunks, each node rounded as on the whole array. A
-pass forms no n-node array.
+(``_Trapezoids``, which takes and checks the derivative trace of each
+differentiated half once per pass). A pairing is the trapezoid rule
+h (S - p(end)/2 + p(0)/2): S the chunk sums added in node order, p(end)
+the product at -T or T and p(0) that of the traces. That is the panel sum
+of the two-sided formula up to rounding, within gamma_n sum |conj(f) g|
+(Higham, Accuracy and Stability of Numerical Algorithms, 4.2); no product
+or panel array is formed. Node maxima (reconstruction and eigenrelation
+residuals) are reduced on the same chunks, each node rounded as on the
+whole array. A pass forms no n-node array.
 
 Storage
 
@@ -367,7 +374,7 @@ def derivative(f: GridFunction) -> GridFunction:
 
     Formed afresh on every call; the pairings form it chunk by chunk
     instead. Kept as a traced entry point of the benchmark (ROADMAP item
-    7).
+    9).
     """
     dl, dr = (_derivative_half(f.spec, left, f.half(left)) for left in SIDES)
     return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
@@ -432,25 +439,24 @@ class _Trapezoids:
     ``np.vdot`` over the chunks, p(end) the product at -T or T and p(0)
     that of the traces.
 
-    Each differentiated factor is checked by ``_derivative_trace`` first,
-    pairing by pairing; when a check fails, ``_refuse`` is called on every
-    earlier pairing, in order, before the failure is raised. A non-finite
-    pairing is passed to ``_refuse`` when ``values`` is read.
+    Each differentiated half is checked by ``_derivative_trace`` once, for
+    all the pairings it is a factor of. A non-finite pairing is passed to
+    ``_refuse`` when ``values`` is read.
     """
 
     def __init__(self, spec: GridSpec, left: bool, pairs: list):
         self.spec, self.left, self.pairs = spec, left, pairs
         self.end = 0 if left else spec.n_nodes - 1
-        self.boundaries = []
-        for f, g, diff_f, diff_g in pairs:
-            try:
-                fb = _derivative_trace(spec, left, f) if diff_f else f.limit
-                gb = _derivative_trace(spec, left, g) if diff_g else g.limit
-            except SpecMismatch:
-                for earlier in pairs[:len(self.boundaries)]:
-                    _refuse(spec, left, earlier)
-                raise
-            self.boundaries.append(np.conj(fb) * gb)
+        traces = {}
+
+        def trace(u: Half, diff: bool) -> complex:
+            if not diff:
+                return u.limit
+            if id(u) not in traces:
+                traces[id(u)] = _derivative_trace(spec, left, u)
+            return traces[id(u)]
+        self.boundaries = [np.conj(trace(f, diff_f)) * trace(g, diff_g)
+                           for f, g, diff_f, diff_g in pairs]
         self.sums = [0j] * len(pairs)
         self.ends = [0j] * len(pairs)
 
@@ -491,16 +497,27 @@ def _sobolev_pairs(f: Half, g: Half) -> list:
     return [(f, g, diff, diff) for diff in (False, True)]
 
 
+def reproducing_half(spec: GridSpec, left: bool, phi: Half,
+                     psis: list) -> list:
+    """This half-line's terms (L2, D) of <phi|psi>_S for each psi in
+    ``psis``, all in one pass that reads phi once, and a psi that is phi
+    not again."""
+    rule = _Trapezoids(spec, left, [pair for psi in psis
+                                    for pair in _sobolev_pairs(phi, psi)])
+    for chunk in _chunks(spec):
+        u = chunk.factor(phi)
+        for k, psi in enumerate(psis):
+            rule.sobolev(2 * k, chunk, u, u if psi.values is phi.values
+                         else chunk.factor(psi))
+        del u
+    values = rule.values()
+    return list(zip(values[::2], values[1::2]))
+
+
 def sobolev_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
     """One half-line's terms (L2, D) of the Sobolev pairing <f|g>_S: the L2
     pairing and the derivative pairing."""
-    rule = _Trapezoids(spec, left, _sobolev_pairs(f, g))
-    for chunk in _chunks(spec):
-        u = chunk.factor(f)
-        rule.sobolev(0, chunk, u,
-                     u if g.values is f.values else chunk.factor(g))
-        del u
-    return tuple(rule.values())
+    return reproducing_half(spec, left, f, [g])[0]
 
 
 def sobolev_total(left: tuple, right: tuple) -> complex:
@@ -509,14 +526,25 @@ def sobolev_total(left: tuple, right: tuple) -> complex:
     return (left[0] + right[0]) + (left[1] + right[1])
 
 
+def sample(spec: GridSpec, left_fn: Callable[..., np.ndarray],
+           right_fn: Callable[..., np.ndarray]) -> tuple:
+    """A function given by a callable on each half-line as its (left,
+    right) pair of ``sample_half`` sources."""
+    return sample_half(spec, True, left_fn), sample_half(spec, False, right_fn)
+
+
+def sobolev(spec: GridSpec, f: tuple, g: tuple) -> complex:
+    """<f|g>_S of two functions given as (left, right) halves."""
+    return sobolev_total(*(sobolev_half(spec, left, u, v)
+                           for left, u, v in zip(SIDES, f, g)))
+
+
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
-    """Sobolev pairing int (conj(f) g + conj(f') g'), ``sobolev_half`` on
-    both halves, with no derivative formed whole. Kept as a traced entry
-    point of the benchmark (ROADMAP item 7)."""
+    """Sobolev pairing int (conj(f) g + conj(f') g'), ``sobolev`` on the
+    halves of f and g, with no derivative formed whole. Kept as a traced
+    entry point of the benchmark (ROADMAP item 9)."""
     require_same_spec(f, g)
-    return sobolev_total(*(sobolev_half(f.spec, left, f.half(left),
-                                        g.half(left))
-                           for left in SIDES))
+    return sobolev(f.spec, *([u.half(left) for left in SIDES] for u in (f, g)))
 
 
 def norm_from_inner(value: complex) -> float:
@@ -574,34 +602,6 @@ def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
     return tuple(rule.values())
 
 
-def symmetry_values(left: tuple, right: tuple, f: Traces, g: Traces,
-                    sigma: float) -> dict:
-    """Residuals of the symmetry of iD = i d/dt + i |singular><jump| on
-    (f, g), each O(h^2), from both half-lines' ``symmetry_half`` terms and
-    the ``Traces`` of f and g.
-
-    "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
-    boundary form of the regular derivative alone equals -i <f|J g>.
-    "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
-    the singular functional, and "id_symmetry_defect_damped" the same with
-    zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
-    each joined once from the halves.
-    """
-    f_ig = 1j * (left[0] + right[0])
-    g_if = 1j * (left[1] + right[1])
-
-    def id_defect(sig):
-        # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
-        # singular coefficient i jump against the conjugated functional
-        return abs((f_ig + 1j * g.jump * np.conj(zeta_eval(f, sig)))
-                   - np.conj(g_if + 1j * f.jump * np.conj(zeta_eval(g, sig))))
-
-    return {"boundary_form_vs_traces": abs(f_ig - np.conj(g_if)
-                                           + 1j * jay_form(f, g)),
-            "id_symmetry_defect": id_defect(None),
-            "id_symmetry_defect_damped": id_defect(sigma)}
-
-
 def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
                        sign: float) -> float:
     """The largest node value of |i phi' + sign i phi| on one half-line, or
@@ -620,15 +620,6 @@ def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
         worst = max(worst, float(np.abs(d).max()))
         del window, d
     return worst
-
-
-def eigenrelation_values(traces: Traces, regular: float) -> dict:
-    """Residuals of the eigenrelation iD phi = -sign i phi of a defect
-    vector (sign +1 for phi_+, -1 for phi_-): "coefficient" is
-    |i jump(phi) - 1|, the singular coefficient of iD phi against its value
-    1 (exact), from phi's ``traces``, and "regular" the
-    ``eigenrelation_half`` residual of the half-line phi lives on."""
-    return {"coefficient": abs(1j * traces.jump - 1.0), "regular": regular}
 
 
 @dataclass(frozen=True)
@@ -669,7 +660,7 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
 
     psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` of
     that half-line's ``defect_half`` read whole. Kept as a traced entry
-    point of the benchmark (ROADMAP item 7).
+    point of the benchmark (ROADMAP item 9).
     """
     n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
@@ -679,35 +670,6 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     psi0 = GridFunction(f.spec, _read(left.values, 0, n),
                         _read(right.values, 0, n), left.limit, right.limit)
     return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
-
-
-def reproducing_half(spec: GridSpec, left: bool, phi: Half,
-                     psis: list) -> list:
-    """This half-line's ``sobolev_half`` terms of <phi|psi>_S for each psi
-    in ``psis``, with phi its defect vector (``defect_half``), all in one
-    pass that reads phi once."""
-    rule = _Trapezoids(spec, left, [pair for psi in psis
-                                    for pair in _sobolev_pairs(phi, psi)])
-    for chunk in _chunks(spec):
-        u = chunk.factor(phi)
-        for k, psi in enumerate(psis):
-            rule.sobolev(2 * k, chunk, u, chunk.factor(psi))
-        del u
-    values = rule.values()
-    return list(zip(values[::2], values[1::2]))
-
-
-def reproducing_residual(left: bool, terms: tuple, trace: complex) -> float:
-    """|<-i phi_-|psi>_S - psi(0-)| on the left half-line or
-    |<i phi_+|psi>_S - psi(0+)| on the right, from that half's
-    ``reproducing_half`` terms of a psi that lives there and its trace.
-    psi is paired with phi_pm itself and the product rotated,
-    <i phi_+|psi>_S = -i <phi_+|psi>_S and <-i phi_-|psi>_S =
-    i <phi_-|psi>_S, so no scaled copy of phi_pm, or derivative of one, is
-    formed. A factor of +-i only swaps and negates components, so it
-    commutes exactly with the stencils and the rule's scalar steps; that it
-    commutes with ``np.vdot`` too is tested, bit for bit, not assumed."""
-    return abs((1j if left else -1j) * sum(terms) - trace)
 
 
 def decomposition_half(spec: GridSpec, left: bool, draws: list,
@@ -721,7 +683,9 @@ def decomposition_half(spec: GridSpec, left: bool, draws: list,
     psi0's half (``_psi0_half``) is checked, and formed on each chunk from
     f's and phi's windows, so psi0 is never held whole. The reconstruction
     residual, the largest node value of (psi0 + c phi) - f, is reduced from
-    that psi0 against f's values, so a wrong psi0 shows in it.
+    that psi0 against f's values, so a wrong psi0 shows in it. It forms
+    c phi again: reusing the product psi0 was formed from would cancel a
+    wrong product, so a wrong psi0 would pass.
     """
     psi0s = [_check_half(spec, left, *_psi0_half(f, c, phi))
              for f, c in draws]
@@ -765,6 +729,121 @@ def decomposition_values(left: tuple, right: tuple) -> dict:
                              abs(sum(minus)) / scale),
         "reconstruction": max(max(0.0, rec_l), rec_r),
     }
+
+
+# Each defect vector's name in the records and the half-line it lives on:
+# phi_+ on the right, phi_- on the left, each zero on the other, trace
+# included, so a half-line pairs only its own.
+DEFECT_SIDES = (("plus", False), ("minus", True))
+
+
+def defect_vector_defects(spec: GridSpec) -> dict:
+    """Residuals of the defect vectors, by check and then by vector:
+    "jump_on_defect" is |jump(phi) + i| (exact) and "defect_norm"
+    | ||phi||_S - 1 | (O(h^2)), from the half-line phi lives on."""
+    phi = {left: defect_half(spec, left) for left in SIDES}
+    return {
+        "jump_on_defect": {
+            name: abs(Traces.one_sided(left, phi[left].limit).jump - (-1j))
+            for name, left in DEFECT_SIDES},
+        "defect_norm": {
+            name: abs(norm_from_inner(sum(sobolev_half(
+                spec, left, phi[left], phi[left]))) - 1.0)
+            for name, left in DEFECT_SIDES},
+    }
+
+
+def reproducing_defects(spec: GridSpec, psis: list) -> dict:
+    """The reproducing residuals of each function in ``psis``, given as
+    (left, right) halves, by vector, one entry per psi (O(h^2)): "plus" is
+    |<i phi_+|psi>_S - psi(0+)|, from psi's right half, and "minus"
+    |<-i phi_-|psi>_S - psi(0-)|, from its left half. One
+    ``reproducing_half`` pass per half-line pairs its defect vector with
+    every psi's half there.
+
+    psi is paired with phi_pm itself and the product rotated,
+    <i phi_+|psi>_S = -i <phi_+|psi>_S and <-i phi_-|psi>_S =
+    i <phi_-|psi>_S, so no scaled copy of phi_pm, or derivative of one, is
+    formed. A factor of +-i only swaps and negates components, so it
+    commutes exactly with the stencils and the rule's scalar steps; that it
+    commutes with ``np.vdot`` too is tested, bit for bit, not assumed."""
+    defects = {}
+    for name, left in DEFECT_SIDES:
+        halves = [psi[SIDES.index(left)] for psi in psis]
+        defects[name] = [
+            abs((1j if left else -1j) * sum(terms) - psi.limit)
+            for terms, psi in zip(reproducing_half(
+                spec, left, defect_half(spec, left), halves), halves)]
+    return defects
+
+
+def decomposition_defects(spec: GridSpec, fs: list) -> dict:
+    """The ``decomposition_values`` of each function f in ``fs``, given as
+    (left, right) halves, by residual, one entry per f. c_pm come from f's
+    traces (``defect_coefficients``); each half-line makes one
+    ``decomposition_half`` pass of psi0 = f - c phi for every f, with its
+    defect vector and that vector's coefficient."""
+    coefficients = [defect_coefficients(f[0].limit, f[1].limit) for f in fs]
+    # psi0 = f - c_minus phi_- on the left half-line, f - c_plus phi_+ on
+    # the right
+    passes = (decomposition_half(spec, left, [
+        (f[SIDES.index(left)], c_minus if left else c_plus)
+        for f, (c_plus, c_minus) in zip(fs, coefficients)],
+        defect_half(spec, left)) for left in SIDES)
+    defects = {}
+    for halves in zip(*passes):
+        for key, value in decomposition_values(*halves).items():
+            defects.setdefault(key, []).append(value)
+    return defects
+
+
+def eigenrelation_defects(spec: GridSpec) -> dict:
+    """Residuals of the eigenrelation iD phi = -sign i phi of each defect
+    vector (sign +1 for phi_+, -1 for phi_-), by vector: "coefficient" is
+    |i jump(phi) - 1|, the singular coefficient of iD phi against its value
+    1 (exact), and "regular" the ``eigenrelation_half`` residual of the
+    half-line phi lives on."""
+    defects = {}
+    for name, left in DEFECT_SIDES:
+        phi = defect_half(spec, left)
+        defects[name] = {
+            "coefficient": abs(1j * Traces.one_sided(left, phi.limit).jump
+                               - 1.0),
+            "regular": eigenrelation_half(spec, left, phi,
+                                          -1.0 if left else 1.0)}
+    return defects
+
+
+def symmetry_defects(spec: GridSpec, f: tuple, g: tuple,
+                     sigma: float) -> dict:
+    """Residuals of the symmetry of iD = i d/dt + i |singular><jump| on
+    (f, g), functions given as (left, right) halves, each O(h^2), from both
+    half-lines' ``symmetry_half`` terms and the traces of f and g.
+
+    "boundary_form_vs_traces" is |<f|i g'> - <i f'|g> + i <f|J g>|: the
+    boundary form of the regular derivative alone equals -i <f|J g>.
+    "id_symmetry_defect" is |<f|iD g> - <iD f|g>| with the symmetric delta as
+    the singular functional, and "id_symmetry_defect_damped" the same with
+    zeta_sigma. The regular pairings <f|i g'> = i <f|g'> and <g|i f'> are
+    each joined once from the halves.
+    """
+    left, right = (symmetry_half(spec, side, u, v)
+                   for side, u, v in zip(SIDES, f, g))
+    # from here on, f and g stand for their traces
+    f, g = (Traces(u[0].limit, u[1].limit) for u in (f, g))
+    f_ig = 1j * (left[0] + right[0])
+    g_if = 1j * (left[1] + right[1])
+
+    def id_defect(sig):
+        # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
+        # singular coefficient i jump against the conjugated functional
+        return abs((f_ig + 1j * g.jump * np.conj(zeta_eval(f, sig)))
+                   - np.conj(g_if + 1j * f.jump * np.conj(zeta_eval(g, sig))))
+
+    return {"boundary_form_vs_traces": abs(f_ig - np.conj(g_if)
+                                           + 1j * jay_form(f, g)),
+            "id_symmetry_defect": id_defect(None),
+            "id_symmetry_defect_damped": id_defect(sigma)}
 
 
 def extension_domain_defect(e: float, sigma: float, psi_plus: complex) -> float:

@@ -1,9 +1,10 @@
 """Smoke test of the stage-bench row functions (no timing gate): rows of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
 guard refuses on construction and one it refuses at a level, one Sobolev
-row (``sobolev_half`` on sources) and one ``defect`` run on a T = 30,
-h = 3e-3 grid, the paired statistics of a Sobolev, a defect and a startup stage row (on
-stand-in measurements), and the bench's refusal to run without ``--out``."""
+row (``punctured_line.sobolev`` on sources) and one ``defect`` run on a
+T = 30, h = 3e-3 grid, the paired statistics of a Sobolev, a defect and a
+startup stage row (on stand-in measurements), and the bench's refusal to
+run without ``--out``."""
 
 import importlib.util
 from pathlib import Path

@@ -1,5 +1,6 @@
 """``tools/defect_peaks.py`` finds the check groups of ``cli.command_defect``
-by the names that function uses; a renamed or added group must show up. Its
+by the names that function uses, the grid layer's ``..._defects`` functions
+and ``cli``'s own ``_...`` ones; a renamed or added group must show up. Its
 end-to-end figure, the peak-RSS growth of one ``command_defect`` in a fresh
 child, must come back as a number."""
 
@@ -20,13 +21,14 @@ def load_tool():
 
 def test_tool_finds_every_check_group_in_call_order():
     assert load_tool().group_names() == [
-        "_defect_vector_checks", "_reproducing_checks", "_decomposition_checks",
-        "_eigenrelation_checks", "_jump_splitting_check", "_symmetry_checks",
-        "_extension_check"]
+        "defect_vector_defects", "reproducing_defects",
+        "decomposition_defects", "eigenrelation_defects",
+        "_jump_splitting_check", "symmetry_defects", "_extension_check"]
 
 
 def test_rss_growth_runs_one_command_in_a_fresh_child():
-    # The child's ru_maxrss starts at this process's peak, so only the
-    # type and the range are pinned, not the size of the growth.
+    # The child reads its own peak (VmHWM), not the ru_maxrss it inherits
+    # from this process; only the type and the range are pinned, not the
+    # size of the growth.
     growth = load_tool().rss_growth(30.0, 3e-3)
     assert isinstance(growth, float) and 0.0 <= growth < 64.0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from slhkit.cli import run_command
-from slhkit.config import config_from_dict
+from slhkit.config import Tolerances, config_from_dict
 from slhkit.ensembles import random_coupling, random_gauge, random_hermitian
 from slhkit import fock
 from slhkit.errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
@@ -60,6 +60,7 @@ def equivalence(e, ops):
 def action(e, ops, vectors, rows):
     """``action_residuals`` of ``vectors``, scaled by route B's sigma_max."""
     return action_residuals(slh_triple(e, ops.gauge), ops, rows, vectors,
+                            Tolerances().action,
                             scale=boundary_kernel(ops.space, rows).sigma_max)
 
 
@@ -100,11 +101,13 @@ def record_charges(monkeypatch):
     return charges
 
 
-# Prints the ru_maxrss growth, in bytes, of linalg.null_space on a random
+# Prints the peak-RSS growth, in bytes, of linalg.null_space on a random
 # complex block of the shape given on the command line, the block built as
-# a temporary of the call after a warm-up SVD and QR.
+# a temporary of the call after a warm-up SVD and QR. The peak is the
+# child's own VmHWM: its ru_maxrss starts at the peak of the process that
+# started it, which Linux carries across fork and exec.
 RSS_CHILD = """
-import resource, sys
+import sys
 import numpy as np
 from slhkit.linalg import null_space
 
@@ -114,7 +117,10 @@ def block(rows, cols):
     return out
 
 def peak():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) * 1024
 
 null_space(block(60, 40))
 null_space(block(40, 60))
@@ -191,8 +197,9 @@ class TestTruncatedSpace:
     def test_level_charge_bounds_null_space_rss(self, shape):
         # tall, square and wide blocks of 50-55 MB, each in a fresh child
         # with one BLAS thread after a warm-up SVD and QR: the growth of
-        # ru_maxrss over null_space on the block, built as a temporary of
-        # the call as boundary_kernel builds it, stays within the charge.
+        # the child's peak RSS over null_space on the block, built as a
+        # temporary of the call as boundary_kernel builds it, stays within
+        # the charge.
         # tracemalloc cannot see this: zgesdd's buffers are malloc'd
         # outside it.
         rows, cols = shape
@@ -610,6 +617,7 @@ class TestGaugedChecks:
             kernel = eq["kernel_b"]
             vecs = sample_domain_vectors(ops.space, kernel, 5, rng)
             assert max(action_residuals(slh_triple(e, gauge), ops, rows, vecs,
+                                        Tolerances().action,
                                         scale=kernel.sigma_max)) <= 1e-8
 
     def test_kernel_vectors_satisfy_both_conditions(self, dense_fock):

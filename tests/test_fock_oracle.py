@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from slhkit.config import Tolerances
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.fock import (
     _compose,
@@ -105,6 +106,7 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
         assert max_angle(guarded, oracle_guarded) <= 1e-9
         vectors = sample_domain_vectors(ops.space, sub_b, 5, rng)
         assert max(action_residuals(res, ops, rows_b, vectors,
+                                    Tolerances().action,
                                     scale=sub_b.sigma_max)) <= 1e-8
         phi = np.array(vectors).T
         phi[~dense.guard_mask()] = 0.0

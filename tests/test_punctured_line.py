@@ -21,24 +21,21 @@ from slhkit.punctured_line import (
     Half,
     Traces,
     decompose_sobolev,
-    decomposition_half,
-    decomposition_values,
+    decomposition_defects,
     defect_coefficients,
     defect_half,
     derivative,
-    eigenrelation_half,
-    eigenrelation_values,
+    eigenrelation_defects,
     extension_domain_defect,
     jump_splitting_defect,
     norm_from_inner,
+    reproducing_defects,
     reproducing_half,
-    reproducing_residual,
     sample_half,
+    sobolev,
     sobolev_half,
     sobolev_inner,
-    sobolev_total,
-    symmetry_half,
-    symmetry_values,
+    symmetry_defects,
     trace_at_origin,
     zeta_eval,
 )
@@ -65,10 +62,10 @@ def defect_suite_peak(half_width, spacing):
         tracemalloc.stop()
 
 
-# Values from the half-line core, each half-line by the same per-half
-# function the CLI defect suite calls. A function is a pair of Halves, the
-# left one first; a defect vector, or a function that lives on one
-# half-line, is the Half of that half-line.
+# Values from the half-line core, by the same two-sided group functions
+# the CLI defect suite calls. A function is a pair of Halves, the left one
+# first; a defect vector, or a function that lives on one half-line, is the
+# Half of that half-line.
 
 def zero_side(spec):
     """An identically zero half: an ordinary array, and the trace 0."""
@@ -92,42 +89,9 @@ def traces(f):
     return Traces(f[0].limit, f[1].limit)
 
 
-def sobolev(spec, f, g):
-    return sobolev_total(*(sobolev_half(spec, side, u, v)
-                           for side, u, v in zip(SIDES, f, g)))
-
-
 def one_sided_sobolev(spec, left, f, g):
     """<f|g>_S of halves of functions that vanish off that half-line."""
     return sum(sobolev_half(spec, left, f, g))
-
-
-def reproducing(spec, psi_r, psi_l):
-    """|<i phi_+|psi_r>_S - psi_r(0+)| and |<-i phi_-|psi_l>_S - psi_l(0-)|,
-    psi_r a right half and psi_l a left one."""
-    return tuple(reproducing_residual(left, reproducing_half(
-        spec, left, defect_half(spec, left), [psi])[0], psi.limit)
-        for left, psi in ((False, psi_r), (True, psi_l)))
-
-
-def decomposition(spec, f):
-    c_plus, c_minus = defect_coefficients(f[0].limit, f[1].limit)
-    return decomposition_values(*(
-        decomposition_half(spec, side, [(u, c)], defect_half(spec, side))[0]
-        for side, u, c in zip(SIDES, f, (c_minus, c_plus))))
-
-
-def eigenrelation(spec, left, sign):
-    """The residuals of the defect vector of one half-line."""
-    phi = defect_half(spec, left)
-    return eigenrelation_values(Traces.one_sided(left, phi.limit),
-                                eigenrelation_half(spec, left, phi, sign))
-
-
-def symmetry(spec, f, g, sigma):
-    return symmetry_values(*(symmetry_half(spec, side, u, v)
-                             for side, u, v in zip(SIDES, f, g)),
-                           traces(f), traces(g), sigma)
 
 
 def grid_function(spec, f: TwoSided):
@@ -358,6 +322,28 @@ class TestGrid:
                 assert 0.0 < bound[name] <= 1e-10, name
                 assert abs(got[name] - value) <= bound[name], name
 
+    def test_defect_suite_traces_each_half_once(self, monkeypatch):
+        # A pass takes the derivative trace of each differentiated half
+        # once, however many pairings it is a factor of. On each half-line:
+        # phi for its norm, phi and the ten reproducing draws, phi and the
+        # ten psi0 of the decomposition, phi for the eigenrelation, and f
+        # and g for the symmetry: 26, 52 in all.
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": 30.0, "h": 3e-3}})
+        calls = []
+        original = punctured_line._derivative_trace
+
+        def spy(spec, left, half, finite=True):
+            calls.append((left, half))  # keeps each half, and its id, alive
+            return original(spec, left, half, finite)
+        monkeypatch.setattr(punctured_line, "_derivative_trace", spy)
+        command_defect(config, 5, 0, Report("defect", ""))
+        traced = {(left, id(half)) for left, half in calls}
+        assert len(calls) == len(traced) == 52
+        assert sum(left for left, _ in traced) == 26
+
     def test_decomposition_pairings_match_the_oracle_draw_by_draw(
             self, monkeypatch):
         # decomposition_orthogonality is the largest of |<phi_+|psi0>_S|
@@ -500,12 +486,12 @@ class TestSobolevInner:
         psi_r = sample_half(SPEC, False, gaussian(1.0, 1.0, 1.0))
         psi_l = sample_half(SPEC, True, gaussian(0.8, 1.2, -0.9))
         assert psi_r.limit == np.exp(-1.0)
-        plus, minus = reproducing(SPEC, psi_r, psi_l)
-        assert plus <= 1e-5 and minus <= 1e-5
+        defects = reproducing_defects(SPEC, [(psi_l, psi_r)])
+        assert defects["plus"][0] <= 1e-5 and defects["minus"][0] <= 1e-5
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), SPEC])
     def test_rotated_pairing_is_bit_exact(self, spec):
-        # reproducing_residual pairs with phi_pm and rotates by -+i instead
+        # reproducing_defects pairs with phi_pm and rotates by -+i instead
         # of pairing with i phi_+ and -i phi_-. A factor of +-i only swaps
         # and negates components, and the rotated core pairing, on the
         # half-line phi_pm lives on, equals the core pairing of the scaled
@@ -615,9 +601,8 @@ class TestRandomBump:
     @pytest.mark.parametrize("n", [10, 2049, 2050, 2051, 4095, 4096, 4097,
                                    12295])
     def test_chunked_bump_matches_one_temporary_expression(self, n):
-        # NODE_CHUNK + 2 = 2050 nodes per step: one short step, one exact
-        # step, a one-node last step, two steps with a partial one, and
-        # six steps with a partial one.
+        # Sizes about the window of NODE_CHUNK + 2 = 2050 nodes a pass
+        # reads: shorter, equal, one node over, about two and about six.
         assert NODE_CHUNK + 2 == 2050
         for side, t in (("right", np.linspace(1e-3, 60.0, n)),
                         ("left", np.linspace(-60.0, -1e-3, n))):
@@ -667,8 +652,7 @@ class TestApplyiD:
         assert np.abs(1j * derivative(f).right - exact).max() <= 1e-5
 
     def test_eigenrelation_on_defect_vectors(self):
-        for left, sign in ((False, 1.0), (True, -1.0)):
-            defects = eigenrelation(SPEC, left, sign)
+        for defects in eigenrelation_defects(SPEC).values():
             assert defects["coefficient"] == 0.0
             assert defects["regular"] <= 1e-5
 
@@ -676,12 +660,10 @@ class TestApplyiD:
     def test_eigenrelation_defects_equal_the_grid_function_expression(self, spec):
         # the leaf-by-leaf reduction rounds every node as the whole-array
         # expression i phi' + (sign i) phi on the oracle
-        for left, want, sign in zip(
-                (False, True),
-                TwoSided.defect_pair(spec.half_width, spec.spacing),
-                (1.0, -1.0)):
-            assert eigenrelation(spec, left, sign) == oracle_eigenrelation(
-                want, sign)
+        pp, pm = TwoSided.defect_pair(spec.half_width, spec.spacing)
+        assert eigenrelation_defects(spec) == {
+            "plus": oracle_eigenrelation(pp, 1.0),
+            "minus": oracle_eigenrelation(pm, -1.0)}
 
     def test_symmetry_defect_second_order(self):
         fl, fr = gaussian(0.4 - 0.3j, 0.7, -1.1), gaussian(1.2 + 0.5j, 1.3, 0.8)
@@ -689,9 +671,9 @@ class TestApplyiD:
         defects = {}
         for h in (1e-3, 5e-4):
             spec = GridSpec(40.0, h)
-            defects[h] = symmetry(spec, halves(spec, fl, fr),
-                                  halves(spec, gl, gr),
-                                  0.3)["id_symmetry_defect"]
+            defects[h] = symmetry_defects(spec, halves(spec, fl, fr),
+                                          halves(spec, gl, gr),
+                                          0.3)["id_symmetry_defect"]
         ratio = defects[1e-3] / defects[5e-4]
         assert 3.5 <= ratio <= 4.5
 
@@ -700,7 +682,7 @@ class TestApplyiD:
         f = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
         g = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
         for sigma in (0.0, 0.3, -1.0):
-            defects = symmetry(SPEC, f, g, sigma)
+            defects = symmetry_defects(SPEC, f, g, sigma)
             assert defects["id_symmetry_defect_damped"] <= 1e-4
 
     def test_symmetry_defects_match_separate_pairings(self):
@@ -711,7 +693,7 @@ class TestApplyiD:
                for _ in range(2)]
         f, g = (halves(SPEC, *pair) for pair in fns)
         of, og = (TwoSided.sample(40.0, 1e-3, *pair) for pair in fns)
-        got, tol = symmetry(SPEC, f, g, 0.3), symmetry_bound(of, og)
+        got, tol = symmetry_defects(SPEC, f, g, 0.3), symmetry_bound(of, og)
         for name, want in oracle_symmetry(of, og, 0.3).items():
             assert abs(got[name] - want) <= tol, name
 
@@ -720,7 +702,8 @@ class TestApplyiD:
         for _ in range(5):
             f = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
             g = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
-            assert symmetry(SPEC, f, g, 0.3)["boundary_form_vs_traces"] <= 1e-4
+            defects = symmetry_defects(SPEC, f, g, 0.3)
+            assert defects["boundary_form_vs_traces"] <= 1e-4
 
 
 class TestJumpSplitting:
@@ -794,11 +777,12 @@ class TestDecomposition:
                   GridFunction(spec, np.zeros(spec.n_nodes, dtype=complex),
                                right(spec.nodes(False)), 0j,
                                trace_at_origin(right))):
-            got = decomposition(spec, [f.half(side) for side in SIDES])
+            got = decomposition_defects(spec, [[f.half(side)
+                                                for side in SIDES]])
             want = oracle_decomposition(TwoSided.of(f), *pair)
             for key in ("boundary_zero", "reconstruction"):
-                assert got[key] == want[key], key
-            assert (abs(got["orthogonality"] - want["orthogonality"])
+                assert got[key] == [want[key]], key
+            assert (abs(got["orthogonality"][0] - want["orthogonality"])
                     <= orthogonality_bound(TwoSided.of(f), *pair))
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
@@ -846,12 +830,12 @@ class TestDecomposition:
             fresh = decompose_sobolev(f)
             diff = (TwoSided.of(fresh.psi0) + fresh.c_plus * opp
                     + fresh.c_minus * opm - TwoSided.of(f))
-            defects = decomposition(spec, sources)
-            assert defects == decomposition(spec, [f.half(side)
-                                                   for side in SIDES])
-            assert defects["reconstruction"] == max(
+            defects = decomposition_defects(spec, [sources])
+            assert defects == decomposition_defects(
+                spec, [[f.half(side) for side in SIDES]])
+            assert defects["reconstruction"] == [max(
                 float(np.abs(diff.left).max()),
-                float(np.abs(diff.right).max()))
+                float(np.abs(diff.right).max()))]
             c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
             for left, half, c, want in zip(SIDES, sources, (c_minus, c_plus),
                                            (fresh.psi0.left,
@@ -896,7 +880,7 @@ class TestDecomposition:
         f = bump_function(rng, spec)
         tracemalloc.start()
         try:
-            decomposition(spec, [f.half(side) for side in SIDES])
+            decomposition_defects(spec, [[f.half(side) for side in SIDES]])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1108,9 +1092,9 @@ class TestKernelOracles:
                          0.0, 0.0)
         message = "grid derivative at spacing h = 0.001 must vanish"
         for check in (derivative, lambda f: sobolev_inner(f, f),
-                      lambda f: symmetry(SPEC, *[[f.half(side)
-                                                   for side in SIDES]] * 2,
-                                         0.3)):
+                      lambda f: symmetry_defects(
+                          SPEC, *[[f.half(side) for side in SIDES]] * 2,
+                          0.3)):
             with pytest.raises(SpecMismatch, match=message):
                 check(f)
 
@@ -1126,6 +1110,19 @@ class TestKernelOracles:
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(SpecMismatch, match=message):
                 check(f)
+
+    def test_overflowing_products_give_a_non_finite_pairing(self):
+        # Finite values whose products overflow while the grid derivative
+        # stays finite (5e162 at h = 1e-3): the pairing is not finite, and
+        # the derivative, checked when the pairing is read, is not refused.
+        right = np.zeros(SPEC.n_nodes, dtype=complex)
+        right[10] = 1e160
+        f = GridFunction(SPEC, np.zeros(SPEC.n_nodes, dtype=complex), right,
+                         0.0, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = sobolev_inner(f, f)
+        assert not np.isfinite(value)
+        assert np.isfinite(derivative(f).right.view(np.float64)).all()
 
     def test_values_are_read_only_views(self):
         left = np.zeros(SPEC.n_nodes, dtype=complex)

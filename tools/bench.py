@@ -18,13 +18,13 @@ is one ``fock.boundary_kernel(space, rows)`` call on the coupling-form rows
 Each Sobolev row is one pairing <f|g>_S on the half-line core at T = 40
 with h = 1e-3 and 5e-4 (40k and 80k nodes per half-line): f and g are each
 two seeded ``ensembles.random_bump`` draws, the left one first, read as
-``punctured_line.sample_half`` sources, and the pairing is
-``sobolev_half`` on each half-line joined by ``sobolev_total``, the calls
-the ``defect`` suite makes.  No node array is stored: each call evaluates
-the bumps chunk by chunk.  The child times ``SOBOLEV_CALLS`` calls and
-reports the median; it then traces one more call with tracemalloc, whose
-peak is the row's ``call_peak_mb``, also given in two-sided complex arrays
-(32 bytes per node of a half-line).
+a ``punctured_line.sample`` pair of sources, and the pairing is
+``punctured_line.sobolev``: one Sobolev pass on each half-line, as the
+``defect`` suite's groups make them, joined by ``sobolev_total``.  No node
+array is stored: each call evaluates the bumps chunk by chunk.  The child
+times ``SOBOLEV_CALLS`` calls and reports the median; it then traces one
+more call with tracemalloc, whose peak is the row's ``call_peak_mb``, also
+given in two-sided complex arrays (32 bytes per node of a half-line).
 
 Each run row is one ``slhkit fock`` run, sweep 0, on the E_l0 = 0 coupling
 of (1,3,5) and (1,3,6) with sigma = 0.3.  Each defect row is one ``slhkit
@@ -189,20 +189,16 @@ def sobolev_row(half_width: float, spacing: float) -> dict:
     half-line core, for two random functions of the (T, h) grid."""
     import numpy as np
     from slhkit.ensembles import random_bump
-    from slhkit.punctured_line import (SIDES, GridSpec, sample_half,
-                                       sobolev_half, sobolev_total)
+    from slhkit.punctured_line import GridSpec, sample, sobolev
 
     spec = GridSpec(half_width, spacing)
     rng = np.random.default_rng(SEED)
     # f's and g's (left, right) bumps, each drawn left first
-    f, g = ((random_bump(rng, "left"), random_bump(rng, "right"))
+    f, g = (sample(spec, random_bump(rng, "left"), random_bump(rng, "right"))
             for _ in range(2))
-    halves = {left: [sample_half(spec, left, u[0] if left else u[1])
-                     for u in (f, g)] for left in SIDES}
 
     def pairing():
-        return sobolev_total(*(sobolev_half(spec, left, *halves[left])
-                               for left in SIDES))
+        return sobolev(spec, f, g)
 
     times = []
     for _ in range(SOBOLEV_CALLS):
@@ -457,7 +453,7 @@ def bench(parent: Path, stages=STAGES) -> dict:
             "speedup": sides["parent"]["median_s"] / sides["change"]["median_s"],
             "pairs": stats,
             "same_value": sides["parent"]["value"] == sides["change"]["value"]})
-        print(f"sobolev_half T={half_width:g} h={spacing:g}: "
+        print(f"sobolev T={half_width:g} h={spacing:g}: "
               f"{pair_summary(stats)}, call peak "
               f"{sides['parent']['call_peak_arrays']:.2f} -> "
               f"{sides['change']['call_peak_arrays']:.2f} arrays", flush=True)

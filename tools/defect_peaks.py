@@ -4,9 +4,10 @@ of ``slhkit defect``, and the peak-RSS growth of the whole command.
     PYTHONPATH=src python3 tools/defect_peaks.py
 
 Runs ``cli.command_defect`` in-process at each grid of ``SIZES``, with the
-check groups it calls (the module-level ``_...`` functions it names) wrapped
-so that each records the traced peak reached while it runs and the minor
-page faults (``ru_minflt``) the process took meanwhile. Memory still held
+check groups it calls (the grid layer's ``punctured_line..._defects``
+functions and ``cli``'s own ``_...`` functions that it names) wrapped so
+that each records the traced peak reached while it runs and the minor page
+faults (``ru_minflt``) the process took meanwhile. Memory still held
 from earlier groups counts. The peak is printed twice: in two-sided complex
 arrays, 32 bytes per node of a half-line, the unit of
 ``punctured_line.DEFECT_LIVE_ARRAYS``, and in KiB. The suite holds no node
@@ -19,11 +20,11 @@ by side with another tree's, not as those of a plain run.
 
 The last table is the end-to-end figure: for each grid, one
 ``command_defect`` in a fresh child process (one BLAS thread, no
-tracemalloc) and the growth of its ``ru_maxrss`` over the call, in MB,
-after numpy, slhkit and the config are loaded. Linux carries a process's
-peak RSS across fork and exec into the child's ``ru_maxrss``, so the
-children run first, before this process runs anything in-process; from a
-caller whose own peak is higher, the growth reads low or 0.
+tracemalloc) and the growth of its peak RSS over the call, in MB, after
+numpy, slhkit and the config are loaded. The peak is the child's own
+``VmHWM`` (``peak_rss_mb``), not ``ru_maxrss``, which Linux carries from
+the parent across fork and exec, so that a caller with a higher peak
+would read the growth low or 0.
 """
 
 from __future__ import annotations
@@ -52,9 +53,17 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def group_names():
-    """The check groups in the order ``command_defect`` calls them."""
+    """The check groups in the order ``command_defect`` calls them: the
+    grid layer's ``..._defects`` functions and ``cli``'s ``_...``
+    functions."""
     return [name for name in cli.command_defect.__code__.co_names
-            if name.startswith("_") and callable(getattr(cli, name, None))]
+            if name.endswith("_defects")
+            or name.startswith("_") and callable(getattr(cli, name, None))]
+
+
+def owner(name: str):
+    """The module that holds a check group: ``cli`` or the grid layer."""
+    return cli if name.startswith("_") else cli.punctured_line
 
 
 def minor_faults() -> int:
@@ -66,18 +75,23 @@ def grid_config(half_width: float, spacing: float):
                              "grid": {"T": half_width, "h": spacing}})
 
 
-def max_rss_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_rss_mb() -> float:
+    """This process's peak RSS so far, ``VmHWM`` in /proc/self/status."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmHWM line in /proc/self/status")
 
 
 def child_rss_growth(half_width: float, spacing: float) -> float:
-    """In this process: the ``ru_maxrss`` growth, in MB, over one
+    """In this process: the peak-RSS growth, in MB, over one
     ``command_defect`` call."""
     config = grid_config(half_width, spacing)
     np.random.default_rng(0)  # numpy.random imports lazily, once
-    before = max_rss_mb()
+    before = peak_rss_mb()
     cli.command_defect(config, 0, 0, Report("defect", ""))
-    return max_rss_mb() - before
+    return peak_rss_mb() - before
 
 
 def rss_growth(half_width: float, spacing: float) -> float:
@@ -102,14 +116,15 @@ def peaks(half_width: float, spacing: float) -> tuple:
         def run(*args):
             tracemalloc.reset_peak()
             before = minor_faults()
-            group(*args)
+            value = group(*args)
             faults[name] = minor_faults() - before
             result[name] = tracemalloc.get_traced_memory()[1]
+            return value
         return run
 
-    originals = {name: getattr(cli, name) for name in group_names()}
+    originals = {name: getattr(owner(name), name) for name in group_names()}
     for name, group in originals.items():
-        setattr(cli, name, measured(name, group))
+        setattr(owner(name), name, measured(name, group))
     tracemalloc.start()
     try:
         before = minor_faults()
@@ -119,7 +134,7 @@ def peaks(half_width: float, spacing: float) -> tuple:
     finally:
         tracemalloc.stop()
         for name, group in originals.items():
-            setattr(cli, name, group)
+            setattr(owner(name), name, group)
     result["command_defect"] = total
     return result, faults
 
@@ -129,19 +144,18 @@ def main(argv=None) -> int:
     if argv[:1] == ["--rss"]:
         print(json.dumps(child_rss_growth(*map(float, argv[1:3]))))
         return 0
-    growth = [rss_growth(*size) for size in SIZES]
     columns = []
-    for size, rss in zip(SIZES, growth):
+    for size in SIZES:
         peak, faults = peaks(*size)
         unit = 32 * GridSpec(*size).n_nodes
         columns.append(({k: v / unit for k, v in peak.items()},
                         {k: v / 1024 for k, v in peak.items()}, faults,
-                        {"command_defect": rss}))
+                        {"command_defect": rss_growth(*size)}))
     heads = [f"T={t:g},n={GridSpec(t, h).n_nodes}" for t, h in SIZES]
     for title, index, form in (("peak (two-sided arrays)", 0, ".4f"),
                                ("peak (KiB)", 1, ".1f"),
                                ("minor page faults", 2, "d"),
-                               ("ru_maxrss growth (MB, fresh child)", 3,
+                               ("peak-RSS growth (MB, fresh child)", 3,
                                 ".2f")):
         table = [column[index] for column in columns]
         width = max(len(name) for name in table[0])
