@@ -98,7 +98,7 @@ MIN_HALF_WIDTH = 30.0
 # argument they peak at 2.50 and 2.07 arrays at 20k and 40k nodes
 # (tests/test_punctured_line.py). The CLI defect suite holds no node array:
 # its tracemalloc peak is a few windows of a chunk of NODE_CHUNK nodes,
-# whatever n (tools/defect_peaks.py). Kept at 3, so the guard admits the
+# whatever n (test_defect_suite_peak_is_flat_in_n, bench.py). Kept at 3 for the
 # same grids.
 DEFECT_LIVE_ARRAYS = 3
 # The left half-line [-T, 0), then the right one (0, T]: the order of every

@@ -2,11 +2,14 @@
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
 guard refuses on construction and one it refuses at a level, one Sobolev
 row (``punctured_line.sobolev`` on sources) and one ``defect`` run on a
-T = 30, h = 3e-3 grid, the paired statistics of a Sobolev, a defect and a
-startup stage row (on stand-in measurements), and the bench's refusal to
-run without ``--out``."""
+T = 30, h = 3e-3 grid with its check groups, found by the names
+``cli.command_defect`` uses (a renamed or added group must show up), one
+child run through the hidden ``--child`` dispatch, the paired statistics of
+a Sobolev, a defect and a startup stage row (on stand-in measurements), and
+the bench's refusal to run without ``--out``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -68,15 +71,48 @@ def test_sobolev_row_records_call_peak_and_value():
     assert all(isinstance(float.fromhex(x), float) for x in result["value"])
 
 
+GROUPS = ["defect_vector_defects", "reproducing_defects",
+          "decomposition_defects", "eigenrelation_defects",
+          "_jump_splitting_check", "symmetry_defects", "_extension_check"]
+
+
+def test_tool_finds_every_check_group_in_call_order():
+    assert load_bench().defect_groups() == GROUPS
+
+
 def test_defect_run_records_exit_code_and_report_digest():
     result = load_bench().defect_run(30.0, 3e-3)
     assert set(result) == {"seconds", "minor_faults", "exit_code",
-                           "report_sha256"}
+                           "report_sha256", "rss_before_mb", "rss_after_mb",
+                           "peak_rss_mb", "groups", "call_peak_mb",
+                           "call_peak_arrays"}
     assert result["exit_code"] == 0 and result["seconds"] >= 0
     faults = result["minor_faults"]
     assert isinstance(faults, int) and faults >= 0
     assert len(result["report_sha256"]) == 64
     int(result["report_sha256"], 16)
+    assert 0 < result["rss_before_mb"] <= result["rss_after_mb"]
+    assert result["peak_rss_mb"] == result["rss_after_mb"]
+    groups = result["groups"]
+    assert list(groups) == GROUPS
+    for group in groups.values():
+        assert set(group) == {"seconds", "minor_faults", "peak_mb"}
+        assert group["seconds"] >= 0 and group["minor_faults"] >= 0
+        assert 0 < group["peak_mb"] <= result["call_peak_mb"]
+    assert sum(g["seconds"] for g in groups.values()) <= result["seconds"]
+    # one chunk's windows: no node array is held
+    assert result["call_peak_mb"] < 1.0
+    assert result["call_peak_arrays"] == pytest.approx(
+        result["call_peak_mb"] * 2 ** 20 / (32 * 10_000))
+
+
+def test_child_prints_one_json_line(capsys):
+    assert load_bench().main(["--child", "kernel", "1", "2", "3",
+                              "false"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    result = json.loads(out)
+    assert result["dim"] > 0 and result["peak_rss_mb"] > 0
 
 
 def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
@@ -132,7 +168,8 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
         if side == "change" and i != 5:
             seconds -= 0.03
         return {"seconds": seconds, "minor_faults": 150 + i, "exit_code": 0,
-                "report_sha256": "0" * 64, "peak_rss_mb": 1.0}
+                "report_sha256": "0" * 64, "call_peak_mb": 0.2,
+                "peak_rss_mb": 1.0}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
@@ -169,7 +206,7 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                 "peak_rss_mb": 40.0 - 0.5 * (side == "change")}
 
     def measure(src, mode, spec):
-        assert mode == "--startup-modules"
+        assert mode == "startup-modules"
         side = "parent" if src == tmp_path / "src" else "change"
         return {"exit_code": 0, "modules": [side], "peak_rss_mb": 1.0}
 
@@ -220,6 +257,13 @@ def test_pair_stats_need_nine_in_ten_and_a_gap_over_the_iqr():
                                     for i, p in enumerate(parent)]}}
     stats = bench.pair_stats(eight)
     assert stats["change_wins"] == 8 and not stats["resolved"]
+    # three of three pairs, with a gap over the IQR: too few pairs
+    three = {"parent": {"seconds": [1.0, 1.1, 1.2]},
+             "change": {"seconds": [0.5, 0.6, 0.7]}}
+    stats = bench.pair_stats(three)
+    assert stats["change_wins"] == 3 and not stats["resolved"]
+    gap = stats["parent"]["median"] - stats["change"]["median"]
+    assert gap > stats["parent"]["q3"] - stats["parent"]["q1"]
 
 
 def test_out_is_required(capsys):

@@ -173,7 +173,7 @@ class TestTruncatedSpace:
         assert charge(11) <= MAX_SOLVE_BYTES < charge(12)
 
     @pytest.mark.parametrize("size", [(2, 1, 8), (1, 1, 30), (1, 3, 4)])
-    def test_solve_bytes_covers_the_solve(self, size, monkeypatch):
+    def test_level_charges_cover_the_solve(self, size, monkeypatch):
         # everything a route-B solve allocates, the index tables it builds
         # and the kernel columns it returns included, stays within its
         # largest level charge plus the columns

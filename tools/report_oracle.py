@@ -41,11 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+from run import THREAD_VARS  # noqa: E402
 from workloads import generate_config  # noqa: E402
 
 COMMANDS = ("slh", "phase", "defect", "scatter", "fock")
 SEEDS = (1, 2, 3, 101)
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # m = 2, n = 1: E_l0 = 0, so both batteries find a kernel; Z is a full
 # Hermitian matrix, so the gauged battery runs the kappa formula off-diagonal.
