@@ -48,7 +48,7 @@ tracer wraps them by name and reads a GridFunction's arrays
 Chunks
 
 A per-half function makes one pass over the half-line in chunks of
-``NODE_CHUNK`` nodes (``node_chunks``). On a chunk it reads each half once
+``NODE_CHUNK`` nodes (``_chunks``). On a chunk it reads each half once
 on the chunk's nodes and one neighbour on each side, forms each derivative
 there once, and adds each pairing's ``np.vdot`` to that pairing's sum
 (``_Trapezoids``, which takes and checks the derivative trace of each
@@ -59,7 +59,8 @@ of the two-sided formula up to rounding, within gamma_n sum |conj(f) g|
 (Higham, Accuracy and Stability of Numerical Algorithms, 4.2); no product
 or panel array is formed. Node maxima (reconstruction and eigenrelation
 residuals) are reduced on the same chunks, each node rounded as on the
-whole array. A pass forms no n-node array.
+whole array. A pass forms no n-node array, nor does refusing a non-finite
+pairing: ``_refuse`` forms the derivatives again chunk by chunk.
 
 Storage
 
@@ -67,7 +68,8 @@ Storage
   caller passes in stays writable; a strided one is copied once); each
   half is checked by ``_check_half``: finite values and trace, vanishing
   at -T or T. A source half is checked alike, its values as they are read;
-* ``derivative`` and ``decompose_sobolev`` form their result whole;
+* ``derivative`` and ``decompose_sobolev`` form their result whole, the
+  only node arrays the module forms;
 * a pass holds one chunk's arrays at a time, deleting them before it
   reads the next chunk: each half's window of at most NODE_CHUNK + 2
   values, its derivative on the chunk's nodes and, in
@@ -96,10 +98,10 @@ MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays held at once, the bound of the size
 # guard. Only decompose_sobolev and derivative form node arrays: with their
 # argument they peak at 2.50 and 2.07 arrays at 20k and 40k nodes
-# (tests/test_punctured_line.py). The CLI defect suite holds no node array:
-# its tracemalloc peak is a few windows of a chunk of NODE_CHUNK nodes,
-# whatever n (test_defect_suite_peak_is_flat_in_n, bench.py). Kept at 3 for the
-# same grids.
+# (tests/test_punctured_line.py). The CLI defect suite, and a pairing it
+# refuses, hold no node array: the tracemalloc peak is a few windows of a
+# chunk of NODE_CHUNK nodes, whatever n (test_defect_suite_peak_is_flat_in_n,
+# bench.py). Kept at 3 for the same grids.
 DEFECT_LIVE_ARRAYS = 3
 # The left half-line [-T, 0), then the right one (0, T]: the order of every
 # loop over halves and of the sums that join them.
@@ -188,28 +190,6 @@ def _read(values, lo: int, hi: int) -> np.ndarray:
     if isinstance(values, np.ndarray):
         return values[lo:hi]
     return _finite(values(lo, hi))
-
-
-class Traces(NamedTuple):
-    """The boundary traces of a function, all the singular functionals
-    read."""
-
-    left_limit: complex   # psi(0-)
-    right_limit: complex  # psi(0+)
-
-    @property
-    def jump(self) -> complex:
-        return self.right_limit - self.left_limit
-
-    @property
-    def delta_star(self) -> complex:
-        return 0.5 * (self.right_limit + self.left_limit)
-
-    @classmethod
-    def one_sided(cls, left: bool, limit: complex) -> Traces:
-        """The traces of a function that lives on one half-line: ``limit``
-        on that side and 0 on the other."""
-        return cls(limit, 0j) if left else cls(0j, limit)
 
 
 def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
@@ -358,16 +338,6 @@ def _derivative_trace(spec: GridSpec, left: bool, half: Half,
     return trace
 
 
-def _derivative_half(spec: GridSpec, left: bool, half: Half) -> Half:
-    """The half's grid derivative, formed whole, with its trace, checked by
-    ``_derivative_trace``."""
-    n = spec.n_nodes
-    d = _derivative_chunk(_read(half.values, 0, n), 0, n, spec.spacing, 0,
-                          n, np.empty(n, dtype=complex))
-    return Half(d, _derivative_trace(spec, left, half,
-                                     np.isfinite(d.view(np.float64)).all()))
-
-
 def derivative(f: GridFunction) -> GridFunction:
     """Grid derivative; the boundary traces of the result are one-sided
     three-point estimates that use the stored traces of ``f``.
@@ -376,20 +346,20 @@ def derivative(f: GridFunction) -> GridFunction:
     instead. Kept as a traced entry point of the benchmark (ROADMAP item
     9).
     """
-    dl, dr = (_derivative_half(f.spec, left, f.half(left)) for left in SIDES)
-    return GridFunction(f.spec, dl.values, dr.values, dl.limit, dr.limit)
+    n, halves = f.spec.n_nodes, []
+    for left in SIDES:
+        d = _derivative_chunk(f.half(left).values, 0, n, f.spec.spacing, 0, n,
+                              np.empty(n, dtype=complex))
+        halves.append(Half(d, _derivative_trace(
+            f.spec, left, f.half(left), np.isfinite(d.view(np.float64)).all())))
+    (dl, tl), (dr, tr) = halves
+    return GridFunction(f.spec, dl, dr, tl, tr)
 
 
 # Nodes per chunk of the pairing passes (see "Chunks"). It stays below the
 # 10000 elements up to which OpenBLAS computes zdot on one thread, so a
 # pairing's bits do not depend on the number of BLAS threads.
 NODE_CHUNK = 2048
-
-
-def node_chunks(n: int):
-    """(start, stop) of each run of ``NODE_CHUNK`` nodes of a half-line."""
-    return ((start, min(start + NODE_CHUNK, n))
-            for start in range(0, n, NODE_CHUNK))
 
 
 class _Chunk(NamedTuple):
@@ -425,11 +395,12 @@ class _Chunk(NamedTuple):
 
 
 def _chunks(spec: GridSpec):
-    """The ``_Chunk`` of each of ``node_chunks``, in node order."""
+    """The ``_Chunk`` of each run of ``NODE_CHUNK`` nodes, in node order."""
     n = spec.n_nodes
-    return (_Chunk(n, spec.spacing, max(min(start - 1, n - 3), 0),
-                   min(stop + 1, n), start, stop)
-            for start, stop in node_chunks(n))
+    for start in range(0, n, NODE_CHUNK):
+        stop = min(start + NODE_CHUNK, n)
+        yield _Chunk(n, spec.spacing, max(min(start - 1, n - 3), 0),
+                     min(stop + 1, n), start, stop)
 
 
 class _Trapezoids:
@@ -441,7 +412,8 @@ class _Trapezoids:
 
     Each differentiated half is checked by ``_derivative_trace`` once, for
     all the pairings it is a factor of. A non-finite pairing is passed to
-    ``_refuse`` when ``values`` is read.
+    ``_refuse`` when ``values`` is read, which forms its factors'
+    derivatives again, chunk by chunk.
     """
 
     def __init__(self, spec: GridSpec, left: bool, pairs: list):
@@ -485,11 +457,14 @@ class _Trapezoids:
 
 
 def _refuse(spec: GridSpec, left: bool, pair: tuple) -> None:
-    """Refuse a non-finite derivative of a differentiated factor."""
+    """Refuse a non-finite derivative of a differentiated factor, formed
+    chunk by chunk: each node as ``derivative`` forms it, so this refuses
+    what ``derivative`` refuses."""
     f, g, diff_f, diff_g = pair
     for u, diff in ((f, diff_f), (g, diff_g)):
-        if diff:
-            _derivative_half(spec, left, u)
+        for chunk in _chunks(spec) if diff else ():
+            _derivative_trace(spec, left, u, np.isfinite(
+                chunk.slope(chunk.read(u)).view(np.float64)).all())
 
 
 def _sobolev_pairs(f: Half, g: Half) -> list:
@@ -559,14 +534,6 @@ def zeta_value(plus: complex, minus: complex, sigma: float) -> complex:
     return km * plus + kp * minus
 
 
-def zeta_eval(f: Traces, sigma: Optional[float]) -> complex:
-    """<zeta_sigma|f> from f's ``Traces``; the symmetric delta when sigma is
-    None."""
-    if sigma is None:
-        return f.delta_star
-    return zeta_value(f.right_limit, f.left_limit, float(sigma))
-
-
 def jump_splitting_defect(fp: complex, fm: complex, gp: complex, gm: complex,
                           sigma: float) -> float:
     """Residual of the jump splitting behind zeta_sigma, on the boundary
@@ -577,17 +544,21 @@ def jump_splitting_defect(fp: complex, fm: complex, gp: complex, gm: complex,
     Exact boundary arithmetic, so zero up to rounding; sigma = 0 is the
     symmetric-delta split.
     """
-    lhs = np.conj(fp) * gp - np.conj(fm) * gm
     rhs = (np.conj(fp - fm) * zeta_value(gp, gm, sigma)
            + np.conj(zeta_value(fp, fm, sigma)) * (gp - gm))
-    return abs(lhs - rhs)
+    return abs(jay_form(fp, fm, gp, gm) - rhs)
 
 
-def jay_form(f: Traces, g: Traces) -> complex:
+def jay_form(fp: complex, fm: complex, gp: complex, gm: complex) -> complex:
     """<f|J g> = conj(f(0+)) g(0+) - conj(f(0-)) g(0-), exact boundary
-    arithmetic on the ``Traces`` of f and g."""
-    return (np.conj(f.right_limit) * g.right_limit
-            - np.conj(f.left_limit) * g.left_limit)
+    arithmetic on the boundary values f(0+-) = fp, fm and g(0+-) = gp, gm."""
+    return np.conj(fp) * gp - np.conj(fm) * gm
+
+
+def _one_sided_jump(left: bool, limit: complex) -> complex:
+    """jump psi = psi(0+) - psi(0-) of a function that lives on one
+    half-line, with trace ``limit`` there and 0 on the other side."""
+    return 0j - limit if left else limit - 0j
 
 
 def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
@@ -744,7 +715,7 @@ def defect_vector_defects(spec: GridSpec) -> dict:
     phi = {left: defect_half(spec, left) for left in SIDES}
     return {
         "jump_on_defect": {
-            name: abs(Traces.one_sided(left, phi[left].limit).jump - (-1j))
+            name: abs(_one_sided_jump(left, phi[left].limit) - (-1j))
             for name, left in DEFECT_SIDES},
         "defect_norm": {
             name: abs(norm_from_inner(sum(sobolev_half(
@@ -807,8 +778,7 @@ def eigenrelation_defects(spec: GridSpec) -> dict:
     for name, left in DEFECT_SIDES:
         phi = defect_half(spec, left)
         defects[name] = {
-            "coefficient": abs(1j * Traces.one_sided(left, phi.limit).jump
-                               - 1.0),
+            "coefficient": abs(1j * _one_sided_jump(left, phi.limit) - 1.0),
             "regular": eigenrelation_half(spec, left, phi,
                                           -1.0 if left else 1.0)}
     return defects
@@ -829,19 +799,24 @@ def symmetry_defects(spec: GridSpec, f: tuple, g: tuple,
     """
     left, right = (symmetry_half(spec, side, u, v)
                    for side, u, v in zip(SIDES, f, g))
-    # from here on, f and g stand for their traces
-    f, g = (Traces(u[0].limit, u[1].limit) for u in (f, g))
+    (fm, fp), (gm, gp) = ((u[0].limit, u[1].limit) for u in (f, g))
     f_ig = 1j * (left[0] + right[0])
     g_if = 1j * (left[1] + right[1])
+
+    def functional(plus, minus, sig):
+        # zeta_sigma, or the symmetric delta when sig is None
+        return (0.5 * (plus + minus) if sig is None
+                else zeta_value(plus, minus, sig))
 
     def id_defect(sig):
         # <f|iD g> - conj(<g|iD f>), each the regular pairing plus the
         # singular coefficient i jump against the conjugated functional
-        return abs((f_ig + 1j * g.jump * np.conj(zeta_eval(f, sig)))
-                   - np.conj(g_if + 1j * f.jump * np.conj(zeta_eval(g, sig))))
+        return abs((f_ig + 1j * (gp - gm) * np.conj(functional(fp, fm, sig)))
+                   - np.conj(g_if + 1j * (fp - fm)
+                             * np.conj(functional(gp, gm, sig))))
 
     return {"boundary_form_vs_traces": abs(f_ig - np.conj(g_if)
-                                           + 1j * jay_form(f, g)),
+                                           + 1j * jay_form(fp, fm, gp, gm)),
             "id_symmetry_defect": id_defect(None),
             "id_symmetry_defect_damped": id_defect(sigma)}
 

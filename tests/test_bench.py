@@ -156,7 +156,8 @@ def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
 def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                                                  tmp_path):
     # Stand-in children: the change is faster in every pair but the fifth,
-    # and both sides write the same report.
+    # both sides write the same report, and the change's groups fault once
+    # more in each run.
     bench = load_bench()
     calls = []
 
@@ -167,9 +168,11 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
         seconds = 0.25 + 1e-3 * i
         if side == "change" and i != 5:
             seconds -= 0.03
+        groups = {"a": {"minor_faults": 20 + i},
+                  "b": {"minor_faults": 1 + (side == "change")}}
         return {"seconds": seconds, "minor_faults": 150 + i, "exit_code": 0,
                 "report_sha256": "0" * 64, "call_peak_mb": 0.2,
-                "peak_rss_mb": 1.0}
+                "peak_rss_mb": 1.0, "groups": groups}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
@@ -184,7 +187,9 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     assert row["change"]["minor_faults"] == [151 + i for i in range(n)]
     line = capsys.readouterr().out.splitlines()[0]
     assert f"change faster in {n - 1}/{n} pairs" in line
-    assert "minor faults" in line and "not resolved" not in line
+    # the median of the groups' summed faults, not of cli.main's
+    assert "group minor faults 26.5 -> 27.5" in line
+    assert "not resolved" not in line
 
 
 def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,

@@ -65,6 +65,17 @@ def test_a_layer_loads_only_the_layers_below_it(module, below):
     assert held == executed == below | {module}
 
 
+def test_a_grid_draw_runs_no_grid_code():
+    # random_bump is a plain callable on nodes: drawing one and evaluating
+    # it loads nothing beyond what importing ensembles loads.
+    held, executed = modules_after(
+        "import numpy as np\n"
+        "from slhkit.ensembles import random_bump\n"
+        "bump = random_bump(np.random.default_rng(0), 'right')\n"
+        "assert bump(np.linspace(0.5, 2.0, 7)).shape == (7,)")
+    assert held == executed == {"errors", "linalg", "slh", "ensembles"}
+
+
 def test_cli_holds_the_layers_without_running_them():
     # perfbench's tracer reads sys.modules["slhkit.fock"] after importing
     # only slhkit.cli, so the placeholders must be there.

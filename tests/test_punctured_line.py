@@ -19,11 +19,11 @@ from slhkit.punctured_line import (
     GridSpec,
     NODE_CHUNK,
     Half,
-    Traces,
     decompose_sobolev,
     decomposition_defects,
     defect_coefficients,
     defect_half,
+    defect_vector_defects,
     derivative,
     eigenrelation_defects,
     extension_domain_defect,
@@ -31,13 +31,14 @@ from slhkit.punctured_line import (
     norm_from_inner,
     reproducing_defects,
     reproducing_half,
+    sample,
     sample_half,
     sobolev,
     sobolev_half,
     sobolev_inner,
     symmetry_defects,
     trace_at_origin,
-    zeta_eval,
+    zeta_value,
 )
 
 SPEC = GridSpec(40.0, 1e-3)
@@ -86,7 +87,8 @@ def defect_pair(spec):
 
 
 def traces(f):
-    return Traces(f[0].limit, f[1].limit)
+    """(psi(0+), psi(0-)) of a function given as (left, right) halves."""
+    return f[1].limit, f[0].limit
 
 
 def one_sided_sobolev(spec, left, f, g):
@@ -443,14 +445,17 @@ class TestDefectVectors:
                 defect_half(GridSpec(20.0, 1e-3), side)
 
     def test_boundary_traces(self):
+        # phi_+(0+) = -i and phi_-(0-) = i; each is 0 on the other side
         pp, pm = defect_pair(SPEC)
-        assert Traces.one_sided(False, pp.limit) == (0, -1j)
-        assert Traces.one_sided(True, pm.limit) == (1j, 0)
+        assert (pp.limit, pm.limit) == (-1j, 1j)
 
     def test_jump_functional_exact(self):
+        # jump = psi(0+) - psi(0-), the other side's trace 0
         pp, pm = defect_pair(SPEC)
-        assert Traces.one_sided(False, pp.limit).jump == -1j
-        assert Traces.one_sided(True, pm.limit).jump == -1j
+        assert pp.limit - 0j == -1j
+        assert 0j - pm.limit == -1j
+        assert defect_vector_defects(SPEC)["jump_on_defect"] == {
+            "plus": 0.0, "minus": 0.0}
 
     def test_unit_sobolev_norm(self):
         for left, phi, want in zip((False, True), defect_pair(SPEC),
@@ -537,28 +542,32 @@ class TestSobolevInner:
 
 class TestBoundaryFunctionals:
     def test_continuous_has_no_jump(self):
-        psi = halves(SPEC, gaussian(1.0, 1.0, 0.0), gaussian(1.0, 1.0, 0.0))
-        assert traces(psi).jump == 0.0
+        plus, minus = traces(halves(SPEC, gaussian(1.0, 1.0, 0.0),
+                                    gaussian(1.0, 1.0, 0.0)))
+        assert plus - minus == 0.0
 
     def test_one_sided_step(self):
-        psi = traces(halves(SPEC, right=lambda t: np.exp(-t)))
-        assert psi.jump == 1.0
-        assert psi.delta_star == 0.5
+        # the jump and the symmetric delta of psi = e^-t on t > 0
+        plus, minus = traces(halves(SPEC, right=lambda t: np.exp(-t)))
+        assert plus - minus == 1.0
+        assert 0.5 * (plus + minus) == 0.5
 
     def test_zeta_on_continuous_unit_trace(self):
         # both traces are e * exp(0) = e
-        psi = traces(halves(SPEC, gaussian(np.e, 1.0, 0.0),
-                            gaussian(np.e, 1.0, 0.0)))
+        plus, minus = traces(halves(SPEC, gaussian(np.e, 1.0, 0.0),
+                                    gaussian(np.e, 1.0, 0.0)))
         for sigma in (0.0, 0.3, -2.0):
-            zeta = zeta_eval(psi, sigma)
-            assert abs(zeta - psi.right_limit) <= 1e-14 * abs(psi.right_limit)
+            zeta = zeta_value(plus, minus, sigma)
+            assert abs(zeta - plus) <= 1e-14 * abs(plus)
 
     def test_one_sided_deltas_split(self):
+        # psi(0+-) = delta* +- jump / 2
         rng = np.random.default_rng(3)
-        f = traces(halves(SPEC, random_bump(rng, "left"),
-                          random_bump(rng, "right")))
-        assert f.right_limit == f.delta_star + 0.5 * f.jump
-        assert abs(f.left_limit - (f.delta_star - 0.5 * f.jump)) <= 1e-16
+        plus, minus = traces(halves(SPEC, random_bump(rng, "left"),
+                                    random_bump(rng, "right")))
+        jump, delta_star = plus - minus, 0.5 * (plus + minus)
+        assert plus == delta_star + 0.5 * jump
+        assert abs(minus - (delta_star - 0.5 * jump)) <= 1e-16
 
 
 class TestRandomBump:
@@ -644,7 +653,8 @@ class TestApplyiD:
     def test_smooth_function_has_no_singular_part(self):
         fn = gaussian(1.0, 1.0, 0.0)
         # the singular coefficient i jump(psi)
-        assert 1j * traces(halves(SPEC, fn, fn)).jump == 0.0
+        plus, minus = traces(halves(SPEC, fn, fn))
+        assert 1j * (plus - minus) == 0.0
         # the regular part i psi' approximates i times the derivative
         f = stored(SPEC, fn, fn)
         t = SPEC.nodes(False)
@@ -1099,8 +1109,10 @@ class TestKernelOracles:
                 check(f)
 
     def test_non_finite_derivative_is_refused(self):
-        # Finite values whose differences overflow: the streamed pairing
-        # turns non-finite, and the derivative is then formed and refused.
+        # Finite values whose differences overflow: derivative forms the
+        # non-finite derivative and refuses it; the streamed pairing turns
+        # non-finite, and _refuse forms the derivative again, chunk by
+        # chunk, and refuses it.
         right = np.zeros(SPEC.n_nodes, dtype=complex)
         right[10], right[12] = 1e308, -1e308
         f = GridFunction(SPEC, np.zeros(SPEC.n_nodes, dtype=complex), right,
@@ -1110,6 +1122,26 @@ class TestKernelOracles:
             with np.errstate(over="ignore", invalid="ignore"), \
                     pytest.raises(SpecMismatch, match=message):
                 check(f)
+
+    def test_refusal_holds_no_node_array(self):
+        # The refusal above on a source pair at 80k nodes: the derivative is
+        # formed again chunk by chunk, under the defect suite's bound of
+        # nine chunk arrays (test_defect_suite_peak_is_flat_in_n), not
+        # whole (a half-line array is 1.25 MB).
+        spec = GridSpec(40.0, 5e-4)
+        at10, at12 = spec.nodes(False, 10, 13)[::2]
+        f = sample(spec, np.zeros_like, lambda t: np.where(
+            t == at10, 1e308, np.where(t == at12, -1e308, 0.0)))
+        message = "grid derivative at spacing h = 0.0005 is not finite"
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(SpecMismatch, match=message):
+                sobolev(spec, f, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 16 * NODE_CHUNK
 
     def test_overflowing_products_give_a_non_finite_pairing(self):
         # Finite values whose products overflow while the grid derivative

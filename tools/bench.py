@@ -53,6 +53,10 @@ the ``cli.main`` call, the peak RSS before and after it (the latter is the
 row's, read before the traced call), exit code, the report's SHA-256
 (``same_report``), per child each group's seconds, faults and traced
 ``peak_mb``, and the traced call's ``call_peak_mb``, also in arrays.
+The progress line prints, per side, the median over children of the
+groups' summed faults: that figure compares across trees, while the
+``cli.main`` total also counts module loading and compiling from source,
+which varies with where a tree sits on disk.
 
 Each startup row is one subcommand on one config: each of the five on
 ``configs/example.json``, ``fock --sweep 1`` on the ``fock-kernel`` and
@@ -509,12 +513,13 @@ def bench(parent: Path, stages=STAGES) -> dict:
         record["same_report"] = (sides[0]["report_sha256"]
                                  == sides[1]["report_sha256"])
         out["defect_runs"].append(record)
-        faults = " -> ".join(str(statistics.median(side["minor_faults"]))
-                             for side in sides)
+        faults = " -> ".join(str(statistics.median(
+            sum(group.get("minor_faults", 0) for group in run.values())
+            for run in side["groups"])) for side in sides)
         peaks = " -> ".join(f"{1024 * side['call_peak_mb']:.1f}"
                             for side in sides)
         print(f"defect run T={half_width:g} h={spacing:g}: "
-              f"{pair_summary(record['pairs'])}, minor faults {faults}, "
+              f"{pair_summary(record['pairs'])}, group minor faults {faults}, "
               f"call peak {peaks} KiB", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for command, name in STARTUP_ROWS if "startup" in stages else ():
