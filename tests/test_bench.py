@@ -1,15 +1,17 @@
-"""Smoke test of the stage-bench row functions (no timing gate): rows of
+"""Smoke test of the stage bench (no timing gate): the children of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
 guard refuses on construction and one it refuses at a level, one Sobolev
-row (``punctured_line.sobolev`` on sources) and one ``defect`` run on a
-T = 30, h = 3e-3 grid with its check groups, found by the names
-``cli.command_defect`` uses (a renamed or added group must show up), one
-child run through the hidden ``--child`` dispatch, the paired statistics of
-a Sobolev, a defect and a startup stage row (on stand-in measurements), and
-the bench's refusal to run without ``--out``."""
+row (``punctured_line.sobolev`` on sources), one ``fock`` and one ``defect``
+run, the latter on a T = 30, h = 3e-3 grid with its check groups, found by
+the names ``cli.command_defect`` uses (a renamed or added group must show
+up), the start-up child, children run through the hidden ``--child``
+dispatch, every stage of the table on stand-in measurements, a child that
+exits non-zero, the source digest of a tree, and the bench's refusal to run
+without ``--out``."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -84,8 +86,8 @@ def test_defect_run_records_exit_code_and_report_digest():
     result = load_bench().defect_run(30.0, 3e-3)
     assert set(result) == {"seconds", "minor_faults", "exit_code",
                            "report_sha256", "rss_before_mb", "rss_after_mb",
-                           "peak_rss_mb", "groups", "call_peak_mb",
-                           "call_peak_arrays"}
+                           "peak_rss_mb", "groups", "group_minor_faults",
+                           "call_peak_mb", "call_peak_arrays"}
     assert result["exit_code"] == 0 and result["seconds"] >= 0
     faults = result["minor_faults"]
     assert isinstance(faults, int) and faults >= 0
@@ -100,6 +102,8 @@ def test_defect_run_records_exit_code_and_report_digest():
         assert group["seconds"] >= 0 and group["minor_faults"] >= 0
         assert 0 < group["peak_mb"] <= result["call_peak_mb"]
     assert sum(g["seconds"] for g in groups.values()) <= result["seconds"]
+    assert result["group_minor_faults"] == sum(
+        g["minor_faults"] for g in groups.values())
     # one chunk's windows: no node array is held
     assert result["call_peak_mb"] < 1.0
     assert result["call_peak_arrays"] == pytest.approx(
@@ -113,6 +117,106 @@ def test_child_prints_one_json_line(capsys):
     assert out.count("\n") == 1
     result = json.loads(out)
     assert result["dim"] > 0 and result["peak_rss_mb"] > 0
+
+
+def test_fock_run_records_exit_code_and_kernel_dims():
+    result = load_bench().fock_run(1, 2, 3)
+    assert set(result) == {"seconds", "minor_faults", "exit_code",
+                           "rss_before_mb", "rss_after_mb", "kernel_dims"}
+    assert result["exit_code"] == 0 and result["seconds"] >= 0
+    assert result["kernel_dims"] and all(result["kernel_dims"])
+
+
+def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
+    # Stand-in bare processes: each records its argv and whether the config
+    # it names is on disk when it runs.
+    bench = load_bench()
+    spawns = []
+
+    def spawn(argv):
+        config = argv[3] if argv[1] == "-c" else argv[argv.index("--config")
+                                                        + 1]
+        spawns.append(("probe" if argv[1] == "-c" else "cli", argv,
+                       Path(config).is_file()))
+        return {"seconds": 0.25 if argv[1] == "-c" else 0.5, "exit_code": 0,
+                "peak_rss_mb": 40.0}
+
+    monkeypatch.setattr(bench, "spawn", spawn)
+    monkeypatch.setattr(bench, "startup_modules", lambda *args: ["slhkit.x"])
+    for command, config, sweep in bench.STARTUP_ROWS:
+        spawns.clear()
+        result = bench.startup(command, config, sweep)
+        assert result == {"setup_s": 0.25, "seconds": 0.5, "exit_code": 0,
+                          "peak_rss_mb": 40.0, "modules": ["slhkit.x"]}
+        # the probe is perfbench's line; the CLI runs the row's command on
+        # the same config
+        (probe, probe_argv, probe_on_disk), (cli, argv, on_disk) = spawns
+        assert (probe, cli) == ("probe", "cli") and probe_on_disk and on_disk
+        assert probe_argv[2] == bench.SETUP_PROBE
+        assert argv[1:4] == ["-m", "slhkit", command]
+        assert argv[argv.index("--config") + 1] == probe_argv[3]
+        assert argv[argv.index("--sweep") + 1] == str(sweep)
+    assert ("fock", "fock-kernel", 1) in bench.STARTUP_ROWS
+
+
+def test_startup_child_runs_in_a_fresh_process():
+    bench = load_bench()
+    result = bench.measure(bench.ROOT / "src", "startup",
+                           ("slh", "configs/example.json", 0))
+    assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb",
+                           "modules"}
+    assert result["exit_code"] == 0 and result["peak_rss_mb"] > 0
+    assert 0 < result["setup_s"] and 0 < result["seconds"]
+    assert "slhkit.slh" in result["modules"]
+    assert "slhkit.punctured_line" not in result["modules"]
+
+
+STAGE_NAMES = list(load_bench().STAGES)
+
+
+@pytest.mark.parametrize("name", STAGE_NAMES)
+def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
+                                                       capsys, tmp_path):
+    # Stand-in children: every paired field reads 1 + i/1000 in a side's
+    # i-th run on a spec, 0.5 less on the change but in the fifth pair;
+    # every identity field reads the spec.
+    bench = load_bench()
+    stage, calls = bench.STAGES[name], []
+
+    def measure(src, child, spec):
+        side = "parent" if src == tmp_path / "src" else "change"
+        calls.append((side, child, spec))
+        i = calls.count((side, child, spec))
+        offset = 0.5 if side == "change" and i != 5 else 0.0
+        return {**{key: 1.0 + 1e-3 * i - offset for key in stage.paired},
+                **{key: list(spec) for key in stage.same}, "first": i}
+
+    monkeypatch.setattr(bench, "measure", measure)
+    monkeypatch.setattr(bench, "machine", lambda: {})
+    out = bench.bench(tmp_path, [name])
+    rows, n = out[name], stage.pairs
+    assert out["stages"] == [name] and len(rows) == len(stage.specs)
+    assert len(calls) == 2 * n * len(rows)
+    for k, (row, spec) in enumerate(zip(rows, stage.specs)):
+        mine = calls[2 * n * k:2 * n * (k + 1)]
+        assert {(child, spec) for _, child, spec in mine} == {(name, spec)}
+        assert [side for side, _, _ in mine[:4]] == [
+            "parent", "change", "change", "parent"]
+        assert [row[key] for key in stage.keys] == list(spec)
+        assert row["same"] == dict.fromkeys(stage.same, True)
+        assert list(row["pairs"]) == list(stage.paired)
+        for key in stage.paired:
+            assert len(row["parent"][key]) == len(row["change"][key]) == n
+            stats = row["pairs"][key]
+            assert stats["pairs"] == n
+            assert stats["change_wins"] == n - (n >= 5)
+            # only ten pairs can resolve a gain
+            assert stats["resolved"] == (n >= bench.PAIRS)
+        # a field neither paired nor per run: the first run's
+        assert row["parent"]["first"] == row["change"]["first"] == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(rows)
+    assert all(line.startswith(f"{name} ") for line in lines)
 
 
 def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
@@ -139,18 +243,21 @@ def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     n = bench.PAIRS
     assert len(calls) == 2 * n * len(bench.SOBOLEV_GRIDS)
     assert calls[:4] == ["parent", "change", "change", "parent"]
-    row = out["sobolev_rows"][0]
-    stats = row["pairs"]
+    row = out["sobolev"][0]
+    stats = row["pairs"]["seconds"]
     assert stats["pairs"] == n and stats["change_wins"] == n - 1
-    assert stats["resolved"] and row["same_value"]
+    assert stats["resolved"] and row["same"] == {"value": True}
     parent = row["parent"]["seconds"]
     assert stats["parent"]["median"] == pytest.approx(
         sorted(parent)[n // 2 - 1] / 2 + sorted(parent)[n // 2] / 2)
     assert stats["parent"]["q1"] < stats["parent"]["median"] \
         < stats["parent"]["q3"]
-    line = capsys.readouterr().out.splitlines()[0]
-    assert f"change faster in {n - 1}/{n} pairs" in line
-    assert "ms (" in line and "not resolved" not in line
+    # the peak RSS is kept per run and paired
+    assert row["parent"]["peak_rss_mb"] == [1.0] * n
+    assert row["pairs"]["peak_rss_mb"]["change_wins"] == 0
+    seconds = capsys.readouterr().out.splitlines()[0].split("; ")[0]
+    assert f"change lower in {n - 1}/{n} pairs" in seconds
+    assert "ms (" in seconds and "not resolved" not in seconds
 
 
 def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
@@ -172,7 +279,9 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                   "b": {"minor_faults": 1 + (side == "change")}}
         return {"seconds": seconds, "minor_faults": 150 + i, "exit_code": 0,
                 "report_sha256": "0" * 64, "call_peak_mb": 0.2,
-                "peak_rss_mb": 1.0, "groups": groups}
+                "peak_rss_mb": 1.0, "groups": groups,
+                "group_minor_faults": sum(
+                    g["minor_faults"] for g in groups.values())}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
@@ -180,73 +289,115 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     n = bench.PAIRS
     assert len(calls) == 2 * n * len(bench.DEFECT_RUNS)
     assert calls[:4] == ["parent", "change", "change", "parent"]
-    row = out["defect_runs"][0]
-    stats = row["pairs"]
+    row = out["defect-run"][0]
+    stats = row["pairs"]["seconds"]
     assert stats["pairs"] == n and stats["change_wins"] == n - 1
-    assert stats["resolved"] and row["same_report"]
+    assert stats["resolved"] and row["same"] == {"report_sha256": True}
     assert row["change"]["minor_faults"] == [151 + i for i in range(n)]
+    assert row["change"]["exit_code"] == [0] * n
+    assert len(row["change"]["groups"]) == n
     line = capsys.readouterr().out.splitlines()[0]
-    assert f"change faster in {n - 1}/{n} pairs" in line
+    assert f"change lower in {n - 1}/{n} pairs" in line
     # the median of the groups' summed faults, not of cli.main's
-    assert "group minor faults 26.5 -> 27.5" in line
-    assert "not resolved" not in line
+    assert "group_minor_faults 26.5 (" in line and "-> 27.5 (" in line
+    assert "not resolved" not in line.split("; ")[0]
 
 
 def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                                                   tmp_path):
-    # Stand-in children: each pair spawns the setup probe and then the CLI
-    # on each side; the change is faster in every pair but the fifth, and
-    # its CLI child is always 0.5 MB smaller.
+    # Stand-in children: the change is faster in every pair but the fifth,
+    # and its CLI process is always 0.5 MB smaller.
     bench = load_bench()
-    spawns = []
-
-    def spawn(src, argv):
-        side = "parent" if src == tmp_path / "src" else "change"
-        spawns.append((side, "probe" if argv[1] == "-c" else "cli", argv))
-        i = sum(s == side for s, _, _ in spawns)
-        seconds = 0.25 + 1e-3 * i
-        if side == "change" and (i + 1) // 2 != 5:
-            seconds -= 0.03
-        return {"seconds": seconds, "exit_code": 0,
-                "peak_rss_mb": 40.0 - 0.5 * (side == "change")}
+    calls, n = [], bench.PAIRS
 
     def measure(src, mode, spec):
-        assert mode == "startup-modules"
+        assert mode == "startup"
         side = "parent" if src == tmp_path / "src" else "change"
-        return {"exit_code": 0, "modules": [side], "peak_rss_mb": 1.0}
+        calls.append((side, spec))
+        i = calls.count((side, spec))
+        seconds = 0.25 + 1e-3 * i
+        if side == "change" and i != 5:
+            seconds -= 0.03
+        return {"setup_s": seconds, "seconds": seconds, "exit_code": 0,
+                "peak_rss_mb": 40.0 - 0.5 * (side == "change"),
+                "modules": [side]}
 
-    monkeypatch.setattr(bench, "spawn", spawn)
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
     out = bench.bench(tmp_path, ["startup"])
-    n = bench.PAIRS
-    rows = out["startup_rows"]
-    assert len(spawns) == 4 * n * len(bench.STARTUP_ROWS) == 4 * n * len(rows)
-    assert [(side, kind) for side, kind, _ in spawns[:8]] == [
-        ("parent", "probe"), ("parent", "cli"), ("change", "probe"),
-        ("change", "cli"), ("change", "probe"), ("change", "cli"),
-        ("parent", "probe"), ("parent", "cli")]
-    # the probe is perfbench's line; the CLI runs the row's command
-    assert spawns[0][2][2] == bench.SETUP_PROBE
-    assert {(row["command"], row["config"]) for row in rows} == set(
-        bench.STARTUP_ROWS)
+    rows = out["startup"]
+    assert len(calls) == 2 * n * len(bench.STARTUP_ROWS) == 2 * n * len(rows)
+    assert [side for side, _ in calls[:4]] == [
+        "parent", "change", "change", "parent"]
+    assert [(row["command"], row["config"], row["sweep"]) for row in rows] \
+        == list(bench.STARTUP_ROWS)
+    # the fock-kernel workload runs at its sweep, 1
     kernel = next(row for row in rows if row["config"] == "fock-kernel")
     assert kernel["sweep"] == 1
-    argv = next(a for _, kind, a in spawns if kind == "cli" and
-                a[a.index("--config") + 1].endswith("fock-kernel.json"))
-    assert argv[argv.index("--sweep") + 1] == "1"
+    assert {spec for _, spec in calls if spec[1] == "fock-kernel"} == {
+        ("fock", "fock-kernel", 1)}
     row = rows[0]
-    for key in ("setup", "wall"):
-        assert row[key]["pairs"] == n and row[key]["change_wins"] == n - 1
-        assert row[key]["resolved"]
-    assert row["peak_rss"]["change_wins"] == n
-    assert row["peak_rss"]["change"]["median"] == 39.5
+    for key in ("setup_s", "seconds"):
+        stats = row["pairs"][key]
+        assert stats["pairs"] == n and stats["change_wins"] == n - 1
+        assert stats["resolved"]
+    assert row["pairs"]["peak_rss_mb"]["change_wins"] == n
+    assert row["pairs"]["peak_rss_mb"]["change"]["median"] == 39.5
     assert row["parent"]["modules"] == ["parent"]
-    assert row["change"]["exit_codes"] == [0] * n
+    assert row["change"]["exit_code"] == [0] * n
     line = capsys.readouterr().out.splitlines()[0]
-    assert line.startswith("startup slh configs/example.json: setup ")
-    assert f"change faster in {n - 1}/{n} pairs" in line
-    assert f"40.00 -> 39.50 MB, lower in {n}/{n} pairs" in line
+    assert line.startswith(
+        "startup command=slh config=configs/example.json sweep=0: setup_s ")
+    assert f"change lower in {n - 1}/{n} pairs" in line
+    assert (f"peak_rss_mb 40 (40..40) -> 39.5 (39.5..39.5), change lower "
+            f"in {n}/{n} pairs") in line
+
+
+def test_a_failed_child_ends_its_row_and_the_run_goes_on(monkeypatch,
+                                                         capsys, tmp_path):
+    # A stand-in child script: it exits 1 at (1, 2, 4), as a kernel child
+    # the kernel kills would, and prints one row elsewhere.
+    bench = load_bench()
+    child = tmp_path / "child.py"
+    child.write_text(
+        "import json, sys\n"
+        "if sys.argv[3:6] == ['1', '2', '4']:\n"
+        "    sys.exit('killed at (1, 2, 4)')\n"
+        "print(json.dumps({'seconds': 1.0, 'peak_rss_mb': 2.0, 'dim': 1,\n"
+        "                  'sector_dims': [1]}))\n")
+    monkeypatch.setattr(bench, "SCRIPT", child)
+    monkeypatch.setattr(bench, "machine", lambda: {})
+    monkeypatch.setitem(bench.STAGES, "kernel", bench.STAGES["kernel"]._replace(
+        specs=((1, 2, 4, False), (1, 2, 3, False))))
+    failed, row = bench.bench(tmp_path, ["kernel"])["kernel"]
+    # the row ends at its first child; the next row runs in full
+    assert failed["parent"] == {"failed": {
+        "exit_code": 1, "stderr": "killed at (1, 2, 4)\n"}}
+    assert failed["change"] == {}
+    assert "pairs" not in failed and "same" not in failed
+    assert row["parent"]["seconds"] == [1.0] * bench.REPEATS
+    assert row["same"] == {"dim": True, "sector_dims": True}
+    assert row["pairs"]["peak_rss_mb"]["change"]["median"] == 2.0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("kernel m=1 n=2 d=4 generic_el0=False: "
+                        "failed -> not run")
+
+
+def test_source_digest_names_the_tree(tmp_path):
+    bench = load_bench()
+    copies = [tmp_path / "a", tmp_path / "b"]
+    for copy in copies:
+        shutil.copytree(bench.ROOT / "src" / "slhkit",
+                        copy / "src" / "slhkit",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    digests = [bench.source_digest(copy) for copy in copies]
+    assert digests[0] == digests[1] == bench.source_digest(bench.ROOT)
+    assert len(digests[0]) == 64
+    cli = copies[1] / "src" / "slhkit" / "cli.py"
+    data = bytearray(cli.read_bytes())
+    data[-1] ^= 1
+    cli.write_bytes(bytes(data))
+    assert bench.source_digest(copies[0]) != bench.source_digest(copies[1])
 
 
 def test_pair_stats_need_nine_in_ten_and_a_gap_over_the_iqr():

@@ -1,78 +1,48 @@
-"""Time the route-B boundary-kernel and the Sobolev-pairing stages, full
-``fock`` and ``defect`` runs, and CLI process start-up, of a parent tree and
-of this tree.
+"""Time the stages of ``STAGES`` on a parent tree and on this tree, each row
+in fresh child processes with parent and change alternating.
 
     python3 tools/bench.py --parent DIR --out FILE [--stages STAGE ...]
 
-STAGE is ``kernel``, ``fock-run``, ``sobolev``, ``defect-run`` or
-``startup`` (default: all five, in that order).  DIR is a checkout of the
-parent commit (``git clone`` or ``git archive``); its ``src/`` is imported
-for the parent side, this tree's ``src/`` for the change.  Each stage row
-is one ``fock.boundary_kernel(space, rows)`` call on the coupling-form rows
-(route B) of a seeded coupling with sigma = 0.3:
+DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
+its ``src/`` is imported for the parent side, this tree's ``src/`` for the
+change.  STAGE names a table entry (default: all five, in table order):
 
-* E_l0 = 0 at (m, n, d) = (1,2,4), (2,2,4), (1,2,6), (2,2,5), (1,3,4),
-  (1,3,5), (1,3,6) and (1,3,7);
-* a generic E_l0 at (1,2,4), (1,3,3) and (1,3,4).
+* ``kernel``: one route-B ``fock.boundary_kernel`` solve per (m, n, d,
+  generic E_l0) of ``ROWS``, sigma = 0.3, with its dims and level charges,
+  or the TooLarge message of a size the guard refuses;
+* ``fock-run``: one ``slhkit fock`` run, sweep 0, per (m, n, d) of ``RUNS``;
+* ``sobolev``: the Sobolev pairing of the ``defect`` suite's groups on the
+  half-line core per (T, h) of ``SOBOLEV_GRIDS``: the median of
+  ``SOBOLEV_CALLS`` calls and one more traced call's peak;
+* ``defect-run``: one ``slhkit defect`` run of the ``grid-defect`` config
+  per (T, h) of ``DEFECT_RUNS``, then one traced ``command_defect``, each
+  check group timed and traced.  ``group_minor_faults`` is the fault figure
+  to compare: ``cli.main``'s own also counts module loading and compiling
+  from source.  Both, and the peak RSS, move with the length of a tree's
+  path, so compare trees at paths of equal length;
+* ``startup``: the setup probe (``setup_s``) and then ``python -m slhkit``
+  per subcommand and config of ``STARTUP_ROWS``, each a bare process timed
+  as ``perfbench/run.py`` times it, and the modules a CLI run executes.
 
-Each Sobolev row is one pairing <f|g>_S on the half-line core at T = 40
-with h = 1e-3 and 5e-4 (40k and 80k nodes per half-line), made by
-``punctured_line.sobolev`` as the ``defect`` suite's groups make it: one
-Sobolev pass on each half-line of ``punctured_line.sample`` sources, which
-evaluate f's and g's two seeded ``ensembles.random_bump`` draws (left
-first) chunk by chunk.  The child times ``SOBOLEV_CALLS`` calls and reports
-the median, then traces one more with tracemalloc for ``call_peak_mb``,
-also in two-sided complex arrays (32 bytes per node of a half-line).
+An entry names the child that measures one row, its specs (labelled by the
+entry's ``keys``), the alternating pairs per row (``REPEATS`` or
+``PAIRS``), the fields compared across sides for identity and the per-run
+fields that get pair stats.  Each child is one cold run with one BLAS
+thread.  Per side a row keeps the paired and ``PER_RUN`` fields of every
+run, in run order, and the other fields of its first run.  ``same`` says
+whether each identity field is equal on both sides; ``pairs`` holds, per
+paired field, each side's median and quartiles, the pairs in which the
+change was lower and whether that resolves a gain (``pair_stats``).  A side
+the guard refuses records ``refused``; a child that exits non-zero ends its
+row, recorded as ``failed`` with its exit code and stderr tail.  Such a row
+has neither ``same`` nor ``pairs``.
 
-Each run row is one ``slhkit fock`` run, sweep 0, on the E_l0 = 0 coupling
-of (1,3,5) and (1,3,6) with sigma = 0.3.  Each defect row is one ``slhkit
-defect`` run on the ``grid-defect`` benchmark config (``perfbench/
-workloads.py``, seed 1) at T = 40 with h = 5e-4, 2.5e-4 and 1e-4 (80k,
-160k and 400k nodes per half-line), then one traced ``command_defect``;
-its check groups (the grid layer's ``..._defects`` functions and ``cli``'s
-own ``_...`` ones, in call order) record their seconds and minor page
-faults (``ru_minflt``) in the run and their peak in the traced call
-(memory held from earlier groups counts).
-
-Every measurement is one cold call in a fresh child process with one BLAS
-thread, parent and change alternating which runs first: three per side, but
-``PAIRS`` (ten) for a Sobolev, defect or startup row.  A row no side
-refused records, as ``pairs``, each side's median and quartiles of the
-per-child seconds, the pairs the change won, and whether it wins at least
-nine in ten of at least ``PAIRS`` pairs with a median gap over the parent's
-interquartile range.  Per side a stage row records the seconds of each run,
-their median and peak RSS, the total and per-sector kernel dims, the
-rank-cut scale sigma~ <= ``sigma_max``, the last level assembled, the
-guard's largest level charge and the peak RSS before and after the solve
-(after a warm-up QR and SVD: LAPACK's first-call pages are not counted),
-or the TooLarge message of a size the guard refuses; a Sobolev row the
-per-call seconds, peak RSS, traced peak and the pairing's value (float
-hex; ``same_value`` if bit for bit equal); a run row the seconds, peak RSS,
-exit code and kernel dims; a defect row the seconds and minor faults of
-the ``cli.main`` call, the peak RSS before and after it (the latter is the
-row's, read before the traced call), exit code, the report's SHA-256
-(``same_report``), per child each group's seconds, faults and traced
-``peak_mb``, and the traced call's ``call_peak_mb``, also in arrays.
-The progress line prints, per side, the median over children of the
-groups' summed faults: that figure compares across trees, while the
-``cli.main`` total also counts module loading and compiling from source,
-which varies with where a tree sits on disk.
-
-Each startup row is one subcommand on one config: each of the five on
-``configs/example.json``, ``fock --sweep 1`` on the ``fock-kernel`` and
-``defect`` on the ``grid-defect`` benchmark config (seed 1).  Per side a
-pair runs the benchmark's setup probe (``perfbench/run.py``'s
-``SETUP_PROBE``: import ``slhkit.cli`` and load the config) and then
-``python -m slhkit``, each a bare child timed from this process's clock
-with its peak RSS from ``wait4``, as the benchmark does.  The row records
-per side the probe and CLI seconds, the CLI's peak RSS and exit codes,
-their paired statistics (``setup``, ``wall`` and ``peak_rss``), and the
-slhkit modules one more CLI run executed (not those ``slhkit.cli`` only
-holds as lazy placeholders).  The machine block is ``perfbench/probe.py``'s
-output, run as the benchmark runs it, and whether
-``PYTHONDONTWRITEBYTECODE`` is set (then every child compiles slhkit from
-source).  The JSON goes to FILE, which has no default, so a run never
-overwrites an earlier BENCH file unless told to.
+The file also records the machine (``perfbench/probe.py``'s output, run as
+the benchmark runs it, and whether ``PYTHONDONTWRITEBYTECODE`` is set: then
+every child compiles slhkit from source), each side's ``git describe`` and
+a SHA-256 of its ``src/slhkit`` sources, which a ``git archive`` copy has
+too.  FILE has no default, so a run never overwrites an earlier BENCH file
+unless told to.
 """
 
 from __future__ import annotations
@@ -90,13 +60,15 @@ import time
 import tracemalloc
 import types
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 # numpy and unittest.mock are imported only in the functions a child runs:
 # a child's peak RSS (from wait4, or its own getrusage) starts at this
 # process's high-water mark, which importing them here would raise to that
 # of a bare CLI process.  perfbench's run.py and workloads.py import the
 # standard library only.
-ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = Path(__file__).resolve()
+ROOT = SCRIPT.parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import SETUP_PROBE, THREAD_VARS  # noqa: E402
@@ -119,14 +91,17 @@ SOBOLEV_CALLS = 20
 # alternating children per side of a Sobolev, defect or startup row, and
 # the fewest pairs that can resolve a gain
 PAIRS = 10
-# (command, config) of the startup rows: a path under ROOT, or a benchmark
-# workload whose config perfbench/workloads.py generates
-STARTUP_ROWS = tuple((command, "configs/example.json") for command in
-                     ("slh", "phase", "defect", "scatter", "fock")) + (
-    ("fock", "fock-kernel"), ("defect", "grid-defect"))
-STAGES = ("kernel", "fock-run", "sobolev", "defect-run", "startup")
-# child fields kept per run, as lists; a side keeps the others of its first
-PER_RUN = ("seconds", "minor_faults", "groups")
+# (command, config, sweep) of the startup rows: a path under ROOT at sweep
+# 0, or a benchmark workload at its sweep, whose config
+# perfbench/workloads.py generates
+STARTUP_ROWS = tuple((command, "configs/example.json", 0) for command in
+                     ("slh", "phase", "defect", "scatter", "fock")) + tuple(
+    (command, name, WORKLOADS[name].sweep)
+    for command, name in (("fock", "fock-kernel"), ("defect", "grid-defect")))
+# child fields a side keeps per run besides its stage's paired ones
+PER_RUN = ("exit_code", "minor_faults", "groups")
+# the characters of a failed child's stderr that its row keeps
+STDERR_TAIL = 2000
 
 
 def coupling(m: int, n: int, generic_el0: bool):
@@ -216,24 +191,34 @@ def sobolev_row(half_width: float, spacing: float) -> dict:
             "value": [value.real.hex(), value.imag.hex()]}
 
 
-def fock_run(m: int, n: int, d: int) -> dict:
-    """One timed ``slhkit fock`` run, sweep 0, of the E_l0 = 0 coupling."""
+def cli_run(command: str, config: dict) -> tuple:
+    """One timed ``cli.main`` run of ``command`` on ``config``, written to a
+    temporary file: its seconds, minor faults, exit code and peak RSS
+    before and after, and the report's bytes (None if it wrote none)."""
     from slhkit import cli
 
-    e = coupling(m, n, False)
-    config = {"m": m, "n": n, "sigma": SIGMA, "fock": {"d": d},
-              "E": [[[v.real, v.imag] for v in line] for line in e.full]}
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
         path.write_text(json.dumps(config))
+        before, faults = peak_rss_mb(), minor_faults()
         start = time.perf_counter()
-        code = cli.main(["fock", "--config", str(path), "--out", str(out)])
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
         seconds = time.perf_counter() - start
-        checks = (json.loads(out.read_text())["checks"] if out.exists()
-                  else [])
-    return {"seconds": seconds, "exit_code": code,
-            "kernel_dims": [c["value"] for c in checks
-                            if c["name"].endswith("kernel_dims")]}
+        faults, after = minor_faults() - faults, peak_rss_mb()
+        report = out.read_bytes() if out.exists() else None
+    return {"seconds": seconds, "minor_faults": faults, "exit_code": code,
+            "rss_before_mb": before, "rss_after_mb": after}, report
+
+
+def fock_run(m: int, n: int, d: int) -> dict:
+    """One timed ``slhkit fock`` run, sweep 0, of the E_l0 = 0 coupling."""
+    e = coupling(m, n, False)
+    run, report = cli_run("fock", {
+        "m": m, "n": n, "sigma": SIGMA, "fock": {"d": d},
+        "E": [[[v.real, v.imag] for v in line] for line in e.full]})
+    checks = json.loads(report)["checks"] if report is not None else []
+    return {**run, "kernel_dims": [c["value"] for c in checks
+                                   if c["name"].endswith("kernel_dims")]}
 
 
 def defect_groups() -> list:
@@ -251,6 +236,7 @@ def defect_run(half_width: float, spacing: float) -> dict:
     (T, h) grid, then one traced ``command_defect``; each check group
     records its seconds and faults in the first, its peak in the second."""
     from slhkit import cli
+    from slhkit.config import config_from_dict
     from slhkit.punctured_line import GridSpec
 
     config = json.loads(generate_config("grid-defect", SEED))
@@ -275,36 +261,28 @@ def defect_run(half_width: float, spacing: float) -> dict:
             return value
         return run
 
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps(config))
-        try:
-            for name, owner in owners.items():
-                setattr(owner, name, measured(name))
-            before, faults = peak_rss_mb(), minor_faults()
-            start = time.perf_counter()
-            code = cli.main(["defect", "--config", str(path), "--out",
-                             str(out)])
-            seconds = time.perf_counter() - start
-            faults, after = minor_faults() - faults, peak_rss_mb()
-            digest = (hashlib.sha256(out.read_bytes()).hexdigest()
-                      if out.exists() else None)
-            loaded = cli.load_config(str(path))
-            tracemalloc.start()
-            cli.run_command("defect", loaded)
-            peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
-        finally:
-            tracemalloc.stop()
-            for name, owner in owners.items():
-                setattr(owner, name, originals[name])
+    try:
+        for name, owner in owners.items():
+            setattr(owner, name, measured(name))
+        run, report = cli_run("defect", config)
+        loaded = config_from_dict(config)
+        tracemalloc.start()
+        cli.run_command("defect", loaded)
+        peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
+    finally:
+        tracemalloc.stop()
+        for name, owner in owners.items():
+            setattr(owner, name, originals[name])
     unit = 32 * GridSpec(half_width, spacing).n_nodes
-    return {"seconds": seconds, "minor_faults": faults, "exit_code": code,
-            "report_sha256": digest, "rss_before_mb": before,
-            "rss_after_mb": after, "peak_rss_mb": after, "groups": groups,
+    return {**run, "report_sha256": (hashlib.sha256(report).hexdigest()
+                                     if report is not None else None),
+            "peak_rss_mb": run["rss_after_mb"], "groups": groups,
+            "group_minor_faults": sum(group["minor_faults"]
+                                      for group in groups.values()),
             "call_peak_mb": peak / 2 ** 20, "call_peak_arrays": peak / unit}
 
 
-def startup_modules(command: str, config: str, sweep: int) -> dict:
+def startup_modules(command: str, config: str, sweep: int) -> list:
     """The slhkit modules one CLI run executes; a lazy placeholder that was
     never read is not a ``types.ModuleType`` yet, and ``type()`` reads no
     attribute of it."""
@@ -312,14 +290,26 @@ def startup_modules(command: str, config: str, sweep: int) -> dict:
 
     cli.main([command, "--config", config, "--out", os.devnull, "--sweep",
               str(sweep)])
-    return {"modules": sorted(name for name, module in sys.modules.items()
-                              if name.startswith("slhkit.")
-                              and type(module) is types.ModuleType)}
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("slhkit.")
+                  and type(module) is types.ModuleType)
 
 
-# what ``--child NAME`` runs, on its JSON arguments
-CHILDREN = {"kernel": row, "sobolev": sobolev_row, "fock-run": fock_run,
-            "defect-run": defect_run, "startup-modules": startup_modules}
+def startup(command: str, config: str, sweep: int) -> dict:
+    """The setup probe and then the CLI process on one config, each a bare
+    process; then the modules a CLI run executes, run in this process only
+    after them, since a bare process starts from this process's high-water
+    mark."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = ROOT / config
+        if config in WORKLOADS:
+            path = Path(tmp) / f"{config}.json"
+            path.write_bytes(generate_config(config, SEED))
+        setup = spawn([sys.executable, "-c", SETUP_PROBE, str(path)])
+        run = spawn([sys.executable, "-m", "slhkit", command, "--config",
+                     str(path), "--out", os.devnull, "--sweep", str(sweep)])
+        modules = startup_modules(command, str(path), sweep)
+    return {"setup_s": setup["seconds"], **run, "modules": modules}
 
 
 def peak_rss_mb() -> float:
@@ -336,22 +326,23 @@ def child_env(src: Path) -> dict:
 
 
 def measure(src: Path, name: str, spec: tuple) -> dict:
-    """The child ``CHILDREN[name]`` on ``spec`` in a fresh process importing
-    ``src``, with its peak RSS."""
+    """Stage ``name``'s child on ``spec`` in a fresh process importing
+    ``src``, with its peak RSS; ``failed`` if it exits non-zero."""
     proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", name,
-         *map(json.dumps, spec)],
-        env=child_env(src), cwd=ROOT, capture_output=True, text=True,
-        check=True)
+        [sys.executable, str(SCRIPT), "--child", name, *map(json.dumps, spec)],
+        env=child_env(src), cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode:
+        return {"failed": {"exit_code": proc.returncode,
+                           "stderr": proc.stderr[-STDERR_TAIL:]}}
     return json.loads(proc.stdout)
 
 
-def spawn(src: Path, argv: list) -> dict:
-    """One bare child importing ``src``, run to exit as ``perfbench/run.py``
-    runs it: seconds on this process's clock, peak RSS from ``wait4``."""
+def spawn(argv: list) -> dict:
+    """One bare child in this process's environment, run to exit as
+    ``perfbench/run.py`` runs it: seconds on this process's clock, peak RSS
+    from ``wait4``."""
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, env=child_env(src), cwd=ROOT,
-                            stdin=subprocess.DEVNULL,
+    proc = subprocess.Popen(argv, cwd=ROOT, stdin=subprocess.DEVNULL,
                             stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
@@ -361,53 +352,67 @@ def spawn(src: Path, argv: list) -> dict:
             "exit_code": proc.returncode}
 
 
-def alternate(trees: dict, measure_side, pairs: int) -> dict:
-    """``measure_side(src)`` ``pairs`` times per side, the first side
-    alternating, so that the i-th run of each side makes pair i; per side,
-    each field's values in run order."""
+class Stage(NamedTuple):
+    """What one stage measures: ``child`` on each of ``specs``, one row per
+    spec labelled by ``keys``, in ``pairs`` alternating pairs; ``same`` are
+    the fields compared across sides, ``paired`` the per-run fields that
+    get pair stats."""
+    child: Callable[..., dict]
+    keys: tuple
+    specs: tuple
+    pairs: int
+    same: tuple
+    paired: tuple
+
+
+STAGES = {
+    "kernel": Stage(row, ("m", "n", "d", "generic_el0"), ROWS, REPEATS,
+                    ("dim", "sector_dims"), ("seconds", "peak_rss_mb")),
+    "fock-run": Stage(fock_run, ("m", "n", "d"), RUNS, REPEATS,
+                      ("kernel_dims",), ("seconds", "peak_rss_mb")),
+    "sobolev": Stage(sobolev_row, ("T", "h"), SOBOLEV_GRIDS, PAIRS,
+                     ("value",), ("seconds", "peak_rss_mb")),
+    "defect-run": Stage(defect_run, ("T", "h"), DEFECT_RUNS, PAIRS,
+                        ("report_sha256",),
+                        ("seconds", "peak_rss_mb", "group_minor_faults")),
+    "startup": Stage(startup, ("command", "config", "sweep"), STARTUP_ROWS,
+                     PAIRS, (), ("setup_s", "seconds", "peak_rss_mb")),
+}
+
+
+def alternate(trees: dict, name: str, spec: tuple, pairs: int) -> dict:
+    """Stage ``name``'s child on ``spec`` ``pairs`` times per side, the
+    first side alternating, so that the i-th run of each side makes pair i,
+    until a run fails; per side, each field's values in run order."""
     runs = {"parent": {}, "change": {}}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            for key, value in measure_side(trees[side]).items():
+            result = measure(trees[side], name, spec)
+            for key, value in result.items():
                 runs[side].setdefault(key, []).append(value)
+            if "failed" in result:
+                return runs
     return runs
 
 
-def child_row(trees: dict, name: str, spec: tuple,
-              pairs: int = REPEATS) -> dict:
-    """``alternate`` over ``measure`` children: per side the ``PER_RUN``
-    fields of each run, the median seconds, the highest peak RSS and the
-    first run's other fields, and ``pair_stats`` unless a side refused."""
-    record = {}
-    for side, runs in alternate(trees, lambda src: measure(src, name, spec),
-                                pairs).items():
-        record[side] = {key: values if key in PER_RUN else values[0]
-                        for key, values in runs.items()}
-        if "refused" not in runs:
-            record[side].update(median_s=statistics.median(runs["seconds"]),
-                                peak_rss_mb=max(runs["peak_rss_mb"]))
-    if not any("refused" in record[side] for side in ("parent", "change")):
-        record["pairs"] = pair_stats(record)
+def stage_row(trees: dict, name: str, spec: tuple) -> dict:
+    """One row of stage ``name``: its labels, per side the paired and
+    ``PER_RUN`` fields of each run and the first run's others, and, unless
+    a side refused or failed, ``same`` and ``pairs``."""
+    stage = STAGES[name]
+    record = dict(zip(stage.keys, spec))
+    runs = alternate(trees, name, spec, stage.pairs)
+    for side, fields in runs.items():
+        record[side] = {key: values if key in stage.paired + PER_RUN
+                        else values[0] for key, values in fields.items()}
+    sides = record["parent"], record["change"]
+    if not any("refused" in side or "failed" in side for side in sides):
+        record["same"] = {key: sides[0][key] == sides[1][key]
+                          for key in stage.same}
+        record["pairs"] = {key: pair_stats(record, key)
+                           for key in stage.paired}
     return record
-
-
-def startup_row(trees: dict, command: str, config: Path, sweep: int) -> dict:
-    """``PAIRS`` alternating pairs of the setup probe and the CLI process,
-    and the modules a CLI run executes, per side."""
-    probe = [sys.executable, "-c", SETUP_PROBE, str(config)]
-    run = [sys.executable, "-m", "slhkit", command, "--config", str(config),
-           "--out", os.devnull, "--sweep", str(sweep)]
-    sides = alternate(trees, lambda src: {
-        "setup_s": spawn(src, probe)["seconds"], **spawn(src, run)}, PAIRS)
-    for side, runs in sides.items():
-        runs["exit_codes"] = runs.pop("exit_code")
-        runs["modules"] = measure(trees[side], "startup-modules",
-                                  (command, str(config), sweep))["modules"]
-    return {**sides,
-            "setup": pair_stats(sides, "setup_s"),
-            "wall": pair_stats(sides),
-            "peak_rss": pair_stats(sides, "peak_rss_mb")}
 
 
 def quartiles(values) -> tuple:
@@ -433,19 +438,31 @@ def pair_stats(sides: dict, key: str = "seconds") -> dict:
                          - stats["parent"]["q1"])}
 
 
-def pair_summary(stats: dict) -> str:
+def pair_summary(key: str, stats: dict) -> str:
+    scale, unit = (1e3, " ms") if key in ("seconds", "setup_s") else (1, "")
     sides = " -> ".join(
-        f"{1e3 * stats[side]['median']:.3f} ms ({1e3 * stats[side]['q1']:.3f}"
-        f"..{1e3 * stats[side]['q3']:.3f})" for side in ("parent", "change"))
-    return (f"{sides}, change faster in {stats['change_wins']}/"
+        f"{scale * stats[side]['median']:.6g}{unit} "
+        f"({scale * stats[side]['q1']:.6g}..{scale * stats[side]['q3']:.6g})"
+        for side in ("parent", "change"))
+    return (f"{key} {sides}, change lower in {stats['change_wins']}/"
             f"{stats['pairs']} pairs"
             f"{'' if stats['resolved'] else ', not resolved'}")
 
 
-def summary(sides: dict) -> str:
-    return " -> ".join("refused" if "refused" in sides[side]
-                       else f"{sides[side]['median_s']:.3f} s"
-                       for side in ("parent", "change"))
+def progress(name: str, record: dict) -> str:
+    """One line per row: its labels, and each paired field's pair summary
+    and the identity fields that differ, or what each side did."""
+    label = " ".join(f"{key}={record[key]}" for key in STAGES[name].keys)
+    if "pairs" not in record:
+        return f"{name} {label}: " + " -> ".join(
+            next((k for k in ("refused", "failed") if k in record[side]),
+                 "ran" if record[side] else "not run")
+            for side in ("parent", "change"))
+    differ = [key for key, same in record["same"].items() if not same]
+    return (f"{name} {label}: "
+            + "; ".join(pair_summary(key, stats)
+                        for key, stats in record["pairs"].items())
+            + (f"; differ in {', '.join(differ)}" if differ else ""))
 
 
 def machine() -> dict:
@@ -469,77 +486,30 @@ def revision(tree: Path):
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def bench(parent: Path, stages=STAGES) -> dict:
-    trees = {"parent": parent / "src", "change": ROOT / "src"}
-    out = {"stage": "fock.boundary_kernel (route B)", "sigma": SIGMA,
-           "seed": SEED, "repeats": REPEATS, "machine": machine(),
-           "revisions": {"parent": revision(parent), "change": revision(ROOT)},
-           "stages": list(stages), "rows": [], "sobolev_rows": [], "runs": [],
-           "defect_runs": [], "startup_rows": []}
-    for m, n, d, generic_el0 in ROWS if "kernel" in stages else ():
-        record = {"m": m, "n": n, "d": d,
-                  "e_l0": "generic" if generic_el0 else "zero",
-                  **child_row(trees, "kernel", (m, n, d, generic_el0))}
-        sides = record["parent"], record["change"]
-        if "pairs" in record:
-            record["speedup"] = sides[0]["median_s"] / sides[1]["median_s"]
-            record["same_dims"] = all(sides[0][k] == sides[1][k]
-                                      for k in ("dim", "sector_dims"))
-        out["rows"].append(record)
-        print(f"({m},{n},{d}) E_l0 {record['e_l0']}: {summary(record)}, "
-              f"dim {record['change'].get('dim')}, last level "
-              f"{record['change'].get('last_level')}", flush=True)
-    for half_width, spacing in SOBOLEV_GRIDS if "sobolev" in stages else ():
-        record = {"T": half_width, "h": spacing,
-                  **child_row(trees, "sobolev", (half_width, spacing), PAIRS)}
-        sides = record["parent"], record["change"]
-        record["speedup"] = sides[0]["median_s"] / sides[1]["median_s"]
-        record["same_value"] = sides[0]["value"] == sides[1]["value"]
-        out["sobolev_rows"].append(record)
-        print(f"sobolev T={half_width:g} h={spacing:g}: "
-              f"{pair_summary(record['pairs'])}, call peak "
-              f"{sides[0]['call_peak_arrays']:.2f} -> "
-              f"{sides[1]['call_peak_arrays']:.2f} arrays", flush=True)
-    for m, n, d in RUNS if "fock-run" in stages else ():
-        record = {"m": m, "n": n, "d": d,
-                  **child_row(trees, "fock-run", (m, n, d))}
-        out["runs"].append(record)
-        print(f"fock run ({m},{n},{d}): {summary(record)}", flush=True)
-    for half_width, spacing in DEFECT_RUNS if "defect-run" in stages else ():
-        record = {"T": half_width, "h": spacing,
-                  **child_row(trees, "defect-run", (half_width, spacing),
-                              PAIRS)}
-        sides = record["parent"], record["change"]
-        record["same_report"] = (sides[0]["report_sha256"]
-                                 == sides[1]["report_sha256"])
-        out["defect_runs"].append(record)
-        faults = " -> ".join(str(statistics.median(
-            sum(group.get("minor_faults", 0) for group in run.values())
-            for run in side["groups"])) for side in sides)
-        peaks = " -> ".join(f"{1024 * side['call_peak_mb']:.1f}"
-                            for side in sides)
-        print(f"defect run T={half_width:g} h={spacing:g}: "
-              f"{pair_summary(record['pairs'])}, group minor faults {faults}, "
-              f"call peak {peaks} KiB", flush=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for command, name in STARTUP_ROWS if "startup" in stages else ():
-            config, sweep = ROOT / name, 0
-            if name in WORKLOADS:
-                config = Path(tmp) / f"{name}.json"
-                config.write_bytes(generate_config(name, SEED))
-                sweep = WORKLOADS[name].sweep
-            record = {"command": command, "config": name, "sweep": sweep,
-                      **startup_row(trees, command, config, sweep)}
-            out["startup_rows"].append(record)
-            rss = " -> ".join(f"{record['peak_rss'][side]['median']:.2f}"
-                              for side in ("parent", "change"))
-            print(f"startup {command} {name}: setup "
-                  f"{pair_summary(record['setup'])}; cli "
-                  f"{pair_summary(record['wall'])}; peak RSS {rss} MB, "
-                  f"lower in {record['peak_rss']['change_wins']}/"
-                  f"{record['peak_rss']['pairs']} pairs; modules "
-                  f"{len(record['parent']['modules'])} -> "
-                  f"{len(record['change']['modules'])}", flush=True)
+def source_digest(tree: Path) -> str:
+    """SHA-256 over ``tree``'s ``src/slhkit/*.py`` in sorted order, each as
+    its path relative to ``tree``, its length and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "slhkit").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(b"%s\0%d\0" % (path.relative_to(tree).as_posix()
+                                     .encode(), len(data)) + data)
+    return digest.hexdigest()
+
+
+def bench(parent: Path, stages=tuple(STAGES)) -> dict:
+    roots = {"parent": parent, "change": ROOT}
+    trees = {side: root / "src" for side, root in roots.items()}
+    out = {"sigma": SIGMA, "seed": SEED, "machine": machine(),
+           "revisions": {side: revision(root) for side, root in roots.items()},
+           "src_sha256": {side: source_digest(root)
+                          for side, root in roots.items()},
+           "stages": list(stages)}
+    for name in stages:
+        out[name] = []
+        for spec in STAGES[name].specs:
+            out[name].append(stage_row(trees, name, spec))
+            print(progress(name, out[name][-1]), flush=True)
     return out
 
 
@@ -547,12 +517,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--stages", nargs="+", choices=STAGES, default=STAGES)
+    parser.add_argument("--stages", nargs="+", choices=list(STAGES),
+                        default=list(STAGES))
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         name, *spec = args.child
-        result = CHILDREN[name](*map(json.loads, spec))
+        result = STAGES[name].child(*map(json.loads, spec))
         result.setdefault("peak_rss_mb", peak_rss_mb())
         print(json.dumps(result))
         return 0
