@@ -82,7 +82,10 @@ Size guard: ``boundary_kernel`` charges each level before its block is
 assembled (``_level_bytes``: the block and what ``null_space`` allocates
 for it, LAPACK's SVD workspace included, plus the kernels held from earlier
 levels and the index tables) and raises TooLarge, naming the level, above
-``MAX_SOLVE_BYTES``.  A space is refused on construction only by closed
+``MAX_SOLVE_BYTES``.  A solve that completes records every level it
+decided, the last one included, in ``BoundarySubspace.levels``: the
+sectors the block spans, its shape, its charge and the kernel columns it
+added (``Level``).  A space is refused on construction only by closed
 forms, the returned columns (at most m d^n, ``kernel_rank``) and the index
 tables, so a huge cutoff is refused at once.  With E_l0 = 0, (1,3,7) stops
 after level 11, charged 1.7 GiB; (2,3,8) is refused on construction.
@@ -92,7 +95,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,10 +170,12 @@ class TruncatedFockSpace:
         return self.m * self.d ** self.n
 
     def table_bytes(self) -> int:
-        """Bytes of the index tables a solve builds once per space
-        (occupation digits, slot maps and sector lists with their
-        temporaries, at most 12n + 8 words per Fock state), and 1 MiB, one
-        pymalloc arena, for the Python objects and array headers."""
+        """Bytes of the index tables a solve holds (occupation digits, slot
+        maps and sector lists with their temporaries, at most 12n + 8 words
+        per Fock state), and 1 MiB, one pymalloc arena, for the Python
+        objects and array headers.  The digits and slot maps are cached on
+        the space; ``sectors()`` builds the sector lists again on every
+        ``boundary_kernel`` call."""
         return 8 * self.fock_dim * (12 * self.n + 8) + 2 ** 20
 
     @cached_property
@@ -292,13 +297,27 @@ def build_mode_operators(m: int, n: int, d: int,
 # --- boundary conditions -----------------------------------------------------
 
 
+class Level(NamedTuple):
+    """One photon-number level of a kernel solve: the sectors its block's
+    columns span, the block's (rows, cols), the bytes ``_level_bytes``
+    charged for it and the kernel columns it added."""
+
+    sectors: range
+    shape: Tuple[int, int]
+    charge: int
+    added: int
+
+
 @dataclass(frozen=True)
 class BoundarySubspace:
-    """Kernel of one family of boundary operators, as orthonormal columns, and
-    the scale sigma~ <= sigma_max its rank threshold was relative to."""
+    """Kernel of one family of boundary operators, as orthonormal columns,
+    the scale sigma~ <= sigma_max its rank threshold was relative to, and
+    the ``Level`` record of each photon-number level the solve decided, in
+    order; the last one added no column unless the sectors ran out."""
 
     columns: np.ndarray
     sigma_max: float
+    levels: Tuple[Level, ...]
 
     @property
     def dim(self) -> int:
@@ -388,18 +407,20 @@ def boundary_kernel(space: TruncatedFockSpace,
     one it is the block of the sectors <= N, whose kernel replaces the last.
     Each level is charged (``_level_bytes``) before its block is assembled,
     and TooLarge is raised when the charge passes ``MAX_SOLVE_BYTES``.
-    Every rank cut is NULLSPACE_TOL x sigma~ (``_scale``)."""
+    Every rank cut is NULLSPACE_TOL x sigma~ (``_scale``).  The result's
+    ``levels`` holds one ``Level`` per decided level."""
     scale = _scale(space, coef)
     sectors = space.sectors()
     coupled = bool(np.any(coef[:, 0]))
-    found, dim = [], 0
+    found, dim, levels = [], 0, []
     for level, sector in enumerate(sectors):
+        spans = range(0 if coupled else level, level + 1)
         if coupled:
             cols = rows = np.concatenate(sectors[:level + 1])
         else:
             cols, rows = sector, sectors[level - 1] if level else sector[:0]
-        need = _level_bytes(space, coef.shape[0] * space.m * rows.size,
-                            space.m * cols.size, found)
+        shape = (coef.shape[0] * space.m * rows.size, space.m * cols.size)
+        need = _level_bytes(space, *shape, found)
         if need > MAX_SOLVE_BYTES:
             raise TooLarge(
                 f"photon-number level {level} of a boundary kernel solve at "
@@ -408,6 +429,7 @@ def boundary_kernel(space: TruncatedFockSpace,
                 f"{MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
         kernel = null_space(_sector_block(space, coef, cols, rows), scale)
         added = kernel.shape[1] - (dim if coupled else 0)
+        levels.append(Level(spans, shape, need, added))
         if added == 0:
             break
         found = [(cols, kernel)] if coupled else found + [(cols, kernel)]
@@ -418,7 +440,7 @@ def boundary_kernel(space: TruncatedFockSpace,
         flat = (np.arange(space.m)[:, None] * space.fock_dim + cols).ravel()
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
-    return BoundarySubspace(columns, scale)
+    return BoundarySubspace(columns, scale, tuple(levels))
 
 
 # --- singular generator and its action --------------------------------------

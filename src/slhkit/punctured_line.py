@@ -42,8 +42,8 @@ only its own (``DEFECT_SIDES``).
 
 Three two-sided functions of a GridFunction remain, ``sobolev_inner``,
 ``derivative`` and ``decompose_sobolev``, only because the benchmark's
-tracer wraps them by name and reads a GridFunction's arrays
-(ROADMAP item 9 retargets those spans to the half-line core).
+tracer wraps them by name (``perfbench/tracing.py``'s ``TARGETS``) and
+reads a GridFunction's arrays.
 
 Chunks
 
@@ -343,8 +343,8 @@ def derivative(f: GridFunction) -> GridFunction:
     three-point estimates that use the stored traces of ``f``.
 
     Formed afresh on every call; the pairings form it chunk by chunk
-    instead. Kept as a traced entry point of the benchmark (ROADMAP item
-    9).
+    instead. Kept as a traced entry point of the benchmark
+    (``perfbench/tracing.py``'s ``TARGETS``).
     """
     n, halves = f.spec.n_nodes, []
     for left in SIDES:
@@ -517,7 +517,7 @@ def sobolev(spec: GridSpec, f: tuple, g: tuple) -> complex:
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
     """Sobolev pairing int (conj(f) g + conj(f') g'), ``sobolev`` on the
     halves of f and g, with no derivative formed whole. Kept as a traced
-    entry point of the benchmark (ROADMAP item 9)."""
+    entry point of the benchmark (``perfbench/tracing.py``'s ``TARGETS``)."""
     require_same_spec(f, g)
     return sobolev(f.spec, *([u.half(left) for left in SIDES] for u in (f, g)))
 
@@ -631,7 +631,7 @@ def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
 
     psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` of
     that half-line's ``defect_half`` read whole. Kept as a traced entry
-    point of the benchmark (ROADMAP item 9).
+    point of the benchmark (``perfbench/tracing.py``'s ``TARGETS``).
     """
     n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)

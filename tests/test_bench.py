@@ -6,11 +6,14 @@ run, the latter on a T = 30, h = 3e-3 grid with its check groups, found by
 the names ``cli.command_defect`` uses (a renamed or added group must show
 up), the start-up child, children run through the hidden ``--child``
 dispatch, every stage of the table on stand-in measurements, a child that
-exits non-zero, the source digest of a tree, and the bench's refusal to run
-without ``--out``."""
+exits non-zero, the source digest of a tree, the bench's refusal to run
+without ``--out``, and a source guard: the tools import no
+``unittest.mock`` and read no single-underscore attribute."""
 
+import ast
 import importlib.util
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -430,3 +433,33 @@ def test_out_is_required(capsys):
         load_bench().main(["--parent", str(root)])
     assert exc.value.code == 2
     assert "--out is required" in capsys.readouterr().err
+
+
+
+def private_reads(source: str) -> list:
+    """The ``unittest.mock`` imports in ``source`` and the attributes it
+    reads with one leading underscore (``x._name``; dunders are allowed)."""
+    imports, private = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imports += [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imports += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute) and re.match("_[^_]", node.attr):
+            private.append(node.attr)
+    return [name for name in imports
+            if name.startswith("unittest.mock")] + private
+
+
+def test_tools_import_no_mock_and_read_no_private():
+    for path in sorted(SCRIPT.parent.glob("*.py")):
+        assert private_reads(path.read_text()) == [], path.name
+
+
+def test_guard_sees_a_level_charge_patch_written_back():
+    source = SCRIPT.read_text()
+    mutant = source.replace("    from slhkit import fock\n", (
+        "    from unittest import mock\n    from slhkit import fock\n"
+        "    charge = fock._level_bytes\n"), 1)
+    assert mutant != source
+    assert private_reads(mutant) == ["unittest.mock", "_level_bytes"]

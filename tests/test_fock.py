@@ -89,18 +89,6 @@ SINGULAR_EL0 = coupling_from_blocks(
 )
 
 
-def record_charges(monkeypatch):
-    """The list ``fock._level_bytes`` appends each level's charge to."""
-    charges, charge = [], fock._level_bytes
-
-    def recording(*args):
-        charges.append(charge(*args))
-        return charges[-1]
-
-    monkeypatch.setattr(fock, "_level_bytes", recording)
-    return charges
-
-
 # Prints the peak-RSS growth, in bytes, of linalg.null_space on a random
 # complex block of the shape given on the command line, the block built as
 # a temporary of the call after a warm-up SVD and QR. The peak is the
@@ -146,16 +134,16 @@ class TestTruncatedSpace:
             TruncatedFockSpace(m=1, n=1, d=10 ** 6)
         assert time.monotonic() - start <= 1.0
 
-    def test_size_guard_admits_three_channels(self, monkeypatch):
+    def test_size_guard_admits_three_channels(self):
         # dim 4096: dense operators would take about 3.3 GiB; the levels of
         # a graded route-B solve are charged under 20 MiB
         ops = build_mode_operators(1, 3, 4, ScalarGauge(0.3))
         assert ops.space.dim == 4096
         e = random_coupling(np.random.default_rng(1), 1, 3,
                             zero_channel_system=True)
-        charges = record_charges(monkeypatch)
-        assert boundary_kernel(ops.space, stacked_boundary_rows(e, ops)).dim
-        assert 0 < max(charges) < 20 * 2 ** 20
+        sub = boundary_kernel(ops.space, stacked_boundary_rows(e, ops))
+        assert sub.dim
+        assert 0 < max(level.charge for level in sub.levels) < 20 * 2 ** 20
 
     def test_size_guard_admission(self):
         # (1,3,6) and (1,3,7) are admitted on construction (the columns and
@@ -173,7 +161,7 @@ class TestTruncatedSpace:
         assert charge(11) <= MAX_SOLVE_BYTES < charge(12)
 
     @pytest.mark.parametrize("size", [(2, 1, 8), (1, 1, 30), (1, 3, 4)])
-    def test_level_charges_cover_the_solve(self, size, monkeypatch):
+    def test_level_charges_cover_the_solve(self, size):
         # everything a route-B solve allocates, the index tables it builds
         # and the kernel columns it returns included, stays within its
         # largest level charge plus the columns
@@ -182,7 +170,6 @@ class TestTruncatedSpace:
         e = random_coupling(np.random.default_rng(1), m, n,
                             zero_channel_system=True)
         rows = stacked_boundary_rows(e, ops)
-        charges = record_charges(monkeypatch)
         tracemalloc.start()
         try:
             sub = boundary_kernel(ops.space, rows)
@@ -190,7 +177,8 @@ class TestTruncatedSpace:
         finally:
             tracemalloc.stop()
         assert sub.dim > 0
-        assert peak <= max(charges) + sub.columns.nbytes
+        charge = max(level.charge for level in sub.levels)
+        assert peak <= charge + sub.columns.nbytes
 
     @pytest.mark.parametrize("shape", [(3000, 1100), (1770, 1770),
                                        (1100, 3000)])
@@ -409,22 +397,15 @@ class TestBoundarySubspaces:
             assert route_b(e, ops).dim == 0
             assert route_c(e, ops).dim == 0
 
-    def test_injective_x0_is_decided_at_level_zero(self, monkeypatch):
+    def test_injective_x0_is_decided_at_level_zero(self):
         # level 0 is X_0 on the vacuum sector; an injective X_0 leaves F_0 =
         # 0, and the stop rule ends each solve after that one decision
         e = random_coupling(np.random.default_rng(1), 1, 2)
         ops = build_mode_operators(1, 2, 6)
-        shapes = []
-        solve = fock.null_space
-
-        def recording(block, scale):
-            shapes.append(block.shape)
-            return solve(block, scale)
-
-        monkeypatch.setattr(fock, "null_space", recording)
-        eq = equivalence(e, ops)
-        assert eq["dim_b"] == eq["dim_c"] == 0
-        assert shapes == [(2, 1), (2, 1)]
+        for sub in (route_b(e, ops), route_c(e, ops)):
+            assert sub.dim == 0
+            assert [(level.sectors, level.shape, level.added)
+                    for level in sub.levels] == [(range(1), (2, 1), 0)]
 
     def test_battery_solves_each_kernel_once(self, monkeypatch):
         # one battery solves route B and route C once each; the guarded
@@ -481,9 +462,8 @@ class TestBoundarySubspaces:
         monkeypatch.setattr(fock, "_sector_block", recording)
         # prefixes hold 1, 3, 6, 10, 15, ... Fock states; admit the charge
         # of level 3 (10 states), read off an unguarded solve
-        charges = record_charges(monkeypatch)
-        boundary_kernel(ops.space, rows)
-        monkeypatch.setattr(fock, "MAX_SOLVE_BYTES", charges[3])
+        levels = boundary_kernel(ops.space, rows).levels
+        monkeypatch.setattr(fock, "MAX_SOLVE_BYTES", levels[3].charge)
         widths.clear()
         with pytest.raises(TooLarge, match="level 4 of"):
             boundary_kernel(ops.space, rows)
@@ -494,6 +474,11 @@ class TestBoundarySubspaces:
         sub_b = route_b(SINGULAR_EL0, ops)
         sub_c = route_c(SINGULAR_EL0, ops)
         assert sub_b.dim == sub_c.dim == 6
+        # coupled: level N is the block of the sectors 0..N
+        for sub in (sub_b, sub_c):
+            assert [level.sectors for level in sub.levels] == [
+                range(level + 1) for level in range(len(sub.levels))]
+            assert sum(level.added for level in sub.levels) == 6
         assert principal_angles(sub_b.columns, sub_c.columns).max() <= 1e-8
 
     @pytest.mark.parametrize("size,sigma", [
@@ -505,8 +490,10 @@ class TestBoundarySubspaces:
         # with E_l0 = 0 the every-sector reference finds kernel in exactly
         # the sectors N = 0..N*, for both routes; that is the stop rule's
         # premise, and above N* boundary_kernel solves no sector, so its
-        # columns must equal the reference's bit for bit.  The guarded
-        # domain read off route B's kernel matches the dense oracle's.
+        # columns must equal the reference's bit for bit, and its level
+        # record the reference's dims through N* + 1, which adds nothing.
+        # The guarded domain read off route B's kernel matches the dense
+        # oracle's.
         m, n, d = size
         gauge = None if sigma is None else ScalarGauge(sigma)
         ops = build_mode_operators(m, n, d, gauge)
@@ -522,6 +509,12 @@ class TestBoundarySubspaces:
                 top = int(np.flatnonzero(dim).max())
                 assert all(dim[:top + 1]) and not any(dim[top + 1:])
                 dims.append(dim)
+                levels = subs[-1].levels
+                assert [level.sectors for level in levels] == [
+                    range(level, level + 1) for level in range(len(levels))]
+                assert [level.added for level in levels] == dim[:len(levels)]
+                assert levels[-1].added == 0
+                assert sum(level.added for level in levels) == subs[-1].dim
             assert dims[0] == dims[1]
             guarded = fock.guarded_basis(ops.space, subs[0])
             ref = dense.guarded_kernel(e)

@@ -9,7 +9,10 @@ change.  STAGE names a table entry (default: all five, in table order):
 
 * ``kernel``: one route-B ``fock.boundary_kernel`` solve per (m, n, d,
   generic E_l0) of ``ROWS``, sigma = 0.3, with its dims and level charges,
-  or the TooLarge message of a size the guard refuses;
+  or the TooLarge message of a size the guard refuses.  Dims and charges
+  are read from the solve's ``levels`` record, so the stage needs a parent
+  tree whose ``BoundarySubspace`` has one; an older parent's rows end as
+  ``failed``;
 * ``fock-run``: one ``slhkit fock`` run, sweep 0, per (m, n, d) of ``RUNS``;
 * ``sobolev``: the Sobolev pairing of the ``defect`` suite's groups on the
   half-line core per (T, h) of ``SOBOLEV_GRIDS``: the median of
@@ -62,11 +65,10 @@ import types
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-# numpy and unittest.mock are imported only in the functions a child runs:
-# a child's peak RSS (from wait4, or its own getrusage) starts at this
-# process's high-water mark, which importing them here would raise to that
-# of a bare CLI process.  perfbench's run.py and workloads.py import the
-# standard library only.
+# numpy is imported only in the functions a child runs: a child's peak RSS
+# (from wait4, or its own getrusage) starts at this process's high-water
+# mark, which importing it here would raise to that of a bare CLI process.
+# perfbench's run.py and workloads.py import the standard library only.
 SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -113,10 +115,9 @@ def coupling(m: int, n: int, generic_el0: bool):
 
 def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     """One timed route-B kernel solve on the slhkit tree this process
-    imports; per-sector dims are None when a kernel column spans sectors."""
+    imports, with the level record it returns; per-sector dims are None
+    when a level spans several sectors."""
     # imported here: the child that calls this picks the tree by PYTHONPATH
-    from unittest import mock
-
     import numpy as np
     from slhkit import fock
     from slhkit.errors import TooLarge
@@ -124,12 +125,6 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     from slhkit.slh import ScalarGauge
 
     e = coupling(m, n, generic_el0)
-    charges, charge = [], fock._level_bytes
-
-    def recording(*args):
-        charges.append(charge(*args))
-        return charges[-1]
-
     try:
         ops = fock.build_mode_operators(m, n, d, ScalarGauge(SIGMA))
         rows = fock.stacked_boundary_rows(e, ops)
@@ -137,25 +132,20 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
         # not the solve's
         null_space(np.ones((3, 2))), null_space(np.ones((2, 3)))
         before = peak_rss_mb()
-        with mock.patch.object(fock, "_level_bytes", recording):
-            start = time.perf_counter()
-            sub = fock.boundary_kernel(ops.space, rows)
-            seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        sub = fock.boundary_kernel(ops.space, rows)
+        seconds = time.perf_counter() - start
         after = peak_rss_mb()
     except TooLarge as err:
         return {"refused": str(err)}
-    sectors = ops.space.sectors()
-    photons = np.full(ops.space.fock_dim, -1)
-    for total, sector in enumerate(sectors):
-        photons[sector] = total
-    photons = np.tile(photons, m)
-    held = [set(photons[np.flatnonzero(column)]) for column in sub.columns.T]
+    charges = [level.charge for level in sub.levels]
     per_sector = None
-    if all(len(h) == 1 for h in held):
-        per_sector = np.bincount([h.pop() for h in held],
-                                 minlength=len(sectors)).tolist()
+    if all(len(level.sectors) == 1 for level in sub.levels):
+        per_sector = [0] * (ops.space.n_modes * (d - 1) + 1)
+        for level in sub.levels:
+            per_sector[level.sectors[0]] += level.added
     return {"seconds": seconds, "dim": sub.dim, "sector_dims": per_sector,
-            "sigma_max": sub.sigma_max, "last_level": len(charges) - 1,
+            "sigma_max": sub.sigma_max, "last_level": len(sub.levels) - 1,
             "largest_charge_mb": max(charges) / 2 ** 20,
             "rss_before_mb": before, "rss_after_mb": after}
 
