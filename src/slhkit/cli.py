@@ -7,6 +7,8 @@ Most check values come from a library function that the tests call too
 (``slh.identity_residuals``, ``fock.fock_battery``, ...); this module names
 the records, holds each to its entry of ``TOLERANCES`` (the Fock angle and
 action tolerances are the config's) and fixes the order of the random draws.
+The ``defect`` suite is one ordered table, ``DEFECT_GROUPS``: check group
+name to a function ``(spec, rng, report)``, walked by ``command_defect``.
 
 Layers: this module imports ``config``, ``ensembles``, ``report``, ``slh``
 and ``phases``, which every subcommand or the config needs. It holds the
@@ -151,19 +153,19 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
 
 
 # --- defect ---------------------------------------------------------------
+# The check groups of the defect suite, each (spec, rng, report). A group
+# draws its bumps first (a bump draws its parameters when it is made, not
+# when it is evaluated), each function a (left, right) pair of sources read
+# chunk by chunk; the grid layer's group function then checks both
+# half-lines and returns the values the group names.
 
-def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
-    spec = punctured_line.GridSpec(config.grid.half_width, config.grid.spacing)
-    rng = np.random.default_rng(seed)
-    # A group draws its bumps first (a bump draws its parameters when it is
-    # made, not when it is evaluated), each function a (left, right) pair
-    # of sources read chunk by chunk; the grid layer's group function then
-    # checks both half-lines and returns the values this names.
-    def bumps():
-        # a bump on each half-line, the left one drawn first
-        return punctured_line.sample(spec, random_bump(rng, "left"),
-                                     random_bump(rng, "right"))
+def _bumps(spec, rng: np.random.Generator):
+    # a bump on each half-line, the left one drawn first
+    return punctured_line.sample(spec, random_bump(rng, "left"),
+                                 random_bump(rng, "right"))
 
+
+def _defect_vectors(spec, rng: np.random.Generator, report: Report) -> None:
     for check, values in punctured_line.defect_vector_defects(spec).items():
         for name, value in values.items():
             report.add(f"{check}_{name}", value, TOLERANCES[check])
@@ -171,6 +173,8 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
     # both and the pairing is 0 by construction. Kept for the report.
     report.add("defect_overlap", 0.0, TOLERANCES["defect_overlap"])
 
+
+def _reproducing(spec, rng: np.random.Generator, report: Report) -> None:
     # psi_r is a bump on the right half-line, paired with phi_+, and psi_l
     # one on the left, paired with phi_-, drawn in that order.
     draws = ((random_bump(rng, "right"), random_bump(rng, "left"))
@@ -181,26 +185,22 @@ def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -
         report.add(f"reproducing_{name}", max([0.0] + values),
                    TOLERANCES["reproducing"])
 
+
+def _decomposition(spec, rng: np.random.Generator, report: Report) -> None:
     for key, values in punctured_line.decomposition_defects(
-            spec, [bumps() for _ in range(10)]).items():
+            spec, [_bumps(spec, rng) for _ in range(10)]).items():
         name = f"decomposition_{key}"
         report.add(name, max([0.0] + values), TOLERANCES[name])
 
+
+def _eigenrelation(spec, rng: np.random.Generator, report: Report) -> None:
     for name, values in punctured_line.eigenrelation_defects(spec).items():
         for key, value in values.items():
             report.add(f"eigenrelation_{name}_{key}", value,
                        TOLERANCES[f"eigenrelation_{key}"])
 
-    _jump_splitting_check(rng, report)
 
-    for name, value in punctured_line.symmetry_defects(spec, bumps(), bumps(),
-                                                        0.3).items():
-        report.add(name, value, TOLERANCES[name])
-
-    _extension_check(report)
-
-
-def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
+def _jump_splitting(spec, rng: np.random.Generator, report: Report) -> None:
     # One draw, indexed (sigma, instance, value, re/im): the same numbers in
     # the same order as one scalar draw per part, so the generator ends in
     # the same state.
@@ -214,12 +214,38 @@ def _jump_splitting_check(rng: np.random.Generator, report: Report) -> None:
                TOLERANCES["jump_splitting_identity"])
 
 
-def _extension_check(report: Report) -> None:
+def _symmetry(spec, rng: np.random.Generator, report: Report) -> None:
+    for name, value in punctured_line.symmetry_defects(
+            spec, _bumps(spec, rng), _bumps(spec, rng), 0.3).items():
+        report.add(name, value, TOLERANCES[name])
+
+
+def _extension(spec, rng: np.random.Generator, report: Report) -> None:
     worst = max(punctured_line.extension_domain_defect(e, sigma,
                                                        complex(0.7, -0.4))
                 for e in (0.5, 2.0, float(np.pi)) for sigma in (0.0, 0.3))
     report.add("extension_domain_annihilation", worst,
                TOLERANCES["extension_domain_annihilation"])
+
+
+# Run order fixes every random draw. ``command_defect`` reads the table when
+# it runs, so a tool may swap in a table of wrapped entries.
+DEFECT_GROUPS = {
+    "defect_vectors": _defect_vectors,
+    "reproducing": _reproducing,
+    "decomposition": _decomposition,
+    "eigenrelation": _eigenrelation,
+    "jump_splitting": _jump_splitting,
+    "symmetry": _symmetry,
+    "extension": _extension,
+}
+
+
+def command_defect(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
+    spec = punctured_line.GridSpec(config.grid.half_width, config.grid.spacing)
+    rng = np.random.default_rng(seed)
+    for group in DEFECT_GROUPS.values():
+        group(spec, rng, report)
 
 
 # --- scatter ---------------------------------------------------------------

@@ -2,13 +2,14 @@
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
 guard refuses on construction and one it refuses at a level, one Sobolev
 row (``punctured_line.sobolev`` on sources), one ``fock`` and one ``defect``
-run, the latter on a T = 30, h = 3e-3 grid with its check groups, found by
-the names ``cli.command_defect`` uses (a renamed or added group must show
-up), the start-up child, children run through the hidden ``--child``
-dispatch, every stage of the table on stand-in measurements, a child that
-exits non-zero, the source digest of a tree, the bench's refusal to run
-without ``--out``, and a source guard: the tools import no
-``unittest.mock`` and read no single-underscore attribute."""
+run, the latter on a T = 30, h = 3e-3 grid with the check groups of
+``cli.DEFECT_GROUPS`` under their table keys, the start-up child, children
+run through the hidden ``--child`` dispatch, every stage of the table on
+stand-in measurements, a child that exits non-zero, the source digest of a
+tree, the bench's refusal to run without ``--out``, and a source guard:
+the tools import no ``unittest.mock``, read no single-underscore attribute
+(by name or through ``getattr`` on a literal) and no function's
+bytecode."""
 
 import ast
 import importlib.util
@@ -76,16 +77,9 @@ def test_sobolev_row_records_call_peak_and_value():
     assert all(isinstance(float.fromhex(x), float) for x in result["value"])
 
 
-GROUPS = ["defect_vector_defects", "reproducing_defects",
-          "decomposition_defects", "eigenrelation_defects",
-          "_jump_splitting_check", "symmetry_defects", "_extension_check"]
-
-
-def test_tool_finds_every_check_group_in_call_order():
-    assert load_bench().defect_groups() == GROUPS
-
-
 def test_defect_run_records_exit_code_and_report_digest():
+    from slhkit import cli
+
     result = load_bench().defect_run(30.0, 3e-3)
     assert set(result) == {"seconds", "minor_faults", "exit_code",
                            "report_sha256", "rss_before_mb", "rss_after_mb",
@@ -99,7 +93,7 @@ def test_defect_run_records_exit_code_and_report_digest():
     assert 0 < result["rss_before_mb"] <= result["rss_after_mb"]
     assert result["peak_rss_mb"] == result["rss_after_mb"]
     groups = result["groups"]
-    assert list(groups) == GROUPS
+    assert list(groups) == list(cli.DEFECT_GROUPS)
     for group in groups.values():
         assert set(group) == {"seconds", "minor_faults", "peak_mb"}
         assert group["seconds"] >= 0 and group["minor_faults"] >= 0
@@ -145,12 +139,11 @@ def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
                 "peak_rss_mb": 40.0}
 
     monkeypatch.setattr(bench, "spawn", spawn)
-    monkeypatch.setattr(bench, "startup_modules", lambda *args: ["slhkit.x"])
     for command, config, sweep in bench.STARTUP_ROWS:
         spawns.clear()
         result = bench.startup(command, config, sweep)
         assert result == {"setup_s": 0.25, "seconds": 0.5, "exit_code": 0,
-                          "peak_rss_mb": 40.0, "modules": ["slhkit.x"]}
+                          "peak_rss_mb": 40.0}
         # the probe is perfbench's line; the CLI runs the row's command on
         # the same config
         (probe, probe_argv, probe_on_disk), (cli, argv, on_disk) = spawns
@@ -166,12 +159,9 @@ def test_startup_child_runs_in_a_fresh_process():
     bench = load_bench()
     result = bench.measure(bench.ROOT / "src", "startup",
                            ("slh", "configs/example.json", 0))
-    assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb",
-                           "modules"}
+    assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb"}
     assert result["exit_code"] == 0 and result["peak_rss_mb"] > 0
     assert 0 < result["setup_s"] and 0 < result["seconds"]
-    assert "slhkit.slh" in result["modules"]
-    assert "slhkit.punctured_line" not in result["modules"]
 
 
 STAGE_NAMES = list(load_bench().STAGES)
@@ -323,7 +313,7 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
             seconds -= 0.03
         return {"setup_s": seconds, "seconds": seconds, "exit_code": 0,
                 "peak_rss_mb": 40.0 - 0.5 * (side == "change"),
-                "modules": [side]}
+                "first": side}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
@@ -346,7 +336,7 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
         assert stats["resolved"]
     assert row["pairs"]["peak_rss_mb"]["change_wins"] == n
     assert row["pairs"]["peak_rss_mb"]["change"]["median"] == 39.5
-    assert row["parent"]["modules"] == ["parent"]
+    assert row["parent"]["first"] == "parent"
     assert row["change"]["exit_code"] == [0] * n
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith(
@@ -437,16 +427,25 @@ def test_out_is_required(capsys):
 
 
 def private_reads(source: str) -> list:
-    """The ``unittest.mock`` imports in ``source`` and the attributes it
-    reads with one leading underscore (``x._name``; dunders are allowed)."""
+    """The ``unittest.mock`` imports in ``source``, the attributes it reads
+    with one leading underscore (``x._name``; dunders are allowed), its
+    reads of a function's bytecode (``__code__``, ``co_names``) and its
+    ``getattr`` calls on a literal single-underscore name."""
     imports, private = [], []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             imports += [f"{node.module}.{alias.name}" for alias in node.names]
         elif isinstance(node, ast.Import):
             imports += [alias.name for alias in node.names]
-        elif isinstance(node, ast.Attribute) and re.match("_[^_]", node.attr):
+        elif isinstance(node, ast.Attribute) and (
+                re.match("_[^_]", node.attr)
+                or node.attr in ("__code__", "co_names")):
             private.append(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)
+              and re.match("_[^_]", str(node.args[1].value))):
+            private.append(node.args[1].value)
     return [name for name in imports
             if name.startswith("unittest.mock")] + private
 
@@ -463,3 +462,17 @@ def test_guard_sees_a_level_charge_patch_written_back():
         "    charge = fock._level_bytes\n"), 1)
     assert mutant != source
     assert private_reads(mutant) == ["unittest.mock", "_level_bytes"]
+
+
+def test_guard_sees_a_bytecode_read_written_back():
+    # the check-group scan of an earlier bench.py, and a getattr on one of
+    # the private functions it found
+    source = SCRIPT.read_text()
+    mutant = source.replace("    from slhkit import cli\n", (
+        "    from slhkit import cli\n"
+        "    names = [name for name in cli.command_defect.__code__.co_names\n"
+        "             if callable(getattr(cli, \"_extension_check\", None))]\n"),
+        1)
+    assert mutant != source
+    assert sorted(private_reads(mutant)) == ["__code__", "_extension_check",
+                                             "co_names"]

@@ -245,11 +245,33 @@ class TestDeterminism:
     def test_jump_splitting_draw_matches_scalar_draws(self):
         # The one array draw leaves the generator where 2,400 scalar draws
         # would, so the symmetry group that follows draws the same f and g.
+        # The group reads no grid, so it gets no spec.
         rng, scalar = np.random.default_rng(3), np.random.default_rng(3)
-        cli._jump_splitting_check(rng, Report("defect", ""))
+        cli.DEFECT_GROUPS["jump_splitting"](None, rng, Report("defect", ""))
         for _ in range(2400):
             scalar.uniform(-1, 1)
         assert rng.bit_generator.state == scalar.bit_generator.state
+
+    def test_defect_walks_its_groups_in_table_order(self, monkeypatch):
+        # Each entry wrapped by a recorder: the run calls every group once,
+        # in table order, and writes the bytes of an unwrapped run.
+        cfg = config_from_dict({**SCALAR_MODEL,
+                                "grid": {"T": 30.0, "h": 3e-3}})
+        plain = report_to_json_bytes(run_command("defect", cfg))
+        calls = []
+
+        def recorded(name, group):
+            def run(*args):
+                calls.append(name)
+                group(*args)
+            return run
+
+        monkeypatch.setattr(cli, "DEFECT_GROUPS", {
+            name: recorded(name, group)
+            for name, group in cli.DEFECT_GROUPS.items()})
+        wrapped = report_to_json_bytes(run_command("defect", cfg))
+        assert calls == list(cli.DEFECT_GROUPS) and len(calls) == 7
+        assert wrapped == plain
 
     def test_defect_bytes_do_not_depend_on_blas_threads(self, tmp_path):
         # Each pairing adds one np.vdot per chunk of NODE_CHUNK nodes,

@@ -19,13 +19,15 @@ change.  STAGE names a table entry (default: all five, in table order):
   ``SOBOLEV_CALLS`` calls and one more traced call's peak;
 * ``defect-run``: one ``slhkit defect`` run of the ``grid-defect`` config
   per (T, h) of ``DEFECT_RUNS``, then one traced ``command_defect``, each
-  check group timed and traced.  ``group_minor_faults`` is the fault figure
-  to compare: ``cli.main``'s own also counts module loading and compiling
-  from source.  Both, and the peak RSS, move with the length of a tree's
-  path, so compare trees at paths of equal length;
+  check group of ``cli.DEFECT_GROUPS`` timed and traced under its table
+  key.  The stage needs a parent tree whose ``cli`` has that table; an
+  older parent's rows end as ``failed``.  ``group_minor_faults`` is the
+  fault figure to compare: ``cli.main``'s own also counts module loading
+  and compiling from source.  Both, and the peak RSS, move with the length
+  of a tree's path, so compare trees at paths of equal length;
 * ``startup``: the setup probe (``setup_s``) and then ``python -m slhkit``
   per subcommand and config of ``STARTUP_ROWS``, each a bare process timed
-  as ``perfbench/run.py`` times it, and the modules a CLI run executes.
+  as ``perfbench/run.py`` times it.
 
 An entry names the child that measures one row, its specs (labelled by the
 entry's ``keys``), the alternating pairs per row (``REPEATS`` or
@@ -61,7 +63,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-import types
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -211,49 +212,37 @@ def fock_run(m: int, n: int, d: int) -> dict:
                                    if c["name"].endswith("kernel_dims")]}
 
 
-def defect_groups() -> list:
-    """The check groups in the order ``cli.command_defect`` calls them: the
-    grid layer's ``..._defects`` functions and ``cli``'s ``_...``
-    functions."""
-    from slhkit import cli
-    return [name for name in cli.command_defect.__code__.co_names
-            if name.endswith("_defects")
-            or name.startswith("_") and callable(getattr(cli, name, None))]
-
-
 def defect_run(half_width: float, spacing: float) -> dict:
     """One timed ``slhkit defect`` run of the ``grid-defect`` config on the
-    (T, h) grid, then one traced ``command_defect``; each check group
-    records its seconds and faults in the first, its peak in the second."""
+    (T, h) grid, then one traced ``command_defect``, each with the entries of
+    ``cli.DEFECT_GROUPS`` wrapped; each check group records its seconds and
+    faults in the first, its peak in the second."""
     from slhkit import cli
     from slhkit.config import config_from_dict
     from slhkit.punctured_line import GridSpec
 
     config = json.loads(generate_config("grid-defect", SEED))
     config["grid"] = {"T": half_width, "h": spacing}
-    owners = {name: cli if name.startswith("_") else cli.punctured_line
-              for name in defect_groups()}
-    originals = {name: getattr(owner, name) for name, owner in owners.items()}
-    groups, peaks = {name: {} for name in owners}, []
+    table = cli.DEFECT_GROUPS
+    groups, peaks = {name: {} for name in table}, []
 
-    def measured(name):
+    def measured(name, group):
         def run(*args):
             # the traced peak since the last group began, before it restarts
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             faults, start = minor_faults(), time.perf_counter()
-            value = originals[name](*args)
+            group(*args)
             # seconds and faults of the untraced run, peak of the traced one
             record = groups[name]
             record.setdefault("seconds", time.perf_counter() - start)
             record.setdefault("minor_faults", minor_faults() - faults)
             record["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
-            return value
         return run
 
     try:
-        for name, owner in owners.items():
-            setattr(owner, name, measured(name))
+        cli.DEFECT_GROUPS = {name: measured(name, group)
+                             for name, group in table.items()}
         run, report = cli_run("defect", config)
         loaded = config_from_dict(config)
         tracemalloc.start()
@@ -261,8 +250,7 @@ def defect_run(half_width: float, spacing: float) -> dict:
         peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
     finally:
         tracemalloc.stop()
-        for name, owner in owners.items():
-            setattr(owner, name, originals[name])
+        cli.DEFECT_GROUPS = table
     unit = 32 * GridSpec(half_width, spacing).n_nodes
     return {**run, "report_sha256": (hashlib.sha256(report).hexdigest()
                                      if report is not None else None),
@@ -272,24 +260,9 @@ def defect_run(half_width: float, spacing: float) -> dict:
             "call_peak_mb": peak / 2 ** 20, "call_peak_arrays": peak / unit}
 
 
-def startup_modules(command: str, config: str, sweep: int) -> list:
-    """The slhkit modules one CLI run executes; a lazy placeholder that was
-    never read is not a ``types.ModuleType`` yet, and ``type()`` reads no
-    attribute of it."""
-    from slhkit import cli
-
-    cli.main([command, "--config", config, "--out", os.devnull, "--sweep",
-              str(sweep)])
-    return sorted(name for name, module in sys.modules.items()
-                  if name.startswith("slhkit.")
-                  and type(module) is types.ModuleType)
-
-
 def startup(command: str, config: str, sweep: int) -> dict:
     """The setup probe and then the CLI process on one config, each a bare
-    process; then the modules a CLI run executes, run in this process only
-    after them, since a bare process starts from this process's high-water
-    mark."""
+    process."""
     with tempfile.TemporaryDirectory() as tmp:
         path = ROOT / config
         if config in WORKLOADS:
@@ -298,8 +271,7 @@ def startup(command: str, config: str, sweep: int) -> dict:
         setup = spawn([sys.executable, "-c", SETUP_PROBE, str(path)])
         run = spawn([sys.executable, "-m", "slhkit", command, "--config",
                      str(path), "--out", os.devnull, "--sweep", str(sweep)])
-        modules = startup_modules(command, str(path), sweep)
-    return {"setup_s": setup["seconds"], **run, "modules": modules}
+    return {"setup_s": setup["seconds"], **run}
 
 
 def peak_rss_mb() -> float:
