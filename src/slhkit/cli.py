@@ -29,7 +29,6 @@ module-level numerical error) exits 1.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.util
 import sys
 import time
@@ -379,7 +378,7 @@ def run_command(command: str, config: ModelConfig, seed: Optional[int] = None,
     LAPACK failure surfaces as SlhkitError, like every other numerical error.
     """
     if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+        config = config._replace(seed=seed)
     report = Report(command=command, config_hash=config.config_hash())
     start = time.monotonic()
     try:

@@ -1,14 +1,17 @@
-"""Model configuration: JSON schema, validation, defaults, and hashing."""
+"""Model configuration: JSON schema, validation, defaults, and hashing.
+
+A config and each of its sections is a ``NamedTuple``, and an array value is
+read into a tuple, so no two configs share a list and ``_replace`` derives
+one config from another.
+"""
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -18,40 +21,33 @@ from .phases import MOLLIFIER_SHAPES
 from .slh import CouplingMatrix, Gauge, GaugeMatrix, ScalarGauge
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     hermiticity: float = 1e-10
     kernel: float = 1e-8
     action: float = 1e-8
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(NamedTuple):
     half_width: float = 40.0
     spacing: float = 1e-3
 
 
-@dataclass(frozen=True)
-class FockConfig:
+class FockConfig(NamedTuple):
     d: int = 5
 
 
-@dataclass(frozen=True)
-class PhaseConfig:
-    e_values: List[float] = field(
-        default_factory=lambda: [0.0, 0.1, 1.0, 2.0, float(np.pi)])
-    sigma_values: List[float] = field(default_factory=lambda: [0.0])
+class PhaseConfig(NamedTuple):
+    e_values: Tuple[float, ...] = (0.0, 0.1, 1.0, 2.0, float(np.pi))
+    sigma_values: Tuple[float, ...] = (0.0,)
 
 
-@dataclass(frozen=True)
-class ScatterConfig:
+class ScatterConfig(NamedTuple):
     e_value: float = float(np.pi)
-    epsilons: List[float] = field(default_factory=lambda: [0.1, 0.01])
+    epsilons: Tuple[float, ...] = (0.1, 0.01)
     mollifier: str = "bump"
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
     """A validated config: the coupling E, and the gauge that Z (a matrix)
     or sigma (a scalar) sets, or None."""
 
@@ -78,7 +74,7 @@ class ModelConfig:
         }
         for key, (_, fields) in _SECTIONS.items():
             section = getattr(self, key)
-            out[key] = {k: copy.copy(getattr(section, attr))
+            out[key] = {k: getattr(section, attr)
                         for k, (attr, _) in fields.items()}
         return out
 
@@ -93,7 +89,7 @@ def _complex_matrix_to_json(mat: np.ndarray) -> list:
 
 
 # JSON key -> (attribute, kind) for each optional section; the defaults of
-# absent keys are those of the section's dataclass.
+# absent keys are those of the section's NamedTuple.
 _SECTIONS = {
     "tolerances": (Tolerances, {"hermiticity": ("hermiticity", float),
                                 "kernel": ("kernel", float),
@@ -112,12 +108,14 @@ _KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
 def _read(value, kind, name: str):
     """``value`` as ``kind``, else ValidationError: int takes an integer (not
     a bool), float a finite integer or float (stored as float), str a string,
-    and a one-element list [k] a nonempty array of k."""
+    and a one-element list [k] a nonempty array (list or tuple) of k, stored
+    as a tuple."""
     if isinstance(kind, list):
-        if not isinstance(value, list) or not value:
+        if not isinstance(value, (list, tuple)) or not value:
             raise ValidationError(
                 f"{name} must be a nonempty array, got {value!r}")
-        return [_read(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
+        return tuple(_read(v, kind[0], f"{name}[{i}]")
+                     for i, v in enumerate(value))
     ok = (isinstance(value, str) if kind is str else
           isinstance(value, numbers.Real if kind is float else numbers.Integral)
           and not isinstance(value, bool))
@@ -192,7 +190,7 @@ def config_from_dict(data: dict) -> ModelConfig:
 
     sections = {key: _section(data, key) for key in _SECTIONS}
     tolerances = sections["tolerances"]
-    if min(vars(tolerances).values()) < 0:
+    if min(tolerances) < 0:
         raise ValidationError(f"tolerances must be >= 0, got {tolerances}")
     _check_blockwise_hermiticity(e_matrix, m, tolerances.hermiticity)
     coupling = CouplingMatrix(m, n, e_matrix)

@@ -93,14 +93,19 @@ after level 11, charged 1.7 GiB; (2,3,8) is refused on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import MAX_SOLVE_BYTES, NotInDomain, TooLarge
-from .linalg import adjoint, channel_blocks, null_space, principal_angles
+from .linalg import (
+    ReadOnly,
+    adjoint,
+    channel_blocks,
+    null_space,
+    principal_angles,
+)
 from .slh import CouplingMatrix, Gauge, SLHResult, gauge_zll, slh_triple
 
 
@@ -122,16 +127,13 @@ def _on_system(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (x @ psi.reshape(len(x), -1)).reshape(psi.shape)
 
 
-@dataclass(frozen=True)
-class TruncatedFockSpace:
-    """System space C^m with 2n boson modes truncated at photon cutoff d."""
+class TruncatedFockSpace(ReadOnly):
+    """System space C^m with 2n boson modes truncated at photon cutoff d.
+    Two spaces with the same (m, n, d) are equal."""
 
-    m: int
-    n: int
-    d: int
-
-    def __post_init__(self):
-        if self.d < 3 or self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, d: int):
+        self.m, self.n, self.d = m, n, d
+        if d < 3 or m < 1 or n < 1:
             raise TooLarge(f"need d >= 3, m >= 1, n >= 1, got "
                            f"(m, n, d) = ({self.m}, {self.n}, {self.d})")
         # Closed forms only, so a huge cutoff is refused before anything is
@@ -142,6 +144,13 @@ class TruncatedFockSpace:
                 f"a boundary kernel solve at (m, n, d) = ({self.m}, "
                 f"{self.n}, {self.d}) needs more than the desk-scale guard "
                 f"of {MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
+
+    def __eq__(self, other):
+        return (type(other) is TruncatedFockSpace
+                and (self.m, self.n, self.d) == (other.m, other.n, other.d))
+
+    def __hash__(self):
+        return hash((self.m, self.n, self.d))
 
     @property
     def n_modes(self) -> int:
@@ -244,8 +253,7 @@ class TruncatedFockSpace:
         return np.zeros_like(psi) if out is None else out
 
 
-@dataclass(frozen=True)
-class ModeOperators:
+class ModeOperators(NamedTuple):
     """Graded mode operators of one truncated space.  Each family holds one
     form per channel, shape (n, 1 + 2n, m, m): [j] is the form of channel
     j + 1, whose a_+ slot is 1 + j and a_- slot 1 + n + j.
@@ -308,8 +316,7 @@ class Level(NamedTuple):
     added: int
 
 
-@dataclass(frozen=True)
-class BoundarySubspace:
+class BoundarySubspace(NamedTuple):
     """Kernel of one family of boundary operators, as orthonormal columns,
     the scale sigma~ <= sigma_max its rank threshold was relative to, and
     the ``Level`` record of each photon-number level the solve decided, in

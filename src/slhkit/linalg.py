@@ -17,7 +17,8 @@ matrix.
 
 ``kappas``, the gauge split kappa_pm = 1/2 +- i sigma, is here because
 ``slh``, ``phases`` and ``punctured_line`` read it and ``slh`` imports
-neither of the others.
+neither of the others; ``ReadOnly``, the base of the records that validate
+on construction, is here for the same reason.
 """
 
 from __future__ import annotations
@@ -30,6 +31,21 @@ from .errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 
 DEFAULT_HERMITICITY_TOL = 1e-10
 NULLSPACE_TOL = 1e-9
+
+
+class ReadOnly:
+    """Base of a record whose ``__init__`` validates: each attribute is set
+    once, there, and can then be neither reassigned nor deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -19,8 +19,7 @@ and ``linalg``.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .errors import InvalidMollifier
 from .linalg import kappas
 
 
-@dataclass(frozen=True)
-class BoundaryPhases:
+class BoundaryPhases(NamedTuple):
     """The three boundary phases attached to a real coupling strength."""
 
     s: complex             # Cayley phase (1 - iE/2)/(1 + iE/2)
@@ -70,8 +68,7 @@ MOLLIFIER_SHAPES = {
 }
 
 
-@dataclass(frozen=True)
-class ScatterResult:
+class ScatterResult(NamedTuple):
     """Transmitted phase across a mollified point coupling vs the exact phases."""
 
     epsilon: float

@@ -84,14 +84,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import phases
 from .errors import MAX_SOLVE_BYTES, DomainTooSmall, SpecMismatch, TooLarge
-from .linalg import kappas
+from .linalg import ReadOnly, kappas
 
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
@@ -108,14 +107,14 @@ DEFECT_LIVE_ARRAYS = 3
 SIDES = (True, False)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform grid on [-T, 0) and (0, T]; no node at the origin."""
+class GridSpec(ReadOnly):
+    """Uniform grid on [-T, 0) and (0, T]; no node at the origin. Two specs
+    with the same half-width and spacing are equal."""
 
-    half_width: float
-    spacing: float
+    __slots__ = ("half_width", "spacing")
 
-    def __post_init__(self):
+    def __init__(self, half_width: float, spacing: float):
+        self.half_width, self.spacing = half_width, spacing
         if not (math.isfinite(self.half_width) and math.isfinite(self.spacing)):
             raise SpecMismatch(
                 f"grid half-width and spacing must be finite, got "
@@ -137,6 +136,17 @@ class GridSpec:
                 f"spacing {self.spacing}")
         if round(ratio) < 10:
             raise SpecMismatch("need at least 10 nodes per half-line")
+
+    def __eq__(self, other):
+        return (type(other) is GridSpec and self.half_width == other.half_width
+                and self.spacing == other.spacing)
+
+    def __hash__(self):
+        return hash((self.half_width, self.spacing))
+
+    def __repr__(self):
+        return (f"GridSpec(half_width={self.half_width!r}, "
+                f"spacing={self.spacing!r})")
 
     @property
     def n_nodes(self) -> int:
@@ -214,28 +224,23 @@ def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
     return Half(values, complex(limit))
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """Complex values on the two half-line grids plus exact boundary traces:
-    the argument of the traced two-sided entry points.
+class GridFunction(ReadOnly):
+    """Complex values on the two half-line grids plus exact boundary traces
+    psi(0-) (``left_limit``) and psi(0+) (``right_limit``): the argument of
+    the traced two-sided entry points.
 
     The value arrays are read-only views.  Equality is identity: compare the
     value arrays to compare two functions.
     """
 
-    spec: GridSpec
-    left: np.ndarray
-    right: np.ndarray
-    left_limit: complex   # psi(0-)
-    right_limit: complex  # psi(0+)
+    __slots__ = ("spec", "left", "right", "left_limit", "right_limit")
 
-    def __post_init__(self):
-        left = _check_half(self.spec, True, self.left, self.left_limit)
-        right = _check_half(self.spec, False, self.right, self.right_limit)
-        object.__setattr__(self, "left", left.values)
-        object.__setattr__(self, "right", right.values)
-        object.__setattr__(self, "left_limit", left.limit)
-        object.__setattr__(self, "right_limit", right.limit)
+    def __init__(self, spec: GridSpec, left: np.ndarray, right: np.ndarray,
+                 left_limit: complex, right_limit: complex):
+        self.spec = spec
+        self.left, self.left_limit = _check_half(spec, True, left, left_limit)
+        self.right, self.right_limit = _check_half(spec, False, right,
+                                                   right_limit)
 
     def half(self, left: bool) -> Half:
         """The left or the right half, as views."""
@@ -593,8 +598,7 @@ def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
     return worst
 
 
-@dataclass(frozen=True)
-class SobolevDecomposition:
+class SobolevDecomposition(NamedTuple):
     """Triple (psi0, c_plus, c_minus) with psi0 vanishing at the origin and
     psi = psi0 + c_plus phi_+ + c_minus phi_-: the result of the traced
     ``decompose_sobolev``."""

@@ -6,36 +6,39 @@ are [re, im] pairs, and the wall-clock measurement is kept on the in-memory
 report only (it would break byte-level determinism in files).  Reports are
 strict JSON: a non-finite float is written as the string "inf", "-inf" or
 "nan", and such a value fails its check.
+
+A ``CheckRecord`` is a ``NamedTuple`` and a ``Report`` a plain class, so
+importing this module generates no code; ``csv`` is imported by the CSV
+writer only.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     name: str
     value: object
     tolerance: Optional[float]
     passed: bool
 
 
-@dataclass
 class Report:
-    command: str
-    config_hash: str
-    results: dict = field(default_factory=dict)
-    checks: List[CheckRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """The checks of one run, in order, with the run's results and its
+    wall time."""
+
+    def __init__(self, command: str, config_hash: str):
+        self.command, self.config_hash = command, config_hash
+        self.results = {}
+        self.checks = []
+        self.wall_time_s = 0.0
 
     def add(self, name: str, value, tolerance: Optional[float],
             passed: Optional[bool] = None) -> CheckRecord:
@@ -60,7 +63,9 @@ class Report:
 
 def encode_value(value):
     """Strict-JSON encoding; complex numbers become [re, im] pairs and
-    non-finite floats the strings "inf", "-inf" and "nan"."""
+    non-finite floats the strings "inf", "-inf" and "nan".  Only a plain
+    list or tuple becomes an array: a record (a ``NamedTuple``) raises
+    TypeError like any other unknown type."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, (np.bool_,)):
@@ -73,7 +78,7 @@ def encode_value(value):
         return [encode_value(value.real), encode_value(value.imag)]
     if isinstance(value, np.ndarray):
         return encode_value(value.tolist())
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list) or type(value) is tuple:
         return [encode_value(v) for v in value]
     if isinstance(value, dict):
         return {str(k): encode_value(v) for k, v in value.items()}
@@ -102,6 +107,8 @@ CSV_HEADER = ["config_hash", "name", "value", "tolerance", "pass"]
 
 
 def report_to_csv_bytes(report: Report) -> bytes:
+    import csv  # only a CSV report needs it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -16,14 +16,14 @@ they serve as an independent oracle in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import SingularDressing, SizeMismatch
 from .linalg import (
     DEFAULT_HERMITICITY_TOL,
+    ReadOnly,
     adjoint,
     as_complex_matrix,
     channel_projector,
@@ -37,31 +37,28 @@ DRESSING_TOL = 1e-12
 GAUGE_CHECK_SIGMAS = (-1.0, 0.0, 0.3, 1.0)
 
 
-@dataclass(frozen=True)
-class ScalarGauge:
+class ScalarGauge(NamedTuple):
     """Scalar gauge sigma, entering through kappa_pm = 1/2 +- i*sigma
     (``linalg.kappas``)."""
 
     sigma: float
 
 
-@dataclass(frozen=True)
-class GaugeMatrix:
+class GaugeMatrix(ReadOnly):
     """Hermitian gauge block Z_ll of size nm (implicitly zero on the system slot)."""
 
-    zll: np.ndarray
-    hermiticity_tol: float = DEFAULT_HERMITICITY_TOL
+    __slots__ = ("zll", "hermiticity_tol")
 
-    def __post_init__(self):
-        z = require_hermitian(self.zll, self.hermiticity_tol, "gauge matrix")
-        object.__setattr__(self, "zll", z)
+    def __init__(self, zll: np.ndarray,
+                 hermiticity_tol: float = DEFAULT_HERMITICITY_TOL):
+        self.zll = require_hermitian(zll, hermiticity_tol, "gauge matrix")
+        self.hermiticity_tol = hermiticity_tol
 
 
 Gauge = Union[ScalarGauge, GaugeMatrix]
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
+class CouplingMatrix(ReadOnly):
     """Coupling matrix E on (C + K) tensor h: ``m`` is the system dimension,
     ``n`` the channel count and ``full`` the plain (1+n)m square complex
     array, the first m rows/columns forming the system block.
@@ -69,20 +66,18 @@ class CouplingMatrix:
     Construction checks only the sizes; ``validate_coupling`` adds
     hermiticity."""
 
-    m: int
-    n: int
-    full: np.ndarray
+    __slots__ = ("m", "n", "full")
 
-    def __post_init__(self):
-        full = as_complex_matrix(self.full)
-        size = (1 + self.n) * self.m
-        if self.m < 1 or self.n < 1:
-            raise SizeMismatch(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
+    def __init__(self, m: int, n: int, full: np.ndarray):
+        full = as_complex_matrix(full)
+        size = (1 + n) * m
+        if m < 1 or n < 1:
+            raise SizeMismatch(f"need m >= 1 and n >= 1, got m={m}, n={n}")
         if full.shape != (size, size):
             raise SizeMismatch(
-                f"full matrix must be {size}x{size} for m={self.m}, n={self.n}, "
+                f"full matrix must be {size}x{size} for m={m}, n={n}, "
                 f"got {full.shape}")
-        object.__setattr__(self, "full", full)
+        self.m, self.n, self.full = m, n, full
 
 
 def validate_coupling(raw: np.ndarray, m: int, n: int,
@@ -137,8 +132,7 @@ def derived_matrices(g: np.ndarray, m: int, n: int):
     return g + pi, eye + pi @ g, eye + 0.5 * (pi @ g)
 
 
-@dataclass(frozen=True)
-class SLHResult:
+class SLHResult(NamedTuple):
     """Derived matrices and the extracted triple for a coupling E and gauge.
 
     ``ito``, ``model``, ``galilean`` and ``dressing`` (G, V, M, F) are plain

@@ -13,12 +13,18 @@ import pytest
 
 from slhkit import cli, phases
 from slhkit.cli import run_command
-from slhkit.config import config_from_dict, load_config
+from slhkit.config import (
+    PhaseConfig,
+    ScatterConfig,
+    config_from_dict,
+    load_config,
+)
 from slhkit.ensembles import random_coupling
 from slhkit.errors import ParseError, SlhkitError, ValidationError
 from slhkit.report import (
     Report,
     emit_report,
+    encode_value,
     report_to_csv_bytes,
     report_to_json_bytes,
 )
@@ -58,6 +64,17 @@ class TestConfig:
         echoed = {k: v for k, v in echoed.items() if v is not None}
         cfg2 = config_from_dict(echoed)
         assert cfg.config_hash() == cfg2.config_hash()
+
+    def test_list_defaults_are_tuples_and_keep_the_hash(self):
+        # a shared mutable default is impossible, and json writes a tuple
+        # as the array a list gave, so the hash of the example stays put
+        assert PhaseConfig() == PhaseConfig(
+            (0.0, 0.1, 1.0, 2.0, float(np.pi)), (0.0,))
+        assert ScatterConfig().epsilons == (0.1, 0.01)
+        for value in (*PhaseConfig(), ScatterConfig().epsilons):
+            assert type(value) is tuple
+        assert load_config(str(EXAMPLE)).config_hash() == (
+            "c42550649bf58135ed0c4e840b181bdd8a7c1a8b86076e4bbe371c44b6dac606")
 
     def test_non_hermitian_block_named(self):
         bad = dict(MINIMAL)
@@ -223,6 +240,13 @@ class TestReportSerialization:
         rows = list(csv.reader(io.StringIO(report_to_csv_bytes(rep).decode())))
         assert [json.loads(row[2], parse_constant=reject) for row in rows[1:]] \
             == ["inf", "nan", ["nan", "-inf"]]
+
+    def test_a_record_is_not_encoded(self):
+        # a NamedTuple record is a tuple, but only plain tuples and lists
+        # are written as arrays: a record would lose its field names
+        assert encode_value((1, [2.0])) == [1, [2.0]]
+        with pytest.raises(TypeError, match="cannot encode BoundaryPhases"):
+            encode_value([phases.boundary_phase(1.0)])
 
     def test_same_report_twice_is_byte_identical(self, tmp_path):
         cfg = config_from_dict(SCALAR_MODEL)

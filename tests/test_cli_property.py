@@ -1,6 +1,7 @@
 """Property of the command-line flags: fuzzed ``--seed``, ``--sweep`` and
-``--format`` through ``cli.main`` for ``defect`` (on coarse grids of at
-most 400 nodes per half-line), ``phase`` and ``slh``.
+``--format`` through ``cli.main`` for all five subcommands: ``defect`` on
+coarse grids of at most 400 nodes per half-line and ``fock`` at d = 3, each
+ungauged and at sigma = 0.3.
 
 Every run exits 0, 1 or 2 without an escaping exception; it exits 2 exactly
 when a flag is refused (a negative ``--seed`` or ``--sweep``, or a nonzero
@@ -27,12 +28,12 @@ SWEEPS = st.one_of(st.none(), st.integers(-3, 3))
 FORMATS = st.sampled_from((None, "json", "csv"))
 
 
-@settings(max_examples=250, derandomize=True, database=None, deadline=None)
-@given(st.sampled_from(("defect", "phase", "slh")), SEEDS, SWEEPS, FORMATS,
-       st.sampled_from(GRIDS))
-def test_flags_exit_cleanly(command, seed, sweep, fmt, grid):
-    config = {"m": 1, "n": 1, "E": COUPLING,
-              "grid": {"T": grid[0], "h": grid[1]}}
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(tuple(cli.COMMANDS)), SEEDS, SWEEPS, FORMATS,
+       st.sampled_from(GRIDS), st.sampled_from((None, 0.3)))
+def test_flags_exit_cleanly(command, seed, sweep, fmt, grid, sigma):
+    config = {"m": 1, "n": 1, "E": COUPLING, "sigma": sigma,
+              "grid": {"T": grid[0], "h": grid[1]}, "fock": {"d": 3}}
     argv = [command]
     for flag, value in (("--seed", seed), ("--sweep", sweep),
                         ("--format", fmt)):

@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -575,7 +574,7 @@ class TestSingularAction:
         ops = build_mode_operators(2, 1, 4)
         skewed = [0.6 * ap + 0.4 * am
                   for ap, am in zip(ops.a_plus, ops.a_minus)]
-        assert number_defect_residual(replace(ops, a_star=skewed)) > 0.1
+        assert number_defect_residual(ops._replace(a_star=skewed)) > 0.1
 
 
 class TestGaugedChecks:
@@ -646,7 +645,8 @@ class TestGaugedChecks:
             if coef is not rows_c:
                 return sub
             noise = rng.standard_normal(sub.columns.shape)
-            return replace(sub, columns=np.linalg.qr(sub.columns + 0.1 * noise)[0])
+            return sub._replace(
+                columns=np.linalg.qr(sub.columns + 0.1 * noise)[0])
 
         space = ops.space
         assert subspace_equivalence(space, rows_b, rows_c)["max_angle"] <= 1e-8

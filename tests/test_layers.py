@@ -7,7 +7,10 @@ below it.
 placeholders (``importlib.util.LazyLoader``), and a placeholder's code runs
 on the first read of any of its attributes. So these tests ask which modules
 have *executed*: a placeholder's type is the loader's module subclass until
-it runs, and ``type()`` reads no attribute of it."""
+it runs, and ``type()`` reads no attribute of it.
+
+The last tests ask which standard modules a CLI process loads: those that
+only one function needs are imported inside it."""
 
 import os
 import subprocess
@@ -34,17 +37,24 @@ print(*(k for k in held if type(sys.modules[k]) is types.ModuleType))
 """
 
 
+def probe(statements: str, names=()) -> list:
+    """The lines ``PROBE`` prints in a fresh interpreter after running
+    ``statements``, and a third: those of ``names`` in ``sys.modules``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    code = PROBE.format(statements=statements) + (
+        f"print(*(k for k in {tuple(names)!r} if k in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")[:3]
+
+
 def modules_after(statements: str) -> tuple:
     """(held, executed): the slhkit submodules a fresh interpreter holds in
     ``sys.modules`` after running ``statements``, and those of them whose
     code has run."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE.format(statements=statements)],
-        env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    held, executed = (line.split() for line in proc.stdout.splitlines())
+    held, executed = (line.split() for line in probe(statements)[:2])
     assert held[0] == executed[0] == "slhkit"
     return tuple({name.removeprefix("slhkit.") for name in names[1:]}
                  for names in (held, executed))
@@ -102,3 +112,25 @@ def test_a_subcommand_runs_only_its_own_layer(command, layers):
         "assert code == 0, code")
     assert executed == CLI_BASE | layers
     assert held == CLI_BASE | LAYERS
+
+
+# Standard modules that no record or config load needs: dataclasses
+# generates and execs each record's methods at import, and csv serves only
+# the CSV writer.
+DEFERRED = ("dataclasses", "csv")
+
+
+def test_config_load_imports_no_deferred_module():
+    # perfbench's setup probe
+    assert probe("from slhkit import cli\n"
+                 f"cli.load_config({str(EXAMPLE)!r})", DEFERRED)[2] == ""
+
+
+@pytest.mark.parametrize("command", ["fock", "defect"])
+def test_a_json_run_imports_neither_dataclasses_nor_csv(command):
+    assert probe(
+        "import os\n"
+        "from slhkit import cli\n"
+        f"code = cli.main([{command!r}, '--config', {str(EXAMPLE)!r}, "
+        "'--out', os.devnull])\n"
+        "assert code == 0, code", DEFERRED)[2] == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from slhkit import fock
+from slhkit import fock, punctured_line
 from slhkit.ensembles import random_coupling
 from slhkit.errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 from slhkit.linalg import (
@@ -14,7 +14,7 @@ from slhkit.linalg import (
     null_space,
     principal_angles,
 )
-from slhkit.slh import ScalarGauge, slh_triple
+from slhkit.slh import CouplingMatrix, GaugeMatrix, ScalarGauge, slh_triple
 
 
 def orthonormality_defect(basis):
@@ -258,3 +258,31 @@ class TestBlockPartition:
         assert column.shape == (2, 1, 2, 2)
         assert np.abs(column[1, 0] - full[4:6, :2]).max() == 0
         assert np.shares_memory(column, full)
+
+
+class TestReadOnlyRecords:
+    RECORDS = {
+        "spec": lambda: punctured_line.GridSpec(1.0, 0.1),
+        "space": lambda: fock.TruncatedFockSpace(1, 1, 3),
+        "coupling": lambda: CouplingMatrix(1, 1, np.eye(2)),
+        "gauge": lambda: GaugeMatrix(np.eye(1)),
+        "function": lambda: punctured_line.GridFunction(
+            punctured_line.GridSpec(1.0, 0.1), np.zeros(10), np.zeros(10),
+            0.0, 0.0),
+    }
+
+    @pytest.mark.parametrize("key", RECORDS)
+    def test_attributes_are_set_once(self, key):
+        record = self.RECORDS[key]()
+        for name in getattr(record, "__slots__", ("m", "n", "d")):
+            with pytest.raises(AttributeError, match="is read-only"):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError, match="is read-only"):
+                delattr(record, name)
+
+    def test_value_records_hash_by_value(self):
+        for key in ("spec", "space"):
+            a, b = self.RECORDS[key](), self.RECORDS[key]()
+            assert a == b and len({a, b}) == 1
+        a, b = self.RECORDS["coupling"](), self.RECORDS["coupling"]()
+        assert a != b and a == a

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -228,7 +226,7 @@ class TestIdentityResiduals:
         res = slh_triple(random_coupling(np.random.default_rng(12), 2, 2))
         moved = getattr(res, field) + 1e-6 * (1 + 1j)
         assert identity_residuals(res)[key] <= 1e-10
-        assert identity_residuals(replace(res, **{field: moved}))[key] > 1e-8
+        assert identity_residuals(res._replace(**{field: moved}))[key] > 1e-8
 
 
 class TestGaugeFamily:
