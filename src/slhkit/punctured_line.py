@@ -33,49 +33,44 @@ two-sided function per check group (``defect_vector_defects``,
 pairing alone) takes its functions as (left, right) pairs of halves, runs
 the passes of both half-lines and joins their scalars in the order of the
 two-sided formula, (L2_- + L2_+) + (D_- + D_+). It returns plain values,
-per draw or per defect vector; the CLI defect suite names them. A half is
-stored values or a source read on the nodes asked for: the defect vector
-of a half-line in closed form (``defect_half``), or a callable
-(``sample_half``; ``sample`` makes a pair). phi_- is zero on the right
-half-line and phi_+ on the left, traces included, so a half-line pairs
-only its own (``DEFECT_SIDES``).
-
-Three two-sided functions of a GridFunction remain, ``sobolev_inner``,
-``derivative`` and ``decompose_sobolev``, only because the benchmark's
-tracer wraps them by name (``perfbench/tracing.py``'s ``TARGETS``) and
-reads a GridFunction's arrays.
+per draw or per defect vector; the CLI defect suite names them. A half's
+values are a source, a function of node coordinates: a callable
+(``sample_half``; ``sample`` makes a pair) or a defect vector in closed
+form (``defect_half``). phi_- is zero on the right half-line and phi_+ on
+the left, traces included, so a half-line pairs only its own
+(``DEFECT_SIDES``). Stored values remain for a GridFunction, the argument
+of ``sobolev_inner``, ``derivative`` and ``decompose_sobolev``, which the
+benchmark's tracer wraps by name (``perfbench/tracing.py``'s ``TARGETS``).
 
 Chunks
 
 A per-half function makes one pass over the half-line in chunks of
-``NODE_CHUNK`` nodes (``_chunks``). On a chunk it reads each half once
-on the chunk's nodes and one neighbour on each side, forms each derivative
-there once, and adds each pairing's ``np.vdot`` to that pairing's sum
-(``_Trapezoids``, which takes and checks the derivative trace of each
-differentiated half once per pass). A pairing is the trapezoid rule
-h (S - p(end)/2 + p(0)/2): S the chunk sums added in node order, p(end)
-the product at -T or T and p(0) that of the traces. That is the panel sum
-of the two-sided formula up to rounding, within gamma_n sum |conj(f) g|
-(Higham, Accuracy and Stability of Numerical Algorithms, 4.2); no product
-or panel array is formed. Node maxima (reconstruction and eigenrelation
+``NODE_CHUNK`` nodes (``_chunks``). A chunk forms the coordinates of its
+nodes and one neighbour on each side once; on them it reads each half
+once (a stored one as a view), forms each derivative once, and adds each
+pairing's ``np.vdot`` to that pairing's sum (``_Trapezoids``, which
+checks the derivative trace of each differentiated half once per pass). A
+pairing is the trapezoid rule h (S - p(end)/2 + p(0)/2): S the chunk sums
+added in node order, p(end) the product at -T or T and p(0) that of the
+traces. That is the panel sum of the two-sided formula up to rounding,
+within gamma_n sum |conj(f) g| (Higham, Accuracy and Stability of
+Numerical Algorithms, 4.2). Node maxima (reconstruction and eigenrelation
 residuals) are reduced on the same chunks, each node rounded as on the
-whole array. A pass forms no n-node array, nor does refusing a non-finite
-pairing: ``_refuse`` forms the derivatives again chunk by chunk.
+whole array. The boundary reads (``_check_half``, ``_derivative_trace``)
+form the coordinates of the two or three nodes they read.
 
 Storage
 
-* a GridFunction holds read-only views of its value arrays (the array a
-  caller passes in stays writable; a strided one is copied once); each
-  half is checked by ``_check_half``: finite values and trace, vanishing
-  at -T or T. A source half is checked alike, its values as they are read;
+* a GridFunction holds read-only views of its arrays (the caller's stays
+  writable, a strided one is copied once); ``_check_half`` checks each
+  half, a source's values as read: finite, a finite trace, 0 at -T or T;
 * ``derivative`` and ``decompose_sobolev`` form their result whole, the
   only node arrays the module forms;
-* a pass holds one chunk's arrays at a time, deleting them before it
-  reads the next chunk: each half's window of at most NODE_CHUNK + 2
-  values, its derivative on the chunk's nodes and, in
+* a pass, and ``_refuse``, which forms a refused pairing's derivatives
+  again, hold one chunk's arrays at a time: its coordinates, each half's
+  window of at most NODE_CHUNK + 2 values, its derivative and, in
   ``decomposition_half``, psi0's window and the residual; a pairing keeps
-  three scalars (its sum, the product at -T or T and the traces'
-  product);
+  three scalars (its sum, the product at -T or T and the traces');
 * GridSpec refuses a grid whose node arrays would need more than
   ``MAX_SOLVE_BYTES`` (TooLarge), before anything is allocated.
 """
@@ -95,12 +90,10 @@ from .linalg import ReadOnly, kappas
 DECAY_TOL = 1e-12
 MIN_HALF_WIDTH = 30.0
 # Most two-sided complex node arrays held at once, the bound of the size
-# guard. Only decompose_sobolev and derivative form node arrays: with their
-# argument they peak at 2.50 and 2.07 arrays at 20k and 40k nodes
-# (tests/test_punctured_line.py). The CLI defect suite, and a pairing it
-# refuses, hold no node array: the tracemalloc peak is a few windows of a
-# chunk of NODE_CHUNK nodes, whatever n (test_defect_suite_peak_is_flat_in_n,
-# bench.py). Kept at 3 for the same grids.
+# guard. Only decompose_sobolev and derivative form node arrays: 2.50 and
+# 2.07 arrays with their argument (tests/test_punctured_line.py). The CLI
+# defect suite, and a pairing it refuses, hold a few chunk windows whatever
+# n (test_defect_suite_peak_is_flat_in_n). Kept at 3 for the same grids.
 DEFECT_LIVE_ARRAYS = 3
 # The left half-line [-T, 0), then the right one (0, T]: the order of every
 # loop over halves and of the sums that join them.
@@ -187,19 +180,12 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 class Half(NamedTuple):
     """One half-line of a grid function: its node values, stored (an n-node
-    array) or a source ``read(lo, hi)`` of the values on nodes lo:hi, and
-    its trace at the origin, psi(0-) on the left and psi(0+) on the right."""
+    array) or a source, a function of node coordinates that returns its
+    values there, and its trace at the origin, psi(0-) on the left and
+    psi(0+) on the right."""
 
     values: object
     limit: complex
-
-
-def _read(values, lo: int, hi: int) -> np.ndarray:
-    """Nodes lo:hi of a half's values: a view of stored values, or what its
-    source returns, checked finite."""
-    if isinstance(values, np.ndarray):
-        return values[lo:hi]
-    return _finite(values(lo, hi))
 
 
 def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
@@ -214,7 +200,8 @@ def _check_half(spec: GridSpec, left: bool, values, limit) -> Half:
             raise SpecMismatch(
                 f"value arrays must have shape ({n},), got {values.shape}")
         _finite(values)
-    end = abs(_read(values, *((0, 1) if left else (n - 1, n)))[0])
+    at = 0 if left else n - 1
+    end = abs(_chunk(spec, left, at, at + 1).read(Half(values, limit))[0])
     if not math.isfinite(abs(limit)):
         raise SpecMismatch("boundary values must be finite")
     if end > DECAY_TOL:
@@ -260,56 +247,38 @@ def trace_at_origin(fn: Callable[..., np.ndarray]) -> complex:
 
 def sample_half(spec: GridSpec, left: bool,
                 fn: Callable[..., np.ndarray]) -> Half:
-    """A callable on one half-line as a checked source: ``fn`` on the nodes
-    lo:hi asked for, and ``fn`` at 0 as the trace (continuity from that
-    side)."""
-    return _check_half(spec, left, lambda lo, hi: np.ascontiguousarray(
-        fn(spec.nodes(left, lo, hi)), dtype=complex), trace_at_origin(fn))
+    """A callable on one half-line as a checked source: ``fn`` itself, read
+    on the coordinates of the nodes asked for, and ``fn`` at 0 as the trace
+    (continuity from that side)."""
+    return _check_half(spec, left, fn, trace_at_origin(fn))
+
+
+def _phi_minus(t: np.ndarray) -> np.ndarray:
+    """phi_-(t) = i e^t, the defect vector of the left half-line."""
+    z = np.exp(t).astype(complex)
+    return np.multiply(1j, z, out=z)
+
+
+def _phi_plus(t: np.ndarray) -> np.ndarray:
+    """phi_+(t) = -i e^-t, the defect vector of the right half-line. Like
+    phi_-, made complex before the product, which gives the bits of the
+    real array times the scalar without numpy's cast buffer beside the
+    result (0.2 two-sided arrays at 20k nodes, in decompose_sobolev)."""
+    z = np.exp(np.negative(t)).astype(complex)
+    return np.multiply(-1j, z, out=z)
 
 
 def defect_half(spec: GridSpec, left: bool) -> Half:
-    """The defect vector that lives on one half-line, checked: phi_- = i e^t
-    on the left half-line and phi_+ = -i e^-t on the right one, read in
-    closed form on the nodes asked for. Needs T >= 30 so the tail sits
-    below the decay tolerance."""
+    """The defect vector that lives on one half-line, checked: its closed
+    form as a source, phi_- = i e^t on the left half-line and
+    phi_+ = -i e^-t on the right one, and its trace, i or -i. Needs
+    T >= 30 so the tail sits below the decay tolerance."""
     if spec.half_width < MIN_HALF_WIDTH:
         raise DomainTooSmall(
             f"half-width {spec.half_width} < {MIN_HALF_WIDTH}: exponential "
             f"tails would not vanish at the truncation boundary")
-
-    def phi(lo, hi):
-        x = spec.nodes(left, lo, hi)
-        np.exp(x if left else np.negative(x, out=x), out=x)
-        return np.multiply(1j if left else -1j, x)
-    return _check_half(spec, left, phi, 1j if left else -1j)
-
-
-def _derivative_chunk(values: np.ndarray, base: int, n: int, h: float,
-                      start: int, stop: int, out: np.ndarray) -> np.ndarray:
-    """Second-order derivative of an n-node half-line grid on the nodes
-    ``start:stop``, from ``values``, its nodes ``base:base + len(values)``,
-    written into ``out`` (``stop - start`` nodes) and returned.
-
-    Central differences in the interior, one-sided three-point stencils at the
-    two boundary-adjacent nodes of the half-line. Every node is formed by the
-    same operations whatever the window, so the windows of a half-line make
-    up its whole derivative bit for bit.
-    """
-    lo, hi = max(start, 1), min(stop, n - 1)
-    if lo < hi:
-        interior = out[lo - start:hi - start]
-        np.subtract(values[lo + 1 - base:hi + 1 - base],
-                    values[lo - 1 - base:hi - 1 - base], out=interior)
-        # numpy divides a complex array by a real scalar as a multiplication
-        # by its reciprocal; doing that on the real view gives the same values
-        # without the slower complex loop.
-        real = interior.view(np.float64)
-        real *= 1.0 / (2.0 * h)
-    if start == 0:
-        out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    if stop == n:
-        out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return out
+    return _check_half(spec, left, _phi_minus if left else _phi_plus,
+                       1j if left else -1j)
 
 
 def _derivative_trace(spec: GridSpec, left: bool, half: Half,
@@ -319,22 +288,20 @@ def _derivative_trace(spec: GridSpec, left: bool, half: Half,
     the half's grid derivative is finite (``finite`` says whether its node
     values are) and vanishes at -T or T. ``derivative`` and the pairings
     check through here, so they refuse the same functions."""
-    h, n = spec.spacing, spec.n_nodes
-    values, limit = half
+    h, n, limit = spec.spacing, spec.n_nodes, half.limit
     if left:
-        v = _read(values, n - 2, n)
+        v = _chunk(spec, left, n - 2, n).read(half)
         trace = complex((3.0 * limit - 4.0 * v[-1] + v[-2]) / (2.0 * h))
     else:
-        v = _read(values, 0, 2)
+        v = _chunk(spec, left, 0, 2).read(half)
         trace = complex((-3.0 * limit + 4.0 * v[0] - v[1]) / (2.0 * h))
     if not (finite and math.isfinite(abs(trace))):
         raise SpecMismatch(
             f"grid derivative at spacing h = {h:g} is not finite")
     start = 0 if left else n - 1
     base = 0 if left else n - 3
-    end = abs(_derivative_chunk(_read(values, base, base + 3), base, n, h,
-                                start, start + 1,
-                                np.empty(1, dtype=complex))[0])
+    end_chunk = _chunk(spec, left, base, base + 3, start, start + 1)
+    end = abs(end_chunk.slope(end_chunk.read(half))[0])
     if end > DECAY_TOL:
         raise SpecMismatch(
             f"grid derivative at spacing h = {h:g} must vanish at the "
@@ -353,8 +320,9 @@ def derivative(f: GridFunction) -> GridFunction:
     """
     n, halves = f.spec.n_nodes, []
     for left in SIDES:
-        d = _derivative_chunk(f.half(left).values, 0, n, f.spec.spacing, 0, n,
-                              np.empty(n, dtype=complex))
+        # one chunk of all the nodes, its window stored, so no coordinates
+        d = _Chunk(n, f.spec.spacing, 0, n, 0, n, None).slope(
+            f.half(left).values)
         halves.append(Half(d, _derivative_trace(
             f.spec, left, f.half(left), np.isfinite(d.view(np.float64)).all())))
     (dl, tl), (dr, tr) = halves
@@ -370,7 +338,8 @@ NODE_CHUNK = 2048
 class _Chunk(NamedTuple):
     """The nodes start:stop of an n-node half-line and the window lo:hi a
     half is read on: one neighbour on each side for the derivative
-    stencils, and the three end nodes for a one-node last chunk."""
+    stencils, and the three end nodes for a one-node last chunk. ``t``
+    holds the window's node coordinates, on which every source is read."""
 
     n: int
     h: float
@@ -378,20 +347,43 @@ class _Chunk(NamedTuple):
     hi: int
     start: int
     stop: int
+    t: np.ndarray
 
     def read(self, half: Half) -> np.ndarray:
-        """The half's values on the window."""
-        return _read(half.values, self.lo, self.hi)
+        """The half's values on the window: a view of stored values, or
+        its source on ``t``, checked finite."""
+        if isinstance(half.values, np.ndarray):
+            return half.values[self.lo:self.hi]
+        return _finite(np.ascontiguousarray(half.values(self.t),
+                                            dtype=complex))
 
     def own(self, window: np.ndarray) -> np.ndarray:
         """A window's values on the chunk's nodes."""
         return window[self.start - self.lo:self.stop - self.lo]
 
     def slope(self, window: np.ndarray) -> np.ndarray:
-        """The grid derivative on the chunk's nodes, from a window."""
-        return _derivative_chunk(window, self.lo, self.n, self.h, self.start,
-                                 self.stop, np.empty(self.stop - self.start,
-                                                     dtype=complex))
+        """The second-order grid derivative on the chunk's nodes, from a
+        window: central differences in the interior, one-sided three-point
+        stencils at the two boundary-adjacent nodes of the half-line. Every
+        node is formed by the same operations whatever the chunk, so the
+        chunks of a half-line make up its whole derivative bit for bit."""
+        n, base, start, stop = self.n, self.lo, self.start, self.stop
+        out, step = np.empty(stop - start, dtype=complex), 2.0 * self.h
+        lo, hi = max(start, 1), min(stop, n - 1)
+        if lo < hi:
+            interior = out[lo - start:hi - start]
+            np.subtract(window[lo + 1 - base:hi + 1 - base],
+                        window[lo - 1 - base:hi - 1 - base], out=interior)
+            # numpy divides a complex array by a real scalar as a
+            # multiplication by its reciprocal; doing that on the real view
+            # gives the same values without the slower complex loop.
+            real = interior.view(np.float64)
+            real *= 1.0 / step
+        if start == 0:
+            out[0] = (-3.0 * window[0] + 4.0 * window[1] - window[2]) / step
+        if stop == n:
+            out[-1] = (3.0 * window[-1] - 4.0 * window[-2] + window[-3]) / step
+        return out
 
     def factor(self, half: Half) -> tuple:
         """The half's window and its derivative on the chunk's nodes."""
@@ -399,12 +391,21 @@ class _Chunk(NamedTuple):
         return window, self.slope(window)
 
 
-def _chunks(spec: GridSpec):
-    """The ``_Chunk`` of each run of ``NODE_CHUNK`` nodes, in node order."""
+def _chunk(spec: GridSpec, left: bool, lo: int, hi: int, start: int = 0,
+           stop: int = 0) -> _Chunk:
+    """The ``_Chunk`` of the nodes start:stop on the window lo:hi of the
+    left or the right half-line, its coordinates formed once."""
+    return _Chunk(spec.n_nodes, spec.spacing, lo, hi, start, stop,
+                  spec.nodes(left, lo, hi))
+
+
+def _chunks(spec: GridSpec, left: bool):
+    """The ``_Chunk`` of each run of ``NODE_CHUNK`` nodes of the left or
+    the right half-line, in node order."""
     n = spec.n_nodes
     for start in range(0, n, NODE_CHUNK):
         stop = min(start + NODE_CHUNK, n)
-        yield _Chunk(n, spec.spacing, max(min(start - 1, n - 3), 0),
+        yield _chunk(spec, left, max(min(start - 1, n - 3), 0),
                      min(stop + 1, n), start, stop)
 
 
@@ -467,7 +468,7 @@ def _refuse(spec: GridSpec, left: bool, pair: tuple) -> None:
     what ``derivative`` refuses."""
     f, g, diff_f, diff_g = pair
     for u, diff in ((f, diff_f), (g, diff_g)):
-        for chunk in _chunks(spec) if diff else ():
+        for chunk in _chunks(spec, left) if diff else ():
             _derivative_trace(spec, left, u, np.isfinite(
                 chunk.slope(chunk.read(u)).view(np.float64)).all())
 
@@ -484,7 +485,7 @@ def reproducing_half(spec: GridSpec, left: bool, phi: Half,
     not again."""
     rule = _Trapezoids(spec, left, [pair for psi in psis
                                     for pair in _sobolev_pairs(phi, psi)])
-    for chunk in _chunks(spec):
+    for chunk in _chunks(spec, left):
         u = chunk.factor(phi)
         for k, psi in enumerate(psis):
             rule.sobolev(2 * k, chunk, u, u if psi.values is phi.values
@@ -570,7 +571,7 @@ def symmetry_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
     """One half-line's terms of the regular pairings <f|g'> and <g|f'>, in
     one pass, so neither g' nor f' is formed whole."""
     rule = _Trapezoids(spec, left, [(f, g, False, True), (g, f, False, True)])
-    for chunk in _chunks(spec):
+    for chunk in _chunks(spec, left):
         (fw, df), (gw, dg) = chunk.factor(f), chunk.factor(g)
         rule.add(0, chunk, chunk.own(fw), dg)
         rule.add(1, chunk, chunk.own(gw), df)
@@ -589,7 +590,7 @@ def eigenrelation_half(spec: GridSpec, left: bool, phi: Half,
     """
     _derivative_trace(spec, left, phi)
     worst = 0.0
-    for chunk in _chunks(spec):
+    for chunk in _chunks(spec, left):
         window, d = chunk.factor(phi)
         np.multiply(1j, d, out=d)
         d += (sign * 1j) * chunk.own(window)
@@ -622,37 +623,37 @@ def _psi0_window(c: complex, phi: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def _psi0_half(f: Half, c: complex, phi: Half) -> Half:
     """One half of psi0 = f - c phi, with phi the defect vector of that
-    half-line and c its coefficient, unchecked, as a source: c phi
-    subtracted from f's half (``_psi0_window``), and the trace that
+    half-line and c its coefficient, unchecked: the source that forms
+    ``_psi0_window`` from f's and phi's sources, and the trace that
     expression on the traces."""
-    return Half(lambda lo, hi: _psi0_window(c, _read(phi.values, lo, hi),
-                                            _read(f.values, lo, hi)),
+    return Half(lambda t: _psi0_window(c, phi.values(t), f.values(t)),
                 f.limit - c * phi.limit)
 
 
 def decompose_sobolev(f: GridFunction) -> SobolevDecomposition:
     """Split off the defect-vector components: c_pm = +-i psi(0+-).
 
-    psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_half`` of
-    that half-line's ``defect_half`` read whole. Kept as a traced entry
-    point of the benchmark (``perfbench/tracing.py``'s ``TARGETS``).
+    psi0 = f - c_plus phi_+ - c_minus phi_-, each half ``_psi0_window`` of
+    f's values and the half-line's ``defect_half`` on all its nodes. Kept
+    as a traced entry point of the benchmark (``perfbench/tracing.py``'s
+    ``TARGETS``).
     """
-    n = f.spec.n_nodes
     c_plus, c_minus = defect_coefficients(f.left_limit, f.right_limit)
-    left, right = (_psi0_half(f.half(side), c_minus if side else c_plus,
-                              defect_half(f.spec, side))
-                   for side in SIDES)
-    psi0 = GridFunction(f.spec, _read(left.values, 0, n),
-                        _read(right.values, 0, n), left.limit, right.limit)
-    return SobolevDecomposition(psi0=psi0, c_plus=c_plus, c_minus=c_minus)
+    values, limits = [], []
+    for left, c in zip(SIDES, (c_minus, c_plus)):
+        (half, limit), phi = f.half(left), defect_half(f.spec, left)
+        values.append(_psi0_window(c, phi.values(f.spec.nodes(left)), half))
+        limits.append(limit - c * phi.limit)
+    return SobolevDecomposition(GridFunction(f.spec, *values, *limits),
+                                c_plus, c_minus)
 
 
 def decomposition_half(spec: GridSpec, left: bool, draws: list,
                        phi: Half) -> list:
-    """One half-line of the decomposition psi0 = f - c phi for each (f, c)
-    in ``draws``, with phi the half-line's defect vector (``defect_half``)
-    and c its coefficient, all in one pass that reads phi once: this
-    half's (reconstruction, psi0 trace, Sobolev terms of <psi0|psi0> and
+    """One half-line of the decomposition psi0 = f - c phi for each source
+    half f and coefficient c in ``draws``, phi the half-line's defect vector
+    (``defect_half``), in one pass that reads phi once: this half's
+    (reconstruction, psi0 trace, Sobolev terms of <psi0|psi0> and
     <phi|psi0>).
 
     psi0's half (``_psi0_half``) is checked, and formed on each chunk from
@@ -667,7 +668,7 @@ def decomposition_half(spec: GridSpec, left: bool, draws: list,
     rule = _Trapezoids(spec, left, [pair for psi0 in psi0s for u in (psi0, phi)
                                     for pair in _sobolev_pairs(u, psi0)])
     worst = [0.0] * len(draws)
-    for chunk in _chunks(spec):
+    for chunk in _chunks(spec, left):
         p = chunk.factor(phi)
         for k, (f, c) in enumerate(draws):
             fw = chunk.read(f)
@@ -754,7 +755,7 @@ def reproducing_defects(spec: GridSpec, psis: list) -> dict:
 
 def decomposition_defects(spec: GridSpec, fs: list) -> dict:
     """The ``decomposition_values`` of each function f in ``fs``, given as
-    (left, right) halves, by residual, one entry per f. c_pm come from f's
+    (left, right) sources, by residual, one entry per f. c_pm come from f's
     traces (``defect_coefficients``); each half-line makes one
     ``decomposition_half`` pass of psi0 = f - c phi for every f, with its
     defect vector and that vector's coefficient."""

@@ -47,12 +47,11 @@ class ScalarGauge(NamedTuple):
 class GaugeMatrix(ReadOnly):
     """Hermitian gauge block Z_ll of size nm (implicitly zero on the system slot)."""
 
-    __slots__ = ("zll", "hermiticity_tol")
+    __slots__ = ("zll",)
 
     def __init__(self, zll: np.ndarray,
                  hermiticity_tol: float = DEFAULT_HERMITICITY_TOL):
         self.zll = require_hermitian(zll, hermiticity_tol, "gauge matrix")
-        self.hermiticity_tol = hermiticity_tol
 
 
 Gauge = Union[ScalarGauge, GaugeMatrix]

@@ -335,7 +335,7 @@ def half_pairing(spec, left, f, g, diff_f=False, diff_g=False):
     traces, each factor read on a chunk's window as the per-half functions
     read it."""
     rule = _Trapezoids(spec, left, [(f, g, diff_f, diff_g)])
-    for chunk in _chunks(spec):
+    for chunk in _chunks(spec, left):
         factors = []
         for half, diff in ((f, diff_f), (g, diff_g)):
             window = chunk.read(half)

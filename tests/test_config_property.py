@@ -1,6 +1,7 @@
 """Property of the config boundary: fuzzed JSON configs, well-formed and
-broken, through ``cli.main`` for ``slh``, ``phase`` and ``scatter``, and
-``defect`` configs with a fuzzed ``grid`` section on coarse grids.
+broken, through ``cli.main`` for ``slh``, ``phase``, ``scatter`` and
+``fock`` (drawn at d = 3 and 4), and ``defect`` configs with a fuzzed
+``grid`` section on coarse grids.
 
 Every run exits 0, 1 or 2 without an escaping exception; exit 2 prints
 exactly one ``config error:`` line and writes no report; and an accepted
@@ -17,12 +18,19 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from slhkit import cli
+from slhkit import cli, fock
 from slhkit.config import load_config
+from slhkit.errors import ParseError, ValidationError
 
-COMMANDS = ("slh", "phase", "scatter")
+COMMANDS = ("slh", "phase", "scatter", "fock")
+# A fock config drawn at d = 3 or 4 (m, n <= 2) solves at dim <= 512. A
+# broken one can land on a larger admitted size (the default d = 5, or a
+# fuzzed d): ``run`` sets the size guard to zero bytes for it, so the run
+# is refused (TooLarge, exit 1) before any solve, within Tier-1 time.
+FOCK_MAX_DIM = 512
 KEYS = ("m", "n", "E", "Z", "sigma", "seed", "tolerances", "grid", "fock",
         "phase", "scatter")
 
@@ -127,15 +135,30 @@ def run(command: str, text: str, tmp: Path, name: str):
     path, out = tmp / f"{name}.json", tmp / f"{name}.report"
     path.write_text(text)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        if command == "fock" and fock_dim(path) > FOCK_MAX_DIM:
+            mp.setattr(fock, "MAX_SOLVE_BYTES", 0)
         code = cli.main([command, "--config", str(path), "--out", str(out)])
     return code, err.getvalue(), out.read_bytes() if out.exists() else None
+
+
+def fock_dim(path: Path) -> int:
+    """The Fock space dimension m d^2n of the config at ``path``, 0 when
+    the config is refused."""
+    try:
+        config = load_config(str(path))
+    except (ParseError, ValidationError):
+        return 0
+    m, n = config.coupling.m, config.coupling.n
+    return m * config.fock.d ** (2 * n)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from(COMMANDS), st.data())
 def test_config_boundary_exits_cleanly(command, data):
     config = data.draw(valid_config(command))
+    if command == "fock":
+        config["fock"] = {"d": data.draw(st.integers(3, 4))}
     # Derandomized, hypothesis draws a sampled_from's first elements most
     # often, so the broken shapes come first.
     shape = data.draw(st.sampled_from(("key", "node", "valid", "truncated")))

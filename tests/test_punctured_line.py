@@ -346,6 +346,33 @@ class TestGrid:
         assert len(calls) == len(traced) == 52
         assert sum(left for left, _ in traced) == 26
 
+    def test_defect_suite_forms_each_window_once(self, monkeypatch):
+        # A pass forms each chunk's node coordinates once, for every half
+        # it reads there; the boundary reads form only the nodes they read.
+        # Ten passes (five groups, two half-lines) of five chunks each; one
+        # node per checked half at -T or T: on each half-line the four
+        # defect vectors, f and g of the symmetry, the ten reproducing
+        # draws, the ten decomposition draws and their ten psi0; two and
+        # three nodes per derivative trace (52, as counted above).
+        config = config_from_dict({"m": 1, "n": 1,
+                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                         [[0.5, 0.2], [1.0, 0.0]]],
+                                   "grid": {"T": 30.0, "h": 3e-3}})
+        sizes = []
+        nodes = GridSpec.nodes
+
+        def spy(spec, left, lo=0, hi=None):
+            x = nodes(spec, left, lo, hi)
+            sizes.append(x.size)
+            return x
+        monkeypatch.setattr(GridSpec, "nodes", spy)
+        command_defect(config, 5, 0, Report("defect", ""))
+        chunks = -(-10_000 // NODE_CHUNK)
+        assert chunks == 5
+        assert sum(size > 3 for size in sizes) == 10 * chunks
+        assert [sizes.count(k) for k in (1, 2, 3)] == [2 * 36, 52, 52]
+        assert len(sizes) == 10 * chunks + 2 * 36 + 2 * 52
+
     def test_decomposition_pairings_match_the_oracle_draw_by_draw(
             self, monkeypatch):
         # decomposition_orthogonality is the largest of |<phi_+|psi0>_S|
@@ -414,6 +441,12 @@ class TestGrid:
                 unit = 32 * spec.n_nodes
                 assert peak <= punctured_line.DEFECT_LIVE_ARRAYS * unit
                 assert peak <= (arrays + 0.1) * unit
+
+    def test_sample_half_keeps_the_callable(self):
+        # a source is the caller's function of position itself
+        for left, fn in ((True, gaussian(0.8, 1.2, -0.9)),
+                         (False, gaussian(1.0, 1.0, 1.0))):
+            assert sample_half(SPEC, left, fn).values is fn
 
     def test_function_must_decay(self):
         with pytest.raises(SpecMismatch):
@@ -510,8 +543,8 @@ class TestSobolevInner:
         for left, scale, ophi in zip((False, True), (1j, -1j),
                                      TwoSided.defect_pair(*width)):
             phi = defect_half(spec, left)
-            scaled = Half(lambda lo, hi, phi=phi, scale=scale:
-                          scale * phi.values(lo, hi), scale * phi.limit)
+            scaled = Half(lambda t, phi=phi, scale=scale:
+                          scale * phi.values(t), scale * phi.limit)
             for _ in range(3):
                 fn = random_bump(rng, "left" if left else "right")
                 psi = sample_half(spec, left, fn)
@@ -644,7 +677,7 @@ class TestRandomBump:
             whole = bump(spec.nodes(side == "left"))
             half = sample_half(spec, side == "left", bump)
             for lo, hi in ((0, 2049), (2047, 4097), (8191, n), (n - 3, n)):
-                got = half.values(lo, hi)
+                got = half.values(spec.nodes(side == "left", lo, hi))
                 assert np.array_equal(got.view(np.int64),
                                       whole[lo:hi].view(np.int64))
 
@@ -787,8 +820,7 @@ class TestDecomposition:
                   GridFunction(spec, np.zeros(spec.n_nodes, dtype=complex),
                                right(spec.nodes(False)), 0j,
                                trace_at_origin(right))):
-            got = decomposition_defects(spec, [[f.half(side)
-                                                for side in SIDES]])
+            got = decomposition_defects(spec, [node_sources(f)])
             want = oracle_decomposition(TwoSided.of(f), *pair)
             for key in ("boundary_zero", "reconstruction"):
                 assert got[key] == [want[key]], key
@@ -822,27 +854,27 @@ class TestDecomposition:
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_psi0_from_sources_matches_fresh_psi0(self, spec):
         # As the CLI suite does: f's halves and phi_pm read from their
-        # sources (a missing bump an ordinary zero half), psi0 formed chunk
-        # by chunk by decomposition_half and the residual reduced against f
+        # sources (a missing bump a zero source), psi0 formed chunk by
+        # chunk by decomposition_half and the residual reduced against f
         # read again. psi0 and every residual equal those of the stored f
-        # and its fresh psi0 (decompose_sobolev), bit for bit, the
-        # reconstruction residual included: np.vdot gives the same bits on
-        # a fresh window and on a view of a stored array.
+        # (read through node_sources) and its fresh psi0
+        # (decompose_sobolev), bit for bit, the reconstruction residual
+        # included: np.vdot gives the same bits on a fresh window and on a
+        # copy of a stored array's nodes.
         rng = np.random.default_rng(17)
-        n = spec.n_nodes
         opp, opm = TwoSided.defect_pair(spec.half_width, spec.spacing)
         for sides in (("left", "right"), ("right",), ("left",)):
             bumps = {side: random_bump(rng, side) for side in sides}
-            sources = halves(spec, bumps.get("left"), bumps.get("right"))
-            f = GridFunction(spec, *(u.values(0, n) if callable(u.values)
-                                     else u.values for u in sources),
+            sources = sample(spec, bumps.get("left", np.zeros_like),
+                             bumps.get("right", np.zeros_like))
+            f = GridFunction(spec, *(u.values(spec.nodes(left))
+                                     for left, u in zip(SIDES, sources)),
                              sources[0].limit, sources[1].limit)
             fresh = decompose_sobolev(f)
             diff = (TwoSided.of(fresh.psi0) + fresh.c_plus * opp
                     + fresh.c_minus * opm - TwoSided.of(f))
             defects = decomposition_defects(spec, [sources])
-            assert defects == decomposition_defects(
-                spec, [[f.half(side) for side in SIDES]])
+            assert defects == decomposition_defects(spec, [node_sources(f)])
             assert defects["reconstruction"] == [max(
                 float(np.abs(diff.left).max()),
                 float(np.abs(diff.right).max()))]
@@ -851,7 +883,8 @@ class TestDecomposition:
                                            (fresh.psi0.left,
                                             fresh.psi0.right)):
                 psi0 = punctured_line._psi0_half(
-                    half, c, defect_half(spec, left)).values(0, n)
+                    half, c, defect_half(spec, left)).values(
+                        spec.nodes(left))
                 assert np.array_equal(psi0.view(np.int64),
                                       want.view(np.int64))
 
@@ -882,15 +915,15 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("spec", [GridSpec(40.0, 1e-3), GridSpec(40.0, 5e-4)])
     def test_decomposition_peak(self, spec):
-        # Above a stored f: psi0 and phi_pm are formed chunk by chunk, so
-        # only one chunk's windows, 0.13 and 0.07 two-sided arrays (165
+        # f, psi0 and phi_pm are read chunk by chunk, so only one chunk's
+        # windows and coordinates, 0.17 and 0.085 two-sided arrays (213
         # KiB); psi0 or phi_pm held on one half, a residual buffer or a
         # derivative formed whole would add 0.5 or more.
         rng = np.random.default_rng(12)
-        f = bump_function(rng, spec)
+        f = sample(spec, random_bump(rng, "left"), random_bump(rng, "right"))
         tracemalloc.start()
         try:
-            decomposition_defects(spec, [[f.half(side) for side in SIDES]])
+            decomposition_defects(spec, [f])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -986,6 +1019,19 @@ class TestScatter:
             warnings.simplefilter("error")
             with pytest.raises(InvalidMollifier, match="integrates to nan"):
                 scatter_regularized(1.0, 1e308, name)
+
+
+def node_sources(f):
+    """A GridFunction's (left, right) halves as sources, for the functions
+    that take sources: each reads the stored values at the nodes whose
+    coordinates it is given, found among the half-line's nodes (a window's
+    coordinates are those nodes bit for bit)."""
+    sources = []
+    for left in SIDES:
+        values, limit = f.half(left)
+        sources.append(Half(lambda t, values=values, nodes=f.spec.nodes(left):
+                            values[np.searchsorted(nodes, t)], limit))
+    return sources
 
 
 def random_noise_function(rng, spec):
@@ -1219,10 +1265,12 @@ class TestZeroHalves:
 
         plus, minus = defect_pair(self.SPEC)
         return {
-            "phi_plus": GridFunction(self.SPEC, zeros, plus.values(0, n), 0j,
+            "phi_plus": GridFunction(self.SPEC, zeros,
+                                     plus.values(self.SPEC.nodes(False)), 0j,
                                      plus.limit),
-            "phi_minus": GridFunction(self.SPEC, minus.values(0, n), zeros,
-                                      minus.limit, 0j),
+            "phi_minus": GridFunction(self.SPEC,
+                                      minus.values(self.SPEC.nodes(True)),
+                                      zeros, minus.limit, 0j),
             "right": one_sided(random_bump(rng, "right"), False),
             "left": one_sided(random_bump(rng, "left"), True),
             # a zero half with a nonzero trace
