@@ -128,8 +128,7 @@ def _on_system(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 class TruncatedFockSpace(ReadOnly):
-    """System space C^m with 2n boson modes truncated at photon cutoff d.
-    Two spaces with the same (m, n, d) are equal."""
+    """System space C^m with 2n boson modes truncated at photon cutoff d."""
 
     def __init__(self, m: int, n: int, d: int):
         self.m, self.n, self.d = m, n, d
@@ -144,13 +143,6 @@ class TruncatedFockSpace(ReadOnly):
                 f"a boundary kernel solve at (m, n, d) = ({self.m}, "
                 f"{self.n}, {self.d}) needs more than the desk-scale guard "
                 f"of {MAX_SOLVE_BYTES / 2 ** 30:.0f} GiB")
-
-    def __eq__(self, other):
-        return (type(other) is TruncatedFockSpace
-                and (self.m, self.n, self.d) == (other.m, other.n, other.d))
-
-    def __hash__(self):
-        return hash((self.m, self.n, self.d))
 
     @property
     def n_modes(self) -> int:
@@ -475,12 +467,12 @@ def singular_generator(e: CouplingMatrix, ops: ModeOperators,
     return total
 
 
-def singular_action_operator(res: SLHResult, ops: ModeOperators) -> np.ndarray:
-    """The form of the boundary-reduced action iG_00 + sum_k iG_0k a_{k,+},
-    G the Ito matrix ``res.ito``: iG_0k sits in slot k, which is a_{k,+}'s
-    for k >= 1."""
+def singular_action_operator(res: SLHResult) -> np.ndarray:
+    """The form, shape (1 + 2n, m, m), of the boundary-reduced action
+    iG_00 + sum_k iG_0k a_{k,+}, G the triple's Ito matrix ``res.ito``:
+    iG_0k sits in slot k, which is a_{k,+}'s for k >= 1."""
     e = res.coupling
-    total = np.zeros_like(ops.a0)
+    total = np.zeros((1 + 2 * e.n, e.m, e.m), dtype=complex)
     total[:1 + e.n] = 1j * channel_blocks(res.ito, e.m)[0]
     return total
 
@@ -528,11 +520,10 @@ def number_defect_residual(ops: ModeOperators) -> float:
     return _worst_entry(terms, np.ones(space.fock_dim, dtype=bool))
 
 
-def commutator_defect(ops: ModeOperators) -> float:
-    """Truncation-aware CCR check on the ladder maps the forms apply: on the
-    photon guard, [a_{j,s}, a_{k,s'}^dag] equals delta_jk delta_ss'; returns
-    the worst guarded entry of the difference, one pair at a time."""
-    space = ops.space
+def commutator_defect(space: TruncatedFockSpace) -> float:
+    """Truncation-aware CCR check on the ladder maps of ``space.slot_maps``:
+    on the photon guard, [a_{j,s}, a_{k,s'}^dag] equals delta_jk delta_ss';
+    returns the worst guarded entry of the difference, one pair at a time."""
     lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
     guard = space.photon_guard_mask()[:space.fock_dim]
     one = np.ones((1, 1))
@@ -546,11 +537,10 @@ def commutator_defect(ops: ModeOperators) -> float:
     return worst
 
 
-def number_spectrum_defect(ops: ModeOperators) -> float:
-    """Per-mode number operators, built from the ladder maps the forms apply,
-    are diagonal with spectrum {0, ..., d-1}; returns the worst off-diagonal
-    entry or deviation of the sorted unique diagonal."""
-    space = ops.space
+def number_spectrum_defect(space: TruncatedFockSpace) -> float:
+    """Per-mode number operators, built from the ladder maps of
+    ``space.slot_maps``, are diagonal with spectrum {0, ..., d-1}; returns
+    the worst off-diagonal entry or deviation of the sorted unique diagonal."""
     expected = np.arange(space.d, dtype=float)
     idx = np.arange(space.fock_dim)
     worst = 0.0
@@ -597,7 +587,7 @@ def action_residuals(res: SLHResult, ops: ModeOperators, rows: np.ndarray,
                 f"boundary-condition residual {residual:.3e} exceeds tolerance "
                 f"{tol:.1e}")
     diff = (singular_generator(res.coupling, ops, phi)
-            - space.apply(singular_action_operator(res, ops), phi))
+            - space.apply(singular_action_operator(res), phi))
     return [float(x) for x in np.linalg.norm(diff, axis=0)]
 
 

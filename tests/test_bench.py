@@ -165,6 +165,8 @@ def test_startup_child_runs_in_a_fresh_process():
 
 
 STAGE_NAMES = list(load_bench().STAGES)
+# the fields a side keeps per run besides its stage's paired ones
+PER_RUN = ("exit_code", "minor_faults", "groups")
 
 
 @pytest.mark.parametrize("name", STAGE_NAMES)
@@ -172,7 +174,7 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
                                                        capsys, tmp_path):
     # Stand-in children: every paired field reads 1 + i/1000 in a side's
     # i-th run on a spec, 0.5 less on the change but in the fifth pair;
-    # every identity field reads the spec.
+    # every per-run field reads i, every identity field the spec.
     bench = load_bench()
     stage, calls = bench.STAGES[name], []
 
@@ -181,16 +183,22 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
         calls.append((side, child, spec))
         i = calls.count((side, child, spec))
         offset = 0.5 if side == "change" and i != 5 else 0.0
-        return {**{key: 1.0 + 1e-3 * i - offset for key in stage.paired},
+        return {**dict.fromkeys(PER_RUN, i),
+                **{key: 1.0 + 1e-3 * i - offset for key in stage.paired},
                 **{key: list(spec) for key in stage.same}, "first": i}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
     out = bench.bench(tmp_path, [name])
     rows, n = out[name], stage.pairs
+    # the stages that back a BENCH file's claims run enough pairs to resolve
+    assert (n >= bench.PAIRS) == (name in ("sobolev", "defect-run",
+                                           "startup"))
     assert out["stages"] == [name] and len(rows) == len(stage.specs)
     assert len(calls) == 2 * n * len(rows)
-    for k, (row, spec) in enumerate(zip(rows, stage.specs)):
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(rows)
+    for k, (row, spec, line) in enumerate(zip(rows, stage.specs, lines)):
         mine = calls[2 * n * k:2 * n * (k + 1)]
         assert {(child, spec) for _, child, spec in mine} == {(name, spec)}
         assert [side for side, _, _ in mine[:4]] == [
@@ -198,18 +206,33 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
         assert [row[key] for key in stage.keys] == list(spec)
         assert row["same"] == dict.fromkeys(stage.same, True)
         assert list(row["pairs"]) == list(stage.paired)
-        for key in stage.paired:
+        for side in ("parent", "change"):
+            # the per-run fields of every run, the others of the first
+            for key in PER_RUN:
+                assert row[side][key] == list(range(1, n + 1))
+            assert row[side]["first"] == 1
+        # the labels, then one summary per paired field, in table order
+        label = " ".join(f"{key}={value}"
+                         for key, value in zip(stage.keys, spec))
+        assert line.startswith(f"{name} {label}: ")
+        summaries = line[len(f"{name} {label}: "):].split("; ")
+        assert len(summaries) == len(stage.paired)
+        for key, summary in zip(stage.paired, summaries):
             assert len(row["parent"][key]) == len(row["change"][key]) == n
             stats = row["pairs"][key]
             assert stats["pairs"] == n
             assert stats["change_wins"] == n - (n >= 5)
             # only ten pairs can resolve a gain
             assert stats["resolved"] == (n >= bench.PAIRS)
-        # a field neither paired nor per run: the first run's
-        assert row["parent"]["first"] == row["change"]["first"] == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(rows)
-    assert all(line.startswith(f"{name} ") for line in lines)
+            # times in ms, other fields as measured
+            scale, unit = ((1e3, " ms") if key in ("seconds", "setup_s")
+                           else (1, ""))
+            assert summary.startswith(
+                f"{key} {scale * stats['parent']['median']:.6g}{unit} (")
+            assert (f"-> {scale * stats['change']['median']:.6g}{unit} ("
+                    in summary)
+            assert f"change lower in {n - (n >= 5)}/{n} pairs" in summary
+            assert ("not resolved" in summary) == (not stats["resolved"])
 
 
 def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
@@ -413,6 +436,14 @@ def test_pair_stats_need_nine_in_ten_and_a_gap_over_the_iqr():
     assert stats["change_wins"] == 3 and not stats["resolved"]
     gap = stats["parent"]["median"] - stats["change"]["median"]
     assert gap > stats["parent"]["q3"] - stats["parent"]["q1"]
+    # the quartiles of statistics.quantiles: for ten sorted runs the median
+    # of the middle two, q1 three quarters of the way from the 2nd to the
+    # 3rd and q3 a quarter of the way from the 8th to the 9th; and the
+    # stages pair at least ten times
+    stats = bench.pair_stats(close)["parent"]
+    assert stats["median"] == pytest.approx((parent[4] + parent[5]) / 2)
+    assert (stats["q1"], stats["q3"]) == pytest.approx((1.175, 1.725))
+    assert bench.PAIRS >= 10
 
 
 def test_out_is_required(capsys):

@@ -15,6 +15,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,22 @@ def test_config_boundary_exits_cleanly(command, data):
         assert (again[0], again[2]) == (code, report)
         assert (load_config(str(tmp / "config.json")).config_hash()
                 == load_config(str(tmp / "reordered.json")).config_hash())
+
+
+def test_a_fock_config_over_the_test_size_is_refused_at_once(tmp_path):
+    # m = n = 2 at the default d = 5, dim 1250: the guard set to zero bytes
+    # refuses the space on construction, before any solve
+    config = {"m": 2, "n": 2,
+              "E": [[[0.5 * (i == j), 0.0] for j in range(6)]
+                    for i in range(6)]}
+    start = time.perf_counter()
+    code, err, report = run("fock", json.dumps(config), tmp_path, "config")
+    seconds = time.perf_counter() - start
+    assert fock_dim(tmp_path / "config.json") == 1250 > FOCK_MAX_DIM
+    assert code == 1 and report is None
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("TooLarge: "), err
+    assert seconds < 0.5
 
 
 # Grid fields for ``defect``, by kind. Every grid the suite runs on is

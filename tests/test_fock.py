@@ -266,11 +266,11 @@ class TestTruncatedSpace:
 
     def test_commutators_on_guard(self):
         ops = build_mode_operators(2, 2, 3)
-        assert commutator_defect(ops) <= 1e-12
+        assert commutator_defect(ops.space) <= 1e-12
 
     def test_number_spectra(self):
         ops = build_mode_operators(1, 2, 4)
-        assert number_spectrum_defect(ops) <= 1e-12
+        assert number_spectrum_defect(ops.space) <= 1e-12
 
     def test_identity_mode_is_exact(self):
         ops = build_mode_operators(2, 1, 3)
@@ -332,6 +332,32 @@ class TestGaugeReduction:
         diff = np.abs(stacked_boundary_rows(e, ops_plain)
                       - stacked_boundary_rows(e, ops_zero)).max()
         assert diff == 0.0
+
+    def test_zero_gauge_record_sees_a_wrong_gauge_block(self, monkeypatch):
+        # E_l0 = 0 and E_ll = 0: no route-B row reads frak_a, so only the
+        # modes themselves show a wrong sigma = 0 gauge block
+        cfg = config_from_dict({
+            "m": 1, "n": 1, "fock": {"d": 4},
+            "E": [[[0.3, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]})
+
+        def run():
+            rep = run_command("fock", cfg)
+            record = next(c for c in rep.checks
+                          if c.name == "gauge_zero_reduction")
+            return rep, record
+
+        rep, record = run()
+        assert record.value == 0.0 and all(c.passed for c in rep.checks)
+        zll = fock.gauge_zll
+
+        def shifted(gauge, m, n):
+            z = zll(gauge, m, n)
+            return z + 1e-3 * np.eye(n * m) if gauge == ScalarGauge(0.0) else z
+
+        monkeypatch.setattr(fock, "gauge_zll", shifted)
+        _, record = run()
+        assert record.value == 1e-3 and record.tolerance == 1e-12
+        assert not record.passed
 
 
 class TestBoundarySubspaces:

@@ -86,10 +86,10 @@ def test_hooks_measure_fock_and_grid_runs(monkeypatch):
     assert totals["fock.operator_bytes"] == 28311552
     assert totals["punctured_line.nodes"] == 10000
     # three batteries (plain, gauged, one sweep draw), each building the SLH
-    # triple and route B's rows once, plus the two row builds of
-    # gauge_zero_reduction
+    # triple and route B's rows once; gauge_zero_reduction compares modes
+    # and builds no rows
     assert totals["slh.slh_triple.calls"] == 3
-    assert totals["fock.stacked_boundary_rows.calls"] == 5
+    assert totals["fock.stacked_boundary_rows.calls"] == 3
     assert totals["fock.subspace_equivalence.calls"] == 3
     assert totals["fock.sample_domain_vectors.calls"] == 3
     # both kernel solves of a battery run inside subspace_equivalence, whose

@@ -142,7 +142,7 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     charges = [level.charge for level in sub.levels]
     per_sector = None
     if all(len(level.sectors) == 1 for level in sub.levels):
-        per_sector = [0] * (ops.space.n_modes * (d - 1) + 1)
+        per_sector = [0] * len(ops.space.sectors())
         for level in sub.levels:
             per_sector[level.sectors[0]] += level.added
     return {"seconds": seconds, "dim": sub.dim, "sector_dims": per_sector,
