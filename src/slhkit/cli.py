@@ -116,7 +116,7 @@ def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> N
                    abs(complex(res.s[0, 0]) - complex(s_ref)),
                    TOLERANCES["scalar_cayley_match"])
     if gauge is None:
-        reduction = gauge_reduction_check(coupling)
+        reduction = gauge_reduction_check(res)
         report.add("gauge_z_zero_reduction", reduction["z_zero_residual"],
                    TOLERANCES["gauge_z_zero_reduction"])
         for sigma, residuals in reduction["scalar_residuals"].items():
@@ -315,13 +315,14 @@ def command_fock(config: ModelConfig, seed: int, sweep: int, report: Report) -> 
                   defect, report, "", tol)
 
     # sigma = 0 builds frak_a by the kappa formula; it must give a_star back.
-    ops_zero = fock.build_mode_operators(m, n, d, ScalarGauge(0.0))
+    zero = fock.with_gauge(ops, ScalarGauge(0.0))
     report.add("gauge_zero_reduction",
-               float(np.abs(ops_zero.frak_a - ops.a_star).max()),
+               float(np.abs(zero.frak_a - ops.a_star).max()),
                TOLERANCES["gauge_zero_reduction"])
 
+    # A gauge changes frak_a only: both batteries share one space.
     if gauge is not None:
-        ops = fock.build_mode_operators(m, n, d, gauge)
+        ops = fock.with_gauge(ops, gauge)
         _fock_battery(fock.fock_battery(coupling, ops, 10, rng, tol.action),
                       defect, report, "gauged.", tol)
 

@@ -57,18 +57,22 @@ boundary residual of ``action_residuals``, relative to sigma~, is the
 stricter for it.  The config's ``tolerances.kernel`` is not this cutoff: it
 bounds the largest principal angle between the two routes' kernels.
 
-Gauge.  Ungauged, frak_a is a_star itself; any explicit gauge, a zero sigma
-or Z included, builds frak_a by the kappa formula, which the sigma = 0
-reduction therefore checks against a_star.
+Gauge.  A gauge enters only through kappa_pm in frak_a: the space, its
+tables and every other form are the same under every gauge, so
+``with_gauge`` rebuilds frak_a alone, on the same space.  Ungauged, frak_a
+is a_star itself; any explicit gauge, a zero sigma or Z included, builds it
+by the kappa formula, which the sigma = 0 reduction therefore checks
+against a_star.
 
 Boundary operators contain no creators, so kernels computed on the truncated
 space coincide with the finitely-supported solutions of the untruncated
 problem.  Operators containing creators (the singular generator and the
 coupling term) are only truncation-exact on vectors with per-mode occupation
-at most d-2 (the photon guard).  Boundary operators only keep or lower
-occupations, so the guarded domain is the kernel's part on the guard, K
-null(K outside the guard) for the kernel columns K, and all action checks
-project onto the guard first.
+at most d-2: the photon guard, a mask on the Fock states that reads the
+Fock index of the (m, fock_dim) split, as a ladder map does.  Boundary
+operators only keep or lower occupations, so the guarded domain is the
+kernel's part on the guard, K null(K outside the guard) for the kernel
+columns K, and all action checks project onto the guard first.
 
 Two routes, one kernel function.  ``stacked_boundary_rows`` builds the
 coupling-form rows (route B) from E and the gauged modes;
@@ -186,9 +190,10 @@ class TruncatedFockSpace(ReadOnly):
                 // self.d ** np.arange(self.n_modes) % self.d)
 
     def photon_guard_mask(self) -> np.ndarray:
-        """Boolean mask of basis states with every mode occupation <= d - 2,
-        below which creators act truncation-exactly."""
-        return np.tile((self._digits <= self.d - 2).all(axis=1), self.m)
+        """Boolean mask, shape (fock_dim,), of the Fock states with every
+        mode occupation <= d - 2, on which creators act truncation-exactly;
+        it reads the Fock index of the (m, fock_dim) split of flat states."""
+        return (self._digits <= self.d - 2).all(axis=1)
 
     def sectors(self) -> List[np.ndarray]:
         """Fock indices (increasing) of each photon-number sector N = 0, 1,
@@ -267,7 +272,9 @@ class ModeOperators(NamedTuple):
 
 def build_mode_operators(m: int, n: int, d: int,
                          gauge: Optional[Gauge] = None) -> ModeOperators:
-    """Construct annihilators for all 2n modes plus their (gauged) combinations."""
+    """Construct the truncated space, the annihilator forms of all 2n modes
+    and their symmetric combination; a ``gauge`` then rebuilds frak_a on
+    them (``with_gauge``)."""
     space = TruncatedFockSpace(m=m, n=n, d=d)
     eye, j = np.eye(m), np.arange(n)
     a_plus = np.zeros((n, 1 + 2 * n, m, m), dtype=complex)
@@ -276,22 +283,27 @@ def build_mode_operators(m: int, n: int, d: int,
     a_star = 0.5 * (a_plus + a_minus)
     a0 = np.zeros_like(a_plus[0])
     a0[0] = eye
+    ops = ModeOperators(space=space, gauge=None, a_plus=a_plus,
+                        a_minus=a_minus, a_star=a_star, frak_a=a_star, a0=a0)
+    return ops if gauge is None else with_gauge(ops, gauge)
 
-    if gauge is None:
-        frak_a = a_star
-    else:
-        # frak_a_j = sum_k (kappa_-)_{jk} a_{k,+} + (kappa_+)_{jk} a_{k,-}
-        # with kappa_pm = 1/2 +- iZ on the channel block; the kappa_- weight
-        # sits on the + modes so that the scalar case reduces to
-        # kappa_- a_+ + kappa_+ a_-.
-        zll = gauge_zll(gauge, m, n)
-        frak_a = np.zeros_like(a_plus)
-        frak_a[:, 1:1 + n] = channel_blocks(
-            0.5 * np.eye(n * m, dtype=complex) - 1j * zll, m)
-        frak_a[:, 1 + n:] = channel_blocks(
-            0.5 * np.eye(n * m, dtype=complex) + 1j * zll, m)
-    return ModeOperators(space=space, gauge=gauge, a_plus=a_plus,
-                         a_minus=a_minus, a_star=a_star, frak_a=frak_a, a0=a0)
+
+def with_gauge(ops: ModeOperators, gauge: Gauge) -> ModeOperators:
+    """``ops`` under ``gauge``: frak_a rebuilt by the kappa formula, every
+    other field, the space and its cached tables included, shared with
+    ``ops``."""
+    m, n = ops.space.m, ops.space.n
+    # frak_a_j = sum_k (kappa_-)_{jk} a_{k,+} + (kappa_+)_{jk} a_{k,-}
+    # with kappa_pm = 1/2 +- iZ on the channel block; the kappa_- weight
+    # sits on the + modes so that the scalar case reduces to
+    # kappa_- a_+ + kappa_+ a_-.
+    zll = gauge_zll(gauge, m, n)
+    frak_a = np.zeros_like(ops.a_plus)
+    frak_a[:, 1:1 + n] = channel_blocks(
+        0.5 * np.eye(n * m, dtype=complex) - 1j * zll, m)
+    frak_a[:, 1 + n:] = channel_blocks(
+        0.5 * np.eye(n * m, dtype=complex) + 1j * zll, m)
+    return ops._replace(gauge=gauge, frak_a=frak_a)
 
 
 # --- boundary conditions -----------------------------------------------------
@@ -525,7 +537,7 @@ def commutator_defect(space: TruncatedFockSpace) -> float:
     on the photon guard, [a_{j,s}, a_{k,s'}^dag] equals delta_jk delta_ss';
     returns the worst guarded entry of the difference, one pair at a time."""
     lowering, raising = space.slot_maps(), space.slot_maps(dagger=True)
-    guard = space.photon_guard_mask()[:space.fock_dim]
+    guard = space.photon_guard_mask()
     one = np.ones((1, 1))
     worst = 0.0
     for i, a in enumerate(lowering[1:]):
@@ -573,8 +585,10 @@ def action_residuals(res: SLHResult, ops: ModeOperators, rows: np.ndarray,
     if len(vectors) == 0:
         return []
     space = ops.space
-    phi = np.array([np.asarray(v, dtype=complex) for v in vectors]).T
-    phi[~space.photon_guard_mask()] = 0.0
+    guard = space.photon_guard_mask()
+    states = np.array([np.asarray(v, dtype=complex) for v in vectors])
+    states.reshape(len(states), space.m, -1)[..., ~guard] = 0.0
+    phi = states.T
     norms = np.linalg.norm(phi, axis=0)
     phi /= np.where(norms == 0.0, 1.0, norms)
     squares = sum(np.abs(space.apply(row, phi)) ** 2 for row in rows)
@@ -596,7 +610,11 @@ def guarded_basis(space: TruncatedFockSpace,
     """The guarded domain's orthonormal columns: K null(K outside the photon
     guard) for the columns K of ``kernel``; K itself when it is empty."""
     k = kernel.columns
-    return k @ null_space(k[~space.photon_guard_mask()], 1.0) if k.size else k
+    if not k.size:
+        return k
+    guard = space.photon_guard_mask()
+    outside = k.reshape(space.m, space.fock_dim, -1)[:, ~guard]
+    return k @ null_space(outside.reshape(-1, k.shape[1]), 1.0)
 
 
 def sample_domain_vectors(space: TruncatedFockSpace, kernel: BoundarySubspace,

@@ -97,10 +97,11 @@ def scatter_regularized(e: float, epsilon: float,
             f"unknown mollifier {mollifier!r}; choose from "
             f"{sorted(MOLLIFIER_SHAPES)}") from None
     nodes, weights = np.polynomial.legendre.leggauss(SCATTER_QUAD_NODES)
-    raw = float(np.sum(weights * shape(nodes)))
+    values = shape(nodes)
+    raw = float(np.sum(weights * values))
     if raw <= 0:
         raise InvalidMollifier("mollifier has nonpositive integral")
-    if np.any(shape(nodes) < 0):
+    if np.any(values < 0):
         raise InvalidMollifier("mollifier must be nonnegative")
     # a subnormal product is 0 or has an infinite inverse
     if epsilon * raw < sys.float_info.min:

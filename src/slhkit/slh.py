@@ -199,18 +199,19 @@ def identity_residuals(res: SLHResult) -> dict:
     return out
 
 
-def gauge_reduction_check(e: CouplingMatrix) -> dict:
-    """Consistency of the gauge family with the ungauged pipeline.
+def gauge_reduction_check(res: SLHResult) -> dict:
+    """Consistency of the gauge family with the ungauged pipeline result
+    ``res``.
 
-    Returns residuals for (a) Z = 0 reproducing the ungauged Ito matrix and,
-    when m = n = 1, (b) the scalar sigma-gauge matching the kappa_pm closed
-    forms evaluated with plain complex arithmetic.
+    Returns residuals for (a) Z = 0 reproducing ``res.ito``, the ungauged
+    Ito matrix (only the Z = 0 one is solved here), and, when m = n = 1,
+    (b) the scalar sigma-gauge matching the kappa_pm closed forms evaluated
+    with plain complex arithmetic.
     """
+    e = res.coupling
     zero = GaugeMatrix(np.zeros((e.n * e.m, e.n * e.m)))
-    g_plain = ito_matrix(e)
-    g_zero = ito_matrix(e, zero)
     report = {
-        "z_zero_residual": float(np.abs(g_plain - g_zero).max()),
+        "z_zero_residual": float(np.abs(res.ito - ito_matrix(e, zero)).max()),
         "scalar_residuals": {},
     }
     if e.m == 1 and e.n == 1:

@@ -13,7 +13,14 @@ boundary functionals from the formulas written out on whole arrays, with
 none of ``slhkit.punctured_line``'s chunk passes. It also bounds the
 rounding gap between its pairings and the chunked ones. ``half_pairing``
 is one pairing of the chunk pass itself, for tests of that pass.
+
+``perfbench_module`` loads a module of the benchmark harness, whose
+workload configs some tests run.
 """
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +31,18 @@ from slhkit.linalg import NULLSPACE_TOL, adjoint, null_space
 from slhkit.punctured_line import (GridFunction, _chunks, _Trapezoids,
                                    trace_at_origin)
 from slhkit.slh import gauge_zll, slh_triple
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """``perfbench/<name>.py``, loaded as ``perfbench_<name>``."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 class DenseFock:

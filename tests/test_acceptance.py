@@ -115,13 +115,14 @@ def test_criterion_5_gauge_consistency():
     # Z = 0 reduction
     for m, n in ((1, 1), (2, 2)):
         e = random_coupling(rng, m, n)
-        assert (gauge_reduction_check(e)["z_zero_residual"]
+        assert (gauge_reduction_check(slh_triple(e))["z_zero_residual"]
                 <= TOLERANCES["gauge_z_zero_reduction"])
     # scalar kappa closed forms on the (e, sigma) grid
     h0, c = 0.2, 0.3 - 0.4j
     for e_val in (-2.0, -1.0, 0.0, 1.0, 2.0):
         raw = np.array([[h0, np.conj(c)], [c, e_val]])
-        scalar = gauge_reduction_check(validate_coupling(raw, 1, 1))
+        res = slh_triple(validate_coupling(raw, 1, 1))
+        scalar = gauge_reduction_check(res)
         assert tuple(scalar["scalar_residuals"]) == GAUGE_CHECK_SIGMAS
         for residuals in scalar["scalar_residuals"].values():
             assert (max(residuals.values())

@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slhkit import cli, phases
+from conftest import perfbench_module
+from slhkit import cli, fock, phases, slh
 from slhkit.cli import run_command
 from slhkit.config import (
     PhaseConfig,
@@ -360,6 +362,65 @@ class TestDeterminism:
         assert sweep.name == "sweep[000].fock"
         assert sweep.value == [*dims, angle or 0.0, max(residuals, default=0.0)]
         assert sweep.passed == all(c.passed for c in battery)
+
+
+class TestWorkPerRun:
+    def test_fock_run_builds_one_space(self, monkeypatch):
+        # sigma = 0.3 and --sweep 1: the sigma = 0 reduction, the gauged
+        # battery and the sweep rebuild frak_a on the plain battery's space
+        workloads = perfbench_module("workloads")
+        cfg = config_from_dict(
+            json.loads(workloads.generate_config("fock-kernel", 1)))
+        space_cls = fock.TruncatedFockSpace
+        init, table = space_cls.__init__, space_cls._slot_table.func
+        spaces, tables, batteries = [], [], []
+
+        def counting_init(space, *args, **kwargs):
+            spaces.append(space)
+            init(space, *args, **kwargs)
+
+        def counting_table(space):
+            tables.append(space)
+            return table(space)
+
+        counted = cached_property(counting_table)
+        counted.__set_name__(space_cls, "_slot_table")
+        monkeypatch.setattr(space_cls, "__init__", counting_init)
+        monkeypatch.setattr(space_cls, "_slot_table", counted)
+        battery = fock.fock_battery
+
+        def recording(e, ops, *args):
+            batteries.append(ops)
+            return battery(e, ops, *args)
+
+        monkeypatch.setattr(fock, "fock_battery", recording)
+        report = run_command("fock", cfg, sweep=1)
+        assert report.all_passed, report.first_failure()
+        assert len(spaces) == len(tables) == 1
+        plain, gauged, swept = batteries
+        assert plain.gauge is None and gauged.gauge == cfg.gauge
+        assert swept is gauged and gauged.frak_a is not plain.frak_a
+        for name in ("space", "a_plus", "a_minus", "a_star", "a0"):
+            assert getattr(gauged, name) is getattr(plain, name), name
+
+    @pytest.mark.parametrize("m, solves", [(1, 6), (2, 2)])
+    def test_ungauged_slh_run_solves_the_plain_ito_matrix_once(
+            self, monkeypatch, m, solves):
+        # the Z = 0 reduction compares with the triple the run holds; at
+        # m = n = 1 four scalar gauges are solved besides
+        e = random_coupling(np.random.default_rng(m), m, 1)
+        cfg = config_from_dict({
+            "m": m, "n": 1,
+            "E": [[[v.real, v.imag] for v in row] for row in e.full]})
+        solve, gauges = slh.ito_matrix, []
+
+        def counting(e, gauge=None):
+            gauges.append(gauge)
+            return solve(e, gauge)
+
+        monkeypatch.setattr(slh, "ito_matrix", counting)
+        assert run_command("slh", cfg).all_passed
+        assert len(gauges) == solves and gauges.count(None) == 1
 
 
 def literal_tolerances(source: str) -> list:

@@ -25,7 +25,7 @@ def test_run_list_covers_every_subcommand(tmp_path):
     oracle.write_configs(tmp_path)
     runs = list(oracle.runs(tmp_path))
     names = [name for name, _ in runs]
-    assert len(runs) == len(set(names)) == 33
+    assert len(runs) == len(set(names)) == 34
     assert {args[0] for _, args in runs} == set(oracle.COMMANDS)
     for _, args in runs:
         assert Path(args[args.index("--config") + 1]).is_file()

@@ -158,7 +158,8 @@ class TestSLHTriple:
         # restated triple with kappa_pm, all scalar blocks nonzero
         h0, c, e11 = -0.3, 0.8 + 0.2j, 1.0
         raw = np.array([[h0, np.conj(c)], [c, e11]])
-        scalar = gauge_reduction_check(validate_coupling(raw, 1, 1))
+        res = slh_triple(validate_coupling(raw, 1, 1))
+        scalar = gauge_reduction_check(res)
         assert tuple(scalar["scalar_residuals"]) == GAUGE_CHECK_SIGMAS
         for residuals in scalar["scalar_residuals"].values():
             assert list(residuals) == ["s", "l", "h"]
@@ -249,7 +250,8 @@ class TestGaugeFamily:
 
     def test_reduction_report(self):
         raw = np.array([[0.2, 0.5 - 0.1j], [0.5 + 0.1j, 1.3]])
-        report = gauge_reduction_check(validate_coupling(raw, 1, 1))
+        res = slh_triple(validate_coupling(raw, 1, 1))
+        report = gauge_reduction_check(res)
         assert report["z_zero_residual"] <= 1e-12
         for residuals in report["scalar_residuals"].values():
             assert max(residuals.values()) <= 1e-12
@@ -262,14 +264,14 @@ class TestGaugeFamily:
         monkeypatch.setattr(slh, "kappas",
                             lambda sigma: (complex(0.5, 2 * sigma),
                                            complex(0.5, -2 * sigma)))
-        residuals = gauge_reduction_check(e)["scalar_residuals"]
+        residuals = gauge_reduction_check(slh_triple(e))["scalar_residuals"]
         for sigma, values in residuals.items():
             assert (max(values.values()) > 1e-3) == (sigma != 0.0)
 
     def test_reduction_random_matrix_case(self):
         rng = np.random.default_rng(10)
         e = random_coupling(rng, 2, 2)
-        report = gauge_reduction_check(e)
+        report = gauge_reduction_check(slh_triple(e))
         assert report["z_zero_residual"] <= 1e-12
 
     def test_gauged_ito_isometry_sweep(self):

@@ -3,7 +3,6 @@ arguments of slhkit functions (``ModeOperators`` fields, ``GridFunction``
 arrays); a layout change that breaks them must fail here, not only under
 ``perfbench/run.py --trace 1``."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -12,11 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import bump_function
+from conftest import PERFBENCH, bump_function, perfbench_module
 from slhkit import cli, fock, punctured_line
 from slhkit.config import config_from_dict
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # perfbench's traced loop: import slhkit.cli alone, instrument, then load the
@@ -37,17 +35,9 @@ print(json.dumps(sorted({{s.name for s in tracer.spans}})))
 """
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_hooks_measure_fock_and_grid_runs(monkeypatch):
-    tracing, workloads = _load("tracing"), _load("workloads")
+    tracing = perfbench_module("tracing")
+    workloads = perfbench_module("workloads")
     fock_config = config_from_dict(
         json.loads(workloads.generate_config("fock-kernel", 1)))
     defect_config = config_from_dict({
@@ -81,9 +71,10 @@ def test_hooks_measure_fock_and_grid_runs(monkeypatch):
         assert totals.get(name, 0) > 0, name
     # sizes, the largest seen: (m, n, d) = (1, 2, 4) and T / h
     assert totals["fock.dim"] == 256
-    # three builds of 4n + 1 = 9 forms at the dense 16 dim^2 bytes each; a
-    # mode family whose len() is not n changes this figure
-    assert totals["fock.operator_bytes"] == 28311552
+    # one build of 4n + 1 = 9 forms at the dense 16 dim^2 bytes each
+    # (with_gauge, untraced, rebuilds frak_a on it); a mode family whose
+    # len() is not n changes this figure
+    assert totals["fock.operator_bytes"] == 9437184
     assert totals["punctured_line.nodes"] == 10000
     # three batteries (plain, gauged, one sweep draw), each building the SLH
     # triple and route B's rows once; gauge_zero_reduction compares modes
@@ -109,7 +100,8 @@ def test_tracer_instruments_a_process_that_imported_only_the_cli(tmp_path):
     # from sys.modules, which runs them, and must then span the calls cli
     # makes through them.
     config = tmp_path / "fock-kernel.json"
-    config.write_bytes(_load("workloads").generate_config("fock-kernel", 1))
+    workloads = perfbench_module("workloads")
+    config.write_bytes(workloads.generate_config("fock-kernel", 1))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(

@@ -23,7 +23,9 @@ and after:
   boundary rows);
 * ``defect`` at the smallest admitted half-width T = 30, where the defect
   vectors' tails sit at the decay tolerance, and h = 2e-3 (15k nodes per
-  half-line, a node count no other run uses).
+  half-line, a node count no other run uses), and ``slh`` on the same
+  m = n = 1 ungauged config (the only run that writes
+  ``scalar_cayley_match`` and ``gauge_scalar_closed_form``).
 
 Benchmark configs come from ``perfbench/workloads.generate_config`` and are
 written to a temporary directory. BLAS runs single-threaded in every child.
@@ -129,8 +131,9 @@ def runs(configs: Path):
         yield (f"{name}.fock.sweep3.json",
                ["fock", "--config", str(configs / f"{name}.json"),
                 "--sweep", "3"])
-    yield ("min-width-grid.defect.json",
-           ["defect", "--config", str(configs / "min-width-grid.json")])
+    for command in ("defect", "slh"):
+        yield (f"min-width-grid.{command}.json",
+               [command, "--config", str(configs / "min-width-grid.json")])
 
 
 def write_configs(configs: Path) -> None:
