@@ -16,9 +16,9 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import NonHermitianInput, ParseError, SizeMismatch, ValidationError
-from .linalg import adjoint, channel_blocks
 from .phases import MOLLIFIER_SHAPES
-from .slh import CouplingMatrix, Gauge, GaugeMatrix, ScalarGauge
+from .slh import (CouplingMatrix, Gauge, GaugeMatrix, ScalarGauge,
+                  validate_coupling)
 
 
 class Tolerances(NamedTuple):
@@ -156,19 +156,6 @@ def _parse_complex_matrix(obj, size: int, what: str) -> np.ndarray:
     return out
 
 
-def _check_blockwise_hermiticity(e: np.ndarray, m: int, tol: float) -> None:
-    """Hermiticity with the offending block named in the error message: the
-    first block, in row-major order, of largest max-entry E_ab - E_ba^dag."""
-    scale = max(float(np.abs(e).max()), 1.0)
-    defects = np.abs(channel_blocks(e - adjoint(e), m)).max(axis=(2, 3))
-    worst = float(defects.max())
-    alpha, beta = np.argwhere(defects == worst)[0]
-    if worst > tol * scale:
-        raise ValidationError(
-            f"E block ({alpha},{beta}) is not the adjoint of "
-            f"block ({beta},{alpha}): max asymmetry {worst:.3e}")
-
-
 def config_from_dict(data: dict) -> ModelConfig:
     """Validate a parsed JSON object and fill defaults."""
     if not isinstance(data, dict):
@@ -192,8 +179,10 @@ def config_from_dict(data: dict) -> ModelConfig:
     tolerances = sections["tolerances"]
     if min(tolerances) < 0:
         raise ValidationError(f"tolerances must be >= 0, got {tolerances}")
-    _check_blockwise_hermiticity(e_matrix, m, tolerances.hermiticity)
-    coupling = CouplingMatrix(m, n, e_matrix)
+    try:
+        coupling = validate_coupling(e_matrix, m, n, tolerances.hermiticity)
+    except NonHermitianInput as exc:
+        raise ValidationError(str(exc)) from None
 
     gauge = None
     if data.get("Z") is not None:

@@ -175,12 +175,13 @@ class TruncatedFockSpace(ReadOnly):
         return self.m * self.d ** self.n
 
     def table_bytes(self) -> int:
-        """Bytes of the index tables a solve holds (occupation digits, slot
-        maps and sector lists with their temporaries, at most 12n + 8 words
-        per Fock state), and 1 MiB, one pymalloc arena, for the Python
-        objects and array headers.  The digits and slot maps are cached on
-        the space; ``sectors()`` builds the sector lists again on every
-        ``boundary_kernel`` call."""
+        """Bytes of the index tables a solve holds, all cached on the space,
+        and 1 MiB, one pymalloc arena, for the Python objects and array
+        headers.  Per Fock state the occupation digits take 2n words, the
+        slot maps 8n + 4 (a target and a weight per slot, for annihilators
+        and creators) and the sector lists 1: 10n + 5 words held, and
+        12n + 8 leave room for the few words of temporaries each table's
+        build adds."""
         return 8 * self.fock_dim * (12 * self.n + 8) + 2 ** 20
 
     @cached_property
@@ -195,12 +196,19 @@ class TruncatedFockSpace(ReadOnly):
         it reads the Fock index of the (m, fock_dim) split of flat states."""
         return (self._digits <= self.d - 2).all(axis=1)
 
-    def sectors(self) -> List[np.ndarray]:
-        """Fock indices (increasing) of each photon-number sector N = 0, 1,
-        ..., 2n (d - 1)."""
+    def sectors(self) -> Tuple[np.ndarray, ...]:
+        """Fock indices (increasing, read-only) of each photon-number sector
+        N = 0, 1, ..., 2n (d - 1), built once per space."""
+        return self._sector_table
+
+    @cached_property
+    def _sector_table(self) -> Tuple[np.ndarray, ...]:
         total = self._digits.sum(axis=1)
-        return [np.flatnonzero(total == k)
-                for k in range(self.n_modes * (self.d - 1) + 1)]
+        table = tuple(np.flatnonzero(total == k)
+                      for k in range(self.n_modes * (self.d - 1) + 1))
+        for sector in table:
+            sector.flags.writeable = False
+        return table
 
     @cached_property
     def _slot_table(self) -> Tuple[Tuple[LadderMap, ...], ...]:

@@ -24,13 +24,13 @@ Half-lines
 
 The two half-lines meet only through the traces, so every check is built
 from one-half-line passes (a ``Half``: node values and the trace at 0 on
-that side). The per-half functions (``reproducing_half``, of which
-``sobolev_half`` is the one-psi case, ``decomposition_half``,
-``symmetry_half`` and ``eigenrelation_half``) return scalars. One
-two-sided function per check group (``defect_vector_defects``,
-``reproducing_defects``, ``decomposition_defects``,
-``eigenrelation_defects`` and ``symmetry_defects``, and ``sobolev`` for the
-pairing alone) takes its functions as (left, right) pairs of halves, runs
+that side). The per-half functions (``reproducing_half``, whose one-psi
+case is the Sobolev pairing, ``decomposition_half``, ``symmetry_half`` and
+``eigenrelation_half``) return scalars. One two-sided function per check
+group (``defect_vector_defects``, ``reproducing_defects``,
+``decomposition_defects``, ``eigenrelation_defects`` and
+``symmetry_defects``, and ``sobolev`` for the pairing alone) takes its
+functions as (left, right) pairs of halves, runs
 the passes of both half-lines and joins their scalars in the order of the
 two-sided formula, (L2_- + L2_+) + (D_- + D_+). It returns plain values,
 per draw or per defect vector; the CLI defect suite names them. A half's
@@ -495,18 +495,6 @@ def reproducing_half(spec: GridSpec, left: bool, phi: Half,
     return list(zip(values[::2], values[1::2]))
 
 
-def sobolev_half(spec: GridSpec, left: bool, f: Half, g: Half) -> tuple:
-    """One half-line's terms (L2, D) of the Sobolev pairing <f|g>_S: the L2
-    pairing and the derivative pairing."""
-    return reproducing_half(spec, left, f, [g])[0]
-
-
-def sobolev_total(left: tuple, right: tuple) -> complex:
-    """<f|g>_S from the ``sobolev_half`` terms of both half-lines,
-    (L2_- + L2_+) + (D_- + D_+)."""
-    return (left[0] + right[0]) + (left[1] + right[1])
-
-
 def sample(spec: GridSpec, left_fn: Callable[..., np.ndarray],
            right_fn: Callable[..., np.ndarray]) -> tuple:
     """A function given by a callable on each half-line as its (left,
@@ -515,9 +503,12 @@ def sample(spec: GridSpec, left_fn: Callable[..., np.ndarray],
 
 
 def sobolev(spec: GridSpec, f: tuple, g: tuple) -> complex:
-    """<f|g>_S of two functions given as (left, right) halves."""
-    return sobolev_total(*(sobolev_half(spec, left, u, v)
-                           for left, u, v in zip(SIDES, f, g)))
+    """<f|g>_S of two functions given as (left, right) halves,
+    (L2_- + L2_+) + (D_- + D_+) from one ``reproducing_half`` pass per
+    half-line."""
+    (l2_l, d_l), (l2_r, d_r) = (reproducing_half(spec, left, u, [v])[0]
+                                for left, u, v in zip(SIDES, f, g))
+    return (l2_l + l2_r) + (d_l + d_r)
 
 
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
@@ -698,7 +689,8 @@ def decomposition_values(left: tuple, right: tuple) -> dict:
     the largest node value of psi0 + c phi - f (rounding)."""
     (rec_l, trace_l, (self_l, minus)) = left
     (rec_r, trace_r, (self_r, plus)) = right
-    scale = norm_from_inner(sobolev_total(self_l, self_r))
+    scale = norm_from_inner((self_l[0] + self_r[0])
+                            + (self_l[1] + self_r[1]))
     return {
         "boundary_zero": max(abs(trace_l), abs(trace_r)),
         "orthogonality": max(abs(sum(plus)) / scale,
@@ -723,8 +715,8 @@ def defect_vector_defects(spec: GridSpec) -> dict:
             name: abs(_one_sided_jump(left, phi[left].limit) - (-1j))
             for name, left in DEFECT_SIDES},
         "defect_norm": {
-            name: abs(norm_from_inner(sum(sobolev_half(
-                spec, left, phi[left], phi[left]))) - 1.0)
+            name: abs(norm_from_inner(sum(reproducing_half(
+                spec, left, phi[left], [phi[left]])[0])) - 1.0)
             for name, left in DEFECT_SIDES},
     }
 

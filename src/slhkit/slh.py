@@ -20,12 +20,13 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import SingularDressing, SizeMismatch
+from .errors import NonHermitianInput, SingularDressing, SizeMismatch
 from .linalg import (
     DEFAULT_HERMITICITY_TOL,
     ReadOnly,
     adjoint,
     as_complex_matrix,
+    channel_blocks,
     channel_projector,
     hermiticity_defect,
     kappas,
@@ -81,9 +82,19 @@ class CouplingMatrix(ReadOnly):
 
 def validate_coupling(raw: np.ndarray, m: int, n: int,
                       tol: float = DEFAULT_HERMITICITY_TOL) -> CouplingMatrix:
-    """Check size and hermiticity (E_ab^dag = E_ba) and wrap the result."""
+    """Check size and hermiticity and wrap the result: max |E - E^dag| <=
+    tol max(max |E|, 1), else NonHermitianInput naming the first block, in
+    row-major order, of largest max-entry E_ab - E_ba^dag."""
     e = CouplingMatrix(m=m, n=n, full=raw)
-    require_hermitian(e.full, tol, "coupling matrix")
+    scale = max(float(np.abs(e.full).max()), 1.0)
+    defects = np.abs(channel_blocks(e.full - adjoint(e.full), m)).max(
+        axis=(2, 3))
+    worst = float(defects.max())
+    if worst > tol * scale:
+        alpha, beta = np.argwhere(defects == worst)[0]
+        raise NonHermitianInput(
+            f"E block ({alpha},{beta}) is not the adjoint of "
+            f"block ({beta},{alpha}): max asymmetry {worst:.3e}")
     return e
 
 

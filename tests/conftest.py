@@ -14,8 +14,9 @@ none of ``slhkit.punctured_line``'s chunk passes. It also bounds the
 rounding gap between its pairings and the chunked ones. ``half_pairing``
 is one pairing of the chunk pass itself, for tests of that pass.
 
-``perfbench_module`` loads a module of the benchmark harness, whose
-workload configs some tests run.
+``load_script`` loads a script of ``tools/`` or of the benchmark harness
+(``perfbench/``) as a module, for the tests of that script and for those
+that run the harness's workload configs.
 """
 
 import importlib.util
@@ -32,13 +33,16 @@ from slhkit.punctured_line import (GridFunction, _chunks, _Trapezoids,
                                    trace_at_origin)
 from slhkit.slh import gauge_zll, slh_triple
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+TOOLS = ROOT / "tools"
 
 
-def perfbench_module(name):
-    """``perfbench/<name>.py``, loaded as ``perfbench_<name>``."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  PERFBENCH / f"{name}.py")
+def load_script(path):
+    """The script at ``path`` (``<dir>/<name>.py``), loaded afresh as the
+    module ``<dir>_<name>``."""
+    spec = importlib.util.spec_from_file_location(
+        f"{path.parent.name}_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)

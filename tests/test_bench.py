@@ -12,7 +12,6 @@ the tools import no ``unittest.mock``, read no single-underscore attribute
 bytecode."""
 
 import ast
-import importlib.util
 import json
 import re
 import shutil
@@ -20,18 +19,13 @@ from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "bench.py"
+from conftest import TOOLS, load_script
 
-
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+SCRIPT = TOOLS / "bench.py"
 
 
 def test_row_records_dims_and_sigma_max():
-    result = load_bench().row(1, 2, 3, False)
+    result = load_script(SCRIPT).row(1, 2, 3, False)
     assert set(result) == {"seconds", "dim", "sector_dims", "sigma_max",
                            "last_level", "largest_charge_mb",
                            "rss_before_mb", "rss_after_mb"}
@@ -46,13 +40,13 @@ def test_row_records_dims_and_sigma_max():
 
 
 def test_row_with_generic_el0_has_empty_kernel():
-    result = load_bench().row(1, 2, 3, True)
+    result = load_script(SCRIPT).row(1, 2, 3, True)
     assert result["dim"] == 0
     assert not any(result["sector_dims"])
 
 
 def test_row_records_a_refused_size():
-    result = load_bench().row(2, 3, 8, False)
+    result = load_script(SCRIPT).row(2, 3, 8, False)
     assert set(result) == {"refused"} and "guard" in result["refused"]
 
 
@@ -63,12 +57,12 @@ def test_row_records_a_refused_level(monkeypatch):
 
     monkeypatch.setattr(fock, "_level_bytes",
                         lambda *args: MAX_SOLVE_BYTES + 1)
-    result = load_bench().row(1, 2, 3, False)
+    result = load_script(SCRIPT).row(1, 2, 3, False)
     assert set(result) == {"refused"} and "level 0 of" in result["refused"]
 
 
 def test_sobolev_row_records_call_peak_and_value():
-    result = load_bench().sobolev_row(30.0, 3e-3)
+    result = load_script(SCRIPT).sobolev_row(30.0, 3e-3)
     assert set(result) == {"seconds", "nodes", "call_peak_mb",
                            "call_peak_arrays", "value"}
     assert result["nodes"] == 10_000 and result["seconds"] >= 0
@@ -80,7 +74,7 @@ def test_sobolev_row_records_call_peak_and_value():
 def test_defect_run_records_exit_code_and_report_digest():
     from slhkit import cli
 
-    result = load_bench().defect_run(30.0, 3e-3)
+    result = load_script(SCRIPT).defect_run(30.0, 3e-3)
     assert set(result) == {"seconds", "minor_faults", "exit_code",
                            "report_sha256", "rss_before_mb", "rss_after_mb",
                            "peak_rss_mb", "groups", "group_minor_faults",
@@ -108,7 +102,7 @@ def test_defect_run_records_exit_code_and_report_digest():
 
 
 def test_child_prints_one_json_line(capsys):
-    assert load_bench().main(["--child", "kernel", "1", "2", "3",
+    assert load_script(SCRIPT).main(["--child", "kernel", "1", "2", "3",
                               "false"]) == 0
     out = capsys.readouterr().out
     assert out.count("\n") == 1
@@ -117,7 +111,7 @@ def test_child_prints_one_json_line(capsys):
 
 
 def test_fock_run_records_exit_code_and_kernel_dims():
-    result = load_bench().fock_run(1, 2, 3)
+    result = load_script(SCRIPT).fock_run(1, 2, 3)
     assert set(result) == {"seconds", "minor_faults", "exit_code",
                            "rss_before_mb", "rss_after_mb", "kernel_dims"}
     assert result["exit_code"] == 0 and result["seconds"] >= 0
@@ -127,7 +121,7 @@ def test_fock_run_records_exit_code_and_kernel_dims():
 def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
     # Stand-in bare processes: each records its argv and whether the config
     # it names is on disk when it runs.
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     spawns = []
 
     def spawn(argv):
@@ -156,7 +150,7 @@ def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
 
 
 def test_startup_child_runs_in_a_fresh_process():
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     result = bench.measure(bench.ROOT / "src", "startup",
                            ("slh", "configs/example.json", 0))
     assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb"}
@@ -164,7 +158,7 @@ def test_startup_child_runs_in_a_fresh_process():
     assert 0 < result["setup_s"] and 0 < result["seconds"]
 
 
-STAGE_NAMES = list(load_bench().STAGES)
+STAGE_NAMES = list(load_script(SCRIPT).STAGES)
 # the fields a side keeps per run besides its stage's paired ones
 PER_RUN = ("exit_code", "minor_faults", "groups")
 
@@ -175,7 +169,7 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
     # Stand-in children: every paired field reads 1 + i/1000 in a side's
     # i-th run on a spec, 0.5 less on the change but in the fifth pair;
     # every per-run field reads i, every identity field the spec.
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     stage, calls = bench.STAGES[name], []
 
     def measure(src, child, spec):
@@ -238,7 +232,7 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
 def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                                                   tmp_path):
     # Stand-in children: the change is faster in every pair but the fifth.
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     calls = []
 
     def measure(src, mode, spec):
@@ -281,7 +275,7 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     # Stand-in children: the change is faster in every pair but the fifth,
     # both sides write the same report, and the change's groups fault once
     # more in each run.
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     calls = []
 
     def measure(src, mode, spec):
@@ -323,7 +317,7 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                                                   tmp_path):
     # Stand-in children: the change is faster in every pair but the fifth,
     # and its CLI process is always 0.5 MB smaller.
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     calls, n = [], bench.PAIRS
 
     def measure(src, mode, spec):
@@ -373,7 +367,7 @@ def test_a_failed_child_ends_its_row_and_the_run_goes_on(monkeypatch,
                                                          capsys, tmp_path):
     # A stand-in child script: it exits 1 at (1, 2, 4), as a kernel child
     # the kernel kills would, and prints one row elsewhere.
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     child = tmp_path / "child.py"
     child.write_text(
         "import json, sys\n"
@@ -400,7 +394,7 @@ def test_a_failed_child_ends_its_row_and_the_run_goes_on(monkeypatch,
 
 
 def test_source_digest_names_the_tree(tmp_path):
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     copies = [tmp_path / "a", tmp_path / "b"]
     for copy in copies:
         shutil.copytree(bench.ROOT / "src" / "slhkit",
@@ -417,7 +411,7 @@ def test_source_digest_names_the_tree(tmp_path):
 
 
 def test_pair_stats_need_nine_in_ten_and_a_gap_over_the_iqr():
-    bench = load_bench()
+    bench = load_script(SCRIPT)
     parent = [1.0 + 0.1 * i for i in range(10)]
     close = {"parent": {"seconds": parent},
              "change": {"seconds": [p - 0.01 for p in parent]}}
@@ -451,7 +445,7 @@ def test_out_is_required(capsys):
     # refused, before anything is measured or written
     root = SCRIPT.parents[1]
     with pytest.raises(SystemExit) as exc:
-        load_bench().main(["--parent", str(root)])
+        load_script(SCRIPT).main(["--parent", str(root)])
     assert exc.value.code == 2
     assert "--out is required" in capsys.readouterr().err
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import perfbench_module
+from conftest import PERFBENCH, load_script
 from slhkit import cli, fock, phases, slh
 from slhkit.cli import run_command
 from slhkit.config import (
@@ -368,7 +368,7 @@ class TestWorkPerRun:
     def test_fock_run_builds_one_space(self, monkeypatch):
         # sigma = 0.3 and --sweep 1: the sigma = 0 reduction, the gauged
         # battery and the sweep rebuild frak_a on the plain battery's space
-        workloads = perfbench_module("workloads")
+        workloads = load_script(PERFBENCH / "workloads.py")
         cfg = config_from_dict(
             json.loads(workloads.generate_config("fock-kernel", 1)))
         space_cls = fock.TruncatedFockSpace
@@ -402,6 +402,26 @@ class TestWorkPerRun:
         assert swept is gauged and gauged.frak_a is not plain.frak_a
         for name in ("space", "a_plus", "a_minus", "a_star", "a0"):
             assert getattr(gauged, name) is getattr(plain, name), name
+
+    def test_fock_run_builds_the_sector_lists_once(self, monkeypatch):
+        # both routes of the plain, gauged and sweep batteries read one set
+        # of read-only sector lists, built on the run's one space
+        workloads = load_script(PERFBENCH / "workloads.py")
+        cfg = config_from_dict(
+            json.loads(workloads.generate_config("fock-kernel", 1)))
+        sectors, seen = fock.TruncatedFockSpace.sectors, []
+
+        def recording(space):
+            seen.append(sectors(space))
+            return seen[-1]
+
+        monkeypatch.setattr(fock.TruncatedFockSpace, "sectors", recording)
+        assert run_command("fock", cfg, sweep=1).all_passed
+        assert len(seen) == 6
+        first = seen[0]
+        for lists in seen[1:]:
+            assert all(a is b for a, b in zip(lists, first))
+        assert not any(sector.flags.writeable for sector in first)
 
     @pytest.mark.parametrize("m, solves", [(1, 6), (2, 2)])
     def test_ungauged_slh_run_solves_the_plain_ito_matrix_once(

@@ -117,6 +117,29 @@ print(peak() - before)
 """
 
 
+def traced_charge(space, sub):
+    """The part of an E_l0 = 0 solve's level charges that tracemalloc sees,
+    sized from each ``Level.shape``: the index tables (``table_bytes``),
+    the kernels held from earlier levels, and the level's complex block
+    with numpy's outputs, for a tall block its QR's copy, tau, R and the
+    boolean mask that cuts R out, then U, the singular values and V^H of R
+    or of the block, and the kernel read off V^H; after the last level the
+    kernels held and the returned columns.  Each level's part is at most
+    its ``_level_bytes`` charge, so this is at most the largest level
+    charge plus the columns."""
+    held = need = 0
+    for level in sub.levels:
+        rows, cols = level.shape
+        mn = min(rows, cols)
+        qr = (16 * (2 * rows * cols + cols * cols + cols) + cols * cols
+              if rows > cols else 0)
+        svd = (16 * (mn * cols + mn * mn + cols * cols + cols * level.added)
+               + 8 * mn)
+        need = max(need, held + max(qr, svd))
+        held += 16 * cols * level.added
+    return space.table_bytes() + max(need, held + sub.columns.nbytes)
+
+
 class TestTruncatedSpace:
     def test_cutoff_guard(self):
         with pytest.raises(TooLarge):
@@ -161,9 +184,14 @@ class TestTruncatedSpace:
 
     @pytest.mark.parametrize("size", [(2, 1, 8), (1, 1, 30), (1, 3, 4)])
     def test_level_charges_cover_the_solve(self, size):
-        # everything a route-B solve allocates, the index tables it builds
-        # and the kernel columns it returns included, stays within its
-        # largest level charge plus the columns
+        # everything a route-B solve allocates that tracemalloc sees, the
+        # index tables it builds and the kernel columns it returns
+        # included, stays within the traced part of its charges
+        # (traced_charge); the peak reads 0.052, 0.347 and 0.878 of it at
+        # the three sizes.  At (1, 3, 4) a solve that keeps each level's
+        # block until it returns (1.022 of it), or that takes the full SVD
+        # of a tall block instead of its QR (1.151), stays within its
+        # largest level charge plus the columns but not within this bound.
         m, n, d = size
         ops = build_mode_operators(m, n, d, ScalarGauge(0.3))
         e = random_coupling(np.random.default_rng(1), m, n,
@@ -176,8 +204,7 @@ class TestTruncatedSpace:
         finally:
             tracemalloc.stop()
         assert sub.dim > 0
-        charge = max(level.charge for level in sub.levels)
-        assert peak <= charge + sub.columns.nbytes
+        assert peak <= traced_charge(ops.space, sub)
 
     @pytest.mark.parametrize("shape", [(3000, 1100), (1770, 1770),
                                        (1100, 3000)])

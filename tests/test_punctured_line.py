@@ -34,7 +34,6 @@ from slhkit.punctured_line import (
     sample,
     sample_half,
     sobolev,
-    sobolev_half,
     sobolev_inner,
     symmetry_defects,
     trace_at_origin,
@@ -93,7 +92,7 @@ def traces(f):
 
 def one_sided_sobolev(spec, left, f, g):
     """<f|g>_S of halves of functions that vanish off that half-line."""
-    return sum(sobolev_half(spec, left, f, g))
+    return sum(reproducing_half(spec, left, f, [g])[0])
 
 
 def grid_function(spec, f: TwoSided):
@@ -1109,9 +1108,9 @@ class TestKernelOracles:
 
         for side in SIDES:
             (fv, fl), (gv, gl) = f.half(side), g.half(side)
-            found = {np.array(sobolev_half(
+            found = {np.array(reproducing_half(
                 spec, side, Half(placed(fv, a), fl),
-                Half(placed(gv, b), gl))).tobytes()
+                [Half(placed(gv, b), gl)])[0]).tobytes()
                 for a in (16, 32, 48) for b in (16, 32, 48)}
             assert len(found) == 1
 

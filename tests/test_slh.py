@@ -58,8 +58,14 @@ class TestValidateCoupling:
         validate_coupling(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1)
 
     def test_forced_adjoint_relation(self):
-        with pytest.raises(NonHermitianInput):
+        # the one check behind the config's error text, which names the
+        # worst block, at the given tolerance
+        with pytest.raises(NonHermitianInput) as info:
             validate_coupling(np.array([[0.0, 1j], [1j, 0.0]]), 1, 1)
+        assert str(info.value) == ("E block (0,1) is not the adjoint of "
+                                   "block (1,0): max asymmetry 2.000e+00")
+        validate_coupling(np.array([[0.0, 1e-9j], [1e-9j, 0.0]]), 1, 1,
+                          tol=1e-8)
 
     def test_size_mismatch(self):
         # wrong (1+n)m side, m = 0, n = 0 and a 3-d array, through validation

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import PERFBENCH, bump_function, perfbench_module
+from conftest import PERFBENCH, bump_function, load_script
 from slhkit import cli, fock, punctured_line
 from slhkit.config import config_from_dict
 
@@ -36,8 +36,8 @@ print(json.dumps(sorted({{s.name for s in tracer.spans}})))
 
 
 def test_hooks_measure_fock_and_grid_runs(monkeypatch):
-    tracing = perfbench_module("tracing")
-    workloads = perfbench_module("workloads")
+    tracing = load_script(PERFBENCH / "tracing.py")
+    workloads = load_script(PERFBENCH / "workloads.py")
     fock_config = config_from_dict(
         json.loads(workloads.generate_config("fock-kernel", 1)))
     defect_config = config_from_dict({
@@ -100,7 +100,7 @@ def test_tracer_instruments_a_process_that_imported_only_the_cli(tmp_path):
     # from sys.modules, which runs them, and must then span the calls cli
     # makes through them.
     config = tmp_path / "fock-kernel.json"
-    workloads = perfbench_module("workloads")
+    workloads = load_script(PERFBENCH / "workloads.py")
     config.write_bytes(workloads.generate_config("fock-kernel", 1))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))

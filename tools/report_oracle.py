@@ -2,9 +2,10 @@
 
     PYTHONPATH=src python3 tools/report_oracle.py OUTDIR
 
-Runs a fixed set of CLI invocations, one ``python -m slhkit`` process each,
-and writes every report into OUTDIR together with ``exit_codes.txt`` (one
-``<report file> <exit code>`` line per run). A refactor that must not change
+Runs a fixed set of CLI invocations through ``slhkit.cli.main``, all in this
+one process (``run_all``), and writes every report into OUTDIR together with
+``exit_codes.txt`` (one ``<report file> <exit code>`` line per run, the code
+``python -m slhkit`` would exit with). A refactor that must not change
 any answer shows it with one ``diff -r`` of the directories written before
 and after:
 
@@ -28,14 +29,17 @@ and after:
   ``scalar_cayley_match`` and ``gauge_scalar_closed_form``).
 
 Benchmark configs come from ``perfbench/workloads.generate_config`` and are
-written to a temporary directory. BLAS runs single-threaded in every child.
+written to a temporary directory. ``main`` pins BLAS to one thread before
+slhkit, and so numpy, is imported; slhkit is imported from PYTHONPATH, so
+the tool measures the tree it is pointed at.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -149,23 +153,40 @@ def write_configs(configs: Path) -> None:
         json.dumps(MIN_WIDTH_GRID_CONFIG))
 
 
+def run_all(out: Path) -> list:
+    """Run every oracle run through ``slhkit.cli.main`` in this process, its
+    report written into ``out`` and its stderr discarded; returns the
+    (report file name, exit code) pairs in run order. An exception that
+    escapes ``cli.main`` gives the code ``python -m slhkit`` would exit
+    with, a SystemExit's code, else 1, and the later runs still run."""
+    from slhkit import cli
+
+    codes = []
+    with tempfile.TemporaryDirectory() as tmp:
+        configs = Path(tmp)
+        write_configs(configs)
+        for name, args in runs(configs):
+            with contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main([*args, "--out", str(out / name)])
+                except SystemExit as exc:
+                    code = (0 if exc.code is None else exc.code
+                            if isinstance(exc.code, int) else 1)
+                except Exception:
+                    code = 1
+            codes.append((name, code))
+    return codes
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print("usage: report_oracle.py OUTDIR", file=sys.stderr)
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
-    codes = []
-    with tempfile.TemporaryDirectory() as tmp:
-        configs = Path(tmp)
-        write_configs(configs)
-        for name, args in runs(configs):
-            proc = subprocess.run(
-                [sys.executable, "-m", "slhkit", *args, "--out", str(out / name)],
-                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            codes.append(f"{name} {proc.returncode}\n")
-    (out / "exit_codes.txt").write_text("".join(codes))
+    os.environ.update({var: "1" for var in THREAD_VARS})
+    (out / "exit_codes.txt").write_text(
+        "".join(f"{name} {code}\n" for name, code in run_all(out)))
     return 0
 
 
