@@ -1,15 +1,16 @@
 """Smoke test of the stage bench (no timing gate): the children of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
-guard refuses on construction and one it refuses at a level, one Sobolev
-row (``punctured_line.sobolev`` on sources), one ``fock`` and one ``defect``
-run, the latter on a T = 30, h = 3e-3 grid with the check groups of
-``cli.DEFECT_GROUPS`` under their table keys, the start-up child, children
-run through the hidden ``--child`` dispatch, every stage of the table on
-stand-in measurements, a child that exits non-zero, the source digest of a
-tree, the bench's refusal to run without ``--out``, and a source guard:
-the tools import no ``unittest.mock``, read no single-underscore attribute
-(by name or through ``getattr`` on a literal) and no function's
-bytecode."""
+guard refuses on construction and one it refuses at a level, the rows' E
+drawn without the tree, one Sobolev row (``punctured_line.sobolev`` on
+sources), one ``fock`` and one ``defect`` run, the latter on a T = 30,
+h = 3e-3 grid with the check groups of ``cli.DEFECT_GROUPS`` under their
+table keys, the setup probe and one bare CLI process in every CLI child,
+children run through the hidden ``--child`` dispatch, every stage of the
+table on stand-in measurements, each side's ``src/`` copied to a path of
+equal length, a child that exits non-zero, the source digest of a tree,
+the bench's refusal to run without ``--out``, and a source guard: the
+tools import no ``unittest.mock``, read no single-underscore attribute (by
+name or through ``getattr`` on a literal) and no function's bytecode."""
 
 import ast
 import json
@@ -61,6 +62,25 @@ def test_row_records_a_refused_level(monkeypatch):
     assert set(result) == {"refused"} and "level 0 of" in result["refused"]
 
 
+def test_rows_draw_e_by_perfbench_not_by_the_tree(monkeypatch):
+    # A tree whose ensembles cannot draw still solves the rows' E: both
+    # sides solve the same E, whatever their random_coupling.
+    from slhkit import ensembles
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("E drawn by the tree under test")
+
+    monkeypatch.setattr(ensembles, "random_coupling", refuse)
+    monkeypatch.setattr(ensembles, "random_hermitian", refuse)
+    bench = load_script(SCRIPT)
+    assert bench.row(1, 2, 3, False)["dim"] > 0
+    e = bench.coupling(1, 2, False)
+    assert e == bench.coupling(1, 2, False)
+    # E_l0 = 0, scaled to max entry 1
+    assert not any(e[0][1:]) and not any(line[0] for line in e[1:])
+    assert max(abs(x) for line in e for x in line) == 1.0
+
+
 def test_sobolev_row_records_call_peak_and_value():
     result = load_script(SCRIPT).sobolev_row(30.0, 3e-3)
     assert set(result) == {"seconds", "nodes", "call_peak_mb",
@@ -71,21 +91,22 @@ def test_sobolev_row_records_call_peak_and_value():
     assert all(isinstance(float.fromhex(x), float) for x in result["value"])
 
 
-def test_defect_run_records_exit_code_and_report_digest():
+def test_defect_run_records_exit_code_and_report_digest(monkeypatch):
     from slhkit import cli
 
-    result = load_script(SCRIPT).defect_run(30.0, 3e-3)
-    assert set(result) == {"seconds", "minor_faults", "exit_code",
-                           "report_sha256", "rss_before_mb", "rss_after_mb",
-                           "peak_rss_mb", "groups", "group_minor_faults",
-                           "call_peak_mb", "call_peak_arrays"}
+    bench = load_script(SCRIPT)
+    monkeypatch.setenv("PYTHONPATH", str(bench.ROOT / "src"))
+    result = bench.defect_run(30.0, 3e-3)
+    assert set(result) == {"setup_s", "seconds", "minor_faults", "exit_code",
+                           "report_sha256", "peak_rss_mb", "groups",
+                           "group_minor_faults", "call_peak_mb",
+                           "call_peak_arrays"}
     assert result["exit_code"] == 0 and result["seconds"] >= 0
     faults = result["minor_faults"]
     assert isinstance(faults, int) and faults >= 0
     assert len(result["report_sha256"]) == 64
     int(result["report_sha256"], 16)
-    assert 0 < result["rss_before_mb"] <= result["rss_after_mb"]
-    assert result["peak_rss_mb"] == result["rss_after_mb"]
+    assert result["setup_s"] > 0 and result["peak_rss_mb"] > 0
     groups = result["groups"]
     assert list(groups) == list(cli.DEFECT_GROUPS)
     for group in groups.values():
@@ -110,17 +131,19 @@ def test_child_prints_one_json_line(capsys):
     assert result["dim"] > 0 and result["peak_rss_mb"] > 0
 
 
-def test_fock_run_records_exit_code_and_kernel_dims():
-    result = load_script(SCRIPT).fock_run(1, 2, 3)
-    assert set(result) == {"seconds", "minor_faults", "exit_code",
-                           "rss_before_mb", "rss_after_mb", "kernel_dims"}
+def test_fock_run_records_exit_code_and_kernel_dims(monkeypatch):
+    bench = load_script(SCRIPT)
+    monkeypatch.setenv("PYTHONPATH", str(bench.ROOT / "src"))
+    result = bench.fock_run(1, 2, 3)
+    assert set(result) == {"setup_s", "seconds", "minor_faults", "exit_code",
+                           "peak_rss_mb", "report_sha256", "kernel_dims"}
     assert result["exit_code"] == 0 and result["seconds"] >= 0
     assert result["kernel_dims"] and all(result["kernel_dims"])
 
 
-def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
+def test_cli_children_run_the_probe_then_the_cli(monkeypatch):
     # Stand-in bare processes: each records its argv and whether the config
-    # it names is on disk when it runs.
+    # it names is on disk when it runs; none writes a report.
     bench = load_script(SCRIPT)
     spawns = []
 
@@ -130,14 +153,25 @@ def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
         spawns.append(("probe" if argv[1] == "-c" else "cli", argv,
                        Path(config).is_file()))
         return {"seconds": 0.25 if argv[1] == "-c" else 0.5, "exit_code": 0,
-                "peak_rss_mb": 40.0}
+                "peak_rss_mb": 40.0, "minor_faults": 7}
 
     monkeypatch.setattr(bench, "spawn", spawn)
-    for command, config, sweep in bench.STARTUP_ROWS:
+    children = [("startup", row, row[0], row[2])
+                for row in bench.STARTUP_ROWS] + [
+        ("fock-run", (1, 2, 3), "fock", 0),
+        ("defect-run", (30.0, 3e-3), "defect", 0)]
+    for name, spec, command, sweep in children:
         spawns.clear()
-        result = bench.startup(command, config, sweep)
-        assert result == {"setup_s": 0.25, "seconds": 0.5, "exit_code": 0,
-                          "peak_rss_mb": 40.0}
+        result = bench.STAGES[name].child(*spec)
+        # the CLI process's figures are the row's, whatever else the child
+        # records
+        assert {key: result[key] for key in (
+            "setup_s", "seconds", "exit_code", "peak_rss_mb", "minor_faults",
+            "report_sha256")} == {
+            "setup_s": 0.25, "seconds": 0.5, "exit_code": 0,
+            "peak_rss_mb": 40.0, "minor_faults": 7, "report_sha256": None}
+        if name == "startup":
+            assert len(result) == 6
         # the probe is perfbench's line; the CLI runs the row's command on
         # the same config
         (probe, probe_argv, probe_on_disk), (cli, argv, on_disk) = spawns
@@ -146,16 +180,29 @@ def test_startup_child_runs_the_probe_then_the_cli(monkeypatch):
         assert argv[1:4] == ["-m", "slhkit", command]
         assert argv[argv.index("--config") + 1] == probe_argv[3]
         assert argv[argv.index("--sweep") + 1] == str(sweep)
-    assert ("fock", "fock-kernel", 1) in bench.STARTUP_ROWS
+    # every benchmark workload at its sweep
+    assert {("fock", "fock-kernel", 1), ("fock", "fock-coupled", 0),
+            ("slh", "slh-sweep", 4000), ("defect", "grid-defect", 0)} <= set(
+        bench.STARTUP_ROWS)
 
 
 def test_startup_child_runs_in_a_fresh_process():
     bench = load_script(SCRIPT)
     result = bench.measure(bench.ROOT / "src", "startup",
                            ("slh", "configs/example.json", 0))
-    assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb"}
+    assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb",
+                           "minor_faults", "report_sha256"}
     assert result["exit_code"] == 0 and result["peak_rss_mb"] > 0
+    assert result["minor_faults"] > 0 and len(result["report_sha256"]) == 64
     assert 0 < result["setup_s"] and 0 < result["seconds"]
+
+
+@pytest.fixture
+def parent(tmp_path):
+    """A stand-in parent checkout: a ``src/`` holding one marker module."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "marker.py").write_text("")
+    return tmp_path
 
 
 STAGE_NAMES = list(load_script(SCRIPT).STAGES)
@@ -165,15 +212,19 @@ PER_RUN = ("exit_code", "minor_faults", "groups")
 
 @pytest.mark.parametrize("name", STAGE_NAMES)
 def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
-                                                       capsys, tmp_path):
+                                                       capsys, parent):
     # Stand-in children: every paired field reads 1 + i/1000 in a side's
     # i-th run on a spec, 0.5 less on the change but in the fifth pair;
     # every per-run field reads i, every identity field the spec.
     bench = load_script(SCRIPT)
-    stage, calls = bench.STAGES[name], []
+    stage, calls, trees = bench.STAGES[name], [], set()
 
     def measure(src, child, spec):
-        side = "parent" if src == tmp_path / "src" else "change"
+        side = src.parent.name
+        # a copy of the side's src/
+        assert (src / "marker.py").is_file() == (side == "parent")
+        assert (src / "slhkit" / "cli.py").is_file() == (side == "change")
+        trees.add(src)
         calls.append((side, child, spec))
         i = calls.count((side, child, spec))
         offset = 0.5 if side == "change" and i != 5 else 0.0
@@ -183,8 +234,11 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(tmp_path, [name])
+    out = bench.bench(parent, [name])
     rows, n = out[name], stage.pairs
+    # the two copies sit at paths of equal length, and are gone after
+    assert len(trees) == 2 and len({len(str(src)) for src in trees}) == 1
+    assert not any(src.exists() for src in trees)
     # the stages that back a BENCH file's claims run enough pairs to resolve
     assert (n >= bench.PAIRS) == (name in ("sobolev", "defect-run",
                                            "startup"))
@@ -230,13 +284,13 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
 
 
 def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
-                                                  tmp_path):
+                                                  parent):
     # Stand-in children: the change is faster in every pair but the fifth.
     bench = load_script(SCRIPT)
     calls = []
 
     def measure(src, mode, spec):
-        side = "parent" if src == tmp_path / "src" else "change"
+        side = src.parent.name
         calls.append(side)
         i = calls.count(side)
         seconds = 0.003 + 1e-5 * i
@@ -248,7 +302,7 @@ def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(tmp_path, ["sobolev"])
+    out = bench.bench(parent, ["sobolev"])
     assert bench.PAIRS >= 10
     n = bench.PAIRS
     assert len(calls) == 2 * n * len(bench.SOBOLEV_GRIDS)
@@ -271,7 +325,7 @@ def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
 
 
 def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
-                                                 tmp_path):
+                                                 parent):
     # Stand-in children: the change is faster in every pair but the fifth,
     # both sides write the same report, and the change's groups fault once
     # more in each run.
@@ -279,7 +333,7 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     calls = []
 
     def measure(src, mode, spec):
-        side = "parent" if src == tmp_path / "src" else "change"
+        side = src.parent.name
         calls.append(side)
         i = calls.count(side)
         seconds = 0.25 + 1e-3 * i
@@ -287,15 +341,15 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
             seconds -= 0.03
         groups = {"a": {"minor_faults": 20 + i},
                   "b": {"minor_faults": 1 + (side == "change")}}
-        return {"seconds": seconds, "minor_faults": 150 + i, "exit_code": 0,
-                "report_sha256": "0" * 64, "call_peak_mb": 0.2,
+        return {"setup_s": 0.15, "seconds": seconds, "minor_faults": 150 + i,
+                "exit_code": 0, "report_sha256": "0" * 64, "call_peak_mb": 0.2,
                 "peak_rss_mb": 1.0, "groups": groups,
                 "group_minor_faults": sum(
                     g["minor_faults"] for g in groups.values())}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(tmp_path, ["defect-run"])
+    out = bench.bench(parent, ["defect-run"])
     n = bench.PAIRS
     assert len(calls) == 2 * n * len(bench.DEFECT_RUNS)
     assert calls[:4] == ["parent", "change", "change", "parent"]
@@ -308,13 +362,15 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
     assert len(row["change"]["groups"]) == n
     line = capsys.readouterr().out.splitlines()[0]
     assert f"change lower in {n - 1}/{n} pairs" in line
-    # the median of the groups' summed faults, not of cli.main's
+    # the median of the groups' summed faults, not of the CLI process's
     assert "group_minor_faults 26.5 (" in line and "-> 27.5 (" in line
-    assert "not resolved" not in line.split("; ")[0]
+    seconds = next(part for part in line.split("; ")
+                   if part.startswith("seconds "))
+    assert "not resolved" not in seconds
 
 
 def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
-                                                  tmp_path):
+                                                  parent):
     # Stand-in children: the change is faster in every pair but the fifth,
     # and its CLI process is always 0.5 MB smaller.
     bench = load_script(SCRIPT)
@@ -322,7 +378,7 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
 
     def measure(src, mode, spec):
         assert mode == "startup"
-        side = "parent" if src == tmp_path / "src" else "change"
+        side = src.parent.name
         calls.append((side, spec))
         i = calls.count((side, spec))
         seconds = 0.25 + 1e-3 * i
@@ -334,7 +390,7 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(tmp_path, ["startup"])
+    out = bench.bench(parent, ["startup"])
     rows = out["startup"]
     assert len(calls) == 2 * n * len(bench.STARTUP_ROWS) == 2 * n * len(rows)
     assert [side for side, _ in calls[:4]] == [
@@ -364,11 +420,11 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
 
 
 def test_a_failed_child_ends_its_row_and_the_run_goes_on(monkeypatch,
-                                                         capsys, tmp_path):
+                                                         capsys, parent):
     # A stand-in child script: it exits 1 at (1, 2, 4), as a kernel child
     # the kernel kills would, and prints one row elsewhere.
     bench = load_script(SCRIPT)
-    child = tmp_path / "child.py"
+    child = parent / "child.py"
     child.write_text(
         "import json, sys\n"
         "if sys.argv[3:6] == ['1', '2', '4']:\n"
@@ -379,7 +435,7 @@ def test_a_failed_child_ends_its_row_and_the_run_goes_on(monkeypatch,
     monkeypatch.setattr(bench, "machine", lambda: {})
     monkeypatch.setitem(bench.STAGES, "kernel", bench.STAGES["kernel"]._replace(
         specs=((1, 2, 4, False), (1, 2, 3, False))))
-    failed, row = bench.bench(tmp_path, ["kernel"])["kernel"]
+    failed, row = bench.bench(parent, ["kernel"])["kernel"]
     # the row ends at its first child; the next row runs in full
     assert failed["parent"] == {"failed": {
         "exit_code": 1, "stderr": "killed at (1, 2, 4)\n"}}

@@ -4,8 +4,9 @@ in fresh child processes with parent and change alternating.
     python3 tools/bench.py --parent DIR --out FILE [--stages STAGE ...]
 
 DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
-its ``src/`` is imported for the parent side, this tree's ``src/`` for the
-change.  STAGE names a table entry (default: all five, in table order):
+both sides import copies of their ``src/`` at paths of equal length, as a
+path's length alone moves peak RSS and page faults.  STAGE names a table
+entry (default: all five, in table order):
 
 * ``kernel``: one route-B ``fock.boundary_kernel`` solve per (m, n, d,
   generic E_l0) of ``ROWS``, sigma = 0.3, with its dims and level charges,
@@ -18,16 +19,18 @@ change.  STAGE names a table entry (default: all five, in table order):
   half-line core per (T, h) of ``SOBOLEV_GRIDS``: the median of
   ``SOBOLEV_CALLS`` calls and one more traced call's peak;
 * ``defect-run``: one ``slhkit defect`` run of the ``grid-defect`` config
-  per (T, h) of ``DEFECT_RUNS``, then one traced ``command_defect``, each
-  check group of ``cli.DEFECT_GROUPS`` timed and traced under its table
-  key.  The stage needs a parent tree whose ``cli`` has that table; an
-  older parent's rows end as ``failed``.  ``group_minor_faults`` is the
-  fault figure to compare: ``cli.main``'s own also counts module loading
-  and compiling from source.  Both, and the peak RSS, move with the length
-  of a tree's path, so compare trees at paths of equal length;
-* ``startup``: the setup probe (``setup_s``) and then ``python -m slhkit``
-  per subcommand and config of ``STARTUP_ROWS``, each a bare process timed
-  as ``perfbench/run.py`` times it.
+  per (T, h) of ``DEFECT_RUNS``; in the child, one ``run_command`` and one
+  traced one time and trace each check group of ``cli.DEFECT_GROUPS`` under
+  its table key.  The stage needs a parent tree whose ``cli`` has that
+  table; an older parent's rows end as ``failed``;
+* ``startup``: one ``slhkit`` run per row of ``STARTUP_ROWS``.
+
+A CLI run is ``cli_process``: the setup probe (``setup_s``), then ``python
+-m slhkit``, each a bare process timed as ``perfbench/run.py`` times it.
+The kernel and ``fock-run`` rows draw E by perfbench's generator from a
+fixed seed string, so both sides solve the same E; it is not the E of
+``BENCH_25.json`` and ``BENCH_35.json``, which the tree's own
+``random_coupling`` drew.
 
 An entry names the child that measures one row, its specs (labelled by the
 entry's ``keys``), the alternating pairs per row (``REPEATS`` or
@@ -56,7 +59,9 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import resource
+import shutil
 import statistics
 import subprocess
 import sys
@@ -74,8 +79,9 @@ SCRIPT = Path(__file__).resolve()
 ROOT = SCRIPT.parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from run import SETUP_PROBE, THREAD_VARS  # noqa: E402
-from workloads import WORKLOADS, generate_config  # noqa: E402
+from run import SETUP_PROBE, THREAD_VARS, quartiles  # noqa: E402
+from workloads import (WORKLOADS, Workload, coupling_matrix,  # noqa: E402
+                       generate_config)
 
 SIGMA = 0.3
 SEED = 1
@@ -95,23 +101,24 @@ SOBOLEV_CALLS = 20
 # the fewest pairs that can resolve a gain
 PAIRS = 10
 # (command, config, sweep) of the startup rows: a path under ROOT at sweep
-# 0, or a benchmark workload at its sweep, whose config
-# perfbench/workloads.py generates
+# 0, or each benchmark workload, generated by perfbench, at its sweep
 STARTUP_ROWS = tuple((command, "configs/example.json", 0) for command in
                      ("slh", "phase", "defect", "scatter", "fock")) + tuple(
-    (command, name, WORKLOADS[name].sweep)
-    for command, name in (("fock", "fock-kernel"), ("defect", "grid-defect")))
+    (workload.command, name, workload.sweep)
+    for name, workload in WORKLOADS.items())
+# the paired fields of a CLI run: perfbench's end-to-end metrics
+CLI_PAIRED = ("setup_s", "seconds", "peak_rss_mb")
 # child fields a side keeps per run besides its stage's paired ones
 PER_RUN = ("exit_code", "minor_faults", "groups")
 # the characters of a failed child's stderr that its row keeps
 STDERR_TAIL = 2000
 
 
-def coupling(m: int, n: int, generic_el0: bool):
-    import numpy as np
-    from slhkit.ensembles import random_coupling
-    return random_coupling(np.random.default_rng(SEED), m, n,
-                           zero_channel_system=not generic_el0)
+def coupling(m: int, n: int, generic_el0: bool) -> list:
+    """A row's Hermitian (1 + n) m coupling as nested lists, drawn by
+    perfbench's generator, the same on both sides."""
+    workload = Workload("fock", 0, m, n, zero_channel_system=not generic_el0)
+    return coupling_matrix(workload, random.Random(f"bench:{SEED}"))
 
 
 def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
@@ -123,9 +130,9 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
     from slhkit import fock
     from slhkit.errors import TooLarge
     from slhkit.linalg import null_space
-    from slhkit.slh import ScalarGauge
+    from slhkit.slh import ScalarGauge, validate_coupling
 
-    e = coupling(m, n, generic_el0)
+    e = validate_coupling(np.array(coupling(m, n, generic_el0)), m, n)
     try:
         ops = fock.build_mode_operators(m, n, d, ScalarGauge(SIGMA))
         rows = fock.stacked_boundary_rows(e, ops)
@@ -182,47 +189,47 @@ def sobolev_row(half_width: float, spacing: float) -> dict:
             "value": [value.real.hex(), value.imag.hex()]}
 
 
-def cli_run(command: str, config: dict) -> tuple:
-    """One timed ``cli.main`` run of ``command`` on ``config``, written to a
-    temporary file: its seconds, minor faults, exit code and peak RSS
-    before and after, and the report's bytes (None if it wrote none)."""
-    from slhkit import cli
-
+def cli_process(command: str, config: bytes, sweep: int) -> tuple:
+    """The setup probe, then ``slhkit command --sweep sweep`` on ``config``,
+    each a bare ``spawn``: the run's figures, the probe's seconds (``setup_s``)
+    and the report's SHA-256 or None, and the report's bytes."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "report.json"
-        path.write_text(json.dumps(config))
-        before, faults = peak_rss_mb(), minor_faults()
-        start = time.perf_counter()
-        code = cli.main([command, "--config", str(path), "--out", str(out)])
-        seconds = time.perf_counter() - start
-        faults, after = minor_faults() - faults, peak_rss_mb()
+        path.write_bytes(config)
+        setup = spawn([sys.executable, "-c", SETUP_PROBE, str(path)])
+        run = spawn([sys.executable, "-m", "slhkit", command, "--config",
+                     str(path), "--out", str(out), "--sweep", str(sweep)])
         report = out.read_bytes() if out.exists() else None
-    return {"seconds": seconds, "minor_faults": faults, "exit_code": code,
-            "rss_before_mb": before, "rss_after_mb": after}, report
+    return {"setup_s": setup["seconds"], **run, "report_sha256": None if
+            report is None else hashlib.sha256(report).hexdigest()}, report
 
 
 def fock_run(m: int, n: int, d: int) -> dict:
-    """One timed ``slhkit fock`` run, sweep 0, of the E_l0 = 0 coupling."""
-    e = coupling(m, n, False)
-    run, report = cli_run("fock", {
+    """One ``slhkit fock`` run, sweep 0, of the E_l0 = 0 coupling, with the
+    kernel dims its report records."""
+    run, report = cli_process("fock", json.dumps({
         "m": m, "n": n, "sigma": SIGMA, "fock": {"d": d},
-        "E": [[[v.real, v.imag] for v in line] for line in e.full]})
+        "E": [[[v.real, v.imag] for v in line]
+              for line in coupling(m, n, False)]}).encode(), 0)
     checks = json.loads(report)["checks"] if report is not None else []
     return {**run, "kernel_dims": [c["value"] for c in checks
                                    if c["name"].endswith("kernel_dims")]}
 
 
 def defect_run(half_width: float, spacing: float) -> dict:
-    """One timed ``slhkit defect`` run of the ``grid-defect`` config on the
-    (T, h) grid, then one traced ``command_defect``, each with the entries of
-    ``cli.DEFECT_GROUPS`` wrapped; each check group records its seconds and
-    faults in the first, its peak in the second."""
+    """One ``slhkit defect`` run of the ``grid-defect`` config on the
+    (T, h) grid, then one ``run_command`` and one traced one in this
+    process, each with the entries of ``cli.DEFECT_GROUPS`` wrapped; each
+    check group records its seconds and faults in the first, its peak in
+    the second."""
+    config = json.loads(generate_config("grid-defect", SEED))
+    config["grid"] = {"T": half_width, "h": spacing}
+    # before slhkit loads here: the run's peak RSS starts at this process's
+    run, _ = cli_process("defect", json.dumps(config).encode(), 0)
     from slhkit import cli
     from slhkit.config import config_from_dict
     from slhkit.punctured_line import GridSpec
 
-    config = json.loads(generate_config("grid-defect", SEED))
-    config["grid"] = {"T": half_width, "h": spacing}
     table = cli.DEFECT_GROUPS
     groups, peaks = {name: {} for name in table}, []
 
@@ -240,11 +247,11 @@ def defect_run(half_width: float, spacing: float) -> dict:
             record["peak_mb"] = tracemalloc.get_traced_memory()[1] / 2 ** 20
         return run
 
+    loaded = config_from_dict(config)
     try:
         cli.DEFECT_GROUPS = {name: measured(name, group)
                              for name, group in table.items()}
-        run, report = cli_run("defect", config)
-        loaded = config_from_dict(config)
+        cli.run_command("defect", loaded)
         tracemalloc.start()
         cli.run_command("defect", loaded)
         peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
@@ -252,26 +259,17 @@ def defect_run(half_width: float, spacing: float) -> dict:
         tracemalloc.stop()
         cli.DEFECT_GROUPS = table
     unit = 32 * GridSpec(half_width, spacing).n_nodes
-    return {**run, "report_sha256": (hashlib.sha256(report).hexdigest()
-                                     if report is not None else None),
-            "peak_rss_mb": run["rss_after_mb"], "groups": groups,
+    return {**run, "groups": groups,
             "group_minor_faults": sum(group["minor_faults"]
                                       for group in groups.values()),
             "call_peak_mb": peak / 2 ** 20, "call_peak_arrays": peak / unit}
 
 
 def startup(command: str, config: str, sweep: int) -> dict:
-    """The setup probe and then the CLI process on one config, each a bare
-    process."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = ROOT / config
-        if config in WORKLOADS:
-            path = Path(tmp) / f"{config}.json"
-            path.write_bytes(generate_config(config, SEED))
-        setup = spawn([sys.executable, "-c", SETUP_PROBE, str(path)])
-        run = spawn([sys.executable, "-m", "slhkit", command, "--config",
-                     str(path), "--out", os.devnull, "--sweep", str(sweep)])
-    return {"setup_s": setup["seconds"], **run}
+    """The CLI on one config of ``STARTUP_ROWS``."""
+    data = (generate_config(config, SEED) if config in WORKLOADS
+            else (ROOT / config).read_bytes())
+    return cli_process(command, data, sweep)[0]
 
 
 def peak_rss_mb() -> float:
@@ -302,7 +300,7 @@ def measure(src: Path, name: str, spec: tuple) -> dict:
 def spawn(argv: list) -> dict:
     """One bare child in this process's environment, run to exit as
     ``perfbench/run.py`` runs it: seconds on this process's clock, peak RSS
-    from ``wait4``."""
+    and minor faults from ``wait4``."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=ROOT, stdin=subprocess.DEVNULL,
                             stdout=subprocess.DEVNULL,
@@ -311,7 +309,7 @@ def spawn(argv: list) -> dict:
     seconds = time.perf_counter() - start
     proc.returncode = os.waitstatus_to_exitcode(status)
     return {"seconds": seconds, "peak_rss_mb": usage.ru_maxrss / 1024,
-            "exit_code": proc.returncode}
+            "minor_faults": usage.ru_minflt, "exit_code": proc.returncode}
 
 
 class Stage(NamedTuple):
@@ -331,14 +329,14 @@ STAGES = {
     "kernel": Stage(row, ("m", "n", "d", "generic_el0"), ROWS, REPEATS,
                     ("dim", "sector_dims"), ("seconds", "peak_rss_mb")),
     "fock-run": Stage(fock_run, ("m", "n", "d"), RUNS, REPEATS,
-                      ("kernel_dims",), ("seconds", "peak_rss_mb")),
+                      ("kernel_dims",), CLI_PAIRED),
     "sobolev": Stage(sobolev_row, ("T", "h"), SOBOLEV_GRIDS, PAIRS,
                      ("value",), ("seconds", "peak_rss_mb")),
     "defect-run": Stage(defect_run, ("T", "h"), DEFECT_RUNS, PAIRS,
                         ("report_sha256",),
-                        ("seconds", "peak_rss_mb", "group_minor_faults")),
+                        CLI_PAIRED + ("group_minor_faults",)),
     "startup": Stage(startup, ("command", "config", "sweep"), STARTUP_ROWS,
-                     PAIRS, (), ("setup_s", "seconds", "peak_rss_mb")),
+                     PAIRS, (), CLI_PAIRED),
 }
 
 
@@ -377,11 +375,6 @@ def stage_row(trees: dict, name: str, spec: tuple) -> dict:
     return record
 
 
-def quartiles(values) -> tuple:
-    """(q1, median, q3), as ``perfbench/run.py`` takes them."""
-    return tuple(statistics.quantiles(values, n=4))
-
-
 def pair_stats(sides: dict, key: str = "seconds") -> dict:
     """Each side's median and quartiles of the per-run ``key`` (seconds
     unless named; lower is better), the pairs in which the change was
@@ -389,7 +382,8 @@ def pair_stats(sides: dict, key: str = "seconds") -> dict:
     pairs, lower in at least 9 of 10, with the median gap over the
     parent's interquartile range."""
     parent, change = sides["parent"][key], sides["change"][key]
-    stats = {side: dict(zip(("q1", "median", "q3"), quartiles(values)))
+    stats = {side: dict(zip(("q1", "q3"), quartiles(values)),
+                        median=statistics.median(values))
              for side, values in (("parent", parent), ("change", change))}
     wins = sum(c < p for p, c in zip(parent, change))
     gap = stats["parent"]["median"] - stats["change"]["median"]
@@ -461,17 +455,21 @@ def source_digest(tree: Path) -> str:
 
 def bench(parent: Path, stages=tuple(STAGES)) -> dict:
     roots = {"parent": parent, "change": ROOT}
-    trees = {side: root / "src" for side, root in roots.items()}
     out = {"sigma": SIGMA, "seed": SEED, "machine": machine(),
            "revisions": {side: revision(root) for side, root in roots.items()},
            "src_sha256": {side: source_digest(root)
                           for side, root in roots.items()},
            "stages": list(stages)}
-    for name in stages:
-        out[name] = []
-        for spec in STAGES[name].specs:
-            out[name].append(stage_row(trees, name, spec))
-            print(progress(name, out[name][-1]), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        # "parent" and "change" have equal length
+        trees = {side: shutil.copytree(root / "src", Path(tmp, side, "src"),
+                                       ignore=shutil.ignore_patterns("*.pyc"))
+                 for side, root in roots.items()}
+        for name in stages:
+            out[name] = []
+            for spec in STAGES[name].specs:
+                out[name].append(stage_row(trees, name, spec))
+                print(progress(name, out[name][-1]), flush=True)
     return out
 
 
