@@ -29,15 +29,14 @@ case is the Sobolev pairing, ``decomposition_half``, ``symmetry_half`` and
 ``eigenrelation_half``) return scalars. One two-sided function per check
 group (``defect_vector_defects``, ``reproducing_defects``,
 ``decomposition_defects``, ``eigenrelation_defects`` and
-``symmetry_defects``, and ``sobolev`` for the pairing alone) takes its
-functions as (left, right) pairs of halves, runs
-the passes of both half-lines and joins their scalars in the order of the
-two-sided formula, (L2_- + L2_+) + (D_- + D_+). It returns plain values,
-per draw or per defect vector; the CLI defect suite names them. A half's
-values are a source, a function of node coordinates: a callable
-(``sample_half``; ``sample`` makes a pair) or a defect vector in closed
-form (``defect_half``). phi_- is zero on the right half-line and phi_+ on
-the left, traces included, so a half-line pairs only its own
+``symmetry_defects``) takes its functions as (left, right) pairs of
+halves, runs the passes of both half-lines and joins their scalars in the
+order of the two-sided formula, (L2_- + L2_+) + (D_- + D_+). It returns
+plain values, per draw or per defect vector; the CLI defect suite names
+them. A half's values are a source, a function of node coordinates: a
+callable (``sample_half``; ``sample`` makes a pair) or a defect vector in
+closed form (``defect_half``). phi_- is zero on the right half-line and
+phi_+ on the left, traces included, so a half-line pairs only its own
 (``DEFECT_SIDES``). Stored values remain for a GridFunction, the argument
 of ``sobolev_inner``, ``derivative`` and ``decompose_sobolev``, which the
 benchmark's tracer wraps by name (``perfbench/tracing.py``'s ``TARGETS``).
@@ -446,7 +445,7 @@ class _Trapezoids:
             at = self.end - chunk.start
             self.ends[k] = np.conj(f[at]) * g[at]
 
-    def sobolev(self, k: int, chunk: _Chunk, f: tuple, g: tuple) -> None:
+    def add_sobolev(self, k: int, chunk: _Chunk, f: tuple, g: tuple) -> None:
         """Pairings k and k + 1 (``_sobolev_pairs``) of two ``factor``s."""
         self.add(k, chunk, chunk.own(f[0]), chunk.own(g[0]))
         self.add(k + 1, chunk, f[1], g[1])
@@ -488,8 +487,8 @@ def reproducing_half(spec: GridSpec, left: bool, phi: Half,
     for chunk in _chunks(spec, left):
         u = chunk.factor(phi)
         for k, psi in enumerate(psis):
-            rule.sobolev(2 * k, chunk, u, u if psi.values is phi.values
-                         else chunk.factor(psi))
+            rule.add_sobolev(2 * k, chunk, u, u if psi.values is phi.values
+                             else chunk.factor(psi))
         del u
     values = rule.values()
     return list(zip(values[::2], values[1::2]))
@@ -502,21 +501,16 @@ def sample(spec: GridSpec, left_fn: Callable[..., np.ndarray],
     return sample_half(spec, True, left_fn), sample_half(spec, False, right_fn)
 
 
-def sobolev(spec: GridSpec, f: tuple, g: tuple) -> complex:
-    """<f|g>_S of two functions given as (left, right) halves,
-    (L2_- + L2_+) + (D_- + D_+) from one ``reproducing_half`` pass per
-    half-line."""
-    (l2_l, d_l), (l2_r, d_r) = (reproducing_half(spec, left, u, [v])[0]
-                                for left, u, v in zip(SIDES, f, g))
-    return (l2_l + l2_r) + (d_l + d_r)
-
-
 def sobolev_inner(f: GridFunction, g: GridFunction) -> complex:
-    """Sobolev pairing int (conj(f) g + conj(f') g'), ``sobolev`` on the
-    halves of f and g, with no derivative formed whole. Kept as a traced
-    entry point of the benchmark (``perfbench/tracing.py``'s ``TARGETS``)."""
+    """Sobolev pairing int (conj(f) g + conj(f') g') of two stored functions,
+    (L2_- + L2_+) + (D_- + D_+) from one ``reproducing_half`` pass per
+    half-line, with no derivative formed whole. Kept as a traced entry point
+    of the benchmark (``perfbench/tracing.py``'s ``TARGETS``)."""
     require_same_spec(f, g)
-    return sobolev(f.spec, *([u.half(left) for left in SIDES] for u in (f, g)))
+    (l2_l, d_l), (l2_r, d_r) = (
+        reproducing_half(f.spec, left, f.half(left), [g.half(left)])[0]
+        for left in SIDES)
+    return (l2_l + l2_r) + (d_l + d_r)
 
 
 def norm_from_inner(value: complex) -> float:
@@ -670,8 +664,8 @@ def decomposition_half(spec: GridSpec, left: bool, draws: list,
             r -= chunk.own(fw)
             worst[k] = max(worst[k], float(np.abs(r).max()))
             u = (w, chunk.slope(w))
-            rule.sobolev(4 * k, chunk, u, u)
-            rule.sobolev(4 * k + 2, chunk, p, u)
+            rule.add_sobolev(4 * k, chunk, u, u)
+            rule.add_sobolev(4 * k + 2, chunk, p, u)
             del fw, w, r, u
         del p
     values = rule.values()

@@ -1,13 +1,13 @@
 """Smoke test of the stage bench (no timing gate): the children of
 ``tools/bench.py`` on this tree at (m, n, d) = (1, 2, 3), one size the
 guard refuses on construction and one it refuses at a level, the rows' E
-drawn without the tree, one Sobolev row (``punctured_line.sobolev`` on
-sources), one ``fock`` and one ``defect`` run, the latter on a T = 30,
-h = 3e-3 grid with the check groups of ``cli.DEFECT_GROUPS`` under their
-table keys, the setup probe and one bare CLI process in every CLI child,
-children run through the hidden ``--child`` dispatch, every stage of the
-table on stand-in measurements, each side's ``src/`` copied to a path of
-equal length, a child that exits non-zero, the source digest of a tree,
+drawn without the tree, one ``fock`` run, one ``defect-groups`` child on a
+T = 30, h = 3e-3 grid, with the check groups of ``cli.DEFECT_GROUPS`` under
+their table keys and the digest of the report the CLI writes, the setup
+probe and one bare CLI process in every CLI child, on the config its row
+names, children run through the hidden ``--child`` dispatch, every stage of
+the table on stand-in measurements, each side's ``src/`` copied to a path
+of equal length, a child that exits non-zero, the source digest of a tree,
 the bench's refusal to run without ``--out``, and a source guard: the
 tools import no ``unittest.mock``, read no single-underscore attribute (by
 name or through ``getattr`` on a literal) and no function's bytecode."""
@@ -81,45 +81,32 @@ def test_rows_draw_e_by_perfbench_not_by_the_tree(monkeypatch):
     assert max(abs(x) for line in e for x in line) == 1.0
 
 
-def test_sobolev_row_records_call_peak_and_value():
-    result = load_script(SCRIPT).sobolev_row(30.0, 3e-3)
-    assert set(result) == {"seconds", "nodes", "call_peak_mb",
-                           "call_peak_arrays", "value"}
-    assert result["nodes"] == 10_000 and result["seconds"] >= 0
-    # one chunk's buffers: no node array stored or formed whole
-    assert result["call_peak_arrays"] < 1.0
-    assert all(isinstance(float.fromhex(x), float) for x in result["value"])
-
-
-def test_defect_run_records_exit_code_and_report_digest(monkeypatch):
+def test_defect_groups_record_each_group_and_the_report_digest(
+        monkeypatch):
     from slhkit import cli
 
     bench = load_script(SCRIPT)
-    monkeypatch.setenv("PYTHONPATH", str(bench.ROOT / "src"))
-    result = bench.defect_run(30.0, 3e-3)
-    assert set(result) == {"setup_s", "seconds", "minor_faults", "exit_code",
-                           "report_sha256", "peak_rss_mb", "groups",
-                           "group_minor_faults", "call_peak_mb",
-                           "call_peak_arrays"}
-    assert result["exit_code"] == 0 and result["seconds"] >= 0
-    faults = result["minor_faults"]
-    assert isinstance(faults, int) and faults >= 0
-    assert len(result["report_sha256"]) == 64
-    int(result["report_sha256"], 16)
-    assert result["setup_s"] > 0 and result["peak_rss_mb"] > 0
+    table = cli.DEFECT_GROUPS
+    result = bench.defect_groups(30.0, 3e-3)
+    assert cli.DEFECT_GROUPS is table
+    assert set(result) == {"seconds", "groups", "group_minor_faults",
+                           "report_sha256"}
     groups = result["groups"]
-    assert list(groups) == list(cli.DEFECT_GROUPS)
+    assert list(groups) == list(table)
     for group in groups.values():
         assert set(group) == {"seconds", "minor_faults", "peak_mb"}
         assert group["seconds"] >= 0 and group["minor_faults"] >= 0
-        assert 0 < group["peak_mb"] <= result["call_peak_mb"]
+        # one chunk's windows: no node array is held
+        assert 0 < group["peak_mb"] < 1.0
     assert sum(g["seconds"] for g in groups.values()) <= result["seconds"]
     assert result["group_minor_faults"] == sum(
         g["minor_faults"] for g in groups.values())
-    # one chunk's windows: no node array is held
-    assert result["call_peak_mb"] < 1.0
-    assert result["call_peak_arrays"] == pytest.approx(
-        result["call_peak_mb"] * 2 ** 20 / (32 * 10_000))
+    # the digest of the report a bare CLI process writes on the same grid
+    monkeypatch.setenv("PYTHONPATH", str(bench.ROOT / "src"))
+    run = bench.cli_run("defect", ["grid-defect",
+                                   {"grid": {"T": 30.0, "h": 3e-3}}], 0)
+    assert run["exit_code"] == 0
+    assert result["report_sha256"] == run["report_sha256"]
 
 
 def test_child_prints_one_json_line(capsys):
@@ -142,8 +129,8 @@ def test_fock_run_records_exit_code_and_kernel_dims(monkeypatch):
 
 
 def test_cli_children_run_the_probe_then_the_cli(monkeypatch):
-    # Stand-in bare processes: each records its argv and whether the config
-    # it names is on disk when it runs; none writes a report.
+    # Stand-in bare processes: each records its argv and the config it
+    # names, read from disk when it runs; none writes a report.
     bench = load_script(SCRIPT)
     spawns = []
 
@@ -151,15 +138,16 @@ def test_cli_children_run_the_probe_then_the_cli(monkeypatch):
         config = argv[3] if argv[1] == "-c" else argv[argv.index("--config")
                                                         + 1]
         spawns.append(("probe" if argv[1] == "-c" else "cli", argv,
-                       Path(config).is_file()))
+                       json.loads(Path(config).read_bytes())))
         return {"seconds": 0.25 if argv[1] == "-c" else 0.5, "exit_code": 0,
                 "peak_rss_mb": 40.0, "minor_faults": 7}
 
+    def workload(name):
+        return json.loads(bench.generate_config(name, bench.SEED))
+
     monkeypatch.setattr(bench, "spawn", spawn)
-    children = [("startup", row, row[0], row[2])
-                for row in bench.STARTUP_ROWS] + [
-        ("fock-run", (1, 2, 3), "fock", 0),
-        ("defect-run", (30.0, 3e-3), "defect", 0)]
+    children = [("cli-run", row, row[0], row[2]) for row in bench.CLI_ROWS]
+    children.append(("fock-run", (1, 2, 3), "fock", 0))
     for name, spec, command, sweep in children:
         spawns.clear()
         result = bench.STAGES[name].child(*spec)
@@ -170,25 +158,40 @@ def test_cli_children_run_the_probe_then_the_cli(monkeypatch):
             "report_sha256")} == {
             "setup_s": 0.25, "seconds": 0.5, "exit_code": 0,
             "peak_rss_mb": 40.0, "minor_faults": 7, "report_sha256": None}
-        if name == "startup":
-            assert len(result) == 6
         # the probe is perfbench's line; the CLI runs the row's command on
         # the same config
-        (probe, probe_argv, probe_on_disk), (cli, argv, on_disk) = spawns
-        assert (probe, cli) == ("probe", "cli") and probe_on_disk and on_disk
+        (probe, probe_argv, probe_config), (cli, argv, config) = spawns
+        assert (probe, cli) == ("probe", "cli") and probe_config == config
         assert probe_argv[2] == bench.SETUP_PROBE
         assert argv[1:4] == ["-m", "slhkit", command]
         assert argv[argv.index("--config") + 1] == probe_argv[3]
         assert argv[argv.index("--sweep") + 1] == str(sweep)
-    # every benchmark workload at its sweep
-    assert {("fock", "fock-kernel", 1), ("fock", "fock-coupled", 0),
-            ("slh", "slh-sweep", 4000), ("defect", "grid-defect", 0)} <= set(
-        bench.STARTUP_ROWS)
+        if name == "fock-run":
+            continue
+        assert len(result) == 6
+        # a path, a workload, or a workload with top-level keys replaced
+        if isinstance(spec[1], list):
+            want = workload(spec[1][0])
+            want.update(spec[1][1])
+        else:
+            want = (workload(spec[1]) if spec[1] in bench.WORKLOADS
+                    else json.loads((bench.ROOT / spec[1]).read_bytes()))
+        assert config == want
+    # every benchmark workload at its sweep, and the grid-defect workload on
+    # every defect-groups grid: its own first
+    rows = list(bench.CLI_ROWS)
+    assert all(row in rows for row in (
+        ("fock", "fock-kernel", 1), ("fock", "fock-coupled", 0),
+        ("slh", "slh-sweep", 4000), ("defect", "grid-defect", 0)))
+    grid = workload("grid-defect")["grid"]
+    assert (grid["T"], grid["h"]) == bench.DEFECT_GRIDS[0]
+    assert [row[1][1]["grid"] for row in rows if isinstance(row[1], list)] \
+        == [{"T": t, "h": h} for t, h in bench.DEFECT_GRIDS[1:]]
 
 
-def test_startup_child_runs_in_a_fresh_process():
+def test_cli_run_child_runs_in_a_fresh_process():
     bench = load_script(SCRIPT)
-    result = bench.measure(bench.ROOT / "src", "startup",
+    result = bench.measure(bench.ROOT / "src", "cli-run",
                            ("slh", "configs/example.json", 0))
     assert set(result) == {"setup_s", "seconds", "exit_code", "peak_rss_mb",
                            "minor_faults", "report_sha256"}
@@ -208,9 +211,13 @@ def parent(tmp_path):
 STAGE_NAMES = list(load_script(SCRIPT).STAGES)
 # the fields a side keeps per run besides its stage's paired ones
 PER_RUN = ("exit_code", "minor_faults", "groups")
+# the cli-run and defect-groups cases keep the ids of the startup and
+# defect-run stages that they replace
+CASE_IDS = {"cli-run": "startup", "defect-groups": "defect-run"}
 
 
-@pytest.mark.parametrize("name", STAGE_NAMES)
+@pytest.mark.parametrize("name", STAGE_NAMES,
+                         ids=lambda name: CASE_IDS.get(name, name))
 def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
                                                        capsys, parent):
     # Stand-in children: every paired field reads 1 + i/1000 in a side's
@@ -240,15 +247,14 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
     assert len(trees) == 2 and len({len(str(src)) for src in trees}) == 1
     assert not any(src.exists() for src in trees)
     # the stages that back a BENCH file's claims run enough pairs to resolve
-    assert (n >= bench.PAIRS) == (name in ("sobolev", "defect-run",
-                                           "startup"))
+    assert (n >= bench.PAIRS) == (name in ("cli-run", "defect-groups"))
     assert out["stages"] == [name] and len(rows) == len(stage.specs)
     assert len(calls) == 2 * n * len(rows)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == len(rows)
     for k, (row, spec, line) in enumerate(zip(rows, stage.specs, lines)):
         mine = calls[2 * n * k:2 * n * (k + 1)]
-        assert {(child, spec) for _, child, spec in mine} == {(name, spec)}
+        assert all(call[1:] == (name, spec) for call in mine)
         assert [side for side, _, _ in mine[:4]] == [
             "parent", "change", "change", "parent"]
         assert [row[key] for key in stage.keys] == list(spec)
@@ -281,58 +287,26 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
                     in summary)
             assert f"change lower in {n - (n >= 5)}/{n} pairs" in summary
             assert ("not resolved" in summary) == (not stats["resolved"])
-
-
-def test_sobolev_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
-                                                  parent):
-    # Stand-in children: the change is faster in every pair but the fifth.
-    bench = load_script(SCRIPT)
-    calls = []
-
-    def measure(src, mode, spec):
-        side = src.parent.name
-        calls.append(side)
-        i = calls.count(side)
-        seconds = 0.003 + 1e-5 * i
-        if side == "change" and i != 5:
-            seconds -= 3e-4
-        return {"seconds": seconds, "nodes": 10, "call_peak_mb": 0.0,
-                "call_peak_arrays": 0.5, "value": ["0x1p+0", "0x0p+0"],
-                "peak_rss_mb": 1.0}
-
-    monkeypatch.setattr(bench, "measure", measure)
-    monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(parent, ["sobolev"])
-    assert bench.PAIRS >= 10
-    n = bench.PAIRS
-    assert len(calls) == 2 * n * len(bench.SOBOLEV_GRIDS)
-    assert calls[:4] == ["parent", "change", "change", "parent"]
-    row = out["sobolev"][0]
-    stats = row["pairs"]["seconds"]
-    assert stats["pairs"] == n and stats["change_wins"] == n - 1
-    assert stats["resolved"] and row["same"] == {"value": True}
-    parent = row["parent"]["seconds"]
-    assert stats["parent"]["median"] == pytest.approx(
-        sorted(parent)[n // 2 - 1] / 2 + sorted(parent)[n // 2] / 2)
-    assert stats["parent"]["q1"] < stats["parent"]["median"] \
-        < stats["parent"]["q3"]
-    # the peak RSS is kept per run and paired
-    assert row["parent"]["peak_rss_mb"] == [1.0] * n
-    assert row["pairs"]["peak_rss_mb"]["change_wins"] == 0
-    seconds = capsys.readouterr().out.splitlines()[0].split("; ")[0]
-    assert f"change lower in {n - 1}/{n} pairs" in seconds
-    assert "ms (" in seconds and "not resolved" not in seconds
+            if n == bench.PAIRS:
+                # the change's runs sort the fifth last: 0.501..0.510 and
+                # 1.005 (x 1e3 for times)
+                assert summary == (
+                    f"{key} {scale * 1.0055:.6g}{unit} ({scale * 1.00275:.6g}"
+                    f"..{scale * 1.00825:.6g}) -> {scale * 0.5065:.6g}{unit} "
+                    f"({scale * 0.50275:.6g}..{scale * 0.50925:.6g}), change "
+                    f"lower in 9/10 pairs")
 
 
 def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                                                  parent):
-    # Stand-in children: the change is faster in every pair but the fifth,
-    # both sides write the same report, and the change's groups fault once
-    # more in each run.
+    # Stand-in defect-groups children: the change is faster in every pair
+    # but the fifth, both sides write the same report, and the change's
+    # groups fault once more in each run.
     bench = load_script(SCRIPT)
     calls = []
 
     def measure(src, mode, spec):
+        assert mode == "defect-groups"
         side = src.parent.name
         calls.append(side)
         i = calls.count(side)
@@ -341,43 +315,40 @@ def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
             seconds -= 0.03
         groups = {"a": {"minor_faults": 20 + i},
                   "b": {"minor_faults": 1 + (side == "change")}}
-        return {"setup_s": 0.15, "seconds": seconds, "minor_faults": 150 + i,
-                "exit_code": 0, "report_sha256": "0" * 64, "call_peak_mb": 0.2,
-                "peak_rss_mb": 1.0, "groups": groups,
-                "group_minor_faults": sum(
+        return {"seconds": seconds, "report_sha256": "0" * 64,
+                "groups": groups, "group_minor_faults": sum(
                     g["minor_faults"] for g in groups.values())}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(parent, ["defect-run"])
+    out = bench.bench(parent, ["defect-groups"])
     n = bench.PAIRS
-    assert len(calls) == 2 * n * len(bench.DEFECT_RUNS)
+    assert len(calls) == 2 * n * len(bench.DEFECT_GRIDS)
     assert calls[:4] == ["parent", "change", "change", "parent"]
-    row = out["defect-run"][0]
+    row = out["defect-groups"][0]
     stats = row["pairs"]["seconds"]
     assert stats["pairs"] == n and stats["change_wins"] == n - 1
     assert stats["resolved"] and row["same"] == {"report_sha256": True}
-    assert row["change"]["minor_faults"] == [151 + i for i in range(n)]
-    assert row["change"]["exit_code"] == [0] * n
+    assert row["change"]["group_minor_faults"] == [23 + i for i in range(n)]
     assert len(row["change"]["groups"]) == n
     line = capsys.readouterr().out.splitlines()[0]
     assert f"change lower in {n - 1}/{n} pairs" in line
-    # the median of the groups' summed faults, not of the CLI process's
+    # the median of the groups' summed faults
     assert "group_minor_faults 26.5 (" in line and "-> 27.5 (" in line
-    seconds = next(part for part in line.split("; ")
-                   if part.startswith("seconds "))
-    assert "not resolved" not in seconds
+    seconds = line.split(": ", 1)[1].split("; ")[0]
+    assert seconds.startswith("seconds ") and "not resolved" not in seconds
 
 
 def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
                                                   parent):
-    # Stand-in children: the change is faster in every pair but the fifth,
-    # and its CLI process is always 0.5 MB smaller.
+    # Stand-in cli-run children, the bare CLI processes: the change is
+    # faster in every pair but the fifth, and its process is always 0.5 MB
+    # smaller.
     bench = load_script(SCRIPT)
     calls, n = [], bench.PAIRS
 
     def measure(src, mode, spec):
-        assert mode == "startup"
+        assert mode == "cli-run"
         side = src.parent.name
         calls.append((side, spec))
         i = calls.count((side, spec))
@@ -386,22 +357,22 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
             seconds -= 0.03
         return {"setup_s": seconds, "seconds": seconds, "exit_code": 0,
                 "peak_rss_mb": 40.0 - 0.5 * (side == "change"),
-                "first": side}
+                "report_sha256": "0" * 64, "first": side}
 
     monkeypatch.setattr(bench, "measure", measure)
     monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(parent, ["startup"])
-    rows = out["startup"]
-    assert len(calls) == 2 * n * len(bench.STARTUP_ROWS) == 2 * n * len(rows)
+    out = bench.bench(parent, ["cli-run"])
+    rows = out["cli-run"]
+    assert len(calls) == 2 * n * len(bench.CLI_ROWS) == 2 * n * len(rows)
     assert [side for side, _ in calls[:4]] == [
         "parent", "change", "change", "parent"]
     assert [(row["command"], row["config"], row["sweep"]) for row in rows] \
-        == list(bench.STARTUP_ROWS)
+        == list(bench.CLI_ROWS)
     # the fock-kernel workload runs at its sweep, 1
-    kernel = next(row for row in rows if row["config"] == "fock-kernel")
-    assert kernel["sweep"] == 1
-    assert {spec for _, spec in calls if spec[1] == "fock-kernel"} == {
-        ("fock", "fock-kernel", 1)}
+    assert [row["sweep"] for row in rows
+            if row["config"] == "fock-kernel"] == [1]
+    assert [spec for _, spec in calls if spec[1] == "fock-kernel"] == [
+        ("fock", "fock-kernel", 1)] * 2 * n
     row = rows[0]
     for key in ("setup_s", "seconds"):
         stats = row["pairs"][key]
@@ -409,11 +380,12 @@ def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
         assert stats["resolved"]
     assert row["pairs"]["peak_rss_mb"]["change_wins"] == n
     assert row["pairs"]["peak_rss_mb"]["change"]["median"] == 39.5
+    assert row["same"] == {"report_sha256": True}
     assert row["parent"]["first"] == "parent"
     assert row["change"]["exit_code"] == [0] * n
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith(
-        "startup command=slh config=configs/example.json sweep=0: setup_s ")
+        "cli-run command=slh config=configs/example.json sweep=0: setup_s ")
     assert f"change lower in {n - 1}/{n} pairs" in line
     assert (f"peak_rss_mb 40 (40..40) -> 39.5 (39.5..39.5), change lower "
             f"in {n}/{n} pairs") in line

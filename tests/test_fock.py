@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slhkit.cli import run_command
 from slhkit.config import Tolerances, config_from_dict
@@ -29,8 +30,9 @@ from slhkit.fock import (
     stacked_boundary_rows,
     subspace_equivalence,
 )
-from slhkit.linalg import adjoint, principal_angles
-from slhkit.slh import GaugeMatrix, ScalarGauge, slh_triple, validate_coupling
+from slhkit.linalg import adjoint, channel_blocks, principal_angles
+from slhkit.slh import (GaugeMatrix, ScalarGauge, gauge_zll, slh_triple,
+                        validate_coupling)
 
 
 def row_matrix(ops, coef):
@@ -59,6 +61,42 @@ def digit_embedding(small, big):
               // small.d ** np.arange(small.n_modes) % small.d)
     fock_index = digits @ big.d ** np.arange(big.n_modes)
     return (np.arange(small.m)[:, None] * big.fock_dim + fock_index).ravel()
+
+
+def nesting_coupling(rng, m, n, rank_el0):
+    """A random coupling with E_l0 zero or, if ``rank_el0``, of rank 1 and
+    norm 8."""
+    e = random_coupling(rng, m, n, zero_channel_system=True)
+    if not rank_el0:
+        return e
+    u, v = (rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            for k in (n * m, m))
+    raw = np.array(e.full)
+    raw[m:, :m] = 8 * np.outer(u, v.conj()) / np.linalg.norm(
+        u) / np.linalg.norm(v)
+    raw[:m, m:] = adjoint(raw[m:, :m])
+    return validate_coupling(raw, m, n)
+
+
+def assert_truncation_nesting(e, d, gauge):
+    """Boundary forms hold no creators, so a vector on occupations <= d - 2
+    has the same image at cutoffs d - 1 and d: on both routes K_{d-1},
+    embedded by its occupation digits, lies in K_d and is all of K_d inside
+    the (d - 1)-box, the guarded domain at d.  Both routes read the same
+    slot maps and sector blocks, so the two-route angle cannot see a defect
+    there; this can."""
+    small, big = (build_mode_operators(e.m, e.n, c, gauge)
+                  for c in (d - 1, d))
+    for rows in (stacked_boundary_rows, route_c_rows):
+        lower = boundary_kernel(small.space, rows(e, small))
+        upper = boundary_kernel(big.space, rows(e, big))
+        assert lower.dim > 0
+        embedded = np.zeros((big.space.dim, lower.dim), complex)
+        embedded[digit_embedding(small.space, big.space)] = lower.columns
+        k = upper.columns
+        residual = np.linalg.norm(embedded - k @ (adjoint(k) @ embedded), 2)
+        assert residual <= Tolerances().kernel
+        assert fock.guarded_basis(big.space, upper).shape[1] == lower.dim
 
 
 def equivalence(e, ops):
@@ -591,42 +629,64 @@ class TestBoundarySubspaces:
         ((1, 1, 5), 0), ((1, 2, 4), 0), ((2, 1, 6), 0), ((2, 1, 6), 1),
         ((2, 2, 4), 0), ((2, 2, 4), 1)])
     def test_truncation_nesting(self, size, rank_el0):
-        # Boundary forms hold no creators, so a vector on occupations
-        # <= d - 2 has the same image at cutoffs d - 1 and d: K_{d-1},
-        # embedded by its occupation digits, lies in K_d and is all of K_d
-        # inside the (d - 1)-box, the guarded domain at d.  Both routes
-        # read the same slot maps and sector blocks, so the two-route angle
-        # cannot see a defect there; this can.  Clean cases read <= 5.4e-15
-        # against the kernel tolerance; _sector_block scaling the columns
-        # of states with an occupation d - 1 by 1.01 reads 3.3e-3 to 5.0e-3
-        # in every case, on both routes.
+        # Clean cases read <= 5.4e-15 against the kernel tolerance;
+        # _sector_block scaling the columns of states with an occupation
+        # d - 1 by 1.01 reads 3.3e-3 to 5.0e-3 in every case, on both
+        # routes.
         m, n, d = size
-        rng = np.random.default_rng(1)
-        e = random_coupling(rng, m, n, zero_channel_system=True)
-        if rank_el0:
-            u, v = (rng.standard_normal(k) + 1j * rng.standard_normal(k)
-                    for k in (n * m, m))
-            raw = np.array(e.full)
-            raw[m:, :m] = 8 * np.outer(u, v.conj()) / np.linalg.norm(
-                u) / np.linalg.norm(v)
-            raw[:m, m:] = adjoint(raw[m:, :m])
-            e = validate_coupling(raw, m, n)
+        e = nesting_coupling(np.random.default_rng(1), m, n, rank_el0)
         for gauge in (None, ScalarGauge(0.3)):
-            small, big = (build_mode_operators(m, n, c, gauge)
-                          for c in (d - 1, d))
-            for rows in (stacked_boundary_rows, route_c_rows):
-                lower = boundary_kernel(small.space, rows(e, small))
-                upper = boundary_kernel(big.space, rows(e, big))
-                assert lower.dim > 0
-                embedded = np.zeros((big.space.dim, lower.dim), complex)
-                embedded[digit_embedding(small.space, big.space)] = \
-                    lower.columns
-                k = upper.columns
-                residual = np.linalg.norm(
-                    embedded - k @ (adjoint(k) @ embedded), 2)
-                assert residual <= Tolerances().kernel
-                assert fock.guarded_basis(big.space, upper).shape[1] \
-                    == lower.dim
+            assert_truncation_nesting(e, d, gauge)
+
+    def test_route_b_rows_are_a_times_route_c_rows(self):
+        # The dressing 1 + iEW is block upper triangular, so G's channel
+        # rows are -i(1 + i E_ll kappa_+)^-1 E_l. and, on the channel index
+        # of the forms, B = A C with A = -i(1 + i E_ll kappa_+), kappa_+ =
+        # 1/2 + iZ: ker B = ker C whatever stands in for a_+ and a_-.  A is
+        # formed from E and the gauge, not read off B.  The 240 instances
+        # read <= 6.0e-16, 17x under the bound; route C from the pipeline
+        # at -sigma or -Z reads 0.027 to 2.05.
+        rng = np.random.default_rng(0)
+        for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3)):
+            eye = np.eye(n * m)
+            for zero_el0 in (True, False) * 8:
+                e = random_coupling(rng, m, n, zero_channel_system=zero_el0)
+                z = 0.4 * random_hermitian(rng, n * m)
+                for gauge, flipped in ((None, None),
+                                       (ScalarGauge(0.3), ScalarGauge(-0.3)),
+                                       (GaugeMatrix(z), GaugeMatrix(-z))):
+                    ops = build_mode_operators(m, n, 3, gauge)
+                    kappa_plus = 0.5 * eye + 1j * gauge_zll(gauge, m, n)
+                    a = channel_blocks(
+                        -1j * (eye + 1j * e.full[m:, m:] @ kappa_plus), m)
+                    rows_b = stacked_boundary_rows(e, ops)
+
+                    def residual(res):
+                        rows = np.einsum("jkab,ksbc->jsac", a,
+                                         scattering_rows(res, ops))
+                        return np.abs(rows_b - rows).max()
+                    assert residual(slh_triple(e, gauge)) <= 1e-14
+                    if flipped is not None:
+                        assert residual(slh_triple(e, flipped)) > 1e-3
+
+
+# the largest cutoff d at which dim m d^(2n) <= 512, by (m, n)
+NESTING_TOP = {(1, 1): 22, (2, 1): 16, (3, 1): 13, (1, 2): 4, (2, 2): 4}
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_truncation_nesting_property(data):
+    """Seeded couplings at random sizes with d >= 4, E_l0 zero or (m >= 2)
+    of rank 1, ungauged or at sigma = 0.3: K_{d-1} nests in K_d on both
+    routes."""
+    (m, n), top = data.draw(st.sampled_from(sorted(NESTING_TOP.items())))
+    d = data.draw(st.integers(4, top))
+    rank_el0 = data.draw(st.integers(0, min(m, 2) - 1))
+    gauge = data.draw(st.sampled_from([None, ScalarGauge(0.3)]))
+    e = nesting_coupling(np.random.default_rng(
+        data.draw(st.integers(0, 2 ** 32 - 1))), m, n, rank_el0)
+    assert_truncation_nesting(e, d, gauge)
 
 
 class TestSingularAction:

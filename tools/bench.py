@@ -6,7 +6,7 @@ in fresh child processes with parent and change alternating.
 DIR is a checkout of the parent commit (``git clone`` or ``git archive``);
 both sides import copies of their ``src/`` at paths of equal length, as a
 path's length alone moves peak RSS and page faults.  STAGE names a table
-entry (default: all five, in table order):
+entry (default: all four, in table order):
 
 * ``kernel``: one route-B ``fock.boundary_kernel`` solve per (m, n, d,
   generic E_l0) of ``ROWS``, sigma = 0.3, with its dims and level charges,
@@ -15,15 +15,14 @@ entry (default: all five, in table order):
   tree whose ``BoundarySubspace`` has one; an older parent's rows end as
   ``failed``;
 * ``fock-run``: one ``slhkit fock`` run, sweep 0, per (m, n, d) of ``RUNS``;
-* ``sobolev``: the Sobolev pairing of the ``defect`` suite's groups on the
-  half-line core per (T, h) of ``SOBOLEV_GRIDS``: the median of
-  ``SOBOLEV_CALLS`` calls and one more traced call's peak;
-* ``defect-run``: one ``slhkit defect`` run of the ``grid-defect`` config
-  per (T, h) of ``DEFECT_RUNS``; in the child, one ``run_command`` and one
-  traced one time and trace each check group of ``cli.DEFECT_GROUPS`` under
-  its table key.  The stage needs a parent tree whose ``cli`` has that
-  table; an older parent's rows end as ``failed``;
-* ``startup``: one ``slhkit`` run per row of ``STARTUP_ROWS``.
+* ``cli-run``: one ``slhkit`` run per row of ``CLI_ROWS``, its report's
+  SHA-256 compared across sides;
+* ``defect-groups``: per (T, h) of ``DEFECT_GRIDS``, one ``run_command`` of
+  the ``grid-defect`` config on that grid and one traced one in the child,
+  which time and trace each check group of ``cli.DEFECT_GROUPS`` under its
+  table key, and the SHA-256 of the report's JSON bytes, compared across
+  sides.  The stage needs a parent tree whose ``cli`` has that table; an
+  older parent's rows end as ``failed``.
 
 A CLI run is ``cli_process``: the setup probe (``setup_s``), then ``python
 -m slhkit``, each a bare process timed as ``perfbench/run.py`` times it.
@@ -40,10 +39,13 @@ thread.  Per side a row keeps the paired and ``PER_RUN`` fields of every
 run, in run order, and the other fields of its first run.  ``same`` says
 whether each identity field is equal on both sides; ``pairs`` holds, per
 paired field, each side's median and quartiles, the pairs in which the
-change was lower and whether that resolves a gain (``pair_stats``).  A side
-the guard refuses records ``refused``; a child that exits non-zero ends its
-row, recorded as ``failed`` with its exit code and stderr tail.  Such a row
-has neither ``same`` nor ``pairs``.
+change was lower and whether that resolves a gain (``pair_stats``).  Only
+``PAIRS`` pairs can resolve, so the ``kernel`` and ``fock-run`` rows, at
+``REPEATS`` pairs (a ``fock-run`` child takes up to 53 s), never back a
+claim: they show sizes, dims and level charges, and a claim needs a row
+rerun at ``PAIRS``.  A side the guard refuses records ``refused``; a child
+that exits non-zero ends its row, recorded as ``failed`` with its exit code
+and stderr tail.  Such a row has neither ``same`` nor ``pairs``.
 
 The file also records the machine (``perfbench/probe.py``'s output, run as
 the benchmark runs it, and whether ``PYTHONDONTWRITEBYTECODE`` is set: then
@@ -92,20 +94,21 @@ SIZES = ((1, 2, 4), (2, 2, 4), (1, 2, 6), (2, 2, 5), (1, 3, 4), (1, 3, 5),
 ROWS = ([(*size, False) for size in SIZES]
         + [(1, 2, 4, True), (1, 3, 3, True), (1, 3, 4, True)])
 RUNS = ((1, 3, 5), (1, 3, 6))
-# (T, h) of the defect rows
-DEFECT_RUNS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
-# (T, h) of the Sobolev-pairing stage rows, and the timed calls per child
-SOBOLEV_GRIDS = ((40.0, 1e-3), (40.0, 5e-4))
-SOBOLEV_CALLS = 20
-# alternating children per side of a Sobolev, defect or startup row, and
+# (T, h) of the defect-groups rows; the first is the grid-defect workload's
+DEFECT_GRIDS = ((40.0, 5e-4), (40.0, 2.5e-4), (40.0, 1e-4))
+# alternating children per side of a cli-run or defect-groups row, and
 # the fewest pairs that can resolve a gain
 PAIRS = 10
-# (command, config, sweep) of the startup rows: a path under ROOT at sweep
-# 0, or each benchmark workload, generated by perfbench, at its sweep
-STARTUP_ROWS = tuple((command, "configs/example.json", 0) for command in
-                     ("slh", "phase", "defect", "scatter", "fock")) + tuple(
+# (command, config, sweep) of the cli-run rows: a path under ROOT at sweep
+# 0, each benchmark workload, generated by perfbench, at its sweep, and the
+# grid-defect workload on the finer defect-groups grids, as [workload, the
+# top-level keys that replace its own]
+CLI_ROWS = tuple((command, "configs/example.json", 0) for command in
+                 ("slh", "phase", "defect", "scatter", "fock")) + tuple(
     (workload.command, name, workload.sweep)
-    for name, workload in WORKLOADS.items())
+    for name, workload in WORKLOADS.items()) + tuple(
+    ("defect", ["grid-defect", {"grid": {"T": t, "h": h}}], 0)
+    for t, h in DEFECT_GRIDS[1:])
 # the paired fields of a CLI run: perfbench's end-to-end metrics
 CLI_PAIRED = ("setup_s", "seconds", "peak_rss_mb")
 # child fields a side keeps per run besides its stage's paired ones
@@ -158,37 +161,6 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
             "rss_before_mb": before, "rss_after_mb": after}
 
 
-def sobolev_row(half_width: float, spacing: float) -> dict:
-    """Median per-call seconds and traced peak of one Sobolev pairing on the
-    half-line core, for two random functions of the (T, h) grid."""
-    import numpy as np
-    from slhkit.ensembles import random_bump
-    from slhkit.punctured_line import GridSpec, sample, sobolev
-
-    spec = GridSpec(half_width, spacing)
-    rng = np.random.default_rng(SEED)
-    # f's and g's (left, right) bumps, each drawn left first
-    f, g = (sample(spec, random_bump(rng, "left"), random_bump(rng, "right"))
-            for _ in range(2))
-
-    def pairing():
-        return sobolev(spec, f, g)
-
-    times = []
-    for _ in range(SOBOLEV_CALLS):
-        start = time.perf_counter()
-        value = pairing()
-        times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    pairing()
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    return {"seconds": statistics.median(times), "nodes": spec.n_nodes,
-            "call_peak_mb": peak / 2 ** 20,
-            "call_peak_arrays": peak / (32 * spec.n_nodes),
-            "value": [value.real.hex(), value.imag.hex()]}
-
-
 def cli_process(command: str, config: bytes, sweep: int) -> tuple:
     """The setup probe, then ``slhkit command --sweep sweep`` on ``config``,
     each a bare ``spawn``: the run's figures, the probe's seconds (``setup_s``)
@@ -216,27 +188,23 @@ def fock_run(m: int, n: int, d: int) -> dict:
                                    if c["name"].endswith("kernel_dims")]}
 
 
-def defect_run(half_width: float, spacing: float) -> dict:
-    """One ``slhkit defect`` run of the ``grid-defect`` config on the
-    (T, h) grid, then one ``run_command`` and one traced one in this
-    process, each with the entries of ``cli.DEFECT_GROUPS`` wrapped; each
-    check group records its seconds and faults in the first, its peak in
-    the second."""
-    config = json.loads(generate_config("grid-defect", SEED))
-    config["grid"] = {"T": half_width, "h": spacing}
-    # before slhkit loads here: the run's peak RSS starts at this process's
-    run, _ = cli_process("defect", json.dumps(config).encode(), 0)
+def defect_groups(half_width: float, spacing: float) -> dict:
+    """One ``run_command`` of the ``grid-defect`` config on the (T, h) grid
+    and one traced one in this process, each with the entries of
+    ``cli.DEFECT_GROUPS`` wrapped: the first's seconds, each check group's
+    seconds and faults in the first and its peak in the second, and the
+    SHA-256 of the report's JSON bytes."""
     from slhkit import cli
     from slhkit.config import config_from_dict
-    from slhkit.punctured_line import GridSpec
+    from slhkit.report import report_to_json_bytes
 
+    config = json.loads(generate_config("grid-defect", SEED))
+    config["grid"] = {"T": half_width, "h": spacing}
     table = cli.DEFECT_GROUPS
-    groups, peaks = {name: {} for name in table}, []
+    groups = {name: {} for name in table}
 
     def measured(name, group):
         def run(*args):
-            # the traced peak since the last group began, before it restarts
-            peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             faults, start = minor_faults(), time.perf_counter()
             group(*args)
@@ -251,22 +219,28 @@ def defect_run(half_width: float, spacing: float) -> dict:
     try:
         cli.DEFECT_GROUPS = {name: measured(name, group)
                              for name, group in table.items()}
-        cli.run_command("defect", loaded)
+        start = time.perf_counter()
+        report = cli.run_command("defect", loaded)
+        seconds = time.perf_counter() - start
         tracemalloc.start()
         cli.run_command("defect", loaded)
-        peak = max(peaks + [tracemalloc.get_traced_memory()[1]])
     finally:
         tracemalloc.stop()
         cli.DEFECT_GROUPS = table
-    unit = 32 * GridSpec(half_width, spacing).n_nodes
-    return {**run, "groups": groups,
+    return {"seconds": seconds, "groups": groups,
             "group_minor_faults": sum(group["minor_faults"]
                                       for group in groups.values()),
-            "call_peak_mb": peak / 2 ** 20, "call_peak_arrays": peak / unit}
+            "report_sha256": hashlib.sha256(
+                report_to_json_bytes(report)).hexdigest()}
 
 
-def startup(command: str, config: str, sweep: int) -> dict:
-    """The CLI on one config of ``STARTUP_ROWS``."""
+def cli_run(command: str, config, sweep: int) -> dict:
+    """The CLI on one config of ``CLI_ROWS``."""
+    if isinstance(config, list):
+        name, keys = config
+        data = json.loads(generate_config(name, SEED))
+        data.update(keys)
+        return cli_process(command, json.dumps(data).encode(), sweep)[0]
     data = (generate_config(config, SEED) if config in WORKLOADS
             else (ROOT / config).read_bytes())
     return cli_process(command, data, sweep)[0]
@@ -330,13 +304,11 @@ STAGES = {
                     ("dim", "sector_dims"), ("seconds", "peak_rss_mb")),
     "fock-run": Stage(fock_run, ("m", "n", "d"), RUNS, REPEATS,
                       ("kernel_dims",), CLI_PAIRED),
-    "sobolev": Stage(sobolev_row, ("T", "h"), SOBOLEV_GRIDS, PAIRS,
-                     ("value",), ("seconds", "peak_rss_mb")),
-    "defect-run": Stage(defect_run, ("T", "h"), DEFECT_RUNS, PAIRS,
-                        ("report_sha256",),
-                        CLI_PAIRED + ("group_minor_faults",)),
-    "startup": Stage(startup, ("command", "config", "sweep"), STARTUP_ROWS,
-                     PAIRS, (), CLI_PAIRED),
+    "cli-run": Stage(cli_run, ("command", "config", "sweep"), CLI_ROWS,
+                     PAIRS, ("report_sha256",), CLI_PAIRED),
+    "defect-groups": Stage(defect_groups, ("T", "h"), DEFECT_GRIDS, PAIRS,
+                           ("report_sha256",),
+                           ("seconds", "group_minor_faults")),
 }
 
 
