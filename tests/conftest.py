@@ -24,7 +24,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from slhkit import fock
 from slhkit.ensembles import random_bump
@@ -182,18 +181,6 @@ def every_sector_kernel(space, coef):
         columns[flat, start:start + kernel.shape[1]] = kernel
         start += kernel.shape[1]
     return columns, dims, smax
-
-
-@pytest.fixture
-def sector_reference():
-    """``every_sector_kernel``; call it as sector_reference(space, coef)."""
-    return every_sector_kernel
-
-
-@pytest.fixture
-def dense_fock():
-    """The oracle class; call it as dense_fock(m, n, d, gauge)."""
-    return DenseFock
 
 
 EPS = float(np.finfo(float).eps)

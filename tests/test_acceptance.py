@@ -177,12 +177,13 @@ def test_criterion_8_cli_determinism(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(config))
 
+    # the second run states the config's seed as a flag
     payloads = []
-    for name in ("a.json", "b.json"):
+    for name, flags in (("a.json", []), ("b.json", ["--seed", "11"])):
         out = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "slhkit", "fock", "--config", str(path),
-             "--sweep", "3", "--out", str(out)],
+             "--sweep", "3", "--out", str(out), *flags],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         payloads.append(out.read_bytes())

@@ -6,11 +6,13 @@ T = 30, h = 3e-3 grid, with the check groups of ``cli.DEFECT_GROUPS`` under
 their table keys and the digest of the report the CLI writes, the setup
 probe and one bare CLI process in every CLI child, on the config its row
 names, children run through the hidden ``--child`` dispatch, every stage of
-the table on stand-in measurements, each side's ``src/`` copied to a path
-of equal length, a child that exits non-zero, the source digest of a tree,
-the bench's refusal to run without ``--out``, and a source guard: the
-tools import no ``unittest.mock``, read no single-underscore attribute (by
-name or through ``getattr`` on a literal) and no function's bytecode."""
+the table, with its identity and paired fields, on stand-in measurements,
+each side's ``src/`` copied to a path of equal length, a child that exits
+non-zero, the source digest of a tree, the bench's refusal to run without
+``--out``, and two source guards: the tools import no ``unittest.mock``,
+read no single-underscore attribute (by name or through ``getattr`` on a
+literal) and no function's bytecode, and no module under ``tests/`` or
+``perfbench/`` defines a test name twice in one scope."""
 
 import ast
 import json
@@ -167,6 +169,11 @@ def test_cli_children_run_the_probe_then_the_cli(monkeypatch):
         assert argv[argv.index("--config") + 1] == probe_argv[3]
         assert argv[argv.index("--sweep") + 1] == str(sweep)
         if name == "fock-run":
+            # the fock-kernel workload at the row's size and E
+            assert config == {**workload("fock-kernel"), "m": 1, "n": 2,
+                              "fock": {"d": 3}, "E": [
+                                  [[v.real, v.imag] for v in line]
+                                  for line in bench.coupling(1, 2, False)]}
             continue
         assert len(result) == 6
         # a path, a workload, or a workload with top-level keys replaced
@@ -211,13 +218,16 @@ def parent(tmp_path):
 STAGE_NAMES = list(load_script(SCRIPT).STAGES)
 # the fields a side keeps per run besides its stage's paired ones
 PER_RUN = ("exit_code", "minor_faults", "groups")
-# the cli-run and defect-groups cases keep the ids of the startup and
-# defect-run stages that they replace
-CASE_IDS = {"cli-run": "startup", "defect-groups": "defect-run"}
+CLI_PAIRED = ("setup_s", "seconds", "peak_rss_mb")
+# each stage's identity fields and paired fields
+FIELDS = {"kernel": (("dim", "sector_dims"), ("seconds", "peak_rss_mb")),
+          "fock-run": (("kernel_dims",), CLI_PAIRED),
+          "cli-run": (("report_sha256",), CLI_PAIRED),
+          "defect-groups": (("report_sha256",),
+                            ("seconds", "group_minor_faults"))}
 
 
-@pytest.mark.parametrize("name", STAGE_NAMES,
-                         ids=lambda name: CASE_IDS.get(name, name))
+@pytest.mark.parametrize("name", STAGE_NAMES)
 def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
                                                        capsys, parent):
     # Stand-in children: every paired field reads 1 + i/1000 in a side's
@@ -225,6 +235,7 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
     # every per-run field reads i, every identity field the spec.
     bench = load_script(SCRIPT)
     stage, calls, trees = bench.STAGES[name], [], set()
+    assert (stage.same, stage.paired) == FIELDS[name]
 
     def measure(src, child, spec):
         side = src.parent.name
@@ -295,100 +306,6 @@ def test_stage_measures_its_child_in_alternating_pairs(name, monkeypatch,
                     f"..{scale * 1.00825:.6g}) -> {scale * 0.5065:.6g}{unit} "
                     f"({scale * 0.50275:.6g}..{scale * 0.50925:.6g}), change "
                     f"lower in 9/10 pairs")
-
-
-def test_defect_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
-                                                 parent):
-    # Stand-in defect-groups children: the change is faster in every pair
-    # but the fifth, both sides write the same report, and the change's
-    # groups fault once more in each run.
-    bench = load_script(SCRIPT)
-    calls = []
-
-    def measure(src, mode, spec):
-        assert mode == "defect-groups"
-        side = src.parent.name
-        calls.append(side)
-        i = calls.count(side)
-        seconds = 0.25 + 1e-3 * i
-        if side == "change" and i != 5:
-            seconds -= 0.03
-        groups = {"a": {"minor_faults": 20 + i},
-                  "b": {"minor_faults": 1 + (side == "change")}}
-        return {"seconds": seconds, "report_sha256": "0" * 64,
-                "groups": groups, "group_minor_faults": sum(
-                    g["minor_faults"] for g in groups.values())}
-
-    monkeypatch.setattr(bench, "measure", measure)
-    monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(parent, ["defect-groups"])
-    n = bench.PAIRS
-    assert len(calls) == 2 * n * len(bench.DEFECT_GRIDS)
-    assert calls[:4] == ["parent", "change", "change", "parent"]
-    row = out["defect-groups"][0]
-    stats = row["pairs"]["seconds"]
-    assert stats["pairs"] == n and stats["change_wins"] == n - 1
-    assert stats["resolved"] and row["same"] == {"report_sha256": True}
-    assert row["change"]["group_minor_faults"] == [23 + i for i in range(n)]
-    assert len(row["change"]["groups"]) == n
-    line = capsys.readouterr().out.splitlines()[0]
-    assert f"change lower in {n - 1}/{n} pairs" in line
-    # the median of the groups' summed faults
-    assert "group_minor_faults 26.5 (" in line and "-> 27.5 (" in line
-    seconds = line.split(": ", 1)[1].split("; ")[0]
-    assert seconds.startswith("seconds ") and "not resolved" not in seconds
-
-
-def test_startup_stage_runs_ten_alternating_pairs(monkeypatch, capsys,
-                                                  parent):
-    # Stand-in cli-run children, the bare CLI processes: the change is
-    # faster in every pair but the fifth, and its process is always 0.5 MB
-    # smaller.
-    bench = load_script(SCRIPT)
-    calls, n = [], bench.PAIRS
-
-    def measure(src, mode, spec):
-        assert mode == "cli-run"
-        side = src.parent.name
-        calls.append((side, spec))
-        i = calls.count((side, spec))
-        seconds = 0.25 + 1e-3 * i
-        if side == "change" and i != 5:
-            seconds -= 0.03
-        return {"setup_s": seconds, "seconds": seconds, "exit_code": 0,
-                "peak_rss_mb": 40.0 - 0.5 * (side == "change"),
-                "report_sha256": "0" * 64, "first": side}
-
-    monkeypatch.setattr(bench, "measure", measure)
-    monkeypatch.setattr(bench, "machine", lambda: {})
-    out = bench.bench(parent, ["cli-run"])
-    rows = out["cli-run"]
-    assert len(calls) == 2 * n * len(bench.CLI_ROWS) == 2 * n * len(rows)
-    assert [side for side, _ in calls[:4]] == [
-        "parent", "change", "change", "parent"]
-    assert [(row["command"], row["config"], row["sweep"]) for row in rows] \
-        == list(bench.CLI_ROWS)
-    # the fock-kernel workload runs at its sweep, 1
-    assert [row["sweep"] for row in rows
-            if row["config"] == "fock-kernel"] == [1]
-    assert [spec for _, spec in calls if spec[1] == "fock-kernel"] == [
-        ("fock", "fock-kernel", 1)] * 2 * n
-    row = rows[0]
-    for key in ("setup_s", "seconds"):
-        stats = row["pairs"][key]
-        assert stats["pairs"] == n and stats["change_wins"] == n - 1
-        assert stats["resolved"]
-    assert row["pairs"]["peak_rss_mb"]["change_wins"] == n
-    assert row["pairs"]["peak_rss_mb"]["change"]["median"] == 39.5
-    assert row["same"] == {"report_sha256": True}
-    assert row["parent"]["first"] == "parent"
-    assert row["change"]["exit_code"] == [0] * n
-    line = capsys.readouterr().out.splitlines()[0]
-    assert line.startswith(
-        "cli-run command=slh config=configs/example.json sweep=0: setup_s ")
-    assert f"change lower in {n - 1}/{n} pairs" in line
-    assert (f"peak_rss_mb 40 (40..40) -> 39.5 (39.5..39.5), change lower "
-            f"in {n}/{n} pairs") in line
 
 
 def test_a_failed_child_ends_its_row_and_the_run_goes_on(monkeypatch,
@@ -506,6 +423,32 @@ def private_reads(source: str) -> list:
 def test_tools_import_no_mock_and_read_no_private():
     for path in sorted(SCRIPT.parent.glob("*.py")):
         assert private_reads(path.read_text()) == [], path.name
+
+
+def repeated_test_names(source: str) -> list:
+    """The test function and class names that ``source`` defines more than
+    once in one module or class body: Python keeps only the last, so pytest
+    never collects the others."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    twice = []
+    for scope in ast.walk(ast.parse(source)):
+        if isinstance(scope, (ast.Module, ast.ClassDef)):
+            names = [node.name for node in scope.body
+                     if isinstance(node, defs)
+                     and node.name.startswith(("test", "Test"))]
+            twice += sorted({name for name in names if names.count(name) > 1})
+    return twice
+
+
+def test_no_module_binds_a_test_name_twice():
+    root = SCRIPT.parents[1]
+    for path in sorted([*(root / "tests").glob("*.py"),
+                        *(root / "perfbench").glob("*.py")]):
+        assert repeated_test_names(path.read_text()) == [], path.name
+    # a fold that pastes a test beside one of the same name
+    assert repeated_test_names("def test_a(): pass\nclass TestB:\n"
+                               "    def test_a(self): pass\n"
+                               "    def test_a(self): pass\n") == ["test_a"]
 
 
 def test_guard_sees_a_level_charge_patch_written_back():

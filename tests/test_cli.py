@@ -25,7 +25,6 @@ from slhkit.ensembles import random_coupling
 from slhkit.errors import ParseError, SlhkitError, ValidationError
 from slhkit.report import (
     Report,
-    emit_report,
     encode_value,
     report_to_csv_bytes,
     report_to_json_bytes,
@@ -249,14 +248,6 @@ class TestReportSerialization:
         assert encode_value((1, [2.0])) == [1, [2.0]]
         with pytest.raises(TypeError, match="cannot encode BoundaryPhases"):
             encode_value([phases.boundary_phase(1.0)])
-
-    def test_same_report_twice_is_byte_identical(self, tmp_path):
-        cfg = config_from_dict(SCALAR_MODEL)
-        rep = run_command("phase", cfg)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        emit_report(rep, "json", str(p1))
-        emit_report(rep, "json", str(p2))
-        assert p1.read_bytes() == p2.read_bytes()
 
 
 class TestDeterminism:
@@ -653,18 +644,6 @@ class TestExitCodes:
         checks = {c["name"]: c["value"]
                   for c in json.loads(out.read_text())["checks"]}
         assert checks["kernel_dims"] == [0, 0]
-
-    def test_cli_reruns_byte_identical(self, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(SCALAR_MODEL))
-        outs = []
-        for name in ("r1.json", "r2.json"):
-            out = tmp_path / name
-            proc = run_cli(["fock", "--config", str(path), "--seed", "3",
-                            "--sweep", "2", "--out", str(out)])
-            assert proc.returncode == 0, proc.stderr
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
 
 def test_fock_run_leaves_numpy_ma_unimported(tmp_path):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from conftest import DenseFock
 from slhkit.config import Tolerances
 from slhkit.ensembles import random_coupling, random_gauge
 from slhkit.fock import (
@@ -72,11 +73,11 @@ def restrict(matrix, space, rows, cols):
 
 
 @pytest.mark.parametrize("size,gauge_kind,el0_kind", CASES)
-def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
+def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind):
     m, n, d = size
     e, gauge, rng = make_case(m, n, d, gauge_kind, el0_kind)
     ops = build_mode_operators(m, n, d, gauge)
-    dense = dense_fock(m, n, d, gauge)
+    dense = DenseFock(m, n, d, gauge)
     res = slh_triple(e, gauge)
     rows_b = stacked_boundary_rows(e, ops)
 
@@ -88,11 +89,10 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
         assert graded.dim == oracle.shape[1]
         if oracle.shape[1]:
             assert max_angle(graded.columns, oracle) <= 1e-9
-        if route == "B":
-            # sigma~ is ||B (s (x) |d-1, ..., d-1>)|| at its best unit s:
-            # within a factor 1 + 2n of ||B||_2, never above it
-            norm = np.linalg.norm(dense.stacked_rows(e, "B"), 2)
-            assert norm / (1 + 2 * n) <= graded.sigma_max <= norm * (1 + 1e-12)
+        # sigma~ is ||B (s (x) |d-1, ..., d-1>)|| at its best unit s, and the
+        # same of C: within a factor 1 + 2n of the rows' 2-norm, never above
+        norm = np.linalg.norm(dense.stacked_rows(e, route), 2)
+        assert norm / (1 + 2 * n) <= graded.sigma_max <= norm * (1 + 1e-12)
 
     # the guarded domain, read off route B's kernel, against the kernel of
     # the dense rows stacked with the identity rows outside the guard
@@ -117,12 +117,12 @@ def test_graded_matches_dense_oracle(size, gauge_kind, el0_kind, dense_fock):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_forms_apply_the_dense_operators(size, dense_fock):
+def test_forms_apply_the_dense_operators(size):
     m, n, d = size
     e, gauge, rng = make_case(m, n, d, "matrix", "generic")
     ops = build_mode_operators(m, n, d, gauge)
     res = slh_triple(e, gauge)
-    dense = dense_fock(m, n, d, gauge)
+    dense = DenseFock(m, n, d, gauge)
     v = rng.standard_normal((dense.dim, 3)) + 1j * rng.standard_normal((dense.dim, 3))
     pairs = list(zip([*ops.a_plus, *ops.a_minus, *ops.a_star, *ops.frak_a],
                      dense.a_plus + dense.a_minus + dense.a_star + dense.frak_a))
@@ -185,12 +185,12 @@ def test_ladder_checks_on_applied_forms(size):
 
 
 @pytest.mark.parametrize("size,gauge_kind,el0_kind", CASES)
-def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind, dense_fock):
+def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind):
     m, n, d = size
     e, gauge, _ = make_case(m, n, d, gauge_kind, el0_kind)
     ops = build_mode_operators(m, n, d, gauge)
     space = ops.space
-    dense = dense_fock(m, n, d, gauge)
+    dense = DenseFock(m, n, d, gauge)
     everything = np.arange(space.fock_dim)
     guard = space.photon_guard_mask()
     pairs = [(everything, everything)]
@@ -207,14 +207,14 @@ def test_sector_blocks_match_dense_rows(size, gauge_kind, el0_kind, dense_fock):
 
 
 @pytest.mark.parametrize("size", SIZES)
-def test_assembled_commutator_matches_dense(size, dense_fock):
+def test_assembled_commutator_matches_dense(size):
     """x (x) (a a^dag - a^dag a - 1): three terms that hit the same diagonal
     entries, reduced by ``_worst_entry`` with no block.  On the guard it
     vanishes; on the full space the cut at d leaves -d x on the top
     occupation, so the comparison is not vacuous."""
     m, n, d = size
     space = build_mode_operators(m, n, d).space
-    dense = dense_fock(m, n, d)
+    dense = DenseFock(m, n, d)
     rng = np.random.default_rng(list(size))
     x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     guard = space.photon_guard_mask()
@@ -240,19 +240,18 @@ PROPERTY_CASES = [((m, n, d), el0)
                   for el0 in EL0_KINDS if not (el0 == "rank-deficient" and m == 1)]
 
 
-@settings(derandomize=True, database=None, max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(case=st.sampled_from(PROPERTY_CASES), gauge_kind=st.sampled_from(GAUGES),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_kernels_and_guarded_domain_match_dense_property(case, gauge_kind, seed,
-                                                         dense_fock):
+def test_kernels_and_guarded_domain_match_dense_property(case, gauge_kind,
+                                                         seed):
     """Seeded couplings at random small sizes and E_l0 kinds: routes B and C
     have equal dims, route B spans the dense kernel, and the guarded domain
     read off it spans the dense guarded kernel."""
     (m, n, d), el0_kind = case
     e, gauge, _ = make_case(m, n, d, gauge_kind, el0_kind, seed)
     ops = build_mode_operators(m, n, d, gauge)
-    dense = dense_fock(m, n, d, gauge)
+    dense = DenseFock(m, n, d, gauge)
     sub_b = boundary_kernel(ops.space, stacked_boundary_rows(e, ops))
     sub_c = boundary_kernel(ops.space,
                             scattering_rows(slh_triple(e, gauge), ops))

@@ -3,7 +3,6 @@ import pytest
 import scipy.linalg
 
 from slhkit import fock, punctured_line
-from slhkit.ensembles import random_coupling
 from slhkit.errors import DimensionMismatch, NonHermitianInput, SizeMismatch
 from slhkit.linalg import (
     NULLSPACE_TOL,
@@ -14,7 +13,7 @@ from slhkit.linalg import (
     null_space,
     principal_angles,
 )
-from slhkit.slh import CouplingMatrix, GaugeMatrix, ScalarGauge, slh_triple
+from slhkit.slh import CouplingMatrix, GaugeMatrix
 
 
 def orthonormality_defect(basis):
@@ -129,50 +128,6 @@ class TestNullSpace:
         assert null_space(small, scale=1.0).shape[1] == 2
         assert null_space(np.diag([1.0, 0.0]), scale=1.0).shape[1] == 1
         assert null_space(small).shape[1] == 0
-
-
-class TestCertificate:
-    # boundary_kernel's stop rule certifies the sectors above the last one
-    # with kernel as empty without solving them; what it returns must agree
-    # with a solve that certifies nothing
-
-    @pytest.mark.parametrize("size,el0", [((1, 2, 4), False), ((2, 2, 5), False),
-                                          ((1, 3, 3), False), ((1, 2, 4), True)])
-    def test_fock_kernels_equal_the_svd_reference(self, size, el0,
-                                                  sector_reference, dense_fock):
-        # routes B and C, and route B's guarded domain.  With E_l0 = 0 the
-        # columns equal, bit for bit, those of QR + SVD of every sector
-        # block; with E_l0 != 0 they span the kernel of one SVD of the whole
-        # dense operator.  The cut's scale sigma~ lies within a factor
-        # 1 + 2n below sigma_max.  The guarded domain spans the kernel of the
-        # dense rows stacked with the identity rows outside the guard.
-        m, n, d = size
-        e = random_coupling(np.random.default_rng(list(size)), m, n,
-                            zero_channel_system=not el0)
-        ops = fock.build_mode_operators(m, n, d, ScalarGauge(0.3))
-        rows_b = fock.stacked_boundary_rows(e, ops)
-        rows_c = fock.scattering_rows(slh_triple(e, ops.gauge), ops)
-        dense = dense_fock(m, n, d, ops.gauge)
-        subs = {}
-        for route, rows in (("B", rows_b), ("C", rows_c)):
-            sub = subs[route] = fock.boundary_kernel(ops.space, rows)
-            if el0:
-                stacked = dense.stacked_rows(e, route)
-                ref = null_space(stacked)
-                assert sub.dim == ref.shape[1]
-                if ref.shape[1]:
-                    assert principal_angles(sub.columns, ref).max() <= 1e-9
-                smax = np.linalg.norm(stacked, 2)
-            else:
-                ref, _, smax = sector_reference(ops.space, rows)
-                assert np.array_equal(sub.columns, ref)
-            assert sub.sigma_max <= smax * (1 + 1e-12)
-            assert smax <= (1 + 2 * n) * sub.sigma_max * (1 + 1e-12)
-        guarded = fock.guarded_basis(ops.space, subs["B"])
-        ref = dense.guarded_kernel(e)
-        assert guarded.shape[1] == ref.shape[1]
-        if ref.shape[1]:
-            assert principal_angles(guarded, ref).max() <= 1e-9
 
 
 class TestPrincipalAngles:

@@ -14,7 +14,8 @@ entry (default: all four, in table order):
   are read from the solve's ``levels`` record, so the stage needs a parent
   tree whose ``BoundarySubspace`` has one; an older parent's rows end as
   ``failed``;
-* ``fock-run``: one ``slhkit fock`` run, sweep 0, per (m, n, d) of ``RUNS``;
+* ``fock-run``: one ``slhkit fock`` run, sweep 0, of the ``fock-kernel``
+  workload at each (m, n, d) of ``RUNS``;
 * ``cli-run``: one ``slhkit`` run per row of ``CLI_ROWS``, its report's
   SHA-256 compared across sides;
 * ``defect-groups``: per (T, h) of ``DEFECT_GRIDS``, one ``run_command`` of
@@ -161,6 +162,18 @@ def row(m: int, n: int, d: int, generic_el0: bool) -> dict:
             "rss_before_mb": before, "rss_after_mb": after}
 
 
+def config_bytes(config) -> bytes:
+    """The config a row names: a path under ROOT, a workload generated by
+    perfbench, or [workload, the top-level keys that replace its own]."""
+    if isinstance(config, list):
+        name, keys = config
+        data = json.loads(generate_config(name, SEED))
+        data.update(keys)
+        return json.dumps(data).encode()
+    return (generate_config(config, SEED) if config in WORKLOADS
+            else (ROOT / config).read_bytes())
+
+
 def cli_process(command: str, config: bytes, sweep: int) -> tuple:
     """The setup probe, then ``slhkit command --sweep sweep`` on ``config``,
     each a bare ``spawn``: the run's figures, the probe's seconds (``setup_s``)
@@ -177,12 +190,14 @@ def cli_process(command: str, config: bytes, sweep: int) -> tuple:
 
 
 def fock_run(m: int, n: int, d: int) -> dict:
-    """One ``slhkit fock`` run, sweep 0, of the E_l0 = 0 coupling, with the
-    kernel dims its report records."""
-    run, report = cli_process("fock", json.dumps({
-        "m": m, "n": n, "sigma": SIGMA, "fock": {"d": d},
+    """One ``slhkit fock`` run, sweep 0, of the ``fock-kernel`` workload at
+    (m, n, d) with the kernel rows' E_l0 = 0 coupling, and the kernel dims
+    its report records.  sigma is the workload's 0.3 and the seed its 1,
+    which only the sampled domain vectors read."""
+    run, report = cli_process("fock", config_bytes(["fock-kernel", {
+        "m": m, "n": n, "fock": {"d": d},
         "E": [[[v.real, v.imag] for v in line]
-              for line in coupling(m, n, False)]}).encode(), 0)
+              for line in coupling(m, n, False)]}]), 0)
     checks = json.loads(report)["checks"] if report is not None else []
     return {**run, "kernel_dims": [c["value"] for c in checks
                                    if c["name"].endswith("kernel_dims")]}
@@ -198,8 +213,8 @@ def defect_groups(half_width: float, spacing: float) -> dict:
     from slhkit.config import config_from_dict
     from slhkit.report import report_to_json_bytes
 
-    config = json.loads(generate_config("grid-defect", SEED))
-    config["grid"] = {"T": half_width, "h": spacing}
+    config = json.loads(config_bytes(
+        ["grid-defect", {"grid": {"T": half_width, "h": spacing}}]))
     table = cli.DEFECT_GROUPS
     groups = {name: {} for name in table}
 
@@ -236,14 +251,7 @@ def defect_groups(half_width: float, spacing: float) -> dict:
 
 def cli_run(command: str, config, sweep: int) -> dict:
     """The CLI on one config of ``CLI_ROWS``."""
-    if isinstance(config, list):
-        name, keys = config
-        data = json.loads(generate_config(name, SEED))
-        data.update(keys)
-        return cli_process(command, json.dumps(data).encode(), sweep)[0]
-    data = (generate_config(config, SEED) if config in WORKLOADS
-            else (ROOT / config).read_bytes())
-    return cli_process(command, data, sweep)[0]
+    return cli_process(command, config_bytes(config), sweep)[0]
 
 
 def peak_rss_mb() -> float:
