@@ -99,6 +99,13 @@ TOLERANCES = {
 }
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, or 0.0 if they are empty or all smaller.
+    A NaN among them gives NaN, which fails its record; Python's ``max``
+    would drop a NaN that is not its first argument."""
+    return float(np.max([0.0, *values]))
+
+
 # --- slh ---------------------------------------------------------------------
 
 def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> None:
@@ -121,13 +128,13 @@ def command_slh(config: ModelConfig, seed: int, sweep: int, report: Report) -> N
                    TOLERANCES["gauge_z_zero_reduction"])
         for sigma, residuals in reduction["scalar_residuals"].items():
             report.add(f"gauge_scalar_closed_form[sigma={sigma!r}]",
-                       max(residuals.values()),
+                       _worst(residuals.values()),
                        TOLERANCES["gauge_scalar_closed_form"])
     rng = np.random.default_rng(seed)
     for i in range(sweep):
         res_i = slh_triple(random_coupling(rng, coupling.m, coupling.n))
         report.add(f"sweep[{i:03d}].identities",
-                   max(identity_residuals(res_i).values()),
+                   _worst(identity_residuals(res_i).values()),
                    TOLERANCES["sweep.identities"])
 
 
@@ -139,8 +146,8 @@ def command_phase(config: ModelConfig, seed: int, sweep: int, report: Report) ->
         for e in config.phase.e_values:
             ph = phases.boundary_phase(e, sigma)
             rows.append([e, sigma, ph.s, ph.s_sigma, ph.s_chebotarev])
-            defect = max(abs(abs(s) - 1.0)
-                         for s in (ph.s, ph.s_sigma, ph.s_chebotarev))
+            defect = _worst([abs(abs(s) - 1.0)
+                             for s in (ph.s, ph.s_sigma, ph.s_chebotarev)])
             report.add(f"phase[e={e!r},sigma={sigma!r}].unimodular", defect,
                        TOLERANCES["phase.unimodular"])
             if sigma == 0.0:
@@ -181,7 +188,7 @@ def _reproducing(spec, rng: np.random.Generator, report: Report) -> None:
     for name, values in punctured_line.reproducing_defects(spec, [
             punctured_line.sample(spec, psi_l, psi_r)
             for psi_r, psi_l in draws]).items():
-        report.add(f"reproducing_{name}", max([0.0] + values),
+        report.add(f"reproducing_{name}", _worst(values),
                    TOLERANCES["reproducing"])
 
 
@@ -189,7 +196,7 @@ def _decomposition(spec, rng: np.random.Generator, report: Report) -> None:
     for key, values in punctured_line.decomposition_defects(
             spec, [_bumps(spec, rng) for _ in range(10)]).items():
         name = f"decomposition_{key}"
-        report.add(name, max([0.0] + values), TOLERANCES[name])
+        report.add(name, _worst(values), TOLERANCES[name])
 
 
 def _eigenrelation(spec, rng: np.random.Generator, report: Report) -> None:
@@ -204,11 +211,10 @@ def _jump_splitting(spec, rng: np.random.Generator, report: Report) -> None:
     # the same order as one scalar draw per part, so the generator ends in
     # the same state.
     values = rng.uniform(-1, 1, size=(3, 100, 4, 2)).view(complex)[..., 0]
-    worst = 0.0
-    for sigma, instances in zip((0.0, 0.3, -1.0), values.tolist()):
-        for fp, fm, gp, gm in instances:
-            worst = max(worst, punctured_line.jump_splitting_defect(
-                fp, fm, gp, gm, sigma))
+    worst = _worst([punctured_line.jump_splitting_defect(fp, fm, gp, gm, sigma)
+                    for sigma, instances in zip((0.0, 0.3, -1.0),
+                                                values.tolist())
+                    for fp, fm, gp, gm in instances])
     report.add("jump_splitting_identity", worst,
                TOLERANCES["jump_splitting_identity"])
 
@@ -220,9 +226,9 @@ def _symmetry(spec, rng: np.random.Generator, report: Report) -> None:
 
 
 def _extension(spec, rng: np.random.Generator, report: Report) -> None:
-    worst = max(punctured_line.extension_domain_defect(e, sigma,
-                                                       complex(0.7, -0.4))
-                for e in (0.5, 2.0, float(np.pi)) for sigma in (0.0, 0.3))
+    worst = _worst([punctured_line.extension_domain_defect(
+        e, sigma, complex(0.7, -0.4))
+        for e in (0.5, 2.0, float(np.pi)) for sigma in (0.0, 0.3)])
     report.add("extension_domain_annihilation", worst,
                TOLERANCES["extension_domain_annihilation"])
 

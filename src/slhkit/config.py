@@ -220,7 +220,7 @@ def load_config(path: str) -> ModelConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config {path!r}: {exc}") from None
     try:
         data = json.loads(text)
@@ -228,4 +228,7 @@ def load_config(path: str) -> ModelConfig:
         raise ParseError(
             f"invalid JSON in {path!r}: {exc.msg} at line {exc.lineno} "
             f"column {exc.colno}") from None
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {path!r}: nested too deeply "
+                         f"to parse") from None
     return config_from_dict(data)

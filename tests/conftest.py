@@ -12,7 +12,8 @@ stored traces, and forms the derivative, the trapezoid pairings and the
 boundary functionals from the formulas written out on whole arrays, with
 none of ``slhkit.punctured_line``'s chunk passes. It also bounds the
 rounding gap between its pairings and the chunked ones. ``half_pairing``
-is one pairing of the chunk pass itself, for tests of that pass.
+is one pairing of the chunk pass itself, for tests of that pass, and
+``pairing`` joins it over both half-lines.
 
 ``load_script`` loads a script of ``tools/`` or of the benchmark harness
 (``perfbench/``) as a module, for the tests of that script and for those
@@ -28,8 +29,8 @@ import numpy as np
 from slhkit import fock
 from slhkit.ensembles import random_bump
 from slhkit.linalg import NULLSPACE_TOL, adjoint, null_space
-from slhkit.punctured_line import (GridFunction, _chunks, _Trapezoids,
-                                   trace_at_origin)
+from slhkit.punctured_line import (SIDES, GridFunction, _chunks,
+                                   _Trapezoids, trace_at_origin)
 from slhkit.slh import gauge_zll, slh_triple
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,15 +261,11 @@ class TwoSided:
     def jump(self):
         return self.right_limit - self.left_limit
 
-    @property
-    def delta_star(self):
-        return 0.5 * (self.right_limit + self.left_limit)
-
     def zeta(self, sigma):
         """<zeta_sigma|psi> = (1/2 - i sigma) psi(0+) + (1/2 + i sigma)
         psi(0-); the symmetric delta when sigma is None."""
         if sigma is None:
-            return self.delta_star
+            return 0.5 * (self.right_limit + self.left_limit)
         return (complex(0.5, -sigma) * self.right_limit
                 + complex(0.5, sigma) * self.left_limit)
 
@@ -352,3 +349,12 @@ def half_pairing(spec, left, f, g, diff_f=False, diff_g=False):
             factors.append(chunk.slope(window) if diff else chunk.own(window))
         rule.add(0, chunk, *factors)
     return rule.values()[0]
+
+
+def pairing(f, g, diff_f=False, diff_g=False):
+    """``half_pairing`` of two GridFunctions on each half-line, joined
+    left + right."""
+    left, right = (half_pairing(f.spec, side, f.half(side), g.half(side),
+                                diff_f, diff_g)
+                   for side in SIDES)
+    return left + right

@@ -12,7 +12,8 @@ non-zero, the source digest of a tree, the bench's refusal to run without
 ``--out``, and two source guards: the tools import no ``unittest.mock``,
 read no single-underscore attribute (by name or through ``getattr`` on a
 literal) and no function's bytecode, and no module under ``tests/`` or
-``perfbench/`` defines a test name twice in one scope."""
+``perfbench/`` defines a test name twice in one scope or has a hypothesis
+``@settings`` without ``derandomize=True`` and ``database=None``."""
 
 import ast
 import json
@@ -440,15 +441,48 @@ def repeated_test_names(source: str) -> list:
     return twice
 
 
+def seeded(decorator) -> bool:
+    """Whether a hypothesis ``@settings(...)`` decorator fixes its examples
+    and keeps none between runs: derandomize=True and database=None."""
+    given = {k.arg: k.value for k in decorator.keywords}
+    return all(isinstance(given.get(arg), ast.Constant)
+               and given[arg].value is value
+               for arg, value in (("derandomize", True), ("database", None)))
+
+
+def unseeded_settings(source: str) -> list:
+    """The lines of the ``@settings(...)`` decorators in ``source`` that
+    are not ``seeded``."""
+    calls = (decorator for node in ast.walk(ast.parse(source))
+             for decorator in getattr(node, "decorator_list", ())
+             if isinstance(decorator, ast.Call))
+    return [call.lineno for call in calls
+            if getattr(call.func, "id", getattr(call.func, "attr", None))
+            == "settings" and not seeded(call)]
+
+
+TEST_SOURCES = sorted([*(SCRIPT.parents[1] / "tests").glob("*.py"),
+                       *(SCRIPT.parents[1] / "perfbench").glob("*.py")])
+
+
 def test_no_module_binds_a_test_name_twice():
-    root = SCRIPT.parents[1]
-    for path in sorted([*(root / "tests").glob("*.py"),
-                        *(root / "perfbench").glob("*.py")]):
+    for path in TEST_SOURCES:
         assert repeated_test_names(path.read_text()) == [], path.name
     # a fold that pastes a test beside one of the same name
     assert repeated_test_names("def test_a(): pass\nclass TestB:\n"
                                "    def test_a(self): pass\n"
                                "    def test_a(self): pass\n") == ["test_a"]
+
+
+def test_every_property_is_seeded_and_keeps_no_database():
+    for path in TEST_SOURCES:
+        assert unseeded_settings(path.read_text()) == [], path.name
+    assert unseeded_settings(
+        "@settings(max_examples=5, derandomize=True, database=None)\n"
+        "def test_a(x): pass\n"
+        "@hypothesis.settings(derandomize=True)\ndef test_b(x): pass\n"
+        "@settings(derandomize=1, database=None)\ndef test_c(x): pass\n"
+    ) == [3, 5]
 
 
 def test_guard_sees_a_level_charge_patch_written_back():

@@ -502,6 +502,48 @@ class TestPhaseRows:
         failed = [c.name for c in rep.checks if not c.passed]
         assert "phase[e=1.0,sigma=0.0].sigma_zero_exact" in failed
 
+    def test_nan_phase_fails_unimodular(self, tmp_path, capsys):
+        # (1 - i kappa_- E) / (1 + i kappa_+ E) overflows to nan + nan i at
+        # E = sigma = 1e160 while s and s_chebotarev stay unimodular: the
+        # record reads the NaN and fails, and the run exits 1
+        config = {**MINIMAL, "phase": {"E": [1e160], "sigma": [1e160]}}
+        rep = run_command("phase", config_from_dict(config))
+        assert np.isnan(rep.results["rows"][0][3])
+        (check,) = rep.checks
+        assert np.isnan(check.value) and not check.passed
+        path = tmp_path / "nan_phase.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["phase", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.endswith(f"FAILED: {check.name}\n")
+
+    def test_a_nan_residual_reaches_its_record(self, monkeypatch):
+        # No admitted config makes these residuals NaN (the dressing guard
+        # and the fixed draws keep them finite); a NaN put in second place,
+        # behind a finite residual, must still reach each record
+        nan = float("nan")
+        monkeypatch.setattr(cli.punctured_line, "reproducing_defects",
+                            lambda spec, psis: {"plus": [1e-9, nan]})
+        monkeypatch.setattr(cli.punctured_line, "decomposition_defects",
+                            lambda spec, fs: {"orthogonality": [1e-9, nan]})
+        values = iter([1e-16, nan])
+        monkeypatch.setattr(cli.punctured_line, "jump_splitting_defect",
+                            lambda *args: next(values, 0.0))
+        monkeypatch.setattr(cli, "gauge_reduction_check", lambda res: {
+            "z_zero_residual": 0.0,
+            "scalar_residuals": {0.3: {"s": 1e-16, "l": nan, "h": 0.0}}})
+        monkeypatch.setattr(cli, "identity_residuals",
+                            lambda res: {"ito_isometry": 1e-16, "first_row": nan})
+        grid = {"T": 30.0, "h": 3e-3}
+        records = {c.name: c for command, sweep in (("defect", 0), ("slh", 1))
+                   for c in run_command(command, config_from_dict(
+                       {**SCALAR_MODEL, "grid": grid}), sweep=sweep).checks}
+        for name in ("reproducing_plus", "decomposition_orthogonality",
+                     "jump_splitting_identity",
+                     "gauge_scalar_closed_form[sigma=0.3]",
+                     "sweep[000].identities"):
+            assert np.isnan(records[name].value), name
+            assert not records[name].passed, name
+
     def test_csv_has_one_row_per_check(self):
         cfg = config_from_dict({**MINIMAL,
                                 "phase": {"E": [0.0, 0.5, 1.0], "sigma": [0.0]}})
@@ -559,6 +601,19 @@ class TestExitCodes:
         proc = run_cli(["fock", "--config", str(path)])
         assert proc.returncode == 2
         assert "not finite" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("payload", [
+        b'{"m": 1, "n": 1, "E": \xff\xfe}',  # not UTF-8
+        b"[" * 100_000,                        # nested past the parser's depth
+    ], ids=["not-utf8", "too-deep"])
+    def test_unreadable_config_exits_2(self, payload, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        proc = run_cli(["slh", "--config", str(path)])
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
         assert "Traceback" not in proc.stderr
 
     def test_oversized_grid_exits_1(self, tmp_path):

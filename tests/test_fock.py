@@ -637,36 +637,42 @@ class TestBoundarySubspaces:
         # of the forms, B = A C with A = -i(1 + i E_ll kappa_+), kappa_+ =
         # 1/2 + iZ: ker B = ker C whatever stands in for a_+ and a_-.  A is
         # formed from E and the gauge, not read off B.  The 240 instances
-        # read <= 6.0e-16, 17x under the bound.  Each mutant reads above
-        # 1e-3: route C from the pipeline at -sigma or -Z (0.027 to 2.05),
-        # S transposed at nm > 1 (0.042 to 1.79) and kappa_+- swapped in
-        # route B's frak_a when gauged (0.11 to 1.48).
+        # with E_l0 zero or generic read <= 6.0e-16, 17x under the bound,
+        # and the 72 with E_l0 of rank 1 and norm 8 (m >= 2) <= 3.0e-15.
+        # Each mutant reads above 1e-3: route C from the pipeline at -sigma
+        # or -Z (0.027 to 9.13), S transposed at nm > 1 (0.042 to 1.79) and
+        # kappa_+- swapped in route B's frak_a when gauged (0.11 to 1.48).
         rng = np.random.default_rng(0)
-        for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3)):
+        cases = [(m, n, kind)
+                 for m, n in ((1, 1), (2, 1), (1, 2), (2, 2), (1, 3))
+                 for kind in ("zero", "generic") * 8]
+        cases += [(m, n, "rank1") for m, n in ((2, 1), (3, 1), (2, 2))
+                  for _ in range(8)]
+        for m, n, kind in cases:
             eye = np.eye(n * m)
-            for zero_el0 in (True, False) * 8:
-                e = random_coupling(rng, m, n, zero_channel_system=zero_el0)
-                z = 0.4 * random_hermitian(rng, n * m)
-                for gauge, flipped in ((None, None),
-                                       (ScalarGauge(0.3), ScalarGauge(-0.3)),
-                                       (GaugeMatrix(z), GaugeMatrix(-z))):
-                    ops = build_mode_operators(m, n, 3, gauge)
-                    kappa_plus = 0.5 * eye + 1j * gauge_zll(gauge, m, n)
-                    a = channel_blocks(
-                        -1j * (eye + 1j * e.full[m:, m:] @ kappa_plus), m)
-                    res = slh_triple(e, gauge)
+            e = (nesting_coupling(rng, m, n, True) if kind == "rank1" else
+                 random_coupling(rng, m, n, zero_channel_system=kind == "zero"))
+            z = 0.4 * random_hermitian(rng, n * m)
+            for gauge, flipped in ((None, None),
+                                   (ScalarGauge(0.3), ScalarGauge(-0.3)),
+                                   (GaugeMatrix(z), GaugeMatrix(-z))):
+                ops = build_mode_operators(m, n, 3, gauge)
+                kappa_plus = 0.5 * eye + 1j * gauge_zll(gauge, m, n)
+                a = channel_blocks(
+                    -1j * (eye + 1j * e.full[m:, m:] @ kappa_plus), m)
+                res = slh_triple(e, gauge)
 
-                    def residual(res, rows_b=stacked_boundary_rows(e, ops)):
-                        rows = np.einsum("jkab,ksbc->jsac", a,
-                                         scattering_rows(res, ops))
-                        return np.abs(rows_b - rows).max()
-                    assert residual(res) <= 1e-14
-                    if n * m > 1:
-                        assert residual(res._replace(s=res.s.T)) > 1e-3
-                    if flipped is not None:
-                        assert residual(slh_triple(e, flipped)) > 1e-3
-                        assert residual(res, stacked_boundary_rows(
-                            e, fock.with_gauge(ops, flipped))) > 1e-3
+                def residual(res, rows_b=stacked_boundary_rows(e, ops)):
+                    rows = np.einsum("jkab,ksbc->jsac", a,
+                                     scattering_rows(res, ops))
+                    return np.abs(rows_b - rows).max()
+                assert residual(res) <= 1e-14
+                if n * m > 1:
+                    assert residual(res._replace(s=res.s.T)) > 1e-3
+                if flipped is not None:
+                    assert residual(slh_triple(e, flipped)) > 1e-3
+                    assert residual(res, stacked_boundary_rows(
+                        e, fock.with_gauge(ops, flipped))) > 1e-3
 
 
 # the largest cutoff d at which dim m d^(2n) <= 512, by (m, n)

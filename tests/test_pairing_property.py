@@ -21,10 +21,9 @@ chunk boundary counted twice."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import TwoSided, half_pairing
+from conftest import TwoSided, half_pairing, pairing
 from slhkit.punctured_line import (
     NODE_CHUNK,
-    SIDES,
     GridFunction,
     GridSpec,
     Half,
@@ -34,15 +33,6 @@ from slhkit.punctured_line import (
 
 SIZES = (10, NODE_CHUNK - 1, NODE_CHUNK, NODE_CHUNK + 1, 3 * NODE_CHUNK + 7)
 HALVES = ("zero", "values")
-
-
-def pairing(f, g, diff_f, diff_g):
-    """The trapezoid of conj(f) g, of f' or g' where asked, as one chunk
-    pass on each half-line, joined left + right."""
-    left, right = (half_pairing(f.spec, side, f.half(side), g.half(side),
-                                diff_f, diff_g)
-                   for side in SIDES)
-    return left + right
 
 
 def half(kind: str, rng: np.random.Generator, n: int, scale: float,

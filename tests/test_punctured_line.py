@@ -1,13 +1,30 @@
-import tracemalloc
+"""The punctured-line grid (``slhkit.punctured_line``) and the phases
+(``slhkit.phases``). Each grid and phase fact is checked in one place:
 
+* the 17 ``defect`` records against the two-sided oracle
+  (``conftest.TwoSided``), bit for bit where a record is node maxima or
+  trace arithmetic, within the oracle's rounding bound where it is made of
+  pairings: ``TestGrid::test_defect_suite_matches_the_two_sided_functions``;
+* the pairings and ``derivative`` at random sizes, zero halves with random
+  traces included: the two properties of ``tests/test_pairing_property.py``;
+* one function against its whole-array expression on the oracle, the node
+  windows, the size guard, the memory peaks and the refusals: the other
+  tests here;
+* the paper's identities at their record tolerances: acceptance criteria 1
+  (the Cayley angle and its small-E limit) and 3 (every defect record, and
+  the O(h^2) order of the symmetry defect), and the ``phase`` table,
+  ``tests/test_cli.py::TestPhaseRows``.
+"""
+
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import TwoSided, bump_function, half_pairing
+from conftest import TwoSided, bump_function, half_pairing, pairing
 from slhkit import phases, punctured_line
-from slhkit.cli import command_defect
+from slhkit.cli import TOLERANCES, command_defect
 from slhkit.config import config_from_dict
 from slhkit.ensembles import EXP_ZERO_BELOW, random_bump
 from slhkit.report import Report
@@ -23,7 +40,6 @@ from slhkit.punctured_line import (
     decomposition_defects,
     defect_coefficients,
     defect_half,
-    defect_vector_defects,
     derivative,
     eigenrelation_defects,
     extension_domain_defect,
@@ -46,12 +62,18 @@ def gaussian(amp, width, center):
     return lambda t: amp * np.exp(-width * (t - center) ** 2)
 
 
+def suite_config(half_width=30.0, spacing=3e-3):
+    """The config of the CLI defect suite runs here: one m = n = 1
+    coupling, on the grid T = ``half_width``, h = ``spacing``."""
+    return config_from_dict({"m": 1, "n": 1,
+                             "E": [[[0.3, 0.0], [0.5, -0.2]],
+                                   [[0.5, 0.2], [1.0, 0.0]]],
+                             "grid": {"T": half_width, "h": spacing}})
+
+
 def defect_suite_peak(half_width, spacing):
     """The tracemalloc peak, in bytes, of one CLI defect suite."""
-    config = config_from_dict({"m": 1, "n": 1,
-                               "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                     [[0.5, 0.2], [1.0, 0.0]]],
-                               "grid": {"T": half_width, "h": spacing}})
+    config = suite_config(half_width, spacing)
     np.random.default_rng(0)  # numpy.random imports lazily, once
     tracemalloc.start()
     try:
@@ -264,13 +286,8 @@ class TestGrid:
         # those pairings (TwoSided.l2_bound), carried through the record's
         # formula; a record that is a max over draws takes the largest.
         half_width, spacing = 30.0, 3e-3
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": half_width, "h": spacing},
-                                   "seed": 5})
         report = Report("defect", "")
-        command_defect(config, 5, 0, report)
+        command_defect(suite_config(half_width, spacing), 5, 0, report)
         got = {c.name: c.value for c in report.checks}
 
         def sample(left=None, right=None):
@@ -328,10 +345,6 @@ class TestGrid:
         # phi for its norm, phi and the ten reproducing draws, phi and the
         # ten psi0 of the decomposition, phi for the eigenrelation, and f
         # and g for the symmetry: 26, 52 in all.
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": 30.0, "h": 3e-3}})
         calls = []
         original = punctured_line._derivative_trace
 
@@ -339,7 +352,7 @@ class TestGrid:
             calls.append((left, half))  # keeps each half, and its id, alive
             return original(spec, left, half, finite)
         monkeypatch.setattr(punctured_line, "_derivative_trace", spy)
-        command_defect(config, 5, 0, Report("defect", ""))
+        command_defect(suite_config(), 5, 0, Report("defect", ""))
         traced = {(left, id(half)) for left, half in calls}
         assert len(calls) == len(traced) == 52
         assert sum(left for left, _ in traced) == 26
@@ -352,10 +365,6 @@ class TestGrid:
         # defect vectors, f and g of the symmetry, the ten reproducing
         # draws, the ten decomposition draws and their ten psi0; two and
         # three nodes per derivative trace (52, as counted above).
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": 30.0, "h": 3e-3}})
         sizes = []
         nodes = GridSpec.nodes
 
@@ -364,7 +373,7 @@ class TestGrid:
             sizes.append(x.size)
             return x
         monkeypatch.setattr(GridSpec, "nodes", spy)
-        command_defect(config, 5, 0, Report("defect", ""))
+        command_defect(suite_config(), 5, 0, Report("defect", ""))
         chunks = -(-10_000 // NODE_CHUNK)
         assert chunks == 5
         assert sum(size > 3 for size in sizes) == 10 * chunks
@@ -382,11 +391,6 @@ class TestGrid:
         # terms, each by more than the bound, so a decomposition_values
         # that reads one side twice fails.
         half_width, spacing = 30.0, 3e-3
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": half_width, "h": spacing},
-                                   "seed": 5})
         calls = []
         values_of = punctured_line.decomposition_values
 
@@ -395,7 +399,8 @@ class TestGrid:
             calls.append((left, right, values))
             return values
         monkeypatch.setattr(punctured_line, "decomposition_values", spy)
-        command_defect(config, 5, 0, Report("defect", ""))
+        command_defect(suite_config(half_width, spacing), 5, 0,
+                       Report("defect", ""))
         assert len(calls) == 10
         rng = np.random.default_rng(5)
         for _ in range(10):  # the reproducing group's draws
@@ -475,19 +480,6 @@ class TestDefectVectors:
             with pytest.raises(DomainTooSmall):
                 defect_half(GridSpec(20.0, 1e-3), side)
 
-    def test_boundary_traces(self):
-        # phi_+(0+) = -i and phi_-(0-) = i; each is 0 on the other side
-        pp, pm = defect_pair(SPEC)
-        assert (pp.limit, pm.limit) == (-1j, 1j)
-
-    def test_jump_functional_exact(self):
-        # jump = psi(0+) - psi(0-), the other side's trace 0
-        pp, pm = defect_pair(SPEC)
-        assert pp.limit - 0j == -1j
-        assert 0j - pm.limit == -1j
-        assert defect_vector_defects(SPEC)["jump_on_defect"] == {
-            "plus": 0.0, "minus": 0.0}
-
     def test_unit_sobolev_norm(self):
         for left, phi, want in zip((False, True), defect_pair(SPEC),
                                    TwoSided.defect_pair(40.0, 1e-3)):
@@ -498,21 +490,16 @@ class TestDefectVectors:
 
     def test_disjoint_supports_orthogonal(self):
         # On each half-line the other defect vector is an identically zero
-        # half with trace 0; the pairing the CLI drops is exactly zero.
+        # half with trace 0; the pairing the CLI drops is exactly zero, and
+        # so is sobolev_inner of the stored pair.
         pp, pm = defect_pair(SPEC)
         zero = zero_side(SPEC)
         (l2_l, d_l), (l2_r, d_r) = (
             reproducing_half(SPEC, left, u, [v])[0]
             for left, u, v in zip(SIDES, [zero, pp], [pm, zero]))
         assert (l2_l + l2_r) + (d_l + d_r) == 0.0
-
-    def test_derivative_relation(self):
-        pp, pm = (grid_function(SPEC, phi)
-                  for phi in TwoSided.defect_pair(40.0, 1e-3))
-        dp = derivative(pp)
-        dm = derivative(pm)
-        assert np.abs(dp.right + pp.right).max() <= 1e-5
-        assert np.abs(dm.left - pm.left).max() <= 1e-5
+        assert sobolev_inner(*(grid_function(SPEC, phi) for phi in
+                               TwoSided.defect_pair(40.0, 1e-3))) == 0.0
 
 
 class TestSobolevInner:
@@ -695,11 +682,6 @@ class TestApplyiD:
         exact = 1j * (-2.0 * t * np.exp(-t ** 2))
         assert np.abs(1j * derivative(f).right - exact).max() <= 1e-5
 
-    def test_eigenrelation_on_defect_vectors(self):
-        for defects in eigenrelation_defects(SPEC).values():
-            assert defects["coefficient"] == 0.0
-            assert defects["regular"] <= 1e-5
-
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_eigenrelation_defects_equal_the_grid_function_expression(self, spec):
         # the leaf-by-leaf reduction rounds every node as the whole-array
@@ -709,45 +691,21 @@ class TestApplyiD:
             "plus": oracle_eigenrelation(pp, 1.0),
             "minus": oracle_eigenrelation(pm, -1.0)}
 
-    def test_symmetry_defect_second_order(self):
-        fl, fr = gaussian(0.4 - 0.3j, 0.7, -1.1), gaussian(1.2 + 0.5j, 1.3, 0.8)
-        gl, gr = gaussian(0.9 + 0.2j, 0.5, -1.7), gaussian(0.3 - 0.8j, 0.9, 1.4)
-        defects = {}
-        for h in (1e-3, 5e-4):
-            spec = GridSpec(40.0, h)
-            defects[h] = symmetry_defects(spec, halves(spec, fl, fr),
-                                          halves(spec, gl, gr),
-                                          0.3)["id_symmetry_defect"]
-        ratio = defects[1e-3] / defects[5e-4]
-        assert 3.5 <= ratio <= 4.5
-
-    def test_symmetry_defect_damped(self):
-        rng = np.random.default_rng(4)
-        f = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
-        g = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
-        for sigma in (0.0, 0.3, -1.0):
-            defects = symmetry_defects(SPEC, f, g, sigma)
-            assert defects["id_symmetry_defect_damped"] <= 1e-4
-
     def test_symmetry_defects_match_separate_pairings(self):
         # the three checks as first written on the oracle, each forming its
-        # own pairings with the regular part i f' formed whole
+        # own pairings with the regular part i f' formed whole, and each
+        # within its record's tolerance: the damped one at three sigma
         rng = np.random.default_rng(7)
         fns = [(random_bump(rng, "left"), random_bump(rng, "right"))
                for _ in range(2)]
         f, g = (halves(SPEC, *pair) for pair in fns)
         of, og = (TwoSided.sample(40.0, 1e-3, *pair) for pair in fns)
-        got, tol = symmetry_defects(SPEC, f, g, 0.3), symmetry_bound(of, og)
-        for name, want in oracle_symmetry(of, og, 0.3).items():
-            assert abs(got[name] - want) <= tol, name
-
-    def test_boundary_form_matches_trace_form(self):
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            f = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
-            g = halves(SPEC, random_bump(rng, "left"), random_bump(rng, "right"))
-            defects = symmetry_defects(SPEC, f, g, 0.3)
-            assert defects["boundary_form_vs_traces"] <= 1e-4
+        tol = symmetry_bound(of, og)
+        for sigma in (0.3, 0.0, -1.0):
+            got = symmetry_defects(SPEC, f, g, sigma)
+            for name, want in oracle_symmetry(of, og, sigma).items():
+                assert abs(got[name] - want) <= tol, name
+                assert got[name] <= TOLERANCES[name], name
 
 
 class TestJumpSplitting:
@@ -770,44 +728,6 @@ class TestJumpSplitting:
 
 
 class TestDecomposition:
-    def test_continuous_vanishing_function_untouched(self):
-        psi = stored(SPEC, lambda t: t * np.exp(-(t + 1.0) ** 2),
-                     lambda t: t * np.exp(-(t - 1.0) ** 2))
-        dec = decompose_sobolev(psi)
-        assert dec.c_plus == 0.0 and dec.c_minus == 0.0
-        assert np.abs(dec.psi0.right - psi.right).max() == 0.0
-
-    def test_defect_vector_components(self):
-        pp, pm = (grid_function(SPEC, phi)
-                  for phi in TwoSided.defect_pair(40.0, 1e-3))
-        dec = decompose_sobolev(pp)
-        assert dec.c_plus == 1.0 and dec.c_minus == 0.0
-        assert np.abs(dec.psi0.right).max() <= 1e-16
-        dec_m = decompose_sobolev(pm)
-        assert dec_m.c_plus == 0.0 and dec_m.c_minus == 1.0
-
-    def test_linear_ramp_example(self):
-        psi = stored(SPEC, right=lambda t: np.where(t < 1.0, 1.0 - t, 0.0))
-        dec = decompose_sobolev(psi)
-        assert dec.c_plus == 1j
-        assert dec.psi0.right_limit == 0.0
-
-    def test_boundary_values_vanish_and_orthogonal(self):
-        rng = np.random.default_rng(7)
-        opp, opm = TwoSided.defect_pair(40.0, 1e-3)
-        pp, pm = (grid_function(SPEC, phi) for phi in (opp, opm))
-        for _ in range(5):
-            psi = bump_function(rng, SPEC)
-            dec = decompose_sobolev(psi)
-            assert dec.psi0.left_limit == 0.0
-            assert dec.psi0.right_limit == 0.0
-            scale = norm_from_inner(sobolev_inner(dec.psi0, dec.psi0))
-            assert abs(sobolev_inner(pp, dec.psi0)) <= 1e-5 * scale
-            assert abs(sobolev_inner(pm, dec.psi0)) <= 1e-5 * scale
-            diff = (TwoSided.of(dec.psi0) + dec.c_plus * opp
-                    + dec.c_minus * opm - TwoSided.of(psi))
-            assert max(np.abs(diff.left).max(), np.abs(diff.right).max()) <= 1e-13
-
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_reconstruction_equals_grid_function_expression(self, spec):
         # the chunk windows add in the order of the whole-array expression
@@ -830,8 +750,9 @@ class TestDecomposition:
 
     @pytest.mark.parametrize("spec", [GridSpec(30.0, 3e-3), GridSpec(40.0, 5e-4)])
     def test_psi0_equals_grid_function_expression(self, spec):
-        # c phi formed, then subtracted from f, as the whole-array
-        # expression f - c_plus phi_+ - c_minus phi_- on the oracle
+        # c_pm = +-i psi(0+-), and c phi formed, then subtracted from f, as
+        # the whole-array expression f - c_plus phi_+ - c_minus phi_- on the
+        # oracle
         rng = np.random.default_rng(13)
         opp, opm = TwoSided.defect_pair(spec.half_width, spec.spacing)
         zeros = np.zeros(spec.n_nodes, dtype=complex)
@@ -843,7 +764,8 @@ class TestDecomposition:
                                trace_at_origin(left), 0j),
                   grid_function(spec, opp), grid_function(spec, opm)):
             dec = decompose_sobolev(f)
-            expected = TwoSided.of(f) - dec.c_plus * opp - dec.c_minus * opm
+            expected, c_plus, c_minus = oracle_psi0(TwoSided.of(f), opp, opm)
+            assert (dec.c_plus, dec.c_minus) == (c_plus, c_minus)
             for got, want in ((dec.psi0.left, expected.left),
                               (dec.psi0.right, expected.right)):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -893,14 +815,10 @@ class TestDecomposition:
         # The residual reads psi0 as the pairings see it and f from the
         # draw itself, so the CLI check fails when psi0 is wrong: when c phi
         # is subtracted twice, or not at all.
-        config = config_from_dict({"m": 1, "n": 1,
-                                   "E": [[[0.3, 0.0], [0.5, -0.2]],
-                                         [[0.5, 0.2], [1.0, 0.0]]],
-                                   "grid": {"T": 30.0, "h": 3e-3}})
 
         def reconstruction():
             report = Report("defect", "")
-            command_defect(config, 0, 0, report)
+            command_defect(suite_config(), 0, 0, report)
             return next(c for c in report.checks
                         if c.name == "decomposition_reconstruction")
 
@@ -1126,7 +1044,7 @@ class TestKernelOracles:
         g = random_noise_function(rng, spec)
         tracemalloc.start()
         try:
-            l2_pairing(f, g)
+            pairing(f, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1235,64 +1153,3 @@ def same(f, expected):
             and np.array_equal(f.right, expected.right)
             and f.left_limit == expected.left_limit
             and f.right_limit == expected.right_limit)
-
-
-def l2_pairing(f, g):
-    """The L2 pairing of two GridFunctions, one chunk pass on each
-    half-line, joined left + right."""
-    left, right = (half_pairing(f.spec, side, f.half(side), g.half(side))
-                   for side in SIDES)
-    return left + right
-
-
-class TestZeroHalves:
-    """Functions that vanish on one half-line, each zero half an ordinary
-    array, against the two-sided oracle: derivatives compared with ==,
-    pairings within the oracle's rounding bound."""
-
-    SPEC = GridSpec(30.0, 3e-3)
-
-    def functions(self):
-        rng = np.random.default_rng(8)
-        n = self.SPEC.n_nodes
-        zeros = np.zeros(n, dtype=complex)
-
-        def one_sided(fn, left, trace=0j):
-            # fn on one half-line and zeros, with ``trace`` as its trace,
-            # on the other
-            values, limit = fn(self.SPEC.nodes(left)), trace_at_origin(fn)
-            return (GridFunction(self.SPEC, values, zeros, limit, trace)
-                    if left else
-                    GridFunction(self.SPEC, zeros, values, trace, limit))
-
-        plus, minus = defect_pair(self.SPEC)
-        return {
-            "phi_plus": GridFunction(self.SPEC, zeros,
-                                     plus.values(self.SPEC.nodes(False)), 0j,
-                                     plus.limit),
-            "phi_minus": GridFunction(self.SPEC,
-                                      minus.values(self.SPEC.nodes(True)),
-                                      zeros, minus.limit, 0j),
-            "right": one_sided(random_bump(rng, "right"), False),
-            "left": one_sided(random_bump(rng, "left"), True),
-            # a zero half with a nonzero trace
-            "right_jump": one_sided(random_bump(rng, "right"), False, 0.3),
-            "two_sided": bump_function(rng, self.SPEC),
-            # nonzero, but below 1e-40 at both ends of its half-line
-            "interior": one_sided(gaussian(1.0 - 0.5j, 1.0, 10.0), False),
-        }
-
-    def test_products_match_full_computation(self):
-        fs = self.functions()
-        assert fs["right_jump"].left_limit == 0.3
-        for f in fs.values():
-            for g in fs.values():
-                of, og = TwoSided.of(f), TwoSided.of(g)
-                assert abs(l2_pairing(f, g) - of.l2(og)) <= of.l2_bound(og)
-                assert (abs(sobolev_inner(f, g) - of.sobolev(og))
-                        <= of.sobolev_bound(og))
-        assert sobolev_inner(fs["phi_plus"], fs["phi_minus"]) == 0.0
-
-    def test_derivative_matches_full_computation(self):
-        for f in self.functions().values():
-            assert same(derivative(f), TwoSided.of(f).derivative())
